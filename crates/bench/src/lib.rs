@@ -297,131 +297,6 @@ pub mod parallel {
     }
 }
 
-/// Workloads and measurement helpers for the key-switch hot path (PR 3):
-/// Shoup-path vs seed-Barrett key switching, single rotation, and the
-/// hoisted [`heax_ckks::Evaluator::rotate_many`] batch, shared by the
-/// `bench_keyswitch` snapshot binary.
-pub mod keyswitch {
-    use heax_ckks::{Evaluator, GaloisKeys};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    use crate::bench_json::KsRecord;
-    use crate::parallel::{set_for_n, SIZES};
-    use crate::workloads::{self, SetWorkload};
-
-    /// Rotation steps in the hoisted batch (the acceptance criterion
-    /// compares `rotate_many(8)` against 8 sequential rotations).
-    pub const ROTATE_STEPS: usize = 8;
-
-    /// Ring degrees measured: all paper sets, or just Set-A when
-    /// `HEAX_BENCH_QUICK` is set (CI smoke budget).
-    pub fn sizes() -> Vec<usize> {
-        if std::env::var_os("HEAX_BENCH_QUICK").is_some() {
-            vec![SIZES[0]]
-        } else {
-            SIZES.to_vec()
-        }
-    }
-
-    /// Keys, ciphertexts, and rotation keys for one ring degree.
-    pub struct KsWorkload {
-        /// Context, secret/relin keys, sample ciphertexts.
-        pub w: SetWorkload,
-        /// Galois keys for steps `1..=ROTATE_STEPS`.
-        pub gks: GaloisKeys,
-        /// The step list handed to `rotate_many`.
-        pub steps: Vec<i64>,
-    }
-
-    /// Builds the workload for ring degree `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a paper ring degree.
-    pub fn prepare(n: usize) -> KsWorkload {
-        let w = workloads::prepare(set_for_n(n));
-        let steps: Vec<i64> = (1..=ROTATE_STEPS as i64).collect();
-        let mut rng = StdRng::seed_from_u64(0x524F54); // "ROT"
-        let gks = GaloisKeys::generate(&w.ctx, &w.sk, &steps, &mut rng);
-        KsWorkload { w, gks, steps }
-    }
-
-    /// Measures the full suite for every size, returning records whose
-    /// `speedup_vs_baseline` compares: Shoup key switch vs the seed
-    /// Barrett path, and hoisted per-rotation throughput vs sequential
-    /// `rotate`.
-    pub fn measure_suite(budget_ms: u64) -> Vec<KsRecord> {
-        let threads = heax_math::exec::env_threads();
-        let mut records = Vec::new();
-        for n in sizes() {
-            eprintln!("preparing n = {n} ...");
-            let wl = prepare(n);
-            let eval = Evaluator::new(&wl.w.ctx);
-            let target = wl.w.ct_prod.component(2);
-            let level = wl.w.ct_prod.level();
-
-            let barrett = crate::measure_ops_per_sec(
-                || {
-                    let _ = eval
-                        .key_switch_reference(target, wl.w.rlk.ksk(), level)
-                        .expect("reference key switch");
-                },
-                budget_ms,
-            );
-            records.push(KsRecord::new(
-                "key_switch_barrett",
-                n,
-                threads,
-                barrett,
-                1.0,
-            ));
-
-            let shoup = crate::measure_ops_per_sec(
-                || {
-                    let _ = eval
-                        .key_switch(target, wl.w.rlk.ksk(), level)
-                        .expect("key switch");
-                },
-                budget_ms,
-            );
-            records.push(KsRecord::new(
-                "key_switch_shoup",
-                n,
-                threads,
-                shoup,
-                shoup / barrett,
-            ));
-
-            let rotate = crate::measure_ops_per_sec(
-                || {
-                    let _ = eval.rotate(&wl.w.ct_a, 1, &wl.gks).expect("rotate");
-                },
-                budget_ms,
-            );
-            records.push(KsRecord::new("rotate", n, threads, rotate, 1.0));
-
-            let batches = crate::measure_ops_per_sec(
-                || {
-                    let _ = eval
-                        .rotate_many(&wl.w.ct_a, &wl.steps, &wl.gks)
-                        .expect("rotate_many");
-                },
-                budget_ms,
-            );
-            let per_rotation = batches * wl.steps.len() as f64;
-            records.push(KsRecord::new(
-                &format!("rotate_many{}_per_rotation", wl.steps.len()),
-                n,
-                threads,
-                per_rotation,
-                per_rotation / rotate,
-            ));
-        }
-        records
-    }
-}
-
 /// Workloads and measurement helpers for the `heax-server` subsystem
 /// (`bench_server`): an 8-client rotation-heavy workload served by the
 /// batch-scheduled multi-session server versus the seed's
@@ -1861,36 +1736,6 @@ pub mod bench_json {
     /// Re-export of [`crate::snapshot::path_from_env`] (historic home).
     pub use crate::snapshot::path_from_env;
 
-    /// One measured key-switch-path point (`BENCH_keyswitch.json`).
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct KsRecord {
-        /// Operation name (`key_switch_shoup`, `rotate`, …).
-        pub op: String,
-        /// Ring degree.
-        pub n: usize,
-        /// Executor lanes of the global backend (`HEAX_THREADS`).
-        pub threads: usize,
-        /// Measured throughput (per-rotation for the hoisted batch).
-        pub ops_per_sec: f64,
-        /// Throughput relative to this op's baseline: the seed Barrett
-        /// key switch for `key_switch_shoup`, sequential `rotate` for
-        /// `rotate_manyN_per_rotation`, `1.0` for the baselines.
-        pub speedup_vs_baseline: f64,
-    }
-
-    impl KsRecord {
-        /// Convenience constructor.
-        pub fn new(op: &str, n: usize, threads: usize, ops_per_sec: f64, speedup: f64) -> Self {
-            Self {
-                op: op.to_string(),
-                n,
-                threads,
-                ops_per_sec,
-                speedup_vs_baseline: speedup,
-            }
-        }
-    }
-
     /// One measured serving-path point (`BENCH_server.json`).
     #[derive(Clone, Debug, PartialEq)]
     pub struct SrvRecord {
@@ -2242,27 +2087,6 @@ pub mod bench_json {
         }
         doc.render()
     }
-
-    /// Renders the key-switch snapshot document
-    /// (schema `heax-bench-keyswitch/1`).
-    pub fn render_keyswitch(records: &[KsRecord], budget_ms: u64, rotate_steps: usize) -> String {
-        let mut doc = Doc::new("heax-bench-keyswitch/1")
-            .host_parallelism()
-            .field("budget_ms", budget_ms)
-            .field("rotate_steps", rotate_steps);
-        for r in records {
-            doc.push_row(format!(
-                "{{\"op\": \"{}\", \"n\": {}, \"threads\": {}, \
-                 \"ops_per_sec\": {:.3}, \"speedup_vs_baseline\": {:.3}}}",
-                esc(&r.op),
-                r.n,
-                r.threads,
-                r.ops_per_sec,
-                r.speedup_vs_baseline,
-            ));
-        }
-        doc.render()
-    }
 }
 
 #[cfg(test)]
@@ -2281,22 +2105,6 @@ mod tests {
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"speedup_vs_sequential\": 1.750"));
         // Balanced braces/brackets, no trailing comma before the closer.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
-    }
-
-    #[test]
-    fn keyswitch_json_renders_valid_shape() {
-        use bench_json::KsRecord;
-        let records = vec![
-            KsRecord::new("key_switch_barrett", 8192, 1, 100.0, 1.0),
-            KsRecord::new("rotate_many8_per_rotation", 8192, 1, 250.0, 2.5),
-        ];
-        let json = bench_json::render_keyswitch(&records, 100, 8);
-        assert!(json.contains("\"schema\": \"heax-bench-keyswitch/1\""));
-        assert!(json.contains("\"rotate_steps\": 8"));
-        assert!(json.contains("\"speedup_vs_baseline\": 2.500"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains(",\n  ]"));

@@ -25,23 +25,16 @@ fn run_binary(name: &str, path: &str) {
         let out = Command::new(path)
             .arg(FAST_BUDGET_MS)
             .env("HEAX_THREADS", threads)
-            // Keep the heavy sweep binaries (bench_keyswitch) on their
-            // reduced CI-smoke problem sizes.
+            // Keep the heavy sweep binaries (bench_server, bench_sockets, …)
+            // on their reduced CI-smoke problem sizes.
             .env("HEAX_BENCH_QUICK", "1")
-            // Keep perf snapshots (bench_parallel / bench_keyswitch) out
+            // Keep perf snapshots (bench_parallel, bench_server, …) out
             // of the source tree; one file per binary and thread count so
             // concurrently running smoke tests never race on a path.
             .env(
                 "HEAX_BENCH_JSON",
                 format!(
                     "{}/BENCH_parallel_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
-            .env(
-                "HEAX_BENCH_KS_JSON",
-                format!(
-                    "{}/BENCH_keyswitch_smoke_{threads}.json",
                     env!("CARGO_TARGET_TMPDIR")
                 ),
             )
@@ -124,7 +117,6 @@ smoke!(
     ablation_ntt,
     ablation_wordsize,
     bench_parallel,
-    bench_keyswitch,
     bench_server,
     bench_pipeline,
     bench_cluster,

@@ -23,14 +23,14 @@ use std::sync::{Arc, Mutex};
 
 use heax_math::exec::{self, Executor};
 use heax_math::poly::{Representation, RnsPoly};
-use heax_math::word::Modulus;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
-use crate::flooring::{floor_last_into, floor_special_into, floor_special_pair_into};
+use crate::flooring::floor_last_into;
 use crate::galois::{apply_galois_ntt_into, galois_elt_conjugate, galois_elt_from_step};
 use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use crate::scratch::{KeySwitchScratch, KsBuffers};
+use crate::keyswitch::{KeySwitcher, KsBuffers, TableNtt};
+use crate::scratch::KeySwitchScratch;
 use crate::CkksError;
 
 /// Relative tolerance when comparing scales of operands.
@@ -412,11 +412,14 @@ impl<'a> Evaluator<'a> {
     /// key-switching key, produces the pair `(f₀, f₁)` over the same basis
     /// such that `f₀ + f₁·s ≈ target·s'`.
     ///
-    /// The accumulation runs against the key's Shoup
+    /// This is the one-key, identity-permutation case of the shared
+    /// skeleton ([`crate::keyswitch`]) over the software NTT kernels: the
+    /// accumulation runs against the key's Shoup
     /// ([`heax_math::word::MulRedConstant`]) tables with lazy `[0, 2p)`
-    /// arithmetic and a single deferred reduction — bit-identical to the
-    /// Barrett path ([`Evaluator::key_switch_reference`]), one
-    /// shift-multiply per coefficient instead of a 128-bit reduction.
+    /// arithmetic and a single deferred reduction — one shift-multiply per
+    /// coefficient instead of a 128-bit reduction, bit-identical to a
+    /// strict Barrett evaluation of Algorithm 7 (the property suite keeps
+    /// one as its oracle).
     ///
     /// # Errors
     ///
@@ -454,242 +457,13 @@ impl<'a> Evaluator<'a> {
         f1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
         let mut guard = self.scratch();
-        self.key_switch_core(target, ksk, level, &mut guard.ks, f0, f1)
+        self.switcher()
+            .key_switch_into(&mut guard.ks, target, ksk, level, f0, f1)
     }
 
-    /// The scratch-parameterized key-switch body shared by
-    /// [`Evaluator::key_switch_into`] and [`Evaluator::apply_galois`].
-    fn key_switch_core(
-        &self,
-        target: &RnsPoly,
-        ksk: &KeySwitchKey,
-        level: usize,
-        bufs: &mut KsBuffers,
-        f0: &mut RnsPoly,
-        f1: &mut RnsPoly,
-    ) -> Result<(), CkksError> {
-        let ctx = self.ctx;
-        if target.representation() != Representation::Ntt {
-            return Err(CkksError::Math(
-                heax_math::MathError::RepresentationMismatch,
-            ));
-        }
-        if target.num_residues() != level + 1 {
-            return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-                expected: level + 1,
-                got: target.num_residues(),
-            }));
-        }
-        let n = ctx.n();
-        let k = ctx.params().k();
-        check_switch_output(f0, n, ctx.level_moduli(level))?;
-        check_switch_output(f1, n, ctx.level_moduli(level))?;
-        bufs.ensure(ctx, level);
-        let KsBuffers {
-            ext_moduli,
-            acc0,
-            acc1,
-            a_coeff,
-            lane,
-            drop_coeff,
-            drop_coeff2,
-            ..
-        } = bufs;
-        let ext_len = ext_moduli.len();
-
-        // k iterations, one per input RNS component (Alg. 7, lines 2-18).
-        // The inner loop over the extended basis is embarrassingly
-        // parallel (each `j` touches only limb `j` of both accumulators
-        // and its private scratch lane — in hardware these are the
-        // concurrently running NTT0/DyadMult lanes), so it is dispatched
-        // across the evaluator's executor.
-        for i in 0..=level {
-            // a ← INTT_{p_i}(c̃_{1,i})            (line 3)
-            a_coeff.copy_from_slice(target.residue(i));
-            ctx.ntt_table(i).inverse_auto(a_coeff);
-
-            let (ksk_b, ksk_a) = ksk.component_shoup(i);
-            let a_coeff = &*a_coeff;
-            let ext_moduli = &*ext_moduli;
-            // The first iteration writes the accumulators outright (no
-            // zero-fill pass, no add-onto-zero).
-            let first = i == 0;
-            exec::for_each_limb3(
-                self.exec.as_ref(),
-                acc0.data_mut(),
-                acc1.data_mut(),
-                &mut lane[..ext_len * n],
-                n,
-                |j, d0, d1, buf| {
-                    let m = &ext_moduli[j];
-                    // Chain index of extended position j (special prime
-                    // last).
-                    let chain_idx = if j <= level { j } else { k };
-                    // b̃: reuse the NTT form when i == j (line 9), otherwise
-                    // reduce in coefficient space and re-NTT inside this
-                    // limb's scratch lane (lines 6-7, 14-15).
-                    let b_ntt: &[u64] = if chain_idx == i {
-                        target.residue(i)
-                    } else {
-                        for (b, &x) in buf.iter_mut().zip(a_coeff) {
-                            *b = m.reduce_u64(x);
-                        }
-                        ctx.ntt_table(chain_idx).forward_auto(buf);
-                        buf
-                    };
-                    // Accumulate b̃ ⊙ d̃_{i,0/1,j} (lines 11-12, 16-17)
-                    // against the Shoup tables, lazily: each product is
-                    // in [0, 2p) and the word has headroom for all k of
-                    // them whenever (level+1)·2p < 2^64 (every paper
-                    // parameter set), so the hot loop is a bare
-                    // shift-multiply-add — no reduction at all. The fold
-                    // to [0, p) is a single deferred Barrett pass.
-                    let kb = &ksk_b[chain_idx * n..(chain_idx + 1) * n];
-                    let ka = &ksk_a[chain_idx * n..(chain_idx + 1) * n];
-                    if first {
-                        for ((d, &x), c) in d0.iter_mut().zip(b_ntt).zip(kb) {
-                            *d = c.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                        }
-                        for ((d, &x), c) in d1.iter_mut().zip(b_ntt).zip(ka) {
-                            *d = c.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                        }
-                    } else if lazy_acc_fits(m, level) {
-                        for ((d, &x), c) in d0.iter_mut().zip(b_ntt).zip(kb) {
-                            *d += c.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                        }
-                        for ((d, &x), c) in d1.iter_mut().zip(b_ntt).zip(ka) {
-                            *d += c.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                        }
-                    } else {
-                        // Wide-modulus fallback: correct to [0, 2p) per add.
-                        let two_p = 2 * m.value();
-                        for ((d, &x), c) in d0.iter_mut().zip(b_ntt).zip(kb) {
-                            let s = *d + c.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                            *d = if s >= two_p { s - two_p } else { s };
-                        }
-                        for ((d, &x), c) in d1.iter_mut().zip(b_ntt).zip(ka) {
-                            let s = *d + c.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                            *d = if s >= two_p { s - two_p } else { s };
-                        }
-                    }
-                },
-            );
-        }
-
-        // Modulus switching: floor both accumulators by the special prime
-        // (line 19) as one interleaved pair, reusing the scratch lanes.
-        // The accumulators are still lazy (< (level+1)·2p); the floor
-        // folds the deferred Barrett reduction into its own streaming
-        // reads, so no separate normalization pass ever touches memory.
-        floor_special_pair_into(
-            acc0,
-            acc1,
-            ctx,
-            level,
-            self.exec.as_ref(),
-            drop_coeff,
-            drop_coeff2,
-            lane,
-            f0,
-            f1,
-        )?;
-        Ok(())
-    }
-
-    /// The seed's Barrett-reduction key switch, kept as the correctness
-    /// oracle for the Shoup path (the property suite asserts bit-identical
-    /// outputs across backends) and as the baseline the `bench_keyswitch`
-    /// snapshot measures speedups against. Allocates per call, exactly
-    /// like the seed did.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::Math`] on representation/shape mismatches.
-    pub fn key_switch_reference(
-        &self,
-        target: &RnsPoly,
-        ksk: &KeySwitchKey,
-        level: usize,
-    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
-        let ctx = self.ctx;
-        if target.representation() != Representation::Ntt {
-            return Err(CkksError::Math(
-                heax_math::MathError::RepresentationMismatch,
-            ));
-        }
-        if target.num_residues() != level + 1 {
-            return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-                expected: level + 1,
-                got: target.num_residues(),
-            }));
-        }
-        let n = ctx.n();
-        let k = ctx.params().k();
-        let mut ext_chain: Vec<_> = ctx.level_moduli(level).to_vec();
-        ext_chain.push(*ctx.special_modulus());
-
-        let mut acc0 = RnsPoly::zero(n, &ext_chain, Representation::Ntt);
-        let mut acc1 = RnsPoly::zero(n, &ext_chain, Representation::Ntt);
-
-        for i in 0..=level {
-            let mut a_coeff = target.residue(i).to_vec();
-            ctx.ntt_table(i).inverse_auto(&mut a_coeff);
-
-            let (ksk_b, ksk_a) = ksk.component(i);
-            let a_coeff = &a_coeff;
-            let ext_chain = &ext_chain;
-            exec::for_each_limb2(
-                self.exec.as_ref(),
-                acc0.data_mut(),
-                acc1.data_mut(),
-                n,
-                |j, d0, d1| {
-                    let m = &ext_chain[j];
-                    let chain_idx = if j <= level { j } else { k };
-                    let reduced;
-                    let b_ntt: &[u64] = if chain_idx == i {
-                        target.residue(i)
-                    } else {
-                        let mut b: Vec<u64> = a_coeff.iter().map(|&x| m.reduce_u64(x)).collect();
-                        ctx.ntt_table(chain_idx).forward_auto(&mut b);
-                        reduced = b;
-                        &reduced
-                    };
-                    let kb = ksk_b.residue(chain_idx);
-                    let ka = ksk_a.residue(chain_idx);
-                    for (t, d) in d0.iter_mut().enumerate() {
-                        *d = m.add_mod(*d, m.mul_mod(b_ntt[t], kb[t]));
-                    }
-                    for (t, d) in d1.iter_mut().enumerate() {
-                        *d = m.add_mod(*d, m.mul_mod(b_ntt[t], ka[t]));
-                    }
-                },
-            );
-        }
-
-        let mut drop = Vec::new();
-        let mut lane = vec![0u64; (level + 1) * n];
-        let mut f0 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-        let mut f1 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-        floor_special_into(
-            &acc0,
-            ctx,
-            level,
-            self.exec.as_ref(),
-            &mut drop,
-            &mut lane,
-            &mut f0,
-        )?;
-        floor_special_into(
-            &acc1,
-            ctx,
-            level,
-            self.exec.as_ref(),
-            &mut drop,
-            &mut lane,
-            &mut f1,
-        )?;
-        Ok((f0, f1))
+    /// The shared key-switch skeleton over the software NTT kernels.
+    fn switcher(&self) -> KeySwitcher<'_, TableNtt> {
+        KeySwitcher::new(self.ctx, self.exec.as_ref(), &TableNtt)
     }
 
     /// `CKKS.Relin`: key-switches the `c₂` component of a 3-component
@@ -785,23 +559,17 @@ impl<'a> Evaluator<'a> {
         let moduli = ctx.level_moduli(level);
         let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
         let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
+        let switcher = self.switcher();
         {
             let mut guard = self.scratch();
             let scratch = &mut *guard;
             scratch.ensure_rotated(ctx, level);
             let KeySwitchScratch { ks, rotated, .. } = scratch;
             apply_galois_ntt_into(&a.polys[1], table, rotated)?;
-            self.key_switch_core(rotated, ksk, level, ks, &mut f0, &mut f1)?;
+            switcher.key_switch_into(ks, rotated, ksk, level, &mut f0, &mut f1)?;
         }
-        // c₀' = τ(c₀) + f₀, with the permutation fused into the add.
-        let c0 = &a.polys[0];
-        exec::for_each_limb(self.exec.as_ref(), f0.data_mut(), n, |i, dst| {
-            let m = &moduli[i];
-            let src = c0.residue(i);
-            for (t, d) in dst.iter_mut().enumerate() {
-                *d = m.add_mod(*d, src[table[t]]);
-            }
-        });
+        // c₀' = τ(c₀) + f₀.
+        switcher.add_permuted(&mut f0, &a.polys[0], table, level);
         Ciphertext::from_parts(vec![f0, f1], level, a.scale)
     }
 
@@ -828,198 +596,9 @@ impl<'a> Evaluator<'a> {
         steps: &[i64],
         gks: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>, CkksError> {
-        if a.size() != 2 {
-            return Err(CkksError::InvalidCiphertext {
-                components: a.size(),
-                expected: "exactly 2 (relinearize first)",
-            });
-        }
-        if steps.is_empty() {
-            return Ok(Vec::new());
-        }
-        let ctx = self.ctx;
-        let n = ctx.n();
-        let k = ctx.params().k();
-        let level = a.level;
-        let moduli = ctx.level_moduli(level);
-        // Resolve every key up front so a missing key fails before the
-        // decomposition work.
-        let keys: Vec<(&KeySwitchKey, &[usize])> = steps
-            .iter()
-            .map(|&s| {
-                let elt = galois_elt_from_step(s, n);
-                Ok((gks.key(elt)?, gks.permutation(elt)?))
-            })
-            .collect::<Result<_, CkksError>>()?;
-
         let mut guard = self.scratch();
-        let scratch = &mut *guard;
-        scratch.ks.ensure(ctx, level);
-        let KeySwitchScratch { ks, digits, .. } = scratch;
-        let KsBuffers {
-            ext_moduli,
-            acc0,
-            acc1,
-            lane,
-            drop_coeff,
-            drop_coeff2,
-            ..
-        } = ks;
-        let ext_len = ext_moduli.len();
-        let ext_moduli = &*ext_moduli;
-
-        // --- Hoist: decompose c₁ once into NTT-form digits -------------
-        // Column-major layout: digits[(j·(level+1) + i)·n ..] is b̃_{i,j}
-        // of Algorithm 7 — the same values every per-step key switch
-        // would recompute. Digits live in the [0, 4p) lazy domain (the
-        // accumulation below is domain-agnostic).
-        let rows = level + 1;
-        let c1 = &a.polys[1];
-        // Step A: INTT every residue of c₁ into its lane slot.
-        let lane_coeff = &mut lane[..rows * n];
-        exec::for_each_limb(self.exec.as_ref(), lane_coeff, n, |i, dst| {
-            dst.copy_from_slice(c1.residue(i));
-            ctx.ntt_table(i).inverse_auto(dst);
-        });
-        // Step B: per extended limb j, fill the digit column. All
-        // off-diagonal transforms of a column share one NTT table, so
-        // they run as interleaved reduced-on-load pairs.
-        let lane_coeff = &lane[..rows * n];
-        digits.resize(ext_len * rows * n, 0);
-        exec::for_each_limb(self.exec.as_ref(), digits, rows * n, |j, col| {
-            let chain_idx = if j <= level { j } else { k };
-            let table_j = ctx.ntt_table(chain_idx);
-            if chain_idx <= level {
-                col[chain_idx * n..(chain_idx + 1) * n].copy_from_slice(c1.residue(chain_idx));
-            }
-            let offdiag: Vec<usize> = (0..rows).filter(|&i| i != chain_idx).collect();
-            for pair in offdiag.chunks(2) {
-                match *pair {
-                    [i1, i2] => {
-                        let (lo, hi) = col.split_at_mut(i2 * n);
-                        table_j.forward_reduced_auto2(
-                            &lane_coeff[i1 * n..(i1 + 1) * n],
-                            &lane_coeff[i2 * n..(i2 + 1) * n],
-                            &mut lo[i1 * n..(i1 + 1) * n],
-                            &mut hi[..n],
-                        );
-                    }
-                    [i1] => {
-                        table_j.forward_reduced_auto(
-                            &lane_coeff[i1 * n..(i1 + 1) * n],
-                            &mut col[i1 * n..(i1 + 1) * n],
-                        );
-                    }
-                    _ => unreachable!("chunks(2)"),
-                }
-            }
-        });
-
-        // --- Per rotation: permute digits + Shoup-accumulate + floor ----
-        let c0 = &a.polys[0];
-        let mut out = Vec::with_capacity(steps.len());
-        for (ksk, table) in keys {
-            for i in 0..=level {
-                let (ksk_b, ksk_a) = ksk.component_shoup(i);
-                let digits = &*digits;
-                // First iteration writes outright — no zero-fill pass.
-                let first = i == 0;
-                exec::for_each_limb2(
-                    self.exec.as_ref(),
-                    acc0.data_mut(),
-                    acc1.data_mut(),
-                    n,
-                    |j, d0, d1| {
-                        let m = &ext_moduli[j];
-                        let chain_idx = if j <= level { j } else { k };
-                        let dig = &digits[(j * rows + i) * n..(j * rows + i + 1) * n];
-                        let kb = &ksk_b[chain_idx * n..(chain_idx + 1) * n];
-                        let ka = &ksk_a[chain_idx * n..(chain_idx + 1) * n];
-                        // τ(digit) is fused into the accumulation: the
-                        // permutation is pure addressing, as in hardware.
-                        let iter = table.iter().zip(d0.iter_mut().zip(d1.iter_mut()));
-                        if first {
-                            for ((&idx, (d0t, d1t)), (kbt, kat)) in iter.zip(kb.iter().zip(ka)) {
-                                let x = dig[idx];
-                                *d0t = kbt.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                                *d1t = kat.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                            }
-                        } else if lazy_acc_fits(m, level) {
-                            for ((&idx, (d0t, d1t)), (kbt, kat)) in iter.zip(kb.iter().zip(ka)) {
-                                let x = dig[idx];
-                                *d0t += kbt.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                                *d1t += kat.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                            }
-                        } else {
-                            let two_p = 2 * m.value();
-                            for ((&idx, (d0t, d1t)), (kbt, kat)) in iter.zip(kb.iter().zip(ka)) {
-                                let x = dig[idx];
-                                let s = *d0t + kbt.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                                *d0t = if s >= two_p { s - two_p } else { s };
-                                let s = *d1t + kat.mul_red_lazy(x, m); // DOMAIN: [0,2p)
-                                *d1t = if s >= two_p { s - two_p } else { s };
-                            }
-                        }
-                    },
-                );
-            }
-            let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
-            let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
-            floor_special_pair_into(
-                acc0,
-                acc1,
-                ctx,
-                level,
-                self.exec.as_ref(),
-                drop_coeff,
-                drop_coeff2,
-                lane,
-                &mut f0,
-                &mut f1,
-            )?;
-            // c₀' = τ(c₀) + f₀, permutation fused into the add.
-            exec::for_each_limb(self.exec.as_ref(), f0.data_mut(), n, |i, dst| {
-                let m = &moduli[i];
-                let src = c0.residue(i);
-                for (t, d) in dst.iter_mut().enumerate() {
-                    *d = m.add_mod(*d, src[table[t]]);
-                }
-            });
-            out.push(Ciphertext::from_parts(vec![f0, f1], level, a.scale)?);
-        }
-        Ok(out)
+        self.switcher().rotate_many(&mut guard.ks, a, steps, gks)
     }
-}
-
-/// Whether `level + 1` lazy `[0, 2p)` products can accumulate in a bare
-/// `u64` without any intermediate correction: each product is at most
-/// `2p − 1`, so the requirement is `(level+1)·(2p−1) ≤ 2^64 − 1`.
-/// Holds for every paper parameter set (and any chain of ≤ 60-bit primes
-/// up to depth 8); the wide-modulus fallback corrects per add instead.
-#[inline]
-// DOMAIN: [0,2p)
-fn lazy_acc_fits(m: &Modulus, level: usize) -> bool {
-    (level as u128 + 1) * (2 * m.value() as u128 - 1) <= u64::MAX as u128
-}
-
-/// Validates a caller-provided key-switch output buffer: NTT-form shape
-/// over exactly the given basis.
-fn check_switch_output(out: &RnsPoly, n: usize, moduli: &[Modulus]) -> Result<(), CkksError> {
-    if out.n() != n || out.num_residues() != moduli.len() {
-        return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-            expected: moduli.len() * n,
-            got: out.num_residues() * out.n(),
-        }));
-    }
-    for (a, b) in out.moduli().iter().zip(moduli) {
-        if a.value() != b.value() {
-            return Err(CkksError::Math(heax_math::MathError::BasisMismatch {
-                a: a.value(),
-                b: b.value(),
-            }));
-        }
-    }
-    Ok(())
 }
 
 /// Whether two scales are equal within the evaluator's tolerance.
@@ -1222,9 +801,12 @@ mod tests {
         let (f0, f1) = ev
             .key_switch(prod.component(2), h.rlk.ksk(), prod.level())
             .unwrap();
-        let (g0, g1) = ev
-            .key_switch_reference(prod.component(2), h.rlk.ksk(), prod.level())
-            .unwrap();
+        let (g0, g1) = crate::test_support::barrett_key_switch(
+            &h.ctx,
+            prod.component(2),
+            h.rlk.ksk(),
+            prod.level(),
+        );
         assert_eq!(f0, g0, "Shoup f0 must equal the seed Barrett path");
         assert_eq!(f1, g1, "Shoup f1 must equal the seed Barrett path");
     }

@@ -64,115 +64,6 @@ pub(crate) fn floor_last_into(
     floor_impl_into(c, ctx, level, false, exec, drop_coeff, lane, out)
 }
 
-/// Floors **both** key-switch accumulators by the special prime in one
-/// pass: the two inverse transforms of the dropped residues and the two
-/// forward transforms per remaining modulus run as interleaved-butterfly
-/// pairs ([`heax_math::ntt::NttTable::forward_auto2`]), giving the core
-/// two independent multiply chains to overlap — the modulus-switch tail
-/// is the per-rotation bottleneck of hoisted rotation, so this pairing is
-/// what its throughput rides on. Inputs may be lazy accumulators (any
-/// u64 congruent to the residue); outputs are bit-identical to two
-/// [`floor_special_into`] calls.
-///
-/// `lane` must hold at least `2·(level+1)·n` words.
-///
-/// # Errors
-///
-/// Same as [`floor_special_into`], checked for both operands.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn floor_special_pair_into(
-    c0: &RnsPoly,
-    c1: &RnsPoly,
-    ctx: &CkksContext,
-    level: usize,
-    exec: &dyn Executor,
-    drop0: &mut Vec<u64>,
-    drop1: &mut Vec<u64>,
-    lane: &mut [u64],
-    out0: &mut RnsPoly,
-    out1: &mut RnsPoly,
-) -> Result<(), CkksError> {
-    let n = ctx.n();
-    let keep = level + 1;
-    let out_moduli = ctx.level_moduli(level);
-    for c in [c0, c1] {
-        if c.representation() != Representation::Ntt {
-            return Err(CkksError::Math(
-                heax_math::MathError::RepresentationMismatch,
-            ));
-        }
-        if c.num_residues() != keep + 1 {
-            return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-                expected: keep + 1,
-                got: c.num_residues(),
-            }));
-        }
-    }
-    for out in [&*out0, &*out1] {
-        if out.n() != n || out.num_residues() != out_moduli.len() {
-            return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-                expected: out_moduli.len() * n,
-                got: out.num_residues() * out.n(),
-            }));
-        }
-    }
-    let sp = ctx.special_modulus();
-    let sp_table = ctx.special_ntt_table();
-    let consts = ctx.modswitch_constants(level);
-
-    // Step 1 ×2: reduce-and-copy the dropped residues, inverse-transform
-    // them as an interleaved pair (same special-prime table).
-    drop0.clear();
-    drop0.extend(c0.residue(keep).iter().map(|&x| sp.reduce_u64(x)));
-    drop1.clear();
-    drop1.extend(c1.residue(keep).iter().map(|&x| sp.reduce_u64(x)));
-    sp_table.inverse_auto2(drop0, drop1);
-
-    // Step 2 ×2: per remaining modulus, reduce both coefficient vectors
-    // into the limb's private lanes, forward-transform them as a pair,
-    // and fold into both outputs.
-    let a0 = &*drop0;
-    let a1 = &*drop1;
-    let out_len = out_moduli.len() * n;
-    let (lane0, rest) = lane.split_at_mut(out_len);
-    let lane1 = &mut rest[..out_len];
-    out0.set_representation(Representation::Ntt);
-    out1.set_representation(Representation::Ntt);
-    let (d0, d1) = (out0.data_mut(), out1.data_mut());
-    exec::for_each_limb4(
-        exec,
-        d0,
-        d1,
-        lane0,
-        lane1,
-        n,
-        |i, dst0, dst1, buf0, buf1| {
-            let pi = &out_moduli[i];
-            let table = ctx.ntt_table(i);
-            // Reduce-on-load fused into the first butterfly stage; the lazy
-            // kernel also skips its final normalization, leaving r̃ in
-            // [0, 4p) — the congruence offset below absorbs that.
-            table.forward_reduced_auto2(a0, a1, buf0, buf1);
-            let off = if table.reduced_kernel_is_lazy() {
-                4 * pi.value()
-            } else {
-                pi.value()
-            };
-            let inv = consts.inv(i);
-            let src0 = c0.residue(i);
-            let src1 = c1.residue(i);
-            for (j, (d0, d1)) in dst0.iter_mut().zip(dst1.iter_mut()).enumerate() {
-                // (src − r̃)·p⁻¹ computed from lazy operands: the MulRed final
-                // correction canonicalizes, so outputs are bit-identical to
-                // the strict single-residue floor.
-                *d0 = inv.mul_red(pi.reduce_u64(src0[j]) + off - buf0[j], pi);
-                *d1 = inv.mul_red(pi.reduce_u64(src1[j]) + off - buf1[j], pi);
-            }
-        },
-    );
-    Ok(())
-}
-
 /// Allocating convenience wrapper over [`floor_special_into`] for cold
 /// paths (encryption); hot paths go through the evaluator's scratch.
 ///
@@ -236,8 +127,8 @@ fn floor_impl_into(
 
     // Step 1: INTT the dropped residue (Algorithm 6, line 1). Inputs to
     // this single-residue floor are always canonical [0, p) residues
-    // (rescaling, encryption, the Barrett reference path); only the
-    // paired variant above accepts lazy accumulators.
+    // (rescaling, encryption); only the key-switch skeleton's paired
+    // floor (`crate::keyswitch`) accepts lazy accumulators.
     drop_coeff.clear();
     drop_coeff.extend_from_slice(c.residue(keep));
     drop_table.inverse_auto(drop_coeff);
@@ -267,6 +158,7 @@ fn floor_impl_into(
 mod tests {
     use super::*;
     use crate::context::tests::small;
+    use crate::keyswitch::{KeySwitcher, KsBuffers, TableNtt};
     use heax_math::exec::Sequential;
 
     /// Allocating convenience wrapper over the rescale into-variant.
@@ -380,24 +272,15 @@ mod tests {
                 }
             }
         }
-        let mut drop0 = Vec::new();
-        let mut drop1 = Vec::new();
-        let mut lane = vec![0u64; 2 * (level + 1) * n];
+        let mut bufs = KsBuffers::default();
+        bufs.ensure(&ctx, level);
+        bufs.acc0 = c0;
+        bufs.acc1 = c1;
         let mut p0 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
         let mut p1 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-        floor_special_pair_into(
-            &c0,
-            &c1,
-            &ctx,
-            level,
-            &Sequential,
-            &mut drop0,
-            &mut drop1,
-            &mut lane,
-            &mut p0,
-            &mut p1,
-        )
-        .unwrap();
+        KeySwitcher::new(&ctx, &Sequential, &TableNtt)
+            .floor(&mut bufs, level, &mut p0, &mut p1)
+            .unwrap();
         assert_eq!(p0, s0);
         assert_eq!(p1, s1);
     }

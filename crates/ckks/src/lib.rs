@@ -63,10 +63,20 @@ pub mod eval;
 mod flooring;
 pub mod galois;
 pub mod keys;
+pub mod keyswitch;
 pub mod noise;
 pub mod params;
 mod scratch;
 pub mod serialize;
+
+/// The integration suite's independent Barrett oracle for Algorithm 7,
+/// shared with the unit tests (it is written against the public API, so
+/// the crate is made visible under its own name).
+#[cfg(test)]
+extern crate self as heax_ckks;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod test_support;
 
 pub use ciphertext::{Ciphertext, Plaintext, SeededCiphertext};
 pub use context::CkksContext;

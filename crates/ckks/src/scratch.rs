@@ -22,8 +22,9 @@ fn empty_poly() -> RnsPoly {
 }
 
 /// Buffers for one key-switch (or flooring) invocation, cached by level.
+/// Starts empty ([`Default`]); the first use at a level shapes it.
 #[derive(Debug)]
-pub(crate) struct KsBuffers {
+pub struct KsBuffers {
     /// Level the buffers are currently shaped for.
     level: Option<usize>,
     /// Extended basis (active primes + special prime) at that level.
@@ -32,8 +33,11 @@ pub(crate) struct KsBuffers {
     pub(crate) acc0: RnsPoly,
     /// Accumulator `f₁` over the extended basis.
     pub(crate) acc1: RnsPoly,
-    /// INTT'd target residue (Algorithm 7 line 3), one ring element.
-    pub(crate) a_coeff: Vec<u64>,
+    /// Decomposition digits `b̃_{i,j}` of Algorithm 7:
+    /// `(level+2) · (level+1)` limbs of `n` words, **column-major in the
+    /// extended-basis index `j`** — digit `(i, j)` lives at
+    /// `[(j·(level+1) + i)·n, (j·(level+1) + i + 1)·n)`.
+    pub(crate) digits: Vec<u64>,
     /// Per-limb reduction/NTT lanes: limb `j` owns `[j·n, (j+1)·n)`;
     /// sized for the paired floor (two lanes per output limb).
     pub(crate) lane: Vec<u64>,
@@ -50,7 +54,7 @@ impl Default for KsBuffers {
             ext_moduli: Vec::new(),
             acc0: empty_poly(),
             acc1: empty_poly(),
-            a_coeff: Vec::new(),
+            digits: Vec::new(),
             lane: Vec::new(),
             drop_coeff: Vec::new(),
             drop_coeff2: Vec::new(),
@@ -70,7 +74,7 @@ impl KsBuffers {
         ext.push(*ctx.special_modulus());
         self.acc0 = RnsPoly::zero(n, &ext, Representation::Ntt);
         self.acc1 = RnsPoly::zero(n, &ext, Representation::Ntt);
-        self.a_coeff.resize(n, 0);
+        self.digits.resize(ext.len() * (level + 1) * n, 0);
         self.lane.resize(2 * ext.len() * n, 0);
         self.drop_coeff.clear();
         self.drop_coeff.reserve(n);
@@ -82,7 +86,7 @@ impl KsBuffers {
 }
 
 /// The evaluator-owned workspace: key-switch buffers plus the rotation
-/// and hoisting scratch reused by `apply_galois` / `rotate_many`.
+/// scratch reused by `apply_galois`.
 #[derive(Debug)]
 pub(crate) struct KeySwitchScratch {
     /// Key-switch / flooring buffers.
@@ -91,11 +95,6 @@ pub(crate) struct KeySwitchScratch {
     pub(crate) rotated: RnsPoly,
     /// Level `rotated` is shaped for.
     rotated_level: Option<usize>,
-    /// Hoisted decomposition digits for `rotate_many`:
-    /// `(level+2) · (level+1)` limbs of `n` words, **column-major in the
-    /// extended-basis index `j`** — digit `(i, j)` lives at
-    /// `[(j·(level+1) + i)·n, (j·(level+1) + i + 1)·n)`.
-    pub(crate) digits: Vec<u64>,
 }
 
 impl Default for KeySwitchScratch {
@@ -104,7 +103,6 @@ impl Default for KeySwitchScratch {
             ks: KsBuffers::default(),
             rotated: empty_poly(),
             rotated_level: None,
-            digits: Vec::new(),
         }
     }
 }

@@ -10,6 +10,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod support;
+
 fn ctx() -> CkksContext {
     let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
     CkksContext::new(CkksParams::new(64, chain, (1u64 << 32) as f64).unwrap()).unwrap()
@@ -137,9 +139,9 @@ proptest! {
 }
 
 /// PR 3 key-switch overhaul properties: the Shoup-table fast path must be
-/// bit-identical to the seed Barrett path on every backend, and hoisted
-/// multi-rotation must decrypt to the same slot values as sequential
-/// rotations.
+/// bit-identical to the Barrett oracle (`support`) on every backend, and
+/// hoisted multi-rotation must match its own oracle bit for bit and
+/// decrypt to the same slot values as sequential rotations.
 mod keyswitch_overhaul {
     use super::*;
     use heax_math::exec::with_threads;
@@ -178,7 +180,7 @@ mod keyswitch_overhaul {
                     t
                 };
                 let (f0, f1) = eval.key_switch(&target, rlk.ksk(), level).unwrap();
-                let (g0, g1) = eval.key_switch_reference(&target, rlk.ksk(), level).unwrap();
+                let (g0, g1) = support::barrett_key_switch(&r.ctx, &target, rlk.ksk(), level);
                 prop_assert_eq!(&f0, &g0, "f0 diverged at level={} threads={}", level, threads);
                 prop_assert_eq!(&f1, &g1, "f1 diverged at level={} threads={}", level, threads);
             }
@@ -186,7 +188,8 @@ mod keyswitch_overhaul {
 
         /// `rotate_many(steps)` decrypts identically (slot-wise, within
         /// encoder tolerance) to sequential `rotate` per step, and is
-        /// bit-identical across the sequential and 4-lane backends.
+        /// bit-identical across the sequential and 4-lane backends and
+        /// to the naive per-step hoisted oracle.
         #[test]
         fn rotate_many_matches_sequential_rotations(
             steps in prop::collection::vec(-7i64..8, 1..5),
@@ -208,6 +211,14 @@ mod keyswitch_overhaul {
             let hoisted = seq_eval.rotate_many(&ct, &steps, &gks).unwrap();
             let hoisted_par = par_eval.rotate_many(&ct, &steps, &gks).unwrap();
             prop_assert_eq!(hoisted.len(), steps.len());
+            // Bit-identical to the naive Barrett hoisting oracle, at the
+            // top level and one below it.
+            prop_assert_eq!(&hoisted, &support::barrett_rotate_many(&r.ctx, &ct, &steps, &gks));
+            let lower = seq_eval.mod_switch_to_next(&ct).unwrap();
+            prop_assert_eq!(
+                &seq_eval.rotate_many(&lower, &steps, &gks).unwrap(),
+                &support::barrett_rotate_many(&r.ctx, &lower, &steps, &gks)
+            );
             let dec = Decryptor::new(&r.ctx, &r.sk);
             for ((h, hp), &step) in hoisted.iter().zip(&hoisted_par).zip(&steps) {
                 prop_assert_eq!(h, hp, "hoisted rotation diverged across backends");

@@ -1,15 +1,20 @@
 //! The functional HEAX accelerator: executes the server-side CKKS
 //! operations through the cycle-accurate hardware models.
 //!
-//! Every polynomial transform goes through
-//! [`NttModuleSim`] (banked BRAM,
-//! real butterflies) and every coefficient product through the Dyadic-core
-//! datapath, so outputs are the *hardware's* outputs — the test suite and
-//! `tests/` integration tests check them bit-exactly against the
-//! `heax-ckks` golden model. Cycle counts attached to each result come
-//! from the same module configurations via the KeySwitch pipeline
-//! schedule, so functional results and Table 7/8 performance claims are
-//! produced by one artifact.
+//! What is hardware-executed: **every polynomial transform**, through
+//! [`NttModuleSim`] (banked BRAM, real butterflies, the stage's own core
+//! count), and every MULT-module dyadic product, through
+//! [`MultModuleSim`]. KeySwitch is not a second implementation of
+//! Algorithm 7: it is the evaluator's skeleton
+//! ([`heax_ckks::keyswitch`]: decompose → accumulate → floor) with an
+//! [`NttBackend`] that routes INTT0/NTT0/INTT1/NTT1 through the
+//! simulated modules, so the word arithmetic between transforms
+//! (DyadMult accumulate, MS) is the golden model's own and bit-exact
+//! agreement with `heax-ckks` holds by construction — the test suite and
+//! the `tests/` integration tests still check it. Cycle counts attached
+//! to each result come from the same module configurations via the
+//! KeySwitch pipeline schedule, so functional results and Table 7/8
+//! performance claims are produced by one artifact.
 
 use std::sync::Arc;
 
@@ -17,12 +22,13 @@ use heax_ckks::ciphertext::Ciphertext;
 use heax_ckks::context::CkksContext;
 use heax_ckks::eval::scales_match;
 use heax_ckks::keys::{GaloisKeys, KeySwitchKey, RelinKey};
+use heax_ckks::keyswitch::{KeySwitcher, KsBuffers, NttBackend, Stage};
 use heax_ckks::CkksError;
 use heax_hw::board::Board;
-use heax_hw::cores::DyadicCore;
 use heax_hw::keyswitch_pipeline::{schedule, KeySwitchArch};
 use heax_hw::mult_dataflow::{MultModuleConfig, MultModuleSim, MultRunStats};
 use heax_hw::ntt_dataflow::{NttModuleConfig, NttModuleSim, NttRunStats};
+use heax_math::ntt::NttTable;
 use heax_math::poly::{Representation, RnsPoly};
 
 use crate::arch::DesignPoint;
@@ -45,6 +51,52 @@ pub struct OpReport {
     pub input_words: u64,
     /// FPGA→host words moved (per op).
     pub output_words: u64,
+}
+
+/// The KeySwitch module's four transform stages (Figure 5) on the banked
+/// dataflow simulator, each with its own core count from the
+/// architecture.
+#[derive(Debug)]
+struct DataflowNtt {
+    intt0: NttModuleConfig,
+    ntt0: NttModuleConfig,
+    intt1: NttModuleConfig,
+    ntt1: NttModuleConfig,
+}
+
+impl DataflowNtt {
+    fn new(arch: &KeySwitchArch) -> Result<Self, CoreError> {
+        Ok(Self {
+            intt0: NttModuleConfig::new(arch.n, arch.nc_intt0)?,
+            ntt0: NttModuleConfig::new(arch.n, arch.nc_ntt0)?,
+            intt1: NttModuleConfig::new(arch.n, arch.nc_intt1)?,
+            ntt1: NttModuleConfig::new(arch.n, arch.nc_ntt1)?,
+        })
+    }
+
+    fn module<'t>(&self, stage: Stage, table: &'t NttTable) -> NttModuleSim<'t> {
+        let config = match stage {
+            Stage::Intt0 => self.intt0,
+            Stage::Ntt0 => self.ntt0,
+            Stage::Intt1 => self.intt1,
+            Stage::Ntt1 => self.ntt1,
+        };
+        NttModuleSim::new(config, table)
+            .expect("with_arch checked the ring degree and every context modulus")
+    }
+}
+
+impl NttBackend for DataflowNtt {
+    fn inverse(&self, stage: Stage, table: &NttTable, a: &mut [u64]) {
+        let (out, _) = self.module(stage, table).inverse(a);
+        a.copy_from_slice(&out);
+    }
+
+    // DOMAIN: [0,p)
+    fn forward_reduced(&self, stage: Stage, table: &NttTable, src: &[u64], dst: &mut [u64]) {
+        let (out, _) = self.module(stage, table).forward_reduced(src); // DOMAIN: [0,p)
+        dst.copy_from_slice(&out);
+    }
 }
 
 /// The HEAX accelerator bound to a CKKS context and a board.
@@ -225,7 +277,27 @@ impl<'a> HeaxAccelerator<'a> {
     ///
     /// Representation errors if the input is already in NTT form.
     pub fn ntt(&self, poly: &RnsPoly) -> Result<(RnsPoly, OpReport), CoreError> {
-        if poly.representation() == Representation::Ntt {
+        self.transform(poly, HeaxOp::Ntt, Representation::Ntt)
+    }
+
+    /// Inverse NTT through the INTT module.
+    ///
+    /// # Errors
+    ///
+    /// Representation errors if the input is already in coefficient form.
+    pub fn intt(&self, poly: &RnsPoly) -> Result<(RnsPoly, OpReport), CoreError> {
+        self.transform(poly, HeaxOp::Intt, Representation::Coefficient)
+    }
+
+    /// Streams every residue of `poly` through the NTT/INTT module into
+    /// the representation `to`.
+    fn transform(
+        &self,
+        poly: &RnsPoly,
+        op: HeaxOp,
+        to: Representation,
+    ) -> Result<(RnsPoly, OpReport), CoreError> {
+        if poly.representation() == to {
             return Err(CoreError::Ckks(CkksError::Math(
                 heax_math::MathError::RepresentationMismatch,
             )));
@@ -240,51 +312,18 @@ impl<'a> HeaxAccelerator<'a> {
             let mut slots: Vec<(&mut [u64], &mut NttRunStats)> =
                 out.data_mut().chunks_mut(n).zip(stats.iter_mut()).collect();
             exec::for_each_mut(self.exec.as_ref(), &mut slots, |i, (dst, slot)| {
-                let (data, s) = sims[i].forward(poly.residue(i));
+                let (data, s) = match to {
+                    Representation::Ntt => sims[i].forward(poly.residue(i)),
+                    Representation::Coefficient => sims[i].inverse(poly.residue(i)),
+                };
                 dst.copy_from_slice(&data);
                 **slot = s;
             });
         }
-        out.set_representation(Representation::Ntt);
-        let (per, latency) = stats
-            .last()
-            .map(|s| (s.cycles, s.latency))
-            .unwrap_or((0, 0));
+        out.set_representation(to);
+        let (per, latency) = stats.last().map_or((0, 0), |s| (s.cycles, s.latency));
         let n = n as u64;
-        Ok((out, self.report(HeaxOp::Ntt, per, latency, n, n)))
-    }
-
-    /// Inverse NTT through the INTT module.
-    ///
-    /// # Errors
-    ///
-    /// Representation errors if the input is already in coefficient form.
-    pub fn intt(&self, poly: &RnsPoly) -> Result<(RnsPoly, OpReport), CoreError> {
-        if poly.representation() != Representation::Ntt {
-            return Err(CoreError::Ckks(CkksError::Math(
-                heax_math::MathError::RepresentationMismatch,
-            )));
-        }
-        let sims = self.limb_sims(poly)?;
-        let mut out = poly.clone();
-        let mut stats: Vec<NttRunStats> = vec![NttRunStats::default(); poly.num_residues()];
-        let n = self.ctx.n();
-        {
-            let mut slots: Vec<(&mut [u64], &mut NttRunStats)> =
-                out.data_mut().chunks_mut(n).zip(stats.iter_mut()).collect();
-            exec::for_each_mut(self.exec.as_ref(), &mut slots, |i, (dst, slot)| {
-                let (data, s) = sims[i].inverse(poly.residue(i));
-                dst.copy_from_slice(&data);
-                **slot = s;
-            });
-        }
-        out.set_representation(Representation::Coefficient);
-        let (per, latency) = stats
-            .last()
-            .map(|s| (s.cycles, s.latency))
-            .unwrap_or((0, 0));
-        let n = n as u64;
-        Ok((out, self.report(HeaxOp::Intt, per, latency, n, n)))
+        Ok((out, self.report(op, per, latency, n, n)))
     }
 
     /// Homomorphic multiplication through the MULT module (Algorithm 5 /
@@ -311,47 +350,11 @@ impl<'a> HeaxAccelerator<'a> {
                 b: ct2.scale(),
             }));
         }
-        let n = self.ctx.n();
-        let alpha = ct1.size();
-        let beta = ct2.size();
-        let level = ct1.level();
-        let moduli = self.ctx.level_moduli(level);
-        let mut out_polys = vec![RnsPoly::zero(n, moduli, Representation::Ntt); alpha + beta - 1];
-        let sims: Vec<MultModuleSim> = moduli
-            .iter()
-            .map(|m| MultModuleSim::new(self.mult_config, *m))
-            .collect::<Result<_, _>>()?;
-        // One MULT-module pass per residue, fanned across lanes; results
-        // land in per-limb slots and are scattered into the output
-        // components afterwards (a limb's outputs span every component,
-        // so they cannot be written disjointly in place).
-        let mut slots: Vec<(Vec<Vec<u64>>, MultRunStats)> = vec![Default::default(); moduli.len()];
-        exec::for_each_mut(self.exec.as_ref(), &mut slots, |i, slot| {
-            let a: Vec<Vec<u64>> = (0..alpha)
-                .map(|c| ct1.component(c).residue(i).to_vec())
-                .collect();
-            let b: Vec<Vec<u64>> = (0..beta)
-                .map(|c| ct2.component(c).residue(i).to_vec())
-                .collect();
-            *slot = sims[i].multiply(&a, &b);
-        });
-        let mut cycles = 0u64;
-        let mut latency = 0u64;
-        for (i, (outs, stats)) in slots.into_iter().enumerate() {
-            for (t, res) in outs.into_iter().enumerate() {
-                out_polys[t].residue_mut(i).copy_from_slice(&res);
-            }
-            cycles += stats.cycles;
-            latency = stats.latency;
-        }
-        let ct = Ciphertext::from_parts(out_polys, level, ct1.scale() * ct2.scale())
-            .map_err(CoreError::Ckks)?;
-        let inw = self.mult_config.input_transfer_words(alpha, beta) * moduli.len() as u64;
-        let outw = self.mult_config.output_transfer_words(alpha, beta) * moduli.len() as u64;
-        Ok((
-            ct,
-            self.report(HeaxOp::Dyadic, cycles, cycles + latency, inw, outw),
-        ))
+        let scale = ct1.scale() * ct2.scale();
+        let (ct, mut report, latency) =
+            self.mult_module(ct1.components(), ct2.components(), ct1.level(), scale)?;
+        report.latency_cycles = report.latency_cycles.saturating_add(latency);
+        Ok((ct, report))
     }
 
     /// Ciphertext-plaintext multiplication — the C-P mode of the MULT
@@ -371,189 +374,110 @@ impl<'a> HeaxAccelerator<'a> {
                 b: pt.level(),
             }));
         }
+        let b = std::slice::from_ref(pt.poly());
+        let scale = ct.scale() * pt.scale();
+        let (out, report, _) = self.mult_module(ct.components(), b, ct.level(), scale)?;
+        Ok((out, report))
+    }
+
+    /// One MULT-module pass per residue over the α components of `a` and
+    /// the β of `b`. Returns the `α+β−1`-component product, a report whose
+    /// interval and latency are both the summed module cycles, and the
+    /// last residue's pipeline latency.
+    fn mult_module(
+        &self,
+        a: &[RnsPoly],
+        b: &[RnsPoly],
+        level: usize,
+        scale: f64,
+    ) -> Result<(Ciphertext, OpReport, u64), CoreError> {
         let n = self.ctx.n();
-        let alpha = ct.size();
-        let level = ct.level();
+        let (alpha, beta) = (a.len(), b.len());
         let moduli = self.ctx.level_moduli(level);
-        let mut out_polys = vec![RnsPoly::zero(n, moduli, Representation::Ntt); alpha];
+        let mut out_polys = vec![RnsPoly::zero(n, moduli, Representation::Ntt); alpha + beta - 1];
         let sims: Vec<MultModuleSim> = moduli
             .iter()
             .map(|m| MultModuleSim::new(self.mult_config, *m))
             .collect::<Result<_, _>>()?;
+        // Residues fan across lanes; results land in per-limb slots and
+        // are scattered into the output components afterwards (a limb's
+        // outputs span every component, so they cannot be written
+        // disjointly in place).
         let mut slots: Vec<(Vec<Vec<u64>>, MultRunStats)> = vec![Default::default(); moduli.len()];
         exec::for_each_mut(self.exec.as_ref(), &mut slots, |i, slot| {
-            let a: Vec<Vec<u64>> = (0..alpha)
-                .map(|c| ct.component(c).residue(i).to_vec())
-                .collect();
-            let b = vec![pt.poly().residue(i).to_vec()];
-            *slot = sims[i].multiply(&a, &b);
+            let limb = |polys: &[RnsPoly]| -> Vec<Vec<u64>> {
+                polys.iter().map(|c| c.residue(i).to_vec()).collect()
+            };
+            *slot = sims[i].multiply(&limb(a), &limb(b));
         });
         let mut cycles = 0u64;
+        let mut latency = 0u64;
         for (i, (outs, stats)) in slots.into_iter().enumerate() {
             for (t, res) in outs.into_iter().enumerate() {
                 out_polys[t].residue_mut(i).copy_from_slice(&res);
             }
             cycles += stats.cycles;
+            latency = stats.latency;
         }
-        let out = Ciphertext::from_parts(out_polys, level, ct.scale() * pt.scale())
-            .map_err(CoreError::Ckks)?;
-        let inw = self.mult_config.input_transfer_words(alpha, 1) * moduli.len() as u64;
-        let outw = self.mult_config.output_transfer_words(alpha, 1) * moduli.len() as u64;
-        Ok((out, self.report(HeaxOp::Dyadic, cycles, cycles, inw, outw)))
+        let ct = Ciphertext::from_parts(out_polys, level, scale).map_err(CoreError::Ckks)?;
+        let inw = self.mult_config.input_transfer_words(alpha, beta) * moduli.len() as u64;
+        let outw = self.mult_config.output_transfer_words(alpha, beta) * moduli.len() as u64;
+        let report = self.report(HeaxOp::Dyadic, cycles, cycles, inw, outw);
+        Ok((ct, report, latency))
     }
 
     /// The inner key-switching primitive through the KeySwitch module
     /// datapath (Algorithm 7 / Figure 5): INTT0 → NTT0 → DyadMult
     /// accumulate over `k` iterations, then the INTT1 → NTT1 → MS modulus
-    /// switch. Returns `(f₀, f₁)` plus the pipeline's cycle report.
+    /// switch — the evaluator's skeleton ([`heax_ckks::keyswitch`]) with
+    /// every transform executed by the stage's simulated module. Returns
+    /// `(f₀, f₁)` plus the pipeline's cycle report.
     ///
     /// # Errors
     ///
-    /// Shape/representation errors as in the software evaluator.
+    /// Exactly the software evaluator's: [`CkksError::Math`] when `target`
+    /// is not in NTT form or does not have `level + 1` residues.
     pub fn key_switch(
         &self,
         target: &RnsPoly,
         ksk: &KeySwitchKey,
         level: usize,
     ) -> Result<((RnsPoly, RnsPoly), OpReport), CoreError> {
-        if target.representation() != Representation::Ntt {
-            return Err(CoreError::Ckks(CkksError::Math(
-                heax_math::MathError::RepresentationMismatch,
-            )));
-        }
-        let ctx = self.ctx;
-        let n = ctx.n();
-        let k_chain = ctx.params().k();
-        let mut ext_chain: Vec<_> = ctx.level_moduli(level).to_vec();
-        ext_chain.push(*ctx.special_modulus());
-        let ext_len = ext_chain.len();
+        let moduli = self.ctx.level_moduli(level);
+        let mut f0 = RnsPoly::zero(self.ctx.n(), moduli, Representation::Ntt);
+        let mut f1 = f0.clone();
+        let backend = DataflowNtt::new(&self.arch)?;
+        self.switcher(&backend).key_switch_into(
+            &mut KsBuffers::default(),
+            target,
+            ksk,
+            level,
+            &mut f0,
+            &mut f1,
+        )?;
+        Ok(((f0, f1), self.key_switch_report(level, 1)?))
+    }
 
-        let intt0_cfg = NttModuleConfig::new(n, self.arch.nc_intt0)?;
-        let ntt0_cfg = NttModuleConfig::new(n, self.arch.nc_ntt0)?;
-        let intt1_cfg = NttModuleConfig::new(n, self.arch.nc_intt1.max(1))?;
-        let ntt1_cfg = NttModuleConfig::new(n, self.arch.nc_ntt1)?;
-
-        let mut acc0 = RnsPoly::zero(n, &ext_chain, Representation::Ntt);
-        let mut acc1 = RnsPoly::zero(n, &ext_chain, Representation::Ntt);
-
-        // One NTT0 module instance per extended-basis lane, as in the
-        // replicated hardware datapath (validated up front so the
-        // parallel region below is infallible).
-        let ntt0_sims: Vec<NttModuleSim> = ext_chain
-            .iter()
-            .map(|m| {
-                let table = self.find_table(m.value())?;
-                NttModuleSim::new(ntt0_cfg, table).map_err(CoreError::Hw)
-            })
-            .collect::<Result<_, _>>()?;
-
-        // --- k iterations: INTT0 → NTT0 → DyadMult accumulate -----------
-        // Lanes (one per extended limb) run concurrently across the
-        // executor, exactly like the hardware's parallel NTT0/DyadMult
-        // columns in Figure 5. The DyadMult stage multiplies against the
-        // key's Shoup (MulRed) tables with lazy [0, 2p) accumulation —
-        // the paper's MulRed unit — and the fold to [0, p) is deferred to
-        // a single pass after all k iterations.
-        for i in 0..=level {
-            let table_i = ctx.ntt_table(i);
-            let intt0 = NttModuleSim::new(intt0_cfg, table_i)?;
-            let (a_coeff, _) = intt0.inverse(target.residue(i));
-
-            let (ksk_b, ksk_a) = ksk.component_shoup(i);
-            let a_coeff = &a_coeff;
-            let ext_chain = &ext_chain;
-            let ntt0_sims = &ntt0_sims;
-            exec::for_each_limb2(
-                self.exec.as_ref(),
-                acc0.data_mut(),
-                acc1.data_mut(),
-                n,
-                |j, d0, d1| {
-                    let m = &ext_chain[j];
-                    let chain_idx = if j <= level { j } else { k_chain };
-                    let owned;
-                    let b_ntt: &[u64] = if chain_idx == i {
-                        target.residue(i)
-                    } else {
-                        let reduced: Vec<u64> = a_coeff.iter().map(|&x| m.reduce_u64(x)).collect();
-                        owned = ntt0_sims[j].forward(&reduced).0;
-                        &owned
-                    };
-                    let kb = &ksk_b[chain_idx * n..(chain_idx + 1) * n];
-                    let ka = &ksk_a[chain_idx * n..(chain_idx + 1) * n];
-                    let mut dyad = DyadicCore::new();
-                    for (t, &b) in b_ntt.iter().enumerate() {
-                        d0[t] = dyad.compute_acc_shoup(d0[t], b, &kb[t], m);
-                    }
-                    for (t, &b) in b_ntt.iter().enumerate() {
-                        d1[t] = dyad.compute_acc_shoup(d1[t], b, &ka[t], m);
-                    }
-                },
-            );
-        }
-
-        // Deferred reduction: fold the lazy accumulators to [0, p).
-        {
-            let ext_chain = &ext_chain;
-            exec::for_each_limb2(
-                self.exec.as_ref(),
-                acc0.data_mut(),
-                acc1.data_mut(),
-                n,
-                |j, d0, d1| {
-                    let p = ext_chain[j].value();
-                    for d in d0.iter_mut() {
-                        if *d >= p {
-                            *d -= p;
-                        }
-                    }
-                    for d in d1.iter_mut() {
-                        if *d >= p {
-                            *d -= p;
-                        }
-                    }
-                },
-            );
-        }
-
-        // --- Modulus switch (Floor by special prime): INTT1 → NTT1 → MS -
-        let consts = ctx.modswitch_constants(level);
-        let sp_table = ctx.special_ntt_table();
-        let ntt1_sims: Vec<NttModuleSim> = (0..=level)
-            .map(|i| NttModuleSim::new(ntt1_cfg, ctx.ntt_table(i)).map_err(CoreError::Hw))
-            .collect::<Result<_, _>>()?;
-        let floor_one = |acc: &RnsPoly| -> Result<RnsPoly, CoreError> {
-            let intt1 = NttModuleSim::new(intt1_cfg, sp_table)?;
-            let (a, _) = intt1.inverse(acc.residue(ext_len - 1));
-            let mut out = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-            let a = &a;
-            let out_moduli = ctx.level_moduli(level);
-            exec::for_each_limb(self.exec.as_ref(), out.data_mut(), n, |i, dst| {
-                let pi = &out_moduli[i];
-                let reduced: Vec<u64> = a.iter().map(|&x| pi.reduce_u64(x)).collect();
-                let (r_ntt, _) = ntt1_sims[i].forward(&reduced);
-                let inv = consts.inv(i);
-                let src = acc.residue(i);
-                for (t, d) in dst.iter_mut().enumerate() {
-                    // MS module: subtract then multiply by p_sp^{-1}.
-                    *d = inv.mul_red(pi.sub_mod(src[t], r_ntt[t]), pi);
-                }
-            });
-            Ok(out)
-        };
-        let f0 = floor_one(&acc0)?;
-        let f1 = floor_one(&acc1)?;
-
-        // Cycle accounting from the pipeline schedule.
+    /// Cycle accounting, from the pipeline schedule, for `t ≥ 1` key
+    /// switches over one decomposition at `level`: the first pays the
+    /// full KeySwitch interval, each further one only the hoisted tail.
+    fn key_switch_report(&self, level: usize, t: u64) -> Result<OpReport, CoreError> {
         let sched = schedule(&self.arch, 1)?;
-        let interval = self.arch.steady_interval_cycles();
-        let latency = sched.first_op_latency;
-        let inw = (level + 2) as u64 * n as u64; // input poly residues + special
-        let outw = 2 * (level + 1) as u64 * n as u64;
-        Ok((
-            (f0, f1),
-            self.report(HeaxOp::KeySwitch, interval, latency, inw, outw),
+        let tail = (t - 1) * self.arch.hoisted_interval_cycles();
+        let n = self.ctx.n() as u64;
+        let rows = level as u64 + 1;
+        Ok(self.report(
+            HeaxOp::KeySwitch,
+            self.arch.steady_interval_cycles() + tail,
+            sched.first_op_latency + tail,
+            (rows + 1) * n, // input residues + the special-prime lane
+            t * 2 * rows * n,
         ))
+    }
+
+    /// The shared key-switch skeleton over the dataflow simulator.
+    fn switcher<'s>(&'s self, backend: &'s DataflowNtt) -> KeySwitcher<'s, DataflowNtt> {
+        KeySwitcher::new(self.ctx, self.exec.as_ref(), backend)
     }
 
     /// Relinearization on the accelerator: KeySwitch on `c₂`, then the
@@ -574,12 +498,11 @@ impl<'a> HeaxAccelerator<'a> {
                 expected: "exactly 3",
             }));
         }
-        let ((f0, f1), mut report) = self.key_switch(ct.component(2), rlk.ksk(), ct.level())?;
+        let ((f0, f1), report) = self.key_switch(ct.component(2), rlk.ksk(), ct.level())?;
         let c0 = ct.component(0).add(&f0).map_err(CkksError::Math)?;
         let c1 = ct.component(1).add(&f1).map_err(CkksError::Math)?;
         let out = Ciphertext::from_parts(vec![c0, c1], ct.level(), ct.scale())
             .map_err(CoreError::Ckks)?;
-        report.op = HeaxOp::KeySwitch;
         Ok((out, report))
     }
 
@@ -608,11 +531,10 @@ impl<'a> HeaxAccelerator<'a> {
             heax_ckks::galois::apply_galois_ntt(ct.component(0), table).map_err(CkksError::Math)?;
         let c1 =
             heax_ckks::galois::apply_galois_ntt(ct.component(1), table).map_err(CkksError::Math)?;
-        let ((f0, f1), mut report) = self.key_switch(&c1, ksk, ct.level())?;
+        let ((f0, f1), report) = self.key_switch(&c1, ksk, ct.level())?;
         let c0 = c0.add(&f0).map_err(CkksError::Math)?;
         let out = Ciphertext::from_parts(vec![c0, f1], ct.level(), ct.scale())
             .map_err(CoreError::Ckks)?;
-        report.op = HeaxOp::KeySwitch;
         Ok((out, report))
     }
 
@@ -627,7 +549,8 @@ impl<'a> HeaxAccelerator<'a> {
     /// hoisted tail ([`KeySwitchArch::hoisted_interval_cycles`]).
     ///
     /// Outputs are bit-exact against
-    /// [`heax_ckks::Evaluator::rotate_many`].
+    /// [`heax_ckks::Evaluator::rotate_many`]: both are the hoisted case of
+    /// one skeleton.
     ///
     /// # Errors
     ///
@@ -638,179 +561,15 @@ impl<'a> HeaxAccelerator<'a> {
         steps: &[i64],
         gks: &GaloisKeys,
     ) -> Result<(Vec<Ciphertext>, OpReport), CoreError> {
-        if ct.size() != 2 {
-            return Err(CoreError::Ckks(CkksError::InvalidCiphertext {
-                components: ct.size(),
-                expected: "exactly 2 (relinearize first)",
-            }));
-        }
-        if steps.is_empty() {
-            return Ok((Vec::new(), self.report(HeaxOp::KeySwitch, 0, 0, 0, 0)));
-        }
-        let ctx = self.ctx;
-        let n = ctx.n();
-        let k_chain = ctx.params().k();
-        let level = ct.level();
-        let mut ext_chain: Vec<_> = ctx.level_moduli(level).to_vec();
-        ext_chain.push(*ctx.special_modulus());
-        let ext_len = ext_chain.len();
-
-        // Resolve keys up front so a missing key fails before any work.
-        let keys: Vec<(&KeySwitchKey, &[usize])> = steps
-            .iter()
-            .map(|&s| {
-                let elt = heax_ckks::galois::galois_elt_from_step(s, n);
-                Ok((
-                    gks.key(elt).map_err(CoreError::Ckks)?,
-                    gks.permutation(elt).map_err(CoreError::Ckks)?,
-                ))
-            })
-            .collect::<Result<_, CoreError>>()?;
-
-        let intt0_cfg = NttModuleConfig::new(n, self.arch.nc_intt0)?;
-        let ntt0_cfg = NttModuleConfig::new(n, self.arch.nc_ntt0)?;
-        let intt1_cfg = NttModuleConfig::new(n, self.arch.nc_intt1.max(1))?;
-        let ntt1_cfg = NttModuleConfig::new(n, self.arch.nc_ntt1)?;
-        let ntt0_sims: Vec<NttModuleSim> = ext_chain
-            .iter()
-            .map(|m| {
-                let table = self.find_table(m.value())?;
-                NttModuleSim::new(ntt0_cfg, table).map_err(CoreError::Hw)
-            })
-            .collect::<Result<_, _>>()?;
-
-        // --- Hoist: decompose c₁ once through INTT0 → NTT0 --------------
-        let c1 = ct.component(1);
-        let mut digits = vec![0u64; (level + 1) * ext_len * n];
-        for i in 0..=level {
-            let intt0 = NttModuleSim::new(intt0_cfg, ctx.ntt_table(i))?;
-            let (a_coeff, _) = intt0.inverse(c1.residue(i));
-            let a_coeff = &a_coeff;
-            let ext_chain = &ext_chain;
-            let ntt0_sims = &ntt0_sims;
-            let row = &mut digits[i * ext_len * n..(i + 1) * ext_len * n];
-            exec::for_each_limb(self.exec.as_ref(), row, n, |j, dst| {
-                let chain_idx = if j <= level { j } else { k_chain };
-                if chain_idx == i {
-                    dst.copy_from_slice(c1.residue(i));
-                } else {
-                    let m = &ext_chain[j];
-                    let reduced: Vec<u64> = a_coeff.iter().map(|&x| m.reduce_u64(x)).collect();
-                    let (f, _) = ntt0_sims[j].forward(&reduced);
-                    dst.copy_from_slice(&f);
-                }
-            });
-        }
-
-        // --- Per rotation: DyadMult accumulate + INTT1 → NTT1 → MS ------
-        let consts = ctx.modswitch_constants(level);
-        let sp_table = ctx.special_ntt_table();
-        let ntt1_sims: Vec<NttModuleSim> = (0..=level)
-            .map(|i| NttModuleSim::new(ntt1_cfg, ctx.ntt_table(i)).map_err(CoreError::Hw))
-            .collect::<Result<_, _>>()?;
-        let mut outs = Vec::with_capacity(steps.len());
-        for (ksk, table) in keys {
-            let mut acc0 = RnsPoly::zero(n, &ext_chain, Representation::Ntt);
-            let mut acc1 = RnsPoly::zero(n, &ext_chain, Representation::Ntt);
-            for i in 0..=level {
-                let (ksk_b, ksk_a) = ksk.component_shoup(i);
-                let row = &digits[i * ext_len * n..(i + 1) * ext_len * n];
-                let ext_chain = &ext_chain;
-                exec::for_each_limb2(
-                    self.exec.as_ref(),
-                    acc0.data_mut(),
-                    acc1.data_mut(),
-                    n,
-                    |j, d0, d1| {
-                        let m = &ext_chain[j];
-                        let chain_idx = if j <= level { j } else { k_chain };
-                        let dig = &row[j * n..(j + 1) * n];
-                        let kb = &ksk_b[chain_idx * n..(chain_idx + 1) * n];
-                        let ka = &ksk_a[chain_idx * n..(chain_idx + 1) * n];
-                        let mut dyad = DyadicCore::new();
-                        // τ(digit) is pure addressing, fused into the
-                        // accumulate exactly like the hardware's BRAM
-                        // read-address permutation.
-                        for t in 0..n {
-                            let x = dig[table[t]];
-                            d0[t] = dyad.compute_acc_shoup(d0[t], x, &kb[t], m);
-                            d1[t] = dyad.compute_acc_shoup(d1[t], x, &ka[t], m);
-                        }
-                    },
-                );
-            }
-            {
-                let ext_chain = &ext_chain;
-                exec::for_each_limb2(
-                    self.exec.as_ref(),
-                    acc0.data_mut(),
-                    acc1.data_mut(),
-                    n,
-                    |j, d0, d1| {
-                        let p = ext_chain[j].value();
-                        for d in d0.iter_mut() {
-                            if *d >= p {
-                                *d -= p;
-                            }
-                        }
-                        for d in d1.iter_mut() {
-                            if *d >= p {
-                                *d -= p;
-                            }
-                        }
-                    },
-                );
-            }
-            let floor_one = |acc: &RnsPoly| -> Result<RnsPoly, CoreError> {
-                let intt1 = NttModuleSim::new(intt1_cfg, sp_table)?;
-                let (a, _) = intt1.inverse(acc.residue(ext_len - 1));
-                let mut out = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-                let a = &a;
-                let out_moduli = ctx.level_moduli(level);
-                let ntt1_sims = &ntt1_sims;
-                exec::for_each_limb(self.exec.as_ref(), out.data_mut(), n, |i, dst| {
-                    let pi = &out_moduli[i];
-                    let reduced: Vec<u64> = a.iter().map(|&x| pi.reduce_u64(x)).collect();
-                    let (r_ntt, _) = ntt1_sims[i].forward(&reduced);
-                    let inv = consts.inv(i);
-                    let src = acc.residue(i);
-                    for (t, d) in dst.iter_mut().enumerate() {
-                        *d = inv.mul_red(pi.sub_mod(src[t], r_ntt[t]), pi);
-                    }
-                });
-                Ok(out)
-            };
-            let mut f0 = floor_one(&acc0)?;
-            let f1 = floor_one(&acc1)?;
-            // c₀' = τ(c₀) + f₀, permutation fused into the accumulator add.
-            let c0 = ct.component(0);
-            let lm = ctx.level_moduli(level);
-            exec::for_each_limb(self.exec.as_ref(), f0.data_mut(), n, |i, dst| {
-                let m = &lm[i];
-                let src = c0.residue(i);
-                for (t, d) in dst.iter_mut().enumerate() {
-                    *d = m.add_mod(*d, src[table[t]]);
-                }
-            });
-            outs.push(
-                Ciphertext::from_parts(vec![f0, f1], level, ct.scale()).map_err(CoreError::Ckks)?,
-            );
-        }
-
-        // Batch report: first rotation at the full KeySwitch interval,
-        // the rest at the hoisted tail interval.
-        let sched = schedule(&self.arch, 1)?;
-        let t = steps.len() as u64; // >= 1: the empty batch returned early
-        let full = self.arch.steady_interval_cycles();
-        let tail = self.arch.hoisted_interval_cycles();
-        let interval = full + (t - 1) * tail;
-        let latency = sched.first_op_latency + (t - 1) * tail;
-        let inw = (level + 2) as u64 * n as u64;
-        let outw = t * 2 * (level + 1) as u64 * n as u64;
-        Ok((
-            outs,
-            self.report(HeaxOp::KeySwitch, interval, latency, inw, outw),
-        ))
+        let backend = DataflowNtt::new(&self.arch)?;
+        let outs =
+            self.switcher(&backend)
+                .rotate_many(&mut KsBuffers::default(), ct, steps, gks)?;
+        let report = match outs.len() as u64 {
+            0 => self.report(HeaxOp::KeySwitch, 0, 0, 0, 0),
+            t => self.key_switch_report(ct.level(), t)?,
+        };
+        Ok((outs, report))
     }
 
     /// The Table 8 composite: homomorphic multiply (MULT module) plus
@@ -831,14 +590,13 @@ impl<'a> HeaxAccelerator<'a> {
         let (prod, mult_rep) = self.dyadic_mult(ct1, ct2)?;
         let (out, ks_rep) = self.relinearize(&prod, rlk)?;
         let interval = mult_rep.interval_cycles.max(ks_rep.interval_cycles);
-        let mut report = self.report(
+        let report = self.report(
             HeaxOp::MultRelin,
             interval,
             mult_rep.latency_cycles + ks_rep.latency_cycles,
             mult_rep.input_words,
             ks_rep.output_words,
         );
-        report.op = HeaxOp::MultRelin;
         Ok((out, report))
     }
 
@@ -906,10 +664,35 @@ mod tests {
         }
     }
 
+    impl H {
+        /// Encodes `vals` at the top level and the context's scale.
+        fn encode(&self, vals: &[f64]) -> heax_ckks::Plaintext {
+            let top = self.ctx.max_level();
+            CkksEncoder::new(&self.ctx)
+                .encode_real(vals, self.ctx.params().scale(), top)
+                .unwrap()
+        }
+
+        fn encrypt(&mut self, vals: &[f64]) -> Ciphertext {
+            let pt = self.encode(vals);
+            let e = Encryptor::new(&self.ctx, &self.pk);
+            e.encrypt(&pt, &mut self.rng).unwrap()
+        }
+    }
+
+    /// Coefficient-form top-level polynomial `c[i][j] = (a·j + b·i) mod p_i`.
+    fn pattern_poly(ctx: &CkksContext, a: u64, b: u64) -> RnsPoly {
+        let moduli = ctx.level_moduli(ctx.max_level());
+        let mut poly = RnsPoly::zero(64, moduli, Representation::Coefficient);
+        for (i, m) in moduli.iter().enumerate() {
+            for (j, c) in poly.residue_mut(i).iter_mut().enumerate() {
+                *c = (j as u64 * a + i as u64 * b) % m.value();
+            }
+        }
+        poly
+    }
+
     fn accel(ctx: &CkksContext) -> HeaxAccelerator<'_> {
-        // m0 = 3 is not a power of two in the generic validate? (3 is not
-        // a power of two — but m0 is not required to be; validate checks
-        // module core counts.)
         HeaxAccelerator::with_arch(
             ctx,
             Board::stratix10(),
@@ -924,13 +707,7 @@ mod tests {
     fn hw_ntt_matches_software() {
         let h = harness(50);
         let acc = accel(&h.ctx);
-        let moduli = h.ctx.level_moduli(h.ctx.max_level()).to_vec();
-        let mut poly = RnsPoly::zero(64, &moduli, Representation::Coefficient);
-        for (i, m) in moduli.iter().enumerate() {
-            for (j, c) in poly.residue_mut(i).iter_mut().enumerate() {
-                *c = (j as u64 * 37 + i as u64) % m.value();
-            }
-        }
+        let poly = pattern_poly(&h.ctx, 37, 1);
         let (hw_out, report) = acc.ntt(&poly).unwrap();
         let mut sw = poly.clone();
         sw.ntt_forward(h.ctx.ntt_tables()).unwrap();
@@ -944,17 +721,8 @@ mod tests {
     #[test]
     fn hw_multiply_matches_evaluator() {
         let mut h = harness(51);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
-        let pt1 = enc
-            .encode_real(&[1.5, -2.0], scale, h.ctx.max_level())
-            .unwrap();
-        let pt2 = enc
-            .encode_real(&[3.0, 4.0], scale, h.ctx.max_level())
-            .unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let c1 = e.encrypt(&pt1, &mut h.rng).unwrap();
-        let c2 = e.encrypt(&pt2, &mut h.rng).unwrap();
+        let c1 = h.encrypt(&[1.5, -2.0]);
+        let c2 = h.encrypt(&[3.0, 4.0]);
         let acc = accel(&h.ctx);
         let (hw_prod, report) = acc.dyadic_mult(&c1, &c2).unwrap();
         let sw_prod = Evaluator::new(&h.ctx).multiply(&c1, &c2).unwrap();
@@ -965,11 +733,7 @@ mod tests {
     #[test]
     fn hw_keyswitch_bit_exact_vs_evaluator() {
         let mut h = harness(52);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
-        let pt1 = enc.encode_real(&[2.0], scale, h.ctx.max_level()).unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let c1 = e.encrypt(&pt1, &mut h.rng).unwrap();
+        let c1 = h.encrypt(&[2.0]);
         let prod = Evaluator::new(&h.ctx).multiply(&c1, &c1).unwrap();
 
         let acc = accel(&h.ctx);
@@ -985,25 +749,38 @@ mod tests {
     }
 
     #[test]
+    fn hw_keyswitch_rejects_wrong_shapes_like_the_evaluator() {
+        let mut h = harness(59);
+        let ct = h.encrypt(&[1.0]);
+        let acc = accel(&h.ctx);
+        let ev = Evaluator::new(&h.ctx);
+        let target = ct.component(1);
+        let level = ct.level();
+        // One residue too few for the level, then one too many.
+        for claimed in [level + 1, level - 1] {
+            let want = ev.key_switch(target, h.rlk.ksk(), claimed).unwrap_err();
+            assert!(matches!(
+                want,
+                CkksError::Math(heax_math::MathError::LengthMismatch { .. })
+            ));
+            match acc.key_switch(target, h.rlk.ksk(), claimed) {
+                Err(CoreError::Ckks(got)) => assert_eq!(got, want),
+                other => panic!("level {claimed}: expected {want:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn hw_relinearize_decrypts_correctly() {
         let mut h = harness(53);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
-        let pt1 = enc
-            .encode_real(&[1.5, 2.0], scale, h.ctx.max_level())
-            .unwrap();
-        let pt2 = enc
-            .encode_real(&[-3.0, 0.5], scale, h.ctx.max_level())
-            .unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let c1 = e.encrypt(&pt1, &mut h.rng).unwrap();
-        let c2 = e.encrypt(&pt2, &mut h.rng).unwrap();
+        let c1 = h.encrypt(&[1.5, 2.0]);
+        let c2 = h.encrypt(&[-3.0, 0.5]);
         let acc = accel(&h.ctx);
         let (out, report) = acc.multiply_relin(&c1, &c2, &h.rlk).unwrap();
         assert_eq!(out.size(), 2);
         assert_eq!(report.op, HeaxOp::MultRelin);
         let dec = Decryptor::new(&h.ctx, &h.sk).decrypt(&out).unwrap();
-        let vals = enc.decode_real(&dec).unwrap();
+        let vals = CkksEncoder::new(&h.ctx).decode_real(&dec).unwrap();
         assert!((vals[0] + 4.5).abs() < 1e-1, "{}", vals[0]);
         assert!((vals[1] - 1.0).abs() < 1e-1, "{}", vals[1]);
     }
@@ -1011,12 +788,8 @@ mod tests {
     #[test]
     fn hw_rotation_matches_software() {
         let mut h = harness(54);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
         let vals: Vec<f64> = (0..h.ctx.n() / 2).map(|i| i as f64).collect();
-        let pt = enc.encode_real(&vals, scale, h.ctx.max_level()).unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let ct = e.encrypt(&pt, &mut h.rng).unwrap();
+        let ct = h.encrypt(&vals);
         let gks = GaloisKeys::generate(&h.ctx, &h.sk, &[1], &mut h.rng);
         let acc = accel(&h.ctx);
         let (hw_rot, _) = acc.rotate(&ct, 1, &gks).unwrap();
@@ -1027,12 +800,8 @@ mod tests {
     #[test]
     fn hw_rotate_many_matches_software_hoisted_path() {
         let mut h = harness(58);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
         let vals: Vec<f64> = (0..h.ctx.n() / 2).map(|i| i as f64 * 0.25).collect();
-        let pt = enc.encode_real(&vals, scale, h.ctx.max_level()).unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let ct = e.encrypt(&pt, &mut h.rng).unwrap();
+        let ct = h.encrypt(&vals);
         let steps = [1i64, -1, 3];
         let gks = GaloisKeys::generate(&h.ctx, &h.sk, &steps, &mut h.rng);
         let acc = accel(&h.ctx);
@@ -1060,16 +829,8 @@ mod tests {
     #[test]
     fn hw_multiply_plain_matches_evaluator() {
         let mut h = harness(56);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
-        let pt_m = enc
-            .encode_real(&[2.0, 3.0], scale, h.ctx.max_level())
-            .unwrap();
-        let pt_w = enc
-            .encode_real(&[4.0, -1.0], scale, h.ctx.max_level())
-            .unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let ct = e.encrypt(&pt_m, &mut h.rng).unwrap();
+        let ct = h.encrypt(&[2.0, 3.0]);
+        let pt_w = h.encode(&[4.0, -1.0]);
         let acc = accel(&h.ctx);
         let (hw, rep) = acc.multiply_plain(&ct, &pt_w).unwrap();
         let sw = Evaluator::new(&h.ctx).multiply_plain(&ct, &pt_w).unwrap();
@@ -1100,29 +861,14 @@ mod tests {
     #[test]
     fn parallel_backend_bit_identical_to_sequential() {
         let mut h = harness(57);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
-        let pt1 = enc
-            .encode_real(&[1.25, -0.5], scale, h.ctx.max_level())
-            .unwrap();
-        let pt2 = enc
-            .encode_real(&[2.0, 3.5], scale, h.ctx.max_level())
-            .unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let c1 = e.encrypt(&pt1, &mut h.rng).unwrap();
-        let c2 = e.encrypt(&pt2, &mut h.rng).unwrap();
+        let c1 = h.encrypt(&[1.25, -0.5]);
+        let c2 = h.encrypt(&[2.0, 3.5]);
         let seq = accel(&h.ctx).with_executor(std::sync::Arc::new(crate::exec::Sequential));
         let par = accel(&h.ctx).with_executor(crate::exec::with_threads(4));
         assert_eq!(par.executor().threads(), 4);
 
         // NTT/INTT.
-        let moduli = h.ctx.level_moduli(h.ctx.max_level()).to_vec();
-        let mut poly = RnsPoly::zero(64, &moduli, Representation::Coefficient);
-        for (i, m) in moduli.iter().enumerate() {
-            for (j, c) in poly.residue_mut(i).iter_mut().enumerate() {
-                *c = (j as u64 * 101 + i as u64 * 7) % m.value();
-            }
-        }
+        let poly = pattern_poly(&h.ctx, 101, 7);
         let (ntt_seq, rep_seq) = seq.ntt(&poly).unwrap();
         let (ntt_par, rep_par) = par.ntt(&poly).unwrap();
         assert_eq!(ntt_seq, ntt_par);
@@ -1146,11 +892,7 @@ mod tests {
     #[test]
     fn mismatched_levels_rejected() {
         let mut h = harness(55);
-        let enc = CkksEncoder::new(&h.ctx);
-        let scale = h.ctx.params().scale();
-        let pt = enc.encode_real(&[1.0], scale, h.ctx.max_level()).unwrap();
-        let e = Encryptor::new(&h.ctx, &h.pk);
-        let c1 = e.encrypt(&pt, &mut h.rng).unwrap();
+        let c1 = h.encrypt(&[1.0]);
         let dropped = Evaluator::new(&h.ctx).mod_switch_to_next(&c1).unwrap();
         let acc = accel(&h.ctx);
         assert!(acc.dyadic_mult(&c1, &dropped).is_err());

@@ -110,30 +110,6 @@ impl DyadicCore {
         modulus.add_mod(acc, modulus.mul_mod(op1, op2))
     }
 
-    /// Fused multiply-accumulate against a Shoup-precomputed constant
-    /// operand in the lazy `[0, 2p)` domain — the MulRed unit of
-    /// Algorithm 2 with the final correction deferred to a later pipeline
-    /// stage, as the KeySwitch DyadMult columns do for the (fixed) key
-    /// residues. `acc` must be `< 2p`; the result is `< 2p`.
-    #[inline]
-    pub fn compute_acc_shoup(
-        &mut self,
-        acc: u64,
-        x: u64,
-        key: &MulRedConstant,
-        modulus: &Modulus,
-    ) -> u64 {
-        self.ops = self.ops.saturating_add(1);
-        debug_assert!(acc < 2 * modulus.value());
-        let two_p = 2 * modulus.value();
-        let s = acc + key.mul_red_lazy(x, modulus); // DOMAIN: [0,2p)
-        if s >= two_p {
-            s - two_p
-        } else {
-            s
-        }
-    }
-
     /// Operations performed so far.
     pub fn ops(&self) -> u64 {
         self.ops
@@ -253,30 +229,6 @@ mod tests {
         let acc = core.compute_acc(r, 2, 3, &p);
         assert_eq!(acc, p.add_mod(r, 6));
         assert_eq!(core.ops(), 2);
-    }
-
-    #[test]
-    fn dyadic_core_shoup_acc_matches_barrett_mod_p() {
-        let p = Modulus::new(generate_ntt_primes(40, 1, 64).unwrap()[0]).unwrap();
-        let key = MulRedConstant::new(0x1234_5678 % p.value(), &p);
-        let mut core = DyadicCore::new();
-        // Chain several lazy accumulations; folding to [0, p) must match
-        // the strict Barrett accumulate chain.
-        let xs = [1u64, 999, p.value() - 1, 0x0fff_ffff];
-        let mut lazy = 0u64;
-        let mut strict = 0u64;
-        for &x in &xs {
-            lazy = core.compute_acc_shoup(lazy, x, &key, &p);
-            assert!(lazy < 2 * p.value());
-            strict = core.compute_acc(strict, x, key.operand(), &p);
-        }
-        let folded = if lazy >= p.value() {
-            lazy - p.value()
-        } else {
-            lazy
-        };
-        assert_eq!(folded, strict);
-        assert_eq!(core.ops(), 2 * xs.len() as u64);
     }
 
     #[test]

@@ -287,6 +287,21 @@ impl<'a> NttModuleSim<'a> {
         }
     }
 
+    /// [`NttModuleSim::forward`] of a residue loaded through the `Mod`
+    /// unit that feeds NTT0/NTT1 in the KeySwitch datapath (Algorithm 7,
+    /// lines 6 and 14): `poly` holds coefficients under another prime,
+    /// each reduced modulo this module's prime as it enters the banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `poly.len() != n`.
+    // DOMAIN: [0,p)
+    pub fn forward_reduced(&self, poly: &[u64]) -> (Vec<u64>, NttRunStats) {
+        let p = self.table.modulus();
+        let reduced: Vec<u64> = poly.iter().map(|&x| p.reduce_u64(x)).collect();
+        self.forward(&reduced)
+    }
+
     /// Simulates an inverse NTT (INTT module: same architecture, INTT
     /// cores, stages in reverse order — Section 4.2, "INTT Module").
     ///

@@ -485,46 +485,6 @@ where
     for_each_mut(exec, &mut pairs, |i, (la, lb)| f(i, la, lb));
 }
 
-/// Runs `f(limb_index, limb_a, limb_b, limb_c)` over the matching limbs of
-/// three equally shaped buffers — the two key-switch accumulators plus a
-/// per-limb scratch lane, so each executor lane owns a private reduction
-/// buffer without allocating inside the dispatch.
-///
-/// # Panics
-///
-/// Panics if the buffers differ in length or are not whole limbs.
-pub fn for_each_limb3<F>(
-    exec: &dyn Executor,
-    a: &mut [u64],
-    b: &mut [u64],
-    c: &mut [u64],
-    limb_len: usize,
-    f: F,
-) where
-    F: Fn(usize, &mut [u64], &mut [u64], &mut [u64]) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "limb buffers differ in length");
-    assert_eq!(a.len(), c.len(), "limb buffers differ in length");
-    assert_eq!(a.len() % limb_len, 0, "data is not whole limbs");
-    if exec.threads() <= 1 {
-        for (i, ((la, lb), lc)) in a
-            .chunks_mut(limb_len)
-            .zip(b.chunks_mut(limb_len))
-            .zip(c.chunks_mut(limb_len))
-            .enumerate()
-        {
-            f(i, la, lb, lc);
-        }
-        return;
-    }
-    type Triple<'t> = (&'t mut [u64], (&'t mut [u64], &'t mut [u64]));
-    let mut triples: Vec<Triple<'_>> = a
-        .chunks_mut(limb_len)
-        .zip(b.chunks_mut(limb_len).zip(c.chunks_mut(limb_len)))
-        .collect();
-    for_each_mut(exec, &mut triples, |i, (la, (lb, lc))| f(i, la, lb, lc));
-}
-
 /// Runs `f(limb_index, limb_a, limb_b, limb_c, limb_d)` over the matching
 /// limbs of four equally shaped buffers — two outputs plus two private
 /// scratch lanes, as used by the paired accumulator floor.
@@ -643,33 +603,6 @@ mod tests {
         });
         let expect: Vec<u64> = (0..256u64).map(|v| v * 2 + v / 16 + v % 16).collect();
         assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn for_each_limb3_triples_match() {
-        for exec in [with_threads(1), with_threads(3)] {
-            let mut a = vec![1u64; 32];
-            let mut b = vec![2u64; 32];
-            let mut c = vec![0u64; 32];
-            for_each_limb3(exec.as_ref(), &mut a, &mut b, &mut c, 8, |i, la, lb, lc| {
-                for ((x, y), z) in la.iter_mut().zip(lb.iter_mut()).zip(lc.iter_mut()) {
-                    *x += i as u64;
-                    *y += *x;
-                    *z = *x + *y;
-                }
-            });
-            for i in 0..4u64 {
-                assert!(a[i as usize * 8..(i as usize + 1) * 8]
-                    .iter()
-                    .all(|&x| x == 1 + i));
-                assert!(b[i as usize * 8..(i as usize + 1) * 8]
-                    .iter()
-                    .all(|&y| y == 3 + i));
-                assert!(c[i as usize * 8..(i as usize + 1) * 8]
-                    .iter()
-                    .all(|&z| z == 4 + 2 * i));
-            }
-        }
     }
 
     #[test]

@@ -370,79 +370,6 @@ impl NttTable {
         }
     }
 
-    /// Forward-transforms **two** residues under the same modulus with
-    /// interleaved butterflies, choosing the fastest applicable kernel.
-    /// Bit-identical to two [`NttTable::forward_auto`] calls; the
-    /// interleaving gives the out-of-order core two independent
-    /// multiply chains to overlap (~1.2× on the scalar path), which is
-    /// what makes the paired key-switch accumulator floor cheap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from `n`.
-    #[inline]
-    // DOMAIN: [0,4p)
-    pub fn forward_auto2(&self, a: &mut [u64], b: &mut [u64]) {
-        if self.modulus.bits() <= 60 {
-            self.forward_lazy2(a, b); // DOMAIN: [0,4p)
-        } else {
-            self.forward(a);
-            self.forward(b);
-        }
-    }
-
-    /// Lazy-reduction forward NTT of two residues with interleaved
-    /// butterflies (see [`NttTable::forward_auto2`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slice length differs from `n` or the modulus exceeds
-    /// 60 bits.
-    // DOMAIN: [0,4p)
-    pub fn forward_lazy2(&self, a: &mut [u64], b: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "polynomial length must equal n");
-        assert_eq!(b.len(), self.n, "polynomial length must equal n");
-        assert!(self.modulus.bits() <= 60, "lazy NTT requires p < 2^60");
-        let p = &self.modulus;
-        let two_p = 2 * p.value();
-        let n = self.n;
-        let mut m = 1usize;
-        while m < n {
-            let t = n / (2 * m);
-            for i in 0..m {
-                let w = &self.fwd[m + i];
-                let base = 2 * i * t;
-                for j in base..base + t {
-                    let mut x = a[j];
-                    if x >= two_p {
-                        x -= two_p;
-                    }
-                    let v = w.mul_red_lazy(a[j + t], p); // DOMAIN: [0,2p)
-                    a[j] = x + v;
-                    a[j + t] = x + two_p - v;
-
-                    let mut y = b[j];
-                    if y >= two_p {
-                        y -= two_p;
-                    }
-                    let u = w.mul_red_lazy(b[j + t], p); // DOMAIN: [0,2p)
-                    b[j] = y + u;
-                    b[j + t] = y + two_p - u;
-                }
-            }
-            m *= 2;
-        }
-        let pv = p.value();
-        for c in a.iter_mut().chain(b.iter_mut()) {
-            if *c >= two_p {
-                *c -= two_p;
-            }
-            if *c >= pv {
-                *c -= pv;
-            }
-        }
-    }
-
     /// Whether the reduced-load kernels take the lazy path (output in
     /// `[0, 4p)`) rather than the strict fallback (canonical output).
     /// Consumers use this to pick the congruence offset.
@@ -653,6 +580,7 @@ impl NttTable {
     /// Evaluates the polynomial at `ψ^{2·brv(j)+1}` directly — the defining
     /// equation `ã_j = Σ_i a_i ψ^{(2i+1)·e}` of Section 3.1, used as the
     /// O(n²) reference in tests.
+    #[cfg(test)]
     pub fn forward_reference(&self, a: &[u64]) -> Vec<u64> {
         assert_eq!(a.len(), self.n);
         let p = &self.modulus;
@@ -729,13 +657,10 @@ mod tests {
             let p = t.modulus().value();
             let mut a: Vec<u64> = (0..n as u64).map(|i| (i * 0x9e37 + 3) % p).collect();
             let mut b: Vec<u64> = (0..n as u64).map(|i| (i * i + 17) % p).collect();
+            t.forward_auto(&mut a);
+            t.forward_auto(&mut b);
             let mut sa = a.clone();
             let mut sb = b.clone();
-            t.forward_auto2(&mut a, &mut b);
-            t.forward_auto(&mut sa);
-            t.forward_auto(&mut sb);
-            assert_eq!(a, sa, "forward pair diverged at {bits} bits");
-            assert_eq!(b, sb, "forward pair diverged at {bits} bits");
             t.inverse_auto2(&mut a, &mut b);
             t.inverse_auto(&mut sa);
             t.inverse_auto(&mut sb);
