@@ -135,20 +135,26 @@ fn floor_impl_into(
 
     // Step 2: fold into every remaining modulus (lines 2-7) — one
     // independent limb per modulus, dispatched across the executor; each
-    // limb reduces and re-NTTs inside its own scratch lane.
+    // limb re-NTTs, reducing on load, inside its own scratch lane.
     let a = &*drop_coeff;
     let lane = &mut lane[..out_moduli.len() * n];
     out.set_representation(Representation::Ntt);
     exec::for_each_limb2(exec, out.data_mut(), lane, n, |i, dst, buf| {
         let pi = &out_moduli[i];
-        for (b, &x) in buf.iter_mut().zip(a) {
-            *b = pi.reduce_u64(x);
-        }
-        ctx.ntt_table(i).forward_auto(buf);
+        let table = ctx.ntt_table(i);
+        // DOMAIN: [0,4p)
+        table.forward_reduced_auto(a, buf);
+        // Offset that keeps `src − r̃` non-negative for whichever
+        // representative the kernel produced.
+        let off = if table.reduced_kernel_is_lazy() {
+            4 * pi.value()
+        } else {
+            pi.value()
+        };
         let inv = consts.inv(i);
         let src = c.residue(i);
         for (j, d) in dst.iter_mut().enumerate() {
-            *d = inv.mul_red(pi.sub_mod(src[j], buf[j]), pi);
+            *d = inv.mul_red(src[j] + off - buf[j], pi);
         }
     });
     Ok(())

@@ -2,8 +2,12 @@
 //! be justified by a `// SAFETY:` comment.
 //!
 //! All but one crate `#![forbid(unsafe_code)]`; the exception is
-//! `heax-math`'s scoped thread-pool (`exec.rs`), whose lifetime-erasure
-//! tricks are exactly where a wrong refactor becomes UB. The rule
+//! `heax-math`, in two places: the scoped thread-pool (`exec.rs`), whose
+//! lifetime-erasure tricks are exactly where a wrong refactor becomes UB,
+//! and the 8-lane AVX-512 IFMA NTT kernels (`ifma.rs`), whose
+//! `target_feature` calls are sound only behind the host-feature check
+//! made at table construction and whose vector loads and stores go
+//! through raw pointers. The rule
 //! requires the justification to sit in the comment block directly above
 //! the statement containing the `unsafe` token (or trailing on the same
 //! line). `unsafe fn` declarations are exempt — their contract is the

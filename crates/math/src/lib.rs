@@ -32,6 +32,8 @@
 
 pub mod exec;
 pub mod fft;
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 pub mod ntt;
 pub mod poly;
 pub mod primes;

@@ -11,8 +11,20 @@
 //! All twiddle factors are stored as [`MulRedConstant`]s so every butterfly
 //! uses Algorithm 2 (`MulRed`), exactly as in the hardware NTT core
 //! (Figure 3 of the paper).
+//!
+//! [`NttTable::forward`] / [`NttTable::inverse`] are the strict algorithms
+//! and the oracle for everything else. The `*_auto` entry points run the
+//! fastest kernel family the table qualifies for, chosen once at
+//! construction ([`AutoKernel`]): eight butterfly lanes on the AVX-512
+//! IFMA 52-bit multiplier when the host has it, `p < 2^50` and `n ≥ 16`;
+//! the scalar lazy Harvey kernels for any other `p < 2^60`; the strict
+//! algorithms beyond that.
+
+use core::fmt;
 
 use crate::exec::{self, Executor};
+#[cfg(target_arch = "x86_64")]
+use crate::ifma::Lanes;
 use crate::primes::primitive_root_2n;
 use crate::word::{Modulus, MulRedConstant};
 use crate::MathError;
@@ -39,6 +51,61 @@ pub fn bit_reverse_permute<T>(data: &mut [T]) {
     }
 }
 
+/// The kernel family behind [`NttTable::forward_auto`],
+/// [`NttTable::inverse_auto`] and [`NttTable::forward_reduced_auto`],
+/// decided when the table is built from what the code can observe (the
+/// host's instruction set, the modulus width, the degree).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AutoKernel {
+    /// Algorithms 3/4 with a full reduction per butterfly (`p ≥ 2^60`).
+    Strict,
+    /// Scalar lazy Harvey butterflies on the 64-bit word
+    /// ([`NttTable::forward_lazy`], [`NttTable::inverse_lazy`]).
+    ScalarLazy,
+    /// Eight lazy Harvey butterflies per instruction on the AVX-512 IFMA
+    /// 52-bit word: `x86_64` hosts with `avx512ifma`, `p < 2^50`,
+    /// `n ≥ 16`.
+    Lanes8,
+}
+
+impl fmt::Display for AutoKernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Strict => "strict Algorithm 3/4",
+            Self::ScalarLazy => "scalar Harvey lazy (64-bit word)",
+            Self::Lanes8 => "8-lane Harvey lazy (AVX-512 IFMA, 52-bit word)",
+        })
+    }
+}
+
+/// [`AutoKernel`] plus, for the lanes, the proof that the host has them.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    Strict,
+    ScalarLazy,
+    #[cfg(target_arch = "x86_64")]
+    Lanes8(Lanes),
+}
+
+impl Kernel {
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn select(n: usize, modulus: &Modulus) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(lanes) = Lanes::detect(n, modulus) {
+            return Self::Lanes8(lanes);
+        }
+        Self::scalar(modulus)
+    }
+
+    fn scalar(modulus: &Modulus) -> Self {
+        if modulus.bits() <= 60 {
+            Self::ScalarLazy
+        } else {
+            Self::Strict
+        }
+    }
+}
+
 /// Precomputed twiddle tables for one `(n, p)` pair.
 ///
 /// # Examples
@@ -47,8 +114,8 @@ pub fn bit_reverse_permute<T>(data: &mut [T]) {
 /// use heax_math::{ntt::NttTable, word::Modulus};
 ///
 /// # fn main() -> Result<(), heax_math::MathError> {
-/// let p = Modulus::new(0x0fff_ee001)?; // 36-bit prime ≡ 1 mod 8192... (doc only)
-/// # let p = Modulus::new(heax_math::primes::generate_ntt_primes(36, 1, 4096)?[0])?;
+/// // A 36-bit prime ≡ 1 (mod 2·4096).
+/// let p = Modulus::new(heax_math::primes::generate_ntt_primes(36, 1, 4096)?[0])?;
 /// let table = NttTable::new(4096, p)?;
 /// let mut a: Vec<u64> = (0..4096u64).collect();
 /// let orig = a.clone();
@@ -77,6 +144,8 @@ pub struct NttTable {
     inv_n: u64,
     /// `n^{-1}` as a MulRed constant for the lazy kernel's final pass.
     inv_n_const: MulRedConstant,
+    /// What the `*_auto` entry points run.
+    kernel: Kernel,
 }
 
 impl NttTable {
@@ -142,7 +211,29 @@ impl NttTable {
             inv_plain,
             inv_n,
             inv_n_const,
+            kernel: Kernel::select(n, &modulus),
         })
+    }
+
+    /// A table whose `*_auto` entry points never take the lanes, so the
+    /// scalar kernels stay covered on hosts that have them.
+    #[cfg(test)]
+    pub(crate) fn new_scalar(n: usize, modulus: Modulus) -> Result<Self, MathError> {
+        let mut table = Self::new(n, modulus)?;
+        table.kernel = Kernel::scalar(&modulus);
+        Ok(table)
+    }
+
+    /// The kernel family the `*_auto` entry points run for this table on
+    /// this host.
+    #[inline]
+    pub fn auto_kernel(&self) -> AutoKernel {
+        match self.kernel {
+            Kernel::Strict => AutoKernel::Strict,
+            Kernel::ScalarLazy => AutoKernel::ScalarLazy,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Lanes8(_) => AutoKernel::Lanes8,
+        }
     }
 
     /// Ring degree `n`.
@@ -248,19 +339,22 @@ impl NttTable {
         }
     }
 
-    /// Inverse NTT choosing the fastest applicable kernel (lazy when the
-    /// modulus is at most 60 bits). Output is bit-identical to
-    /// [`NttTable::inverse`].
+    /// Inverse NTT on the table's [`AutoKernel`]. Input canonical;
+    /// output is bit-identical to [`NttTable::inverse`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != n`.
     #[inline]
     pub fn inverse_auto(&self, a: &mut [u64]) {
-        if self.modulus.bits() <= 60 {
-            self.inverse_lazy(a); // DOMAIN: [0,2p)
-        } else {
-            self.inverse(a);
+        match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Lanes8(lanes) => {
+                // DOMAIN: [0,2p)
+                lanes.inverse_lazy(&self.modulus, &self.inv_plain, &self.inv_n_const, a);
+            }
+            Kernel::ScalarLazy => self.inverse_lazy(a), // DOMAIN: [0,2p)
+            Kernel::Strict => self.inverse(a),
         }
     }
 
@@ -305,19 +399,22 @@ impl NttTable {
         }
     }
 
-    /// Forward NTT choosing the fastest applicable kernel: the lazy
-    /// Harvey variant when the modulus is at most 60 bits, the strict
-    /// Algorithm 3 otherwise. Output is bit-identical either way.
+    /// Forward NTT on the table's [`AutoKernel`]. Input canonical;
+    /// output is bit-identical to [`NttTable::forward`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != n`.
     #[inline]
     pub fn forward_auto(&self, a: &mut [u64]) {
-        if self.modulus.bits() <= 60 {
-            self.forward_lazy(a); // DOMAIN: [0,4p)
-        } else {
-            self.forward(a);
+        match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Lanes8(lanes) => {
+                // DOMAIN: [0,4p)
+                lanes.forward_lazy(&self.modulus, &self.fwd, a, true);
+            }
+            Kernel::ScalarLazy => self.forward_lazy(a), // DOMAIN: [0,4p)
+            Kernel::Strict => self.forward(a),
         }
     }
 
@@ -370,9 +467,10 @@ impl NttTable {
         }
     }
 
-    /// Whether the reduced-load kernels take the lazy path (output in
-    /// `[0, 4p)`) rather than the strict fallback (canonical output).
-    /// Consumers use this to pick the congruence offset.
+    /// Whether the reduced-load kernels take a lazy path — scalar or
+    /// 8-lane, output in `[0, 4p)` — rather than the strict fallback
+    /// (canonical output). Consumers use this to pick the congruence
+    /// offset.
     #[inline]
     pub fn reduced_kernel_is_lazy(&self) -> bool {
         self.modulus.bits() <= 60 && self.n >= 4
@@ -382,10 +480,11 @@ impl NttTable {
     /// the first butterfly stage loads `src` (arbitrary `u64` values),
     /// reduces each word modulo this table's modulus on the fly, and the
     /// remaining stages run in place over `dst`. On the lazy (`p < 2^60`)
-    /// path the final normalization is skipped — the output stays in the
+    /// paths the final normalization is skipped — the output stays in the
     /// `[0, 4p)` lazy domain (every value ≡ the normalized result mod
-    /// `p`); the strict fallback produces canonical `[0, p)` output. The
-    /// key-switch flooring and decomposition consume either domain.
+    /// `p`; which representative depends on the [`AutoKernel`]); the
+    /// strict fallback produces canonical `[0, p)` output. The key-switch
+    /// flooring and decomposition consume either domain.
     ///
     /// # Panics
     ///
@@ -395,6 +494,16 @@ impl NttTable {
         assert_eq!(src.len(), self.n, "polynomial length must equal n");
         assert_eq!(dst.len(), self.n, "polynomial length must equal n");
         let p = &self.modulus;
+        // The lanes read 52 bits of a source word; wider words (none in
+        // the key switch, whose sources are residues under another
+        // `p < 2^50`) take the scalar kernel below.
+        #[cfg(target_arch = "x86_64")]
+        if let Kernel::Lanes8(lanes) = self.kernel {
+            // DOMAIN: [0,4p)
+            if lanes.forward_reduced(p, &self.fwd, src, dst) {
+                return;
+            }
+        }
         if !self.reduced_kernel_is_lazy() {
             for (d, &x) in dst.iter_mut().zip(src) {
                 *d = p.reduce_u64(x);
@@ -436,8 +545,9 @@ impl NttTable {
     }
 
     /// The pair counterpart of [`NttTable::forward_reduced_auto`]:
-    /// transforms two reduced-on-load residues with interleaved
-    /// butterflies (same output-domain contract).
+    /// transforms two reduced-on-load residues (same output-domain
+    /// contract) — with interleaved butterflies on the scalar kernels,
+    /// as two single transforms on the lanes.
     ///
     /// # Panics
     ///
@@ -454,6 +564,13 @@ impl NttTable {
         assert_eq!(src1.len(), self.n, "polynomial length must equal n");
         assert_eq!(dst0.len(), self.n, "polynomial length must equal n");
         assert_eq!(dst1.len(), self.n, "polynomial length must equal n");
+        if self.auto_kernel() == AutoKernel::Lanes8 {
+            // The interleave exists to feed a scalar multiplier two
+            // independent chains; eight lanes are fed by one.
+            self.forward_reduced_auto(src0, dst0); // DOMAIN: [0,4p)
+            self.forward_reduced_auto(src1, dst1); // DOMAIN: [0,4p)
+            return;
+        }
         let p = &self.modulus;
         if !self.reduced_kernel_is_lazy() {
             for (d, &x) in dst0.iter_mut().zip(src0) {
@@ -511,9 +628,10 @@ impl NttTable {
         }
     }
 
-    /// Inverse-transforms **two** residues under the same modulus with
-    /// interleaved butterflies; the pair counterpart of
-    /// [`NttTable::inverse_auto`], bit-identical to two sequential calls.
+    /// Inverse-transforms **two** residues under the same modulus (with
+    /// interleaved butterflies on the scalar lazy kernels); the pair
+    /// counterpart of [`NttTable::inverse_auto`], bit-identical to two
+    /// sequential calls.
     ///
     /// # Panics
     ///
@@ -521,11 +639,11 @@ impl NttTable {
     #[inline]
     // DOMAIN: [0,2p)
     pub fn inverse_auto2(&self, a: &mut [u64], b: &mut [u64]) {
-        if self.modulus.bits() <= 60 {
+        if self.auto_kernel() == AutoKernel::ScalarLazy {
             self.inverse_lazy2(a, b); // DOMAIN: [0,2p)
         } else {
-            self.inverse(a);
-            self.inverse(b);
+            self.inverse_auto(a);
+            self.inverse_auto(b);
         }
     }
 
@@ -695,6 +813,63 @@ mod tests {
                 for (g, w) in single.iter().zip(&want0) {
                     assert_eq!(p.reduce_u64(*g), *w);
                 }
+            }
+        }
+    }
+
+    /// On a host with the lanes the `*_auto` entry points never reach the
+    /// scalar kernels for `p < 2^50` (and `tests/proptests.rs` sees only
+    /// what the host selects), so a forced-scalar table checks every one
+    /// of them against the strict oracle here.
+    #[test]
+    fn scalar_auto_kernels_match_strict_on_any_host() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for log_n in 3..=12u32 {
+            let n = 1usize << log_n;
+            for bits in [30u32, 44, 50, 51, 60, 61] {
+                let p = generate_ntt_primes(bits, 1, n).unwrap()[0];
+                let modulus = Modulus::new(p).unwrap();
+                let t = NttTable::new_scalar(n, modulus).unwrap();
+                assert_ne!(t.auto_kernel(), AutoKernel::Lanes8);
+                let tag = format!("n={n} p={p} kernel={}", t.auto_kernel());
+                let input: Vec<u64> = (0..n).map(|_| next() % p).collect();
+                // Source words of every width up to 64 bits.
+                let src: Vec<u64> = (0..n).map(|i| next() >> (i % 40)).collect();
+                let mut want_fwd = input.clone();
+                t.forward(&mut want_fwd);
+                let mut want_inv = input.clone();
+                t.inverse(&mut want_inv);
+                let mut want_src: Vec<u64> = src.iter().map(|&x| modulus.reduce_u64(x)).collect();
+                t.forward(&mut want_src);
+
+                let mut a = input.clone();
+                t.forward_auto(&mut a);
+                assert_eq!(a, want_fwd, "forward_auto {tag}");
+                let (mut a, mut b) = (input.clone(), want_fwd.clone());
+                t.inverse_auto(&mut a);
+                assert_eq!(a, want_inv, "inverse_auto {tag}");
+                t.inverse_auto2(&mut a, &mut b);
+                assert_eq!(b, input, "inverse_auto2 {tag}");
+
+                let bound = if t.reduced_kernel_is_lazy() { 4 * p } else { p };
+                let congruent = |got: &[u64], want: &[u64], what: &str| {
+                    for (g, w) in got.iter().zip(want) {
+                        assert!(*g < bound, "{what} out of domain {tag}");
+                        assert_eq!(modulus.reduce_u64(*g), *w, "{what} {tag}");
+                    }
+                };
+                let (mut d0, mut d1) = (vec![0u64; n], vec![0u64; n]);
+                t.forward_reduced_auto(&src, &mut d0);
+                congruent(&d0, &want_src, "forward_reduced_auto");
+                t.forward_reduced_auto2(&input, &src, &mut d0, &mut d1);
+                congruent(&d0, &want_fwd, "forward_reduced_auto2.0");
+                congruent(&d1, &want_src, "forward_reduced_auto2.1");
             }
         }
     }

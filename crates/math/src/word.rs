@@ -301,7 +301,10 @@ impl Modulus {
 /// # Ok(())
 /// # }
 /// ```
+// `repr(C)`: the 8-lane NTT kernels load table entries as raw
+// (operand, quotient) word pairs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct MulRedConstant {
     operand: u64,
     quotient: u64,

@@ -1,8 +1,8 @@
 //! Property-based tests for the math substrate.
 
-use heax_math::ntt::{bit_reverse, NttTable};
+use heax_math::ntt::{bit_reverse, AutoKernel, NttTable};
 use heax_math::poly::{Representation, RnsPoly};
-use heax_math::primes::generate_ntt_primes;
+use heax_math::primes::{default_chain_bits, generate_ntt_primes, generate_prime_chain, is_prime};
 use heax_math::rns::RnsBasis;
 use heax_math::word::{Modulus, MulRedConstant};
 use proptest::prelude::*;
@@ -78,6 +78,175 @@ proptest! {
     fn bit_reverse_is_involution(x in 0usize..(1 << 12), bits in 1u32..13) {
         let x = x & ((1 << bits) - 1);
         prop_assert_eq!(bit_reverse(bit_reverse(x, bits), bits), x);
+    }
+}
+
+/// Whichever kernel family the host selects (eight IFMA lanes, scalar
+/// lazy, strict) and the scalar lazy kernels by name must agree with the
+/// strict Algorithms 3/4 — bit for bit where the contract is canonical
+/// output, modulo `p` inside `[0, 4p)` for the reduced-on-load forms.
+/// `src` may hold any `u64` words.
+fn assert_kernels_match_strict(table: &NttTable, input: &[u64], src: &[u64]) {
+    let n = table.n();
+    let p = *table.modulus();
+    let tag = format!("n={n} p={} kernel={}", p.value(), table.auto_kernel());
+
+    let mut want_fwd = input.to_vec();
+    table.forward(&mut want_fwd);
+    let mut want_inv = input.to_vec();
+    table.inverse(&mut want_inv);
+    let mut want_src: Vec<u64> = src.iter().map(|&x| p.reduce_u64(x)).collect();
+    table.forward(&mut want_src);
+
+    let mut a = input.to_vec();
+    table.forward_auto(&mut a);
+    assert_eq!(a, want_fwd, "forward_auto {tag}");
+    let mut a = input.to_vec();
+    table.inverse_auto(&mut a);
+    assert_eq!(a, want_inv, "inverse_auto {tag}");
+    let (mut a, mut b) = (input.to_vec(), want_fwd.clone());
+    table.inverse_auto2(&mut a, &mut b);
+    assert_eq!(a, want_inv, "inverse_auto2 {tag}");
+    assert_eq!(b, input, "inverse_auto2 after forward {tag}");
+    if table.auto_kernel() != AutoKernel::Strict {
+        let mut a = input.to_vec();
+        table.forward_lazy(&mut a);
+        assert_eq!(a, want_fwd, "forward_lazy {tag}");
+        let mut a = input.to_vec();
+        table.inverse_lazy(&mut a);
+        assert_eq!(a, want_inv, "inverse_lazy {tag}");
+    }
+
+    let bound = if table.reduced_kernel_is_lazy() {
+        4 * p.value()
+    } else {
+        p.value()
+    };
+    let congruent = |got: &[u64], want: &[u64], what: &str| {
+        for (g, w) in got.iter().zip(want) {
+            assert!(*g < bound, "{what} leaves its domain, {tag}");
+            assert_eq!(p.reduce_u64(*g), *w, "{what} {tag}");
+        }
+    };
+    let (mut d0, mut d1) = (vec![0u64; n], vec![0u64; n]);
+    table.forward_reduced_auto(input, &mut d0);
+    congruent(&d0, &want_fwd, "forward_reduced_auto");
+    table.forward_reduced_auto(src, &mut d0);
+    congruent(&d0, &want_src, "forward_reduced_auto(src)");
+    table.forward_reduced_auto2(src, input, &mut d0, &mut d1);
+    congruent(&d0, &want_src, "forward_reduced_auto2(src, _)");
+    congruent(&d1, &want_fwd, "forward_reduced_auto2(_, input)");
+}
+
+/// `len` words from a xorshift stream, each shifted right by `shift(i)`.
+fn words(seed: u64, len: usize, shift: impl Fn(usize) -> u32) -> Vec<u64> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state >> shift(i)
+        })
+        .collect()
+}
+
+fn host_has_lanes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let lanes = std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let lanes = false;
+    lanes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn auto_kernels_match_strict_for_random_primes(
+        bits in 30u32..=50,
+        log_n in 4u32..=14,
+        pick in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let n = 1usize << log_n;
+        let p = generate_ntt_primes(bits, pick + 1, n).unwrap()[pick];
+        let table = NttTable::new(n, Modulus::new(p).unwrap()).unwrap();
+        let input: Vec<u64> = words(seed, n, |_| 0).iter().map(|&x| x % p).collect();
+        // Source words of every width up to 64 bits.
+        let src = words(!seed, n, |i| (i % 36) as u32);
+        assert_kernels_match_strict(&table, &input, &src);
+    }
+}
+
+#[test]
+fn auto_kernels_match_strict_on_every_parameter_set_table() {
+    for n in [4096usize, 8192, 16384] {
+        let chain = generate_prime_chain(default_chain_bits(n).unwrap(), n).unwrap();
+        // The special prime is the chain's last entry.
+        for (i, &p) in chain.iter().enumerate() {
+            let table = NttTable::new(n, Modulus::new(p).unwrap()).unwrap();
+            let input: Vec<u64> = words(p, n, |_| 0).iter().map(|&x| x % p).collect();
+            // What the key switch feeds it: residues under a sibling prime.
+            let sibling = chain[(i + 1) % chain.len()];
+            let src: Vec<u64> = words(!p, n, |_| 0).iter().map(|&x| x % sibling).collect();
+            assert_kernels_match_strict(&table, &input, &src);
+        }
+    }
+}
+
+#[test]
+fn auto_kernel_edge_cases() {
+    let lanes_or_scalar = if host_has_lanes() {
+        AutoKernel::Lanes8
+    } else {
+        AutoKernel::ScalarLazy
+    };
+    println!("NTT `*_auto` kernel family on this host for p < 2^50, n >= 16: {lanes_or_scalar}");
+    let n = 64usize;
+    let table = |n: usize, p: u64| NttTable::new(n, Modulus::new(p).unwrap()).unwrap();
+    // The widest modulus the 52-bit word takes, and the first it does not.
+    let below = generate_ntt_primes(50, 1, n).unwrap()[0];
+    let at_or_above = (0u64..)
+        .map(|j| (1 << 50) + 1 + j * 2 * n as u64)
+        .find(|&p| is_prime(p))
+        .unwrap();
+    let cases = [
+        (table(n, below), lanes_or_scalar),
+        (table(n, at_or_above), AutoKernel::ScalarLazy),
+        (
+            table(16, generate_ntt_primes(50, 1, 16).unwrap()[0]),
+            lanes_or_scalar,
+        ),
+        (
+            table(8, generate_ntt_primes(50, 1, 8).unwrap()[0]),
+            AutoKernel::ScalarLazy,
+        ),
+        (
+            table(n, generate_ntt_primes(61, 1, n).unwrap()[0]),
+            AutoKernel::Strict,
+        ),
+    ];
+    for (t, kernel) in &cases {
+        assert_eq!(t.auto_kernel(), *kernel, "n={} p={}", t.n(), t.modulus());
+        let (n, p) = (t.n(), t.modulus().value());
+        // Worst lazy growth: every butterfly operand at p − 1 (on the
+        // lanes 4p − 1 must still fit 52 bits).
+        let top = vec![p - 1; n];
+        let all_ones = vec![u64::MAX; n];
+        assert_kernels_match_strict(t, &top, &all_ones);
+        // Source words at and beyond the 52-bit word, and one lone wide
+        // word among narrow ones.
+        let random = words(p, n, |_| 0);
+        let input: Vec<u64> = random.iter().map(|&x| x % p).collect();
+        let at_word: Vec<u64> = random.iter().map(|&x| x | 1 << 52).collect();
+        assert_kernels_match_strict(t, &input, &at_word);
+        let mut lone: Vec<u64> = random.iter().map(|&x| x >> 12).collect();
+        lone[n - 1] = 1 << 52;
+        assert_kernels_match_strict(t, &input, &lone);
+        let just_below: Vec<u64> = random.iter().map(|&x| x >> 12 | 1 << 51).collect();
+        assert_kernels_match_strict(t, &input, &just_below);
     }
 }
 
