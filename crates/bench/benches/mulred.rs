@@ -1,16 +1,15 @@
-//! Criterion micro-bench of the word-level reduction kernels behind the
-//! key-switch overhaul: Barrett `mul_mod` (Algorithm 1, the seed's inner
-//! loop) vs Shoup `mul_red` / `mul_red_lazy` (Algorithm 2, the MulRed
-//! unit the keys are now precomputed for). Sweeps a ring-sized array so
-//! the numbers reflect the streaming access pattern of the DyadMult
-//! stage.
+//! Criterion micro-bench of the word-level reduction kernels: Barrett
+//! `mul_mod` (Algorithm 1) vs Shoup `mul_red` / `mul_red_lazy`
+//! (Algorithm 2, the MulRed unit behind every twiddle and `p⁻¹`
+//! constant). Sweeps a ring-sized array so the numbers reflect a
+//! streaming access pattern.
 //!
 //! CI runs this in quick mode by setting `HEAX_BENCH_QUICK=1`.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use heax_math::word::{precompute_shoup, Modulus};
+use heax_math::word::{Modulus, MulRedConstant};
 
 fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
     if std::env::var_os("HEAX_BENCH_QUICK").is_some() {
@@ -38,7 +37,7 @@ fn bench_mulred(c: &mut Criterion) {
     let ys: Vec<u64> = (0..n as u64)
         .map(|i| i.wrapping_mul(0xbf58_476d_1ce4_e5b9) % p.value())
         .collect();
-    let shoup = precompute_shoup(&ys, &p);
+    let shoup: Vec<MulRedConstant> = ys.iter().map(|&y| MulRedConstant::new(y, &p)).collect();
 
     group.bench_function("barrett_mul_mod", |b| {
         b.iter(|| {

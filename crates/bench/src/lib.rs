@@ -404,8 +404,8 @@ pub mod server {
     }
 
     /// The baseline pass: one request at a time, no session registry —
-    /// each client's evaluation keys are deserialized (Shoup tables
-    /// rebuilt) for its work unit, and every rotation is a full
+    /// each client's evaluation keys are deserialized anew for its
+    /// work unit, and every rotation is a full
     /// deserialize → rotate → serialize round trip, exactly the shape of
     /// the seed's `batched_server` example. Returns the serialized
     /// results in request order.

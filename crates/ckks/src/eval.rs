@@ -414,12 +414,10 @@ impl<'a> Evaluator<'a> {
     ///
     /// This is the one-key, identity-permutation case of the shared
     /// skeleton ([`crate::keyswitch`]) over the software NTT kernels: the
-    /// accumulation runs against the key's Shoup
-    /// ([`heax_math::word::MulRedConstant`]) tables with lazy `[0, 2p)`
-    /// arithmetic and a single deferred reduction — one shift-multiply per
-    /// coefficient instead of a 128-bit reduction, bit-identical to a
-    /// strict Barrett evaluation of Algorithm 7 (the property suite keeps
-    /// one as its oracle).
+    /// accumulation multiplies the digits into the key's plain residues,
+    /// sums each coefficient's products double-width and reduces once —
+    /// bit-identical to a strict Barrett evaluation of Algorithm 7 (the
+    /// property suite keeps one as its oracle).
     ///
     /// # Errors
     ///
@@ -441,8 +439,9 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::key_switch`] into caller-provided output buffers:
     /// `f0`/`f1` must be NTT-form polynomials over the basis of `level`.
     /// Together with the evaluator's internal workspace this makes the
-    /// call **allocation-free after warm-up** (first call at a level
-    /// shapes the buffers; see the `alloc_free` integration test).
+    /// call **allocation-free after warm-up** (the first call at a level
+    /// higher than any before grows the buffers; see the `alloc`
+    /// integration test).
     ///
     /// # Errors
     ///
@@ -534,7 +533,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// The rotated `c₁` lands in the evaluator's scratch buffer (no fresh
     /// polynomial per call), and `τ(c₀)` is never materialized: the
-    /// permutation is fused into the final accumulation over `f₀`.
+    /// permuted add is fused into the floor's store of `f₀`.
     ///
     /// # Errors
     ///
@@ -559,17 +558,18 @@ impl<'a> Evaluator<'a> {
         let moduli = ctx.level_moduli(level);
         let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
         let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
-        let switcher = self.switcher();
         {
+            let switcher = self.switcher();
             let mut guard = self.scratch();
             let scratch = &mut *guard;
             scratch.ensure_rotated(ctx, level);
             let KeySwitchScratch { ks, rotated, .. } = scratch;
             apply_galois_ntt_into(&a.polys[1], table, rotated)?;
-            switcher.key_switch_into(ks, rotated, ksk, level, &mut f0, &mut f1)?;
+            switcher.decompose(ks, rotated, level)?;
+            switcher.accumulate(ks, ksk, None, level);
+            // c₀' = τ(c₀) + f₀, added as the floor stores f₀.
+            switcher.floor(ks, level, Some((&a.polys[0], table)), &mut f0, &mut f1)?;
         }
-        // c₀' = τ(c₀) + f₀.
-        switcher.add_permuted(&mut f0, &a.polys[0], table, level);
         Ciphertext::from_parts(vec![f0, f1], level, a.scale)
     }
 
@@ -792,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn shoup_key_switch_matches_barrett_reference() {
+    fn key_switch_matches_barrett_reference() {
         let mut h = harness(60);
         let a = h.encrypt(&[1.5, -2.0]);
         let b = h.encrypt(&[0.25, 3.0]);
@@ -807,8 +807,8 @@ mod tests {
             h.rlk.ksk(),
             prod.level(),
         );
-        assert_eq!(f0, g0, "Shoup f0 must equal the seed Barrett path");
-        assert_eq!(f1, g1, "Shoup f1 must equal the seed Barrett path");
+        assert_eq!(f0, g0, "f0 must equal the seed Barrett path");
+        assert_eq!(f1, g1, "f1 must equal the seed Barrett path");
     }
 
     #[test]

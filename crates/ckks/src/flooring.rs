@@ -140,22 +140,9 @@ fn floor_impl_into(
     let lane = &mut lane[..out_moduli.len() * n];
     out.set_representation(Representation::Ntt);
     exec::for_each_limb2(exec, out.data_mut(), lane, n, |i, dst, buf| {
-        let pi = &out_moduli[i];
-        let table = ctx.ntt_table(i);
         // DOMAIN: [0,4p)
-        table.forward_reduced_auto(a, buf);
-        // Offset that keeps `src − r̃` non-negative for whichever
-        // representative the kernel produced.
-        let off = if table.reduced_kernel_is_lazy() {
-            4 * pi.value()
-        } else {
-            pi.value()
-        };
-        let inv = consts.inv(i);
-        let src = c.residue(i);
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = inv.mul_red(src[j] + off - buf[j], pi);
-        }
+        ctx.ntt_table(i).forward_reduced_auto(a, buf);
+        out_moduli[i].mod_switch(consts.inv(i), c.residue(i), buf, None, dst);
     });
     Ok(())
 }
@@ -280,12 +267,12 @@ mod tests {
         }
         let mut bufs = KsBuffers::default();
         bufs.ensure(&ctx, level);
-        bufs.acc0 = c0;
-        bufs.acc1 = c1;
+        bufs.acc0.copy_from_slice(c0.data());
+        bufs.acc1.copy_from_slice(c1.data());
         let mut p0 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
         let mut p1 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
         KeySwitcher::new(&ctx, &Sequential, &TableNtt)
-            .floor(&mut bufs, level, &mut p0, &mut p1)
+            .floor(&mut bufs, level, None, &mut p0, &mut p1)
             .unwrap();
         assert_eq!(p0, s0);
         assert_eq!(p1, s1);

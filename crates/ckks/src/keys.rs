@@ -12,7 +12,6 @@ use std::collections::HashMap;
 
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::sampling::{sample_error, sample_ternary, sample_uniform};
-use heax_math::word::{precompute_shoup, MulRedConstant};
 use rand::Rng;
 
 use crate::context::CkksContext;
@@ -81,41 +80,22 @@ impl PublicKey {
 /// A key-switching key from some `s'` to `s`: `d` component pairs over the
 /// full chain (`q` primes + special prime), one per decomposition index.
 ///
-/// Key residues are constant after keygen, so every component is stored
-/// twice: as plain residues and as [`MulRedConstant`] (Shoup-form) tables.
-/// The evaluator's key-switch inner loop multiplies against the Shoup
-/// tables with [`MulRedConstant::mul_red_lazy`] — one shift-multiply per
-/// coefficient instead of a 128-bit Barrett reduction, the same word-level
-/// trick the paper's MulRed hardware unit implements.
+/// Every residue is stored once, as the plain word keygen (or the wire)
+/// produced — the evaluator's DyadMult multiplies the digits straight into
+/// it — so [`KeySwitchKey::size_words`] is the whole footprint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KeySwitchKey {
     /// `components[i] = (d_{0,i}, d_{1,i})`, NTT form over the full chain.
     pub(crate) components: Vec<(RnsPoly, RnsPoly)>,
-    /// Shoup precomputation aligned with `components`: `shoup[i]` holds
-    /// the `(d_{0,i}, d_{1,i})` residues as limb-major `MulRedConstant`
-    /// tables (limb `j` spans `[j·n, (j+1)·n)`).
-    pub(crate) shoup: Vec<(Vec<MulRedConstant>, Vec<MulRedConstant>)>,
-}
-
-/// Limb-major Shoup table for every residue of a key polynomial.
-fn shoup_table(poly: &RnsPoly) -> Vec<MulRedConstant> {
-    let mut out = Vec::with_capacity(poly.num_residues() * poly.n());
-    for (m, residue) in poly.iter() {
-        out.extend(precompute_shoup(residue, m));
-    }
-    out
 }
 
 impl KeySwitchKey {
-    /// Builds the key from raw component pairs, precomputing the Shoup
-    /// tables. Used by keygen and deserialization.
+    /// Builds the key from raw component pairs. Used by keygen and
+    /// deserialization.
     pub(crate) fn from_components(components: Vec<(RnsPoly, RnsPoly)>) -> Self {
-        let shoup = components
-            .iter()
-            .map(|(b, a)| (shoup_table(b), shoup_table(a)))
-            .collect();
-        Self { components, shoup }
+        Self { components }
     }
+
     /// `KskGen(s', s)` — encrypts `P·g_i·s'` under `s` for every
     /// decomposition index `i` (Section 3, `KskGen`).
     ///
@@ -158,14 +138,6 @@ impl KeySwitchKey {
     #[inline]
     pub fn component(&self, i: usize) -> (&RnsPoly, &RnsPoly) {
         let (b, a) = &self.components[i];
-        (b, a)
-    }
-
-    /// Component `i` as limb-major Shoup (`MulRedConstant`) tables over
-    /// the full chain: limb `j` spans `[j·n, (j+1)·n)` of each slice.
-    #[inline]
-    pub fn component_shoup(&self, i: usize) -> (&[MulRedConstant], &[MulRedConstant]) {
-        let (b, a) = &self.shoup[i];
         (b, a)
     }
 
@@ -433,31 +405,6 @@ mod tests {
                     c as i64
                 };
                 assert!(centered.abs() <= 21, "ksk error too large: {centered}");
-            }
-        }
-    }
-
-    #[test]
-    fn ksk_shoup_tables_match_plain_residues() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(13);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let rlk = RelinKey::generate(&ctx, &sk, &mut rng);
-        let ksk = rlk.ksk();
-        let n = ctx.n();
-        for i in 0..ksk.decomp_len() {
-            let (b, a) = ksk.component(i);
-            let (bs, as_) = ksk.component_shoup(i);
-            assert_eq!(bs.len(), b.num_residues() * n);
-            assert_eq!(as_.len(), a.num_residues() * n);
-            for (j, m) in b.moduli().iter().enumerate() {
-                for t in (0..n).step_by(17) {
-                    let c = &bs[j * n + t];
-                    assert_eq!(c.operand(), b.residue(j)[t]);
-                    assert_eq!(c.mul_red(3, m), m.mul_mod(b.residue(j)[t], 3));
-                    let c = &as_[j * n + t];
-                    assert_eq!(c.operand(), a.residue(j)[t]);
-                }
             }
         }
     }

@@ -5,12 +5,15 @@
 //!    residue (INTT0) and re-expanded over the extended basis (NTT0) into
 //!    the NTT-form digits `b̃_{i,j}`. This is the part hoisting shares.
 //! 2. **accumulate** — per key, `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}` against the
-//!    key's Shoup tables with lazy `[0, 2p)` products and no reduction in
-//!    the loop (DyadMult). `τ` is the identity for relinearization and a
+//!    key's plain residues (DyadMult). The sum is kept **double-width** —
+//!    unreduced products in a `(hi, lo)` register pair on the 52-bit
+//!    lanes, in a `u128` otherwise — and reduced once per coefficient, not
+//!    once per term (`Modulus::dyad_acc_lazy`); what reaches memory is one
+//!    word in `[0, 4p)`. `τ` is the identity for relinearization and a
 //!    Galois permutation — pure addressing — for hoisted rotation.
 //! 3. **floor** — both accumulators are divided by the special prime
-//!    (INTT1 → NTT1 → MS); the deferred reduction of step 2 is folded
-//!    into the floor's own reads.
+//!    (INTT1 → NTT1 → MS); the MS step reduces the lazy accumulator words
+//!    as it reads them, and for a rotation adds `τ(c₀)` as it stores.
 //!
 //! Every transform goes through an [`NttBackend`]: [`TableNtt`] runs the
 //! software kernels of [`NttTable`], and `heax-core` supplies a backend
@@ -23,7 +26,7 @@
 use heax_math::exec::{self, Executor};
 use heax_math::ntt::NttTable;
 use heax_math::poly::{Representation, RnsPoly};
-use heax_math::word::{Modulus, MulRedConstant};
+use heax_math::word::Modulus;
 use heax_math::MathError;
 
 use crate::ciphertext::Ciphertext;
@@ -131,9 +134,9 @@ impl NttBackend for TableNtt {
 }
 
 /// The key-switch skeleton bound to a context, a limb executor and an
-/// NTT backend. Working memory is a caller-owned [`KsBuffers`], shaped
-/// on first use per level; after that [`KeySwitcher::key_switch_into`]
-/// allocates nothing.
+/// NTT backend. Working memory is a caller-owned [`KsBuffers`], grown on
+/// the first use at each new highest level; after that
+/// [`KeySwitcher::key_switch_into`] allocates nothing.
 #[derive(Debug)]
 pub struct KeySwitcher<'a, B> {
     ctx: &'a CkksContext,
@@ -167,12 +170,12 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     ) -> Result<(), CkksError> {
         self.decompose(bufs, target, level)?;
         self.accumulate(bufs, ksk, None, level);
-        self.floor(bufs, level, f0, f1)
+        self.floor(bufs, level, None, f0, f1)
     }
 
     /// Hoisted multi-rotation: decomposes `c₁` once, then per step runs
     /// only accumulate (with the step's Galois permutation applied to the
-    /// shared digits) and floor, and adds `τ(c₀)` into `f₀`.
+    /// shared digits) and floor, which adds `τ(c₀)` into `f₀`.
     ///
     /// # Errors
     ///
@@ -211,34 +214,15 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             self.accumulate(bufs, ksk, Some(perm), level);
             let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
             let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
-            self.floor(bufs, level, &mut f0, &mut f1)?;
-            self.add_permuted(&mut f0, &a.polys[0], perm, level);
+            self.floor(bufs, level, Some((&a.polys[0], perm)), &mut f0, &mut f1)?;
             out.push(Ciphertext::from_parts(vec![f0, f1], level, a.scale)?);
         }
         Ok(out)
     }
 
-    /// `f₀ += τ(c₀)`: the rotated `c₀` is never materialized, the
-    /// permutation is fused into the add.
-    pub(crate) fn add_permuted(
-        &self,
-        f0: &mut RnsPoly,
-        c0: &RnsPoly,
-        perm: &[usize],
-        level: usize,
-    ) {
-        let moduli = self.ctx.level_moduli(level);
-        exec::for_each_limb(self.exec, f0.data_mut(), self.ctx.n(), |i, dst| {
-            let m = &moduli[i];
-            let src = c0.residue(i);
-            for (d, &s) in dst.iter_mut().zip(perm) {
-                *d = m.add_mod(*d, src[s]);
-            }
-        });
-    }
-
     /// Chain index of extended-basis position `j` at `level` (the special
-    /// prime sits last in the extended basis, at index `k` of the chain).
+    /// prime sits last in the extended basis, at index `k` of the chain,
+    /// as it does in [`CkksContext::moduli`]).
     #[inline]
     fn chain_index(&self, j: usize, level: usize) -> usize {
         if j <= level {
@@ -249,7 +233,12 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     }
 
     /// Step 1 (lines 3, 6–9, 14–15): fills `bufs.digits` with `b̃_{i,j}`.
-    fn decompose(&self, bufs: &mut KsBuffers, c1: &RnsPoly, level: usize) -> Result<(), CkksError> {
+    pub(crate) fn decompose(
+        &self,
+        bufs: &mut KsBuffers,
+        c1: &RnsPoly,
+        level: usize,
+    ) -> Result<(), CkksError> {
         if c1.representation() != Representation::Ntt {
             return Err(MathError::RepresentationMismatch.into());
         }
@@ -277,6 +266,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         // NTT0: one digit column per extended prime. The diagonal digit is
         // c₁'s own residue (line 9); the others share the column's table,
         // so they go through the backend in pairs.
+        let digits = &mut digits[..(level + 2) * rows * n];
         exec::for_each_limb(self.exec, digits, rows * n, |j, col| {
             let chain_idx = self.chain_index(j, level);
             let table = ctx.ntt_table(chain_idx);
@@ -306,11 +296,10 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     }
 
     /// Step 2 (lines 11–12, 16–17): overwrites both accumulators with
-    /// `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}`, lazily — each product is in
-    /// `[0, 2p)` and the word has headroom for all `level + 1` of them on
-    /// every paper parameter set, so the loop is a bare shift-multiply-
-    /// add; wide moduli correct to `[0, 2p)` per add instead.
-    fn accumulate(
+    /// `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}`, each coefficient's products summed
+    /// double-width and reduced once into `[0, 4p)`. The digits are
+    /// whatever words NTT0 left, the key residues canonical.
+    pub(crate) fn accumulate(
         &self,
         bufs: &mut KsBuffers,
         ksk: &KeySwitchKey,
@@ -319,51 +308,34 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     ) {
         let n = self.ctx.n();
         let rows = level + 1;
+        let ext = (level + 2) * n;
         let KsBuffers {
-            ext_moduli,
-            acc0,
-            acc1,
-            digits,
-            ..
+            acc0, acc1, digits, ..
         } = bufs;
-        let (ext_moduli, digits) = (&*ext_moduli, &*digits);
-        exec::for_each_limb2(
-            self.exec,
-            acc0.data_mut(),
-            acc1.data_mut(),
-            n,
-            |j, d0, d1| {
-                let m = &ext_moduli[j];
-                let chain_idx = self.chain_index(j, level);
-                let tail = if lazy_acc_fits(m, level) {
-                    Fold::Add
-                } else {
-                    Fold::AddCorrected
-                };
-                for i in 0..rows {
-                    let (ksk_b, ksk_a) = ksk.component_shoup(i);
-                    let kb = &ksk_b[chain_idx * n..][..n];
-                    let ka = &ksk_a[chain_idx * n..][..n];
-                    let digit = &digits[(j * rows + i) * n..][..n];
-                    // The first digit writes outright: no zero-fill pass.
-                    let fold = if i == 0 { Fold::Write } else { tail };
-                    match perm {
-                        None => fold.run(digit.iter().copied(), kb, ka, d0, d1, m),
-                        Some(p) => fold.run(p.iter().map(|&s| digit[s]), kb, ka, d0, d1, m),
-                    }
-                }
-            },
-        );
+        let digits = &*digits;
+        let (acc0, acc1) = (&mut acc0[..ext], &mut acc1[..ext]);
+        exec::for_each_limb2(self.exec, acc0, acc1, n, |j, d0, d1| {
+            let chain_idx = self.chain_index(j, level);
+            let keys = (0..rows).map(|i| {
+                let (b, a) = ksk.component(i);
+                (b.residue(chain_idx), a.residue(chain_idx))
+            });
+            let column = &digits[j * rows * n..][..rows * n];
+            // DOMAIN: [0,4p)
+            self.ctx.moduli()[chain_idx].dyad_acc_lazy(column, perm, keys, d0, d1);
+        });
     }
 
     /// Step 3 (line 19): floors both accumulators by the special prime
-    /// into `out0`/`out1`. The accumulators are lazy (any word congruent
-    /// to the residue); the final `MulRed` canonicalizes, so the outputs
-    /// are the strict floor's.
+    /// into `out0`/`out1`, adding `add.0` read through the permutation
+    /// `add.1` into `out0` when given. The accumulators are lazy (any
+    /// word below `4p` congruent to the residue); the final `MulRed`
+    /// canonicalizes, so the outputs are the strict floor's.
     pub(crate) fn floor(
         &self,
         bufs: &mut KsBuffers,
         level: usize,
+        add: Option<(&RnsPoly, &[usize])>,
         out0: &mut RnsPoly,
         out1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
@@ -374,31 +346,19 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         check_switch_output(out0, n, out_moduli)?;
         check_switch_output(out1, n, out_moduli)?;
         let KsBuffers {
-            acc0,
-            acc1,
-            lane,
-            drop_coeff,
-            drop_coeff2,
-            ..
+            acc0, acc1, lane, ..
         } = bufs;
-        let (c0, c1) = (&*acc0, &*acc1);
-        let sp = ctx.special_modulus();
         let consts = ctx.modswitch_constants(level);
 
-        // INTT1 ×2: the special-prime residues, reduced on copy.
-        drop_coeff.clear();
-        drop_coeff.extend(c0.residue(keep).iter().map(|&x| sp.reduce_u64(x)));
-        drop_coeff2.clear();
-        drop_coeff2.extend(c1.residue(keep).iter().map(|&x| sp.reduce_u64(x)));
-        backend.inverse2(
-            Stage::Intt1,
-            ctx.special_ntt_table(),
-            drop_coeff,
-            drop_coeff2,
-        );
+        // INTT1 ×2: the special-prime residues, reduced where they lie.
+        let (c0, a0) = acc0[..(keep + 1) * n].split_at_mut(keep * n);
+        let (c1, a1) = acc1[..(keep + 1) * n].split_at_mut(keep * n);
+        ctx.special_modulus().reduce_words(a0);
+        ctx.special_modulus().reduce_words(a1);
+        backend.inverse2(Stage::Intt1, ctx.special_ntt_table(), a0, a1);
 
         // NTT1 ×2 + MS per remaining prime, each in its own lane pair.
-        let (a0, a1) = (&*drop_coeff, &*drop_coeff2);
+        let (c0, c1, a0, a1) = (&*c0, &*c1, &*a0, &*a1);
         let (lane0, rest) = lane.split_at_mut(keep * n);
         let lane1 = &mut rest[..keep * n];
         out0.set_representation(Representation::Ntt);
@@ -412,96 +372,16 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             n,
             |i, dst0, dst1, buf0, buf1| {
                 let pi = &out_moduli[i];
-                let table = ctx.ntt_table(i);
                 // DOMAIN: [0,4p)
-                backend.forward_reduced2(Stage::Ntt1, table, a0, a1, buf0, buf1);
-                // Offset that keeps `src − r̃` non-negative for whichever
-                // representative the backend contract allows.
-                let off = if table.reduced_kernel_is_lazy() {
-                    4 * pi.value()
-                } else {
-                    pi.value()
-                };
+                backend.forward_reduced2(Stage::Ntt1, ctx.ntt_table(i), a0, a1, buf0, buf1);
                 let inv = consts.inv(i);
-                let (src0, src1) = (c0.residue(i), c1.residue(i));
-                for (j, (d0, d1)) in dst0.iter_mut().zip(dst1.iter_mut()).enumerate() {
-                    *d0 = inv.mul_red(pi.reduce_u64(src0[j]) + off - buf0[j], pi);
-                    *d1 = inv.mul_red(pi.reduce_u64(src1[j]) + off - buf1[j], pi);
-                }
+                let add = add.map(|(c, perm)| (c.residue(i), perm));
+                pi.mod_switch(inv, &c0[i * n..][..n], buf0, add, dst0);
+                pi.mod_switch(inv, &c1[i * n..][..n], buf1, None, dst1);
             },
         );
         Ok(())
     }
-}
-
-/// How one digit's products enter the accumulators.
-#[derive(Clone, Copy)]
-enum Fold {
-    /// First digit: overwrite.
-    Write,
-    /// Bare add; the caller has checked the headroom.
-    Add,
-    /// Add, then correct back to `[0, 2p)`.
-    AddCorrected,
-}
-
-impl Fold {
-    #[inline]
-    fn run(
-        self,
-        xs: impl Iterator<Item = u64>,
-        kb: &[MulRedConstant],
-        ka: &[MulRedConstant],
-        d0: &mut [u64],
-        d1: &mut [u64],
-        m: &Modulus,
-    ) {
-        match self {
-            Fold::Write => mul_fold(xs, kb, ka, d0, d1, m, |_, v| v),
-            Fold::Add => mul_fold(xs, kb, ka, d0, d1, m, |d, v| d + v),
-            Fold::AddCorrected => {
-                let two_p = 2 * m.value();
-                mul_fold(xs, kb, ka, d0, d1, m, |d, v| {
-                    let s = d + v;
-                    if s >= two_p {
-                        s - two_p
-                    } else {
-                        s
-                    }
-                })
-            }
-        }
-    }
-}
-
-/// The DyadMult inner loop: `d ← fold(d, x·key)` for both key halves.
-#[inline]
-fn mul_fold(
-    xs: impl Iterator<Item = u64>,
-    kb: &[MulRedConstant],
-    ka: &[MulRedConstant],
-    d0: &mut [u64],
-    d1: &mut [u64],
-    m: &Modulus,
-    fold: impl Fn(u64, u64) -> u64,
-) {
-    let keys = kb.iter().zip(ka);
-    let accs = d0.iter_mut().zip(d1.iter_mut());
-    for ((x, (kbt, kat)), (d0t, d1t)) in xs.zip(keys).zip(accs) {
-        *d0t = fold(*d0t, kbt.mul_red_lazy(x, m)); // DOMAIN: [0,2p)
-        *d1t = fold(*d1t, kat.mul_red_lazy(x, m)); // DOMAIN: [0,2p)
-    }
-}
-
-/// Whether `level + 1` lazy `[0, 2p)` products can accumulate in a bare
-/// `u64` without any intermediate correction: each product is at most
-/// `2p − 1`, so the requirement is `(level+1)·(2p−1) ≤ 2^64 − 1`.
-/// Holds for every paper parameter set (and any chain of ≤ 60-bit primes
-/// up to depth 8).
-#[inline]
-// DOMAIN: [0,2p)
-fn lazy_acc_fits(m: &Modulus, level: usize) -> bool {
-    (level as u128 + 1) * (2 * m.value() as u128 - 1) <= u64::MAX as u128
 }
 
 /// Validates a caller-provided key-switch output buffer: NTT-form shape

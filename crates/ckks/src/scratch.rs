@@ -5,14 +5,14 @@
 //! coefficient copy, and a reduction buffer for every `(i, j)` pair. The
 //! hardware has none of that — every buffer is a BRAM bank wired into the
 //! pipeline (Figure 5). [`KeySwitchScratch`] is the software analogue: a
-//! buffer pool owned by the evaluator, shaped once per level and reused
-//! across calls, so `key_switch_into` performs **zero heap allocations**
-//! after warm-up (asserted by the `alloc_free` integration test). The
-//! per-limb lane buffers are threaded through the executor dispatch, so
-//! the parallel backend reuses them too (limb `j` owns lane slot `j`).
+//! buffer pool owned by the evaluator, shaped for the highest level it
+//! has seen and sliced down for lower ones, so `key_switch_into` performs
+//! **zero heap allocations** after warm-up at any mix of levels (asserted
+//! by the `alloc` integration test). The per-limb lane buffers are
+//! threaded through the executor dispatch, so the parallel backend reuses
+//! them too (limb `j` owns lane slot `j`).
 
 use heax_math::poly::{Representation, RnsPoly};
-use heax_math::word::Modulus;
 
 use crate::context::CkksContext;
 
@@ -21,18 +21,17 @@ fn empty_poly() -> RnsPoly {
     RnsPoly::zero(0, &[], Representation::Ntt)
 }
 
-/// Buffers for one key-switch (or flooring) invocation, cached by level.
-/// Starts empty ([`Default`]); the first use at a level shapes it.
-#[derive(Debug)]
+/// Buffers for one key-switch (or flooring) invocation. Starts empty; the
+/// first use at a level higher than any before grows it, others slice.
+#[derive(Debug, Default)]
 pub struct KsBuffers {
-    /// Level the buffers are currently shaped for.
-    level: Option<usize>,
-    /// Extended basis (active primes + special prime) at that level.
-    pub(crate) ext_moduli: Vec<Modulus>,
-    /// Accumulator `f₀` over the extended basis.
-    pub(crate) acc0: RnsPoly,
+    /// Ring degree and highest level the buffers are shaped for.
+    shape: Option<(usize, usize)>,
+    /// Accumulator `f₀` over the extended basis (active primes, then the
+    /// special prime): limb `j` of a level spans `[j·n, (j+1)·n)`.
+    pub(crate) acc0: Vec<u64>,
     /// Accumulator `f₁` over the extended basis.
-    pub(crate) acc1: RnsPoly,
+    pub(crate) acc1: Vec<u64>,
     /// Decomposition digits `b̃_{i,j}` of Algorithm 7:
     /// `(level+2) · (level+1)` limbs of `n` words, **column-major in the
     /// extended-basis index `j`** — digit `(i, j)` lives at
@@ -41,47 +40,27 @@ pub struct KsBuffers {
     /// Per-limb reduction/NTT lanes: limb `j` owns `[j·n, (j+1)·n)`;
     /// sized for the paired floor (two lanes per output limb).
     pub(crate) lane: Vec<u64>,
-    /// Coefficient form of the dropped residue during flooring.
+    /// Coefficient form of the dropped residue during rescaling.
     pub(crate) drop_coeff: Vec<u64>,
-    /// Second dropped-residue buffer for the paired accumulator floor.
-    pub(crate) drop_coeff2: Vec<u64>,
-}
-
-impl Default for KsBuffers {
-    fn default() -> Self {
-        Self {
-            level: None,
-            ext_moduli: Vec::new(),
-            acc0: empty_poly(),
-            acc1: empty_poly(),
-            digits: Vec::new(),
-            lane: Vec::new(),
-            drop_coeff: Vec::new(),
-            drop_coeff2: Vec::new(),
-        }
-    }
 }
 
 impl KsBuffers {
-    /// Shapes every buffer for `level` (no-op when already shaped — the
-    /// steady-state, allocation-free path).
+    /// Makes every buffer large enough for `level` (no-op when a level at
+    /// least as high has been seen — the steady-state, allocation-free
+    /// path). Users slice the prefix their level needs.
     pub(crate) fn ensure(&mut self, ctx: &CkksContext, level: usize) {
         let n = ctx.n();
-        if self.level == Some(level) && self.acc0.n() == n {
+        if self.shape.is_some_and(|(m, top)| m == n && top >= level) {
             return;
         }
-        let mut ext: Vec<Modulus> = ctx.level_moduli(level).to_vec();
-        ext.push(*ctx.special_modulus());
-        self.acc0 = RnsPoly::zero(n, &ext, Representation::Ntt);
-        self.acc1 = RnsPoly::zero(n, &ext, Representation::Ntt);
-        self.digits.resize(ext.len() * (level + 1) * n, 0);
-        self.lane.resize(2 * ext.len() * n, 0);
+        let ext = level + 2;
+        self.acc0.resize(ext * n, 0);
+        self.acc1.resize(ext * n, 0);
+        self.digits.resize(ext * (level + 1) * n, 0);
+        self.lane.resize(2 * ext * n, 0);
         self.drop_coeff.clear();
         self.drop_coeff.reserve(n);
-        self.drop_coeff2.clear();
-        self.drop_coeff2.reserve(n);
-        self.ext_moduli = ext;
-        self.level = Some(level);
+        self.shape = Some((n, level));
     }
 }
 

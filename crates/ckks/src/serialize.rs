@@ -726,8 +726,6 @@ pub fn deserialize_ksk(buf: &[u8], ctx: &CkksContext) -> Result<KeySwitchKey, Ck
         components.push((b, a));
     }
     r.finish()?;
-    // Shoup tables are derived data; recompute them rather than shipping
-    // them over the wire.
     Ok(KeySwitchKey::from_components(components))
 }
 

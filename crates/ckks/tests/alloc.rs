@@ -1,7 +1,9 @@
 //! Asserts the key-switch hot path is allocation-free after warm-up
 //! (PR 3 acceptance criterion): a counting global allocator tracks
 //! allocations made by *this thread* while `key_switch_into` runs against
-//! pre-shaped outputs and the evaluator's warmed scratch workspace.
+//! pre-shaped outputs and the evaluator's warmed scratch workspace. The
+//! same allocator weighs a key-switching key: its residues and nothing
+//! else.
 //!
 //! The counter is thread-local so concurrently running tests in this
 //! binary cannot pollute the measurement; the assertion therefore covers
@@ -19,23 +21,27 @@ use heax_ckks::{
 };
 use heax_math::exec::Sequential;
 use heax_math::poly::{Representation, RnsPoly};
+use heax_math::word::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested while counting.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn record() {
+    fn record(bytes: usize) {
         // `try_with` so allocations during TLS setup/teardown never recurse
         // or abort; they simply go uncounted.
         let _ = COUNTING.try_with(|c| {
             if c.get() {
                 let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+                let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
             }
         });
     }
@@ -46,7 +52,7 @@ impl CountingAlloc {
 // allocates, so re-entrancy into the allocator is impossible.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::record();
+        Self::record(layout.size());
         System.alloc(layout)
     }
 
@@ -55,12 +61,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::record();
+        Self::record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::record();
+        Self::record(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -71,11 +77,17 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs `f` with allocation counting enabled on this thread and returns
 /// how many heap allocations it performed.
 fn count_allocs<F: FnOnce()>(f: F) -> u64 {
+    count_allocs_and_bytes(f).0
+}
+
+/// [`count_allocs`] plus the bytes those allocations asked for.
+fn count_allocs_and_bytes<F: FnOnce()>(f: F) -> (u64, u64) {
     ALLOCS.with(|a| a.set(0));
+    BYTES.with(|b| b.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.with(|a| a.get())
+    (ALLOCS.with(|a| a.get()), BYTES.with(|b| b.get()))
 }
 
 struct Rig {
@@ -140,6 +152,63 @@ fn key_switch_into_is_allocation_free_after_warmup() {
         "key_switch_into allocated {allocs} times after warm-up"
     );
     assert_eq!((f0, f1), expected, "warm path result drifted");
+}
+
+#[test]
+fn key_switch_into_is_allocation_free_across_levels_after_warmup() {
+    // A circuit that mixes levels (multiply at the top, rotate one below,
+    // multiply at the top again) must not reshape the scratch on every
+    // level change: it is shaped once for the highest level seen.
+    let r = rig();
+    let eval = Evaluator::with_executor(&r.ctx, Arc::new(Sequential));
+    let top = r.prod.level();
+    let mut cases: Vec<_> = [top, top - 1]
+        .into_iter()
+        .map(|level| {
+            let lowered = eval.mod_switch_to_level(&r.prod, level).unwrap();
+            let target = lowered.component(2).clone();
+            let expected = eval.key_switch(&target, r.rlk.ksk(), level).unwrap();
+            let zero = RnsPoly::zero(r.ctx.n(), r.ctx.level_moduli(level), Representation::Ntt);
+            (level, target, zero.clone(), zero, expected)
+        })
+        .collect();
+    // Building the cases warmed both levels, the lower one last, so the
+    // counted passes start on a level change.
+    let allocs = count_allocs(|| {
+        for _ in 0..3 {
+            for (level, target, f0, f1, _) in &mut cases {
+                eval.key_switch_into(target, r.rlk.ksk(), *level, f0, f1)
+                    .unwrap();
+            }
+        }
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "alternating between levels {top} and {} allocated {allocs} times after warm-up",
+        top - 1
+    );
+    for (level, _, f0, f1, expected) in cases {
+        assert_eq!((f0, f1), expected, "level {level} result drifted");
+    }
+}
+
+#[test]
+fn key_switch_key_owns_its_residues_and_nothing_else() {
+    // A deep clone allocates exactly what a key holds: `size_words()`
+    // 8-byte residue words, each polynomial's modulus list and the
+    // component vector — every residue resident once, no per-word table
+    // beside it.
+    let r = rig();
+    let ksk = r.rlk.ksk();
+    let (_, held) = count_allocs_and_bytes(|| {
+        std::hint::black_box(ksk.clone());
+    });
+    let residues = 8 * ksk.size_words();
+    let polys = 2 * ksk.decomp_len();
+    let moduli_lists = polys * r.ctx.moduli().len() * size_of::<Modulus>();
+    let components = ksk.decomp_len() * size_of::<(RnsPoly, RnsPoly)>();
+    assert_eq!(held as usize, residues + moduli_lists + components);
 }
 
 #[test]

@@ -138,7 +138,8 @@ proptest! {
     }
 }
 
-/// PR 3 key-switch overhaul properties: the Shoup-table fast path must be
+/// Key-switch fast-path properties: the production skeleton (lazy
+/// transforms, double-width DyadMult, lane or scalar) must be
 /// bit-identical to the Barrett oracle (`support`) on every backend, and
 /// hoisted multi-rotation must match its own oracle bit for bit and
 /// decrypt to the same slot values as sequential rotations.
@@ -149,11 +150,12 @@ mod keyswitch_overhaul {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Shoup-path key switch is bit-identical to the seed Barrett
-        /// reference, under both the sequential backend and a 4-lane pool
-        /// (the two `HEAX_THREADS` configurations CI smoke-tests).
+        /// The key switch is bit-identical to the seed Barrett reference
+        /// at every level, under both the sequential backend and a
+        /// 4-lane pool (the two `HEAX_THREADS` configurations CI
+        /// smoke-tests).
         #[test]
-        fn shoup_key_switch_bit_identical_to_barrett(
+        fn key_switch_bit_identical_to_barrett(
             seed in any::<u64>(),
             threads in prop::sample::select(vec![1usize, 4]),
         ) {

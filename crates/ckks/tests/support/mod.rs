@@ -4,11 +4,10 @@
 //! code under test: every transform is the strict
 //! [`NttTable::forward`](heax_math::ntt::NttTable::forward) /
 //! [`NttTable::inverse`](heax_math::ntt::NttTable::inverse), every
-//! product and sum a Barrett `Modulus::{mul_mod, add_mod, sub_mod}`, base
-//! conversion is `%`, and the key is read from its plain residues, not
-//! its Shoup tables. It allocates freely and runs on one thread. The
-//! production skeleton (`heax_ckks::keyswitch`) must match it bit for
-//! bit on every backend.
+//! product and sum a Barrett `Modulus::{mul_mod, add_mod, sub_mod}`
+//! reduced term by term, and base conversion is `%`. It allocates freely
+//! and runs on one thread. The production skeleton
+//! (`heax_ckks::keyswitch`) must match it bit for bit on every backend.
 
 #![allow(dead_code)]
 

@@ -4,9 +4,9 @@
 //! All but one crate `#![forbid(unsafe_code)]`; the exception is
 //! `heax-math`, in two places: the scoped thread-pool (`exec.rs`), whose
 //! lifetime-erasure tricks are exactly where a wrong refactor becomes UB,
-//! and the 8-lane AVX-512 IFMA NTT kernels (`ifma.rs`), whose
+//! and the 8-lane AVX-512 IFMA kernels (`ifma.rs`), whose
 //! `target_feature` calls are sound only behind the host-feature check
-//! made at table construction and whose vector loads and stores go
+//! that mints their token and whose vector loads, stores and gathers go
 //! through raw pointers. The rule
 //! requires the justification to sit in the comment block directly above
 //! the statement containing the `unsafe` token (or trailing on the same

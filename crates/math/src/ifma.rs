@@ -16,17 +16,25 @@
 //! held in two registers, regrouped between stages by `permutex2var`
 //! shuffles (the software twin of the paper's inter-stage multiplexers).
 //!
+//! The same word carries the element-wise half of the evaluator (the MULT
+//! module and the DyadMult / MS end of Figure 5): a product of two 52-bit
+//! words is the `(hi, lo)` pair the two instructions return, so a sum of
+//! products is accumulated **double-width** in two registers and reduced
+//! once ([`reduce_wide_lazy`]) instead of once per term.
+//!
 //! The kernels are reachable only through a [`Lanes`] value, which exists
 //! only if the host reported `avx512f` and `avx512ifma`; the scalar
-//! kernels in [`crate::ntt`] serve every other host and wider moduli, and
-//! the strict Algorithms 3/4 stay the oracle for both.
+//! kernels in [`crate::ntt`] and [`crate::word`] serve every other host
+//! and wider moduli, and the strict Algorithms 3/4 and
+//! `Modulus::{mul_mod, add_mod, sub_mod}` stay the oracle for both.
 
 use core::arch::x86_64::{
-    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_mask_set1_epi64, _mm512_min_epu64, _mm512_or_si512,
-    _mm512_permutex2var_epi64, _mm512_reduce_or_epi64, _mm512_set1_epi64, _mm512_setr_epi64,
-    _mm512_setzero_si512, _mm512_shuffle_i64x2, _mm512_srli_epi64, _mm512_storeu_si512,
-    _mm512_sub_epi64, _mm512_unpackhi_epi64, _mm512_unpacklo_epi64,
+    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpgt_epu64_mask, _mm512_cmplt_epu64_mask,
+    _mm512_i64gather_epi64, _mm512_loadu_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+    _mm512_mask_set1_epi64, _mm512_min_epu64, _mm512_or_si512, _mm512_permutex2var_epi64,
+    _mm512_reduce_or_epi64, _mm512_set1_epi64, _mm512_setr_epi64, _mm512_setzero_si512,
+    _mm512_shuffle_i64x2, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64,
+    _mm512_unpackhi_epi64, _mm512_unpacklo_epi64,
 };
 
 use crate::word::{Modulus, MulRedConstant};
@@ -34,19 +42,18 @@ use crate::word::{Modulus, MulRedConstant};
 /// Width of the IFMA multiplier's operands.
 const WORD_BITS: u32 = 52;
 
-/// Proof that this host runs `avx512f` + `avx512ifma` and that the table it
-/// was detected for satisfies `p < 2^50` and `n ≥ 16`. The kernels are
-/// methods on it, so safe code cannot reach them on a host without the
-/// instructions.
+/// Proof that this host runs `avx512f` + `avx512ifma` and that the modulus
+/// it was detected for satisfies `p < 2^50`. The kernels are methods on
+/// it, so safe code cannot reach them on a host without the instructions.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lanes(());
 
 impl Lanes {
-    /// The dispatch rule, evaluated once per table: host feature,
-    /// `p < 2^50` (so `4p < 2^52`), `n ≥ 16` (one two-register chunk).
-    pub(crate) fn detect(n: usize, modulus: &Modulus) -> Option<Self> {
-        (n >= 16
-            && modulus.bits() <= WORD_BITS - 2
+    /// The dispatch rule: host feature and `p < 2^50` (so `4p < 2^52`).
+    /// The transforms further need `n ≥ 16` (one two-register chunk); the
+    /// element-wise kernels take any length and leave the tail.
+    pub(crate) fn detect(modulus: &Modulus) -> Option<Self> {
+        (modulus.bits() <= WORD_BITS - 2
             && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512ifma"))
         .then_some(Self(()))
@@ -139,6 +146,94 @@ impl Lanes {
         // (so n % 16 == 0).
         unsafe { inverse_stages(&Consts::new(p), inv, inv_n, a) }
     }
+
+    // The element-wise kernels below work on whole chunks of eight
+    // coefficients and return how many leading coefficients they wrote: all
+    // but a tail shorter than eight, or fewer when a chunk held a word wider
+    // than the 52 bits the multiplier reads (that chunk is left untouched).
+    // The caller's scalar loop finishes from there.
+
+    /// DyadMult, double-width: `d0[t] ← Σ_i x_i[τ(t)]·keys[i].0[t]` and
+    /// `d1` likewise over `keys[i].1`, where `x_i` is row `i` of `xs` (rows
+    /// of `d0.len()` words, any 52-bit words) and `τ` is `perm` or the
+    /// identity. With `carry` the words already in `d0`/`d1` enter the
+    /// sums. Key words must be below `p`. Handles nothing when
+    /// `keys.len()·(p + 1) ≥ 2^52`, where the high accumulator could
+    /// outgrow the word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a permutation entry is out of range.
+    // DOMAIN: [0,4p)
+    #[must_use]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn dyad_acc_lazy(
+        self,
+        p: &Modulus,
+        xs: &[u64],
+        perm: Option<&[usize]>,
+        keys: &[(&[u64], &[u64])],
+        carry: bool,
+        d0: &mut [u64],
+        d1: &mut [u64],
+    ) -> usize {
+        // Each product's high half is below p and each low half carries at
+        // most one, so rows·p + rows < 2^52 keeps the high sum in the word.
+        if keys.len() as u128 * (p.value() as u128 + 1) >= 1 << WORD_BITS {
+            return 0;
+        }
+        // SAFETY: a `Lanes` exists only after `detect` saw avx512f and
+        // avx512ifma on this host.
+        unsafe { dyad_acc_lazy(&Wide::new(p), xs, perm, keys, carry, d0, d1) }
+    }
+
+    /// `a[t] ← a[t] mod p` for any 52-bit words.
+    #[must_use]
+    pub(crate) fn reduce(self, p: &Modulus, a: &mut [u64]) -> usize {
+        // SAFETY: a `Lanes` exists only after `detect` saw avx512f and
+        // avx512ifma on this host.
+        unsafe { reduce(&Consts::new(p), a) }
+    }
+
+    /// The MS step of Algorithm 6: `dst[t] ← (src[t] − r[t])·inv mod p`,
+    /// plus `add.0[add.1[t]]` when given. `src` holds any 52-bit words,
+    /// `r` words in `[0, 4p)`, the addend words below `p`; `dst` is
+    /// canonical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a permutation entry is out of range.
+    #[must_use]
+    pub(crate) fn mod_switch(
+        self,
+        p: &Modulus,
+        inv: &MulRedConstant,
+        src: &[u64],
+        r: &[u64],
+        add: Option<(&[u64], &[usize])>,
+        dst: &mut [u64],
+    ) -> usize {
+        // SAFETY: a `Lanes` exists only after `detect` saw avx512f and
+        // avx512ifma on this host.
+        unsafe { mod_switch(&Consts::new(p), Twiddle::broadcast(inv), src, r, add, dst) }
+    }
+
+    /// The MULT module's product: `dst[t] ← a[t]·b[t] mod p`, or
+    /// `dst[t] + a[t]·b[t] mod p` with `acc`, for any 52-bit words;
+    /// canonical output.
+    #[must_use]
+    pub(crate) fn dyad_mul(
+        self,
+        p: &Modulus,
+        a: &[u64],
+        b: &[u64],
+        acc: bool,
+        dst: &mut [u64],
+    ) -> usize {
+        // SAFETY: a `Lanes` exists only after `detect` saw avx512f and
+        // avx512ifma on this host.
+        unsafe { dyad_mul(&Wide::new(p), a, b, acc, dst) }
+    }
 }
 
 fn check_lengths(n: usize, len: usize) {
@@ -187,6 +282,24 @@ struct Consts {
     mask: __m512i,
     /// `⌊2^52/p⌋`, the Shoup quotient of the constant 1 (reduce on load).
     one_quotient: __m512i,
+}
+
+/// [`Consts`] plus the radix of a double-width value, `2^52 mod p`.
+struct Wide {
+    c: Consts,
+    radix: Twiddle,
+}
+
+impl Wide {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new(p: &Modulus) -> Self {
+        let radix = MulRedConstant::new((1 << WORD_BITS) % p.value(), p);
+        Self {
+            c: Consts::new(p),
+            radix: Twiddle::broadcast(&radix),
+        }
+    }
 }
 
 impl Consts {
@@ -309,6 +422,16 @@ fn mul_lazy(c: &Consts, x: __m512i, w: Twiddle) -> __m512i {
     _mm512_and_si512(_mm512_madd52lo_epu64(xy, q, c.neg_p), c.mask)
 }
 
+/// Any 52-bit word modulo `p`, as a `MulRed` by the constant 1 without
+/// the final correction.
+// DOMAIN: [0,2p)
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn reduce_lazy(c: &Consts, x: __m512i) -> __m512i {
+    let q = _mm512_madd52hi_epu64(_mm512_setzero_si512(), x, c.one_quotient);
+    _mm512_and_si512(_mm512_madd52lo_epu64(x, q, c.neg_p), c.mask)
+}
+
 /// `x − bound` when that does not wrap, else `x`: one conditional
 /// subtraction (`[0, 4p)` to `[0, 2p)` with `2p`, `[0, 2p)` to `[0, p)`
 /// with `p`).
@@ -332,8 +455,7 @@ fn forward_butterfly_lazy<const REDUCE: bool>(
     w: Twiddle,
 ) -> (__m512i, __m512i) {
     let x = if REDUCE {
-        let q = _mm512_madd52hi_epu64(_mm512_setzero_si512(), x, c.one_quotient);
-        _mm512_and_si512(_mm512_madd52lo_epu64(x, q, c.neg_p), c.mask) // DOMAIN: [0,2p)
+        reduce_lazy(c, x) // DOMAIN: [0,2p)
     } else {
         cond_sub(x, c.two_p) // DOMAIN: [0,2p)
     };
@@ -579,4 +701,161 @@ fn inverse_stages(c: &Consts, inv: &[MulRedConstant], inv_n: &MulRedConstant, a:
         let scaled = mul_lazy(c, load(s), scale); // DOMAIN: [0,2p)
         store(s, cond_sub(scaled, c.p)); // DOMAIN: [0,p)
     }
+}
+
+/// Whether any of the eight words needs more than the 52 bits the
+/// multiplier reads.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn too_wide(c: &Consts, x: __m512i) -> bool {
+    _mm512_cmpgt_epu64_mask(x, c.mask) != 0
+}
+
+/// The eight words of `row` at the positions `index` names.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn gather(row: &[u64], index: &[usize; 8]) -> __m512i {
+    // SAFETY: `usize` is 64 bits wide on x86_64, so `index` is a reference
+    // to exactly 64 readable bytes; the unaligned load has no alignment
+    // requirement.
+    let index = unsafe { _mm512_loadu_si512(index.as_ptr().cast()) };
+    let in_range = _mm512_cmplt_epu64_mask(index, splat(row.len() as u64));
+    assert_eq!(in_range, 0xff, "permutation entry out of range");
+    // SAFETY: every index was just checked to be below `row.len()`, so each
+    // lane reads the eight bytes of one element of `row`.
+    unsafe { _mm512_i64gather_epi64::<8>(index, row.as_ptr().cast()) }
+}
+
+/// `hi·2^52 + lo` modulo `p`, for lane sums with `hi + (lo >> 52) < 2^52`:
+/// the carry moves up, `hi` goes through a `MulRed` by `2^52 mod p` and
+/// `lo` through one by 1, sharing the subtraction of `q·p`.
+// DOMAIN: [0,4p)
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn reduce_wide_lazy(w: &Wide, hi: __m512i, lo: __m512i) -> __m512i {
+    let c = &w.c;
+    let zero = _mm512_setzero_si512();
+    let hi = _mm512_add_epi64(hi, _mm512_srli_epi64::<WORD_BITS>(lo));
+    let lo = _mm512_and_si512(lo, c.mask);
+    let q = _mm512_madd52hi_epu64(zero, hi, w.radix.quotient);
+    let q = _mm512_madd52hi_epu64(q, lo, c.one_quotient);
+    let r = _mm512_madd52lo_epu64(lo, hi, w.radix.y);
+    _mm512_and_si512(_mm512_madd52lo_epu64(r, q, c.neg_p), c.mask)
+}
+
+// DOMAIN: [0,4p)
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn dyad_acc_lazy(
+    w: &Wide,
+    xs: &[u64],
+    perm: Option<&[usize]>,
+    keys: &[(&[u64], &[u64])],
+    carry: bool,
+    d0: &mut [u64],
+    d1: &mut [u64],
+) -> usize {
+    let n = d0.len();
+    let zero = _mm512_setzero_si512();
+    let perm = perm.map(|p| p.as_chunks::<8>().0);
+    let chunks = d0.as_chunks_mut::<8>().0.iter_mut();
+    let mut done = 0;
+    for (t, (s0, s1)) in chunks.zip(d1.as_chunks_mut::<8>().0).enumerate() {
+        let (mut lo0, mut lo1) = if carry {
+            (load(s0), load(s1))
+        } else {
+            (zero, zero)
+        };
+        let (mut hi0, mut hi1) = (zero, zero);
+        let mut seen = _mm512_or_si512(lo0, lo1);
+        for (i, (k0, k1)) in keys.iter().enumerate() {
+            let row = &xs[i * n..][..n];
+            let x = match perm {
+                Some(perm) => gather(row, &perm[t]),
+                None => load(&row.as_chunks::<8>().0[t]),
+            };
+            seen = _mm512_or_si512(seen, x);
+            let (k0, k1) = (
+                load(&k0.as_chunks::<8>().0[t]),
+                load(&k1.as_chunks::<8>().0[t]),
+            );
+            lo0 = _mm512_madd52lo_epu64(lo0, x, k0);
+            hi0 = _mm512_madd52hi_epu64(hi0, x, k0);
+            lo1 = _mm512_madd52lo_epu64(lo1, x, k1);
+            hi1 = _mm512_madd52hi_epu64(hi1, x, k1);
+        }
+        if too_wide(&w.c, seen) {
+            break;
+        }
+        store(s0, reduce_wide_lazy(w, hi0, lo0)); // DOMAIN: [0,4p)
+        store(s1, reduce_wide_lazy(w, hi1, lo1)); // DOMAIN: [0,4p)
+        done += 8;
+    }
+    done
+}
+
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn reduce(c: &Consts, a: &mut [u64]) -> usize {
+    let mut done = 0;
+    for s in a.as_chunks_mut::<8>().0 {
+        let x = load(s);
+        if too_wide(c, x) {
+            break;
+        }
+        store(s, cond_sub(reduce_lazy(c, x), c.p)); // DOMAIN: [0,2p)
+        done += 8;
+    }
+    done
+}
+
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mod_switch(
+    c: &Consts,
+    inv: Twiddle,
+    src: &[u64],
+    r: &[u64],
+    add: Option<(&[u64], &[usize])>,
+    dst: &mut [u64],
+) -> usize {
+    let add = add.map(|(a, perm)| (a, perm.as_chunks::<8>().0));
+    let chunks = dst.as_chunks_mut::<8>().0.iter_mut();
+    let sources = src.as_chunks::<8>().0.iter().zip(r.as_chunks::<8>().0);
+    let mut done = 0;
+    for (t, (d, (s, r))) in chunks.zip(sources).enumerate() {
+        let (s, r) = (load(s), load(r));
+        if too_wide(c, _mm512_or_si512(s, r)) {
+            break;
+        }
+        let s = reduce_lazy(c, s); // DOMAIN: [0,2p)
+        let r = cond_sub(r, c.two_p);
+        let diff = _mm512_add_epi64(s, _mm512_sub_epi64(c.two_p, r));
+        let mut v = cond_sub(mul_lazy(c, diff, inv), c.p); // DOMAIN: [0,2p)
+        if let Some((a, perm)) = add {
+            v = cond_sub(_mm512_add_epi64(v, gather(a, &perm[t])), c.p);
+        }
+        store(d, v);
+        done += 8;
+    }
+    done
+}
+
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn dyad_mul(w: &Wide, a: &[u64], b: &[u64], acc: bool, dst: &mut [u64]) -> usize {
+    let c = &w.c;
+    let zero = _mm512_setzero_si512();
+    let chunks = dst.as_chunks_mut::<8>().0.iter_mut();
+    let operands = a.as_chunks::<8>().0.iter().zip(b.as_chunks::<8>().0);
+    let mut done = 0;
+    for (d, (a, b)) in chunks.zip(operands) {
+        let (a, b) = (load(a), load(b));
+        let addend = if acc { load(d) } else { zero };
+        if too_wide(c, _mm512_or_si512(_mm512_or_si512(a, b), addend)) {
+            break;
+        }
+        let lo = _mm512_madd52lo_epu64(addend, a, b);
+        let hi = _mm512_madd52hi_epu64(zero, a, b);
+        let v = reduce_wide_lazy(w, hi, lo); // DOMAIN: [0,4p)
+        store(d, cond_sub(cond_sub(v, c.two_p), c.p));
+        done += 8;
+    }
+    done
 }

@@ -91,7 +91,7 @@ impl Kernel {
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
     fn select(n: usize, modulus: &Modulus) -> Self {
         #[cfg(target_arch = "x86_64")]
-        if let Some(lanes) = Lanes::detect(n, modulus) {
+        if let Some(lanes) = Lanes::detect(modulus).filter(|_| n >= 16) {
             return Self::Lanes8(lanes);
         }
         Self::scalar(modulus)

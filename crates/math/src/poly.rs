@@ -309,12 +309,7 @@ impl RnsPoly {
         self.check_compatible(b)?;
         let n = self.n;
         exec::for_each_limb(exec, &mut self.data, n, |i, dst| {
-            let p = &self.moduli[i];
-            let sa = a.residue(i);
-            let sb = b.residue(i);
-            for ((d, &x), &y) in dst.iter_mut().zip(sa).zip(sb) {
-                *d = p.mul_mod(x, y);
-            }
+            self.moduli[i].dyad_mul(a.residue(i), b.residue(i), false, dst);
         });
         Ok(())
     }
@@ -344,12 +339,7 @@ impl RnsPoly {
         self.check_compatible(b)?;
         let n = self.n;
         exec::for_each_limb(exec, &mut self.data, n, |i, dst| {
-            let p = &self.moduli[i];
-            let sa = a.residue(i);
-            let sb = b.residue(i);
-            for ((d, &x), &y) in dst.iter_mut().zip(sa).zip(sb) {
-                *d = p.add_mod(*d, p.mul_mod(x, y));
-            }
+            self.moduli[i].dyad_mul(a.residue(i), b.residue(i), true, dst);
         });
         Ok(())
     }

@@ -19,6 +19,8 @@
 
 use core::fmt;
 
+#[cfg(target_arch = "x86_64")]
+use crate::ifma::Lanes;
 use crate::MathError;
 
 /// Maximum bit size of a modulus accepted by [`Modulus::new`].
@@ -364,14 +366,259 @@ impl MulRedConstant {
     }
 }
 
-/// Precomputes a [`MulRedConstant`] table for a slice of fixed operands —
-/// the software analogue of loading Shoup-form key material into the
-/// MulRed units' constant banks. All values must be `< p`.
-pub fn precompute_shoup(values: &[u64], modulus: &Modulus) -> Vec<MulRedConstant> {
-    values
-        .iter()
-        .map(|&y| MulRedConstant::new(y, modulus))
-        .collect()
+/// Rows [`Modulus::dyad_acc_lazy`] folds into one double-width
+/// accumulation (and so reduces once); longer sums go batch by batch.
+const ROW_BATCH: usize = 8;
+
+/// A key row of [`Modulus::dyad_acc_lazy`]: what multiplies into `d0`, `d1`.
+type KeyRow<'k> = (&'k [u64], &'k [u64]);
+
+/// Element-wise kernels over residue slices: the arithmetic between the
+/// transforms (the MULT module and the DyadMult / MS end of Figure 5).
+///
+/// Each picks its path per call from what it can observe: on an `x86_64`
+/// host with `avx512ifma` and `p < 2^50`, the eight 52-bit lanes of
+/// `ifma.rs` take the leading whole chunks of eight coefficients whose
+/// words fit the multiplier, and the scalar loop finishes what they leave
+/// (a short tail, anything after a wider word; everything on other hosts
+/// and moduli). The `*_scalar` twins run that loop alone, for tests and
+/// timings; the paths agree modulo `p`, and word for word where the
+/// output is canonical.
+impl Modulus {
+    /// DyadMult (Algorithm 7, lines 11–12) as a **double-width
+    /// accumulation with one reduction**: for every `t`,
+    /// `d0[t] ← Σ_i x_i[τ(t)]·keys[i].0[t]` and `d1[t]` likewise over
+    /// `keys[i].1`, where `x_i` is row `i` of `xs` (row-major rows of
+    /// `n = d0.len()` arbitrary words), `τ` is `perm` or the identity, and
+    /// the key words are canonical. The products are summed unreduced — a
+    /// `(hi, lo)` pair of 52-bit-radix registers on the lanes, a `u128`
+    /// in scalar — and reduced once per batch of rows: as many as a `u128`
+    /// provably holds (`rows·p < 2^64`), at most eight. A batch the lane
+    /// accumulator cannot hold (`rows·p + rows ≥ 2^52`) takes the scalar
+    /// loop. Every output word is congruent to the sum and below `4p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree or a permutation entry is out
+    /// of range.
+    // DOMAIN: [0,4p)
+    pub fn dyad_acc_lazy<'k>(
+        &self,
+        xs: &[u64],
+        perm: Option<&[usize]>,
+        keys: impl IntoIterator<Item = (&'k [u64], &'k [u64])>,
+        d0: &mut [u64],
+        d1: &mut [u64],
+    ) {
+        self.dyad_acc_batches(xs, keys, d0, d1, |xs, batch, carry, d0, d1| {
+            let done = 0;
+            #[cfg(target_arch = "x86_64")]
+            let done = Lanes::detect(self).map_or(done, |l| {
+                l.dyad_acc_lazy(self, xs, perm, batch, carry, d0, d1) // DOMAIN: [0,4p)
+            });
+            self.dyad_acc_from(done, xs, perm, batch, carry, d0, d1);
+        });
+    }
+
+    /// [`Modulus::dyad_acc_lazy`] on the scalar loop alone.
+    // DOMAIN: [0,4p)
+    pub fn dyad_acc_lazy_scalar<'k>(
+        &self,
+        xs: &[u64],
+        perm: Option<&[usize]>,
+        keys: impl IntoIterator<Item = (&'k [u64], &'k [u64])>,
+        d0: &mut [u64],
+        d1: &mut [u64],
+    ) {
+        self.dyad_acc_batches(xs, keys, d0, d1, |xs, batch, carry, d0, d1| {
+            self.dyad_acc_from(0, xs, perm, batch, carry, d0, d1);
+        });
+    }
+
+    /// Cuts the rows into batches one accumulation holds and runs
+    /// `fold(rows of xs, key rows, carry, d0, d1)` on each; a batch after
+    /// the first carries the words already in `d0`/`d1` into its sums.
+    fn dyad_acc_batches<'k>(
+        &self,
+        xs: &[u64],
+        keys: impl IntoIterator<Item = KeyRow<'k>>,
+        d0: &mut [u64],
+        d1: &mut [u64],
+        mut fold: impl FnMut(&[u64], &[KeyRow<'k>], bool, &mut [u64], &mut [u64]),
+    ) {
+        let n = d0.len();
+        assert_eq!(d1.len(), n, "accumulators must have one length");
+        // A u128 holds `rows` products below 2^64·p plus a carried word
+        // while rows·p < 2^64.
+        let fit = ROW_BATCH.min((u64::MAX / self.value) as usize);
+        let mut keys = keys.into_iter();
+        let mut batch: [KeyRow<'k>; ROW_BATCH] = [(&[], &[]); ROW_BATCH];
+        let mut rows = 0;
+        loop {
+            let mut len = 0;
+            for k in keys.by_ref().take(fit) {
+                batch[len] = k;
+                len += 1;
+            }
+            if len == 0 {
+                break;
+            }
+            let xs = &xs[rows * n..][..len * n];
+            fold(xs, &batch[..len], rows > 0, d0, d1);
+            rows += len;
+        }
+        assert_eq!(xs.len(), rows * n, "one row of `xs` per key row");
+        if rows == 0 {
+            d0.fill(0);
+            d1.fill(0);
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn dyad_acc_from(
+        &self,
+        start: usize,
+        xs: &[u64],
+        perm: Option<&[usize]>,
+        keys: &[KeyRow<'_>],
+        carry: bool,
+        d0: &mut [u64],
+        d1: &mut [u64],
+    ) {
+        // Row by row over a block of coefficients, so every row is a pass
+        // over contiguous words and the sums stay in L1. A sum leaves as
+        // hi·2^64 + lo the way the lanes' does on their word: hi through a
+        // MulRed by the radix 2^64 mod p, lo through Barrett.
+        const BLOCK: usize = 16;
+        let n = d0.len();
+        let radix = MulRedConstant::new(((1u128 << 64) % self.value as u128) as u64, self);
+        // DOMAIN: [0,2p)
+        let fold = |a: u128| radix.mul_red_lazy((a >> 64) as u64, self) + self.reduce_u64(a as u64);
+        for from in (start..n).step_by(BLOCK) {
+            let len = BLOCK.min(n - from);
+            let (o0, o1) = (&mut d0[from..][..len], &mut d1[from..][..len]);
+            let (mut a0, mut a1) = ([0u128; BLOCK], [0u128; BLOCK]);
+            if carry {
+                for j in 0..len {
+                    (a0[j], a1[j]) = (o0[j] as u128, o1[j] as u128);
+                }
+            }
+            for (i, (k0, k1)) in keys.iter().enumerate() {
+                let (row, k0, k1) = (&xs[i * n..][..n], &k0[from..][..len], &k1[from..][..len]);
+                for j in 0..len {
+                    let x = row[perm.map_or(from + j, |p| p[from + j])] as u128;
+                    a0[j] += x * k0[j] as u128;
+                    a1[j] += x * k1[j] as u128;
+                }
+            }
+            for j in 0..len {
+                (o0[j], o1[j]) = (fold(a0[j]), fold(a1[j]));
+            }
+        }
+    }
+
+    /// `a[t] ← a[t] mod p` for arbitrary words.
+    pub fn reduce_words(&self, a: &mut [u64]) {
+        let done = 0;
+        #[cfg(target_arch = "x86_64")]
+        let done = Lanes::detect(self).map_or(done, |l| l.reduce(self, a));
+        for x in &mut a[done..] {
+            *x = self.reduce_u64(*x);
+        }
+    }
+
+    /// The MS step of `Floor` (Algorithm 6, line 6), optionally with an
+    /// addend read through a permutation (the `τ(c₀)` of a rotation):
+    /// `dst[t] ← (src[t] − r[t])·inv + add.0[add.1[t]]  mod p`.
+    ///
+    /// `src` holds arbitrary words; `r` words below `4p` — canonical if
+    /// `p ≥ 2^60`, where `4p` need not fit a word; the addend canonical
+    /// words. `dst` is canonical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree or a permutation entry is out
+    /// of range.
+    pub fn mod_switch(
+        &self,
+        inv: &MulRedConstant,
+        src: &[u64],
+        r: &[u64],
+        add: Option<(&[u64], &[usize])>,
+        dst: &mut [u64],
+    ) {
+        let done = 0;
+        #[cfg(target_arch = "x86_64")]
+        let done = Lanes::detect(self).map_or(done, |l| l.mod_switch(self, inv, src, r, add, dst));
+        self.mod_switch_from(done, inv, src, r, add, dst);
+    }
+
+    /// [`Modulus::mod_switch`] on the scalar loop alone.
+    pub fn mod_switch_scalar(
+        &self,
+        inv: &MulRedConstant,
+        src: &[u64],
+        r: &[u64],
+        add: Option<(&[u64], &[usize])>,
+        dst: &mut [u64],
+    ) {
+        self.mod_switch_from(0, inv, src, r, add, dst);
+    }
+
+    fn mod_switch_from(
+        &self,
+        start: usize,
+        inv: &MulRedConstant,
+        src: &[u64],
+        r: &[u64],
+        add: Option<(&[u64], &[usize])>,
+        dst: &mut [u64],
+    ) {
+        let n = dst.len();
+        assert!(src.len() == n && r.len() == n, "slice lengths must agree");
+        // Keeps `src − r` non-negative for either representative of `r`.
+        let off = if self.bits <= 60 {
+            4 * self.value
+        } else {
+            self.value
+        };
+        for t in start..n {
+            let v = inv.mul_red(self.reduce_u64(src[t]) + off - r[t], self);
+            dst[t] = match add {
+                Some((a, perm)) => self.add_mod(v, a[perm[t]]),
+                None => v,
+            };
+        }
+    }
+
+    /// The MULT module's dyadic product (Algorithm 5):
+    /// `dst[t] ← a[t]·b[t] mod p`, or `dst[t] + a[t]·b[t] mod p` with
+    /// `acc` — the product and the addend summed double-width and reduced
+    /// once. Canonical output for arbitrary words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree.
+    pub fn dyad_mul(&self, a: &[u64], b: &[u64], acc: bool, dst: &mut [u64]) {
+        let done = 0;
+        #[cfg(target_arch = "x86_64")]
+        let done = Lanes::detect(self).map_or(done, |l| l.dyad_mul(self, a, b, acc, dst));
+        self.dyad_mul_from(done, a, b, acc, dst);
+    }
+
+    /// [`Modulus::dyad_mul`] on the scalar loop alone.
+    pub fn dyad_mul_scalar(&self, a: &[u64], b: &[u64], acc: bool, dst: &mut [u64]) {
+        self.dyad_mul_from(0, a, b, acc, dst);
+    }
+
+    fn dyad_mul_from(&self, start: usize, a: &[u64], b: &[u64], acc: bool, dst: &mut [u64]) {
+        let n = dst.len();
+        assert!(a.len() == n && b.len() == n, "slice lengths must agree");
+        for t in start..n {
+            let addend = if acc { dst[t] } else { 0 };
+            dst[t] = self.reduce_u128(addend as u128 + a[t] as u128 * b[t] as u128);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -453,17 +700,6 @@ mod tests {
                 lazy
             };
             assert_eq!(exact, p.mul_mod(x, p.value() - 1));
-        }
-    }
-
-    #[test]
-    fn precompute_shoup_matches_scalar_constants() {
-        let p = p60();
-        let ys = [0u64, 1, 7, p.value() - 1];
-        let table = precompute_shoup(&ys, &p);
-        for (c, &y) in table.iter().zip(&ys) {
-            assert_eq!(*c, MulRedConstant::new(y, &p));
-            assert_eq!(c.mul_red(12345, &p), p.mul_mod(12345, y));
         }
     }
 

@@ -250,6 +250,204 @@ fn auto_kernel_edge_cases() {
     }
 }
 
+/// The element-wise kernels — double-width DyadMult accumulate, word
+/// reduction, MS (with and without the permuted addend) and the dyadic
+/// product — on whichever path the host dispatches to **and** on the
+/// scalar loop by name, against strict `mul_mod` / `add_mod` / `sub_mod`.
+/// `xs` holds `rows` rows of `n` arbitrary digit words; everything else is
+/// derived from `seed`, or — with `seed = None` — sits at `p − 1`.
+fn assert_elementwise_match_strict(
+    p: &Modulus,
+    n: usize,
+    rows: usize,
+    xs: &[u64],
+    perm: Option<&[usize]>,
+    seed: Option<u64>,
+) {
+    assert_eq!(xs.len(), rows * n);
+    let tag = format!("p={} n={n} rows={rows} perm={}", p.value(), perm.is_some());
+    let canonical = |salt: u64| -> Vec<u64> {
+        match seed {
+            Some(seed) => words(seed ^ salt, n, |_| 0)
+                .iter()
+                .map(|&x| x % p.value())
+                .collect(),
+            None => vec![p.value() - 1; n],
+        }
+    };
+    let at = |t: usize| perm.map_or(t, |perm| perm[t]);
+
+    // DyadMult accumulate.
+    let keys: Vec<(Vec<u64>, Vec<u64>)> = (0..rows as u64)
+        .map(|i| (canonical(2 * i + 1), canonical(!(2 * i + 2))))
+        .collect();
+    let mut want = (vec![0u64; n], vec![0u64; n]);
+    for (row, (k0, k1)) in xs.chunks_exact(n).zip(&keys) {
+        for t in 0..n {
+            let x = p.reduce_u64(row[at(t)]);
+            want.0[t] = p.add_mod(want.0[t], p.mul_mod(x, k0[t]));
+            want.1[t] = p.add_mod(want.1[t], p.mul_mod(x, k1[t]));
+        }
+    }
+    let key_rows = || keys.iter().map(|(k0, k1)| (&k0[..], &k1[..]));
+    // Stale contents must be overwritten, not accumulated.
+    let (mut d0, mut d1) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+    p.dyad_acc_lazy(xs, perm, key_rows(), &mut d0, &mut d1);
+    let (mut s0, mut s1) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+    p.dyad_acc_lazy_scalar(xs, perm, key_rows(), &mut s0, &mut s1);
+    for (got, want) in [
+        (&d0, &want.0),
+        (&d1, &want.1),
+        (&s0, &want.0),
+        (&s1, &want.1),
+    ] {
+        for (g, w) in got.iter().zip(want) {
+            assert!(*g < 4 * p.value(), "accumulate leaves [0,4p), {tag}");
+            assert_eq!(p.reduce_u64(*g), *w, "dyad_acc_lazy {tag}");
+        }
+    }
+
+    // Word reduction, on the first digit row.
+    let want_reduced: Vec<u64> = xs[..n].iter().map(|&x| x % p.value()).collect();
+    let mut a = xs[..n].to_vec();
+    p.reduce_words(&mut a);
+    assert_eq!(a, want_reduced, "reduce_words {tag}");
+
+    // MS: the lazy accumulator words as `src`, `r` anywhere in its domain.
+    let inv_value = p.inv_mod(0x1234_5677 % p.value()).unwrap();
+    let inv = MulRedConstant::new(inv_value, p);
+    let span = if p.bits() <= 60 {
+        4 * p.value()
+    } else {
+        p.value()
+    };
+    let r: Vec<u64> = match seed {
+        Some(seed) => words(seed ^ 0x5eed, n, |_| 0)
+            .iter()
+            .map(|&x| x % span)
+            .collect(),
+        None => vec![span - 1; n],
+    };
+    let c0 = canonical(0xc0);
+    for (src, what) in [(&d0, "lazy src"), (&xs[..n].to_vec(), "digit-row src")] {
+        let want_ms: Vec<u64> = (0..n)
+            .map(|t| {
+                let diff = p.sub_mod(p.reduce_u64(src[t]), p.reduce_u64(r[t]));
+                p.mul_mod(diff, inv_value)
+            })
+            .collect();
+        let want_added: Vec<u64> = (0..n).map(|t| p.add_mod(want_ms[t], c0[at(t)])).collect();
+        let identity: Vec<usize> = (0..n).collect();
+        let add = Some((&c0[..], perm.unwrap_or(&identity)));
+        let mut got = vec![u64::MAX; n];
+        p.mod_switch(&inv, src, &r, None, &mut got);
+        assert_eq!(got, want_ms, "mod_switch, {what}, {tag}");
+        p.mod_switch_scalar(&inv, src, &r, None, &mut got);
+        assert_eq!(got, want_ms, "mod_switch_scalar, {what}, {tag}");
+        p.mod_switch(&inv, src, &r, add, &mut got);
+        assert_eq!(got, want_added, "mod_switch + addend, {what}, {tag}");
+        p.mod_switch_scalar(&inv, src, &r, add, &mut got);
+        assert_eq!(got, want_added, "mod_switch_scalar + addend, {what}, {tag}");
+    }
+
+    // Dyadic product, set then accumulate: the tensor's a₀b₁ + a₁b₀.
+    let (a0, b1) = (&xs[..n], canonical(0xb1));
+    let (a1, b0) = (canonical(0xa1), canonical(0xb0));
+    let want_set: Vec<u64> = (0..n)
+        .map(|t| p.mul_mod(p.reduce_u64(a0[t]), b1[t]))
+        .collect();
+    let want_acc: Vec<u64> = (0..n)
+        .map(|t| p.add_mod(want_set[t], p.mul_mod(a1[t], b0[t])))
+        .collect();
+    let mut got = vec![u64::MAX; n];
+    p.dyad_mul(a0, &b1, false, &mut got);
+    assert_eq!(got, want_set, "dyad_mul set {tag}");
+    p.dyad_mul(&a1, &b0, true, &mut got);
+    assert_eq!(got, want_acc, "dyad_mul acc {tag}");
+    p.dyad_mul_scalar(a0, &b1, false, &mut got);
+    assert_eq!(got, want_set, "dyad_mul_scalar set {tag}");
+    p.dyad_mul_scalar(&a1, &b0, true, &mut got);
+    assert_eq!(got, want_acc, "dyad_mul_scalar acc {tag}");
+}
+
+/// A permutation of `0..n` drawn from `seed` (Fisher–Yates).
+fn permutation(seed: u64, n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    for (i, r) in words(seed, n, |_| 0).into_iter().enumerate().skip(1) {
+        perm.swap(i, r as usize % (i + 1));
+    }
+    perm
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn elementwise_kernels_match_strict_for_random_primes(
+        bits in 30u32..=61,
+        rows in 1usize..=8,
+        // Whole chunks of eight, and lengths that leave a tail.
+        n in prop::sample::select(vec![8usize, 64, 61, 100, 7]),
+        permuted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let p = Modulus::new(generate_ntt_primes(bits, 1, 64).unwrap()[0]).unwrap();
+        // What the key switch feeds it: lazy digits below 4p (canonical
+        // beyond 60 bits, where 4p does not fit a word).
+        let span = if bits <= 60 { 4 * p.value() } else { p.value() };
+        let xs: Vec<u64> = words(seed, rows * n, |_| 0).iter().map(|&x| x % span).collect();
+        let perm = permuted.then(|| permutation(!seed, n));
+        assert_elementwise_match_strict(&p, n, rows, &xs, perm.as_deref(), Some(seed));
+    }
+}
+
+#[test]
+fn elementwise_kernel_edge_cases() {
+    let n = 72usize;
+    let perm = permutation(7, n);
+    // The widest modulus the 52-bit word takes is also where the row
+    // guard of the lane accumulator binds: rows·(p + 1) < 2^52 holds for
+    // four rows and fails for five.
+    let below = (1..)
+        .map(|j| (1u64 << 50) - j)
+        .find(|&p| is_prime(p))
+        .unwrap();
+    assert!(4 * (below as u128 + 1) < 1 << 52 && 5 * (below as u128 + 1) >= 1 << 52);
+    let at_or_above = (1u64 << 50..).find(|&p| is_prime(p)).unwrap();
+    let wide = generate_ntt_primes(61, 1, 64).unwrap()[0];
+    let narrow = generate_ntt_primes(30, 1, 64).unwrap()[0];
+    for p in [below, at_or_above, wide, narrow] {
+        let p = Modulus::new(p).unwrap();
+        for rows in [1usize, 3, 4, 5, 8, 9, 17] {
+            for perm in [None, Some(&perm[..])] {
+                // Worst growth: every digit at the top of its lazy domain
+                // (then at p − 1, then at the top of the 52-bit word)
+                // against key words, `r` and addends at the top of theirs.
+                let lazy_top = if p.bits() <= 60 {
+                    4 * p.value() - 1
+                } else {
+                    p.value() - 1
+                };
+                for top in [lazy_top, p.value() - 1, (1 << 52) - 1] {
+                    assert_elementwise_match_strict(&p, n, rows, &vec![top; rows * n], perm, None);
+                }
+                // Digit words at and beyond the 52-bit word must take the
+                // scalar loop, not wrap: everywhere, and one lone wide
+                // word among narrow ones (mid-chunk, in the last row).
+                let random = words(p.value() ^ rows as u64, rows * n, |_| 0);
+                assert_elementwise_match_strict(&p, n, rows, &random, perm, Some(3));
+                let at_word: Vec<u64> = random.iter().map(|&x| x >> 12 | 1 << 52).collect();
+                assert_elementwise_match_strict(&p, n, rows, &at_word, perm, Some(4));
+                let mut lone: Vec<u64> = random.iter().map(|&x| x >> 14).collect();
+                lone[(rows - 1) * n + 37] = 1 << 52;
+                assert_elementwise_match_strict(&p, n, rows, &lone, perm, Some(5));
+                let just_below: Vec<u64> = random.iter().map(|&x| x >> 12 | 1 << 51).collect();
+                assert_elementwise_match_strict(&p, n, rows, &just_below, perm, Some(6));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

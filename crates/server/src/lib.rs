@@ -4,8 +4,8 @@
 //! deployment promoted from an example into a subsystem. A host
 //! receives serialized ciphertexts and evaluation keys from many
 //! clients over a framed, versioned wire protocol
-//! ([`wire`]), caches each session's keys with their Shoup tables
-//! rebuilt **once** ([`session`]), batches queued requests so shared
+//! ([`wire`]), deserializes each session's keys **once** and caches
+//! them ([`session`]), batches queued requests so shared
 //! work is amortized — one hoisted decomposition per rotated
 //! ciphertext, one reusable key-switch scratch, limbs dispatched
 //! through the `HEAX_THREADS` executor — and answers every failure

@@ -253,7 +253,7 @@ pub struct ServerStats {
     pub degraded_replies: u64,
     /// Execution retries attempted under the flush retry policy.
     pub retries: u64,
-    /// Sessions whose cached (Shoup-ready) keys were evicted from the
+    /// Sessions whose cached keys were evicted from the
     /// modeled DRAM key cache under budget pressure (see
     /// `HeaxServer::evict_session_keys` and `heax_server::net`'s LRU).
     pub key_evictions: u64,

@@ -36,7 +36,7 @@
 //!
 //! ## The session-key LRU
 //!
-//! Cached, Shoup-ready session keys live in modeled board DRAM, and
+//! Cached, deserialized session keys live in modeled board DRAM, and
 //! DRAM is finite ([`heax_core::HeaxSystem::dram_capacity_bytes`]).
 //! [`SessionKeyLru`] bounds the resident key bytes: registrations
 //! stash the serialized key payload host-side and make the session
@@ -382,8 +382,8 @@ struct KeyEntry {
     rlk: Option<Vec<u8>>,
     /// Serialized Galois-keys payload, kept host-side.
     gks: Option<Vec<u8>>,
-    /// Whether the deserialized (Shoup-ready) keys are DRAM-resident in
-    /// the inner server right now.
+    /// Whether the deserialized keys are DRAM-resident in the inner
+    /// server right now.
     resident: bool,
     /// LRU clock stamp of the last touch.
     last_touch: u64,
@@ -401,17 +401,17 @@ impl KeyEntry {
 /// An LRU cache bounding the modeled DRAM bytes held by resident
 /// session keys.
 ///
-/// The serialized payloads are the billing proxy for the deserialized
-/// keys' DRAM footprint (same polynomial data, minus the rebuilt Shoup
-/// tables — a consistent under-approximation). Host-side copies are
-/// always kept; only *residency* is budgeted. Invariants, pinned by
-/// the `net_props` proptests:
+/// The serialized payloads are the bill for the deserialized keys' DRAM
+/// footprint, and an exact one up to the codec's headers: a key holds
+/// each residue once, as the word the payload carries, and nothing
+/// derived beside it. Host-side copies are always kept; only
+/// *residency* is budgeted. Invariants, pinned by the `net_props`
+/// proptests:
 ///
 /// * resident bytes never exceed the budget;
 /// * a session with in-flight requests is never evicted;
 /// * a re-registered (evicted, then restored) session serves from
-///   byte-identical key material, so its Shoup tables rebuild
-///   bit-identical.
+///   byte-identical key material.
 #[derive(Debug)]
 pub struct SessionKeyLru {
     budget: u64,

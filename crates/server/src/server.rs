@@ -33,8 +33,8 @@
 //! not bit-equal).
 //! All other requests execute individually, in order, against the
 //! server's shared evaluator — whose key-switch scratch and the
-//! sessions' Shoup-ready cached keys are themselves cross-request
-//! amortizations.
+//! sessions' cached (parsed, validated) keys are themselves
+//! cross-request amortizations.
 //!
 //! The fused stream is the single source of truth: the executor walks
 //! its member lists, and the *same* stream is then priced by the
@@ -455,12 +455,12 @@ impl<'a> HeaxServer<'a> {
                 )))
             }
             MessageKind::RegisterRelinKey => {
-                // Session first: key parsing (a Shoup-table rebuild) is
-                // exactly the cost a bogus session id must not be able
-                // to bill the server for.
+                // Session first: key parsing (megabytes of residues to
+                // validate) is exactly the cost a bogus session id must
+                // not be able to bill the server for.
                 self.sessions.get(frame.session)?;
-                // Deserialize (rebuilding Shoup tables) once; every later
-                // request of this session hits the cache.
+                // Deserialize once; every later request of this session
+                // hits the cache.
                 let rlk = deserialize_relin_key(frame.payload, self.ctx)?;
                 self.note_key_registration(frame.session);
                 self.sessions.get_mut(frame.session)?.rlk = Some(rlk);
@@ -566,7 +566,7 @@ impl<'a> HeaxServer<'a> {
         self.queue.iter().filter(|p| p.session == session).count()
     }
 
-    /// Drops a session's cached (Shoup-ready) evaluation keys to free
+    /// Drops a session's cached evaluation keys to free
     /// modeled DRAM, leaving the session itself open. The next key
     /// registration for this session is billed as a re-registration
     /// ([`ServerStats::key_reregistrations`]); the eviction itself

@@ -1,11 +1,12 @@
 //! Session registry: per-client key material cached server-side.
 //!
-//! Deserializing an evaluation key is expensive — beyond parsing, the
-//! Shoup (`MulRedConstant`) multiplication tables are rebuilt from the
-//! residues ([`heax_ckks::serialize::deserialize_ksk`]). The registry
-//! makes that a **once-per-session** cost: clients upload keys when they
-//! connect, and every later request hits the cached, Shoup-ready keys.
-//! The seed deployment example paid that cost per request batch; the
+//! Deserializing an evaluation key is not free — megabytes of residues
+//! are copied out of the frame and every word is checked against its
+//! modulus ([`heax_ckks::serialize::deserialize_ksk`]); nothing is
+//! derived from them, the evaluator multiplies into the plain words. The
+//! registry makes that a **once-per-session** cost: clients upload keys
+//! when they connect, and every later request hits the cached keys. The
+//! seed deployment example paid that cost per request batch; the
 //! `bench_server` snapshot quantifies the difference.
 
 use std::collections::HashMap;
@@ -19,7 +20,7 @@ use crate::metrics::SessionStats;
 /// traffic counters.
 #[derive(Debug, Default)]
 pub struct Session {
-    /// Cached relinearization key (Shoup tables rebuilt at registration).
+    /// Cached relinearization key (deserialized at registration).
     pub(crate) rlk: Option<RelinKey>,
     /// Cached Galois keys (permutation tables rebuilt at registration).
     pub(crate) gks: Option<GaloisKeys>,

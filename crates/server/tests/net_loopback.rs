@@ -637,7 +637,7 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
     // A's request restores A (evicting B); B's request restores B.
     // Repeating request id 100 after a full evict/restore cycle must
     // reproduce the reply byte for byte — the restored keys are the
-    // same key material, Shoup tables and all.
+    // same key material.
     let round = |net: &mut NetServer<'_>,
                  conn: &mut Conn,
                  session: u64,

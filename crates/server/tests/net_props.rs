@@ -9,8 +9,8 @@
 //!   restore / begin / end / remove, the DRAM budget is never
 //!   exceeded, a session with in-flight requests is never evicted, and
 //!   a restored session always yields its original key bytes — which
-//!   is what makes re-registration rebuild bit-identical Shoup tables
-//!   (pinned end-to-end by the engine-level test at the bottom).
+//!   is what makes re-registration bit-transparent (pinned end-to-end
+//!   by the engine-level test at the bottom).
 //!
 //! CI runs this suite under both `HEAX_THREADS=1` and
 //! `HEAX_THREADS=4`.
@@ -314,7 +314,7 @@ fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
 
 /// Evicting a session's deserialized keys and re-registering them from
 /// the same serialized bytes must reproduce the same reply bytes for
-/// the same request — the re-built Shoup tables are bit-identical, so
+/// the same request — the restored keys are the same words, so
 /// nothing downstream can tell an evict/re-register cycle happened.
 #[test]
 fn evict_and_reregister_reproduces_replies_bit_identically() {
@@ -362,10 +362,7 @@ fn evict_and_reregister_reproduces_replies_bit_identically() {
         .handle_frame(&client::rotate(session, 7, &ct_bytes, 1))
         .is_none());
     let second = server.flush().remove(0);
-    assert_eq!(
-        first, second,
-        "evict + re-register must be bit-transparent, Shoup tables included"
-    );
+    assert_eq!(first, second, "evict + re-register must be bit-transparent");
 
     let stats = server.stats();
     assert_eq!(stats.key_evictions, 1);

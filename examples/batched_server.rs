@@ -1,8 +1,8 @@
 //! Batched encrypted service — the Figure 7 deployment story end to
 //! end, now served by the real `heax::server` subsystem: the client
 //! serializes its ciphertext and evaluation keys, opens a session over
-//! the framed wire protocol, registers its keys once (Shoup tables
-//! rebuilt once, not per request), and submits a pipeline whose
+//! the framed wire protocol, registers its keys once (deserialized
+//! once, not per request), and submits a pipeline whose
 //! intermediates stay **parked in board DRAM** between steps — no
 //! serialize/ship/deserialize round trip until the final result.
 //!
@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server_ctx = CkksContext::new(CkksParams::from_set(ParamSet::SetA)?)?;
     let mut server = HeaxServer::new(&server_ctx, Board::stratix10())?;
 
-    // Session + keys: deserialization (and Shoup-table rebuild) happens
-    // exactly once, at registration.
+    // Session + keys: deserialization happens exactly once, at
+    // registration.
     let reply = server.handle_frame(&client::open_session()).unwrap();
     let (session, _, _) = client::parse_reply(&reply)?;
     for frame in [
