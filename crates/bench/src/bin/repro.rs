@@ -21,8 +21,6 @@ fn main() {
         "ablation_wordsize",
         "ablation_modules",
         "ablation_ntt",
-        "bench_parallel",
-        "bench_pipeline",
     ];
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir");

@@ -6,15 +6,15 @@
 //! backend) and once with `HEAX_THREADS=4` (thread-pool backend) — so a
 //! racy parallel backend can never land green.
 //!
-//! Cargo builds each `[[bin]]` target for integration tests of this
+//! Cargo builds each `src/bin/` target for integration tests of this
 //! package and exposes its path as `CARGO_BIN_EXE_<name>`, so this runs
 //! the real binaries, not in-process approximations.
 
 use std::process::Command;
 
 /// Milliseconds of CPU-measurement budget handed to the binaries that
-/// accept one (`table7`, `table8`, `ablation_ntt`, `bench_parallel`,
-/// `repro`); the rest are pure model evaluations and ignore the argument.
+/// accept one (`table7`, `table8`, `ablation_ntt`, `repro`); the rest are
+/// pure model evaluations and ignore the argument.
 const FAST_BUDGET_MS: &str = "25";
 
 /// Backend lane counts every binary is exercised under.
@@ -25,54 +25,6 @@ fn run_binary(name: &str, path: &str) {
         let out = Command::new(path)
             .arg(FAST_BUDGET_MS)
             .env("HEAX_THREADS", threads)
-            // Keep the heavy sweep binaries (bench_server, bench_sockets, …)
-            // on their reduced CI-smoke problem sizes.
-            .env("HEAX_BENCH_QUICK", "1")
-            // Keep perf snapshots (bench_parallel, bench_server, …) out
-            // of the source tree; one file per binary and thread count so
-            // concurrently running smoke tests never race on a path.
-            .env(
-                "HEAX_BENCH_JSON",
-                format!(
-                    "{}/BENCH_parallel_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
-            .env(
-                "HEAX_BENCH_SERVER_JSON",
-                format!(
-                    "{}/BENCH_server_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
-            .env(
-                "HEAX_BENCH_PIPELINE_JSON",
-                format!(
-                    "{}/BENCH_pipeline_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
-            .env(
-                "HEAX_BENCH_CLUSTER_JSON",
-                format!(
-                    "{}/BENCH_cluster_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
-            .env(
-                "HEAX_BENCH_FAULTS_JSON",
-                format!(
-                    "{}/BENCH_faults_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
-            .env(
-                "HEAX_BENCH_SOCKETS_JSON",
-                format!(
-                    "{}/BENCH_sockets_smoke_{threads}.json",
-                    env!("CARGO_TARGET_TMPDIR")
-                ),
-            )
             .output()
             .unwrap_or_else(|e| panic!("failed to spawn {name} ({path}): {e}"));
         assert!(
@@ -116,12 +68,6 @@ smoke!(
     ablation_modules,
     ablation_ntt,
     ablation_wordsize,
-    bench_parallel,
-    bench_server,
-    bench_pipeline,
-    bench_cluster,
-    bench_faults,
-    bench_sockets,
     extension_scaling,
     noise_growth,
 );

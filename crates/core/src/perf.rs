@@ -13,8 +13,6 @@
 
 use heax_ckks::params::ParamSet;
 use heax_hw::board::Board;
-use heax_hw::cluster::{ClusterReport, RoutingPolicy};
-use heax_hw::faults::FaultPlan;
 use heax_hw::scheduler::{BoardOp, PipelineReport};
 use heax_hw::HwError;
 
@@ -102,52 +100,6 @@ pub fn estimate_stream(
     dp.pipeline_config(num_cores)?.schedule_stream(ops)
 }
 
-/// Routes a high-level op stream across a modeled cluster of
-/// `num_boards` boards (each with `num_cores` HEAX cores) of a design
-/// point — the fleet-scale counterpart of [`estimate_stream`]: the
-/// [`heax_hw::cluster`] router applies session→board key affinity (or
-/// the given policy) and returns the full [`ClusterReport`] (per-board
-/// utilization, routing hit/miss, replication bytes, steal counts).
-///
-/// # Errors
-///
-/// Propagates configuration/stream validation from the cluster and
-/// board schedulers.
-pub fn estimate_cluster(
-    dp: &DesignPoint,
-    ops: &[BoardOp],
-    num_boards: usize,
-    num_cores: usize,
-    policy: RoutingPolicy,
-) -> Result<ClusterReport, HwError> {
-    dp.cluster_config(num_boards, num_cores)?
-        .schedule_stream(ops, policy)
-}
-
-/// [`estimate_cluster`] replaying an injected
-/// [`FaultPlan`] — the chaos-engineering counterpart: boards crash and
-/// drain mid-run, degraded links and cores dilate, corrupted resident
-/// keys are evicted and re-uploaded, and the report carries the fault
-/// accounting (failovers, re-replications, recovery cycles, per-board
-/// health) next to the usual routing figures. An empty plan is
-/// bit-identical to [`estimate_cluster`].
-///
-/// # Errors
-///
-/// Propagates configuration/stream/plan validation from the cluster
-/// and board schedulers.
-pub fn estimate_cluster_faulted(
-    dp: &DesignPoint,
-    ops: &[BoardOp],
-    num_boards: usize,
-    num_cores: usize,
-    policy: RoutingPolicy,
-    plan: &FaultPlan,
-) -> Result<ClusterReport, HwError> {
-    dp.cluster_config(num_boards, num_cores)?
-        .schedule_stream_faulted(ops, policy, plan)
-}
-
 /// The paper's published numbers for cross-checking (ops/second).
 /// Indexed by `(board, set, op)`; `None` where the paper has no row
 /// (Arria 10 was only evaluated on Set-A).
@@ -210,6 +162,17 @@ pub fn paper_cpu_ops_per_sec(set: ParamSet, op: HeaxOp) -> f64 {
 mod tests {
     use super::*;
     use heax_ckks::params::ParamSet;
+    use heax_hw::cluster::RoutingPolicy;
+    use heax_hw::faults::{FaultKind, FaultPlan};
+    use heax_hw::scheduler::BoardOpKind;
+
+    /// The fleet stream: `sessions` sessions submitting four wire-return
+    /// rotations each, round-robin — the order a front-end router sees.
+    fn fleet(sessions: u64) -> Vec<BoardOp> {
+        (0..4 * sessions)
+            .map(|i| BoardOp::new(BoardOpKind::Rotate).with_session(1 + i % sessions))
+            .collect()
+    }
 
     #[test]
     fn model_matches_every_published_heax_number() {
@@ -266,12 +229,7 @@ mod tests {
         // One rotation's modeled compute occupancy is exactly the
         // KeySwitch initiation interval the Table 8 estimate uses.
         let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
-        let r = estimate_stream(
-            &dp,
-            &[BoardOp::new(heax_hw::scheduler::BoardOpKind::Rotate)],
-            1,
-        )
-        .unwrap();
+        let r = estimate_stream(&dp, &[BoardOp::new(BoardOpKind::Rotate)], 1).unwrap();
         let t = &r.ops[0];
         assert_eq!(
             t.compute.1 - t.compute.0,
@@ -301,6 +259,63 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_model_suite_meets_the_acceptance_bar() {
+        // The 8-client x 8-rotation workload at every paper set on 1/2/4
+        // cores: parking results in board DRAM scales at least as well
+        // as returning them over the wire and is never bound by the
+        // return leg it does not have. (The wire-return bar itself, 2x
+        // on four Set-C cores, is the test above.)
+        let wire = vec![BoardOp::rotate_many(8); 8];
+        let parked = vec![BoardOp::rotate_many(8).with_parked_output(); 8];
+        for set in ParamSet::ALL {
+            let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), set).unwrap();
+            let wire_1 = estimate_stream(&dp, &wire, 1).unwrap();
+            let parked_1 = estimate_stream(&dp, &parked, 1).unwrap();
+            for cores in [1, 2, 4] {
+                let w = estimate_stream(&dp, &wire, cores).unwrap();
+                let p = estimate_stream(&dp, &parked, cores).unwrap();
+                let wire_scaling = w.requests_per_sec() / wire_1.requests_per_sec();
+                let parked_scaling = p.requests_per_sec() / parked_1.requests_per_sec();
+                assert!(
+                    parked_scaling >= wire_scaling - 1e-9,
+                    "{set} x{cores}: parked {parked_scaling:.3} < wire {wire_scaling:.3}"
+                );
+                assert_ne!(p.bound(), "pcie-out", "{set} x{cores}");
+            }
+        }
+    }
+
+    #[test]
+    fn wire_v2_flips_pcie_bound_rows_to_compute() {
+        // Seeded uploads plus one-limb replies are never slower than v1
+        // wire return, and rescue at least two (set, cores) points that
+        // v1 left bound by the PCIe return leg.
+        let wire = vec![BoardOp::rotate_many(8); 8];
+        let wire_v2 = vec![
+            BoardOp::rotate_many(8)
+                .with_seeded_input()
+                .with_reply_limbs(1);
+            8
+        ];
+        let mut flips = 0;
+        for set in ParamSet::ALL {
+            let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), set).unwrap();
+            for cores in [1, 2, 4] {
+                let v1 = estimate_stream(&dp, &wire, cores).unwrap();
+                let v2 = estimate_stream(&dp, &wire_v2, cores).unwrap();
+                assert!(
+                    v2.requests_per_sec() >= v1.requests_per_sec() - 1e-9,
+                    "wire-v2 slower than wire at {set} x{cores}"
+                );
+                if v1.bound() == "pcie-out" && v2.bound() == "compute" {
+                    flips += 1;
+                }
+            }
+        }
+        assert!(flips >= 2, "only {flips} pcie-out points flipped");
+    }
+
+    #[test]
     fn cluster_estimate_scales_and_prices_replication() {
         let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
         // Eight sessions, four hoisted groups each.
@@ -308,35 +323,91 @@ mod tests {
             .map(|i| BoardOp::rotate_many(8).with_session(1 + i % 8))
             .collect();
         let affinity = RoutingPolicy::Affinity { steal: false };
-        let one = estimate_cluster(&dp, &ops, 1, 1, affinity).unwrap();
-        let four = estimate_cluster(&dp, &ops, 4, 1, affinity).unwrap();
+        let one_board = dp.cluster_config(1, 1).unwrap();
+        let four_boards = dp.cluster_config(4, 1).unwrap();
+        let one = one_board.schedule_stream(&ops, affinity).unwrap();
+        let four = four_boards.schedule_stream(&ops, affinity).unwrap();
         assert!(four.requests_per_sec() > 2.0 * one.requests_per_sec());
         // One board, affinity: every session's key replicates exactly once.
         assert_eq!(one.routing_misses, 8);
-        let random = estimate_cluster(&dp, &ops, 4, 1, RoutingPolicy::Random { seed: 1 }).unwrap();
+        let random = four_boards
+            .schedule_stream(&ops, RoutingPolicy::Random { seed: 1 })
+            .unwrap();
         assert!(random.replication_bytes > four.replication_bytes);
     }
 
     #[test]
     fn faulted_cluster_estimate_degrades_gracefully() {
-        use heax_hw::faults::{FaultKind, FaultPlan};
         let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
         let ops: Vec<BoardOp> = (0..32)
             .map(|i| BoardOp::rotate_many(8).with_session(1 + i % 8))
             .collect();
         let affinity = RoutingPolicy::Affinity { steal: true };
-        let healthy = estimate_cluster(&dp, &ops, 4, 1, affinity).unwrap();
+        let cluster = dp.cluster_config(4, 1).unwrap();
+        let healthy = cluster.schedule_stream(&ops, affinity).unwrap();
         // Board 0 is gone from the start: the fleet serves everything
         // on the surviving three at better than half throughput.
         let plan = FaultPlan::new().with_event(0, 0, FaultKind::BoardCrash);
-        let faulted = estimate_cluster_faulted(&dp, &ops, 4, 1, affinity, &plan).unwrap();
+        let faulted = cluster
+            .schedule_stream_faulted(&ops, affinity, &plan)
+            .unwrap();
         assert_eq!(faulted.requests(), healthy.requests());
         assert_eq!(faulted.boards_alive(), 3);
         assert!(faulted.requests_per_sec() >= 0.55 * healthy.requests_per_sec());
         // An empty plan is the fault-free schedule, bit for bit.
-        let same = estimate_cluster_faulted(&dp, &ops, 4, 1, affinity, &FaultPlan::none()).unwrap();
+        let same = cluster
+            .schedule_stream_faulted(&ops, affinity, &FaultPlan::none())
+            .unwrap();
         assert_eq!(same.total_cycles, healthy.total_cycles);
         assert_eq!(same.assignment, healthy.assignment);
+    }
+
+    #[test]
+    fn cluster_affinity_beats_random_at_a_small_fleet_point() {
+        // 200 sessions on 4 boards x 4 cores at Set-B, where one ksk is
+        // five ciphertexts of PCIe traffic: affinity replicates each
+        // session's key once and clears 1.5x random spraying.
+        let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
+        let cluster = dp.cluster_config(4, 4).unwrap();
+        let ops = fleet(200);
+        let random = cluster
+            .schedule_stream(&ops, RoutingPolicy::Random { seed: 0x464C_4545 })
+            .unwrap();
+        let affinity = cluster
+            .schedule_stream(&ops, RoutingPolicy::Affinity { steal: true })
+            .unwrap();
+        assert_eq!(affinity.routing_misses, 200, "one replication per session");
+        assert!(random.routing_misses > affinity.routing_misses);
+        assert!(random.replication_bytes > affinity.replication_bytes);
+        let speedup = affinity.requests_per_sec() / random.requests_per_sec();
+        assert!(speedup >= 1.5, "affinity only {speedup:.2}x over random");
+    }
+
+    #[test]
+    fn losing_one_of_four_boards_mid_run_retains_most_throughput() {
+        // Board 0 crashes at half the compute it accrued in the healthy
+        // run (the crash trigger compares routed compute load, not the
+        // makespan): three survive, warm sessions fail over, and the
+        // fleet keeps at least 55% of healthy throughput.
+        let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
+        let cluster = dp.cluster_config(4, 4).unwrap();
+        let ops = fleet(200);
+        let policy = RoutingPolicy::Affinity { steal: true };
+        let healthy = cluster.schedule_stream(&ops, policy).unwrap();
+        let board0_compute: u64 = healthy.boards[0]
+            .ops
+            .iter()
+            .map(|t| t.compute.1 - t.compute.0)
+            .sum();
+        let plan = FaultPlan::new().with_event(0, board0_compute / 2, FaultKind::BoardCrash);
+        let faulted = cluster
+            .schedule_stream_faulted(&ops, policy, &plan)
+            .unwrap();
+        assert_eq!(faulted.boards_alive(), 3);
+        assert!(faulted.failovers > 0, "crash must displace warm sessions");
+        assert!(faulted.recovery_cycles > 0);
+        let retention = faulted.requests_per_sec() / healthy.requests_per_sec();
+        assert!(retention >= 0.55, "retained only {retention:.2}");
     }
 
     #[test]

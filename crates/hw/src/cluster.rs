@@ -25,7 +25,7 @@
 //!   that holds them, regardless of policy.
 //! * **[`RoutingPolicy::Random`]** is the control: hash-spraying ops
 //!   across boards maximizes replication and is what the affinity
-//!   policy is benchmarked against (`bench_cluster`).
+//!   policy is measured against (`heax_core::perf`'s cluster tests).
 //!
 //! Each board's assigned sub-stream is then scheduled by the
 //! single-board [`PipelineConfig::schedule_stream`]; boards run in
@@ -91,7 +91,7 @@ pub enum RoutingPolicy {
 }
 
 impl RoutingPolicy {
-    /// Stable policy label (snapshot schemas key on it).
+    /// Stable policy label (reports render it).
     pub fn name(&self) -> &'static str {
         match self {
             RoutingPolicy::Affinity { .. } => "affinity",
@@ -558,17 +558,6 @@ impl ClusterReport {
         self.recovery_cycles as f64 / self.freq_mhz
     }
 
-    /// Mean per-board compute utilization against the cluster makespan.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.num_boards == 0 {
-            return 0.0;
-        }
-        (0..self.num_boards)
-            .map(|b| self.board_utilization(b))
-            .sum::<f64>()
-            / self.num_boards as f64
-    }
-
     /// Modeled compute cycles of each *stream* op, stream order —
     /// reassembled from the per-board schedules (each board preserves
     /// its sub-stream's order), so callers can attribute cost back to
@@ -1029,7 +1018,7 @@ mod tests {
         assert_eq!(per_op.len(), ops.len());
         let board_sum: u64 = r.boards.iter().map(|b| b.core_busy()).sum();
         assert_eq!(per_op.iter().sum::<u64>(), board_sum);
-        assert!((0.0..=1.0).contains(&r.mean_utilization()));
+        assert!((0..3).all(|b| (0.0..=1.0).contains(&r.board_utilization(b))));
         let s = r.render();
         assert!(s.contains("3 board(s)"));
         assert!(s.contains("affinity"));
@@ -1040,7 +1029,6 @@ mod tests {
             .unwrap();
         assert_eq!(empty.requests_per_sec(), 0.0);
         assert_eq!(empty.hit_rate(), 0.0);
-        assert_eq!(empty.mean_utilization(), 0.0);
         // Ratio accessors are total: out-of-range boards answer 0.0.
         assert_eq!(empty.board_utilization(0), 0.0);
         assert_eq!(empty.board_utilization(99), 0.0);

@@ -715,7 +715,7 @@ impl PipelineReport {
     }
 
     /// Renders the report as a human-readable summary block (the
-    /// artifact `accelerator_sim` and `bench_pipeline` print).
+    /// artifact `accelerator_sim` prints).
     pub fn render(&self) -> String {
         let mut out = format!(
             "board pipeline: {} core(s) @ {:.0} MHz — {} op(s) / {} request(s)\n\

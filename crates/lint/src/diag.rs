@@ -31,13 +31,11 @@ pub enum RuleId {
     L5,
     /// PROTOCOL.md ↔ source consistency (enum tables, wire constants).
     L6,
-    /// EXPERIMENTS.md must document every bench snapshot schema name.
-    L7,
 }
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 8] = [
+    pub const ALL: [RuleId; 7] = [
         RuleId::L0,
         RuleId::L1,
         RuleId::L2,
@@ -45,7 +43,6 @@ impl RuleId {
         RuleId::L4,
         RuleId::L5,
         RuleId::L6,
-        RuleId::L7,
     ];
 
     /// Short machine-readable code (`"L1"` …), as used in allow directives.
@@ -58,7 +55,6 @@ impl RuleId {
             RuleId::L4 => "L4",
             RuleId::L5 => "L5",
             RuleId::L6 => "L6",
-            RuleId::L7 => "L7",
         }
     }
 
@@ -72,7 +68,6 @@ impl RuleId {
             RuleId::L4 => "saturating-counters",
             RuleId::L5 => "lock-discipline",
             RuleId::L6 => "protocol-constants",
-            RuleId::L7 => "schema-names",
         }
     }
 

@@ -20,7 +20,6 @@
 //! | L4   | saturating-counters | `*Stats`/`*Report` fields mutate via `saturating_*` only |
 //! | L5   | lock-discipline     | `.lock()` recovers poisoning via `into_inner` |
 //! | L6   | protocol-constants  | PROTOCOL.md agrees with enums and wire constants |
-//! | L7   | schema-names        | EXPERIMENTS.md documents every snapshot schema |
 //!
 //! Suppress a finding with a justified allow comment on the same line or
 //! the line above:
@@ -55,8 +54,8 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A normative markdown document the doc-consistency rules check
-/// against (`PROTOCOL.md`, `EXPERIMENTS.md`).
+/// The normative markdown document the doc-consistency rule checks
+/// against (`PROTOCOL.md`).
 #[derive(Debug)]
 pub struct Doc {
     /// Path relative to the linted tree root.
@@ -72,8 +71,6 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// `PROTOCOL.md`, when the tree has one.
     pub protocol: Option<Doc>,
-    /// `EXPERIMENTS.md`, when the tree has one.
-    pub experiments: Option<Doc>,
 }
 
 /// Directory names never descended into: build output, vendored deps,
@@ -97,28 +94,20 @@ fn walk(root: &Path, dir: &Path, ws: &mut Workspace) -> io::Result<()> {
         if name.ends_with(".rs") {
             let text = std::fs::read_to_string(&path)?;
             ws.files.push(scanner::scan(&path, &rel, &text));
-        } else if (name == "PROTOCOL.md" && ws.protocol.is_none())
-            || (name == "EXPERIMENTS.md" && ws.experiments.is_none())
-        {
+        } else if name == "PROTOCOL.md" && ws.protocol.is_none() {
             let text = std::fs::read_to_string(&path)?;
-            let doc = Doc { rel, text };
-            if name == "PROTOCOL.md" {
-                ws.protocol = Some(doc);
-            } else {
-                ws.experiments = Some(doc);
-            }
+            ws.protocol = Some(Doc { rel, text });
         }
     }
     Ok(())
 }
 
-/// Loads and scans every Rust file (plus the normative docs) under
+/// Loads and scans every Rust file (plus `PROTOCOL.md`) under
 /// `root`, skipping `vendor/`, `target/`, and fixture trees.
 pub fn load_tree(root: &Path) -> io::Result<Workspace> {
     let mut ws = Workspace {
         files: Vec::new(),
         protocol: None,
-        experiments: None,
     };
     walk(root, root, &mut ws)?;
     ws.files.sort_by(|a, b| a.rel.cmp(&b.rel));
@@ -148,7 +137,6 @@ pub fn lint(ws: &Workspace) -> Vec<Diagnostic> {
         diags.extend(l0);
     }
     diags.extend(rules::protocol::check(&ws.files, ws.protocol.as_ref()));
-    diags.extend(rules::schema::check(&ws.files, ws.experiments.as_ref()));
     let mut out: Vec<Diagnostic> = diags
         .into_iter()
         .filter(|d| match allows.get(&d.path) {

@@ -72,7 +72,7 @@ fn main() -> ExitCode {
         }
     }
     if total == 0 {
-        println!("heax-lint: OK ({files} files, rules L1–L7 clean)");
+        println!("heax-lint: OK ({files} files, rules L1–L6 clean)");
         ExitCode::SUCCESS
     } else {
         println!("heax-lint: {total} diagnostic(s)");

@@ -6,7 +6,6 @@ pub mod domain;
 pub mod locks;
 pub mod protocol;
 pub mod safety;
-pub mod schema;
 pub mod totality;
 
 /// True for characters that can continue a Rust identifier.

@@ -95,7 +95,7 @@ pub fn scan(path: &Path, rel: &Path, text: &str) -> SourceFile {
         () => {{
             if let State::Str { .. } = state {
                 // A literal spanning lines: bank what we have so far so
-                // per-line rules (L7) still see the prefix.
+                // per-line rules still see the prefix.
                 if !cur_string.is_empty() {
                     cur.strings.push(std::mem::take(&mut cur_string));
                 }

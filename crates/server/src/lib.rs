@@ -14,7 +14,7 @@
 //! [`ServerStats`] snapshot ([`metrics`]).
 //!
 //! The engine is transport-agnostic: frames in, frames out. Drive it
-//! inline as the tests, examples, and the `bench_server` snapshot do —
+//! inline as the tests and examples do —
 //! or serve it over real sockets with [`net`]: a hand-rolled
 //! epoll-based nonblocking TCP event loop (no tokio/mio; raw Linux
 //! syscalls behind the vendored `epoll` shim) that multiplexes

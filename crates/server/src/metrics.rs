@@ -89,26 +89,6 @@ pub struct ModeledBoardStats {
 }
 
 impl ModeledBoardStats {
-    /// Modeled wall time across all flushes, microseconds (0.0 for an
-    /// unconfigured default snapshot rather than NaN).
-    pub fn modeled_us(&self) -> f64 {
-        if self.freq_mhz <= 0.0 {
-            0.0
-        } else {
-            self.modeled_cycles as f64 / self.freq_mhz
-        }
-    }
-
-    /// Modeled sustained request throughput across all flushes.
-    pub fn modeled_requests_per_sec(&self) -> f64 {
-        let us = self.modeled_us();
-        if us <= 0.0 {
-            0.0
-        } else {
-            self.modeled_requests as f64 / (us / 1e6)
-        }
-    }
-
     /// Fraction of core-cycles spent computing across all flushes.
     pub fn core_utilization(&self) -> f64 {
         let capacity = (self.cores as u64).saturating_mul(self.modeled_cycles);
@@ -169,26 +149,6 @@ pub struct ModeledClusterStats {
 }
 
 impl ModeledClusterStats {
-    /// Modeled wall time across all flushes, microseconds (0.0 for an
-    /// unconfigured default snapshot rather than NaN).
-    pub fn modeled_us(&self) -> f64 {
-        if self.freq_mhz <= 0.0 {
-            0.0
-        } else {
-            self.modeled_cycles as f64 / self.freq_mhz
-        }
-    }
-
-    /// Modeled sustained request throughput across all flushes.
-    pub fn modeled_requests_per_sec(&self) -> f64 {
-        let us = self.modeled_us();
-        if us <= 0.0 {
-            0.0
-        } else {
-            self.modeled_requests as f64 / (us / 1e6)
-        }
-    }
-
     /// Fraction of key-consuming ops that hit resident keys.
     pub fn hit_rate(&self) -> f64 {
         let total = self.routing_hits.saturating_add(self.routing_misses);
@@ -351,11 +311,8 @@ mod tests {
             core_busy_cycles: 600_000,
             ..Default::default()
         };
-        assert!((m.modeled_us() - 1000.0).abs() < 1e-9);
-        assert!((m.modeled_requests_per_sec() - 64_000.0).abs() < 1e-6);
         assert!((m.core_utilization() - 0.5).abs() < 1e-12);
         let zero = ModeledBoardStats::default();
-        assert_eq!(zero.modeled_requests_per_sec(), 0.0);
         assert_eq!(zero.core_utilization(), 0.0);
     }
 
@@ -371,11 +328,8 @@ mod tests {
             routing_misses: 1,
             ..Default::default()
         };
-        assert!((c.modeled_us() - 1000.0).abs() < 1e-9);
-        assert!((c.modeled_requests_per_sec() - 600_000.0).abs() < 1e-6);
         assert!((c.hit_rate() - 0.9).abs() < 1e-12);
         let zero = ModeledClusterStats::default();
-        assert_eq!(zero.modeled_requests_per_sec(), 0.0);
         assert_eq!(zero.hit_rate(), 0.0);
     }
 
@@ -384,11 +338,8 @@ mod tests {
         // The satellite audit: every ratio accessor on a default
         // (never-served) snapshot answers a finite 0.0, not NaN/inf.
         let board = ModeledBoardStats::default();
-        assert_eq!(board.modeled_us(), 0.0);
-        assert_eq!(board.modeled_requests_per_sec(), 0.0);
         assert_eq!(board.core_utilization(), 0.0);
         let cluster = ModeledClusterStats::default();
-        assert_eq!(cluster.modeled_us(), 0.0);
         assert_eq!(cluster.recovery_us(), 0.0);
         assert_eq!(cluster.hit_rate(), 0.0);
         // Cycles without a clock (freq 0) still answer finitely.
@@ -397,8 +348,6 @@ mod tests {
             recovery_cycles: 50,
             ..Default::default()
         };
-        assert_eq!(odd.modeled_us(), 0.0);
-        assert_eq!(odd.modeled_requests_per_sec(), 0.0);
         assert_eq!(odd.recovery_us(), 0.0);
         let busy_no_cores = ModeledBoardStats {
             modeled_cycles: 100,

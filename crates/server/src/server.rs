@@ -119,13 +119,16 @@ struct BoardModel {
     last_report: Option<PipelineReport>,
 }
 
+/// How the cluster model routes every flush: session→board key
+/// affinity with work stealing.
+const CLUSTER_POLICY: RoutingPolicy = RoutingPolicy::Affinity { steal: true };
+
 /// The cluster model attached by [`HeaxServer::with_cluster_model`]:
 /// every flush's fused IR stream is routed across N modeled boards and
 /// the routing outcome accumulates into [`ModeledClusterStats`].
 #[derive(Debug)]
 struct ClusterModel {
     config: ClusterConfig,
-    policy: RoutingPolicy,
     /// Injected fault schedule (empty = healthy cluster). Routed flushes
     /// go through the degradation-aware scheduler so crashes, slow
     /// boards and corrupted keys show up in the modeled figures.
@@ -284,8 +287,7 @@ impl<'a> HeaxServer<'a> {
     /// Builder option: attaches the multi-board cluster model —
     /// `num_boards` modeled HEAX boards of `num_cores` cores each
     /// behind the session-affinity router of [`heax_hw::cluster`]
-    /// (stealing enabled; override with
-    /// [`HeaxServer::with_routing_policy`]). Every subsequent flush
+    /// (stealing enabled). Every subsequent flush
     /// routes its fused IR stream — the exact stream the server
     /// executes — across the cluster; aggregates surface as
     /// [`ServerStats::cluster`] and the latest flush's full
@@ -314,22 +316,11 @@ impl<'a> HeaxServer<'a> {
         };
         self.cluster_model = Some(ClusterModel {
             config,
-            policy: RoutingPolicy::Affinity { steal: true },
             faults: FaultPlan::none(),
             stats,
             last_report: None,
         });
         Ok(self)
-    }
-
-    /// Builder option: the cluster model's routing policy (no effect
-    /// without [`HeaxServer::with_cluster_model`]).
-    #[must_use]
-    pub fn with_routing_policy(mut self, policy: RoutingPolicy) -> Self {
-        if let Some(m) = self.cluster_model.as_mut() {
-            m.policy = policy;
-        }
-        self
     }
 
     /// Builder option: a seeded fault schedule for the cluster model
@@ -810,7 +801,7 @@ impl<'a> HeaxServer<'a> {
             if let Ok(report) =
                 model
                     .config
-                    .schedule_stream_faulted(&plan.ops, model.policy, &model.faults)
+                    .schedule_stream_faulted(&plan.ops, CLUSTER_POLICY, &model.faults)
             {
                 let s = &mut model.stats;
                 s.flushes = s.flushes.saturating_add(1);

@@ -7,7 +7,7 @@
 //! registry makes that a **once-per-session** cost: clients upload keys
 //! when they connect, and every later request hits the cached keys. The
 //! seed deployment example paid that cost per request batch; the
-//! `bench_server` snapshot quantifies the difference.
+//! benchmark's `server.register_keys_us` row is what one upload costs.
 
 use std::collections::HashMap;
 
