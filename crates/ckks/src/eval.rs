@@ -127,11 +127,28 @@ impl<'a> Evaluator<'a> {
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CkksError> {
         self.check_pair(a, b)?;
         let (longer, shorter) = if a.size() >= b.size() { (a, b) } else { (b, a) };
-        let mut polys = longer.polys.clone();
-        for (dst, src) in polys.iter_mut().zip(&shorter.polys) {
+        let mut sum = longer.clone();
+        sum.scale = a.scale;
+        self.add_assign(&mut sum, shorter)?;
+        Ok(sum)
+    }
+
+    /// [`Evaluator::add`] into `a`, which keeps its scale: the sum of a
+    /// ciphertext the caller owns costs no copy of it. A `b` with more
+    /// components than `a` has lends it copies of the extra ones.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Evaluator::add`]; a level or scale mismatch leaves `a` as
+    /// it was.
+    pub fn add_assign(&self, a: &mut Ciphertext, b: &Ciphertext) -> Result<(), CkksError> {
+        self.check_pair(a, b)?;
+        for (dst, src) in a.polys.iter_mut().zip(&b.polys) {
             dst.add_assign_with(src, self.exec.as_ref())?;
         }
-        Ciphertext::from_parts(polys, a.level, a.scale)
+        let shared = a.size().min(b.size());
+        a.polys.extend_from_slice(&b.polys[shared..]);
+        Ok(())
     }
 
     /// Component-wise difference (`a - b`).
@@ -309,7 +326,7 @@ impl<'a> Evaluator<'a> {
         })?;
         let mut acc = first.clone();
         for ct in rest {
-            acc = self.add(&acc, ct)?;
+            self.add_assign(&mut acc, ct)?;
         }
         Ok(acc)
     }

@@ -22,10 +22,28 @@
 //! structured [`CkksError`] — never a panic or abort. The
 //! `adversarial_decode` proptest suite drives random corruption through
 //! each entry point to enforce this.
+//!
+//! # Every word moves once, in bulk
+//!
+//! There is one decoder and one encoder under all the entry points, and
+//! each touches a polynomial's words exactly once. Receiving, a
+//! [`PolyView`] borrows the frame; its modulus values are compared with
+//! the context's, whose `Modulus` entries are then borrowed rather than
+//! rebuilt, and each limb goes from the frame's bytes into a polynomial
+//! the caller owns — a recycled one on the `*_pooled` paths — through
+//! `heax_math::word`'s `decode_le_words`: a branch-free loop that copies
+//! and ORs `w >= p` over the limb, so a residue is **validated while it is
+//! copied**, at any position, with no early exit for hostile input to
+//! steer. Sending, the words are appended to the caller's buffer by
+//! `encode_le_words` after one `reserve` of the closed-form size. No
+//! allocation is sized by a wire field beyond a ciphertext's component
+//! count, which is at most 8: a decoded polynomial has the context's
+//! shape or is rejected before it is shaped.
 
 use heax_math::poly::{Representation, RnsPoly};
-use heax_math::sampling::EXPAND_SEED_LEN;
-use heax_math::word::Modulus;
+use heax_math::sampling::{expand_uniform_into, EXPAND_SEED_LEN};
+use heax_math::word::{encode_le_words, le_words_eq, Modulus};
+use heax_math::MathError;
 
 use crate::ciphertext::{Ciphertext, Plaintext, SeededCiphertext};
 use crate::context::CkksContext;
@@ -67,8 +85,8 @@ impl Tag {
     }
 }
 
-/// A growable little-endian writer over a borrowed buffer, so callers
-/// with a hot serialization path can reuse one allocation.
+/// A little-endian writer appending to a borrowed buffer, so a caller
+/// with a hot serialization path writes where the bytes are going.
 struct Writer<'b> {
     buf: &'b mut Vec<u8>,
 }
@@ -92,11 +110,18 @@ impl Writer<'_> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn words(&mut self, words: &[u64]) {
-        self.u64(words.len() as u64);
-        for &w in words {
-            self.u64(w);
+    fn poly(&mut self, poly: &RnsPoly) {
+        self.u64(poly.n() as u64);
+        self.u8(match poly.representation() {
+            Representation::Coefficient => 0,
+            Representation::Ntt => 1,
+        });
+        self.u64(poly.num_residues() as u64);
+        for m in poly.moduli() {
+            self.u64(m.value());
         }
+        self.u64(poly.data().len() as u64);
+        encode_le_words(poly.data(), self.buf);
     }
 }
 
@@ -167,19 +192,15 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.array()?))
     }
 
-    fn words(&mut self) -> Result<Vec<u64>, CkksError> {
+    /// A word count and that many little-endian words, left as the
+    /// bytes they arrived in. The count is bounded by the bytes actually
+    /// present, and nothing here or downstream sizes an allocation by it.
+    fn words(&mut self) -> Result<&'a [u8], CkksError> {
         let n = self.u64()? as usize;
-        // Bound the pre-allocation by the bytes actually present: a
-        // hostile length header must not reserve memory the message
-        // cannot back (8·n words must fit in the remaining buffer).
         if n > (self.buf.len() - self.pos) / 8 {
             return Err(Self::error("length field exceeds remaining bytes"));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        self.take(8 * n)
     }
 
     /// Reads a scale field, enforcing the same bound as parameter
@@ -194,6 +215,37 @@ impl<'a> Reader<'a> {
         Ok(scale)
     }
 
+    fn poly(&mut self) -> Result<PolyView<'a>, CkksError> {
+        let n = self.u64()? as usize;
+        let repr = match self.u8()? {
+            0 => Representation::Coefficient,
+            1 => Representation::Ntt,
+            _ => return Err(Self::error("bad representation tag")),
+        };
+        let moduli = self.words()?;
+        let words = self.words()?;
+        let expect = (moduli.len() / 8)
+            .checked_mul(n)
+            .and_then(|count| count.checked_mul(8))
+            .ok_or_else(|| Self::error("data length overflow"))?;
+        if words.len() != expect {
+            return Err(Self::error("data shorter than moduli require"));
+        }
+        Ok(PolyView {
+            n,
+            repr,
+            moduli,
+            words,
+        })
+    }
+
+    /// A key polynomial, decoded against the whole chain.
+    fn full_chain_poly(&mut self, ctx: &CkksContext) -> Result<RnsPoly, CkksError> {
+        let mut poly = blank_poly();
+        self.poly()?.decode_full_chain(ctx, &mut poly)?;
+        Ok(poly)
+    }
+
     fn finish(&self) -> Result<(), CkksError> {
         if self.pos != self.buf.len() {
             return Err(Self::error("trailing bytes"));
@@ -202,38 +254,162 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn write_poly(w: &mut Writer, poly: &RnsPoly) {
-    w.u64(poly.n() as u64);
-    w.u8(match poly.representation() {
-        Representation::Coefficient => 0,
-        Representation::Ntt => 1,
-    });
-    let moduli: Vec<u64> = poly.moduli().iter().map(Modulus::value).collect();
-    w.words(&moduli);
-    w.words(poly.data());
+/// A zero-copy view over one serialized polynomial: metadata is parsed and
+/// bounds-checked, but the modulus and limb words stay as borrowed
+/// little-endian bytes in the frame buffer until they are decoded — once,
+/// against the context's own moduli, into a polynomial the caller owns.
+#[derive(Clone, Debug)]
+pub struct PolyView<'a> {
+    n: usize,
+    repr: Representation,
+    moduli: &'a [u8],
+    words: &'a [u8],
 }
 
-fn read_poly(r: &mut Reader) -> Result<RnsPoly, CkksError> {
-    let n = r.u64()? as usize;
-    let repr = match r.u8()? {
-        0 => Representation::Coefficient,
-        1 => Representation::Ntt,
-        _ => return Err(Reader::error("bad representation tag")),
-    };
-    let moduli_vals = r.words()?;
-    let moduli: Result<Vec<Modulus>, _> = moduli_vals.iter().map(|&p| Modulus::new(p)).collect();
-    let moduli = moduli?;
-    let data = r.words()?;
-    // Residues must be canonical (< modulus).
-    for (i, m) in moduli.iter().enumerate() {
-        let chunk = data
-            .get(i * n..(i + 1) * n)
-            .ok_or_else(|| Reader::error("data shorter than moduli require"))?;
-        if chunk.iter().any(|&c| c >= m.value()) {
+impl PolyView<'_> {
+    /// Ring degree.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Number of RNS residues.
+    #[inline]
+    pub fn num_residues(&self) -> usize {
+        self.moduli.len() / 8
+    }
+
+    /// Representation tag.
+    #[inline]
+    pub fn representation(&self) -> Representation {
+        self.repr
+    }
+
+    /// Decodes the word at `(residue, index)` straight from the borrowed
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residue` or `index` is out of range (the view's shape is
+    /// already validated, so in-range access never fails).
+    #[inline]
+    pub fn word(&self, residue: usize, index: usize) -> u64 {
+        // heax-lint: allow(L2) -- documented `# Panics` precondition API, not a decode entry point
+        assert!(
+            residue < self.num_residues() && index < self.n,
+            "out of range"
+        );
+        let off = (residue * self.n + index) * 8;
+        // heax-lint: allow(L2) -- in range: the view's shape was bounds-checked at parse time
+        u64::from_le_bytes(self.words[off..off + 8].try_into().expect("8 bytes"))
+    }
+
+    /// The wire's modulus values.
+    fn modulus_values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.moduli
+            .as_chunks()
+            .0
+            .iter()
+            .map(|w| u64::from_le_bytes(*w))
+    }
+
+    /// Decodes a polynomial of a ciphertext or plaintext at `level` into
+    /// `dst`.
+    fn decode_at_level(
+        &self,
+        ctx: &CkksContext,
+        level: usize,
+        dst: &mut RnsPoly,
+    ) -> Result<(), CkksError> {
+        if self.n != ctx.n() {
+            return Err(Reader::error("ring degree mismatch"));
+        }
+        if level > ctx.max_level() || self.num_residues() != level + 1 {
+            return Err(Reader::error("level mismatch"));
+        }
+        self.decode_words(ctx.level_moduli(level), dst)
+    }
+
+    /// Decodes a key polynomial, which spans the whole chain, into `dst`.
+    fn decode_full_chain(&self, ctx: &CkksContext, dst: &mut RnsPoly) -> Result<(), CkksError> {
+        if self.n != ctx.n() || self.num_residues() != ctx.moduli().len() {
+            return Err(Reader::error("full-chain shape mismatch"));
+        }
+        self.decode_words(ctx.moduli(), dst)
+    }
+
+    /// The one pass over a polynomial's words on the receive path, for a
+    /// view of the context's degree and as many residues as `moduli`: the
+    /// wire's modulus values must be the context's, whose precomputed
+    /// [`Modulus`] entries are then borrowed; each limb is copied into
+    /// `dst` (reshaped to hold it) and checked canonical in the same
+    /// bulk loop.
+    fn decode_words(&self, moduli: &[Modulus], dst: &mut RnsPoly) -> Result<(), CkksError> {
+        if !self.modulus_values().eq(moduli.iter().map(Modulus::value)) {
+            return Err(Reader::error("modulus chain mismatch"));
+        }
+        dst.reshape(self.n, moduli, self.repr);
+        let limbs = self.words.chunks_exact(8 * self.n);
+        let mut canonical = true;
+        for ((m, src), limb) in moduli
+            .iter()
+            .zip(limbs)
+            .zip(dst.data_mut().chunks_exact_mut(self.n))
+        {
+            canonical &= m.decode_le_words(src, limb);
+        }
+        if !canonical {
             return Err(Reader::error("non-canonical residue"));
         }
+        Ok(())
     }
-    Ok(RnsPoly::from_data(n, &moduli, data, repr)?)
+
+    /// Whether decoding this view would reproduce `poly` word for word:
+    /// one bulk compare, no copy.
+    fn matches(&self, poly: &RnsPoly) -> bool {
+        self.n == poly.n()
+            && self.repr == poly.representation()
+            && self
+                .modulus_values()
+                .eq(poly.moduli().iter().map(Modulus::value))
+            && le_words_eq(self.words, poly.data())
+    }
+}
+
+/// A polynomial to decode into, which the decoder shapes: one that holds
+/// nothing yet.
+fn blank_poly() -> RnsPoly {
+    RnsPoly::zero(0, &[], Representation::Ntt)
+}
+
+/// A polynomial to decode into: a recycled one if the caller has any.
+fn take_poly(pool: &mut Vec<RnsPoly>) -> RnsPoly {
+    pool.pop().unwrap_or_else(blank_poly)
+}
+
+/// Decodes one component of a ciphertext at `level` — NTT form is how
+/// they travel — into a polynomial from `pool`, which gets it back on
+/// failure.
+fn decode_component(
+    view: &PolyView<'_>,
+    ctx: &CkksContext,
+    level: usize,
+    pool: &mut Vec<RnsPoly>,
+) -> Result<RnsPoly, CkksError> {
+    let mut poly = take_poly(pool);
+    let decoded = match view.decode_at_level(ctx, level, &mut poly) {
+        Ok(()) if view.repr != Representation::Ntt => {
+            Err(CkksError::Math(MathError::RepresentationMismatch))
+        }
+        decoded => decoded,
+    };
+    match decoded {
+        Ok(()) => Ok(poly),
+        Err(e) => {
+            pool.push(poly);
+            Err(e)
+        }
+    }
 }
 
 /// Serializes a plaintext.
@@ -252,7 +428,7 @@ pub fn serialize_plaintext_into(pt: &Plaintext, buf: &mut Vec<u8>) {
     w.header(Tag::Plaintext);
     w.u64(pt.level() as u64);
     w.f64(pt.scale());
-    write_poly(&mut w, pt.poly());
+    w.poly(pt.poly());
 }
 
 /// Deserializes a plaintext, validating against the context.
@@ -266,16 +442,17 @@ pub fn deserialize_plaintext(buf: &[u8], ctx: &CkksContext) -> Result<Plaintext,
     r.header(Tag::Plaintext)?;
     let level = r.u64()? as usize;
     let scale = r.scale()?;
-    let poly = read_poly(&mut r)?;
+    let view = r.poly()?;
     r.finish()?;
-    validate_poly(&poly, ctx, level)?;
+    let mut poly = blank_poly();
+    view.decode_at_level(ctx, level, &mut poly)?;
     Ok(Plaintext::from_parts(poly, level, scale))
 }
 
 /// Serializes a ciphertext.
 pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
     let mut buf = Vec::new();
-    serialize_ciphertext_into(ct, &mut buf);
+    serialize_ciphertext_append(ct, &mut buf);
     buf
 }
 
@@ -284,13 +461,26 @@ pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
 /// instead of allocating per message.
 pub fn serialize_ciphertext_into(ct: &Ciphertext, buf: &mut Vec<u8>) {
     buf.clear();
+    serialize_ciphertext_append(ct, buf);
+}
+
+/// [`serialize_ciphertext`] appended to what `buf` already holds — a frame
+/// header, earlier replies — after one `reserve` of the closed-form
+/// [`serialized_ciphertext_bytes`]: the words go from the ciphertext to
+/// the buffer they leave the process from in one bulk pass.
+pub fn serialize_ciphertext_append(ct: &Ciphertext, buf: &mut Vec<u8>) {
+    buf.reserve(serialized_ciphertext_bytes(
+        ct.n(),
+        ct.level() + 1,
+        ct.size(),
+    ));
     let mut w = Writer { buf };
     w.header(Tag::Ciphertext);
     w.u64(ct.level() as u64);
     w.f64(ct.scale());
     w.u64(ct.size() as u64);
     for c in ct.components() {
-        write_poly(&mut w, c);
+        w.poly(c);
     }
 }
 
@@ -301,24 +491,7 @@ pub fn serialize_ciphertext_into(ct: &Ciphertext, buf: &mut Vec<u8>) {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_ciphertext(buf: &[u8], ctx: &CkksContext) -> Result<Ciphertext, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::Ciphertext)?;
-    let level = r.u64()? as usize;
-    let scale = r.scale()?;
-    let size = r.u64()? as usize;
-    if !(2..=8).contains(&size) {
-        return Err(Reader::error("implausible component count"));
-    }
-    let mut polys = Vec::with_capacity(size);
-    for _ in 0..size {
-        let p = read_poly(&mut r)?;
-        validate_poly(&p, ctx, level)?;
-        polys.push(p);
-    }
-    r.finish()?;
-    let ct = Ciphertext::from_parts(polys, level, scale)?;
-    ct.validate(ctx)?;
-    Ok(ct)
+    CiphertextView::parse(buf)?.to_ciphertext(ctx)
 }
 
 /// Serializes a seeded ciphertext (tag 7): the `b` component plus the
@@ -339,7 +512,33 @@ pub fn serialize_seeded_ciphertext_into(ct: &SeededCiphertext, buf: &mut Vec<u8>
     w.u64(ct.level() as u64);
     w.f64(ct.scale());
     w.buf.extend_from_slice(ct.seed());
-    write_poly(&mut w, ct.b());
+    w.poly(ct.b());
+}
+
+/// The parsed, not yet decoded, fields of a seeded ciphertext.
+struct SeededView<'a> {
+    level: usize,
+    scale: f64,
+    seed: [u8; EXPAND_SEED_LEN],
+    b: PolyView<'a>,
+}
+
+impl<'a> SeededView<'a> {
+    fn parse(buf: &'a [u8]) -> Result<Self, CkksError> {
+        let mut r = Reader::new(buf);
+        r.header(Tag::SeededCiphertext)?;
+        let level = r.u64()? as usize;
+        let scale = r.scale()?;
+        let seed = r.array()?;
+        let b = r.poly()?;
+        r.finish()?;
+        Ok(Self {
+            level,
+            scale,
+            seed,
+            b,
+        })
+    }
 }
 
 /// Deserializes a seeded ciphertext, validating against the context. Call
@@ -354,129 +553,9 @@ pub fn deserialize_seeded_ciphertext(
     buf: &[u8],
     ctx: &CkksContext,
 ) -> Result<SeededCiphertext, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::SeededCiphertext)?;
-    let level = r.u64()? as usize;
-    let scale = r.scale()?;
-    let mut seed = [0u8; EXPAND_SEED_LEN];
-    seed.copy_from_slice(r.take(EXPAND_SEED_LEN)?);
-    let b = read_poly(&mut r)?;
-    r.finish()?;
-    validate_poly(&b, ctx, level)?;
-    SeededCiphertext::from_parts(b, seed, level, scale)
-}
-
-/// A zero-copy view over one serialized polynomial: metadata is parsed and
-/// bounds-checked, but the limb words stay as borrowed little-endian bytes
-/// in the frame buffer until they are actually needed.
-#[derive(Clone, Debug)]
-pub struct PolyView<'a> {
-    n: usize,
-    repr: Representation,
-    moduli: Vec<Modulus>,
-    words: &'a [u8],
-}
-
-impl PolyView<'_> {
-    /// Ring degree.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of RNS residues.
-    #[inline]
-    pub fn num_residues(&self) -> usize {
-        self.moduli.len()
-    }
-
-    /// Representation tag.
-    #[inline]
-    pub fn representation(&self) -> Representation {
-        self.repr
-    }
-
-    /// The modulus chain.
-    #[inline]
-    pub fn moduli(&self) -> &[Modulus] {
-        &self.moduli
-    }
-
-    /// Decodes the word at `(residue, index)` straight from the borrowed
-    /// buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `residue` or `index` is out of range (the view's shape is
-    /// already validated, so in-range access never fails).
-    #[inline]
-    pub fn word(&self, residue: usize, index: usize) -> u64 {
-        // heax-lint: allow(L2) -- documented `# Panics` precondition API, not a decode entry point
-        assert!(
-            residue < self.moduli.len() && index < self.n,
-            "out of range"
-        );
-        let off = (residue * self.n + index) * 8;
-        // heax-lint: allow(L2) -- in range: the view's shape was bounds-checked at parse time
-        u64::from_le_bytes(self.words[off..off + 8].try_into().expect("8 bytes"))
-    }
-
-    /// Materializes the view into an owned [`RnsPoly`], validating residue
-    /// canonicity in the same single pass that copies the words — the only
-    /// full traversal of the limb data on the receive path.
-    ///
-    /// # Errors
-    ///
-    /// [`CkksError::InvalidParameters`] on a non-canonical residue.
-    pub fn to_poly(&self) -> Result<RnsPoly, CkksError> {
-        let mut data = Vec::with_capacity(self.moduli.len() * self.n);
-        let mut limbs = self.words.chunks_exact(8);
-        for m in &self.moduli {
-            let bound = m.value();
-            for _ in 0..self.n {
-                let w = limbs
-                    .next()
-                    .and_then(|c| c.try_into().ok())
-                    .map(u64::from_le_bytes)
-                    .ok_or_else(|| Reader::error("truncated"))?;
-                if w >= bound {
-                    return Err(Reader::error("non-canonical residue"));
-                }
-                data.push(w);
-            }
-        }
-        Ok(RnsPoly::from_data(self.n, &self.moduli, data, self.repr)?)
-    }
-}
-
-fn read_poly_view<'a>(r: &mut Reader<'a>) -> Result<PolyView<'a>, CkksError> {
-    let n = r.u64()? as usize;
-    let repr = match r.u8()? {
-        0 => Representation::Coefficient,
-        1 => Representation::Ntt,
-        _ => return Err(Reader::error("bad representation tag")),
-    };
-    let moduli_vals = r.words()?;
-    let moduli: Result<Vec<Modulus>, _> = moduli_vals.iter().map(|&p| Modulus::new(p)).collect();
-    let moduli = moduli?;
-    let count = r.u64()? as usize;
-    let expect = moduli
-        .len()
-        .checked_mul(n)
-        .ok_or_else(|| Reader::error("data length overflow"))?;
-    if count != expect {
-        return Err(Reader::error("data shorter than moduli require"));
-    }
-    let byte_len = count
-        .checked_mul(8)
-        .ok_or_else(|| Reader::error("data length overflow"))?;
-    let words = r.take(byte_len)?;
-    Ok(PolyView {
-        n,
-        repr,
-        moduli,
-        words,
-    })
+    let view = SeededView::parse(buf)?;
+    let b = decode_component(&view.b, ctx, view.level, &mut Vec::new())?;
+    SeededCiphertext::from_parts(b, view.seed, view.level, view.scale)
 }
 
 /// A zero-copy view over a serialized ciphertext: level, scale, and
@@ -539,7 +618,7 @@ impl<'a> CiphertextView<'a> {
         }
         let mut components = Vec::with_capacity(size);
         for _ in 0..size {
-            components.push(read_poly_view(&mut r)?);
+            components.push(r.poly()?);
         }
         r.finish()?;
         Ok(Self {
@@ -587,15 +666,38 @@ impl<'a> CiphertextView<'a> {
     /// [`CkksError::InvalidParameters`] on context mismatch or
     /// non-canonical residues.
     pub fn to_ciphertext(&self, ctx: &CkksContext) -> Result<Ciphertext, CkksError> {
+        self.to_ciphertext_pooled(ctx, &mut Vec::new())
+    }
+
+    /// [`CiphertextView::to_ciphertext`] into polynomials popped off
+    /// `pool` (fresh ones once it is empty) — where a server puts the
+    /// components of the ciphertexts it is done with, so that steady
+    /// traffic decodes into memory it already owns. On failure every
+    /// polynomial taken is back in `pool`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CiphertextView::to_ciphertext`].
+    pub fn to_ciphertext_pooled(
+        &self,
+        ctx: &CkksContext,
+        pool: &mut Vec<RnsPoly>,
+    ) -> Result<Ciphertext, CkksError> {
         let mut polys = Vec::with_capacity(self.components.len());
         for view in &self.components {
-            let p = view.to_poly()?;
-            validate_poly(&p, ctx, self.level)?;
-            polys.push(p);
+            match decode_component(view, ctx, self.level, pool) {
+                Ok(poly) => polys.push(poly),
+                Err(e) => {
+                    pool.append(&mut polys);
+                    return Err(e);
+                }
+            }
         }
-        let ct = Ciphertext::from_parts(polys, self.level, self.scale)?;
-        ct.validate(ctx)?;
-        Ok(ct)
+        Ok(Ciphertext {
+            polys,
+            level: self.level,
+            scale: self.scale,
+        })
     }
 }
 
@@ -611,14 +713,59 @@ impl<'a> CiphertextView<'a> {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_operand(buf: &[u8], ctx: &CkksContext) -> Result<(Ciphertext, bool), CkksError> {
+    let (ct, seed) = deserialize_operand_pooled(buf, ctx, &mut Vec::new())?;
+    Ok((ct, seed.is_some()))
+}
+
+/// [`deserialize_operand`] into polynomials recycled through `pool` (see
+/// [`CiphertextView::to_ciphertext_pooled`]), returning the seed itself
+/// when the operand arrived seeded.
+///
+/// # Errors
+///
+/// Same as [`deserialize_operand`]; every polynomial taken is back in
+/// `pool`.
+pub fn deserialize_operand_pooled(
+    buf: &[u8],
+    ctx: &CkksContext,
+    pool: &mut Vec<RnsPoly>,
+) -> Result<(Ciphertext, Option<[u8; EXPAND_SEED_LEN]>), CkksError> {
     // Peek the object tag (byte 6) without committing to either decoder.
     match buf.get(5).copied().and_then(Tag::from_u8) {
         Some(Tag::SeededCiphertext) => {
-            let seeded = deserialize_seeded_ciphertext(buf, ctx)?;
-            Ok((seeded.expand(ctx)?, true))
+            let view = SeededView::parse(buf)?;
+            let b = decode_component(&view.b, ctx, view.level, pool)?;
+            let mut a = take_poly(pool);
+            a.reshape(b.n(), b.moduli(), Representation::Ntt);
+            expand_uniform_into(&view.seed, &mut a);
+            let ct = Ciphertext {
+                polys: vec![b, a],
+                level: view.level,
+                scale: view.scale,
+            };
+            Ok((ct, Some(view.seed)))
         }
-        _ => Ok((CiphertextView::parse(buf)?.to_ciphertext(ctx)?, false)),
+        _ => Ok((
+            CiphertextView::parse(buf)?.to_ciphertext_pooled(ctx, pool)?,
+            None,
+        )),
     }
+}
+
+/// Whether `buf` is a well-formed seeded operand that
+/// [`deserialize_operand_pooled`] would decode to exactly `ct`, given that
+/// `ct` was itself decoded from an operand carrying `seed`: same seed,
+/// level and scale, and a `b` polynomial equal to the decoded one — one
+/// bulk compare of the incoming bytes, no expansion of the seed. A server
+/// uses it to decode the shared input of a fan-out once.
+pub fn seeded_operand_matches(buf: &[u8], seed: &[u8; EXPAND_SEED_LEN], ct: &Ciphertext) -> bool {
+    let Ok(view) = SeededView::parse(buf) else {
+        return false;
+    };
+    view.seed == *seed
+        && view.level == ct.level()
+        && view.scale.to_bits() == ct.scale().to_bits()
+        && ct.components().first().is_some_and(|b| view.b.matches(b))
 }
 
 /// Closed-form serialized size of one polynomial with `limbs` residues at
@@ -644,7 +791,7 @@ pub fn serialize_secret_key(sk: &SecretKey) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut w = Writer { buf: &mut buf };
     w.header(Tag::SecretKey);
-    write_poly(&mut w, sk.poly());
+    w.poly(sk.poly());
     buf
 }
 
@@ -657,9 +804,8 @@ pub fn serialize_secret_key(sk: &SecretKey) -> Vec<u8> {
 pub fn deserialize_secret_key(buf: &[u8], ctx: &CkksContext) -> Result<SecretKey, CkksError> {
     let mut r = Reader::new(buf);
     r.header(Tag::SecretKey)?;
-    let poly = read_poly(&mut r)?;
+    let poly = r.full_chain_poly(ctx)?;
     r.finish()?;
-    validate_full_chain(&poly, ctx)?;
     Ok(SecretKey { poly })
 }
 
@@ -668,8 +814,8 @@ pub fn serialize_public_key(pk: &PublicKey) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut w = Writer { buf: &mut buf };
     w.header(Tag::PublicKey);
-    write_poly(&mut w, pk.b());
-    write_poly(&mut w, pk.a());
+    w.poly(pk.b());
+    w.poly(pk.a());
     buf
 }
 
@@ -682,11 +828,9 @@ pub fn serialize_public_key(pk: &PublicKey) -> Vec<u8> {
 pub fn deserialize_public_key(buf: &[u8], ctx: &CkksContext) -> Result<PublicKey, CkksError> {
     let mut r = Reader::new(buf);
     r.header(Tag::PublicKey)?;
-    let b = read_poly(&mut r)?;
-    let a = read_poly(&mut r)?;
+    let b = r.full_chain_poly(ctx)?;
+    let a = r.full_chain_poly(ctx)?;
     r.finish()?;
-    validate_full_chain(&b, ctx)?;
-    validate_full_chain(&a, ctx)?;
     Ok(PublicKey { b, a })
 }
 
@@ -698,8 +842,8 @@ pub fn serialize_ksk(ksk: &KeySwitchKey) -> Vec<u8> {
     w.u64(ksk.decomp_len() as u64);
     for i in 0..ksk.decomp_len() {
         let (b, a) = ksk.component(i);
-        write_poly(&mut w, b);
-        write_poly(&mut w, a);
+        w.poly(b);
+        w.poly(a);
     }
     buf
 }
@@ -719,10 +863,8 @@ pub fn deserialize_ksk(buf: &[u8], ctx: &CkksContext) -> Result<KeySwitchKey, Ck
     }
     let mut components = Vec::with_capacity(d);
     for _ in 0..d {
-        let b = read_poly(&mut r)?;
-        let a = read_poly(&mut r)?;
-        validate_full_chain(&b, ctx)?;
-        validate_full_chain(&a, ctx)?;
+        let b = r.full_chain_poly(ctx)?;
+        let a = r.full_chain_poly(ctx)?;
         components.push((b, a));
     }
     r.finish()?;
@@ -799,33 +941,6 @@ pub fn deserialize_relin_key(buf: &[u8], ctx: &CkksContext) -> Result<RelinKey, 
     Ok(RelinKey {
         ksk: deserialize_ksk(buf, ctx)?,
     })
-}
-
-fn validate_poly(poly: &RnsPoly, ctx: &CkksContext, level: usize) -> Result<(), CkksError> {
-    if poly.n() != ctx.n() {
-        return Err(Reader::error("ring degree mismatch"));
-    }
-    if level > ctx.max_level() || poly.num_residues() != level + 1 {
-        return Err(Reader::error("level mismatch"));
-    }
-    for (a, b) in poly.moduli().iter().zip(ctx.level_moduli(level)) {
-        if a.value() != b.value() {
-            return Err(Reader::error("modulus chain mismatch"));
-        }
-    }
-    Ok(())
-}
-
-fn validate_full_chain(poly: &RnsPoly, ctx: &CkksContext) -> Result<(), CkksError> {
-    if poly.n() != ctx.n() || poly.num_residues() != ctx.moduli().len() {
-        return Err(Reader::error("full-chain shape mismatch"));
-    }
-    for (a, b) in poly.moduli().iter().zip(ctx.moduli()) {
-        if a.value() != b.value() {
-            return Err(Reader::error("modulus chain mismatch"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

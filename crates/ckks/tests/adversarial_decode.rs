@@ -8,6 +8,9 @@
 //! send the object the server expects. CI runs this suite under both
 //! `HEAX_THREADS=1` and `HEAX_THREADS=4`.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -19,8 +22,8 @@ use heax_ckks::serialize::{
     serialize_seeded_ciphertext, CiphertextView,
 };
 use heax_ckks::{
-    encrypt_symmetric_seeded, CkksContext, CkksEncoder, CkksParams, Encryptor, GaloisKeys,
-    KeySwitchKey, PublicKey, RelinKey, SecretKey,
+    encrypt_symmetric, encrypt_symmetric_seeded, CkksContext, CkksEncoder, CkksParams, Encryptor,
+    GaloisKeys, KeySwitchKey, PublicKey, RelinKey, SecretKey,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -198,5 +201,99 @@ fn nan_scale_and_huge_lengths_are_structured_errors() {
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let _ = catch_unwind(AssertUnwindSafe(|| decode_all(&c.ctx, &bytes)))
             .unwrap_or_else(|_| panic!("panic with u64::MAX planted at offset {at}"));
+    }
+}
+
+/// The bulk decode pass checks canonicity with one OR-reduced compare per
+/// limb instead of a branch per word, so the verdict must not depend on
+/// where in a limb — which lane, which unrolled copy, the vector loop or
+/// its scalar remainder — the stray word sits. Rings of 8 and 16
+/// coefficients are all remainder or a single vector, so every position
+/// is planted; the 64-coefficient ring gets each limb's first word, last
+/// word and whole final vector. Both the smallest non-canonical value
+/// (`p` itself) and the largest are tried, through the owned, the view and
+/// the operand entry points, and each must fail with the one error the
+/// per-word loop gave.
+#[test]
+fn a_non_canonical_residue_is_rejected_wherever_it_sits() {
+    for n in [8usize, 16, 64] {
+        let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], n).unwrap();
+        let ctx =
+            CkksContext::new(CkksParams::new(n, chain, (1u64 << 32) as f64).unwrap()).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xCA40 + n as u64);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let pt = CkksEncoder::new(&ctx)
+            .encode_real(&[0.5], ctx.params().scale(), ctx.max_level())
+            .unwrap();
+        let ct = encrypt_symmetric(&ctx, &sk, &pt, &mut rng).unwrap();
+        let blob = serialize_ciphertext(&ct);
+        assert!(deserialize_ciphertext(&blob, &ctx).is_ok());
+
+        let limbs = ctx.max_level() + 1;
+        // header, level, scale, size; then per component n, repr, the
+        // modulus count and values, the word count, the words.
+        let poly_head = 8 + 1 + 8 + 8 * limbs + 8;
+        let poly_len = poly_head + 8 * limbs * n;
+        let word_at = |component: usize, limb: usize, index: usize| {
+            6 + 8 + 8 + 8 + component * poly_len + poly_head + 8 * (limb * n + index)
+        };
+        assert_eq!(word_at(1, limbs - 1, n - 1) + 8, blob.len());
+
+        let positions: Vec<usize> = if n <= 16 {
+            (0..n).collect()
+        } else {
+            [0].into_iter().chain(n - 8..n).collect()
+        };
+        for component in 0..2 {
+            for (limb, p) in ctx.level_moduli(ctx.max_level()).iter().enumerate() {
+                for &index in &positions {
+                    for stray in [p.value(), u64::MAX] {
+                        let mut bytes = blob.clone();
+                        let at = word_at(component, limb, index);
+                        bytes[at..at + 8].copy_from_slice(&stray.to_le_bytes());
+                        let errors = [
+                            deserialize_ciphertext(&bytes, &ctx).unwrap_err(),
+                            CiphertextView::parse(&bytes)
+                                .unwrap()
+                                .to_ciphertext(&ctx)
+                                .unwrap_err(),
+                            deserialize_operand(&bytes, &ctx).unwrap_err(),
+                        ];
+                        for e in errors {
+                            assert_eq!(
+                                e.to_string(),
+                                "invalid parameters: malformed serialized data: non-canonical residue",
+                                "n={n} component {component} limb {limb} word {index} = {stray}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A length field is only ever a claim about bytes that must already be
+/// there: whatever is planted in one, no decoder asks the allocator for
+/// more than the message itself weighs.
+#[test]
+fn a_hostile_length_field_reserves_nothing_the_message_does_not_back() {
+    let c = corpus();
+    for (name, blob) in &c.blobs {
+        for at in (0..blob.len() - 8).step_by(8).take(64) {
+            for huge in [u64::MAX, 1 << 40, 1 << 28, blob.len() as u64] {
+                let mut bytes = blob.clone();
+                bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+                let seen = counting_alloc::measure(|| {
+                    decode_all(&c.ctx, &bytes);
+                });
+                assert!(
+                    seen.largest <= blob.len() as u64,
+                    "{name}: {huge} planted at {at} made a decoder allocate {} B for a {} B message",
+                    seen.largest,
+                    blob.len()
+                );
+            }
+        }
     }
 }

@@ -11,10 +11,12 @@
 //! work-lists on the submitting thread by design and is exercised for
 //! correctness elsewhere).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::measure;
 use heax_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor, Evaluator, GaloisKeys, PublicKey,
     RelinKey, SecretKey,
@@ -24,71 +26,6 @@ use heax_math::poly::{Representation, RnsPoly};
 use heax_math::word::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes requested while counting.
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn record(bytes: usize) {
-        // `try_with` so allocations during TLS setup/teardown never recurse
-        // or abort; they simply go uncounted.
-        let _ = COUNTING.try_with(|c| {
-            if c.get() {
-                let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
-                let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
-            }
-        });
-    }
-}
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; `record()` only bumps a thread-local counter and never
-// allocates, so re-entrancy into the allocator is impossible.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::record(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::record(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::record(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with allocation counting enabled on this thread and returns
-/// how many heap allocations it performed.
-fn count_allocs<F: FnOnce()>(f: F) -> u64 {
-    count_allocs_and_bytes(f).0
-}
-
-/// [`count_allocs`] plus the bytes those allocations asked for.
-fn count_allocs_and_bytes<F: FnOnce()>(f: F) -> (u64, u64) {
-    ALLOCS.with(|a| a.set(0));
-    BYTES.with(|b| b.set(0));
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    (ALLOCS.with(|a| a.get()), BYTES.with(|b| b.get()))
-}
 
 struct Rig {
     ctx: CkksContext,
@@ -141,12 +78,13 @@ fn key_switch_into_is_allocation_free_after_warmup() {
     }
     let expected = eval.key_switch(target, r.rlk.ksk(), level).unwrap();
 
-    let allocs = count_allocs(|| {
+    let allocs = measure(|| {
         for _ in 0..5 {
             eval.key_switch_into(target, r.rlk.ksk(), level, &mut f0, &mut f1)
                 .unwrap();
         }
-    });
+    })
+    .count;
     assert_eq!(
         allocs, 0,
         "key_switch_into allocated {allocs} times after warm-up"
@@ -174,14 +112,15 @@ fn key_switch_into_is_allocation_free_across_levels_after_warmup() {
         .collect();
     // Building the cases warmed both levels, the lower one last, so the
     // counted passes start on a level change.
-    let allocs = count_allocs(|| {
+    let allocs = measure(|| {
         for _ in 0..3 {
             for (level, target, f0, f1, _) in &mut cases {
                 eval.key_switch_into(target, r.rlk.ksk(), *level, f0, f1)
                     .unwrap();
             }
         }
-    });
+    })
+    .count;
     assert_eq!(
         allocs,
         0,
@@ -201,9 +140,10 @@ fn key_switch_key_owns_its_residues_and_nothing_else() {
     // beside it.
     let r = rig();
     let ksk = r.rlk.ksk();
-    let (_, held) = count_allocs_and_bytes(|| {
+    let held = measure(|| {
         std::hint::black_box(ksk.clone());
-    });
+    })
+    .bytes;
     let residues = 8 * ksk.size_words();
     let polys = 2 * ksk.decomp_len();
     let moduli_lists = polys * r.ctx.moduli().len() * size_of::<Modulus>();
@@ -222,9 +162,10 @@ fn rotation_hot_path_allocates_only_outputs() {
     for _ in 0..2 {
         eval.rotate(&r.fresh, 1, &r.gks).unwrap();
     }
-    let allocs = count_allocs(|| {
+    let allocs = measure(|| {
         let _ = eval.rotate(&r.fresh, 1, &r.gks).unwrap();
-    });
+    })
+    .count;
     // 2 output polys × (data vec + moduli vec) + polys vec + slack for the
     // Ciphertext container — anything near the seed's O(k²) per-call
     // buffer churn (dozens) fails.

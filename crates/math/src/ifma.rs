@@ -53,10 +53,14 @@ impl Lanes {
     /// The transforms further need `n ≥ 16` (one two-register chunk); the
     /// element-wise kernels take any length and leave the tail.
     pub(crate) fn detect(modulus: &Modulus) -> Option<Self> {
-        (modulus.bits() <= WORD_BITS - 2
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512ifma"))
-        .then_some(Self(()))
+        (modulus.bits() <= WORD_BITS - 2 && Self::host()).then_some(Self(()))
+    }
+
+    /// The host half of the rule, which is all the bulk word loops of
+    /// [`crate::word`] need: they multiply nothing, so any modulus rides.
+    pub(crate) fn host() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
     }
 
     /// In-place forward transform, natural order in, bit-reversed out.

@@ -87,6 +87,19 @@ impl RnsPoly {
         })
     }
 
+    /// Reshapes the polynomial in place, keeping its allocations: a
+    /// recycled polynomial takes a new degree, basis and representation
+    /// without touching the heap when it is as large as it was. The residue
+    /// words are whatever was there (zeros where it grew), for the caller
+    /// to overwrite.
+    pub fn reshape(&mut self, n: usize, moduli: &[Modulus], repr: Representation) {
+        self.n = n;
+        self.moduli.clear();
+        self.moduli.extend_from_slice(moduli);
+        self.data.resize(n * moduli.len(), 0);
+        self.repr = repr;
+    }
+
     /// Ring degree.
     #[inline]
     pub fn n(&self) -> usize {
@@ -200,10 +213,7 @@ impl RnsPoly {
         self.check_compatible(other)?;
         let n = self.n;
         exec::for_each_limb(exec, &mut self.data, n, |i, dst| {
-            let p = &self.moduli[i];
-            for (d, &s) in dst.iter_mut().zip(other.residue(i)) {
-                *d = p.add_mod(*d, s);
-            }
+            self.moduli[i].add_assign_words(dst, other.residue(i));
         });
         Ok(())
     }

@@ -89,8 +89,15 @@ pub fn expand_uniform(
     moduli: &[Modulus],
     repr: Representation,
 ) -> RnsPoly {
-    let mut rng = ExpandRng::from_seed(seed);
-    sample_uniform(&mut rng, n, moduli, repr)
+    let mut out = RnsPoly::zero(n, moduli, repr);
+    expand_uniform_into(seed, &mut out);
+    out
+}
+
+/// [`expand_uniform`] over the degree and basis of `out`, whose words it
+/// overwrites — for a receiver that recycles its polynomials.
+pub fn expand_uniform_into(seed: &[u8; EXPAND_SEED_LEN], out: &mut RnsPoly) {
+    sample_uniform_into(&mut ExpandRng::from_seed(seed), out);
 }
 
 /// Number of bit pairs in the centered binomial error sampler.
@@ -107,8 +114,13 @@ pub fn sample_uniform<R: Rng + ?Sized>(
     repr: Representation,
 ) -> RnsPoly {
     let mut out = RnsPoly::zero(n, moduli, repr);
-    for (i, p) in moduli.iter().enumerate() {
-        let bound = p.value();
+    sample_uniform_into(rng, &mut out);
+    out
+}
+
+fn sample_uniform_into<R: Rng + ?Sized>(rng: &mut R, out: &mut RnsPoly) {
+    for i in 0..out.num_residues() {
+        let bound = out.moduli()[i].value();
         // Rejection sampling on the top range to avoid modulo bias.
         let zone = u64::MAX - u64::MAX % bound;
         for c in out.residue_mut(i) {
@@ -119,7 +131,6 @@ pub fn sample_uniform<R: Rng + ?Sized>(
             *c = v % bound;
         }
     }
-    out
 }
 
 /// Samples a ternary secret with coefficients in `{-1, 0, 1}`, replicated

@@ -18,6 +18,7 @@
 //! enforce the 52-bit bound of the 54-bit datapath.
 
 use core::fmt;
+use core::mem::MaybeUninit;
 
 #[cfg(target_arch = "x86_64")]
 use crate::ifma::Lanes;
@@ -619,6 +620,122 @@ impl Modulus {
             dst[t] = self.reduce_u128(addend as u128 + a[t] as u128 * b[t] as u128);
         }
     }
+}
+
+/// Bulk passes over a limb that multiply nothing: the wire codec's and
+/// `CKKS.Add`'s. Each is one safe, branch-free loop over whole words that
+/// the compiler turns into vector code. The two here hang on an unsigned
+/// 64-bit compare or minimum, which the baseline `x86_64` target has no
+/// vector form of, so the same loop is compiled a second time for 512-bit
+/// lanes and picked per call by the host half of the rule above, whatever
+/// the modulus. The `*_scalar` twins run the baseline build alone, for
+/// tests and timings; one source, so the builds agree word for word.
+impl Modulus {
+    /// `dst[t] ←` little-endian word `t` of `src`, and whether every one
+    /// of them is canonical (`< p`). All of `dst` is written either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `src` holds exactly eight bytes per word of `dst`.
+    #[must_use]
+    pub fn decode_le_words(&self, src: &[u8], dst: &mut [u64]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if Lanes::host() {
+            // SAFETY: `Lanes::host` just saw avx512f on this host.
+            return unsafe { decode_le_words_wide(self.value, src, dst) };
+        }
+        decode_le_words_loop(self.value, src, dst)
+    }
+
+    /// [`Modulus::decode_le_words`] on the baseline build alone.
+    #[must_use]
+    pub fn decode_le_words_scalar(&self, src: &[u8], dst: &mut [u64]) -> bool {
+        decode_le_words_loop(self.value, src, dst)
+    }
+
+    /// `a[t] ← a[t] + b[t] mod p` for canonical words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree.
+    pub fn add_assign_words(&self, a: &mut [u64], b: &[u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if Lanes::host() {
+            // SAFETY: `Lanes::host` just saw avx512f on this host.
+            return unsafe { add_assign_words_wide(self.value, a, b) };
+        }
+        add_assign_words_loop(self.value, a, b);
+    }
+
+    /// [`Modulus::add_assign_words`] on the baseline build alone.
+    pub fn add_assign_words_scalar(&self, a: &mut [u64], b: &[u64]) {
+        add_assign_words_loop(self.value, a, b);
+    }
+}
+
+#[inline(always)]
+fn decode_le_words_loop(p: u64, src: &[u8], dst: &mut [u64]) -> bool {
+    let (words, rest) = src.as_chunks::<8>();
+    assert!(
+        rest.is_empty() && words.len() == dst.len(),
+        "eight bytes per word"
+    );
+    let mut stray = false;
+    for (d, s) in dst.iter_mut().zip(words) {
+        *d = u64::from_le_bytes(*s);
+        stray |= *d >= p;
+    }
+    !stray
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn decode_le_words_wide(p: u64, src: &[u8], dst: &mut [u64]) -> bool {
+    decode_le_words_loop(p, src, dst)
+}
+
+#[inline(always)]
+fn add_assign_words_loop(p: u64, a: &mut [u64], b: &[u64]) {
+    assert_eq!(a.len(), b.len(), "slice lengths must agree");
+    for (x, &y) in a.iter_mut().zip(b) {
+        // The difference wraps above the sum exactly when the sum is
+        // already below p.
+        let sum = x.wrapping_add(y);
+        *x = sum.min(sum.wrapping_sub(p));
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn add_assign_words_wide(p: u64, a: &mut [u64], b: &[u64]) {
+    add_assign_words_loop(p, a, b);
+}
+
+/// Appends `words` to `out` as little-endian bytes, after one `reserve`.
+pub fn encode_le_words(words: &[u64], out: &mut Vec<u8>) {
+    let len = 8 * words.len();
+    out.reserve(len);
+    let (chunks, _) = out.spare_capacity_mut()[..len].as_chunks_mut::<8>();
+    for (d, w) in chunks.iter_mut().zip(words) {
+        *d = w.to_le_bytes().map(MaybeUninit::new);
+    }
+    // SAFETY: `reserve` made room for `len` more bytes, and the loop wrote
+    // every one of them: `len` is a whole number of 8-byte chunks, one per
+    // word.
+    unsafe { out.set_len(out.len() + len) }
+}
+
+/// Whether `bytes` is exactly the little-endian encoding of `words`.
+pub fn le_words_eq(bytes: &[u8], words: &[u64]) -> bool {
+    let (chunks, rest) = bytes.as_chunks::<8>();
+    if !rest.is_empty() || chunks.len() != words.len() {
+        return false;
+    }
+    let mut diff = 0;
+    for (c, &w) in chunks.iter().zip(words) {
+        diff |= u64::from_le_bytes(*c) ^ w;
+    }
+    diff == 0
 }
 
 #[cfg(test)]

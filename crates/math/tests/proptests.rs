@@ -4,7 +4,7 @@ use heax_math::ntt::{bit_reverse, AutoKernel, NttTable};
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::primes::{default_chain_bits, generate_ntt_primes, generate_prime_chain, is_prime};
 use heax_math::rns::RnsBasis;
-use heax_math::word::{Modulus, MulRedConstant};
+use heax_math::word::{encode_le_words, le_words_eq, Modulus, MulRedConstant};
 use proptest::prelude::*;
 
 fn arb_modulus() -> impl Strategy<Value = Modulus> {
@@ -444,6 +444,92 @@ fn elementwise_kernel_edge_cases() {
                 let just_below: Vec<u64> = random.iter().map(|&x| x >> 12 | 1 << 51).collect();
                 assert_elementwise_match_strict(&p, n, rows, &just_below, perm, Some(6));
             }
+        }
+    }
+}
+
+/// The bulk word loops of the wire codec and `CKKS.Add` — decode with the
+/// canonicity verdict, encode, compare, add — on whichever build the host
+/// dispatches to and on the baseline build by name, against the per-word
+/// definitions: every length from nothing to two vectors and a word (and
+/// a few longer ones), at every byte alignment, canonical words and one
+/// stray word at each position in turn.
+#[test]
+fn bulk_word_loops_match_their_scalar_twins_and_the_per_word_definitions() {
+    const LANES: usize = 8;
+    for bits in [30, 50, 61] {
+        let p = Modulus::new(generate_ntt_primes(bits, 1, 64).unwrap()[0]).unwrap();
+        // Past two vectors, lengths that run the unrolled vector loop and
+        // leave it a remainder.
+        for len in (0..=2 * LANES + 1).chain([64, 100, 257]) {
+            let canonical: Vec<u64> = words(p.value() ^ len as u64, len, |_| 0)
+                .iter()
+                .map(|&x| x % p.value())
+                .collect();
+            // `len` stands for "no stray word".
+            let everywhere = 0..=len;
+            let ends = [
+                0,
+                31,
+                32,
+                len / 2,
+                len.saturating_sub(9),
+                len.saturating_sub(1),
+                len,
+            ];
+            for stray_at in everywhere.filter(|t| len <= 2 * LANES + 1 || ends.contains(t)) {
+                let mut src = canonical.clone();
+                if stray_at < len {
+                    src[stray_at] = if stray_at % 2 == 0 {
+                        p.value()
+                    } else {
+                        u64::MAX
+                    };
+                }
+                for misalign in 0..8 {
+                    // Encode appends, whatever is there and however the
+                    // end of it is aligned.
+                    let mut bytes = vec![0xAB; misalign];
+                    encode_le_words(&src, &mut bytes);
+                    let per_word: Vec<u8> = src.iter().flat_map(|w| w.to_le_bytes()).collect();
+                    assert_eq!(&bytes[..misalign], &vec![0xAB; misalign][..]);
+                    let bytes = &bytes[misalign..];
+                    assert_eq!(bytes, per_word);
+
+                    let tag = format!("bits {bits} len {len} stray {stray_at} misalign {misalign}");
+                    let (mut got, mut twin) = (vec![u64::MAX; len], vec![u64::MAX; len]);
+                    let verdict = p.decode_le_words(bytes, &mut got);
+                    assert_eq!(verdict, p.decode_le_words_scalar(bytes, &mut twin), "{tag}");
+                    assert_eq!(verdict, stray_at == len, "{tag}");
+                    assert_eq!((&got, &twin), (&src, &src), "{tag}");
+
+                    assert!(le_words_eq(bytes, &src), "{tag}");
+                    if len > 0 {
+                        let mut other = src.clone();
+                        other[stray_at % len] ^= 1 << (stray_at % 64);
+                        assert!(!le_words_eq(bytes, &other), "{tag}");
+                        assert!(!le_words_eq(&bytes[1..], &src), "{tag}");
+                        assert!(!le_words_eq(bytes, &src[1..]), "{tag}");
+                    }
+                }
+            }
+            // Sums of canonical words, some wrapping past p and some not.
+            let b: Vec<u64> = canonical
+                .iter()
+                .enumerate()
+                .map(|(t, &x)| match t % 3 {
+                    0 => p.value() - 1 - x,
+                    1 => p.value() - 1,
+                    _ => p.neg_mod(x),
+                })
+                .collect();
+            let want: Vec<u64> = (canonical.iter().zip(&b))
+                .map(|(&x, &y)| p.add_mod(x, y))
+                .collect();
+            let (mut got, mut twin) = (canonical.clone(), canonical.clone());
+            p.add_assign_words(&mut got, &b);
+            p.add_assign_words_scalar(&mut twin, &b);
+            assert_eq!((&got, &twin), (&want, &want), "bits {bits} len {len}");
         }
     }
 }

@@ -12,13 +12,29 @@
 //! connection. A connection is a byte pipe, nothing more: frames may
 //! arrive fragmented at any byte boundary and replies are written in
 //! whatever chunks the socket accepts, with the remainder parked in a
-//! per-connection write ring until the peer drains it.
+//! per-connection write buffer until the peer drains it.
 //!
 //! Each [`NetServer::poll`] turn is one event-loop iteration: accept
 //! pending connections, read every readable connection into its
 //! [`FrameAssembler`], dispatch completed frames into the inner
 //! [`HeaxServer`], decide whether to flush the batch queue, and write
-//! pending reply bytes back out. The loop is single-threaded by
+//! pending reply bytes back out.
+//!
+//! ## One touch per stage
+//!
+//! A payload byte of a served request moves once per stage, and no
+//! stage allocates anything the size of a polynomial or a frame once
+//! the connection is warm. The kernel writes it into the connection's
+//! read buffer ([`FrameAssembler::read_from`]: the buffer is what
+//! `read` is handed, and a large frame is read to its exact end, so
+//! the next starts the drained buffer over and the same memory stays
+//! in cache). The frame is dispatched from where it lies
+//! ([`FrameAssembler::peek_frame`]); the engine validates and copies
+//! each limb, in one bulk pass, into a polynomial from its pool. A
+//! flush serializes each result ciphertext, behind its frame header,
+//! straight onto the submitting connection's write buffer
+//! ([`HeaxServer::flush_into`] with the event loop as the
+//! [`ReplySink`]), and the kernel reads it from there. The loop is single-threaded by
 //! design — parallelism lives *below* the server, in the executor's
 //! limb lanes — so driving it from a test, a binary, or a bench loop
 //! is the same `while … { poll() }`.
@@ -31,7 +47,7 @@
 //! deadline machinery uses when a queued request's budget runs out —
 //! one load-shedding vocabulary whether pressure shows up at the door
 //! or inside the batch. A connection whose peer stops reading
-//! (its write ring exceeding [`NetConfig::max_write_buffer`]) is
+//! (its write buffer exceeding [`NetConfig::max_write_buffer`]) is
 //! dropped rather than allowed to wedge the loop.
 //!
 //! ## The session-key LRU
@@ -66,7 +82,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 
 use crate::error::ErrorCode;
-use crate::server::HeaxServer;
+use crate::server::{HeaxServer, ReplySink};
 use crate::wire::{self, MessageKind, FRAME_HEADER_LEN, FRAME_MAGIC};
 
 /// Hard cap on a single frame's payload length accepted by the
@@ -79,124 +95,44 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
 /// Poller token reserved for the listening socket.
 const LISTENER_TOKEN: u64 = 0;
 
-/// Read-chunk size for draining a readable connection.
-const READ_CHUNK: usize = 16 * 1024;
+/// The capacity a connection's buffer starts at and comes back to, and
+/// the least room a read is offered. Control frames fit many times over;
+/// a buffer grows past it only while a peer has that much in flight.
+const BUFFER_FLOOR: usize = 64 * 1024;
 
-// ---------------------------------------------------------------------
-// Byte ring
-// ---------------------------------------------------------------------
+/// How many times in a row a buffer must drain having used under a quarter
+/// of itself before it shrinks.
+const SETTLE_AFTER: u32 = 64;
 
-/// A growable byte ring: bytes pushed at the tail, consumed at the
-/// head, no per-frame allocations on the steady-state path. Backs both
-/// directions of a connection — inbound bytes awaiting frame assembly
-/// and outbound reply bytes awaiting a writable socket.
+/// When a connection's buffer sheds capacity it has stopped using: every
+/// [`SETTLE_AFTER`] drains, a buffer more than four times what any of
+/// them filled comes down to twice that, or to [`BUFFER_FLOOR`]. Traffic
+/// that mixes frame sizes — a 256 KiB request, then three 50-byte ones —
+/// keeps the buffer its largest frames need and never reallocates; one
+/// 64 MiB key upload does not leave 64 MiB pinned on the connection.
 #[derive(Debug, Default)]
-pub struct RingBuf {
-    data: Vec<u8>,
-    head: usize,
-    len: usize,
+struct Settling {
+    /// Most bytes the buffer has held since the window began.
+    peak: usize,
+    /// Drains since the window began.
+    drains: u32,
 }
 
-impl RingBuf {
-    /// An empty ring (first push allocates).
-    pub fn new() -> Self {
-        RingBuf::default()
+impl Settling {
+    /// Notes that the buffer holds `bytes`.
+    fn holds(&mut self, bytes: usize) {
+        self.peak = self.peak.max(bytes);
     }
 
-    /// Bytes currently buffered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current allocation size.
-    pub fn capacity(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Re-linearizes into an allocation of at least `need` bytes.
-    fn grow(&mut self, need: usize) {
-        let mut cap = self.data.len().max(64);
-        while cap < need {
-            cap *= 2;
+    /// Notes that the buffer, of `capacity` bytes, just drained; at the
+    /// end of a window, what it should shrink to, if to anything.
+    fn drained(&mut self, capacity: usize) -> Option<usize> {
+        self.drains += 1;
+        if self.drains < SETTLE_AFTER {
+            return None;
         }
-        let mut fresh = vec![0u8; cap];
-        let copied = self.peek(&mut fresh[..self.len]);
-        debug_assert_eq!(copied, self.len);
-        self.data = fresh;
-        self.head = 0;
-    }
-
-    /// Appends `bytes` at the tail, growing as needed.
-    pub fn push_slice(&mut self, bytes: &[u8]) {
-        if bytes.is_empty() {
-            // Guards the tail computation below: a never-allocated
-            // ring has capacity 0, and an empty push must not reach
-            // the `% cap`.
-            return;
-        }
-        if self.len + bytes.len() > self.data.len() {
-            self.grow(self.len + bytes.len());
-        }
-        let cap = self.data.len();
-        let tail = (self.head + self.len) % cap;
-        let first = (cap - tail).min(bytes.len());
-        self.data[tail..tail + first].copy_from_slice(&bytes[..first]);
-        let rest = bytes.len() - first;
-        if rest > 0 {
-            self.data[..rest].copy_from_slice(&bytes[first..]);
-        }
-        self.len += bytes.len();
-    }
-
-    /// Copies up to `out.len()` bytes from the head without consuming;
-    /// returns the number copied.
-    pub fn peek(&self, out: &mut [u8]) -> usize {
-        let n = out.len().min(self.len);
-        if n == 0 {
-            return 0;
-        }
-        let cap = self.data.len();
-        let first = (cap - self.head).min(n);
-        out[..first].copy_from_slice(&self.data[self.head..self.head + first]);
-        if n > first {
-            out[first..n].copy_from_slice(&self.data[..n - first]);
-        }
-        n
-    }
-
-    /// The longest contiguous slice at the head (what one `write` call
-    /// can take without copying).
-    pub fn first_slice(&self) -> &[u8] {
-        let end = (self.head + self.len).min(self.data.len());
-        &self.data[self.head..end]
-    }
-
-    /// Drops up to `n` bytes from the head; returns the number dropped.
-    pub fn consume(&mut self, n: usize) -> usize {
-        let n = n.min(self.len);
-        if self.data.is_empty() {
-            return 0;
-        }
-        self.head = (self.head + n) % self.data.len();
-        self.len -= n;
-        if self.len == 0 {
-            self.head = 0;
-        }
-        n
-    }
-
-    /// Copies and consumes up to `n` bytes from the head.
-    pub fn take(&mut self, n: usize) -> Vec<u8> {
-        let n = n.min(self.len);
-        let mut out = vec![0u8; n];
-        self.peek(&mut out);
-        self.consume(n);
-        out
+        let peak = std::mem::take(self).peak;
+        (capacity > BUFFER_FLOOR && capacity / 4 > peak).then(|| (2 * peak).max(BUFFER_FLOOR))
     }
 }
 
@@ -235,7 +171,21 @@ impl std::fmt::Display for FrameIntakeError {
 impl std::error::Error for FrameIntakeError {}
 
 /// Incremental frame assembly over an arbitrarily fragmented byte
-/// stream: push whatever the socket produced, pop complete frames.
+/// stream: one linear buffer the socket reads straight into
+/// ([`FrameAssembler::read_from`]) and complete frames are lent out of
+/// ([`FrameAssembler::peek_frame`] / [`FrameAssembler::consume_frame`]),
+/// so a payload byte is written once, by the kernel, and decoded from
+/// where it landed. [`FrameAssembler::push`] and
+/// [`FrameAssembler::next_frame`] are the copy-in and copy-out forms of
+/// the same two steps.
+///
+/// Buffered bytes sit at `buf[head..tail]`. Consuming a frame advances
+/// `head`; room for more is found behind `tail`, by moving a partial
+/// frame back to the front when that frees enough and by growing
+/// otherwise — never by more than has already arrived (or the 64 KiB
+/// floor), so a header announcing 64 MiB reserves nothing its
+/// sender has not backed with bytes. A buffer that keeps draining far
+/// below its capacity shrinks (see `Settling`).
 ///
 /// The assembler validates only what framing needs — the magic and the
 /// payload-length bound. Version, kind, and body validation stay with
@@ -244,12 +194,16 @@ impl std::error::Error for FrameIntakeError {}
 /// on; only unframeable bytes kill the connection.
 ///
 /// Standalone (no socket) by design: the fragmentation proptests in
-/// `tests/net_props.rs` drive it byte-at-a-time and in random chunks
-/// and require the decoded requests to be identical to whole-buffer
-/// decoding.
+/// `tests/net_props.rs` drive it byte-at-a-time, in random chunks and
+/// through `read_from`, and require the frames lent out to be identical
+/// to the ones copied out and to whole-buffer decoding.
 #[derive(Debug)]
 pub struct FrameAssembler {
-    buf: RingBuf,
+    /// Initialized to its whole length, which is the capacity in use.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    settling: Settling,
     max_payload: u32,
 }
 
@@ -269,38 +223,91 @@ impl FrameAssembler {
     /// to exercise the oversize path cheaply).
     pub fn with_max_payload(max_payload: u32) -> Self {
         FrameAssembler {
-            buf: RingBuf::new(),
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            settling: Settling::default(),
             max_payload,
         }
     }
 
-    /// Feeds bytes received from the stream, in any fragmentation.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.push_slice(bytes);
-    }
-
     /// Bytes buffered but not yet returned as a complete frame.
     pub fn buffered(&self) -> usize {
+        self.tail - self.head
+    }
+
+    /// Bytes the buffer occupies, buffered or free.
+    pub fn capacity(&self) -> usize {
         self.buf.len()
     }
 
-    /// Pops the next complete frame, if one is fully buffered.
-    ///
-    /// `Ok(None)` means "need more bytes"; a complete frame is returned
-    /// with header and payload as one `Vec` (exactly what
-    /// [`HeaxServer::handle_frame`] expects).
+    /// `want` writable bytes behind the buffered ones — fewer when that
+    /// would more than double the buffer (a header's promise is not bytes
+    /// yet), though never fewer than [`BUFFER_FLOOR`].
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        let want = want.min(self.buf.len().max(BUFFER_FLOOR));
+        if self.buf.len() - self.tail < want {
+            let live = self.head..self.tail;
+            if self.buf.len() - live.len() >= want {
+                self.buf.copy_within(live.clone(), 0);
+            } else {
+                // A fresh zeroed allocation, not `resize`: pages nothing
+                // is ever read into stay untouched.
+                let room = (live.len() + want).max(2 * self.buf.len());
+                let mut grown = vec![0u8; room.max(BUFFER_FLOOR)];
+                grown[..live.len()].copy_from_slice(&self.buf[live.clone()]);
+                self.buf = grown;
+            }
+            (self.head, self.tail) = (0, live.len());
+        }
+        &mut self.buf[self.tail..][..want]
+    }
+
+    /// Counts the first `n` bytes of the last [`FrameAssembler::spare`]
+    /// as buffered.
+    fn commit(&mut self, n: usize) {
+        self.tail = (self.tail + n).min(self.buf.len());
+        self.settling.holds(self.tail);
+    }
+
+    /// Feeds bytes received from the stream, in any fragmentation.
+    pub fn push(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let spare = self.spare(bytes.len());
+            let (now, later) = bytes.split_at(spare.len());
+            spare.copy_from_slice(now);
+            self.commit(now.len());
+            bytes = later;
+        }
+    }
+
+    /// One `read` of `stream` straight into the buffer, offered exactly
+    /// the rest of the frame in progress when that is known and large, so
+    /// that the frame ends where the read does and the next one starts a
+    /// drained buffer over — the same few hundred KiB, still in cache,
+    /// whatever the peer has in flight — and 64 KiB otherwise:
+    /// a 256 KiB request costs two calls. Returns the bytes read; `Ok(0)`
+    /// is the stream's end.
     ///
     /// # Errors
     ///
-    /// [`FrameIntakeError`] when the buffered bytes cannot be the start
-    /// of a frame; the stream is beyond recovery and the connection
-    /// must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameIntakeError> {
-        if self.buf.len() < FRAME_HEADER_LEN {
+    /// Whatever `stream.read` reports, `WouldBlock` included.
+    pub fn read_from(&mut self, stream: &mut impl Read) -> io::Result<usize> {
+        let missing = match self.frame_len() {
+            Ok(Some(total)) => total.saturating_sub(self.buffered()),
+            _ => 0,
+        };
+        let n = stream.read(self.spare(missing.max(BUFFER_FLOOR)))?;
+        self.commit(n);
+        Ok(n)
+    }
+
+    /// The length of the frame at the head of the buffer, header
+    /// included, once its header is all there.
+    fn frame_len(&self) -> Result<Option<usize>, FrameIntakeError> {
+        let Some(header) = self.buf[self.head..self.tail].first_chunk::<FRAME_HEADER_LEN>() else {
             return Ok(None);
-        }
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.buf.peek(&mut header);
+        };
         if header[..4] != FRAME_MAGIC {
             return Err(FrameIntakeError::BadMagic);
         }
@@ -313,11 +320,54 @@ impl FrameAssembler {
                 max: self.max_payload,
             });
         }
-        let total = FRAME_HEADER_LEN + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
+        Ok(Some(FRAME_HEADER_LEN + len as usize))
+    }
+
+    /// Lends the next complete frame, header and payload as one slice
+    /// (exactly what [`HeaxServer::handle_frame`] expects), where it lies
+    /// in the buffer; it stays there until
+    /// [`FrameAssembler::consume_frame`]. `Ok(None)` means "need more
+    /// bytes".
+    ///
+    /// # Errors
+    ///
+    /// [`FrameIntakeError`] when the buffered bytes cannot be the start
+    /// of a frame; the stream is beyond recovery and the connection
+    /// must be dropped.
+    pub fn peek_frame(&self) -> Result<Option<&[u8]>, FrameIntakeError> {
+        Ok(self
+            .frame_len()?
+            .and_then(|total| self.buf[self.head..self.tail].get(..total)))
+    }
+
+    /// Drops the frame [`FrameAssembler::peek_frame`] lends (nothing, if
+    /// it lends none). Consuming the last buffered byte drains the
+    /// buffer, which is when it may shrink.
+    pub fn consume_frame(&mut self) {
+        let Ok(Some(frame)) = self.peek_frame() else {
+            return;
+        };
+        self.head += frame.len();
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+            if let Some(capacity) = self.settling.drained(self.buf.len()) {
+                self.buf.truncate(capacity);
+                self.buf.shrink_to_fit();
+            }
         }
-        Ok(Some(self.buf.take(total)))
+    }
+
+    /// Pops the next complete frame, if one is fully buffered, as an
+    /// owned copy: [`FrameAssembler::peek_frame`] then
+    /// [`FrameAssembler::consume_frame`].
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameAssembler::peek_frame`].
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameIntakeError> {
+        let frame = self.peek_frame()?.map(<[u8]>::to_vec);
+        self.consume_frame();
+        Ok(frame)
     }
 }
 
@@ -644,7 +694,7 @@ pub struct NetConfig {
     /// Queue-depth bound for request admission; requests arriving at a
     /// deeper queue are answered with a load-shed error frame.
     pub max_queue_depth: usize,
-    /// Per-connection write-ring cap: a peer that stops reading until
+    /// Per-connection write-buffer cap: a peer that stops reading until
     /// this many reply bytes pile up is dropped (stalled-reader
     /// containment).
     pub max_write_buffer: usize,
@@ -690,7 +740,7 @@ pub struct NetStats {
     /// Connections dropped for framing violations (bad magic, oversized
     /// frame), each answered first with a structured error frame.
     pub hostile_drops: u64,
-    /// Connections dropped because their write ring exceeded the cap
+    /// Connections dropped because their write buffer exceeded the cap
     /// (peer stopped reading).
     pub overflow_drops: u64,
     /// Complete frames assembled and dispatched.
@@ -756,11 +806,134 @@ struct Route {
 struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
-    out: RingBuf,
+    /// Reply bytes: `out[out_at..]` is still owed to the socket. Replies
+    /// are serialized onto its end; it empties when the socket catches
+    /// up, and sheds capacity by the assembler's rule.
+    out: Vec<u8>,
+    out_at: usize,
+    out_settling: Settling,
     /// Interest bits currently registered with the poller.
     interest: u32,
     /// Marked for reaping at the end of the poll turn.
     dying: bool,
+}
+
+impl Conn {
+    /// Reply bytes not yet written to the socket.
+    fn owed(&self) -> usize {
+        self.out.len() - self.out_at
+    }
+
+    /// Whether a reply of `len` more bytes may queue: the connection is
+    /// alive and the peer is not `max_write_buffer` behind on reading. A
+    /// stalled reader is marked for the axe here — containment is
+    /// dropping it, not buffering without bound. Refusals are counted as
+    /// orphaned replies.
+    fn admit_reply(&mut self, len: usize, max_write_buffer: usize, stats: &mut NetStats) -> bool {
+        if !self.dying && self.owed() + len > max_write_buffer {
+            self.dying = true;
+            stats.overflow_drops = stats.overflow_drops.saturating_add(1);
+        }
+        if self.dying {
+            stats.orphaned_replies = stats.orphaned_replies.saturating_add(1);
+            return false;
+        }
+        if self.out_at > 0 && self.out.len() + len > self.out.capacity() {
+            // Make room out of what was already written before growing.
+            self.out.drain(..self.out_at);
+            self.out_at = 0;
+        }
+        true
+    }
+
+    /// Re-arms the poller with `READABLE` (+ `WRITABLE` while output is
+    /// or, with `queueing`, is about to be pending), skipping the syscall
+    /// when nothing changed.
+    fn update_interest(&mut self, poller: &epoll::Poller, token: u64, queueing: bool) {
+        let want = if self.owed() > 0 || queueing {
+            epoll::READABLE | epoll::WRITABLE
+        } else {
+            epoll::READABLE
+        };
+        if want != self.interest && poller.modify(self.stream.as_raw_fd(), token, want).is_ok() {
+            self.interest = want;
+        }
+    }
+
+    /// Writes as much pending output as the socket takes.
+    fn write_ready(&mut self, poller: &epoll::Poller, token: u64, stats: &mut NetStats) {
+        while self.owed() > 0 {
+            let want = self.owed();
+            match self.stream.write(&self.out[self.out_at..]) {
+                Ok(0) => {
+                    self.dying = true;
+                    stats.disconnects = stats.disconnects.saturating_add(1);
+                    break;
+                }
+                Ok(n) => {
+                    stats.bytes_out = stats.bytes_out.saturating_add(n as u64);
+                    self.out_at += n;
+                    if n < want {
+                        stats.short_writes = stats.short_writes.saturating_add(1);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    stats.short_writes = stats.short_writes.saturating_add(1);
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dying = true;
+                    stats.disconnects = stats.disconnects.saturating_add(1);
+                    break;
+                }
+            }
+        }
+        if self.owed() == 0 && !self.out.is_empty() {
+            // Caught up: what queued since the buffer was last empty is
+            // how much of it was in use.
+            self.out_settling.holds(self.out.len());
+            self.out.clear();
+            self.out_at = 0;
+            if let Some(capacity) = self.out_settling.drained(self.out.capacity()) {
+                self.out.shrink_to(capacity);
+            }
+        }
+        self.update_interest(poller, token, false);
+    }
+}
+
+/// Routes the replies of one flush to the connections that submitted the
+/// requests, in queue order: [`HeaxServer::flush_into`] serializes each
+/// straight onto its connection's write buffer.
+struct Router<'r> {
+    conns: &'r mut HashMap<u64, Conn>,
+    pending: &'r mut VecDeque<Route>,
+    keys: &'r mut SessionKeyLru,
+    stats: &'r mut NetStats,
+    poller: &'r epoll::Poller,
+    max_write_buffer: usize,
+    routed: usize,
+}
+
+impl ReplySink for Router<'_> {
+    fn buffer_for(&mut self, _: usize, len: usize) -> Option<&mut Vec<u8>> {
+        // One route per queued request, submission order — the flush
+        // contract.
+        let route = self.pending.pop_front()?;
+        self.keys.end_request(route.session);
+        let Some(conn) = self.conns.get_mut(&route.token) else {
+            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
+            return None;
+        };
+        if !conn.admit_reply(len, self.max_write_buffer, self.stats) {
+            return None;
+        }
+        conn.update_interest(self.poller, route.token, true);
+        self.routed += 1;
+        self.stats.replies_routed = self.stats.replies_routed.saturating_add(1);
+        Some(&mut conn.out)
+    }
 }
 
 /// The nonblocking TCP runtime around a [`HeaxServer`] (see the module
@@ -873,7 +1046,9 @@ impl<'a> NetServer<'a> {
                     tick.frames = tick.frames.saturating_add(self.read_ready(ev.token));
                 }
                 if ev.is_writable() {
-                    self.write_ready(ev.token);
+                    if let Some(conn) = self.conns.get_mut(&ev.token) {
+                        conn.write_ready(&self.poller, ev.token, &mut self.stats);
+                    }
                 }
             }
         }
@@ -887,14 +1062,10 @@ impl<'a> NetServer<'a> {
             tick.flushed = true;
         }
         // Write pass: push out whatever the sockets will take now.
-        let writable: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.out.is_empty() && !c.dying)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in writable {
-            self.write_ready(token);
+        for (&token, conn) in &mut self.conns {
+            if conn.owed() > 0 && !conn.dying {
+                conn.write_ready(&self.poller, token, &mut self.stats);
+            }
         }
         tick.dropped = tick.dropped.saturating_add(self.reap());
         Ok(tick)
@@ -905,23 +1076,19 @@ impl<'a> NetServer<'a> {
     /// included in the count's complement, see
     /// [`NetStats::orphaned_replies`]).
     pub fn flush_now(&mut self) -> usize {
-        let replies = self.inner.flush();
-        if replies.is_empty() {
-            return 0;
-        }
-        self.stats.flushes = self.stats.flushes.saturating_add(1);
-        let mut routed = 0;
-        for reply in replies {
-            // One route per queued request, submission order — the
-            // flush contract.
-            let Some(route) = self.pending.pop_front() else {
-                break;
-            };
-            self.keys.end_request(route.session);
-            if self.enqueue_reply(route.token, &reply) {
-                routed += 1;
-                self.stats.replies_routed = self.stats.replies_routed.saturating_add(1);
-            }
+        let mut router = Router {
+            conns: &mut self.conns,
+            pending: &mut self.pending,
+            keys: &mut self.keys,
+            stats: &mut self.stats,
+            poller: &self.poller,
+            max_write_buffer: self.config.max_write_buffer,
+            routed: 0,
+        };
+        let answered = self.inner.flush_into(&mut router);
+        let routed = router.routed;
+        if answered > 0 {
+            self.stats.flushes = self.stats.flushes.saturating_add(1);
         }
         routed
     }
@@ -958,7 +1125,9 @@ impl<'a> NetServer<'a> {
                             assembler: FrameAssembler::with_max_payload(
                                 self.config.max_frame_payload,
                             ),
-                            out: RingBuf::new(),
+                            out: Vec::new(),
+                            out_at: 0,
+                            out_settling: Settling::default(),
                             interest: epoll::READABLE,
                             dying: false,
                         },
@@ -976,54 +1145,52 @@ impl<'a> NetServer<'a> {
         accepted
     }
 
-    /// Reads a readable connection to `WouldBlock`, assembles frames,
-    /// and dispatches each; returns the number of frames ingested.
+    /// Reads a readable connection to `WouldBlock`, straight into its
+    /// assembler, dispatching after every read the frames it completed
+    /// from where they lie there — before the next read lands on top of
+    /// them; returns the number of frames ingested.
     fn read_ready(&mut self, token: u64) -> usize {
-        let mut frames = Vec::new();
-        let mut hostile: Option<FrameIntakeError> = None;
-        {
+        let mut count = 0;
+        let mut hostile = None;
+        while hostile.is_none() {
             let Some(conn) = self.conns.get_mut(&token) else {
-                return 0;
+                return count;
             };
-            let mut buf = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.dying = true;
-                        self.stats.disconnects = self.stats.disconnects.saturating_add(1);
-                        break;
-                    }
-                    Ok(n) => {
-                        self.stats.bytes_in = self.stats.bytes_in.saturating_add(n as u64);
-                        conn.assembler.push(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dying = true;
-                        self.stats.disconnects = self.stats.disconnects.saturating_add(1);
-                        break;
-                    }
+            match conn.assembler.read_from(&mut conn.stream) {
+                Ok(0) => {
+                    conn.dying = true;
+                    self.stats.disconnects = self.stats.disconnects.saturating_add(1);
+                    break;
+                }
+                Ok(n) => self.stats.bytes_in = self.stats.bytes_in.saturating_add(n as u64),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    conn.dying = true;
+                    self.stats.disconnects = self.stats.disconnects.saturating_add(1);
+                    break;
                 }
             }
-            loop {
-                match conn.assembler.next_frame() {
-                    Ok(Some(frame)) => frames.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        hostile = Some(e);
-                        break;
-                    }
+            // The assembler leaves the connection while its frames are
+            // lent to the dispatcher, which needs the rest of `self`.
+            let mut assembler = std::mem::take(&mut conn.assembler);
+            hostile = loop {
+                match assembler.peek_frame() {
+                    Ok(Some(frame)) => self.dispatch(token, frame),
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
                 }
-            }
-            if hostile.is_none() && conn.assembler.buffered() > 0 {
-                self.stats.partial_frame_reads = self.stats.partial_frame_reads.saturating_add(1);
+                assembler.consume_frame();
+                count += 1;
+            };
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.assembler = assembler;
             }
         }
-        let count = frames.len();
         self.stats.frames_in = self.stats.frames_in.saturating_add(count as u64);
-        for frame in frames {
-            self.dispatch(token, &frame);
+        let partial = (self.conns.get(&token)).is_some_and(|c| c.assembler.buffered() > 0);
+        if hostile.is_none() && partial {
+            self.stats.partial_frame_reads = self.stats.partial_frame_reads.saturating_add(1);
         }
         if let Some(e) = hostile {
             // Structured error frame, then the axe: the stream is
@@ -1031,8 +1198,8 @@ impl<'a> NetServer<'a> {
             let payload = wire::encode_error(ErrorCode::Malformed, &e.to_string());
             let reply = wire::encode_frame(wire::WIRE_V1, MessageKind::Error, 0, 0, &payload);
             self.enqueue_reply(token, &reply);
-            self.write_ready(token);
             if let Some(conn) = self.conns.get_mut(&token) {
+                conn.write_ready(&self.poller, token, &mut self.stats);
                 conn.dying = true;
             }
             self.stats.hostile_drops = self.stats.hostile_drops.saturating_add(1);
@@ -1065,7 +1232,6 @@ impl<'a> NetServer<'a> {
                 } else {
                     KeyKind::Galois
                 };
-                let payload = decoded.payload.to_vec();
                 let Some(reply) = self.inner.handle_frame(frame) else {
                     return;
                 };
@@ -1076,7 +1242,7 @@ impl<'a> NetServer<'a> {
                     self.enqueue_reply(token, &reply);
                     return;
                 }
-                match self.keys.store(session, key_kind, &payload) {
+                match self.keys.store(session, key_kind, decoded.payload) {
                     Ok(evicted) => {
                         self.apply_evictions(&evicted);
                         self.enqueue_reply(token, &reply);
@@ -1186,102 +1352,31 @@ impl<'a> NetServer<'a> {
         wire::encode_frame(version, MessageKind::Error, session, request, &payload)
     }
 
-    /// Queues reply bytes on a connection's write ring; `false` when
+    /// Queues reply bytes on a connection's write buffer; `false` when
     /// the connection is gone or was dropped for overflow.
     fn enqueue_reply(&mut self, token: u64, bytes: &[u8]) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
             return false;
         };
-        if conn.dying {
-            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
+        if !conn.admit_reply(bytes.len(), self.config.max_write_buffer, &mut self.stats) {
             return false;
         }
-        if conn.out.len() + bytes.len() > self.config.max_write_buffer {
-            // Stalled reader: the peer owes us a read before it gets
-            // more replies; containment is dropping it, not buffering
-            // without bound.
-            conn.dying = true;
-            self.stats.overflow_drops = self.stats.overflow_drops.saturating_add(1);
-            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
-            return false;
-        }
-        conn.out.push_slice(bytes);
-        self.update_interest(token);
+        conn.out.extend_from_slice(bytes);
+        conn.update_interest(&self.poller, token, false);
         true
-    }
-
-    /// Writes as much pending output as the socket takes.
-    fn write_ready(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while !conn.out.is_empty() {
-            let slice = conn.out.first_slice();
-            let want = slice.len();
-            match conn.stream.write(slice) {
-                Ok(0) => {
-                    conn.dying = true;
-                    self.stats.disconnects = self.stats.disconnects.saturating_add(1);
-                    break;
-                }
-                Ok(n) => {
-                    self.stats.bytes_out = self.stats.bytes_out.saturating_add(n as u64);
-                    conn.out.consume(n);
-                    if n < want {
-                        self.stats.short_writes = self.stats.short_writes.saturating_add(1);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.stats.short_writes = self.stats.short_writes.saturating_add(1);
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dying = true;
-                    self.stats.disconnects = self.stats.disconnects.saturating_add(1);
-                    break;
-                }
-            }
-        }
-        self.update_interest(token);
-    }
-
-    /// Re-arms the poller with `READABLE` (+ `WRITABLE` while output is
-    /// pending), skipping the syscall when nothing changed.
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = if conn.out.is_empty() {
-            epoll::READABLE
-        } else {
-            epoll::READABLE | epoll::WRITABLE
-        };
-        if want != conn.interest
-            && self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_ok()
-        {
-            conn.interest = want;
-        }
     }
 
     /// Removes every connection marked dying; returns how many.
     fn reap(&mut self) -> usize {
-        let dead: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.dying)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in &dead {
-            if let Some(conn) = self.conns.remove(token) {
+        let before = self.conns.len();
+        self.conns.retain(|_, conn| {
+            if conn.dying {
                 let _ = self.poller.delete(conn.stream.as_raw_fd());
             }
-        }
-        dead.len()
+            !conn.dying
+        });
+        before - self.conns.len()
     }
 }
 
@@ -1289,55 +1384,112 @@ impl<'a> NetServer<'a> {
 mod tests {
     use super::*;
 
-    // ----- RingBuf -----
+    // ----- The linear buffer under FrameAssembler -----
 
-    #[test]
-    fn ringbuf_push_peek_consume_across_wraps() {
-        let mut rb = RingBuf::new();
-        assert!(rb.is_empty());
-        rb.push_slice(b"hello");
-        assert_eq!(rb.len(), 5);
-        let mut out = [0u8; 3];
-        assert_eq!(rb.peek(&mut out), 3);
-        assert_eq!(&out, b"hel");
-        assert_eq!(rb.consume(2), 2);
-        assert_eq!(rb.take(3), b"llo");
-        assert!(rb.is_empty());
-        // Force wrap-around: fill, drain half, refill past the seam.
-        let big = vec![7u8; 100];
-        rb.push_slice(&big);
-        rb.consume(90);
-        rb.push_slice(b"abcdefghij");
-        assert_eq!(rb.len(), 20);
-        let all = rb.take(20);
-        assert_eq!(&all[..10], &[7u8; 10]);
-        assert_eq!(&all[10..], b"abcdefghij");
-        // Totality: over-consume and over-take are clamped.
-        rb.push_slice(b"xy");
-        assert_eq!(rb.consume(99), 2);
-        assert_eq!(rb.take(99), b"");
+    /// A request frame around `payload`, its id telling frames apart.
+    fn frame(id: u64, payload: &[u8]) -> Vec<u8> {
+        wire::encode_frame(wire::WIRE_V2, MessageKind::Request, 1, id, payload)
     }
 
     #[test]
-    fn ringbuf_empty_push_is_a_no_op_even_before_first_allocation() {
-        let mut rb = RingBuf::new();
-        rb.push_slice(&[]);
-        assert!(rb.is_empty());
-        assert_eq!(rb.capacity(), 0);
-        rb.push_slice(b"abc");
-        rb.push_slice(&[]);
-        assert_eq!(rb.take(3), b"abc");
+    fn assembler_compaction_keeps_a_straddling_frame_whole() {
+        // Fill the buffer to the brim with frames, the last one cut short
+        // at the buffer's end; consuming the whole ones leaves it at the
+        // tail with no room behind it.
+        let whole = frame(1, &[7; 1000]);
+        let mut asm = FrameAssembler::new();
+        let mut sent = 0;
+        while asm.capacity() == 0 || sent + whole.len() <= asm.capacity() {
+            asm.push(&whole);
+            sent += whole.len();
+        }
+        let capacity = asm.capacity();
+        let straddler = frame(2, &[9; 1000]);
+        let cut = capacity - sent;
+        assert!(0 < cut && cut < straddler.len());
+        asm.push(&straddler[..cut]);
+        assert_eq!(asm.buffered(), capacity);
+        while let Some(f) = asm.peek_frame().unwrap() {
+            assert_eq!(f, whole);
+            asm.consume_frame();
+        }
+        assert_eq!(asm.buffered(), cut);
+        // The rest arrives: the partial frame moves to the front, the
+        // buffer does not grow, and the frame comes out whole.
+        asm.push(&straddler[cut..]);
+        assert_eq!(asm.capacity(), capacity);
+        assert_eq!(asm.next_frame().unwrap(), Some(straddler));
+        assert_eq!(asm.buffered(), 0);
+        // Totality: consuming with nothing lent is a no-op.
+        asm.consume_frame();
+        assert_eq!(asm.next_frame().unwrap(), None);
     }
 
     #[test]
-    fn ringbuf_growth_preserves_order() {
-        let mut rb = RingBuf::new();
-        for i in 0..1000u32 {
-            rb.push_slice(&i.to_le_bytes());
+    fn assembler_empty_push_is_a_no_op_even_before_first_allocation() {
+        let mut asm = FrameAssembler::new();
+        asm.push(&[]);
+        assert_eq!((asm.buffered(), asm.capacity()), (0, 0));
+        let f = frame(3, b"abc");
+        asm.push(&f);
+        asm.push(&[]);
+        assert_eq!(asm.capacity(), BUFFER_FLOOR);
+        assert_eq!(asm.next_frame().unwrap(), Some(f));
+    }
+
+    #[test]
+    fn assembler_growth_preserves_order() {
+        // Nothing is consumed until everything is in, so the buffer must
+        // grow, several times, around what it already holds.
+        let mut asm = FrameAssembler::new();
+        for i in 0..4000u64 {
+            asm.push(&frame(i, &i.to_le_bytes()));
         }
-        for i in 0..1000u32 {
-            assert_eq!(rb.take(4), i.to_le_bytes());
+        assert!(asm.capacity() > 2 * BUFFER_FLOOR);
+        for i in 0..4000u64 {
+            assert_eq!(asm.next_frame().unwrap(), Some(frame(i, &i.to_le_bytes())));
         }
+        assert_eq!(asm.buffered(), 0);
+    }
+
+    #[test]
+    fn a_buffer_sheds_capacity_it_has_stopped_using() {
+        // A 4 MiB upload grows the buffer; mixed traffic that keeps using
+        // it — large frames among small ones — keeps it, through any
+        // number of windows; small frames alone bring it home within two.
+        let mut asm = FrameAssembler::new();
+        let (upload, small) = (frame(1, &vec![1; 4 << 20]), frame(2, b"small"));
+        let serve = |asm: &mut FrameAssembler, f: &Vec<u8>| {
+            asm.push(f);
+            assert_eq!(asm.next_frame().unwrap().as_ref(), Some(f));
+            asm.capacity()
+        };
+        let grown = serve(&mut asm, &upload);
+        assert!(grown >= upload.len());
+        for i in 0..4 * SETTLE_AFTER {
+            let f = if i % 50 == 0 { &upload } else { &small };
+            assert_eq!(serve(&mut asm, f), grown, "in use: kept");
+        }
+        let after: Vec<usize> = (0..2 * SETTLE_AFTER)
+            .map(|_| serve(&mut asm, &small))
+            .collect();
+        assert_eq!(after.last(), Some(&BUFFER_FLOOR));
+        assert!(after.iter().all(|&c| c == grown || c == BUFFER_FLOOR));
+
+        // The rule itself, at the end of a window: keep up to 4x the use,
+        // else come down to 2x, never below the floor.
+        let settle = |capacity, peak| {
+            let mut settling = Settling {
+                peak,
+                drains: SETTLE_AFTER - 1,
+            };
+            settling.drained(capacity)
+        };
+        assert_eq!(settle(4 << 20, 1 << 20), None);
+        assert_eq!(settle(4 << 20, (1 << 20) - 1), Some((2 << 20) - 2));
+        assert_eq!(settle(4 << 20, 5), Some(BUFFER_FLOOR));
+        assert_eq!(settle(BUFFER_FLOOR, 0), None);
+        assert_eq!(Settling::default().drained(4 << 20), None, "mid-window");
     }
 
     // ----- FrameAssembler -----

@@ -64,7 +64,8 @@ use std::time::Instant;
 
 use heax_ckks::galois::galois_elt_from_step;
 use heax_ckks::serialize::{
-    deserialize_galois_keys, deserialize_operand, deserialize_relin_key, serialize_ciphertext_into,
+    deserialize_galois_keys, deserialize_operand_pooled, deserialize_relin_key,
+    seeded_operand_matches, serialize_ciphertext_append, serialized_ciphertext_bytes,
 };
 use heax_ckks::{Ciphertext, CkksContext, Evaluator};
 use heax_core::{HeaxAccelerator, HeaxSystem};
@@ -74,11 +75,13 @@ use heax_hw::faults::FaultPlan;
 use heax_hw::ir::{FusedStream, IrOp, OpKind, OpStream};
 use heax_hw::scheduler::{PipelineConfig, PipelineReport};
 use heax_math::exec::Executor;
+use heax_math::poly::RnsPoly;
+use heax_math::sampling::EXPAND_SEED_LEN;
 
 use crate::error::ServerError;
 use crate::metrics::{Metrics, ModeledBoardStats, ModeledClusterStats, ServerStats, SessionStats};
 use crate::session::SessionRegistry;
-use crate::wire::{self, Frame, MessageKind, OpCode, ReplyBody, WireOperand};
+use crate::wire::{self, Frame, MessageKind, OpCode, WireOperand, FRAME_HEADER_LEN};
 
 /// A decoded, validated request waiting for the next flush.
 #[derive(Debug)]
@@ -92,12 +95,19 @@ struct Pending {
     /// v2 compress-reply flag: modulus-switch a wire-returned result
     /// down to one RNS limb before serializing.
     compress_reply: bool,
+    park_as: Option<String>,
+    operands: Vec<Operand>,
+}
+
+impl Pending {
     /// Whether any inline operand arrived seeded (halved upload) —
     /// carried into the IR so the board models price the smaller
     /// host→board transfer.
-    seeded_input: bool,
-    park_as: Option<String>,
-    operands: Vec<Operand>,
+    fn seeded_input(&self) -> bool {
+        self.operands
+            .iter()
+            .any(|o| matches!(o, Operand::Inline { seed: Some(_), .. }))
+    }
 }
 
 /// A resolved-at-submit operand: inline ciphertexts are deserialized
@@ -105,8 +115,37 @@ struct Pending {
 /// parked handles are looked up lazily at execution time.
 #[derive(Debug)]
 enum Operand {
-    Inline(Ciphertext),
+    /// Decoded into polynomials out of the server's pool. The members of
+    /// a fan-out share the one decoding of their common input; `seed` is
+    /// the expansion seed of an operand that arrived seeded, which is
+    /// what the next member is recognized by.
+    Inline {
+        ct: Arc<Ciphertext>,
+        seed: Option<[u8; EXPAND_SEED_LEN]>,
+    },
     Parked(String),
+}
+
+/// Where [`HeaxServer::flush_into`] puts each reply.
+pub trait ReplySink {
+    /// The buffer the reply to the request at queue `position` (submission
+    /// order, from 0) is appended to, told the reply frame's exact `len`
+    /// before a byte of it is produced. `None` discards the reply; the
+    /// request has executed all the same (parking is a side effect).
+    fn buffer_for(&mut self, position: usize, len: usize) -> Option<&mut Vec<u8>>;
+}
+
+/// A request's result: a ciphertext the evaluator made, or — an `Add`
+/// sums into the inline operand it owns — the request's own first operand,
+/// whose polynomials go back to the pool with it.
+type Outcome = Result<Arc<Ciphertext>, ServerError>;
+
+/// What answers one flushed request, before it is framed.
+enum Reply<'p> {
+    Parked(&'p str),
+    Ciphertext(Arc<Ciphertext>),
+    /// An error payload.
+    Error(Vec<u8>),
 }
 
 /// The board model attached by [`HeaxServer::with_board_model`]: every
@@ -211,7 +250,12 @@ pub struct HeaxServer<'a> {
     cluster_model: Option<ClusterModel>,
     flush_policy: FlushPolicy,
     injector: Option<FaultInjector>,
-    scratch_out: Vec<u8>,
+    /// Polynomials of operands the server is done with, which the next
+    /// inline operands decode into.
+    pool: Vec<RnsPoly>,
+    /// Polynomials the queued requests' operands hold: what the pool keeps
+    /// after their flush, so it is no larger than one flush's demand.
+    pool_taken: usize,
 }
 
 impl<'a> HeaxServer<'a> {
@@ -243,7 +287,8 @@ impl<'a> HeaxServer<'a> {
             cluster_model: None,
             flush_policy: FlushPolicy::default(),
             injector: None,
-            scratch_out: Vec::new(),
+            pool: Vec::new(),
+            pool_taken: 0,
         }
     }
 
@@ -419,7 +464,7 @@ impl<'a> HeaxServer<'a> {
             Err(e) => (wire::WIRE_V1, 0, 0, Err(e)),
         };
         match outcome {
-            Ok(reply) => reply.inspect(|frame| self.note_out(session, frame)),
+            Ok(reply) => reply.inspect(|frame| self.note_out(session, frame.len())),
             Err(e) => {
                 if matches!(e, ServerError::Malformed { .. }) {
                     self.metrics.decode_errors = self.metrics.decode_errors.saturating_add(1);
@@ -506,26 +551,21 @@ impl<'a> HeaxServer<'a> {
         self.sessions.get(frame.session)?;
         let req = wire::decode_request(frame.payload, frame.version)?;
         let mut operands = Vec::with_capacity(req.operands.len());
-        let mut seeded_input = false;
         for operand in &req.operands {
-            operands.push(match operand {
-                // Inline ciphertexts are decoded (and validated against
-                // the context) at intake, so a malformed operand fails
-                // here with a structured error instead of poisoning the
-                // batch. `deserialize_operand` takes the zero-copy view
-                // path for full ciphertexts and re-expands the uniform
-                // polynomial for seeded ones.
-                WireOperand::Inline(bytes) => {
-                    let (ct, seeded) = deserialize_operand(bytes, self.ctx)?;
-                    if seeded {
-                        seeded_input = true;
-                        self.metrics.seeded_operands =
-                            self.metrics.seeded_operands.saturating_add(1);
-                    }
-                    Operand::Inline(ct)
+            // Inline ciphertexts are decoded (and validated against the
+            // context) at intake, so a malformed operand fails here with
+            // a structured error instead of poisoning the batch.
+            let decoded = match operand {
+                WireOperand::Inline(bytes) => self.intake_inline(frame.session, req.op, bytes),
+                WireOperand::Parked(name) => Ok(Operand::Parked((*name).to_string())),
+            };
+            match decoded {
+                Ok(operand) => operands.push(operand),
+                Err(e) => {
+                    self.recycle_operands(operands);
+                    return Err(e);
                 }
-                WireOperand::Parked(name) => Operand::Parked((*name).to_string()),
-            });
+            }
         }
         let sess = self.sessions.get_mut(frame.session)?;
         sess.stats.requests = sess.stats.requests.saturating_add(1);
@@ -536,12 +576,74 @@ impl<'a> HeaxServer<'a> {
             op: req.op,
             step: req.step,
             compress_reply: req.compress_reply,
-            seeded_input,
             park_as: req.park_as.map(str::to_string),
             operands,
         });
         self.metrics.queue_high_water = self.metrics.queue_high_water.max(self.queue.len());
         Ok(())
+    }
+
+    /// Decodes one inline operand into polynomials from the pool: the
+    /// zero-copy view path for full ciphertexts, the uniform polynomial
+    /// re-expanded for seeded ones.
+    fn intake_inline(
+        &mut self,
+        session: u64,
+        op: OpCode,
+        bytes: &[u8],
+    ) -> Result<Operand, ServerError> {
+        // A fan-out sends its one seeded input under every `Rotate`: when
+        // the session's previous request is a rotation of these very
+        // bytes, share its decoding instead of expanding the seed again.
+        if op == OpCode::Rotate {
+            let previous = self.queue.iter().rev().find(|p| p.session == session);
+            if let Some(Operand::Inline {
+                ct,
+                seed: Some(seed),
+            }) = previous
+                .filter(|p| p.op == OpCode::Rotate)
+                .and_then(|p| p.operands.first())
+            {
+                if seeded_operand_matches(bytes, seed, ct) {
+                    self.metrics.seeded_operands = self.metrics.seeded_operands.saturating_add(1);
+                    return Ok(Operand::Inline {
+                        ct: Arc::clone(ct),
+                        seed: Some(*seed),
+                    });
+                }
+            }
+        }
+        let (ct, seed) = deserialize_operand_pooled(bytes, self.ctx, &mut self.pool)?;
+        self.pool_taken += ct.size();
+        if seed.is_some() {
+            self.metrics.seeded_operands = self.metrics.seeded_operands.saturating_add(1);
+        }
+        Ok(Operand::Inline {
+            ct: Arc::new(ct),
+            seed,
+        })
+    }
+
+    /// Returns a ciphertext's polynomials to the pool.
+    fn recycle(&mut self, ct: Ciphertext) {
+        self.pool.extend(ct.into_components());
+    }
+
+    /// Returns to the pool the inline operands nothing else shares.
+    fn recycle_operands(&mut self, operands: Vec<Operand>) {
+        for operand in operands {
+            if let Operand::Inline { ct, .. } = operand {
+                if let Some(ct) = Arc::into_inner(ct) {
+                    self.recycle(ct);
+                }
+            }
+        }
+    }
+
+    /// Polynomials waiting in the pool (introspection/tests): after a
+    /// flush, what its requests' inline operands held.
+    pub fn pooled_polys(&self) -> usize {
+        self.pool.len()
     }
 
     /// Requests currently waiting for a flush.
@@ -604,8 +706,7 @@ impl<'a> HeaxServer<'a> {
     /// inline inputs carry identity ids, handle write→read edges become
     /// dependency edges.
     pub fn queued_stream(&self) -> OpStream {
-        let items: Vec<&Pending> = self.queue.iter().collect();
-        lower_ops(&items)
+        lower_ops(self.queue.iter())
     }
 
     /// The fused IR plan of the currently queued requests:
@@ -618,7 +719,26 @@ impl<'a> HeaxServer<'a> {
     }
 
     /// Executes every queued request as one batch and returns a response
-    /// frame per request, in submission order.
+    /// frame per request, in submission order:
+    /// [`HeaxServer::flush_into`] with a fresh buffer per reply.
+    pub fn flush(&mut self) -> Vec<Vec<u8>> {
+        struct Fresh(Vec<Vec<u8>>);
+        impl ReplySink for Fresh {
+            fn buffer_for(&mut self, _: usize, len: usize) -> Option<&mut Vec<u8>> {
+                self.0.push(Vec::with_capacity(len));
+                self.0.last_mut()
+            }
+        }
+        let mut replies = Fresh(Vec::with_capacity(self.queue.len()));
+        self.flush_into(&mut replies);
+        replies.0
+    }
+
+    /// Executes every queued request as one batch and appends a response
+    /// frame per request, in submission order, to the buffer `sink` names
+    /// for it — a result ciphertext is serialized once, behind its frame
+    /// header, into the bytes that leave the process. Returns how many
+    /// requests were answered.
     ///
     /// The pipeline is lower → fuse → execute → model: requests lower
     /// into the shared IR ([`heax_hw::ir`]), the rotation-fusion pass
@@ -629,19 +749,21 @@ impl<'a> HeaxServer<'a> {
     /// position), and the very same stream is handed to the board
     /// and/or cluster models afterwards. No model-only stream is ever
     /// reconstructed.
-    pub fn flush(&mut self) -> Vec<Vec<u8>> {
-        let items: Vec<Pending> = self.queue.drain(..).collect();
-        if items.is_empty() {
-            return Vec::new();
+    pub fn flush_into(&mut self, sink: &mut impl ReplySink) -> usize {
+        if self.queue.is_empty() {
+            return 0;
         }
+        // The queue's own allocation holds the batch and goes back, empty,
+        // when the batch is done.
+        let mut queue = std::mem::take(&mut self.queue);
+        let items = queue.make_contiguous();
         self.metrics.batches = self.metrics.batches.saturating_add(1);
         self.metrics.batched_requests = self
             .metrics
             .batched_requests
             .saturating_add(items.len() as u64);
 
-        let refs: Vec<&Pending> = items.iter().collect();
-        let plan = lower_ops(&refs).fuse_rotations();
+        let plan = lower_ops(items.iter()).fuse_rotations();
         // A fused group executes at its first member's queue position
         // (the IR pass guarantees first members are group minima), so
         // in-order reply semantics and handle visibility hold.
@@ -652,9 +774,7 @@ impl<'a> HeaxServer<'a> {
             .map(|(fused, members)| (members[0], fused))
             .collect();
 
-        let mut results: Vec<Option<Result<Ciphertext, ServerError>>> =
-            (0..items.len()).map(|_| None).collect();
-        let mut replies = Vec::with_capacity(items.len());
+        let mut results: Vec<Option<Outcome>> = (0..items.len()).map(|_| None).collect();
         for idx in 0..items.len() {
             // Execute (a fused group executes when its first member is
             // reached and pre-fills every member's slot). Each execution
@@ -682,12 +802,12 @@ impl<'a> HeaxServer<'a> {
                 } else {
                     let start = Instant::now();
                     if items[idx].op == OpCode::Rotate {
-                        self.exec_rotate_group(&items, members, &mut results);
+                        self.exec_rotate_group(items, members, &mut results);
                         let stats = self.metrics.op_mut(OpCode::Rotate);
                         stats.requests = stats.requests.saturating_add(members.len() as u64);
                         stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
                     } else {
-                        let outcome = self.exec_single(&items[idx]);
+                        let outcome = self.exec_single(&mut items[idx]);
                         let stats = self.metrics.op_mut(items[idx].op);
                         stats.requests = stats.requests.saturating_add(1);
                         stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
@@ -695,29 +815,21 @@ impl<'a> HeaxServer<'a> {
                     }
                 }
             }
-            // Park or serialize, then frame the reply. Parking happens
+            // Park or serialize, framing the reply. Parking happens
             // here — at the request's queue position — so a handle is
             // visible to every later request in the same flush.
-            let it = &items[idx];
             let outcome = results[idx].take().expect("slot filled by executor");
-            let frame = match self.finish_request(it, outcome) {
-                Ok(frame) => {
-                    self.note_out(it.session, &frame);
-                    frame
-                }
-                Err(e) => {
-                    let op = self.metrics.op_mut(it.op);
-                    op.errors = op.errors.saturating_add(1);
-                    if let Ok(sess) = self.sessions.get_mut(it.session) {
-                        sess.stats.errors = sess.stats.errors.saturating_add(1);
-                    }
-                    self.error_frame(it.version, it.session, it.request, &e)
-                }
-            };
-            replies.push(frame);
+            self.finish_request(&items[idx], idx, outcome, sink);
         }
-        self.model_flush(&items, &plan);
-        replies
+        self.model_flush(items, &plan);
+        let answered = items.len();
+        for it in queue.drain(..) {
+            self.recycle_operands(it.operands);
+        }
+        self.pool.truncate(self.pool_taken);
+        self.pool_taken = 0;
+        self.queue = queue;
+        answered
     }
 
     /// Runs the flush retry policy for one execution site: draws
@@ -844,14 +956,54 @@ impl<'a> HeaxServer<'a> {
         }
     }
 
-    /// Parks or serializes one successful result into a complete
-    /// response frame (written in one pass — the result bytes are
-    /// copied exactly once).
+    /// Answers one executed request: accounts the reply, then writes it —
+    /// header, tag and body, a result ciphertext serialized in place — into
+    /// the buffer the sink names for it, if it names one.
     fn finish_request(
         &mut self,
         it: &Pending,
-        outcome: Result<Ciphertext, ServerError>,
-    ) -> Result<Vec<u8>, ServerError> {
+        position: usize,
+        outcome: Outcome,
+        sink: &mut impl ReplySink,
+    ) {
+        let reply = self.settle(it, outcome).unwrap_or_else(|e| {
+            let op = self.metrics.op_mut(it.op);
+            op.errors = op.errors.saturating_add(1);
+            if let Ok(sess) = self.sessions.get_mut(it.session) {
+                sess.stats.errors = sess.stats.errors.saturating_add(1);
+            }
+            Reply::Error(wire::encode_error(e.code(), &e.to_string()))
+        });
+        let body = match &reply {
+            Reply::Parked(name) => name.len(),
+            Reply::Ciphertext(ct) => serialized_ciphertext_bytes(ct.n(), ct.level() + 1, ct.size()),
+            Reply::Error(payload) => payload.len(),
+        };
+        let len = match &reply {
+            Reply::Error(_) => FRAME_HEADER_LEN + body,
+            _ => wire::response_frame_len(body),
+        };
+        self.note_out(it.session, len);
+        let (version, session, request) = (it.version, it.session, it.request);
+        if let Some(out) = sink.buffer_for(position, len) {
+            match &reply {
+                Reply::Parked(name) => {
+                    wire::append_response_head(version, session, request, false, body, out);
+                    out.extend_from_slice(name.as_bytes());
+                }
+                Reply::Ciphertext(ct) => {
+                    wire::append_response_head(version, session, request, true, body, out);
+                    serialize_ciphertext_append(ct, out);
+                }
+                Reply::Error(payload) => {
+                    wire::append_frame(version, MessageKind::Error, session, request, payload, out);
+                }
+            }
+        }
+    }
+
+    /// Parks one successful result, or readies it for the wire.
+    fn settle<'p>(&mut self, it: &'p Pending, outcome: Outcome) -> Result<Reply<'p>, ServerError> {
         let mut ct = outcome?;
         match &it.park_as {
             Some(name) => {
@@ -861,36 +1013,26 @@ impl<'a> HeaxServer<'a> {
                 // session ids are never reused, so nothing could release
                 // it afterwards.
                 self.sessions.get(it.session)?;
-                self.system.store(&scoped(it.session, name), ct)?;
+                self.system
+                    .store(&scoped(it.session, name), Arc::unwrap_or_clone(ct))?;
                 let sess = self.sessions.get_mut(it.session)?;
                 if !sess.parked.contains(name) {
                     sess.parked.push(name.clone());
                 }
-                Ok(wire::encode_response_frame(
-                    it.version,
-                    it.session,
-                    it.request,
-                    &ReplyBody::Parked(name),
-                ))
+                Ok(Reply::Parked(name))
             }
             None => {
                 // v2 compress-reply: the client only needs decrypt-level
                 // precision, so drop every limb above the last before
                 // serializing — the board→host leg shrinks by ~k×.
                 if it.compress_reply && ct.level() > 0 {
-                    ct = self.eval.mod_switch_to_level(&ct, 0)?;
+                    ct = Arc::new(self.eval.mod_switch_to_level(&ct, 0)?);
                 }
                 if it.compress_reply {
                     self.metrics.compressed_replies =
                         self.metrics.compressed_replies.saturating_add(1);
                 }
-                serialize_ciphertext_into(&ct, &mut self.scratch_out);
-                Ok(wire::encode_response_frame(
-                    it.version,
-                    it.session,
-                    it.request,
-                    &ReplyBody::Ciphertext(&self.scratch_out),
-                ))
+                Ok(Reply::Ciphertext(ct))
             }
         }
     }
@@ -902,7 +1044,7 @@ impl<'a> HeaxServer<'a> {
         operand: &'s Operand,
     ) -> Result<&'s Ciphertext, ServerError> {
         match operand {
-            Operand::Inline(ct) => Ok(ct),
+            Operand::Inline { ct, .. } => Ok(ct),
             Operand::Parked(name) => self
                 .system
                 .load(&scoped(session, name))
@@ -911,29 +1053,47 @@ impl<'a> HeaxServer<'a> {
     }
 
     /// Executes one non-fused request.
-    fn exec_single(&self, it: &Pending) -> Result<Ciphertext, ServerError> {
-        let a = self.resolve(it.session, &it.operands[0])?;
-        match it.op {
+    fn exec_single(&self, it: &mut Pending) -> Outcome {
+        let made = match it.op {
             OpCode::Add => {
-                let b = self.resolve(it.session, &it.operands[1])?;
-                Ok(self.eval.add(a, b)?)
+                let session = it.session;
+                let [a, b] = &mut it.operands[..] else {
+                    unreachable!("decode_request admits an Add of two operands only");
+                };
+                let b = self.resolve(session, b);
+                // The sum of a ciphertext this request owns goes into it,
+                // not into a copy of it.
+                if let Operand::Inline { ct, .. } = a {
+                    self.eval.add_assign(Arc::make_mut(ct), b?)?;
+                    return Ok(Arc::clone(ct));
+                }
+                self.eval.add(self.resolve(session, a)?, b?)?
             }
             OpCode::MultiplyRelin => {
+                let a = self.first_operand(it)?;
                 let b = self.resolve(it.session, &it.operands[1])?;
                 let rlk = self.sessions.get(it.session)?.relin_key()?;
-                Ok(self.eval.multiply_relin(a, b, rlk)?)
+                self.eval.multiply_relin(a, b, rlk)?
             }
             OpCode::SquareRelin => {
+                let a = self.first_operand(it)?;
                 let rlk = self.sessions.get(it.session)?.relin_key()?;
-                Ok(self.eval.multiply_relin(a, a, rlk)?)
+                self.eval.multiply_relin(a, a, rlk)?
             }
-            OpCode::Rescale => Ok(self.eval.rescale(a)?),
+            OpCode::Rescale => self.eval.rescale(self.first_operand(it)?)?,
             OpCode::Rotate => {
+                let a = self.first_operand(it)?;
                 let gks = self.sessions.get(it.session)?.galois_keys(it.step)?;
-                Ok(self.eval.rotate(a, it.step, gks)?)
+                self.eval.rotate(a, it.step, gks)?
             }
-            OpCode::Fetch => Ok(a.clone()),
-        }
+            OpCode::Fetch => self.first_operand(it)?.clone(),
+        };
+        Ok(Arc::new(made))
+    }
+
+    /// Resolves the operand at the front of a request's list.
+    fn first_operand<'s>(&'s self, it: &'s Pending) -> Result<&'s Ciphertext, ServerError> {
+        self.resolve(it.session, &it.operands[0])
     }
 
     /// Executes a fused rotation group: one hoisted decomposition, one
@@ -943,10 +1103,9 @@ impl<'a> HeaxServer<'a> {
         &mut self,
         items: &[Pending],
         members: &[usize],
-        results: &mut [Option<Result<Ciphertext, ServerError>>],
+        results: &mut [Option<Outcome>],
     ) {
-        let fail_all = |results: &mut [Option<Result<Ciphertext, ServerError>>],
-                        e: &ServerError| {
+        let fail_all = |results: &mut [Option<Outcome>], e: &ServerError| {
             for &i in members {
                 results[i] = Some(Err(e.clone()));
             }
@@ -982,8 +1141,8 @@ impl<'a> HeaxServer<'a> {
             // A lone rotation takes the plain path (bit-identical to the
             // unbatched server; hoisting would only add noise headroom).
             1 => {
-                results[covered[0]] =
-                    Some(self.eval.rotate(input, steps[0], gks).map_err(Into::into));
+                let rotated = self.eval.rotate(input, steps[0], gks);
+                results[covered[0]] = Some(rotated.map(Arc::new).map_err(Into::into));
             }
             _ => match self.eval.rotate_many(input, &steps, gks) {
                 Ok(outputs) => {
@@ -993,7 +1152,7 @@ impl<'a> HeaxServer<'a> {
                         .hoisted_rotations
                         .saturating_add(covered.len() as u64);
                     for (&i, ct) in covered.iter().zip(outputs) {
-                        results[i] = Some(Ok(ct));
+                        results[i] = Some(Ok(Arc::new(ct)));
                     }
                 }
                 Err(e) => {
@@ -1010,16 +1169,16 @@ impl<'a> HeaxServer<'a> {
     fn error_frame(&mut self, version: u8, session: u64, request: u64, e: &ServerError) -> Vec<u8> {
         let payload = wire::encode_error(e.code(), &e.to_string());
         let frame = wire::encode_frame(version, MessageKind::Error, session, request, &payload);
-        self.note_out(session, &frame);
+        self.note_out(session, frame.len());
         frame
     }
 
     /// Outbound frame accounting.
-    fn note_out(&mut self, session: u64, frame: &[u8]) {
+    fn note_out(&mut self, session: u64, len: usize) {
         self.metrics.frames_out = self.metrics.frames_out.saturating_add(1);
-        self.metrics.bytes_out = self.metrics.bytes_out.saturating_add(frame.len() as u64);
+        self.metrics.bytes_out = self.metrics.bytes_out.saturating_add(len as u64);
         if let Ok(sess) = self.sessions.get_mut(session) {
-            sess.stats.bytes_out = sess.stats.bytes_out.saturating_add(frame.len() as u64);
+            sess.stats.bytes_out = sess.stats.bytes_out.saturating_add(len as u64);
         }
     }
 
@@ -1074,14 +1233,14 @@ impl<'a> HeaxServer<'a> {
 ///   semantics promise;
 /// * parked reads gain dependency edges on the request that last
 ///   parked the handle within this batch.
-fn lower_ops(items: &[&Pending]) -> OpStream {
+fn lower_ops<'a>(items: impl Iterator<Item = &'a Pending>) -> OpStream {
     let mut stream = OpStream::new();
     let mut next_id: u64 = 1;
     let mut handle_ids: HashMap<(u64, &str), u64> = HashMap::new();
     let mut last_writer: HashMap<u64, usize> = HashMap::new();
-    // Inline rotation inputs seen so far: (item index, assigned id).
-    let mut inline_reps: Vec<(usize, u64)> = Vec::new();
-    for (idx, it) in items.iter().enumerate() {
+    // Inline rotation inputs seen so far, each with its assigned id.
+    let mut inline_reps: Vec<(&Arc<Ciphertext>, u64)> = Vec::new();
+    for (idx, it) in items.enumerate() {
         let kind = match it.op {
             OpCode::Add => OpKind::Add,
             OpCode::MultiplyRelin | OpCode::SquareRelin => OpKind::Multiply,
@@ -1096,7 +1255,7 @@ fn lower_ops(items: &[&Pending]) -> OpStream {
         // v2 transfer shaping: seeded uploads halve the host→board leg;
         // a compressed wire-returned reply ships one limb of k. Both
         // are priced by the board/cluster models through these flags.
-        if it.seeded_input {
+        if it.seeded_input() {
             op = op.with_seeded_input();
         }
         if it.compress_reply && it.park_as.is_none() {
@@ -1113,16 +1272,18 @@ fn lower_ops(items: &[&Pending]) -> OpStream {
                     });
                 op = op.with_input_id(id);
             }
-            Some(Operand::Inline(ct)) if it.op == OpCode::Rotate => {
-                let found = inline_reps.iter().find(
-                    |&&(rep, _)| matches!(&items[rep].operands[0], Operand::Inline(rc) if rc == ct),
-                );
+            Some(Operand::Inline { ct, .. }) if it.op == OpCode::Rotate => {
+                // Intake hands the members of a fan-out one decoding, so
+                // identity usually settles it; equality is the rule.
+                let found = inline_reps
+                    .iter()
+                    .find(|(rep, _)| Arc::ptr_eq(rep, ct) || rep == &ct);
                 let id = match found {
                     Some(&(_, id)) => id,
                     None => {
                         let id = next_id;
                         next_id += 1;
-                        inline_reps.push((idx, id));
+                        inline_reps.push((ct, id));
                         id
                     }
                 };

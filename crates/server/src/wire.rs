@@ -228,6 +228,53 @@ pub struct Frame<'a> {
 // Encoding
 // ---------------------------------------------------------------------
 
+/// Appends a frame header announcing `payload_len` payload bytes, which
+/// the caller appends next.
+///
+/// # Panics
+///
+/// If `version` is not a known wire version — emitting undecodable
+/// frames is a caller bug, not an input condition.
+fn put_header(
+    out: &mut Vec<u8>,
+    version: u8,
+    kind: MessageKind,
+    session: u64,
+    request: u64,
+    payload_len: usize,
+) {
+    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
+    assert!(
+        (WIRE_V1..=WIRE_VERSION).contains(&version),
+        "unknown wire version {version}"
+    );
+    out.reserve(FRAME_HEADER_LEN + payload_len);
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.push(version);
+    out.push(kind as u8);
+    out.extend_from_slice(&session.to_le_bytes());
+    out.extend_from_slice(&request.to_le_bytes());
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+}
+
+/// Appends a frame to what `out` already holds.
+///
+/// # Panics
+///
+/// If `version` is not a known wire version — emitting undecodable
+/// frames is a caller bug, not an input condition.
+pub(crate) fn append_frame(
+    version: u8,
+    kind: MessageKind,
+    session: u64,
+    request: u64,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) {
+    put_header(out, version, kind, session, request, payload.len());
+    out.extend_from_slice(payload);
+}
+
 /// Encodes a frame into a caller-provided buffer (cleared first).
 ///
 /// # Panics
@@ -242,19 +289,8 @@ pub fn encode_frame_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
-    assert!(
-        (WIRE_V1..=WIRE_VERSION).contains(&version),
-        "unknown wire version {version}"
-    );
     out.clear();
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(version);
-    out.push(kind as u8);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&request.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    append_frame(version, kind, session, request, payload, out);
 }
 
 /// Encodes a frame at the given wire version.
@@ -265,8 +301,8 @@ pub fn encode_frame(
     request: u64,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    encode_frame_into(version, kind, session, request, payload, &mut out);
+    let mut out = Vec::new();
+    append_frame(version, kind, session, request, payload, &mut out);
     out
 }
 
@@ -345,40 +381,34 @@ pub fn encode_reply(body: &ReplyBody<'_>) -> Vec<u8> {
     out
 }
 
-/// Encodes a complete [`MessageKind::Response`] frame — header, reply
-/// tag, and body written in one pass, so a megabyte ciphertext result
-/// is copied exactly once on the serving hot path (no intermediate
-/// payload buffer). `version` is echoed from the request frame.
+/// Bytes of a complete [`MessageKind::Response`] frame around a reply body
+/// of `body_len` bytes: header, reply tag, body.
+pub const fn response_frame_len(body_len: usize) -> usize {
+    FRAME_HEADER_LEN + 1 + body_len
+}
+
+/// Appends the head of a [`MessageKind::Response`] frame — header and
+/// reply tag — for a reply body of `body_len` bytes, which the caller
+/// appends next: a ciphertext result is serialized straight behind it,
+/// into the buffer it is written to the socket from, with no intermediate
+/// payload buffer. `ciphertext` picks the tag ([`ReplyBody::Ciphertext`] or
+/// [`ReplyBody::Parked`]); `version` is echoed from the request frame.
 ///
 /// # Panics
 ///
 /// If `version` is not a known wire version — emitting undecodable
 /// frames is a caller bug, not an input condition.
-pub fn encode_response_frame(
+pub(crate) fn append_response_head(
     version: u8,
     session: u64,
     request: u64,
-    body: &ReplyBody<'_>,
-) -> Vec<u8> {
-    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
-    assert!(
-        (WIRE_V1..=WIRE_VERSION).contains(&version),
-        "unknown wire version {version}"
-    );
-    let (tag, bytes): (u8, &[u8]) = match body {
-        ReplyBody::Ciphertext(b) => (0, b),
-        ReplyBody::Parked(name) => (1, name.as_bytes()),
-    };
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 1 + bytes.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(version);
-    out.push(MessageKind::Response as u8);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&request.to_le_bytes());
-    out.extend_from_slice(&((1 + bytes.len()) as u32).to_le_bytes());
-    out.push(tag);
-    out.extend_from_slice(bytes);
-    out
+    ciphertext: bool,
+    body_len: usize,
+    out: &mut Vec<u8>,
+) {
+    let kind = MessageKind::Response;
+    put_header(out, version, kind, session, request, 1 + body_len);
+    out.push(if ciphertext { 0 } else { 1 });
 }
 
 /// Encodes an error payload: code + UTF-8 message.
@@ -823,7 +853,15 @@ mod tests {
                 ReplyBody::Ciphertext(b"some ciphertext bytes".as_slice()),
                 ReplyBody::Parked("handle"),
             ] {
-                let fast = encode_response_frame(version, 9, 77, &body);
+                let (ciphertext, bytes) = match body {
+                    ReplyBody::Ciphertext(b) => (true, b),
+                    ReplyBody::Parked(name) => (false, name.as_bytes()),
+                };
+                let mut fast = b"earlier replies".to_vec();
+                append_response_head(version, 9, 77, ciphertext, bytes.len(), &mut fast);
+                fast.extend_from_slice(bytes);
+                assert_eq!(fast.len(), 15 + response_frame_len(bytes.len()));
+                let fast = fast.split_off(15);
                 let slow =
                     encode_frame(version, MessageKind::Response, 9, 77, &encode_reply(&body));
                 assert_eq!(fast, slow);

@@ -8,9 +8,12 @@
 //! interleavings, and per-session modeled cycles accumulate across
 //! flushes.
 
-use heax_ckks::serialize::{serialize_ciphertext, serialize_galois_keys};
+use heax_ckks::serialize::{
+    serialize_ciphertext, serialize_galois_keys, serialize_seeded_ciphertext,
+};
 use heax_ckks::{
-    Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor, GaloisKeys, PublicKey, SecretKey,
+    encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor,
+    GaloisKeys, PublicKey, SecretKey,
 };
 use heax_core::{HeaxAccelerator, HeaxSystem};
 use heax_hw::board::Board;
@@ -244,6 +247,65 @@ fn fanout_plan_fuses_same_input_rotations_only() {
     assert_eq!(plan.ops[1].kind, OpKind::Rotate);
     assert_eq!(plan.members[1], vec![3]);
     assert_eq!(plan.requests(), 4);
+}
+
+/// A fan-out's seeded input is decoded once at intake and recognized in
+/// the lowering by identity; an equal input that intake did not see next
+/// to its twin still fuses, by equality. Either way the plan and the
+/// served bytes are those of the same requests carrying the full
+/// encodings, which only ever fuse by equality.
+#[test]
+fn a_shared_seeded_fanout_plans_and_serves_as_equal_full_inputs_do() {
+    let c = ctx();
+    let rig = client_rig(&c, 14);
+    let mut rng = StdRng::seed_from_u64(15);
+    let sk = SecretKey::generate(&c, &mut rng);
+    let enc = CkksEncoder::new(&c);
+    let [fan, other] = [1.25, -0.5].map(|v| {
+        let pt = enc
+            .encode_real(&[v, 2.0 * v], c.params().scale(), c.max_level())
+            .unwrap();
+        encrypt_symmetric_seeded(&c, &sk, &pt, &mut rng).unwrap()
+    });
+    // Four rotations of one input, one of another, then the first again.
+    let schedule = [
+        (&fan, 1i64),
+        (&fan, 2),
+        (&fan, -1),
+        (&fan, -2),
+        (&other, 1),
+        (&fan, 2),
+    ];
+
+    let mut served = Vec::new();
+    for seeded in [true, false] {
+        let mut server = HeaxServer::with_system(&c, system(&c));
+        let session = open_keyed(&mut server, &rig);
+        for (id, (ct, step)) in schedule.iter().enumerate() {
+            let bytes = if seeded {
+                serialize_seeded_ciphertext(ct)
+            } else {
+                serialize_ciphertext(&ct.expand(&c).unwrap())
+            };
+            let frame = client::rotate(session, id as u64, &bytes, *step);
+            assert!(server.handle_frame(&frame).is_none());
+        }
+        let plan = server.queued_plan();
+        assert_eq!(plan.members, vec![vec![0, 1, 2, 3, 5], vec![4]]);
+        assert!(plan.ops.iter().all(|op| op.input_seeded == seeded));
+        let replies = server.flush();
+        // Every upload is counted, but the four adjacent members of the
+        // fan-out were decoded once: three decodings of two polynomials
+        // went back to the pool, against six.
+        let decodings = if seeded { 3 } else { 6 };
+        assert_eq!(server.pooled_polys(), 2 * decodings);
+        assert_eq!(
+            server.stats().seeded_operands,
+            if seeded { schedule.len() as u64 } else { 0 }
+        );
+        served.push(replies);
+    }
+    assert_eq!(served[0], served[1]);
 }
 
 #[test]

@@ -4,7 +4,11 @@
 //!   fuzz corpus, concatenated and delivered byte-at-a-time and in
 //!   random chunks, must come out of [`FrameAssembler`] byte-identical
 //!   to the input frames, with decoded requests identical to
-//!   whole-buffer decoding.
+//!   whole-buffer decoding — whether the bytes are pushed or read
+//!   straight into the assembler's buffer, and whether frames are copied
+//!   out or lent where they lie; frames sized around the buffer's
+//!   starting capacity take the same schedules across its compactions
+//!   and growth.
 //! * **The session-key LRU** — under random interleavings of store /
 //!   restore / begin / end / remove, the DRAM budget is never
 //!   exceeded, a session with in-flight requests is never evicted, and
@@ -100,24 +104,77 @@ fn arb_corpus() -> impl Strategy<Value = Vec<(u8, usize, u64, u64, Vec<u8>)>> {
     )
 }
 
-/// Runs a fragmentation schedule over the concatenated corpus and
-/// checks the assembler's output against the original frames and
-/// whole-buffer decoding.
-fn check_reassembly(frames: &[Vec<u8>], chunks: &mut dyn Iterator<Item = usize>) {
-    let stream: Vec<u8> = frames.iter().flatten().copied().collect();
-    let mut asm = FrameAssembler::new();
-    let mut got = Vec::new();
-    let mut off = 0;
-    while off < stream.len() {
-        let n = chunks.next().unwrap_or(1).clamp(1, stream.len() - off);
-        asm.push(&stream[off..off + n]);
-        off += n;
-        while let Some(f) = asm.next_frame().expect("valid streams never error") {
-            got.push(f);
-        }
+/// A stream that yields at most the scheduled number of bytes per `read`,
+/// straight into whatever buffer it is offered.
+struct Trickle<'a> {
+    stream: &'a [u8],
+    chunks: &'a mut dyn Iterator<Item = usize>,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunks.next().unwrap_or(1).clamp(1, buf.len());
+        self.stream.read(&mut buf[..n])
     }
-    assert_eq!(got, frames, "reassembled frames must be byte-identical");
-    assert_eq!(asm.buffered(), 0, "no residue after the last frame");
+}
+
+/// Runs a fragmentation schedule over the concatenated corpus, three
+/// ways at once — pushed and copied out (`push` / `next_frame`), pushed
+/// and lent (`peek_frame` / `consume_frame`), and read straight into the
+/// assembler's spare room (`read_from`) and lent — and checks each
+/// assembler's output against the original frames and whole-buffer
+/// decoding. Returns the largest capacity the lending assembler reached.
+fn check_reassembly(frames: &[Vec<u8>], chunks: &mut dyn Iterator<Item = usize>) -> usize {
+    let stream: Vec<u8> = frames.iter().flatten().copied().collect();
+    let schedule: Vec<usize> = {
+        let mut left = stream.len();
+        let mut schedule = Vec::new();
+        while left > 0 {
+            let n = chunks.next().unwrap_or(1).clamp(1, left);
+            schedule.push(n);
+            left -= n;
+        }
+        schedule
+    };
+    let lend = |asm: &mut FrameAssembler, got: &mut Vec<Vec<u8>>| {
+        while let Some(f) = asm.peek_frame().expect("valid streams never error") {
+            got.push(f.to_vec());
+            asm.consume_frame();
+        }
+    };
+
+    let (mut copied, mut lent, mut read) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut copying, mut lending, mut reading) = (
+        FrameAssembler::new(),
+        FrameAssembler::new(),
+        FrameAssembler::new(),
+    );
+    let (mut off, mut capacity) = (0, 0);
+    for &n in &schedule {
+        copying.push(&stream[off..off + n]);
+        lending.push(&stream[off..off + n]);
+        off += n;
+        capacity = capacity.max(lending.capacity());
+        while let Some(f) = copying.next_frame().expect("valid streams never error") {
+            copied.push(f);
+        }
+        lend(&mut lending, &mut lent);
+    }
+    let mut trickle = Trickle {
+        stream: &stream,
+        chunks: &mut schedule.iter().copied(),
+    };
+    while reading.read_from(&mut trickle).expect("slices never fail") > 0 {
+        lend(&mut reading, &mut read);
+    }
+
+    assert_eq!(copied, frames, "reassembled frames must be byte-identical");
+    assert_eq!(lent, copied, "lending must yield what copying out yields");
+    assert_eq!(read, copied, "reading into the spare room must, too");
+    for asm in [&copying, &lending, &reading] {
+        assert_eq!(asm.buffered(), 0, "no residue after the last frame");
+    }
+    let got = copied;
     // Decoded views are identical to whole-buffer decoding, request
     // bodies included.
     for (reassembled, original) in got.iter().zip(frames) {
@@ -132,6 +189,36 @@ fn check_reassembly(frames: &[Vec<u8>], chunks: &mut dyn Iterator<Item = usize>)
             let rb = wire::decode_request(b.payload, b.version).expect("corpus bodies decode");
             assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }
+    }
+    capacity
+}
+
+/// Frames sized around the assembler's 64 KiB starting capacity: the
+/// second and third cannot end where the buffer does, so each straddles a
+/// compaction once the frames before it are consumed; the fourth is larger
+/// than the buffer has ever been and forces it to grow around the partial
+/// frame it holds; small ones ride behind.
+fn large_corpus() -> Vec<Vec<u8>> {
+    [40_000usize, 40_000, 50_000, 300_000, 10, 70_000, 0, 40_000]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let blob: Vec<u8> = (0..len).map(|j| (i * 31 + j * 7) as u8).collect();
+            corpus_frame(WIRE_V2, 1 + i % 2, i as u64, !(i as u64), &blob)
+        })
+        .collect()
+}
+
+#[test]
+fn assembler_is_exact_across_compaction_and_growth() {
+    let frames = large_corpus();
+    let largest = frames.iter().map(Vec::len).max().unwrap();
+    assert!(check_reassembly(&frames, &mut std::iter::repeat(1)) >= largest);
+    for seed in 0..8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max = [97usize, 4096, 50_000, 400_000][seed as usize % 4];
+        let mut chunks = std::iter::from_fn(move || Some(rng.gen_range(1..=max)));
+        assert!(check_reassembly(&frames, &mut chunks) >= largest);
     }
 }
 
