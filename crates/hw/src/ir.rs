@@ -32,6 +32,8 @@
 //! assert_eq!(fused.members[0], vec![0, 1, 2]);
 //! ```
 
+use std::collections::HashMap;
+
 /// Sentinel for "no dependency" in [`IrOp::deps`].
 pub const NO_DEP: u32 = u32::MAX;
 
@@ -299,48 +301,25 @@ impl OpStream {
     /// group output is counted in `parked_outputs` so the scheduler
     /// charges PCIe only for wire-returned results.
     pub fn fuse_rotations(&self) -> FusedStream {
-        struct Group {
-            session: u64,
-            parked: bool,
-            input_id: u64,
-            first: usize,
-            members: Vec<usize>,
-            open: bool,
-        }
-        let mut groups: Vec<Group> = Vec::new();
+        // Member lists in creation order, which is ascending first member.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        // The one group still open for `(session, input_parked, input_id)`.
+        let mut open: HashMap<(u64, bool, u64), usize> = HashMap::new();
         for (idx, op) in self.ops.iter().enumerate() {
             if op.kind == OpKind::Rotate {
-                let found = op.input_id != 0 && {
-                    if let Some(g) = groups.iter_mut().find(|g| {
-                        g.open
-                            && g.session == op.session
-                            && g.parked == op.input_parked
-                            && g.input_id == op.input_id
-                    }) {
-                        g.members.push(idx);
-                        true
-                    } else {
-                        false
+                let key = (op.session, op.input_parked, op.input_id);
+                match open.get(&key) {
+                    Some(&g) => groups[g].push(idx),
+                    None => {
+                        if op.input_id != 0 {
+                            open.insert(key, groups.len());
+                        }
+                        groups.push(vec![idx]);
                     }
-                };
-                if !found {
-                    groups.push(Group {
-                        session: op.session,
-                        parked: op.input_parked,
-                        input_id: op.input_id,
-                        first: idx,
-                        members: vec![idx],
-                        open: op.input_id != 0,
-                    });
                 }
             }
             if op.output_id != 0 {
-                for g in groups
-                    .iter_mut()
-                    .filter(|g| g.session == op.session && g.parked && g.input_id == op.output_id)
-                {
-                    g.open = false;
-                }
+                open.remove(&(op.session, true, op.output_id));
             }
         }
 
@@ -349,40 +328,37 @@ impl OpStream {
         let mut ops = Vec::with_capacity(self.ops.len());
         let mut members = Vec::with_capacity(self.ops.len());
         let mut fused_index = vec![0usize; self.ops.len()];
+        let mut groups = groups.into_iter().peekable();
         for (idx, op) in self.ops.iter().enumerate() {
             if op.kind == OpKind::Rotate {
-                let Some(g) = groups.iter().find(|g| g.first == idx) else {
+                let Some(group) = groups.next_if(|g| g[0] == idx) else {
                     continue; // non-first member, emitted with its group
                 };
-                let fused = if g.members.len() == 1 {
+                let fused = if group.len() == 1 {
                     *op
                 } else {
-                    let parked_outputs = g
-                        .members
-                        .iter()
-                        .filter(|&&i| self.ops[i].park_output)
-                        .count();
+                    let parked_outputs = group.iter().filter(|&&i| self.ops[i].park_output).count();
                     let mut merged = IrOp {
                         kind: OpKind::RotateMany {
-                            count: g.members.len(),
+                            count: group.len(),
                             parked_outputs,
                         },
                         park_output: false,
                         output_id: 0,
                         ..*op
                     };
-                    for &m in &g.members {
+                    for &m in &group {
                         for d in self.ops[m].dep_indices() {
                             merged = merged.with_dep(d as u32);
                         }
                     }
                     merged
                 };
-                for &m in &g.members {
+                for &m in &group {
                     fused_index[m] = ops.len();
                 }
                 ops.push(fused);
-                members.push(g.members.clone());
+                members.push(group);
             } else {
                 fused_index[idx] = ops.len();
                 ops.push(*op);
@@ -446,12 +422,185 @@ pub fn session_ids(ops: &[IrOp]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`OpStream::fuse_rotations`] as it was before its groups were keyed:
+    /// every open group scanned per rotation, every group scanned per
+    /// overwrite and per emitted op. Quadratic, obviously right, and what
+    /// the keyed pass must equal on every stream.
+    fn fuse_rotations_oracle(stream: &OpStream) -> FusedStream {
+        struct Group {
+            session: u64,
+            parked: bool,
+            input_id: u64,
+            first: usize,
+            members: Vec<usize>,
+            open: bool,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        for (idx, op) in stream.ops.iter().enumerate() {
+            if op.kind == OpKind::Rotate {
+                let found = op.input_id != 0 && {
+                    if let Some(g) = groups.iter_mut().find(|g| {
+                        g.open
+                            && g.session == op.session
+                            && g.parked == op.input_parked
+                            && g.input_id == op.input_id
+                    }) {
+                        g.members.push(idx);
+                        true
+                    } else {
+                        false
+                    }
+                };
+                if !found {
+                    groups.push(Group {
+                        session: op.session,
+                        parked: op.input_parked,
+                        input_id: op.input_id,
+                        first: idx,
+                        members: vec![idx],
+                        open: op.input_id != 0,
+                    });
+                }
+            }
+            if op.output_id != 0 {
+                for g in groups
+                    .iter_mut()
+                    .filter(|g| g.session == op.session && g.parked && g.input_id == op.output_id)
+                {
+                    g.open = false;
+                }
+            }
+        }
+
+        // Emit in first-member order; every original index maps to one
+        // fused index so dependency edges can be rewritten.
+        let mut ops = Vec::with_capacity(stream.ops.len());
+        let mut members = Vec::with_capacity(stream.ops.len());
+        let mut fused_index = vec![0usize; stream.ops.len()];
+        for (idx, op) in stream.ops.iter().enumerate() {
+            if op.kind == OpKind::Rotate {
+                let Some(g) = groups.iter().find(|g| g.first == idx) else {
+                    continue; // non-first member, emitted with its group
+                };
+                let fused = if g.members.len() == 1 {
+                    *op
+                } else {
+                    let parked_outputs = g
+                        .members
+                        .iter()
+                        .filter(|&&i| stream.ops[i].park_output)
+                        .count();
+                    let mut merged = IrOp {
+                        kind: OpKind::RotateMany {
+                            count: g.members.len(),
+                            parked_outputs,
+                        },
+                        park_output: false,
+                        output_id: 0,
+                        ..*op
+                    };
+                    for &m in &g.members {
+                        for d in stream.ops[m].dep_indices() {
+                            merged = merged.with_dep(d as u32);
+                        }
+                    }
+                    merged
+                };
+                for &m in &g.members {
+                    fused_index[m] = ops.len();
+                }
+                ops.push(fused);
+                members.push(g.members.clone());
+            } else {
+                fused_index[idx] = ops.len();
+                ops.push(*op);
+                members.push(vec![idx]);
+            }
+        }
+        for (i, op) in ops.iter_mut().enumerate() {
+            let mut deps = [NO_DEP; 2];
+            let mut n = 0;
+            for d in 0..2 {
+                let old = op.deps[d];
+                if old == NO_DEP {
+                    continue;
+                }
+                let new = fused_index[old as usize] as u32;
+                // A member's dep can land inside its own group after
+                // remapping; the group's shared input covers it.
+                if new as usize == i || deps.contains(&new) {
+                    continue;
+                }
+                deps[n] = new;
+                n += 1;
+            }
+            op.deps = deps;
+        }
+        FusedStream { ops, members }
+    }
 
     fn rot(session: u64, input_id: u64) -> IrOp {
         IrOp::new(OpKind::Rotate)
             .with_session(session)
             .with_parked_input()
             .with_input_id(input_id)
+    }
+
+    /// Random streams over a few sessions and handle ids, so rotations
+    /// collide on their keys, parked inputs get overwritten under open
+    /// groups (by plain ops and by rotations, their own group's members
+    /// included), and dependency edges point into and out of groups.
+    fn arb_stream() -> impl Strategy<Value = OpStream> {
+        let kinds = vec![
+            OpKind::Rotate,
+            OpKind::Rotate,
+            OpKind::Rotate,
+            OpKind::Fetch,
+            OpKind::Add,
+            OpKind::Multiply,
+        ];
+        let op = (
+            prop::sample::select(kinds),
+            0u64..3,
+            any::<bool>(),
+            0u64..4,
+            0u64..6,
+            (any::<u32>(), any::<u32>()),
+        );
+        prop::collection::vec(op, 0..48usize).prop_map(|raw| {
+            let mut stream = OpStream::new();
+            for (idx, (kind, session, parked, input_id, output, deps)) in
+                raw.into_iter().enumerate()
+            {
+                let mut op = IrOp::new(kind)
+                    .with_session(session)
+                    .with_input_id(input_id);
+                op.input_parked = parked;
+                if (1..4).contains(&output) {
+                    op = op.with_parked_output().with_output_id(output);
+                }
+                for dep in [deps.0, deps.1] {
+                    if idx > 0 && dep % 3 == 0 {
+                        op = op.with_dep((dep / 3) % idx as u32);
+                    }
+                }
+                stream.push(op);
+            }
+            stream
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The keyed pass is the scanning one: same fused ops (kinds,
+        /// counts, rewritten dependency edges), same member lists.
+        #[test]
+        fn keyed_fusion_equals_the_scanning_oracle(stream in arb_stream()) {
+            prop_assert_eq!(stream.fuse_rotations(), fuse_rotations_oracle(&stream));
+        }
     }
 
     #[test]

@@ -20,6 +20,26 @@
 //! [`HeaxServer`], decide whether to flush the batch queue, and write
 //! pending reply bytes back out.
 //!
+//! The loop is **work-conserving**: it never sleeps while a request is
+//! queued. A flush happens when the queue reaches
+//! [`NetConfig::flush_threshold`] or — with [`NetConfig::flush_on_idle`],
+//! the default — on the first turn that ingests no frame; and while
+//! anything is queued a turn asks the poller only for what is ready
+//! *now*, so that turn comes as soon as the sockets run dry. A batch is
+//! therefore "everything that had arrived": under load still a full
+//! batch (a client's fan-out leaves it in one `write` and is read in one
+//! turn), under light load the request alone. The `timeout_ms` a caller
+//! passes means one thing, how long a turn may sleep when there is
+//! nothing to do; it is not a batching window and no queued request
+//! waits it out. A peer whose frame is half arrived and stale holds up
+//! nobody: the flush waits for the sockets, not for frames to complete.
+//!
+//! Replies leave in the turn that produced them. Every path that queues
+//! reply bytes ends in a write pass, `WRITABLE` is armed only for a
+//! connection whose socket came up short, and accepted streams have
+//! `TCP_NODELAY` set — a reply is one loopback segment plus a short tail,
+//! which Nagle would hold for the peer's delayed ACK.
+//!
 //! ## One touch per stage
 //!
 //! A payload byte of a served request moves once per stage, and no
@@ -706,10 +726,14 @@ pub struct NetConfig {
     pub key_cache_budget: u64,
     /// Flush the batch queue as soon as this many requests are pending.
     pub flush_threshold: usize,
-    /// Flush whenever a poll turn ingests no new frame and requests are
-    /// pending (latency floor for idle periods). Tests that script
-    /// exact batch boundaries turn this off and call
-    /// [`NetServer::flush_now`] themselves.
+    /// Flush on the first poll turn that ingests no new frame while
+    /// requests are pending, and take such turns without sleeping: with
+    /// anything queued, [`NetServer::poll`] waits for readiness with a
+    /// zero timeout whatever the caller passed, so a batch is what had
+    /// arrived when the sockets ran dry. Tests that script exact batch
+    /// boundaries turn this off and call [`NetServer::flush_now`]
+    /// themselves; a queued request then waits for them, or for
+    /// `flush_threshold`.
     pub flush_on_idle: bool,
 }
 
@@ -846,21 +870,10 @@ impl Conn {
         true
     }
 
-    /// Re-arms the poller with `READABLE` (+ `WRITABLE` while output is
-    /// or, with `queueing`, is about to be pending), skipping the syscall
-    /// when nothing changed.
-    fn update_interest(&mut self, poller: &epoll::Poller, token: u64, queueing: bool) {
-        let want = if self.owed() > 0 || queueing {
-            epoll::READABLE | epoll::WRITABLE
-        } else {
-            epoll::READABLE
-        };
-        if want != self.interest && poller.modify(self.stream.as_raw_fd(), token, want).is_ok() {
-            self.interest = want;
-        }
-    }
-
-    /// Writes as much pending output as the socket takes.
+    /// Writes as much pending output as the socket takes, then re-arms the
+    /// poller (skipping the syscall when nothing changed): `WRITABLE` is
+    /// wanted only while some output stays owed, so a reply the socket
+    /// takes whole costs no `epoll_ctl`.
     fn write_ready(&mut self, poller: &epoll::Poller, token: u64, stats: &mut NetStats) {
         while self.owed() > 0 {
             let want = self.owed();
@@ -899,7 +912,14 @@ impl Conn {
                 self.out.shrink_to(capacity);
             }
         }
-        self.update_interest(poller, token, false);
+        let want = if self.owed() > 0 {
+            epoll::READABLE | epoll::WRITABLE
+        } else {
+            epoll::READABLE
+        };
+        if want != self.interest && poller.modify(self.stream.as_raw_fd(), token, want).is_ok() {
+            self.interest = want;
+        }
     }
 }
 
@@ -911,7 +931,6 @@ struct Router<'r> {
     pending: &'r mut VecDeque<Route>,
     keys: &'r mut SessionKeyLru,
     stats: &'r mut NetStats,
-    poller: &'r epoll::Poller,
     max_write_buffer: usize,
     routed: usize,
 }
@@ -929,7 +948,6 @@ impl ReplySink for Router<'_> {
         if !conn.admit_reply(len, self.max_write_buffer, self.stats) {
             return None;
         }
-        conn.update_interest(self.poller, route.token, true);
         self.routed += 1;
         self.stats.replies_routed = self.stats.replies_routed.saturating_add(1);
         Some(&mut conn.out)
@@ -1010,6 +1028,11 @@ impl<'a> NetServer<'a> {
         &self.keys
     }
 
+    /// The tunables the runtime was bound with.
+    pub fn config(&self) -> NetConfig {
+        self.config
+    }
+
     /// A snapshot of the runtime counters.
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -1026,9 +1049,15 @@ impl<'a> NetServer<'a> {
         self.pending.len()
     }
 
-    /// Runs one event-loop turn: wait up to `timeout_ms` for readiness
-    /// (`0` = nonblocking), accept/read/dispatch, auto-flush per
-    /// config, write, reap.
+    /// Runs one event-loop turn: wait for readiness, accept/read/dispatch,
+    /// auto-flush per config, write, reap.
+    ///
+    /// `timeout_ms` is how long the turn may sleep **when there is nothing
+    /// to do** (`0` = never). It is not a batching window: with
+    /// [`NetConfig::flush_on_idle`] set and requests queued, the turn asks
+    /// the poller only for what is ready *now*, so the queue is flushed
+    /// the moment the sockets run dry — a queued request never waits out
+    /// the caller's timeout.
     ///
     /// # Errors
     ///
@@ -1036,8 +1065,13 @@ impl<'a> NetServer<'a> {
     /// contained (the connection is dropped, the loop lives).
     pub fn poll(&mut self, timeout_ms: i32) -> io::Result<NetTick> {
         let mut tick = NetTick::default();
+        let wait_ms = if self.config.flush_on_idle && self.inner.queue_depth() > 0 {
+            0
+        } else {
+            timeout_ms
+        };
         let mut events = std::mem::take(&mut self.events);
-        self.poller.wait(&mut events, timeout_ms)?;
+        self.poller.wait(&mut events, wait_ms)?;
         for ev in &events {
             if ev.token == LISTENER_TOKEN {
                 tick.accepted = tick.accepted.saturating_add(self.accept_ready());
@@ -1058,30 +1092,33 @@ impl<'a> NetServer<'a> {
             && (depth >= self.config.flush_threshold
                 || (self.config.flush_on_idle && tick.frames == 0))
         {
-            tick.replies = tick.replies.saturating_add(self.flush_now());
+            tick.replies = tick.replies.saturating_add(self.flush_queue());
             tick.flushed = true;
         }
-        // Write pass: push out whatever the sockets will take now.
-        for (&token, conn) in &mut self.conns {
-            if conn.owed() > 0 && !conn.dying {
-                conn.write_ready(&self.poller, token, &mut self.stats);
-            }
-        }
+        self.write_pass();
         tick.dropped = tick.dropped.saturating_add(self.reap());
         Ok(tick)
     }
 
-    /// Drains the batch queue now and routes every reply to its
-    /// connection; returns the number of replies routed (orphans
-    /// included in the count's complement, see
+    /// Drains the batch queue now, routes every reply to its connection
+    /// and writes out what the sockets take at once, so a reply never
+    /// waits for a later turn's readiness event; returns the number of
+    /// replies routed (orphans included in the count's complement, see
     /// [`NetStats::orphaned_replies`]).
     pub fn flush_now(&mut self) -> usize {
+        let routed = self.flush_queue();
+        self.write_pass();
+        routed
+    }
+
+    /// Executes the queued batch, each reply serialized onto its
+    /// connection's write buffer; returns the number routed.
+    fn flush_queue(&mut self) -> usize {
         let mut router = Router {
             conns: &mut self.conns,
             pending: &mut self.pending,
             keys: &mut self.keys,
             stats: &mut self.stats,
-            poller: &self.poller,
             max_write_buffer: self.config.max_write_buffer,
             routed: 0,
         };
@@ -1091,6 +1128,17 @@ impl<'a> NetServer<'a> {
             self.stats.flushes = self.stats.flushes.saturating_add(1);
         }
         routed
+    }
+
+    /// Pushes out whatever reply bytes the sockets will take now. Every
+    /// path that queues reply bytes ends here, which is why queueing never
+    /// arms `WRITABLE` itself.
+    fn write_pass(&mut self) {
+        for (&token, conn) in &mut self.conns {
+            if conn.owed() > 0 && !conn.dying {
+                conn.write_ready(&self.poller, token, &mut self.stats);
+            }
+        }
     }
 
     /// Accepts every pending connection; returns how many.
@@ -1104,7 +1152,9 @@ impl<'a> NetServer<'a> {
                         drop(stream);
                         continue;
                     }
-                    if stream.set_nonblocking(true).is_err() {
+                    // Replies are one loopback MSS plus a short tail; Nagle
+                    // would hold the tail for the peer's delayed ACK.
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         self.stats.refused = self.stats.refused.saturating_add(1);
                         continue;
                     }
@@ -1363,7 +1413,6 @@ impl<'a> NetServer<'a> {
             return false;
         }
         conn.out.extend_from_slice(bytes);
-        conn.update_interest(&self.poller, token, false);
         true
     }
 
@@ -1649,6 +1698,27 @@ mod tests {
         lru.store(2, KeyKind::Galois, &[0; 40]).unwrap();
         lru.touch(1); // 2 is now the LRU victim
         assert_eq!(lru.store(3, KeyKind::Galois, &[0; 40]).unwrap(), vec![2]);
+    }
+
+    // ----- The event loop's sockets -----
+
+    #[test]
+    fn accepted_streams_have_nagle_off() {
+        // A reply is one loopback segment and a tail of a hundred bytes;
+        // with Nagle on, the tail waits for the peer's delayed ACK.
+        let params = heax_ckks::CkksParams::from_set(heax_ckks::ParamSet::SetA).unwrap();
+        let ctx = heax_ckks::CkksContext::new(params).unwrap();
+        let inner = HeaxServer::new(&ctx, heax_hw::board::Board::stratix10()).unwrap();
+        let mut net = NetServer::bind("127.0.0.1:0", inner, NetConfig::default()).unwrap();
+        let _peer = TcpStream::connect(net.local_addr().unwrap()).unwrap();
+        for _ in 0..100 {
+            if net.connections() == 1 {
+                break;
+            }
+            net.poll(10).unwrap();
+        }
+        assert_eq!(net.connections(), 1);
+        assert!(net.conns.values().all(|c| c.stream.nodelay().unwrap()));
     }
 
     #[test]

@@ -256,6 +256,9 @@ pub struct HeaxServer<'a> {
     /// Polynomials the queued requests' operands hold: what the pool keeps
     /// after their flush, so it is no larger than one flush's demand.
     pool_taken: usize,
+    /// One slot per request of the batch being flushed; empty between
+    /// flushes and kept, like the queue, for its allocation.
+    results: Vec<Option<Outcome>>,
 }
 
 impl<'a> HeaxServer<'a> {
@@ -289,6 +292,7 @@ impl<'a> HeaxServer<'a> {
             injector: None,
             pool: Vec::new(),
             pool_taken: 0,
+            results: Vec::new(),
         }
     }
 
@@ -764,17 +768,14 @@ impl<'a> HeaxServer<'a> {
             .saturating_add(items.len() as u64);
 
         let plan = lower_ops(items.iter()).fuse_rotations();
-        // A fused group executes at its first member's queue position
-        // (the IR pass guarantees first members are group minima), so
-        // in-order reply semantics and handle visibility hold.
-        let fused_at_first: HashMap<usize, usize> = plan
-            .members
-            .iter()
-            .enumerate()
-            .map(|(fused, members)| (members[0], fused))
-            .collect();
+        // A fused group executes at its first member's queue position, so
+        // in-order reply semantics and handle visibility hold. The IR pass
+        // emits groups in first-member order and first members are group
+        // minima: the next group to run is always the next one in the plan.
+        let mut groups = plan.members.iter();
 
-        let mut results: Vec<Option<Outcome>> = (0..items.len()).map(|_| None).collect();
+        let mut results = std::mem::take(&mut self.results);
+        results.resize_with(items.len(), || None);
         for idx in 0..items.len() {
             // Execute (a fused group executes when its first member is
             // reached and pre-fills every member's slot). Each execution
@@ -784,8 +785,8 @@ impl<'a> HeaxServer<'a> {
             // wedging the batch. The verdict covers the whole site — a
             // fused group retries (and sheds) as a unit.
             if results[idx].is_none() {
-                let fused = fused_at_first[&idx];
-                let members = &plan.members[fused];
+                let members = groups.next().expect("a group per unfilled slot");
+                debug_assert_eq!(members[0], idx);
                 if let Err(e) = self.admit_execution() {
                     let n = members.len() as u64;
                     let stats = self.metrics.op_mut(items[idx].op);
@@ -829,6 +830,8 @@ impl<'a> HeaxServer<'a> {
         self.pool.truncate(self.pool_taken);
         self.pool_taken = 0;
         self.queue = queue;
+        results.clear();
+        self.results = results;
         answered
     }
 

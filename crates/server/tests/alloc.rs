@@ -13,7 +13,8 @@
 //! is small and listed in CHANGES.md (PR 20): the request body's and the
 //! `Pending`'s operand vectors, two `Arc<Ciphertext>`, the component
 //! vectors of two ciphertexts and two views, and a share of the
-//! lowering's per-flush stream, member lists and maps.
+//! lowering's per-flush stream and member lists (150 allocations per
+//! flush of 16, 13 per flush of one).
 //!
 //! The counter is thread-local (see `counting_alloc`), so the sequential
 //! backend is what is measured.
@@ -131,12 +132,12 @@ impl Rig<'_> {
         immediate
     }
 
-    /// One batch of [`BATCH`] requests in, flushed, the socket caught up.
-    fn serve_batch(&mut self, stream: &[u8]) {
+    /// One batch of `batch` requests in, flushed, the socket caught up.
+    fn serve_batch(&mut self, stream: &[u8], batch: usize) {
         assert!(self.intake(stream).is_empty(), "requests queue");
         self.sink.replies = 0;
-        assert_eq!(self.server.flush_into(&mut self.sink), BATCH);
-        assert_eq!(self.sink.replies, BATCH);
+        assert_eq!(self.server.flush_into(&mut self.sink), batch);
+        assert_eq!(self.sink.replies, batch);
         self.sink.out.clear();
     }
 }
@@ -159,12 +160,12 @@ fn a_warm_add_allocates_nothing_the_size_of_a_polynomial_or_a_frame() {
         assert_eq!(body, wire::ReplyBody::Ciphertext(&r.sum));
     }
     r.sink.out.clear();
-    r.serve_batch(&stream);
+    r.serve_batch(&stream, BATCH);
 
     let batches = 4;
     let seen = measure(|| {
         for _ in 0..batches {
-            r.serve_batch(&stream);
+            r.serve_batch(&stream, BATCH);
         }
     });
     let requests = (batches * BATCH) as u64;
@@ -180,6 +181,24 @@ fn a_warm_add_allocates_nothing_the_size_of_a_polynomial_or_a_frame() {
         seen.bytes,
         seen.count
     );
+
+    // A flush of one: what the work-conserving loop runs under light load,
+    // where a flush's fixed costs are one request's to bear.
+    let request = r.request.clone();
+    r.serve_batch(&request, 1);
+    let lone = measure(|| {
+        for _ in 0..batches {
+            r.serve_batch(&request, 1);
+        }
+    });
+    assert!(lone.largest < 4096, "{lone:?}");
+
+    // Counts, which repeat exactly. PR 20's flush allocated 152 times per
+    // batch of 16 and 15 times per batch of one; the group cursor and the
+    // kept result slots took two off each.
+    let per_flush = |a: counting_alloc::Allocs| a.count / batches as u64;
+    assert!(per_flush(seen) <= 150, "batch of {BATCH}: {seen:?}");
+    assert!(per_flush(lone) <= 13, "batch of 1: {lone:?}");
 }
 
 #[test]
@@ -187,7 +206,7 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
     let ctx = context();
     let mut r = rig(&ctx);
     let stream = r.request.repeat(BATCH);
-    r.serve_batch(&stream);
+    r.serve_batch(&stream, BATCH);
     // A batch of 16 Adds holds 32 operands of 2 polynomials each.
     let whole = r.server.pooled_polys();
     assert_eq!(whole, 4 * BATCH);

@@ -10,12 +10,19 @@
 //! at the same boundaries, so replies must match **byte for byte**,
 //! and decrypt-verification closes the loop end to end.
 //!
+//! Every server turn any test here takes goes through [`poll`], which
+//! checks the structural half of the work-conserving rule on it: with
+//! `flush_on_idle` set, a turn that ingested no frame leaves nothing
+//! queued. The timing half — such a turn does not first sleep out the
+//! caller's timeout — is `a_lone_request_is_answered_without_waiting_out_the_poll_timeout`.
+//!
 //! CI runs this suite under both `HEAX_THREADS=1` and
 //! `HEAX_THREADS=4`.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use heax_ckks::serialize::{deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys};
 use heax_ckks::{
@@ -28,7 +35,7 @@ use heax_hw::faults::{FaultKind, FaultPlan};
 use heax_hw::keyswitch_pipeline::KeySwitchArch;
 use heax_hw::mult_dataflow::MultModuleConfig;
 use heax_hw::ntt_dataflow::NttModuleConfig;
-use heax_server::net::{FrameAssembler, NetConfig, NetServer};
+use heax_server::net::{FrameAssembler, NetConfig, NetServer, NetTick};
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{OpCode, Request, WireOperand};
 use heax_server::{ErrorCode, HeaxServer};
@@ -71,6 +78,21 @@ fn manual_flush() -> NetConfig {
         flush_on_idle: false,
         ..NetConfig::default()
     }
+}
+
+/// One server turn. With `flush_on_idle` set the loop is work-conserving,
+/// and every turn of every test is held to the half of that which needs
+/// no clock: a turn that ingested no frame has flushed whatever was queued.
+fn poll(net: &mut NetServer<'_>, timeout_ms: i32) -> NetTick {
+    let tick = net.poll(timeout_ms).unwrap();
+    if net.config().flush_on_idle && tick.frames == 0 {
+        assert_eq!(
+            net.server().queue_depth(),
+            0,
+            "a turn that read nothing left requests queued: {tick:?}"
+        );
+    }
+    tick
 }
 
 /// One simulated client: its own keys and a sample ciphertext.
@@ -120,8 +142,10 @@ impl Conn {
         let before = net.connections();
         let stream = TcpStream::connect(net.local_addr().unwrap()).unwrap();
         stream.set_nonblocking(true).unwrap();
+        // A second small write must not wait for the first one's ACK.
+        stream.set_nodelay(true).unwrap();
         for _ in 0..100 {
-            net.poll(10).unwrap();
+            poll(net, 10);
             if net.connections() > before {
                 return Conn {
                     stream,
@@ -144,12 +168,12 @@ impl Conn {
                 match self.stream.write(&piece[off..]) {
                     Ok(n) => off += n,
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        net.poll(1).unwrap();
+                        poll(net, 1);
                     }
                     Err(e) => panic!("client write failed: {e}"),
                 }
             }
-            net.poll(0).unwrap();
+            poll(net, 0);
             self.drain(net);
         }
         // Loopback writes are not synchronously visible to epoll; step
@@ -158,7 +182,7 @@ impl Conn {
             if net.stats().bytes_in >= target {
                 return;
             }
-            net.poll(1).unwrap();
+            poll(net, 1);
             self.drain(net);
         }
         panic!("server never ingested the sent bytes");
@@ -171,11 +195,16 @@ impl Conn {
         loop {
             match self.stream.read(&mut buf) {
                 Ok(0) => break,
-                Ok(n) => self.asm.push(&buf[..n]),
+                Ok(n) => self.absorb(&buf[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
             }
         }
+    }
+
+    /// Takes bytes read off the socket, keeping the replies they complete.
+    fn absorb(&mut self, bytes: &[u8]) {
+        self.asm.push(bytes);
         while let Some(frame) = self.asm.next_frame().unwrap() {
             self.replies.push(frame);
         }
@@ -187,13 +216,34 @@ impl Conn {
             if self.replies.len() >= n {
                 return;
             }
-            net.poll(1).unwrap();
+            poll(net, 1);
             self.drain(net);
         }
         panic!(
             "expected {n} replies, got {} after 500 polls",
             self.replies.len()
         );
+    }
+
+    /// Reads until this connection has `n` replies total **without
+    /// stepping the server**: whatever is missing must already have left
+    /// it. Blocks on the socket (a bounded wait, so a reply that never
+    /// left fails the test instead of hanging it).
+    fn recv_without_polling(&mut self, n: usize) {
+        self.stream.set_nonblocking(false).unwrap();
+        self.stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut buf = [0u8; 4096];
+        while self.replies.len() < n {
+            let got = self
+                .stream
+                .read(&mut buf)
+                .expect("the reply was not written out by the turn that produced it");
+            assert!(got > 0, "server hung up");
+            self.absorb(&buf[..got]);
+        }
+        self.stream.set_nonblocking(true).unwrap();
     }
 
     /// Sends a frame whole and waits for one immediate reply.
@@ -396,7 +446,7 @@ fn mid_run_disconnect_orphans_only_the_dead_connections_replies() {
     }
     drop(doomed);
     for _ in 0..50 {
-        net.poll(1).unwrap();
+        poll(&mut net, 1);
         if net.connections() == 1 {
             break;
         }
@@ -458,7 +508,7 @@ fn hostile_bytes_get_an_error_frame_then_the_axe() {
         .write_all(b"this is not a HEAW frame at all, not even close")
         .unwrap();
     for _ in 0..50 {
-        net.poll(1).unwrap();
+        poll(&mut net, 1);
         hostile.drain(&mut net);
         if net.connections() == 1 {
             break;
@@ -575,7 +625,7 @@ fn stalled_reader_is_dropped_without_disturbing_cotenants() {
 
     net.flush_now();
     for _ in 0..50 {
-        net.poll(1).unwrap();
+        poll(&mut net, 1);
         parker.drain(&mut net);
         if net.connections() == 1 {
             break;
@@ -721,7 +771,7 @@ fn fault_plan_composed_with_socket_chaos() {
     mid_frame.stream.write_all(&torn[..torn.len() / 3]).unwrap();
     drop(mid_frame);
     for _ in 0..50 {
-        net.poll(1).unwrap();
+        poll(&mut net, 1);
         if net.connections() == 2 {
             break;
         }
@@ -832,4 +882,226 @@ fn random_chunk_schedules_are_invisible_to_the_protocol() {
         let rotated = expect_ciphertext(&c, reply);
         assert_rotated(&ca.vals, &decrypt(&c, &ca.sk, &rotated), 1);
     }
+}
+
+// ---------------------------------------------------------------------
+// The work-conserving loop
+// ---------------------------------------------------------------------
+
+/// The timeout the tests below hand `poll`: long enough that sleeping it
+/// out even once is unmistakable.
+const LONG_POLL_MS: i32 = 2_000;
+
+/// What "answered at once" is held to under [`LONG_POLL_MS`]: a quarter
+/// of one timeout, and hundreds of times what a served request takes.
+const PROMPT: Duration = Duration::from_millis(500);
+
+/// An `Add` of two inline ciphertexts.
+fn add(session: u64, id: u64, a: &[u8], b: &[u8]) -> Vec<u8> {
+    client::request(
+        session,
+        id,
+        &Request {
+            op: OpCode::Add,
+            step: 0,
+            compress_reply: false,
+            park_as: None,
+            operands: vec![WireOperand::Inline(a), WireOperand::Inline(b)],
+        },
+    )
+}
+
+/// Takes turns with the long timeout until the runtime has flushed
+/// `flushes` times. Every turn but a sleeping one returns at once, so the
+/// turn budget is small and exact: blowing it means the loop spun.
+fn poll_until_flushed(net: &mut NetServer<'_>, flushes: u64) {
+    for _ in 0..8 {
+        if net.stats().flushes >= flushes {
+            return;
+        }
+        poll(net, LONG_POLL_MS);
+    }
+    panic!("no flush after 8 turns: {:?}", net.stats());
+}
+
+fn assert_doubled(ctx: &CkksContext, cl: &Client, reply: &[u8]) {
+    let sum = decrypt(ctx, &cl.sk, &expect_ciphertext(ctx, reply));
+    for (got, v) in sum.iter().zip(&cl.vals) {
+        assert!((got - 2.0 * v).abs() < 0.05, "{got} != 2 * {v}");
+    }
+}
+
+/// The timing half of the rule: a request that is alone in the queue is
+/// flushed by the first turn that finds the sockets dry, which does not
+/// sleep first — whatever timeout the caller passed.
+#[test]
+fn a_lone_request_is_answered_without_waiting_out_the_poll_timeout() {
+    let c = ctx();
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let ca = client(&c, 20, &[1]);
+    let mut conn = Conn::connect(&mut net);
+    let s = conn.open_session(&mut net);
+    let ct = serialize_ciphertext(&ca.ct);
+
+    conn.stream.write_all(&add(s, 1, &ct, &ct)).unwrap();
+    let start = Instant::now();
+    poll_until_flushed(&mut net, 1);
+    conn.recv_without_polling(2);
+    let elapsed = start.elapsed();
+
+    assert!(
+        elapsed < PROMPT,
+        "a lone Add took {elapsed:?} under poll({LONG_POLL_MS}): the loop slept on queued work"
+    );
+    assert_eq!(net.stats().flushes, 1);
+    assert_doubled(&c, &ca, &conn.replies[1]);
+}
+
+/// Batching is "everything that had arrived": requests that reach the
+/// sockets while others wait in the queue join their batch, and the one
+/// flush happens when a turn finds nothing more to read. The fan-out's
+/// first rotation is queued by a turn of its own; the other seven and an
+/// unrelated `Add` are written whole before the server's next turn. One
+/// flush of nine, one hoisted group of eight, bytes identical to the
+/// in-process server given the same nine requests.
+#[test]
+fn what_had_arrived_flushes_as_one_batch() {
+    let c = ctx();
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let mut mirror = HeaxServer::with_system(&c, system(&c));
+
+    let steps: Vec<i64> = (1..=8).collect();
+    let ca = client(&c, 21, &steps);
+    let mut conn = Conn::connect(&mut net);
+    let s = conn.open_session(&mut net);
+    let register = client::register_galois_keys(s, &serialize_galois_keys(&ca.gks));
+    conn.roundtrip(&mut net, &register);
+    let (ms, _, _) = client::parse_reply(&mirror.handle_frame(&client::open_session()).unwrap())
+        .expect("mirror session");
+    assert_eq!(ms, s);
+    mirror.handle_frame(&register).expect("mirror key ack");
+
+    let ct = serialize_ciphertext(&ca.ct);
+    let mut frames: Vec<Vec<u8>> = steps
+        .iter()
+        .map(|&step| client::rotate(s, step as u64, &ct, step))
+        .collect();
+    frames.push(add(s, 100, &ct, &ct));
+    for frame in &frames {
+        assert!(mirror.handle_frame(frame).is_none(), "queued, not answered");
+    }
+    let mirror_replies = mirror.flush();
+
+    conn.stream.set_nonblocking(false).unwrap();
+    conn.stream.write_all(&frames[0]).unwrap();
+    for _ in 0..8 {
+        if net.pending_replies() == 1 {
+            break;
+        }
+        poll(&mut net, LONG_POLL_MS);
+    }
+    assert_eq!(net.pending_replies(), 1);
+    assert_eq!(
+        net.stats().flushes,
+        0,
+        "a turn that read a frame flushes nothing"
+    );
+    conn.stream.write_all(&frames[1..].concat()).unwrap();
+    conn.stream.set_nonblocking(true).unwrap();
+
+    let start = Instant::now();
+    poll_until_flushed(&mut net, 1);
+    assert!(start.elapsed() < PROMPT);
+    // Nine replies can outrun the socket's send buffer; the rest follow
+    // as the client reads.
+    conn.recv_until(&mut net, 2 + frames.len());
+
+    assert_eq!(net.stats().flushes, 1);
+    let stats = net.server_mut().stats();
+    assert_eq!((stats.batches, stats.batched_requests), (1, 9));
+    assert_eq!((stats.hoisted_groups, stats.hoisted_rotations), (1, 8));
+    assert_eq!(conn.replies[2..], mirror_replies[..]);
+    for (reply, &step) in conn.replies[2..].iter().zip(&steps) {
+        let rotated = expect_ciphertext(&c, reply);
+        assert_rotated(&ca.vals, &decrypt(&c, &ca.sk, &rotated), step as usize);
+    }
+    assert_doubled(&c, &ca, conn.replies.last().unwrap());
+}
+
+/// A peer that sends half a frame and goes silent holds nobody up: the
+/// flush waits for the sockets to run dry, not for frames to complete.
+/// Its own request is served when the rest of it arrives.
+#[test]
+fn a_stale_half_frame_delays_nobody() {
+    let c = ctx();
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let (ca, cb) = (client(&c, 22, &[1]), client(&c, 23, &[1]));
+    let mut slow = Conn::connect(&mut net);
+    let mut brisk = Conn::connect(&mut net);
+    let (sa, sb) = (slow.open_session(&mut net), brisk.open_session(&mut net));
+    let (ct_a, ct_b) = (serialize_ciphertext(&ca.ct), serialize_ciphertext(&cb.ct));
+
+    let slow_frame = add(sa, 1, &ct_a, &ct_a);
+    let (head, rest) = slow_frame.split_at(slow_frame.len() / 2);
+    slow.send_chunked(&mut net, head, head.len());
+    assert!(net.stats().partial_frame_reads > 0);
+
+    brisk.stream.write_all(&add(sb, 2, &ct_b, &ct_b)).unwrap();
+    let start = Instant::now();
+    poll_until_flushed(&mut net, 1);
+    brisk.recv_without_polling(2);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < PROMPT,
+        "a silent peer's half frame cost its neighbour {elapsed:?}"
+    );
+    assert_doubled(&c, &cb, &brisk.replies[1]);
+    assert_eq!(slow.replies.len(), 1, "half a frame is answered by nothing");
+
+    slow.stream.write_all(rest).unwrap();
+    poll_until_flushed(&mut net, 2);
+    slow.recv_without_polling(2);
+    assert_doubled(&c, &ca, &slow.replies[1]);
+    assert_eq!(net.stats().flushes, 2);
+}
+
+/// `flush_now` ends with the write pass a turn ends with: its replies are
+/// on the wire when it returns, not parked until a later turn notices the
+/// socket is writable — nothing arms `WRITABLE` for a reply the socket
+/// takes whole.
+#[test]
+fn flush_now_puts_its_replies_on_the_wire() {
+    let c = ctx();
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        manual_flush(),
+    )
+    .unwrap();
+    let ca = client(&c, 24, &[1]);
+    let mut conn = Conn::connect(&mut net);
+    let s = conn.open_session(&mut net);
+    let ct = serialize_ciphertext(&ca.ct);
+    conn.send_chunked(&mut net, &add(s, 1, &ct, &ct), 4096);
+    assert_eq!(net.pending_replies(), 1);
+
+    assert_eq!(net.flush_now(), 1);
+    conn.recv_without_polling(2);
+    assert_doubled(&c, &ca, &conn.replies[1]);
+    assert_eq!(net.stats().short_writes, 0);
 }
