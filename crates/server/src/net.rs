@@ -34,6 +34,23 @@
 //! waits it out. A peer whose frame is half arrived and stale holds up
 //! nobody: the flush waits for the sockets, not for frames to complete.
 //!
+//! A turn that is about to sleep yields its CPU first
+//! (`std::thread::yield_now`, a no-op when nothing else is runnable
+//! there). It matters when a peer shares the loop's CPU, which is where
+//! a kernel's sync wake-ups put a loopback client: a loop that blocks
+//! the moment its queue is empty is woken by the peer's next segment,
+//! pre-empts the peer mid-`write`, serves the fragment and blocks again,
+//! so the two alternate in slivers and — never runnable together for
+//! long — look like one CPU's worth of work that the load balancer has
+//! no reason to spread. Yielding instead lets the peer finish its
+//! stretch; the loop then finds a batch waiting rather than a sleep, and
+//! while it waits it is runnable, so a second CPU is used if there is
+//! one. Without it `serve_add_seta`'s saturation throughput read 2.9k or
+//! 6.1k req/s by which way the kernel had placed the two threads; with
+//! it, 5.9k–6.4k over ten runs, and 3.7k–4.2k with both pinned to one CPU
+//! (2.8k–3.1k there without it, where it costs a lone request 0.3 ms: a
+//! loop that has yielded is not woken by an arrival, it waits its turn).
+//!
 //! Replies leave in the turn that produced them. Every path that queues
 //! reply bytes ends in a write pass, `WRITABLE` is armed only for a
 //! connection whose socket came up short, and accepted streams have
@@ -1057,7 +1074,9 @@ impl<'a> NetServer<'a> {
     /// [`NetConfig::flush_on_idle`] set and requests queued, the turn asks
     /// the poller only for what is ready *now*, so the queue is flushed
     /// the moment the sockets run dry — a queued request never waits out
-    /// the caller's timeout.
+    /// the caller's timeout. A turn that does sleep yields its CPU first,
+    /// so a peer that shares it finishes what it was sending (module docs,
+    /// "Runtime model").
     ///
     /// # Errors
     ///
@@ -1071,6 +1090,11 @@ impl<'a> NetServer<'a> {
             timeout_ms
         };
         let mut events = std::mem::take(&mut self.events);
+        if wait_ms != 0 {
+            // About to sleep: whoever is runnable on this CPU — on loopback,
+            // the client just answered — goes first. See "Runtime model".
+            std::thread::yield_now();
+        }
         self.poller.wait(&mut events, wait_ms)?;
         for ev in &events {
             if ev.token == LISTENER_TOKEN {
