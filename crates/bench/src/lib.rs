@@ -6,12 +6,12 @@
 //!
 //! ```text
 //! cargo run -p heax-bench --release --bin table5
-//! cargo run -p heax-bench --release --bin table7
-//! cargo bench -p heax-bench --bench cpu_highlevel   # CPU-side of Tables 7/8
+//! cargo run -p heax-bench --release --bin table7   # CPU-side of Table 7
 //! ```
 //!
 //! The library part holds shared table formatting and the CPU-side
-//! measurement loop reused by both the binaries and the Criterion benches.
+//! measurement loop the binaries share. Performance of the system itself
+//! is measured by the standalone `benchmark/` ruler (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 
@@ -90,8 +90,7 @@ pub fn fmt_delta(got: f64, reference: f64) -> String {
     format!("{:+.1}%", 100.0 * (got - reference) / reference)
 }
 
-/// Shared CPU-baseline workloads for the Table 7/8 binaries and the
-/// Criterion benches.
+/// Shared CPU-baseline workloads for the Table 7/8 binaries.
 pub mod workloads {
     use heax_ckks::{
         Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor, ParamSet, PublicKey, RelinKey,
@@ -104,8 +103,6 @@ pub mod workloads {
     pub struct SetWorkload {
         /// Context for the set.
         pub ctx: CkksContext,
-        /// Secret key.
-        pub sk: SecretKey,
         /// Relinearization key.
         pub rlk: RelinKey,
         /// Two fresh sample ciphertexts at top level.
@@ -156,7 +153,6 @@ pub mod workloads {
         ctx.ntt_table(0).forward(&mut residue_ntt);
         SetWorkload {
             ctx,
-            sk,
             rlk,
             ct_a,
             ct_b,

@@ -9,8 +9,9 @@
 //!
 //! In the reproduction this crate plays two roles:
 //!
-//! 1. the **CPU baseline** measured by the Criterion benches in
-//!    `heax-bench` (standing in for SEAL on the Xeon Silver 4108), and
+//! 1. the **CPU baseline** measured by the `table7`/`table8` binaries in
+//!    `heax-bench` and the `benchmark/` ledger's `ckks.*` rows (standing
+//!    in for SEAL on the Xeon Silver 4108), and
 //! 2. the **golden model** against which the cycle-accurate hardware
 //!    simulators in `heax-hw`/`heax-core` are checked bit-exactly.
 //!

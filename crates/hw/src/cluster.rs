@@ -558,22 +558,6 @@ impl ClusterReport {
         self.recovery_cycles as f64 / self.freq_mhz
     }
 
-    /// Modeled compute cycles of each *stream* op, stream order —
-    /// reassembled from the per-board schedules (each board preserves
-    /// its sub-stream's order), so callers can attribute cost back to
-    /// sessions.
-    pub fn per_op_compute_cycles(&self) -> Vec<u64> {
-        let mut cursor = vec![0usize; self.num_boards];
-        self.assignment
-            .iter()
-            .map(|&b| {
-                let t = &self.boards[b].ops[cursor[b]];
-                cursor[b] += 1;
-                t.compute.1 - t.compute.0
-            })
-            .collect()
-    }
-
     /// Renders the report as a human-readable summary block.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -1014,10 +998,8 @@ mod tests {
             .schedule_stream(&ops, RoutingPolicy::Affinity { steal: false })
             .unwrap();
         assert_eq!(r.assignment.len(), ops.len());
-        let per_op = r.per_op_compute_cycles();
-        assert_eq!(per_op.len(), ops.len());
-        let board_sum: u64 = r.boards.iter().map(|b| b.core_busy()).sum();
-        assert_eq!(per_op.iter().sum::<u64>(), board_sum);
+        let board_ops: usize = r.boards.iter().map(|b| b.ops.len()).sum();
+        assert_eq!(board_ops, ops.len());
         assert!((0..3).all(|b| (0.0..=1.0).contains(&r.board_utilization(b))));
         let s = r.render();
         assert!(s.contains("3 board(s)"));

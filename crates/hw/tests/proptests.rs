@@ -216,3 +216,126 @@ proptest! {
         }
     }
 }
+
+/// A random served-shaped IR stream over `sessions` sessions, fused the
+/// way a server flush fuses it: each session opens by parking its
+/// input under one handle, then `picks` mixes parked-chain steps
+/// (rotate, multiply, add, each re-parking the handle and depending on
+/// its last writer) with inline rotations of one of two inputs (which
+/// fuse into hoisted groups).
+fn served_stream(sessions: u64, picks: &[(u64, u8, bool)]) -> Vec<heax_hw::ir::IrOp> {
+    use heax_hw::ir::{IrOp, OpKind, OpStream};
+    let mut stream = OpStream::new();
+    let mut last_writer: Vec<u32> = Vec::new();
+    for s in 1..=sessions {
+        last_writer.push(stream.len() as u32);
+        stream.push(
+            IrOp::new(OpKind::Fetch)
+                .with_session(s)
+                .with_parked_output()
+                .with_output_id(s),
+        );
+    }
+    for &(s, kind, other_input) in picks {
+        let s = 1 + s % sessions;
+        let op = match kind % 4 {
+            0 => OpKind::Rotate,
+            1 => OpKind::Multiply,
+            2 => OpKind::Add,
+            _ => {
+                // An inline rotation: ids past every handle's.
+                let input = 100 * s + u64::from(other_input);
+                stream.push(
+                    IrOp::new(OpKind::Rotate)
+                        .with_session(s)
+                        .with_input_id(input),
+                );
+                continue;
+            }
+        };
+        let writer = &mut last_writer[(s - 1) as usize];
+        let step = IrOp::new(op)
+            .with_session(s)
+            .with_parked_input()
+            .with_input_id(s)
+            .with_parked_output()
+            .with_output_id(s)
+            .with_dep(*writer);
+        *writer = stream.len() as u32;
+        stream.push(step);
+    }
+    stream.fuse_rotations().ops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fault invariants, where the faults live: a seeded
+    /// [`FaultPlan`](heax_hw::faults::FaultPlan) over a served-shaped
+    /// stream reshapes placement and timing only. Every request is still
+    /// answered, survivors never outnumber boards, an empty plan loses
+    /// nothing, and recovery work only appears beside the faults that
+    /// caused it — at boards {2, 4} × cores {1, 4}.
+    #[test]
+    fn faulted_cluster_accounting_is_coherent(
+        sessions in 2u64..=3,
+        picks in prop::collection::vec((0u64..3, 0u8..4, any::<bool>()), 1..16),
+        fault_seed in 0u64..1000,
+        crash_level in 0u32..=2,
+    ) {
+        use heax_hw::cluster::{ClusterConfig, RoutingPolicy};
+        use heax_hw::faults::{FaultPlan, FaultRates};
+        use heax_hw::keyswitch_pipeline::KeySwitchArch;
+        use heax_hw::scheduler::PipelineConfig;
+        let arch = KeySwitchArch {
+            n: 8192,
+            k: 4,
+            nc_intt0: 16,
+            m0: 4,
+            nc_ntt0: 16,
+            num_dyad: 5,
+            nc_dyad: 8,
+            nc_intt1: 4,
+            nc_ntt1: 16,
+            nc_ms: 4,
+        };
+        let mult = heax_hw::mult_dataflow::MultModuleConfig::new(arch.n, 16).unwrap();
+        let ops = served_stream(sessions, &picks);
+        let ids: Vec<u64> = (1..=sessions).collect();
+        let policy = RoutingPolicy::Affinity { steal: true };
+        let rates = FaultRates {
+            crash: f64::from(crash_level) * 0.25,
+            slowdown: 0.4,
+            link: 0.4,
+            dma: 0.4,
+            ksk_corruption: 0.4,
+        };
+        for (boards, cores) in [(2usize, 1usize), (2, 4), (4, 1), (4, 4)] {
+            let board = PipelineConfig::new(&heax_hw::board::Board::stratix10(), arch, mult, cores)
+                .unwrap();
+            let c = ClusterConfig::new(board, boards).unwrap();
+            // An empty plan (the healthy entry point delegates to the
+            // faulted one with `FaultPlan::none()`) loses nothing.
+            let healthy = c.schedule_stream(&ops, policy).unwrap();
+            prop_assert_eq!(healthy.boards_alive(), boards);
+            prop_assert_eq!(healthy.failovers, 0);
+            prop_assert_eq!(healthy.re_replications, 0);
+            prop_assert_eq!(healthy.recovery_cycles, 0);
+
+            let plan = FaultPlan::generate(fault_seed, boards, healthy.total_cycles, &ids, &rates);
+            let s = match c.schedule_stream_faulted(&ops, policy, &plan) {
+                Ok(s) => s,
+                // The one refusal: a plan that crashes every board.
+                Err(_) => {
+                    let crashed = (0..boards).filter(|&b| plan.crash_cycle(b).is_some()).count();
+                    prop_assert_eq!(crashed, boards);
+                    continue;
+                }
+            };
+            prop_assert_eq!(s.requests(), healthy.requests());
+            prop_assert!(s.boards_alive() <= boards);
+            prop_assert!(s.re_replications >= s.failovers);
+            prop_assert!(s.re_replications >= s.corrupt_ksk_evictions);
+        }
+    }
+}

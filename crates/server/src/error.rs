@@ -33,11 +33,11 @@ pub enum ErrorCode {
     Capacity = 6,
     /// The request is structurally valid but not supported.
     Unsupported = 7,
-    /// The request was shed: it could not be served within its
-    /// deadline budget and was dropped rather than queued forever.
+    /// Shed at admission: the server's queue depth or key-cache budget
+    /// was full, so the request was refused rather than queued.
     LoadShed = 8,
-    /// The serving path is degraded: bounded retries were exhausted
-    /// without a healthy completion.
+    /// Reserved: never sent by this server. Decoders must still accept
+    /// it, so the reply decoder stays total across server versions.
     Degraded = 9,
 }
 
@@ -107,22 +107,6 @@ pub enum ServerError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The request was shed: its deadline budget ran out before it
-    /// could be served.
-    LoadShed {
-        /// Modeled microseconds the request had already consumed.
-        spent_us: u64,
-        /// The per-request deadline budget, microseconds.
-        budget_us: u64,
-    },
-    /// The serving path is degraded: the bounded retry policy was
-    /// exhausted without a healthy completion.
-    Degraded {
-        /// Retries attempted before giving up.
-        retries: u32,
-        /// Human-readable reason from the last attempt.
-        reason: String,
-    },
 }
 
 impl ServerError {
@@ -150,8 +134,6 @@ impl ServerError {
             ServerError::Core(CoreError::DramFull { .. }) => ErrorCode::Capacity,
             ServerError::Core(_) => ErrorCode::Unsupported,
             ServerError::Unsupported { .. } => ErrorCode::Unsupported,
-            ServerError::LoadShed { .. } => ErrorCode::LoadShed,
-            ServerError::Degraded { .. } => ErrorCode::Degraded,
         }
     }
 }
@@ -171,16 +153,6 @@ impl fmt::Display for ServerError {
             ServerError::Ckks(e) => write!(f, "ckks error: {e}"),
             ServerError::Core(e) => write!(f, "system error: {e}"),
             ServerError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
-            ServerError::LoadShed {
-                spent_us,
-                budget_us,
-            } => write!(
-                f,
-                "request shed: {spent_us} us spent of a {budget_us} us deadline budget"
-            ),
-            ServerError::Degraded { retries, reason } => {
-                write!(f, "degraded after {retries} retries: {reason}")
-            }
         }
     }
 }
@@ -231,22 +203,6 @@ mod tests {
                 assert!((*code as u16) > (ErrorCode::ALL[i - 1] as u16));
             }
         }
-        assert_eq!(
-            ServerError::LoadShed {
-                spent_us: 10,
-                budget_us: 5
-            }
-            .code(),
-            ErrorCode::LoadShed
-        );
-        assert_eq!(
-            ServerError::Degraded {
-                retries: 3,
-                reason: "x".into()
-            }
-            .code(),
-            ErrorCode::Degraded
-        );
     }
 
     #[test]

@@ -23,22 +23,13 @@
 //! and per-connection failure containment.
 //!
 //! Every flush lowers its requests into the shared op-stream IR of
-//! `heax_hw::ir` (rotation fusion is an IR pass), executes from the
-//! fused stream, and — with [`HeaxServer::with_board_model`] and/or
-//! [`HeaxServer::with_cluster_model`] — prices the *same* stream on a
-//! modeled multi-core HEAX board or a multi-board cluster with
-//! session→board key affinity, so [`ServerStats`] reports the modeled
-//! cycle cost (and routing/replication behavior) of the served
-//! traffic next to the measured wall time — without perturbing any
-//! functional result.
-//!
-//! Serving degrades gracefully under faults: a seeded
-//! [`heax_hw::faults::FaultPlan`] attached via
-//! [`HeaxServer::with_fault_plan`] drains crashed boards from the
-//! modeled cluster (sessions fail over, corrupted keys re-upload), and
-//! the [`FlushPolicy`] retry/deadline machinery answers requests that
-//! exhaust their budget with structured load-shed/degraded error
-//! frames instead of wedging the batch.
+//! `heax_hw::ir` (rotation fusion is an IR pass) and executes from the
+//! fused stream: lower → fuse → execute. The server serves; it does not
+//! model, and it has no fault input, so its replies cannot depend on
+//! one. [`HeaxServer::queued_plan`] returns the exact stream the next
+//! flush executes; pricing that on a modeled HEAX board or a faulted
+//! multi-board cluster is an offline `heax_hw` call, kept apart from
+//! the measured wall time [`ServerStats`] reports.
 //!
 //! ```
 //! use heax_ckks::serialize::{
@@ -155,8 +146,8 @@ pub mod session;
 pub mod wire;
 
 pub use error::{ErrorCode, ServerError};
-pub use metrics::{ModeledBoardStats, ModeledClusterStats, OpStats, ServerStats, SessionStats};
+pub use metrics::{OpStats, ServerStats, SessionStats};
 pub use net::{NetConfig, NetServer, NetStats, SessionKeyLru};
-pub use server::{FlushPolicy, HeaxServer};
+pub use server::HeaxServer;
 pub use session::SessionRegistry;
 pub use wire::{MessageKind, OpCode};

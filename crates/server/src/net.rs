@@ -79,11 +79,11 @@
 //! ## Admission control and backpressure
 //!
 //! Request frames are admitted against [`NetConfig::max_queue_depth`]:
-//! past the bound the request is answered immediately with the same
-//! structured [`ErrorCode::LoadShed`] frame the [`crate::FlushPolicy`]
-//! deadline machinery uses when a queued request's budget runs out —
-//! one load-shedding vocabulary whether pressure shows up at the door
-//! or inside the batch. A connection whose peer stops reading
+//! past the bound the request is answered immediately with a
+//! structured [`ErrorCode::LoadShed`] frame, as is a key registration
+//! or restore the [`SessionKeyLru`] budget cannot hold. Admission is
+//! the only place this server sheds: a request that is queued is
+//! executed. A connection whose peer stops reading
 //! (its write buffer exceeding [`NetConfig::max_write_buffer`]) is
 //! dropped rather than allowed to wedge the loop.
 //!
@@ -716,13 +716,9 @@ impl SessionKeyLru {
 
 /// Tunables of the socket runtime.
 ///
-/// The admission bound (`max_queue_depth`) is the transport half of
-/// the [`FlushPolicy`] load-shedding contract: the policy sheds queued
-/// requests whose modeled deadline budget runs out, the transport
-/// sheds at the door once the queue is this deep — both answer with
-/// [`ErrorCode::LoadShed`] so clients see one backpressure vocabulary.
-///
-/// [`FlushPolicy`]: crate::server::FlushPolicy
+/// The admission bound (`max_queue_depth`) and the key-cache budget
+/// (`key_cache_budget`) are where the runtime sheds load: a request
+/// past either is answered at the door with [`ErrorCode::LoadShed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetConfig {
     /// Accepted-connection cap; connections past it are refused at

@@ -15,7 +15,7 @@
 //!
 //! ## Batching semantics
 //!
-//! A flush is a compiler pipeline: **lower → fuse → execute → model.**
+//! A flush is a compiler pipeline: **lower → fuse → execute.**
 //! Queued requests lower into the shared op-stream IR of
 //! [`heax_hw::ir`] — one [`IrOp`] per request carrying session/key
 //! identity, operand placement, handle identity and dependency edges —
@@ -37,13 +37,13 @@
 //! cross-request amortizations.
 //!
 //! The fused stream is the single source of truth: the executor walks
-//! its member lists, and the *same* stream is then priced by the
-//! attached machine models — the single-board pipeline
-//! ([`HeaxServer::with_board_model`]) and/or the multi-board cluster
-//! router ([`HeaxServer::with_cluster_model`]). There is no
-//! model-only stream reconstruction anywhere; what the models price
-//! is exactly what the server ran. [`HeaxServer::queued_plan`]
-//! exposes the same lowering for inspection without executing.
+//! its member lists. The server serves; it does not model.
+//! [`HeaxServer::queued_plan`] returns, without draining anything,
+//! exactly the stream the next flush executes, and pricing it is an
+//! offline call on [`heax_hw`] — `pipeline_config(k)?.schedule_stream`
+//! for one board, `cluster_config(b, k)?.schedule_stream_faulted` for a
+//! cluster under a fault plan — the same call the ruler's
+//! `model_fleet_setb` workload makes.
 //!
 //! Results can be **parked** in modeled board DRAM ([`HeaxSystem`]'s
 //! Figure 7 memory map) instead of shipping back: a request with
@@ -70,16 +70,13 @@ use heax_ckks::serialize::{
 use heax_ckks::{Ciphertext, CkksContext, Evaluator};
 use heax_core::{HeaxAccelerator, HeaxSystem};
 use heax_hw::board::Board;
-use heax_hw::cluster::{ClusterConfig, ClusterReport, RoutingPolicy};
-use heax_hw::faults::FaultPlan;
 use heax_hw::ir::{FusedStream, IrOp, OpKind, OpStream};
-use heax_hw::scheduler::{PipelineConfig, PipelineReport};
 use heax_math::exec::Executor;
 use heax_math::poly::RnsPoly;
 use heax_math::sampling::EXPAND_SEED_LEN;
 
 use crate::error::ServerError;
-use crate::metrics::{Metrics, ModeledBoardStats, ModeledClusterStats, ServerStats, SessionStats};
+use crate::metrics::{Metrics, ServerStats, SessionStats};
 use crate::session::SessionRegistry;
 use crate::wire::{self, Frame, MessageKind, OpCode, WireOperand, FRAME_HEADER_LEN};
 
@@ -101,7 +98,7 @@ struct Pending {
 
 impl Pending {
     /// Whether any inline operand arrived seeded (halved upload) —
-    /// carried into the IR so the board models price the smaller
+    /// carried into the IR so an offline board model prices the smaller
     /// host→board transfer.
     fn seeded_input(&self) -> bool {
         self.operands
@@ -148,94 +145,6 @@ enum Reply<'p> {
     Error(Vec<u8>),
 }
 
-/// The board model attached by [`HeaxServer::with_board_model`]: every
-/// flush's fused IR stream is scheduled on the board-level pipeline and
-/// the modeled cost accumulates into [`ModeledBoardStats`].
-#[derive(Debug)]
-struct BoardModel {
-    config: PipelineConfig,
-    stats: ModeledBoardStats,
-    last_report: Option<PipelineReport>,
-}
-
-/// How the cluster model routes every flush: session→board key
-/// affinity with work stealing.
-const CLUSTER_POLICY: RoutingPolicy = RoutingPolicy::Affinity { steal: true };
-
-/// The cluster model attached by [`HeaxServer::with_cluster_model`]:
-/// every flush's fused IR stream is routed across N modeled boards and
-/// the routing outcome accumulates into [`ModeledClusterStats`].
-#[derive(Debug)]
-struct ClusterModel {
-    config: ClusterConfig,
-    /// Injected fault schedule (empty = healthy cluster). Routed flushes
-    /// go through the degradation-aware scheduler so crashes, slow
-    /// boards and corrupted keys show up in the modeled figures.
-    faults: FaultPlan,
-    stats: ModeledClusterStats,
-    last_report: Option<ClusterReport>,
-}
-
-/// Bounded-retry and deadline policy for [`HeaxServer::flush`].
-///
-/// Execution attempts that hit a (injected) transient fault are retried
-/// with exponential backoff, each wait billed in modeled microseconds
-/// against the request's deadline budget. A request whose budget runs
-/// out is **shed** ([`ErrorCode::LoadShed`](crate::error::ErrorCode));
-/// one that exhausts its retries with budget to spare is answered
-/// **degraded** ([`ErrorCode::Degraded`](crate::error::ErrorCode)).
-/// Either way the client gets a structured error frame — a faulty
-/// backend can slow the server down but never wedge it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Retries allowed per request before answering degraded.
-    pub max_retries: u32,
-    /// Base backoff in modeled microseconds; doubles per retry.
-    pub backoff_us: u64,
-    /// Per-request deadline budget in modeled microseconds
-    /// (0 = unlimited).
-    pub deadline_us: u64,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy {
-            max_retries: 3,
-            backoff_us: 50,
-            deadline_us: 0,
-        }
-    }
-}
-
-/// Deterministic transient-fault source for the flush retry path: a
-/// seeded LCG draw per execution attempt, so a given
-/// `(seed, rate, workload)` triple always sheds/degrades the same
-/// requests — reproducible chaos, no wall clock involved.
-#[derive(Debug)]
-struct FaultInjector {
-    state: u64,
-    rate: f64,
-}
-
-impl FaultInjector {
-    fn new(seed: u64, rate: f64) -> Self {
-        FaultInjector {
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
-            rate: rate.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Does this execution attempt hit a transient fault?
-    fn attempt_fails(&mut self) -> bool {
-        self.state = self
-            .state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let unit = (self.state >> 11) as f64 / (1u64 << 53) as f64;
-        unit < self.rate
-    }
-}
-
 /// The multi-session HEAX server (see the module docs for the serving
 /// model).
 #[derive(Debug)]
@@ -246,10 +155,6 @@ pub struct HeaxServer<'a> {
     sessions: SessionRegistry,
     queue: VecDeque<Pending>,
     metrics: Metrics,
-    board_model: Option<BoardModel>,
-    cluster_model: Option<ClusterModel>,
-    flush_policy: FlushPolicy,
-    injector: Option<FaultInjector>,
     /// Polynomials of operands the server is done with, which the next
     /// inline operands decode into.
     pool: Vec<RnsPoly>,
@@ -286,10 +191,6 @@ impl<'a> HeaxServer<'a> {
             sessions: SessionRegistry::default(),
             queue: VecDeque::new(),
             metrics: Metrics::default(),
-            board_model: None,
-            cluster_model: None,
-            flush_policy: FlushPolicy::default(),
-            injector: None,
             pool: Vec::new(),
             pool_taken: 0,
             results: Vec::new(),
@@ -302,132 +203,6 @@ impl<'a> HeaxServer<'a> {
     pub fn with_executor(mut self, exec: Arc<dyn Executor>) -> Self {
         self.eval = Evaluator::with_executor(self.ctx, exec);
         self
-    }
-
-    /// Builder option: attaches the board-level pipeline model with
-    /// `num_cores` modeled HEAX cores. Every subsequent flush replays
-    /// its executed op stream (hoisted groups and all) on the
-    /// [`heax_hw::scheduler`] pipeline; aggregates surface as
-    /// [`ServerStats::modeled`], per-request compute cost as
-    /// [`crate::metrics::OpStats::modeled_cycles`], and the latest
-    /// flush's full [`PipelineReport`] via
-    /// [`HeaxServer::board_report`]. Functional results are untouched —
-    /// the model runs beside the evaluator, not instead of it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Core`] if the pipeline configuration is invalid
-    /// for this server's accelerator (zero cores).
-    pub fn with_board_model(mut self, num_cores: usize) -> Result<Self, ServerError> {
-        let config = self.system.accelerator().pipeline_config(num_cores)?;
-        let stats = ModeledBoardStats {
-            cores: num_cores,
-            freq_mhz: config.freq_mhz,
-            ..Default::default()
-        };
-        self.board_model = Some(BoardModel {
-            config,
-            stats,
-            last_report: None,
-        });
-        Ok(self)
-    }
-
-    /// Builder option: attaches the multi-board cluster model —
-    /// `num_boards` modeled HEAX boards of `num_cores` cores each
-    /// behind the session-affinity router of [`heax_hw::cluster`]
-    /// (stealing enabled). Every subsequent flush
-    /// routes its fused IR stream — the exact stream the server
-    /// executes — across the cluster; aggregates surface as
-    /// [`ServerStats::cluster`] and the latest flush's full
-    /// [`ClusterReport`] via [`HeaxServer::cluster_report`].
-    /// Functional results are untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Core`] if the cluster configuration is invalid
-    /// (zero cores, or a board count outside 1..=64).
-    pub fn with_cluster_model(
-        mut self,
-        num_boards: usize,
-        num_cores: usize,
-    ) -> Result<Self, ServerError> {
-        let config = self
-            .system
-            .accelerator()
-            .cluster_config(num_boards, num_cores)?;
-        let stats = ModeledClusterStats {
-            boards: num_boards,
-            cores_per_board: num_cores,
-            freq_mhz: config.board.freq_mhz,
-            boards_alive: num_boards,
-            ..Default::default()
-        };
-        self.cluster_model = Some(ClusterModel {
-            config,
-            faults: FaultPlan::none(),
-            stats,
-            last_report: None,
-        });
-        Ok(self)
-    }
-
-    /// Builder option: a seeded fault schedule for the cluster model
-    /// (no effect without [`HeaxServer::with_cluster_model`]). Every
-    /// subsequent flush routes through the degradation-aware scheduler
-    /// — crashed boards are drained, sessions fail over, corrupted keys
-    /// are re-uploaded — and the fault counters accumulate into
-    /// [`ModeledClusterStats`]. Functional results are untouched: the
-    /// plan reshapes modeled placement and timing only.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        if let Some(m) = self.cluster_model.as_mut() {
-            m.faults = plan;
-        }
-        self
-    }
-
-    /// Builder option: the flush retry/deadline policy (see
-    /// [`FlushPolicy`]; the default allows 3 retries with a 50 µs base
-    /// backoff and no deadline).
-    #[must_use]
-    pub fn with_flush_policy(mut self, policy: FlushPolicy) -> Self {
-        self.flush_policy = policy;
-        self
-    }
-
-    /// Builder option: deterministic transient-fault injection on the
-    /// flush execution path. Each execution attempt fails with
-    /// probability `rate` drawn from a seeded generator, exercising the
-    /// [`FlushPolicy`] retry/backoff/shed machinery reproducibly. A
-    /// rate of 0 (or never calling this) leaves serving byte-identical
-    /// to a fault-free server.
-    #[must_use]
-    pub fn with_transient_faults(mut self, seed: u64, rate: f64) -> Self {
-        self.injector = if rate > 0.0 {
-            Some(FaultInjector::new(seed, rate))
-        } else {
-            None
-        };
-        self
-    }
-
-    /// The board-pipeline report of the most recent modeled flush
-    /// (`None` before the first flush or without
-    /// [`HeaxServer::with_board_model`]).
-    pub fn board_report(&self) -> Option<&PipelineReport> {
-        self.board_model
-            .as_ref()
-            .and_then(|m| m.last_report.as_ref())
-    }
-
-    /// The cluster report of the most recent modeled flush (`None`
-    /// before the first flush or without
-    /// [`HeaxServer::with_cluster_model`]).
-    pub fn cluster_report(&self) -> Option<&ClusterReport> {
-        self.cluster_model
-            .as_ref()
-            .and_then(|m| m.last_report.as_ref())
     }
 
     /// The server's context.
@@ -705,7 +480,7 @@ impl<'a> HeaxServer<'a> {
 
     /// Lowers the currently queued requests into the shared op-stream
     /// IR, *without* executing or draining anything — the stream the
-    /// next [`HeaxServer::flush`] will fuse, execute and model. One
+    /// next [`HeaxServer::flush`] will fuse and execute. One
     /// [`IrOp`] per request, submission order; parked handles and
     /// inline inputs carry identity ids, handle write→read edges become
     /// dependency edges.
@@ -716,8 +491,8 @@ impl<'a> HeaxServer<'a> {
     /// The fused IR plan of the currently queued requests:
     /// [`HeaxServer::queued_stream`] after the
     /// [`OpStream::fuse_rotations`] pass — exactly what the next flush
-    /// executes and what the board/cluster models price. Pure
-    /// inspection: nothing is drained, no model is required.
+    /// executes, and what an offline board or cluster model prices.
+    /// Pure inspection: nothing is drained.
     pub fn queued_plan(&self) -> FusedStream {
         self.queued_stream().fuse_rotations()
     }
@@ -744,15 +519,12 @@ impl<'a> HeaxServer<'a> {
     /// header, into the bytes that leave the process. Returns how many
     /// requests were answered.
     ///
-    /// The pipeline is lower → fuse → execute → model: requests lower
-    /// into the shared IR ([`heax_hw::ir`]), the rotation-fusion pass
-    /// merges same-session same-input rotations into hoisted groups,
-    /// and the resulting fused stream is the *single source of truth* —
-    /// the executor walks its member lists (a fused group runs as one
-    /// hoisted [`Evaluator::rotate_many`] at its first member's queue
-    /// position), and the very same stream is handed to the board
-    /// and/or cluster models afterwards. No model-only stream is ever
-    /// reconstructed.
+    /// The pipeline is lower → fuse → execute: requests lower into the
+    /// shared IR ([`heax_hw::ir`]), the rotation-fusion pass merges
+    /// same-session same-input rotations into hoisted groups, and the
+    /// executor walks the fused stream's member lists (a fused group runs
+    /// as one hoisted [`Evaluator::rotate_many`] at its first member's
+    /// queue position).
     pub fn flush_into(&mut self, sink: &mut impl ReplySink) -> usize {
         if self.queue.is_empty() {
             return 0;
@@ -778,42 +550,22 @@ impl<'a> HeaxServer<'a> {
         results.resize_with(items.len(), || None);
         for idx in 0..items.len() {
             // Execute (a fused group executes when its first member is
-            // reached and pre-fills every member's slot). Each execution
-            // site first passes the retry policy: transient faults are
-            // retried with backoff, and a request that runs out of
-            // budget or retries is answered shed/degraded instead of
-            // wedging the batch. The verdict covers the whole site — a
-            // fused group retries (and sheds) as a unit.
+            // reached and pre-fills every member's slot).
             if results[idx].is_none() {
                 let members = groups.next().expect("a group per unfilled slot");
                 debug_assert_eq!(members[0], idx);
-                if let Err(e) = self.admit_execution() {
-                    let n = members.len() as u64;
-                    let stats = self.metrics.op_mut(items[idx].op);
-                    stats.requests = stats.requests.saturating_add(n);
-                    if matches!(e, ServerError::LoadShed { .. }) {
-                        self.metrics.shed_requests = self.metrics.shed_requests.saturating_add(n);
-                    } else {
-                        self.metrics.degraded_replies =
-                            self.metrics.degraded_replies.saturating_add(n);
-                    }
-                    for &i in members {
-                        results[i] = Some(Err(e.clone()));
-                    }
+                let start = Instant::now();
+                if items[idx].op == OpCode::Rotate {
+                    self.exec_rotate_group(items, members, &mut results);
+                    let stats = self.metrics.op_mut(OpCode::Rotate);
+                    stats.requests = stats.requests.saturating_add(members.len() as u64);
+                    stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
                 } else {
-                    let start = Instant::now();
-                    if items[idx].op == OpCode::Rotate {
-                        self.exec_rotate_group(items, members, &mut results);
-                        let stats = self.metrics.op_mut(OpCode::Rotate);
-                        stats.requests = stats.requests.saturating_add(members.len() as u64);
-                        stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
-                    } else {
-                        let outcome = self.exec_single(&mut items[idx]);
-                        let stats = self.metrics.op_mut(items[idx].op);
-                        stats.requests = stats.requests.saturating_add(1);
-                        stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
-                        results[idx] = Some(outcome);
-                    }
+                    let outcome = self.exec_single(&mut items[idx]);
+                    let stats = self.metrics.op_mut(items[idx].op);
+                    stats.requests = stats.requests.saturating_add(1);
+                    stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
+                    results[idx] = Some(outcome);
                 }
             }
             // Park or serialize, framing the reply. Parking happens
@@ -822,7 +574,6 @@ impl<'a> HeaxServer<'a> {
             let outcome = results[idx].take().expect("slot filled by executor");
             self.finish_request(&items[idx], idx, outcome, sink);
         }
-        self.model_flush(items, &plan);
         let answered = items.len();
         for it in queue.drain(..) {
             self.recycle_operands(it.operands);
@@ -833,130 +584,6 @@ impl<'a> HeaxServer<'a> {
         results.clear();
         self.results = results;
         answered
-    }
-
-    /// Runs the flush retry policy for one execution site: draws
-    /// transient faults per attempt, bills exponential backoff in
-    /// modeled microseconds against the deadline budget, and decides
-    /// whether execution may proceed. `Ok(())` without an injector —
-    /// the healthy path is zero-cost and byte-identical.
-    fn admit_execution(&mut self) -> Result<(), ServerError> {
-        let policy = self.flush_policy;
-        let Some(injector) = self.injector.as_mut() else {
-            return Ok(());
-        };
-        let mut spent_us = 0u64;
-        let mut retries = 0u64;
-        let mut attempt = 0u32;
-        let verdict = loop {
-            if !injector.attempt_fails() {
-                break Ok(());
-            }
-            if attempt >= policy.max_retries {
-                break Err(ServerError::Degraded {
-                    retries: attempt,
-                    reason: "transient backend fault persisted".into(),
-                });
-            }
-            let backoff = policy.backoff_us.saturating_mul(1u64 << attempt.min(16));
-            spent_us = spent_us.saturating_add(backoff);
-            if policy.deadline_us > 0 && spent_us > policy.deadline_us {
-                break Err(ServerError::LoadShed {
-                    spent_us,
-                    budget_us: policy.deadline_us,
-                });
-            }
-            retries += 1;
-            attempt += 1;
-        };
-        self.metrics.retries = self.metrics.retries.saturating_add(retries);
-        verdict
-    }
-
-    /// Prices one flush's fused IR stream on the attached machine
-    /// models — the same stream the executor just ran. Modeled compute
-    /// cost is attributed back to op kinds and to owning sessions
-    /// (accumulating across flushes).
-    fn model_flush(&mut self, items: &[Pending], plan: &FusedStream) {
-        if plan.ops.is_empty() {
-            return;
-        }
-        if let Some(model) = self.board_model.as_mut() {
-            // Never let a model hiccup fail serving: the ops are
-            // well-formed by construction.
-            if let Ok(report) = model.config.schedule_stream(&plan.ops) {
-                let s = &mut model.stats;
-                s.flushes = s.flushes.saturating_add(1);
-                s.modeled_ops = s.modeled_ops.saturating_add(report.ops.len() as u64);
-                s.modeled_requests = s.modeled_requests.saturating_add(report.requests());
-                s.modeled_cycles = s.modeled_cycles.saturating_add(report.total_cycles);
-                s.core_busy_cycles = s.core_busy_cycles.saturating_add(report.core_busy());
-                s.fifo_high_water = s.fifo_high_water.max(report.fifo_high_water);
-                let stalls = report.stalls();
-                s.input_wait_cycles = s.input_wait_cycles.saturating_add(stalls.input_wait);
-                s.output_wait_cycles = s.output_wait_cycles.saturating_add(stalls.output_wait);
-                s.fifo_backpressure_cycles = s
-                    .fifo_backpressure_cycles
-                    .saturating_add(stalls.fifo_backpressure);
-                s.last_bound = report.bound();
-                for (fused, timing) in report.ops.iter().enumerate() {
-                    let cycles = timing.compute.1 - timing.compute.0;
-                    let code = items[plan.members[fused][0]].op;
-                    let op = self.metrics.op_mut(code);
-                    op.modeled_cycles = op.modeled_cycles.saturating_add(cycles);
-                    if let Ok(sess) = self.sessions.get_mut(plan.ops[fused].session) {
-                        sess.stats.modeled_cycles =
-                            sess.stats.modeled_cycles.saturating_add(cycles);
-                    }
-                }
-                model.last_report = Some(report);
-            }
-        }
-        if let Some(model) = self.cluster_model.as_mut() {
-            if let Ok(report) =
-                model
-                    .config
-                    .schedule_stream_faulted(&plan.ops, CLUSTER_POLICY, &model.faults)
-            {
-                let s = &mut model.stats;
-                s.flushes = s.flushes.saturating_add(1);
-                s.modeled_ops = s.modeled_ops.saturating_add(plan.ops.len() as u64);
-                s.modeled_requests = s.modeled_requests.saturating_add(report.requests());
-                s.modeled_cycles = s.modeled_cycles.saturating_add(report.total_cycles);
-                s.routing_hits = s.routing_hits.saturating_add(report.routing_hits);
-                s.routing_misses = s.routing_misses.saturating_add(report.routing_misses);
-                s.steals = s.steals.saturating_add(report.steals);
-                s.replication_bytes = s.replication_bytes.saturating_add(report.replication_bytes);
-                s.cross_board_deps = s.cross_board_deps.saturating_add(report.cross_board_deps);
-                // Fault outcome: liveness is a gauge (the latest flush's
-                // survivor count), recovery work accumulates.
-                s.boards_alive = report.boards_alive();
-                s.failovers = s.failovers.saturating_add(report.failovers);
-                s.re_replications = s.re_replications.saturating_add(report.re_replications);
-                s.corrupt_ksk_evictions = s
-                    .corrupt_ksk_evictions
-                    .saturating_add(report.corrupt_ksk_evictions);
-                s.parked_rematerializations = s
-                    .parked_rematerializations
-                    .saturating_add(report.parked_rematerializations);
-                s.recovery_cycles = s.recovery_cycles.saturating_add(report.recovery_cycles);
-                // Attribute per-op/per-session compute from the cluster
-                // only when no board model already did (avoid billing
-                // the same flush twice).
-                if self.board_model.is_none() {
-                    for (fused, cycles) in report.per_op_compute_cycles().into_iter().enumerate() {
-                        let code = items[plan.members[fused][0]].op;
-                        let op = self.metrics.op_mut(code);
-                        op.modeled_cycles = op.modeled_cycles.saturating_add(cycles);
-                        if let Ok(sess) = self.sessions.get_mut(plan.ops[fused].session) {
-                            sess.stats.modeled_cycles =
-                                sess.stats.modeled_cycles.saturating_add(cycles);
-                        }
-                    }
-                }
-                model.last_report = Some(report);
-            }
-        }
     }
 
     /// Answers one executed request: accounts the reply, then writes it —
@@ -1206,24 +833,19 @@ impl<'a> HeaxServer<'a> {
             hoisted_rotations: self.metrics.hoisted_rotations,
             seeded_operands: self.metrics.seeded_operands,
             compressed_replies: self.metrics.compressed_replies,
-            shed_requests: self.metrics.shed_requests,
-            degraded_replies: self.metrics.degraded_replies,
-            retries: self.metrics.retries,
             key_evictions: self.metrics.key_evictions,
             key_reregistrations: self.metrics.key_reregistrations,
             parked_entries: self.system.mapped_entries(),
             parked_bytes: self.system.dram_used_bytes(),
             per_op: self.metrics.per_op_snapshot(),
             per_session,
-            modeled: self.board_model.as_ref().map(|m| m.stats),
-            cluster: self.cluster_model.as_ref().map(|m| m.stats),
         }
     }
 }
 
 /// Lowers a batch of pending requests into the shared op-stream IR —
 /// one [`IrOp`] per request, submission order. Pure: no evaluator, no
-/// board model, no side effects, so the lowering is unit-testable on
+/// side effects, so the lowering is unit-testable on
 /// its own and `flush` and [`HeaxServer::queued_stream`] share it.
 ///
 /// Identity assignment:
@@ -1257,7 +879,8 @@ fn lower_ops<'a>(items: impl Iterator<Item = &'a Pending>) -> OpStream {
         }
         // v2 transfer shaping: seeded uploads halve the host→board leg;
         // a compressed wire-returned reply ships one limb of k. Both
-        // are priced by the board/cluster models through these flags.
+        // are priced by an offline board/cluster model through these
+        // flags.
         if it.seeded_input() {
             op = op.with_seeded_input();
         }

@@ -892,9 +892,10 @@ mod tests {
     #[test]
     fn every_error_code_roundtrips_through_both_wire_versions() {
         use super::client;
-        // Exhaustive: each of the nine codes (including the fault-path
-        // LoadShed and Degraded) survives encode → frame → parse at v1
-        // and v2, through both the raw decoder and the client parser.
+        // Exhaustive: each of the nine codes (including admission's
+        // LoadShed and the reserved Degraded) survives encode → frame →
+        // parse at v1 and v2, through both the raw decoder and the
+        // client parser.
         for version in [WIRE_V1, WIRE_V2] {
             for &code in &ErrorCode::ALL {
                 let frame = encode_frame(

@@ -1,26 +1,18 @@
-//! IR-layer tests for the server's lower → fuse pipeline, exercised
-//! **without** any board or cluster model attached: lowering queued
-//! requests into the shared `heax_hw::ir` op stream is a pure
+//! IR-layer tests for the server's lower → fuse pipeline: lowering
+//! queued requests into the shared `heax_hw::ir` op stream is a pure
 //! inspection ([`HeaxServer::queued_stream`] / `queued_plan`), so its
 //! shape — kinds, operand placement, identity ids, dependency edges,
-//! hoisted groups — is unit-testable on its own. Also pins two batch
-//! properties: rotation fusion is order-insensitive across session
-//! interleavings, and per-session modeled cycles accumulate across
-//! flushes.
+//! hoisted groups — is unit-testable on its own. Also pins that
+//! rotation fusion is order-insensitive across session interleavings.
 
 use heax_ckks::serialize::{
     serialize_ciphertext, serialize_galois_keys, serialize_seeded_ciphertext,
 };
 use heax_ckks::{
-    encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor,
-    GaloisKeys, PublicKey, SecretKey,
+    encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, Encryptor, GaloisKeys,
+    PublicKey, SecretKey,
 };
-use heax_core::{HeaxAccelerator, HeaxSystem};
-use heax_hw::board::Board;
 use heax_hw::ir::{FusedStream, OpKind};
-use heax_hw::keyswitch_pipeline::KeySwitchArch;
-use heax_hw::mult_dataflow::MultModuleConfig;
-use heax_hw::ntt_dataflow::NttModuleConfig;
 use heax_server::wire::client::{self};
 use heax_server::wire::{OpCode, Request, WireOperand};
 use heax_server::HeaxServer;
@@ -28,33 +20,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn ctx() -> CkksContext {
-    let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
-    CkksContext::new(CkksParams::new(64, chain, (1u64 << 32) as f64).unwrap()).unwrap()
-}
-
-fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
-    let accel = HeaxAccelerator::with_arch(
-        ctx,
-        Board::stratix10(),
-        KeySwitchArch {
-            n: 64,
-            k: 3,
-            nc_intt0: 4,
-            m0: 2,
-            nc_ntt0: 4,
-            num_dyad: 3,
-            nc_dyad: 4,
-            nc_intt1: 2,
-            nc_ntt1: 4,
-            nc_ms: 2,
-        },
-        NttModuleConfig::new(64, 4).unwrap(),
-        MultModuleConfig::new(64, 8).unwrap(),
-    )
-    .unwrap();
-    HeaxSystem::new(accel)
-}
+mod common;
+use common::{ctx, system};
 
 /// A keyed client: Galois keys (covering ±1, ±2) plus one fresh
 /// ciphertext, both ready for the wire.
@@ -306,62 +273,6 @@ fn a_shared_seeded_fanout_plans_and_serves_as_equal_full_inputs_do() {
         served.push(replies);
     }
     assert_eq!(served[0], served[1]);
-}
-
-#[test]
-fn per_session_modeled_cycles_accumulate_across_flushes() {
-    let c = ctx();
-    let rig = client_rig(&c, 14);
-
-    // Board model: each flush's attributed cycles add onto the
-    // session's running total.
-    let mut server = HeaxServer::with_system(&c, system(&c))
-        .with_board_model(2)
-        .unwrap();
-    let session = open_keyed(&mut server, &rig);
-    let ct_bytes = serialize_ciphertext(&rig.ct);
-
-    let frame = client::rotate(session, 1, &ct_bytes, 1);
-    assert!(server.handle_frame(&frame).is_none());
-    server.flush();
-    let after_one = session_cycles(&server, session);
-    assert!(after_one > 0, "first flush must bill the session");
-
-    for id in [2u64, 3] {
-        let frame = client::rotate(session, id, &ct_bytes, 1);
-        assert!(server.handle_frame(&frame).is_none());
-    }
-    server.flush();
-    let after_two = session_cycles(&server, session);
-    assert!(
-        after_two > after_one,
-        "second flush must add to the running total ({after_two} vs {after_one})"
-    );
-
-    // Cluster model alone attributes per-session cycles the same way.
-    let mut cluster = HeaxServer::with_system(&c, system(&c))
-        .with_cluster_model(2, 2)
-        .unwrap();
-    let session = open_keyed(&mut cluster, &rig);
-    let frame = client::rotate(session, 1, &ct_bytes, 1);
-    assert!(cluster.handle_frame(&frame).is_none());
-    cluster.flush();
-    let first = session_cycles(&cluster, session);
-    assert!(first > 0, "cluster model must bill the session");
-    let frame = client::rotate(session, 2, &ct_bytes, 1);
-    assert!(cluster.handle_frame(&frame).is_none());
-    cluster.flush();
-    assert!(session_cycles(&cluster, session) > first);
-}
-
-fn session_cycles(server: &HeaxServer<'_>, session: u64) -> u64 {
-    server
-        .stats()
-        .per_session
-        .iter()
-        .find(|&&(id, _)| id == session)
-        .map(|&(_, s)| s.modeled_cycles)
-        .expect("session registered")
 }
 
 proptest! {

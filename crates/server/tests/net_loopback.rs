@@ -26,15 +26,8 @@ use std::time::{Duration, Instant};
 
 use heax_ckks::serialize::{deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys};
 use heax_ckks::{
-    Ciphertext, CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, GaloisKeys, PublicKey,
-    SecretKey,
+    Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor, GaloisKeys, PublicKey, SecretKey,
 };
-use heax_core::{HeaxAccelerator, HeaxSystem};
-use heax_hw::board::Board;
-use heax_hw::faults::{FaultKind, FaultPlan};
-use heax_hw::keyswitch_pipeline::KeySwitchArch;
-use heax_hw::mult_dataflow::MultModuleConfig;
-use heax_hw::ntt_dataflow::NttModuleConfig;
 use heax_server::net::{FrameAssembler, NetConfig, NetServer, NetTick};
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{OpCode, Request, WireOperand};
@@ -42,33 +35,8 @@ use heax_server::{ErrorCode, HeaxServer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn ctx() -> CkksContext {
-    let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
-    CkksContext::new(CkksParams::new(64, chain, (1u64 << 32) as f64).unwrap()).unwrap()
-}
-
-fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
-    let accel = HeaxAccelerator::with_arch(
-        ctx,
-        Board::stratix10(),
-        KeySwitchArch {
-            n: 64,
-            k: 3,
-            nc_intt0: 4,
-            m0: 2,
-            nc_ntt0: 4,
-            num_dyad: 3,
-            nc_dyad: 4,
-            nc_intt1: 2,
-            nc_ntt1: 4,
-            nc_ms: 2,
-        },
-        NttModuleConfig::new(64, 4).unwrap(),
-        MultModuleConfig::new(64, 8).unwrap(),
-    )
-    .unwrap();
-    HeaxSystem::new(accel)
-}
+mod common;
+use common::{ctx, system};
 
 /// A [`NetConfig`] under which the tests own every flush boundary, so
 /// the mirror server can be flushed at the same instants.
@@ -725,17 +693,14 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
     );
 }
 
-/// Satellite 2 — chaos: a seeded [`FaultPlan`] (modeled board crash
-/// mid-run) composed with scripted socket failures (mid-frame
-/// disconnect, connect-then-silence). Surviving sessions
-/// decrypt-verify, and both stats layers stay consistent.
+/// Socket chaos: scripted socket failures (mid-frame disconnect,
+/// connect-then-silence) around a healthy peer. The dead peer's reply
+/// is orphaned, the silent one holds its slot, the survivor
+/// decrypt-verifies, and both stats layers stay consistent.
 #[test]
-fn fault_plan_composed_with_socket_chaos() {
+fn socket_chaos_leaves_the_survivor_served() {
     let c = ctx();
-    let inner = HeaxServer::with_system(&c, system(&c))
-        .with_cluster_model(2, 2)
-        .unwrap()
-        .with_fault_plan(FaultPlan::new().with_event(0, 1, FaultKind::BoardCrash));
+    let inner = HeaxServer::with_system(&c, system(&c));
     let mut net = NetServer::bind("127.0.0.1:0", inner, manual_flush()).unwrap();
 
     let ch = client(&c, 10, &[1]);
@@ -777,9 +742,8 @@ fn fault_plan_composed_with_socket_chaos() {
         }
     }
 
-    // Flush under the board crash: every queued request still executes
-    // (failover), the dead peer's reply is orphaned, the survivor's
-    // decrypt-verifies.
+    // Every queued request still executes: the dead peer's reply is
+    // orphaned, the survivor's decrypt-verifies.
     net.flush_now();
     healthy.recv_until(&mut net, 3);
     let rotated = expect_ciphertext(&c, healthy.replies.last().unwrap());
@@ -792,13 +756,6 @@ fn fault_plan_composed_with_socket_chaos() {
     assert_eq!(net.connections(), 2, "healthy + silent are still here");
 
     let stats = net.server_mut().stats();
-    let cluster = stats.cluster.expect("cluster model attached");
-    assert_eq!(cluster.boards, 2);
-    assert_eq!(cluster.boards_alive, 1, "the fault plan crashed board 0");
-    assert!(
-        cluster.failovers + cluster.re_replications + cluster.routing_misses > 0,
-        "the surviving board must have (re)replicated session keys"
-    );
     assert_eq!(stats.batched_requests, 2, "both rotations executed");
     drop(silent);
 }

@@ -22,14 +22,7 @@
 use std::collections::HashMap;
 
 use heax_ckks::serialize::{serialize_ciphertext, serialize_galois_keys};
-use heax_ckks::{
-    CkksContext, CkksEncoder, CkksParams, Encryptor, GaloisKeys, PublicKey, SecretKey,
-};
-use heax_core::{HeaxAccelerator, HeaxSystem};
-use heax_hw::board::Board;
-use heax_hw::keyswitch_pipeline::KeySwitchArch;
-use heax_hw::mult_dataflow::MultModuleConfig;
-use heax_hw::ntt_dataflow::NttModuleConfig;
+use heax_ckks::{CkksEncoder, Encryptor, GaloisKeys, PublicKey, SecretKey};
 use heax_server::net::{FrameAssembler, KeyKind, SessionKeyLru};
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{self, MessageKind, OpCode, Request, WireOperand, WIRE_V1, WIRE_V2};
@@ -37,6 +30,9 @@ use heax_server::HeaxServer;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::{ctx, system};
 
 /// One valid frame from the wire corpus: every client-side message
 /// kind, both wire versions, arbitrary session/request ids and
@@ -370,34 +366,6 @@ proptest! {
 // ---------------------------------------------------------------------
 // Engine-level bit-identity: the end of satellite 3's chain.
 // ---------------------------------------------------------------------
-
-fn ctx() -> CkksContext {
-    let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
-    CkksContext::new(CkksParams::new(64, chain, (1u64 << 32) as f64).unwrap()).unwrap()
-}
-
-fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
-    let accel = HeaxAccelerator::with_arch(
-        ctx,
-        Board::stratix10(),
-        KeySwitchArch {
-            n: 64,
-            k: 3,
-            nc_intt0: 4,
-            m0: 2,
-            nc_ntt0: 4,
-            num_dyad: 3,
-            nc_dyad: 4,
-            nc_intt1: 2,
-            nc_ntt1: 4,
-            nc_ms: 2,
-        },
-        NttModuleConfig::new(64, 4).unwrap(),
-        MultModuleConfig::new(64, 8).unwrap(),
-    )
-    .unwrap();
-    HeaxSystem::new(accel)
-}
 
 /// Evicting a session's deserialized keys and re-registering them from
 /// the same serialized bytes must reproduce the same reply bytes for

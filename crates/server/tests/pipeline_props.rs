@@ -1,25 +1,25 @@
-//! Property tests for the modeled-backend server: with the board-level
-//! pipeline scheduler attached (`with_board_model`), random op streams
-//! must produce results decrypt-identical to direct [`Evaluator`]
-//! execution at every modeled core count k ∈ {1, 2, 4} — the model
-//! runs *beside* the evaluator and must never perturb serving.
+//! Property tests for the served path: random chained and fan-out op
+//! streams served by an unmodeled [`HeaxServer`] must produce results
+//! identical (chains) or decrypt-identical (hoisted fan-outs) to direct
+//! [`Evaluator`] execution. The server has no model and no fault input,
+//! so these are its whole correctness contract.
 //!
-//! CI runs this suite under both `HEAX_THREADS=1` (the default test
-//! job) and `HEAX_THREADS=4` (the dedicated 4-lane re-run step).
+//! `a_served_flush_prices_offline_as_the_in_server_model_did` pins the
+//! other half of taking the models out of the server: the plan a flush
+//! executes, priced offline on `heax_hw`, reports what the in-server
+//! board and cluster models did before they were deleted.
 
 use heax_ckks::serialize::{
     deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys, serialize_relin_key,
+    serialize_seeded_ciphertext,
 };
 use heax_ckks::{
-    Ciphertext, CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, Evaluator, GaloisKeys,
-    PublicKey, RelinKey, SecretKey,
+    encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor,
+    Evaluator, GaloisKeys, PublicKey, RelinKey, SecretKey,
 };
-use heax_core::{HeaxAccelerator, HeaxSystem};
-use heax_hw::board::Board;
-use heax_hw::faults::{FaultPlan, FaultRates};
-use heax_hw::keyswitch_pipeline::KeySwitchArch;
-use heax_hw::mult_dataflow::MultModuleConfig;
-use heax_hw::ntt_dataflow::NttModuleConfig;
+use heax_hw::cluster::RoutingPolicy;
+use heax_hw::faults::FaultPlan;
+use heax_hw::ir::FusedStream;
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{OpCode, Request, WireOperand};
 use heax_server::HeaxServer;
@@ -27,43 +27,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Modeled core counts every stream is checked at.
+mod common;
+use common::{ctx, system};
+
+/// Board core counts a served plan is priced at.
 const CORES: [usize; 3] = [1, 2, 4];
 
-/// Modeled cluster shapes (boards × cores per board) the cluster
-/// decrypt-identity property is checked at.
+/// Cluster shapes (boards × cores per board) a served plan is priced at.
 const CLUSTERS: [(usize, usize); 4] = [(1, 1), (1, 4), (2, 1), (2, 4)];
 
 /// Rotation steps the test Galois keys cover.
 const STEPS: [i64; 4] = [1, 2, -1, -2];
-
-fn ctx() -> CkksContext {
-    let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
-    CkksContext::new(CkksParams::new(64, chain, (1u64 << 32) as f64).unwrap()).unwrap()
-}
-
-fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
-    let accel = HeaxAccelerator::with_arch(
-        ctx,
-        Board::stratix10(),
-        KeySwitchArch {
-            n: 64,
-            k: 3,
-            nc_intt0: 4,
-            m0: 2,
-            nc_ntt0: 4,
-            num_dyad: 3,
-            nc_dyad: 4,
-            nc_intt1: 2,
-            nc_ntt1: 4,
-            nc_ms: 2,
-        },
-        NttModuleConfig::new(64, 4).unwrap(),
-        MultModuleConfig::new(64, 8).unwrap(),
-    )
-    .unwrap();
-    HeaxSystem::new(accel)
-}
 
 struct Rig {
     sk: SecretKey,
@@ -112,35 +86,6 @@ fn register_session(server: &mut HeaxServer<'_>, r: &Rig) -> u64 {
     session
 }
 
-/// Opens a cluster-modeled server with one registered session.
-fn cluster_server<'a>(
-    ctx: &'a CkksContext,
-    system: HeaxSystem<'a>,
-    r: &Rig,
-    boards: usize,
-    cores: usize,
-) -> (HeaxServer<'a>, u64) {
-    let mut server = HeaxServer::with_system(ctx, system)
-        .with_cluster_model(boards, cores)
-        .unwrap();
-    let session = register_session(&mut server, r);
-    (server, session)
-}
-
-/// Opens a modeled-backend server with one registered session.
-fn modeled_server<'a>(
-    ctx: &'a CkksContext,
-    system: HeaxSystem<'a>,
-    r: &Rig,
-    cores: usize,
-) -> (HeaxServer<'a>, u64) {
-    let mut server = HeaxServer::with_system(ctx, system)
-        .with_board_model(cores)
-        .unwrap();
-    let session = register_session(&mut server, r);
-    (server, session)
-}
-
 /// Submits one chained stream (each op reads the parked intermediate
 /// and re-parks it, closed by a wire-returned fetch) to `server`,
 /// returning the number of requests queued.
@@ -150,73 +95,38 @@ fn submit_chain(
     ct_bytes: &[u8],
     ops: &[StreamOp],
 ) -> u64 {
-    let mut id = session << 32;
-    let mut submit = |server: &mut HeaxServer<'_>, req: &Request<'_>| {
-        id += 1;
-        assert!(server
-            .handle_frame(&client::request(session, id, req))
-            .is_none());
+    let acc = |op, step| Request {
+        op,
+        step,
+        compress_reply: false,
+        park_as: Some("acc"),
+        operands: vec![WireOperand::Parked("acc")],
     };
-    submit(
-        server,
-        &Request {
-            op: OpCode::Fetch,
-            step: 0,
-            compress_reply: false,
-            park_as: Some("acc"),
-            operands: vec![WireOperand::Inline(ct_bytes)],
-        },
-    );
-    let mut count = 1u64;
+    let mut reqs = vec![Request {
+        operands: vec![WireOperand::Inline(ct_bytes)],
+        ..acc(OpCode::Fetch, 0)
+    }];
     for op in ops {
-        let reqs: Vec<Request<'_>> = match op {
-            StreamOp::Rotate(step) => vec![Request {
-                op: OpCode::Rotate,
-                step: *step,
-                compress_reply: false,
-                park_as: Some("acc"),
-                operands: vec![WireOperand::Parked("acc")],
-            }],
-            StreamOp::Add => vec![Request {
-                op: OpCode::Add,
-                step: 0,
-                compress_reply: false,
-                park_as: Some("acc"),
-                operands: vec![WireOperand::Parked("acc"), WireOperand::Parked("acc")],
-            }],
-            StreamOp::SquareRescale => vec![
-                Request {
-                    op: OpCode::SquareRelin,
-                    step: 0,
-                    compress_reply: false,
-                    park_as: Some("acc"),
-                    operands: vec![WireOperand::Parked("acc")],
-                },
-                Request {
-                    op: OpCode::Rescale,
-                    step: 0,
-                    compress_reply: false,
-                    park_as: Some("acc"),
-                    operands: vec![WireOperand::Parked("acc")],
-                },
-            ],
-        };
-        for req in &reqs {
-            submit(server, req);
-            count += 1;
+        match *op {
+            StreamOp::Rotate(step) => reqs.push(acc(OpCode::Rotate, step)),
+            StreamOp::Add => reqs.push(Request {
+                operands: vec![WireOperand::Parked("acc"); 2],
+                ..acc(OpCode::Add, 0)
+            }),
+            StreamOp::SquareRescale => {
+                reqs.extend([acc(OpCode::SquareRelin, 0), acc(OpCode::Rescale, 0)]);
+            }
         }
     }
-    submit(
-        server,
-        &Request {
-            op: OpCode::Fetch,
-            step: 0,
-            compress_reply: false,
-            park_as: None,
-            operands: vec![WireOperand::Parked("acc")],
-        },
-    );
-    count + 1
+    reqs.push(Request {
+        park_as: None,
+        ..acc(OpCode::Fetch, 0)
+    });
+    for (i, req) in reqs.iter().enumerate() {
+        let frame = client::request(session, (session << 32) + i as u64 + 1, req);
+        assert!(server.handle_frame(&frame).is_none());
+    }
+    reqs.len() as u64
 }
 
 /// One step of a random chained op stream.
@@ -254,13 +164,184 @@ fn arb_stream() -> impl Strategy<Value = Vec<StreamOp>> {
     })
 }
 
+/// The three fixed workloads whose served plans
+/// `a_served_flush_prices_offline_as_the_in_server_model_did` prices.
+#[derive(Clone, Copy, Debug)]
+enum Workload {
+    /// One session's parked chain: `Rotate 1, Add, SquareRescale,
+    /// Rotate -2`, between an inline park and a wire-returned fetch.
+    Chain,
+    /// Four rotations of one inline ciphertext: one hoisted group.
+    Fanout,
+    /// Two sessions mixing seeded operands, `compress_reply`, a parked
+    /// product and a fused seeded fan-out.
+    Mix,
+}
+
+/// Four figures of one board or cluster schedule.
+type Price = [u64; 4];
+
+/// Board `[total_cycles, core_busy, requests, fifo_high_water]` at
+/// [`CORES`] and cluster `[total_cycles, routing_hits, routing_misses,
+/// replication_bytes]` at [`CLUSTERS`] (affinity with stealing, no
+/// faults): what the in-server board and cluster models reported in
+/// the server's stats for these very flushes, captured at the commit
+/// before they were deleted.
+const IN_SERVER_PRICES: [(Workload, [Price; 3], [Price; 4]); 3] = [
+    (
+        Workload::Chain,
+        [[4054, 936, 7, 1]; 3],
+        [[8789, 2, 1, 12288]; 4],
+    ),
+    (
+        Workload::Fanout,
+        [[6942, 648, 4, 1]; 3],
+        [[11677, 0, 1, 12288]; 4],
+    ),
+    (
+        Workload::Mix,
+        [[11205, 960, 7, 2], [10893, 960, 7, 2], [10893, 960, 7, 1]],
+        [
+            [20675, 0, 2, 24576],
+            [20363, 0, 2, 24576],
+            [12510, 0, 2, 24576],
+            [12510, 0, 2, 24576],
+        ],
+    ),
+];
+
+/// A request over inline operands.
+fn inline<'a>(
+    op: OpCode,
+    step: i64,
+    compress_reply: bool,
+    park_as: Option<&'a str>,
+    cts: &[&'a [u8]],
+) -> Request<'a> {
+    Request {
+        op,
+        step,
+        compress_reply,
+        park_as,
+        operands: cts.iter().map(|&ct| WireOperand::Inline(ct)).collect(),
+    }
+}
+
+/// Opens two keyed sessions, submits `w`, and flushes it. Returns the
+/// plan `queued_plan()` showed just before the flush; every reply must
+/// be a result, not an error.
+fn serve_workload(
+    server: &mut HeaxServer<'_>,
+    c: &CkksContext,
+    r: &Rig,
+    w: Workload,
+) -> FusedStream {
+    let sa = register_session(server, r);
+    let sb = register_session(server, r);
+    let full = serialize_ciphertext(&r.ct);
+    let mut rng = StdRng::seed_from_u64(41);
+    let enc = CkksEncoder::new(c);
+    let [seeded_a, seeded_b] = [0.75, -1.5].map(|v| {
+        let pt = enc
+            .encode_real(&[v, 2.0 * v], c.params().scale(), c.max_level())
+            .unwrap();
+        serialize_seeded_ciphertext(&encrypt_symmetric_seeded(c, &r.sk, &pt, &mut rng).unwrap())
+    });
+    let (a, b, f) = (&seeded_a[..], &seeded_b[..], &full[..]);
+    let requests: Vec<(u64, Request<'_>)> = match w {
+        Workload::Chain => {
+            use StreamOp::{Add, Rotate, SquareRescale};
+            let ops = [Rotate(1), Add, SquareRescale, Rotate(-2)];
+            submit_chain(server, sa, f, &ops);
+            Vec::new()
+        }
+        Workload::Fanout => [1, 2, -1, -2]
+            .map(|step| (sa, inline(OpCode::Rotate, step, false, None, &[f])))
+            .into(),
+        Workload::Mix => vec![
+            (sa, inline(OpCode::Add, 0, true, None, &[a, f])),
+            (sb, inline(OpCode::Rotate, 1, true, None, &[b])),
+            (sb, inline(OpCode::Rotate, 2, true, None, &[b])),
+            (
+                sa,
+                inline(OpCode::MultiplyRelin, 0, false, Some("p"), &[f, a]),
+            ),
+            (
+                sa,
+                Request {
+                    operands: vec![WireOperand::Parked("p")],
+                    ..inline(OpCode::Rescale, 0, true, None, &[])
+                },
+            ),
+            (sb, inline(OpCode::Add, 0, false, None, &[f, f])),
+            (sa, inline(OpCode::Add, 0, true, None, &[a, a])),
+        ],
+    };
+    for (id, (session, req)) in requests.iter().enumerate() {
+        let frame = client::request(*session, id as u64 + 1, req);
+        assert!(server.handle_frame(&frame).is_none());
+    }
+    let plan = server.queued_plan();
+    for reply in server.flush() {
+        let (_, _, body) = client::parse_reply(&reply).unwrap();
+        assert!(!matches!(body, Reply::Error { .. }), "{w:?}: {body:?}");
+    }
+    plan
+}
+
+/// The in-server board and cluster models are gone, and nothing they
+/// priced is lost: the plan `queued_plan()` returns before a flush,
+/// priced offline on `heax_hw`, equals what those models reported for
+/// the same flush.
+#[test]
+fn a_served_flush_prices_offline_as_the_in_server_model_did() {
+    let c = ctx();
+    let r = rig(&c, 5);
+    for (w, board, cluster) in IN_SERVER_PRICES {
+        let mut server = HeaxServer::with_system(&c, system(&c));
+        let plan = serve_workload(&mut server, &c, &r, w);
+        let accel = server.system().accelerator();
+        for (k, want) in CORES.into_iter().zip(board) {
+            let rep = accel
+                .pipeline_config(k)
+                .unwrap()
+                .schedule_stream(&plan.ops)
+                .unwrap();
+            let got = [
+                rep.total_cycles,
+                rep.core_busy(),
+                rep.requests(),
+                rep.fifo_high_water,
+            ];
+            assert_eq!(got, want, "{w:?} on one board of {k} core(s)");
+        }
+        for ((b, k), want) in CLUSTERS.into_iter().zip(cluster) {
+            let rep = accel
+                .cluster_config(b, k)
+                .unwrap()
+                .schedule_stream_faulted(
+                    &plan.ops,
+                    RoutingPolicy::Affinity { steal: true },
+                    &FaultPlan::none(),
+                )
+                .unwrap();
+            let got = [
+                rep.total_cycles,
+                rep.routing_hits,
+                rep.routing_misses,
+                rep.replication_bytes,
+            ];
+            assert_eq!(got, want, "{w:?} on {b} board(s) x {k} core(s)");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A chained stream (each op reads the parked intermediate and
-    /// re-parks it) served by the modeled server is bit-identical to
-    /// the evaluator applying the same ops, at every modeled core
-    /// count.
+    /// re-parks it) served in one flush is bit-identical to the
+    /// evaluator applying the same ops.
     #[test]
     fn modeled_chain_matches_evaluator(ops in arb_stream(), seed in 0u64..1000) {
         let c = ctx();
@@ -280,96 +361,22 @@ proptest! {
             };
         }
 
-        for cores in CORES {
-            let (mut server, session) = modeled_server(&c, system(&c), &r, cores);
-            let ct_bytes = serialize_ciphertext(&r.ct);
-            let mut id = 0u64;
-            let mut submit = |server: &mut HeaxServer<'_>, req: &Request<'_>| {
-                id += 1;
-                assert!(server.handle_frame(&client::request(session, id, req)).is_none());
-            };
-            // Seed the chain: park the inline input under "acc".
-            submit(&mut server, &Request {
-                op: OpCode::Fetch,
-                step: 0,
-                compress_reply: false,
-                park_as: Some("acc"),
-                operands: vec![WireOperand::Inline(&ct_bytes)],
-            });
-            let mut expected_requests = 1u64;
-            for op in &ops {
-                let reqs: Vec<Request<'_>> = match op {
-                    StreamOp::Rotate(step) => vec![Request {
-                        op: OpCode::Rotate,
-                        step: *step,
-                        compress_reply: false,
-                        park_as: Some("acc"),
-                        operands: vec![WireOperand::Parked("acc")],
-                    }],
-                    StreamOp::Add => vec![Request {
-                        op: OpCode::Add,
-                        step: 0,
-                        compress_reply: false,
-                        park_as: Some("acc"),
-                        operands: vec![WireOperand::Parked("acc"), WireOperand::Parked("acc")],
-                    }],
-                    StreamOp::SquareRescale => vec![
-                        Request {
-                            op: OpCode::SquareRelin,
-                            step: 0,
-                            compress_reply: false,
-                            park_as: Some("acc"),
-                            operands: vec![WireOperand::Parked("acc")],
-                        },
-                        Request {
-                            op: OpCode::Rescale,
-                            step: 0,
-                            compress_reply: false,
-                            park_as: Some("acc"),
-                            operands: vec![WireOperand::Parked("acc")],
-                        },
-                    ],
-                };
-                for req in &reqs {
-                    submit(&mut server, req);
-                    expected_requests += 1;
-                }
-            }
-            submit(&mut server, &Request {
-                op: OpCode::Fetch,
-                step: 0,
-                compress_reply: false,
-                park_as: None,
-                operands: vec![WireOperand::Parked("acc")],
-            });
-            expected_requests += 1;
-
-            let replies = server.flush();
-            let (_, _, last) = client::parse_reply(replies.last().unwrap()).unwrap();
-            let Reply::Ciphertext(bytes) = last else {
-                panic!("chain must end in a ciphertext reply, got {last:?}");
-            };
-            let got = deserialize_ciphertext(&bytes, &c).unwrap();
-            prop_assert_eq!(&got, &want, "cores = {}", cores);
-
-            // The model observed every request and billed real cycles.
-            let stats = server.stats();
-            let modeled = stats.modeled.expect("board model enabled");
-            prop_assert_eq!(modeled.cores, cores);
-            prop_assert_eq!(modeled.modeled_requests, expected_requests);
-            prop_assert!(modeled.modeled_cycles > 0);
-            prop_assert!(modeled.fifo_high_water <= 2);
-            prop_assert!(!modeled.last_bound.is_empty());
-            prop_assert!(server.board_report().is_some());
-            let billed: u64 = stats.per_op.iter().map(|&(_, s)| s.modeled_cycles).sum();
-            prop_assert_eq!(billed, modeled.core_busy_cycles);
-        }
+        let mut server = HeaxServer::with_system(&c, system(&c));
+        let session = register_session(&mut server, &r);
+        let requests = submit_chain(&mut server, session, &serialize_ciphertext(&r.ct), &ops);
+        prop_assert_eq!(server.queued_plan().requests(), requests);
+        let replies = server.flush();
+        let (_, _, last) = client::parse_reply(replies.last().unwrap()).unwrap();
+        let Reply::Ciphertext(bytes) = last else {
+            panic!("chain must end in a ciphertext reply, got {last:?}");
+        };
+        prop_assert_eq!(&deserialize_ciphertext(&bytes, &c).unwrap(), &want);
     }
 
     /// A fan-out stream (every rotation reads the same input, so the
     /// batch fuses them into one hoisted group) decrypts to the same
-    /// values as sequential evaluator rotations, at every modeled core
-    /// count (hoisting is decrypt-equal, not bit-equal).
+    /// values as sequential evaluator rotations (hoisting is
+    /// decrypt-equal, not bit-equal).
     #[test]
     fn modeled_fanout_matches_evaluator(
         steps in prop::collection::vec(prop::sample::select(STEPS.to_vec()), 2..6),
@@ -383,233 +390,27 @@ proptest! {
             .map(|&s| decrypt(&c, &r.sk, &eval.rotate(&r.ct, s, &r.gks).unwrap()))
             .collect();
 
-        for cores in CORES {
-            let (mut server, session) = modeled_server(&c, system(&c), &r, cores);
-            let ct_bytes = serialize_ciphertext(&r.ct);
-            for (i, &step) in steps.iter().enumerate() {
-                let frame = client::rotate(session, i as u64 + 1, &ct_bytes, step);
-                assert!(server.handle_frame(&frame).is_none());
-            }
-            let replies = server.flush();
-            prop_assert_eq!(replies.len(), steps.len());
-            for (reply, want_vals) in replies.iter().zip(&want) {
-                let (_, _, body) = client::parse_reply(reply).unwrap();
-                let Reply::Ciphertext(bytes) = body else {
-                    panic!("expected ciphertext reply, got {body:?}");
-                };
-                let got = decrypt(&c, &r.sk, &deserialize_ciphertext(&bytes, &c).unwrap());
-                for (g, w) in got.iter().zip(want_vals).take(16) {
-                    prop_assert!((g - w).abs() < 2e-2, "cores {}: {} vs {}", cores, g, w);
-                }
-            }
-            // Identical inputs fuse into one hoisted group, modeled as
-            // one rotate-many op.
-            let stats = server.stats();
-            let modeled = stats.modeled.expect("board model enabled");
-            prop_assert_eq!(modeled.modeled_ops, 1);
-            prop_assert_eq!(modeled.modeled_requests, steps.len() as u64);
-            prop_assert_eq!(stats.hoisted_groups, 1);
+        let mut server = HeaxServer::with_system(&c, system(&c));
+        let session = register_session(&mut server, &r);
+        let ct_bytes = serialize_ciphertext(&r.ct);
+        for (i, &step) in steps.iter().enumerate() {
+            let frame = client::rotate(session, i as u64 + 1, &ct_bytes, step);
+            assert!(server.handle_frame(&frame).is_none());
         }
-    }
-
-    /// The same chained stream served with the multi-board **cluster**
-    /// model attached stays bit-identical to the evaluator at every
-    /// boards × cores shape — routing, key replication and work
-    /// stealing are accounting only and never perturb serving.
-    #[test]
-    fn cluster_modeled_chain_matches_evaluator(ops in arb_stream(), seed in 0u64..1000) {
-        let c = ctx();
-        let r = rig(&c, seed);
-        let eval = Evaluator::new(&c);
-
-        let mut want = deserialize_ciphertext(&serialize_ciphertext(&r.ct), &c).unwrap();
-        for op in &ops {
-            want = match op {
-                StreamOp::Rotate(step) => eval.rotate(&want, *step, &r.gks).unwrap(),
-                StreamOp::Add => eval.add(&want, &want).unwrap(),
-                StreamOp::SquareRescale => {
-                    let sq = eval.multiply_relin(&want, &want, &r.rlk).unwrap();
-                    eval.rescale(&sq).unwrap()
-                }
-            };
-        }
-
-        for (boards, cores) in CLUSTERS {
-            let (mut server, session) = cluster_server(&c, system(&c), &r, boards, cores);
-            let ct_bytes = serialize_ciphertext(&r.ct);
-            let mut id = 0u64;
-            let mut submit = |server: &mut HeaxServer<'_>, req: &Request<'_>| {
-                id += 1;
-                assert!(server.handle_frame(&client::request(session, id, req)).is_none());
-            };
-            submit(&mut server, &Request {
-                op: OpCode::Fetch,
-                step: 0,
-                compress_reply: false,
-                park_as: Some("acc"),
-                operands: vec![WireOperand::Inline(&ct_bytes)],
-            });
-            let mut expected_requests = 1u64;
-            for op in &ops {
-                let reqs: Vec<Request<'_>> = match op {
-                    StreamOp::Rotate(step) => vec![Request {
-                        op: OpCode::Rotate,
-                        step: *step,
-                        compress_reply: false,
-                        park_as: Some("acc"),
-                        operands: vec![WireOperand::Parked("acc")],
-                    }],
-                    StreamOp::Add => vec![Request {
-                        op: OpCode::Add,
-                        step: 0,
-                        compress_reply: false,
-                        park_as: Some("acc"),
-                        operands: vec![WireOperand::Parked("acc"), WireOperand::Parked("acc")],
-                    }],
-                    StreamOp::SquareRescale => vec![
-                        Request {
-                            op: OpCode::SquareRelin,
-                            step: 0,
-                            compress_reply: false,
-                            park_as: Some("acc"),
-                            operands: vec![WireOperand::Parked("acc")],
-                        },
-                        Request {
-                            op: OpCode::Rescale,
-                            step: 0,
-                            compress_reply: false,
-                            park_as: Some("acc"),
-                            operands: vec![WireOperand::Parked("acc")],
-                        },
-                    ],
-                };
-                for req in &reqs {
-                    submit(&mut server, req);
-                    expected_requests += 1;
-                }
-            }
-            submit(&mut server, &Request {
-                op: OpCode::Fetch,
-                step: 0,
-                compress_reply: false,
-                park_as: None,
-                operands: vec![WireOperand::Parked("acc")],
-            });
-            expected_requests += 1;
-
-            let replies = server.flush();
-            let (_, _, last) = client::parse_reply(replies.last().unwrap()).unwrap();
-            let Reply::Ciphertext(bytes) = last else {
-                panic!("chain must end in a ciphertext reply, got {last:?}");
-            };
-            let got = deserialize_ciphertext(&bytes, &c).unwrap();
-            prop_assert_eq!(&got, &want, "boards = {}, cores = {}", boards, cores);
-
-            // The cluster model observed the whole flush: one routing
-            // miss replicated the session's keys, the rest hit.
-            let stats = server.stats();
-            let cluster = stats.cluster.expect("cluster model enabled");
-            prop_assert_eq!(cluster.boards, boards);
-            prop_assert_eq!(cluster.cores_per_board, cores);
-            prop_assert_eq!(cluster.modeled_requests, expected_requests);
-            prop_assert!(cluster.modeled_cycles > 0);
-            if cluster.routing_hits + cluster.routing_misses > 0 {
-                prop_assert!(cluster.routing_misses <= 1, "one session uploads once");
-                prop_assert_eq!(
-                    cluster.replication_bytes > 0,
-                    cluster.routing_misses == 1
-                );
-            }
-            prop_assert!(server.cluster_report().is_some());
-            let billed: u64 = stats.per_session.iter().map(|&(_, s)| s.modeled_cycles).sum();
-            prop_assert!(billed > 0, "per-session attribution must flow from the cluster");
-        }
-    }
-
-    /// A random seeded fault plan — board crashes, slowdowns, link
-    /// stalls, DMA degradation, corrupted resident keys — attached to
-    /// the cluster model reshapes modeled placement and timing **only**:
-    /// every reply of a two-session workload stays byte-identical to
-    /// the fault-free server's (hence decrypt-identical), at every
-    /// pinned boards × cores shape in {2, 4} × {1, 4}. CI re-runs this
-    /// under `HEAX_THREADS=4` in the chaos job.
-    #[test]
-    fn faulted_cluster_serving_is_byte_identical(
-        ops_a in arb_stream(),
-        ops_b in arb_stream(),
-        seed in 0u64..1000,
-        fault_seed in 0u64..1000,
-        crash_level in 0u32..=2,
-    ) {
-        let c = ctx();
-        let r = rig(&c, seed);
-        let eval = Evaluator::new(&c);
-        let mut want = deserialize_ciphertext(&serialize_ciphertext(&r.ct), &c).unwrap();
-        for op in &ops_a {
-            want = match op {
-                StreamOp::Rotate(step) => eval.rotate(&want, *step, &r.gks).unwrap(),
-                StreamOp::Add => eval.add(&want, &want).unwrap(),
-                StreamOp::SquareRescale => {
-                    let sq = eval.multiply_relin(&want, &want, &r.rlk).unwrap();
-                    eval.rescale(&sq).unwrap()
-                }
-            };
-        }
-
-        for (boards, cores) in [(2usize, 1usize), (2, 4), (4, 1), (4, 4)] {
-            let (mut healthy, sess_a) = cluster_server(&c, system(&c), &r, boards, cores);
-            let sess_b = register_session(&mut healthy, &r);
-            let mut faulted = HeaxServer::with_system(&c, system(&c))
-                .with_cluster_model(boards, cores)
-                .unwrap();
-            prop_assert_eq!(register_session(&mut faulted, &r), sess_a);
-            prop_assert_eq!(register_session(&mut faulted, &r), sess_b);
-
-            let rates = FaultRates {
-                crash: crash_level as f64 * 0.25,
-                slowdown: 0.4,
-                link: 0.4,
-                dma: 0.4,
-                ksk_corruption: 0.4,
-            };
-            let plan = FaultPlan::generate(fault_seed, boards, 1 << 22, &[sess_a, sess_b], &rates);
-            let plan_empty = plan.is_empty();
-            faulted = faulted.with_fault_plan(plan);
-
-            let ct_bytes = serialize_ciphertext(&r.ct);
-            let mut count_a = 0usize;
-            for server in [&mut healthy, &mut faulted] {
-                count_a = submit_chain(server, sess_a, &ct_bytes, &ops_a) as usize;
-                submit_chain(server, sess_b, &ct_bytes, &ops_b);
-            }
-            let replies_h = healthy.flush();
-            let replies_f = faulted.flush();
-            prop_assert_eq!(
-                &replies_h, &replies_f,
-                "faults must never perturb serving (boards {}, cores {})", boards, cores
-            );
-
-            // The faulted chain still decrypts to the evaluator golden
-            // (session A's closing fetch is its last reply).
-            let (_, _, body) = client::parse_reply(&replies_f[count_a - 1]).unwrap();
+        // Identical inputs fuse into one hoisted group: one rotate-many op.
+        prop_assert_eq!(server.queued_plan().ops.len(), 1);
+        let replies = server.flush();
+        prop_assert_eq!(replies.len(), steps.len());
+        for (reply, want_vals) in replies.iter().zip(&want) {
+            let (_, _, body) = client::parse_reply(reply).unwrap();
             let Reply::Ciphertext(bytes) = body else {
-                panic!("chain must end in a ciphertext reply, got {body:?}");
+                panic!("expected ciphertext reply, got {body:?}");
             };
-            prop_assert_eq!(&deserialize_ciphertext(&bytes, &c).unwrap(), &want);
-
-            // Fault accounting stays coherent: never more survivors than
-            // boards, an empty plan loses nothing, and recovery work
-            // only appears alongside the faults that caused it.
-            let s = faulted.stats().cluster.expect("cluster model enabled");
-            prop_assert!(s.boards_alive <= boards);
-            if plan_empty {
-                prop_assert_eq!(s.boards_alive, boards);
-                prop_assert_eq!(s.failovers, 0);
-                prop_assert_eq!(s.re_replications, 0);
-                prop_assert_eq!(s.recovery_cycles, 0);
+            let got = decrypt(&c, &r.sk, &deserialize_ciphertext(&bytes, &c).unwrap());
+            for (g, w) in got.iter().zip(want_vals).take(16) {
+                prop_assert!((g - w).abs() < 2e-2, "{} vs {}", g, w);
             }
-            prop_assert!(s.re_replications >= s.failovers);
-            prop_assert!(s.re_replications >= s.corrupt_ksk_evictions);
         }
+        prop_assert_eq!(server.stats().hoisted_groups, 1);
     }
 }

@@ -7,48 +7,17 @@ use heax_ckks::serialize::{
     serialize_seeded_ciphertext,
 };
 use heax_ckks::{
-    encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, CkksParams, Decryptor,
-    Encryptor, Evaluator, GaloisKeys, PublicKey, RelinKey, SecretKey,
+    encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor,
+    Evaluator, GaloisKeys, PublicKey, RelinKey, SecretKey,
 };
-use heax_core::{HeaxAccelerator, HeaxSystem};
-use heax_hw::board::Board;
-use heax_hw::faults::{FaultKind, FaultPlan};
-use heax_hw::keyswitch_pipeline::KeySwitchArch;
-use heax_hw::mult_dataflow::MultModuleConfig;
-use heax_hw::ntt_dataflow::NttModuleConfig;
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{self, MessageKind, OpCode, Request, WireOperand, WIRE_V1, WIRE_V2};
-use heax_server::{ErrorCode, FlushPolicy, HeaxServer};
+use heax_server::{ErrorCode, HeaxServer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn ctx() -> CkksContext {
-    let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
-    CkksContext::new(CkksParams::new(64, chain, (1u64 << 32) as f64).unwrap()).unwrap()
-}
-
-fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
-    let accel = HeaxAccelerator::with_arch(
-        ctx,
-        Board::stratix10(),
-        KeySwitchArch {
-            n: 64,
-            k: 3,
-            nc_intt0: 4,
-            m0: 2,
-            nc_ntt0: 4,
-            num_dyad: 3,
-            nc_dyad: 4,
-            nc_intt1: 2,
-            nc_ntt1: 4,
-            nc_ms: 2,
-        },
-        NttModuleConfig::new(64, 4).unwrap(),
-        MultModuleConfig::new(64, 8).unwrap(),
-    )
-    .unwrap();
-    HeaxSystem::new(accel)
-}
+mod common;
+use common::{ctx, system};
 
 /// One simulated client: its own keys and a sample ciphertext.
 struct Client {
@@ -750,14 +719,13 @@ fn v1_clients_still_served_with_version_echoed() {
 }
 
 #[test]
-fn v2_flags_reach_the_board_model() {
+fn v2_flags_reach_the_lowered_stream() {
     // The same request submitted plainly vs. seeded+compressed must
-    // lower into IR ops whose modeled transfer legs shrink.
+    // lower into IR ops that carry the flags an offline board model
+    // shrinks the transfer legs by.
     let ctx = ctx();
     let c = client(&ctx, 5, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx))
-        .with_board_model(1)
-        .unwrap();
+    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
     let session = open(&mut server);
 
     let mut rng = StdRng::seed_from_u64(77);
@@ -802,217 +770,6 @@ fn v2_flags_reach_the_board_model() {
     assert_eq!(plain_stream.ops[0].reply_limbs, 0);
     assert!(v2_stream.ops[0].input_seeded);
     assert_eq!(v2_stream.ops[0].reply_limbs, 1);
-}
-
-/// Exhausted retries answer with a structured `Degraded` error frame,
-/// the session survives, and a healthy server afterwards serves the
-/// same session for real.
-#[test]
-fn transient_faults_degrade_with_structured_errors() {
-    let ctx = ctx();
-    let c = client(&ctx, 11, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx))
-        .with_flush_policy(FlushPolicy {
-            max_retries: 2,
-            backoff_us: 50,
-            deadline_us: 0,
-        })
-        .with_transient_faults(7, 1.0);
-    let session = open(&mut server);
-    register_keys(&mut server, session, &c);
-    let ct_bytes = serialize_ciphertext(&c.ct);
-    submit(
-        &mut server,
-        session,
-        1,
-        &Request {
-            op: OpCode::Rotate,
-            step: 1,
-            compress_reply: false,
-            park_as: None,
-            operands: vec![WireOperand::Inline(&ct_bytes)],
-        },
-    );
-    let replies = server.flush();
-    let (code, msg) = expect_error(&replies[0]);
-    assert_eq!(code, ErrorCode::Degraded);
-    assert!(msg.contains("2 retries"), "got {msg:?}");
-    let stats = server.stats();
-    assert_eq!(stats.degraded_replies, 1);
-    assert_eq!(stats.retries, 2);
-    assert_eq!(stats.shed_requests, 0);
-    assert_eq!(stats.op(OpCode::Rotate).errors, 1);
-
-    // Disarm the injector: the same session serves normally.
-    server = server.with_transient_faults(0, 0.0);
-    submit(
-        &mut server,
-        session,
-        2,
-        &Request {
-            op: OpCode::Rotate,
-            step: 1,
-            compress_reply: false,
-            park_as: None,
-            operands: vec![WireOperand::Inline(&ct_bytes)],
-        },
-    );
-    let replies = server.flush();
-    let got = decrypt(&ctx, &c.sk, &expect_ciphertext(&ctx, &replies[0]));
-    assert!((got[0] - c.vals[1]).abs() < 0.05);
-    assert_eq!(server.stats().degraded_replies, 1, "no new degradation");
-}
-
-/// A deadline budget that runs out before the retries do sheds the
-/// request with a `LoadShed` error frame — and a fused rotation group
-/// sheds as a unit, every member answered.
-#[test]
-fn deadline_budget_sheds_requests() {
-    let ctx = ctx();
-    let c = client(&ctx, 12, &[1, 2]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx))
-        .with_flush_policy(FlushPolicy {
-            max_retries: 10,
-            backoff_us: 100,
-            deadline_us: 150,
-        })
-        .with_transient_faults(3, 1.0);
-    let session = open(&mut server);
-    register_keys(&mut server, session, &c);
-    let ct_bytes = serialize_ciphertext(&c.ct);
-    // Same inline input: the two rotations fuse into one group, so the
-    // shed verdict must cover both replies.
-    for (id, step) in [(1u64, 1i64), (2, 2)] {
-        submit(
-            &mut server,
-            session,
-            id,
-            &Request {
-                op: OpCode::Rotate,
-                step,
-                compress_reply: false,
-                park_as: None,
-                operands: vec![WireOperand::Inline(&ct_bytes)],
-            },
-        );
-    }
-    let replies = server.flush();
-    assert_eq!(replies.len(), 2);
-    for reply in &replies {
-        let (code, msg) = expect_error(reply);
-        assert_eq!(code, ErrorCode::LoadShed);
-        assert!(msg.contains("deadline budget"), "got {msg:?}");
-    }
-    let stats = server.stats();
-    assert_eq!(stats.shed_requests, 2);
-    assert_eq!(stats.degraded_replies, 0);
-    // One execution site: backoff 100 µs was taken once, the doubled
-    // retry would blow the 150 µs budget, so exactly one retry billed.
-    assert_eq!(stats.retries, 1);
-}
-
-/// The same `(seed, rate)` injector sheds/degrades the same requests:
-/// two identically built and driven servers answer byte-identically.
-#[test]
-fn transient_fault_injection_is_deterministic() {
-    let ctx = ctx();
-    let c = client(&ctx, 13, &[1]);
-    let run = || {
-        let mut server = HeaxServer::with_system(&ctx, system(&ctx))
-            .with_flush_policy(FlushPolicy {
-                max_retries: 1,
-                backoff_us: 10,
-                deadline_us: 0,
-            })
-            .with_transient_faults(42, 0.5);
-        let session = open(&mut server);
-        register_keys(&mut server, session, &c);
-        let ct_bytes = serialize_ciphertext(&c.ct);
-        let mut replies = Vec::new();
-        for id in 1u64..=6 {
-            submit(
-                &mut server,
-                session,
-                id,
-                &Request {
-                    op: OpCode::Rotate,
-                    step: 1,
-                    compress_reply: false,
-                    park_as: if id % 2 == 0 { None } else { Some("acc") },
-                    operands: vec![WireOperand::Inline(&ct_bytes)],
-                },
-            );
-            replies.extend(server.flush());
-        }
-        (
-            replies,
-            server.stats().retries,
-            server.stats().degraded_replies,
-        )
-    };
-    let (replies_a, retries_a, degraded_a) = run();
-    let (replies_b, retries_b, degraded_b) = run();
-    assert_eq!(replies_a, replies_b);
-    assert_eq!(retries_a, retries_b);
-    assert_eq!(degraded_a, degraded_b);
-}
-
-/// A cluster fault plan that crashes a board mid-stream surfaces in
-/// `ServerStats`: the survivor count drops, the session fails over and
-/// its parked state re-materializes — while every reply still serves
-/// and decrypts correctly.
-#[test]
-fn board_crash_fails_over_and_surfaces_in_stats() {
-    let ctx = ctx();
-    let c = client(&ctx, 14, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx))
-        .with_cluster_model(2, 2)
-        .unwrap()
-        // Board 0 dies once it has accrued any load: the first rotation
-        // establishes key residency (and parks) there, then the next op
-        // finds it drained.
-        .with_fault_plan(FaultPlan::new().with_event(0, 1, FaultKind::BoardCrash));
-    let session = open(&mut server);
-    register_keys(&mut server, session, &c);
-    let ct_bytes = serialize_ciphertext(&c.ct);
-    submit(
-        &mut server,
-        session,
-        1,
-        &Request {
-            op: OpCode::Rotate,
-            step: 1,
-            compress_reply: false,
-            park_as: Some("acc"),
-            operands: vec![WireOperand::Inline(&ct_bytes)],
-        },
-    );
-    submit(
-        &mut server,
-        session,
-        2,
-        &Request {
-            op: OpCode::Rotate,
-            step: 1,
-            compress_reply: false,
-            park_as: None,
-            operands: vec![WireOperand::Parked("acc")],
-        },
-    );
-    let replies = server.flush();
-    let got = decrypt(&ctx, &c.sk, &expect_ciphertext(&ctx, &replies[1]));
-    assert!((got[0] - c.vals[2]).abs() < 0.05, "two rotations by 1");
-
-    let cluster = server.stats().cluster.expect("cluster model enabled");
-    assert_eq!(cluster.boards, 2);
-    assert_eq!(cluster.boards_alive, 1, "board 0 crashed");
-    assert_eq!(cluster.failovers, 1, "the session re-homed its keys");
-    assert_eq!(cluster.parked_rematerializations, 1);
-    assert!(cluster.re_replications >= 1);
-    assert!(cluster.recovery_cycles > 0);
-    assert!(cluster.recovery_us() > 0.0);
-    let report = server.cluster_report().expect("report retained");
-    assert_eq!(report.board_alive, vec![false, true]);
 }
 
 /// Adversarial decoding of v1/v2 request bodies: `decode_request` must

@@ -155,101 +155,6 @@ fn set_a_depth_exhaustion_is_an_error() {
     ));
 }
 
-/// The load-shedding vocabulary survives a real wire round trip: a
-/// server under permanent transient faults answers with `Degraded`
-/// (code 9) once retries exhaust, or `LoadShed` (code 8) once the
-/// deadline budget blows — and both codes come back intact through
-/// encoded error frames parsed by the client.
-#[test]
-fn load_shed_and_degraded_codes_round_trip_over_real_frames() {
-    use heax::hw::board::Board;
-    use heax::server::wire::client::{self, Reply};
-    use heax::server::{ErrorCode, FlushPolicy, HeaxServer};
-
-    let mut s = session(ParamSet::SetA, 8);
-    let enc = CkksEncoder::new(&s.ctx);
-    let scale = s.ctx.params().scale();
-    let ct = Encryptor::new(&s.ctx, &s.pk)
-        .encrypt(
-            &enc.encode_real(&[1.0, 2.0], scale, s.ctx.max_level())
-                .unwrap(),
-            &mut s.rng,
-        )
-        .unwrap();
-    let ct_bytes = heax::ckks::serialize::serialize_ciphertext(&ct);
-
-    // Case 1: retries exhaust under a 100% fault rate → Degraded (9).
-    let mut server = HeaxServer::new(&s.ctx, Board::stratix10())
-        .unwrap()
-        .with_flush_policy(FlushPolicy {
-            max_retries: 2,
-            backoff_us: 10,
-            deadline_us: 0,
-        })
-        .with_transient_faults(11, 1.0);
-    let opened = server.handle_frame(&client::open_session()).unwrap();
-    let (sid, _, _) = client::parse_reply(&opened).unwrap();
-    let frame = client::request(
-        sid,
-        1,
-        &heax::server::wire::Request {
-            op: heax::server::OpCode::Add,
-            step: 0,
-            compress_reply: false,
-            park_as: None,
-            operands: vec![
-                heax::server::wire::WireOperand::Inline(&ct_bytes),
-                heax::server::wire::WireOperand::Inline(&ct_bytes),
-            ],
-        },
-    );
-    assert!(server.handle_frame(&frame).is_none(), "request queues");
-    let replies = server.flush();
-    let (_, _, reply) = client::parse_reply(&replies[0]).unwrap();
-    let Reply::Error { code, .. } = reply else {
-        panic!("expected a degraded error frame, got {reply:?}");
-    };
-    assert_eq!(code, ErrorCode::Degraded);
-    assert_eq!(code as u16, 9, "Degraded is pinned to wire code 9");
-    assert_eq!(server.stats().degraded_replies, 1);
-
-    // Case 2: the deadline budget blows before retries do → LoadShed (8).
-    let mut server = HeaxServer::new(&s.ctx, Board::stratix10())
-        .unwrap()
-        .with_flush_policy(FlushPolicy {
-            max_retries: 100,
-            backoff_us: 100,
-            deadline_us: 50,
-        })
-        .with_transient_faults(12, 1.0);
-    let opened = server.handle_frame(&client::open_session()).unwrap();
-    let (sid, _, _) = client::parse_reply(&opened).unwrap();
-    let frame = client::request(
-        sid,
-        2,
-        &heax::server::wire::Request {
-            op: heax::server::OpCode::Add,
-            step: 0,
-            compress_reply: false,
-            park_as: None,
-            operands: vec![
-                heax::server::wire::WireOperand::Inline(&ct_bytes),
-                heax::server::wire::WireOperand::Inline(&ct_bytes),
-            ],
-        },
-    );
-    assert!(server.handle_frame(&frame).is_none(), "request queues");
-    let replies = server.flush();
-    let (_, _, reply) = client::parse_reply(&replies[0]).unwrap();
-    let Reply::Error { code, message } = reply else {
-        panic!("expected a load-shed error frame, got {reply:?}");
-    };
-    assert_eq!(code, ErrorCode::LoadShed);
-    assert_eq!(code as u16, 8, "LoadShed is pinned to wire code 8");
-    assert!(!message.is_empty(), "shed frames explain themselves");
-    assert_eq!(server.stats().shed_requests, 1);
-}
-
 #[test]
 fn symmetric_and_public_encryption_agree() {
     let mut s = session(ParamSet::SetA, 7);
