@@ -901,10 +901,14 @@ pub fn serialize_galois_keys(gks: &crate::keys::GaloisKeys) -> Vec<u8> {
 
 /// Deserializes Galois keys, rebuilding permutation tables.
 ///
+/// Elements must be strictly increasing, the order
+/// [`serialize_galois_keys`] writes them in, so a key set has exactly one
+/// encoding: `serialize_galois_keys(&deserialize_galois_keys(b)?) == b`.
+///
 /// # Errors
 ///
 /// [`CkksError::InvalidParameters`] on malformed input or context
-/// mismatch.
+/// mismatch, a repeated element included.
 pub fn deserialize_galois_keys(
     buf: &[u8],
     ctx: &CkksContext,
@@ -917,11 +921,16 @@ pub fn deserialize_galois_keys(
     }
     let mut keys = std::collections::HashMap::new();
     let mut permutations = std::collections::HashMap::new();
+    let mut floor = 0;
     for _ in 0..count {
         let elt = r.u64()? as usize;
         if elt.is_multiple_of(2) || elt >= 2 * ctx.n() {
             return Err(Reader::error("invalid Galois element"));
         }
+        if elt < floor {
+            return Err(Reader::error("Galois elements not strictly increasing"));
+        }
+        floor = elt + 1;
         let len = r.u64()? as usize;
         let ksk_bytes = r.take(len)?;
         let ksk = deserialize_ksk(ksk_bytes, ctx)?;

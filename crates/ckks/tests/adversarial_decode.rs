@@ -5,8 +5,10 @@
 //!
 //! Every mutated byte string is fed to *every* decoder (not just the one
 //! matching its original type), because a hostile peer is not obliged to
-//! send the object the server expects. CI runs this suite under both
-//! `HEAX_THREADS=1` and `HEAX_THREADS=4`.
+//! send the object the server expects. The evaluation-key codecs are also
+//! one-to-one: a Galois container with a repeated or out-of-order element
+//! is refused, and a decoded key re-serializes to its input. CI runs this
+//! suite under both `HEAX_THREADS=1` and `HEAX_THREADS=4`.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -23,7 +25,7 @@ use heax_ckks::serialize::{
 };
 use heax_ckks::{
     encrypt_symmetric, encrypt_symmetric_seeded, CkksContext, CkksEncoder, CkksParams, Encryptor,
-    GaloisKeys, KeySwitchKey, PublicKey, RelinKey, SecretKey,
+    GaloisKeys, KeySwitchKey, ParamSet, PublicKey, RelinKey, SecretKey,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -270,6 +272,88 @@ fn a_non_canonical_residue_is_rejected_wherever_it_sits() {
                 }
             }
         }
+    }
+}
+
+/// The `(element, key bytes)` records of a serialized Galois container:
+/// header, count, then per record the element, the key's length and the
+/// key.
+fn galois_records(blob: &[u8]) -> Vec<(u64, &[u8])> {
+    let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+    let mut at = 6 + 8;
+    (0..word(6))
+        .map(|_| {
+            let (elt, len) = (word(at), word(at + 8) as usize);
+            let key = &blob[at + 16..at + 16 + len];
+            at += 16 + len;
+            (elt, key)
+        })
+        .collect()
+}
+
+/// A Galois container holding `records` in the order given, under the
+/// header of `like`.
+fn galois_container(like: &[u8], records: &[(u64, &[u8])]) -> Vec<u8> {
+    let mut out = like[..6].to_vec();
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for (elt, key) in records {
+        out.extend_from_slice(&elt.to_le_bytes());
+        out.extend_from_slice(&(key.len() as u64).to_le_bytes());
+        out.extend_from_slice(key);
+    }
+    out
+}
+
+/// A Galois container decodes one way only: each element must exceed the
+/// one before it. A repeat would otherwise let the later key silently win,
+/// so the container would hold fewer bytes than the message carries, and
+/// an out-of-order one would re-serialize to different bytes.
+#[test]
+fn a_galois_element_must_exceed_the_one_before_it() {
+    let c = corpus();
+    let (_, blob) = c
+        .blobs
+        .iter()
+        .find(|(name, _)| *name == "galois_keys")
+        .unwrap();
+    let records = galois_records(blob);
+    assert!(galois_container(blob, &records) == *blob);
+    let [lo, hi] = records[..] else {
+        panic!("the corpus registers two steps");
+    };
+    assert!(lo.0 < hi.0, "the serializer writes elements ascending");
+    for (what, order) in [
+        ("descending", vec![hi, lo]),
+        ("repeated", vec![lo, lo]),
+        ("repeated with another key", vec![lo, (lo.0, hi.1)]),
+        ("repeated after an ascent", vec![lo, hi, hi]),
+    ] {
+        let bytes = galois_container(blob, &order);
+        let e = deserialize_galois_keys(&bytes, &c.ctx).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "invalid parameters: malformed serialized data: Galois elements not strictly increasing",
+            "{what}"
+        );
+    }
+}
+
+/// Evaluation keys re-serialize to the bytes they were decoded from, at
+/// every paper parameter set — so what a server holds for an evicted
+/// session is the upload exactly, and bills what it held.
+#[test]
+fn evaluation_keys_reserialize_to_their_upload_at_every_set() {
+    for set in ParamSet::ALL {
+        let ctx = CkksContext::new(CkksParams::from_set(set).unwrap()).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x0E0C + set.n() as u64);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let rlk = serialize_relin_key(&RelinKey::generate(&ctx, &sk, &mut rng));
+        // Steps out of order: the container sorts them on the way out.
+        let gks = serialize_galois_keys(&GaloisKeys::generate(&ctx, &sk, &[3, -1], &mut rng));
+        let rlk_back = serialize_relin_key(&deserialize_relin_key(&rlk, &ctx).unwrap());
+        assert!(rlk_back == rlk, "{set:?} relin key");
+        let gks_back = serialize_galois_keys(&deserialize_galois_keys(&gks, &ctx).unwrap());
+        assert!(gks_back == gks, "{set:?} Galois keys");
     }
 }
 

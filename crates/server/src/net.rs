@@ -91,17 +91,30 @@
 //!
 //! Cached, deserialized session keys live in modeled board DRAM, and
 //! DRAM is finite ([`heax_core::HeaxSystem::dram_capacity_bytes`]).
-//! [`SessionKeyLru`] bounds the resident key bytes: registrations
-//! stash the serialized key payload host-side and make the session
-//! *resident* (billed against the budget), evicting the
-//! least-recently-used idle session when space runs out — the evicted
-//! session's deserialized keys are dropped from the inner server
-//! ([`HeaxServer::evict_session_keys`]) and transparently re-registered
-//! from the host-side copy on that session's next request. Sessions
-//! with in-flight (queued) requests are never evicted. Evictions and
-//! re-registrations are billed through
+//! [`SessionKeyLru`] bounds the resident key bytes, and each key is held
+//! in exactly one form at a time:
+//!
+//! * **Registration.** The cache admits a key by its payload length
+//!   *before* the engine decodes it, evicting the least-recently-used
+//!   idle session when space runs out. A registration it cannot admit is
+//!   shed and never reaches the decoder, so the session keeps the key it
+//!   had. A session that was evicted is restored first, so the key the
+//!   upload does not replace comes back with it.
+//! * **Resident.** The engine holds the decoded keys. The cache holds
+//!   only their lengths, for billing; the upload was dropped once decoded.
+//! * **Evicted.** [`HeaxServer::evict_session_keys`] serializes the keys
+//!   (the upload byte for byte, since each key has one encoding) and
+//!   drops the decoded ones, and the cache holds the bytes
+//!   ([`SessionKeyLru::held_bytes`]).
+//! * **Restored.** On the session's next request the bytes move out of
+//!   the cache and are decoded straight back into the session; no
+//!   registration frame is rebuilt around them. Then they are dropped.
+//!
+//! Sessions with in-flight (queued) requests are never evicted.
+//! Evictions and restores are billed through
 //! [`ServerStats`](crate::ServerStats) (`key_evictions`,
-//! `key_reregistrations`).
+//! `key_reregistrations`) and [`NetStats`] (`key_evictions`,
+//! `key_restores`).
 //!
 //! ## Failure containment
 //!
@@ -412,14 +425,7 @@ impl FrameAssembler {
 // Session-key LRU
 // ---------------------------------------------------------------------
 
-/// Which evaluation key a cached payload is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyKind {
-    /// A relinearization key (`RegisterRelinKey` payload).
-    Relin,
-    /// A Galois key set (`RegisterGaloisKeys` payload).
-    Galois,
-}
+pub use crate::session::KeyKind;
 
 /// Why the key cache could not make a session resident.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -462,15 +468,29 @@ impl std::fmt::Display for KeyCacheError {
 
 impl std::error::Error for KeyCacheError {}
 
-/// One session's cached key material.
+/// A restore's outcome: the sessions evicted to make room, and the keys
+/// handed back, relin first.
+type Restored = (Vec<u64>, Vec<(KeyKind, Vec<u8>)>);
+
+/// One of a session's keys, as the cache knows it.
+#[derive(Debug)]
+struct Slot {
+    /// The key's serialized length: what its residency is billed.
+    len: u64,
+    /// The serialized key, while the cache is what holds it.
+    payload: Option<Vec<u8>>,
+}
+
+/// One session's cached key material. Under [`NetServer`] a key is held
+/// in one form at a time: by the engine, decoded, while the session is
+/// resident (every `payload` is `None`), and by the cache, serialized,
+/// once it is evicted (every `payload` is `Some`).
 #[derive(Debug, Default)]
 struct KeyEntry {
-    /// Serialized relin-key payload, kept host-side for re-registration.
-    rlk: Option<Vec<u8>>,
-    /// Serialized Galois-keys payload, kept host-side.
-    gks: Option<Vec<u8>>,
-    /// Whether the deserialized keys are DRAM-resident in the inner
-    /// server right now.
+    /// The relinearization key and the Galois keys, by [`KeyKind`].
+    keys: [Option<Slot>; 2],
+    /// Whether the session is billed against the budget, its keys
+    /// decoded in the inner server.
     resident: bool,
     /// LRU clock stamp of the last touch.
     last_touch: u64,
@@ -479,21 +499,45 @@ struct KeyEntry {
 }
 
 impl KeyEntry {
+    fn slot(&mut self, kind: KeyKind) -> &mut Option<Slot> {
+        &mut self.keys[kind as usize]
+    }
+
+    /// The session's keys, relin first.
+    fn slots_mut(&mut self) -> impl Iterator<Item = (KeyKind, &mut Slot)> {
+        let kinds = [KeyKind::Relin, KeyKind::Galois].into_iter();
+        kinds
+            .zip(&mut self.keys)
+            .filter_map(|(kind, s)| Some((kind, s.as_mut()?)))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.keys.iter().all(Option::is_none)
+    }
+
     fn bytes(&self) -> u64 {
-        self.rlk.as_ref().map_or(0, |b| b.len() as u64)
-            + self.gks.as_ref().map_or(0, |b| b.len() as u64)
+        self.keys.iter().flatten().map(|s| s.len).sum()
+    }
+
+    fn held(&self) -> u64 {
+        let payloads = self.keys.iter().flatten().flat_map(|s| &s.payload);
+        payloads.map(|p| p.len() as u64).sum()
     }
 }
 
 /// An LRU cache bounding the modeled DRAM bytes held by resident
 /// session keys.
 ///
-/// The serialized payloads are the bill for the deserialized keys' DRAM
-/// footprint, and an exact one up to the codec's headers: a key holds
-/// each residue once, as the word the payload carries, and nothing
-/// derived beside it. Host-side copies are always kept; only
-/// *residency* is budgeted. Invariants, pinned by the `net_props`
-/// proptests:
+/// A key's serialized length is the bill for its decoded DRAM footprint,
+/// and an exact one up to the codec's headers: a key holds each residue
+/// once, as the word the payload carries, and nothing derived beside it.
+/// *Residency* is what is budgeted, and no key is held twice: under
+/// [`NetServer`] the cache keeps only the lengths of a resident session's
+/// keys, whose decoded form lives in the inner server, and holds the
+/// bytes of an evicted one ([`SessionKeyLru::held_bytes`]). Used on its
+/// own, through [`SessionKeyLru::store`] and [`SessionKeyLru::restore`],
+/// the cache is the only holder there is and keeps what it was handed.
+/// Invariants, pinned by the `net_props` proptests:
 ///
 /// * resident bytes never exceed the budget;
 /// * a session with in-flight requests is never evicted;
@@ -526,6 +570,13 @@ impl SessionKeyLru {
     /// Bytes currently billed as resident.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
+    }
+
+    /// Serialized key bytes the cache itself holds. Under [`NetServer`]
+    /// these are the evicted sessions' keys, and the figure is 0 while
+    /// every session is resident.
+    pub fn held_bytes(&self) -> u64 {
+        self.entries.values().map(KeyEntry::held).sum()
     }
 
     /// Number of sessions currently resident.
@@ -568,18 +619,17 @@ impl SessionKeyLru {
 
     /// Stores (or replaces) one serialized key payload for a session
     /// and makes the session resident, evicting idle sessions as
-    /// needed. Returns the evicted session ids — the caller must drop
-    /// those sessions' keys from the inner server.
+    /// needed: the key is admitted by its length and the cache holds its
+    /// bytes, which [`SessionKeyLru::restore`] hands back after an
+    /// eviction. Returns the evicted session ids — a caller that holds
+    /// their keys elsewhere must drop them there.
     ///
     /// # Errors
     ///
     /// [`KeyCacheError`] when residency is impossible; the payload is
     /// **not** kept (registration failed from the client's view) and a
-    /// previously-resident session is left *evicted*. The caller drops
-    /// the session's engine-side keys on this path, so advertising
-    /// residency here would desynchronize cache and engine — staying
-    /// evicted makes the pre-upload keys come back through
-    /// [`SessionKeyLru::restore`] instead.
+    /// previously-resident session is left *evicted*, its earlier
+    /// payloads held for [`SessionKeyLru::restore`].
     pub fn store(
         &mut self,
         session: u64,
@@ -587,41 +637,72 @@ impl SessionKeyLru {
         payload: &[u8],
     ) -> Result<Vec<u64>, KeyCacheError> {
         // Take the entry off-budget while its contents change.
-        let entry = self.entries.entry(session).or_default();
-        if entry.resident {
-            self.resident_bytes -= entry.bytes();
-            entry.resident = false;
+        if let Some(e) = self.entries.get_mut(&session).filter(|e| e.resident) {
+            self.resident_bytes -= e.bytes();
+            e.resident = false;
         }
-        let slot = match kind {
-            KeyKind::Relin => &mut entry.rlk,
-            KeyKind::Galois => &mut entry.gks,
+        let (evicted, _) = self.admit(session, kind, payload.len() as u64)?;
+        if let Some(slot) = self
+            .entries
+            .get_mut(&session)
+            .and_then(|e| e.slot(kind).as_mut())
+        {
+            slot.payload = Some(payload.to_vec());
+        }
+        Ok(evicted)
+    }
+
+    /// Bills `session`'s `kind` key at `len` bytes, in place of the key
+    /// it replaces, and makes the session resident, evicting idle
+    /// sessions as needed. This is admission by length: [`NetServer`]
+    /// asks it before a registration is decoded, so a key the budget
+    /// cannot hold is shed without touching the one it would have
+    /// replaced. The session is resident or new; an evicted one is
+    /// reseated first. Returns the evicted sessions and the replaced
+    /// key's length, for [`SessionKeyLru::retract`].
+    ///
+    /// # Errors
+    ///
+    /// [`KeyCacheError`] when residency is impossible; nothing changes.
+    pub(crate) fn admit(
+        &mut self,
+        session: u64,
+        kind: KeyKind,
+        len: u64,
+    ) -> Result<(Vec<u64>, Option<u64>), KeyCacheError> {
+        let entry = self.entries.get(&session);
+        let previous = entry
+            .and_then(|e| e.keys[kind as usize].as_ref())
+            .map(|s| s.len);
+        let need = entry.map_or(0, KeyEntry::bytes) - previous.unwrap_or(0) + len;
+        let evicted = self.charge(session, need)?;
+        *self.entries.entry(session).or_default().slot(kind) = Some(Slot { len, payload: None });
+        Ok((evicted, previous))
+    }
+
+    /// Takes back an admission whose key then failed to decode: the key
+    /// the engine kept is billed again at its `previous` length, or no
+    /// longer billed if there was none.
+    pub(crate) fn retract(&mut self, session: u64, kind: KeyKind, previous: Option<u64>) {
+        let Some(e) = self.entries.get_mut(&session) else {
+            return;
         };
-        let previous = slot.replace(payload.to_vec());
-        match self.make_resident(session) {
-            Ok(evicted) => Ok(evicted),
-            Err(e) => {
-                // Roll the slot back so a rejected upload leaves no
-                // half-registered state behind. Residency is NOT
-                // restored (see Errors above).
-                if let Some(entry) = self.entries.get_mut(&session) {
-                    let slot = match kind {
-                        KeyKind::Relin => &mut entry.rlk,
-                        KeyKind::Galois => &mut entry.gks,
-                    };
-                    *slot = previous;
-                    if entry.bytes() == 0 {
-                        self.entries.remove(&session);
-                    }
-                }
-                Err(e)
-            }
+        let billed = e.bytes();
+        *e.slot(kind) = previous.map(|len| Slot { len, payload: None });
+        if e.resident {
+            self.resident_bytes = self.resident_bytes - billed + e.bytes();
+        }
+        if e.is_empty() {
+            self.entries.remove(&session);
         }
     }
 
     /// Makes an evicted session resident again, returning the sessions
-    /// evicted to make room and the host-side payloads to re-register
-    /// (in registration order: relin first, then Galois). A session
-    /// with no cached keys restores trivially (empty payload list).
+    /// evicted to make room and copies of the payloads held for it (in
+    /// registration order: relin first, then Galois). The cache keeps
+    /// holding them, as [`SessionKeyLru::store`] left them. A resident
+    /// session, or one with no cached keys, restores trivially (empty
+    /// lists).
     ///
     /// # Errors
     ///
@@ -632,23 +713,35 @@ impl SessionKeyLru {
         &mut self,
         session: u64,
     ) -> Result<(Vec<u64>, Vec<(KeyKind, Vec<u8>)>), KeyCacheError> {
-        if !self.entries.contains_key(&session) {
-            return Ok((Vec::new(), Vec::new()));
+        Ok(self.readmit(session, |p| p.clone())?.unwrap_or_default())
+    }
+
+    /// [`SessionKeyLru::restore`] for a caller that decodes the keys
+    /// back into an engine: the payloads are moved out, not copied, and
+    /// the cache holds nothing for the session until its next eviction.
+    /// `None` when there is nothing to restore.
+    pub(crate) fn reseat(&mut self, session: u64) -> Result<Option<Restored>, KeyCacheError> {
+        self.readmit(session, Option::take)
+    }
+
+    /// Hands the cache an evicted session's keys to hold: the engine's
+    /// serialization of what it held, which is what the session is billed
+    /// from now on.
+    pub(crate) fn stash(&mut self, session: u64, keys: Vec<(KeyKind, Vec<u8>)>) {
+        let Some(e) = self.entries.get_mut(&session).filter(|e| !e.resident) else {
+            return;
+        };
+        e.keys = [None, None];
+        for (kind, payload) in keys {
+            let len = payload.len() as u64;
+            *e.slot(kind) = Some(Slot {
+                len,
+                payload: Some(payload),
+            });
         }
-        if self.is_resident(session) {
-            self.touch(session);
-            return Ok((Vec::new(), Vec::new()));
+        if e.is_empty() {
+            self.entries.remove(&session);
         }
-        let evicted = self.make_resident(session)?;
-        let entry = &self.entries[&session];
-        let mut payloads = Vec::new();
-        if let Some(b) = &entry.rlk {
-            payloads.push((KeyKind::Relin, b.clone()));
-        }
-        if let Some(b) = &entry.gks {
-            payloads.push((KeyKind::Galois, b.clone()));
-        }
-        Ok((evicted, payloads))
     }
 
     /// Drops a session's cached keys entirely (session closed),
@@ -661,18 +754,49 @@ impl SessionKeyLru {
         }
     }
 
-    /// Charges `session`'s entry to the budget, evicting
-    /// least-recently-touched idle sessions first. Eviction is
-    /// all-or-nothing: the victim schedule is computed before anything
-    /// is evicted, so a failure leaves the cache untouched.
-    fn make_resident(&mut self, session: u64) -> Result<Vec<u64>, KeyCacheError> {
-        let need = self.entries.get(&session).map_or(0, KeyEntry::bytes);
+    /// Makes `session` resident again if it was evicted and hands back
+    /// what is held for it, each payload through `hand`; `None` when
+    /// there is nothing to restore — no entry, or resident already (then
+    /// it is only touched).
+    fn readmit(
+        &mut self,
+        session: u64,
+        hand: impl Fn(&mut Option<Vec<u8>>) -> Option<Vec<u8>>,
+    ) -> Result<Option<Restored>, KeyCacheError> {
+        let need = match self.entries.get(&session) {
+            None => return Ok(None),
+            Some(e) if e.resident => {
+                self.touch(session);
+                return Ok(None);
+            }
+            Some(e) => e.bytes(),
+        };
+        let evicted = self.charge(session, need)?;
+        let mut payloads = Vec::new();
+        if let Some(e) = self.entries.get_mut(&session) {
+            for (kind, slot) in e.slots_mut() {
+                payloads.extend(hand(&mut slot.payload).map(|p| (kind, p)));
+            }
+        }
+        Ok(Some((evicted, payloads)))
+    }
+
+    /// Bills `session` `need` bytes in place of what it is billed now and
+    /// makes it resident, evicting least-recently-touched idle sessions
+    /// first. Eviction is all-or-nothing: the victim schedule is computed
+    /// before anything is evicted, so a failure leaves the cache
+    /// untouched.
+    fn charge(&mut self, session: u64, need: u64) -> Result<Vec<u64>, KeyCacheError> {
         if need > self.budget {
             return Err(KeyCacheError::EntryExceedsBudget {
                 need,
                 budget: self.budget,
             });
         }
+        let billed = (self.entries.get(&session))
+            .filter(|e| e.resident)
+            .map_or(0, KeyEntry::bytes);
+        let base = self.resident_bytes - billed;
         // Victims: resident, idle, not the session itself, oldest first.
         let mut candidates: Vec<(u64, u64, u64)> = self
             .entries
@@ -684,16 +808,16 @@ impl SessionKeyLru {
         let mut freed = 0u64;
         let mut victims = Vec::new();
         for &(_, id, bytes) in &candidates {
-            if self.resident_bytes - freed + need <= self.budget {
+            if base - freed + need <= self.budget {
                 break;
             }
             freed += bytes;
             victims.push(id);
         }
-        if self.resident_bytes - freed + need > self.budget {
+        if base - freed + need > self.budget {
             return Err(KeyCacheError::CachePressure {
                 need,
-                free: self.budget - self.resident_bytes,
+                free: self.budget - base,
             });
         }
         for &id in &victims {
@@ -701,10 +825,8 @@ impl SessionKeyLru {
                 e.resident = false;
             }
         }
-        self.resident_bytes = self.resident_bytes - freed + need;
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.resident = true;
-        }
+        self.resident_bytes = base - freed + need;
+        self.entries.entry(session).or_default().resident = true;
         self.touch(session);
         Ok(victims)
     }
@@ -1296,65 +1418,25 @@ impl<'a> NetServer<'a> {
             decoded.request,
         );
         match kind {
-            MessageKind::RegisterRelinKey | MessageKind::RegisterGaloisKeys => {
-                let key_kind = if kind == MessageKind::RegisterRelinKey {
-                    KeyKind::Relin
-                } else {
-                    KeyKind::Galois
-                };
-                let Some(reply) = self.inner.handle_frame(frame) else {
-                    return;
-                };
-                let registered = wire::decode_frame(&reply)
-                    .map(|f| f.kind == MessageKind::KeyRegistered)
-                    .unwrap_or(false);
-                if !registered {
-                    self.enqueue_reply(token, &reply);
-                    return;
-                }
-                match self.keys.store(session, key_kind, decoded.payload) {
-                    Ok(evicted) => {
-                        self.apply_evictions(&evicted);
-                        self.enqueue_reply(token, &reply);
-                    }
-                    Err(e) => {
-                        // The cache can't hold these keys resident, so
-                        // the registration must fail: drop them from
-                        // the engine again and shed. store() left the
-                        // session evicted, so immediately re-seat the
-                        // pre-upload keys (if any) — queued requests
-                        // for this session still need them engine-side;
-                        // if even that fails under pressure, the next
-                        // request retries through the restore path.
-                        let _ = self.inner.evict_session_keys(session);
-                        if self.keys.has_entry(session) {
-                            let _ = self.restore_session_keys(session);
-                        }
-                        self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
-                        let shed = self.shed_frame(version, session, request, &e.to_string());
-                        self.enqueue_reply(token, &shed);
-                    }
-                }
+            MessageKind::RegisterRelinKey => {
+                self.register_key(token, frame, &decoded, KeyKind::Relin);
+            }
+            MessageKind::RegisterGaloisKeys => {
+                self.register_key(token, frame, &decoded, KeyKind::Galois);
             }
             MessageKind::Request => {
                 if self.inner.queue_depth() >= self.config.max_queue_depth {
-                    self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
                     let msg = format!(
                         "queue depth {} at the {}-request admission bound",
                         self.inner.queue_depth(),
                         self.config.max_queue_depth
                     );
-                    let shed = self.shed_frame(version, session, request, &msg);
-                    self.enqueue_reply(token, &shed);
+                    self.shed(token, version, session, request, &msg);
                     return;
                 }
-                if self.keys.has_entry(session) && !self.keys.is_resident(session) {
-                    if let Err(e) = self.restore_session_keys(session) {
-                        self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
-                        let shed = self.shed_frame(version, session, request, &e.to_string());
-                        self.enqueue_reply(token, &shed);
-                        return;
-                    }
+                if let Err(e) = self.restore_session_keys(session) {
+                    self.shed(token, version, session, request, &e.to_string());
+                    return;
                 }
                 match self.inner.handle_frame(frame) {
                     None => {
@@ -1386,40 +1468,78 @@ impl<'a> NetServer<'a> {
         }
     }
 
-    /// Re-seats an evicted session's host-cached keys into the engine:
-    /// makes the session resident (evicting idle victims) and replays
-    /// the stored registrations. Replies to these transparent
-    /// re-uploads are the runtime's business, not the client's; they
-    /// are dropped.
+    /// Registers one key, budget first: the LRU admits it by its length
+    /// before the engine decodes it, so a registration the budget sheds
+    /// never replaces the key the session already had. An evicted session
+    /// is restored before anything else, so the key the upload does not
+    /// replace comes back with it.
+    fn register_key(&mut self, token: u64, frame: &[u8], head: &wire::Frame<'_>, kind: KeyKind) {
+        let (version, session, request) = (head.version, head.session, head.request);
+        if !self.inner.has_session(session) {
+            // Nothing to bill: the engine answers for a session it does
+            // not know.
+            if let Some(reply) = self.inner.handle_frame(frame) {
+                self.enqueue_reply(token, &reply);
+            }
+            return;
+        }
+        let len = head.payload.len() as u64;
+        let admission = self
+            .restore_session_keys(session)
+            .and_then(|()| self.keys.admit(session, kind, len));
+        let previous = match admission {
+            Ok((evicted, previous)) => {
+                self.apply_evictions(&evicted);
+                previous
+            }
+            Err(e) => return self.shed(token, version, session, request, &e.to_string()),
+        };
+        let Some(reply) = self.inner.handle_frame(frame) else {
+            return;
+        };
+        if !wire::decode_frame(&reply).is_ok_and(|f| f.kind == MessageKind::KeyRegistered) {
+            self.keys.retract(session, kind, previous);
+        }
+        self.enqueue_reply(token, &reply);
+    }
+
+    /// Restores an evicted session's keys into the engine: makes the
+    /// session resident (evicting idle victims) and decodes the bytes the
+    /// cache held for it, which are then dropped. A no-op for a resident
+    /// session or one with no keys.
     fn restore_session_keys(&mut self, session: u64) -> Result<(), KeyCacheError> {
-        let (evicted, payloads) = self.keys.restore(session)?;
+        let Some((evicted, keys)) = self.keys.reseat(session)? else {
+            return Ok(());
+        };
         self.apply_evictions(&evicted);
-        for (key_kind, bytes) in payloads {
-            let reg = match key_kind {
-                KeyKind::Relin => wire::client::register_relin_key(session, &bytes),
-                KeyKind::Galois => wire::client::register_galois_keys(session, &bytes),
-            };
-            let _ = self.inner.handle_frame(&reg);
+        for (kind, payload) in keys {
+            // The engine's own serialization of a key it held: it decodes.
+            let _ = self.inner.install_key(session, kind, &payload);
         }
         self.stats.key_restores = self.stats.key_restores.saturating_add(1);
         Ok(())
     }
 
-    /// Drops the named sessions' deserialized keys from the engine and
-    /// bills the evictions.
+    /// Moves the named sessions' keys from the engine, serialized, into
+    /// the cache, and bills the evictions.
     fn apply_evictions(&mut self, evicted: &[u64]) {
         for &victim in evicted {
-            // The session may have closed since; the cache entry is
-            // gone either way.
-            let _ = self.inner.evict_session_keys(victim);
+            match self.inner.evict_session_keys(victim) {
+                Ok(keys) => self.keys.stash(victim, keys),
+                // Closed since: there is nothing left to hold.
+                Err(_) => self.keys.remove(victim),
+            }
             self.stats.key_evictions = self.stats.key_evictions.saturating_add(1);
         }
     }
 
-    /// A load-shed error frame at the peer's wire version.
-    fn shed_frame(&self, version: u8, session: u64, request: u64, msg: &str) -> Vec<u8> {
+    /// Answers a request at the door with a load-shed error frame at the
+    /// peer's wire version, and bills the shed.
+    fn shed(&mut self, token: u64, version: u8, session: u64, request: u64, msg: &str) {
+        self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
         let payload = wire::encode_error(ErrorCode::LoadShed, msg);
-        wire::encode_frame(version, MessageKind::Error, session, request, &payload)
+        let frame = wire::encode_frame(version, MessageKind::Error, session, request, &payload);
+        self.enqueue_reply(token, &frame);
     }
 
     /// Queues reply bytes on a connection's write buffer; `false` when
@@ -1662,10 +1782,8 @@ mod tests {
             lru.store(1, KeyKind::Relin, &[0; 101]),
             Err(KeyCacheError::EntryExceedsBudget { .. })
         ));
-        // ...keeps the pre-upload payload host-side but leaves the
-        // session evicted — the caller drops its engine keys on this
-        // path, so residency here would desynchronize cache and
-        // engine...
+        // ...keeps the pre-upload payload but leaves the session
+        // evicted...
         assert!(lru.has_entry(1));
         assert!(!lru.is_resident(1));
         assert_eq!(lru.resident_bytes(), 0);
@@ -1709,6 +1827,34 @@ mod tests {
         assert_eq!(lru.resident_sessions(), 0);
         lru.store(2, KeyKind::Galois, &[0; 100]).unwrap();
         assert_eq!(lru.resident_bytes(), 100);
+    }
+
+    #[test]
+    fn lru_admits_by_length_and_holds_only_what_is_evicted() {
+        let mut lru = SessionKeyLru::new(100);
+        // Admitted by length: billed, nothing held.
+        assert_eq!(lru.admit(1, KeyKind::Galois, 60), Ok((vec![], None)));
+        assert_eq!((lru.resident_bytes(), lru.held_bytes()), (60, 0));
+        // A replacement the budget cannot hold changes nothing.
+        assert!(lru.admit(1, KeyKind::Galois, 101).is_err());
+        assert!(lru.is_resident(1));
+        assert_eq!(lru.resident_bytes(), 60);
+        // One it can, whose key then fails to decode, is taken back.
+        assert_eq!(lru.admit(1, KeyKind::Galois, 90), Ok((vec![], Some(60))));
+        lru.retract(1, KeyKind::Galois, Some(60));
+        assert_eq!(lru.resident_bytes(), 60);
+        // Evicted, a session's keys are held as the engine hands them
+        // over; reseated, they are handed back and not kept.
+        assert_eq!(lru.admit(2, KeyKind::Relin, 50), Ok((vec![1], None)));
+        lru.stash(1, vec![(KeyKind::Galois, vec![7; 60])]);
+        assert_eq!(lru.held_bytes(), 60);
+        let restored = (vec![2], vec![(KeyKind::Galois, vec![7; 60])]);
+        assert_eq!(lru.reseat(1), Ok(Some(restored)));
+        assert_eq!((lru.resident_bytes(), lru.held_bytes()), (60, 0));
+        assert_eq!(lru.reseat(1), Ok(None), "resident: nothing to restore");
+        // A new session's failed key leaves no entry behind.
+        lru.retract(2, KeyKind::Relin, None);
+        assert!(!lru.has_entry(2));
     }
 
     #[test]

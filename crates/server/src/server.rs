@@ -65,7 +65,8 @@ use std::time::Instant;
 use heax_ckks::galois::galois_elt_from_step;
 use heax_ckks::serialize::{
     deserialize_galois_keys, deserialize_operand_pooled, deserialize_relin_key,
-    seeded_operand_matches, serialize_ciphertext_append, serialized_ciphertext_bytes,
+    seeded_operand_matches, serialize_ciphertext_append, serialize_galois_keys,
+    serialize_relin_key, serialized_ciphertext_bytes,
 };
 use heax_ckks::{Ciphertext, CkksContext, Evaluator};
 use heax_core::{HeaxAccelerator, HeaxSystem};
@@ -77,7 +78,7 @@ use heax_math::sampling::EXPAND_SEED_LEN;
 
 use crate::error::ServerError;
 use crate::metrics::{Metrics, ServerStats, SessionStats};
-use crate::session::SessionRegistry;
+use crate::session::{KeyKind, SessionRegistry};
 use crate::wire::{self, Frame, MessageKind, OpCode, WireOperand, FRAME_HEADER_LEN};
 
 /// A decoded, validated request waiting for the next flush.
@@ -269,29 +270,13 @@ impl<'a> HeaxServer<'a> {
                     &[],
                 )))
             }
-            MessageKind::RegisterRelinKey => {
-                // Session first: key parsing (megabytes of residues to
-                // validate) is exactly the cost a bogus session id must
-                // not be able to bill the server for.
-                self.sessions.get(frame.session)?;
-                // Deserialize once; every later request of this session
-                // hits the cache.
-                let rlk = deserialize_relin_key(frame.payload, self.ctx)?;
-                self.note_key_registration(frame.session);
-                self.sessions.get_mut(frame.session)?.rlk = Some(rlk);
-                Ok(Some(wire::encode_frame(
-                    frame.version,
-                    MessageKind::KeyRegistered,
-                    frame.session,
-                    frame.request,
-                    &[],
-                )))
-            }
-            MessageKind::RegisterGaloisKeys => {
-                self.sessions.get(frame.session)?;
-                let gks = deserialize_galois_keys(frame.payload, self.ctx)?;
-                self.note_key_registration(frame.session);
-                self.sessions.get_mut(frame.session)?.gks = Some(gks);
+            MessageKind::RegisterRelinKey | MessageKind::RegisterGaloisKeys => {
+                let kind = if frame.kind == MessageKind::RegisterRelinKey {
+                    KeyKind::Relin
+                } else {
+                    KeyKind::Galois
+                };
+                self.install_key(frame.session, kind, frame.payload)?;
                 Ok(Some(wire::encode_frame(
                     frame.version,
                     MessageKind::KeyRegistered,
@@ -438,15 +423,24 @@ impl<'a> HeaxServer<'a> {
         self.queue.iter().filter(|p| p.session == session).count()
     }
 
-    /// Drops a session's cached evaluation keys to free
-    /// modeled DRAM, leaving the session itself open. The next key
-    /// registration for this session is billed as a re-registration
-    /// ([`ServerStats::key_reregistrations`]); the eviction itself
-    /// increments [`ServerStats::key_evictions`] only when there was
-    /// key material to drop.
+    /// Whether the session is open.
+    pub(crate) fn has_session(&self, session: u64) -> bool {
+        self.sessions.get(session).is_ok()
+    }
+
+    /// Serializes a session's cached evaluation keys, relin first, and
+    /// drops the decoded ones to free modeled DRAM, leaving the session
+    /// itself open. The bytes are the keys' uploads exactly, since each
+    /// key has one encoding; the caller holds them until the session
+    /// comes back (the [`crate::net`] session-key LRU restores them on
+    /// its next request). An empty list means the session held no keys.
     ///
-    /// Callers (the [`crate::net`] session-key LRU) must not evict a
-    /// session with queued requests — check
+    /// The next key registration for this session is billed as a
+    /// re-registration ([`ServerStats::key_reregistrations`]); the
+    /// eviction itself increments [`ServerStats::key_evictions`] only
+    /// when there was key material to drop.
+    ///
+    /// Callers must not evict a session with queued requests — check
     /// [`HeaxServer::queued_for`] first; this method does not second-
     /// guess the cache policy.
     ///
@@ -454,28 +448,48 @@ impl<'a> HeaxServer<'a> {
     ///
     /// [`ServerError::UnknownSession`] for ids never opened or already
     /// closed.
-    pub fn evict_session_keys(&mut self, session: u64) -> Result<(), ServerError> {
+    pub fn evict_session_keys(
+        &mut self,
+        session: u64,
+    ) -> Result<Vec<(KeyKind, Vec<u8>)>, ServerError> {
         let sess = self.sessions.get_mut(session)?;
-        if sess.rlk.is_some() || sess.gks.is_some() {
-            sess.rlk = None;
-            sess.gks = None;
+        let mut keys = Vec::new();
+        if let Some(rlk) = sess.rlk.take() {
+            keys.push((KeyKind::Relin, serialize_relin_key(&rlk)));
+        }
+        if let Some(gks) = sess.gks.take() {
+            keys.push((KeyKind::Galois, serialize_galois_keys(&gks)));
+        }
+        if !keys.is_empty() {
             sess.keys_evicted = true;
             self.metrics.key_evictions = self.metrics.key_evictions.saturating_add(1);
         }
-        Ok(())
+        Ok(keys)
     }
 
-    /// Bills a key registration: a first upload is free, a re-upload
-    /// after [`HeaxServer::evict_session_keys`] counts as a
-    /// re-registration.
-    fn note_key_registration(&mut self, session: u64) {
-        if let Ok(sess) = self.sessions.get_mut(session) {
-            if sess.keys_evicted {
-                sess.keys_evicted = false;
-                self.metrics.key_reregistrations =
-                    self.metrics.key_reregistrations.saturating_add(1);
-            }
+    /// Decodes `payload` into the session's key of that kind. A
+    /// registration frame lands here, and so does a transport restoring
+    /// the bytes [`HeaxServer::evict_session_keys`] returned. A key
+    /// installed after an eviction is billed as a re-registration.
+    pub(crate) fn install_key(
+        &mut self,
+        session: u64,
+        kind: KeyKind,
+        payload: &[u8],
+    ) -> Result<(), ServerError> {
+        // Session first: key parsing (megabytes of residues to validate)
+        // is exactly the cost a bogus session id must not be able to bill
+        // the server for.
+        let sess = self.sessions.get_mut(session)?;
+        // On failure the key held before stays.
+        match kind {
+            KeyKind::Relin => sess.rlk = Some(deserialize_relin_key(payload, self.ctx)?),
+            KeyKind::Galois => sess.gks = Some(deserialize_galois_keys(payload, self.ctx)?),
         }
+        if std::mem::take(&mut sess.keys_evicted) {
+            self.metrics.key_reregistrations = self.metrics.key_reregistrations.saturating_add(1);
+        }
+        Ok(())
     }
 
     /// Lowers the currently queued requests into the shared op-stream

@@ -8,6 +8,14 @@
 //! when they connect, and every later request hits the cached keys. The
 //! seed deployment example paid that cost per request batch; the
 //! benchmark's `server.register_keys_us` row is what one upload costs.
+//!
+//! A key is held in **one form at a time**. The registry holds it
+//! decoded, and the upload is dropped once it is decoded. When the
+//! transport's key cache evicts a session
+//! ([`HeaxServer::evict_session_keys`](crate::HeaxServer::evict_session_keys)),
+//! the keys are serialized again, handed over, and dropped here. The
+//! serialization is the upload byte for byte, since each key has exactly
+//! one encoding. A restore decodes those bytes back in.
 
 use std::collections::HashMap;
 
@@ -15,6 +23,15 @@ use heax_ckks::{GaloisKeys, RelinKey};
 
 use crate::error::ServerError;
 use crate::metrics::SessionStats;
+
+/// Which evaluation key a payload is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeyKind {
+    /// A relinearization key (`RegisterRelinKey` payload).
+    Relin,
+    /// A Galois key set (`RegisterGaloisKeys` payload).
+    Galois,
+}
 
 /// Per-session server state: cached keys, parked-handle ownership, and
 /// traffic counters.

@@ -24,9 +24,12 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use heax_ckks::serialize::{deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys};
+use heax_ckks::serialize::{
+    deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys, serialize_relin_key,
+};
 use heax_ckks::{
-    Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor, GaloisKeys, PublicKey, SecretKey,
+    Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor, GaloisKeys, PublicKey, RelinKey,
+    SecretKey,
 };
 use heax_server::net::{FrameAssembler, NetConfig, NetServer, NetTick};
 use heax_server::wire::client::{self, Reply};
@@ -691,6 +694,197 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
         net.key_cache().resident_bytes() <= net.key_cache().budget(),
         "the DRAM budget is a hard bound"
     );
+}
+
+/// Sends a key registration whole and checks it was accepted.
+fn register(net: &mut NetServer<'_>, conn: &mut Conn, frame: &[u8]) {
+    let reply = conn.roundtrip(net, frame);
+    assert_eq!(client::parse_reply(&reply).unwrap().2, Reply::KeyRegistered);
+}
+
+/// Sends one rotation by one slot, flushes, and returns its reply.
+fn rotate_once(
+    net: &mut NetServer<'_>,
+    conn: &mut Conn,
+    session: u64,
+    id: u64,
+    ct: &[u8],
+) -> Vec<u8> {
+    conn.send_chunked(net, &client::rotate(session, id, ct, 1), 4096);
+    net.flush_now();
+    let want = conn.replies.len() + 1;
+    conn.recv_until(net, want);
+    conn.replies.last().unwrap().clone()
+}
+
+/// A key is held in one form at a time: decoded by the engine while its
+/// session is resident, with nothing held beside it; serialized by the
+/// cache once the session is evicted — as many bytes as were uploaded,
+/// and none left in the engine; decoded again, and the bytes dropped,
+/// when the session comes back.
+#[test]
+fn a_registered_key_is_held_once() {
+    let c = ctx();
+    let (ca, cb) = (client(&c, 32, &[1]), client(&c, 33, &[1]));
+    let (gks_a, gks_b) = (
+        serialize_galois_keys(&ca.gks),
+        serialize_galois_keys(&cb.gks),
+    );
+    let config = NetConfig {
+        key_cache_budget: gks_a.len() as u64 * 3 / 2,
+        ..manual_flush()
+    };
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        config,
+    )
+    .unwrap();
+    let mut conn_a = Conn::connect(&mut net);
+    let mut conn_b = Conn::connect(&mut net);
+    let sa = conn_a.open_session(&mut net);
+    let sb = conn_b.open_session(&mut net);
+    let ct_a = serialize_ciphertext(&ca.ct);
+
+    register(
+        &mut net,
+        &mut conn_a,
+        &client::register_galois_keys(sa, &gks_a),
+    );
+    assert_eq!(net.key_cache().resident_sessions(), 1);
+    assert_eq!(net.key_cache().held_bytes(), 0, "every session is resident");
+    let before = rotate_once(&mut net, &mut conn_a, sa, 100, &ct_a);
+
+    register(
+        &mut net,
+        &mut conn_b,
+        &client::register_galois_keys(sb, &gks_b),
+    );
+    assert!(!net.key_cache().is_resident(sa), "B's upload evicted A");
+    assert_eq!(net.key_cache().held_bytes(), gks_a.len() as u64);
+    let engine_held = net.server_mut().evict_session_keys(sa).unwrap();
+    assert!(engine_held.is_empty(), "the engine still holds A's keys");
+
+    // B leaves, so restoring A evicts nobody.
+    conn_b.roundtrip(&mut net, &client::close_session(sb));
+    let after = rotate_once(&mut net, &mut conn_a, sa, 100, &ct_a);
+    assert!(net.key_cache().is_resident(sa));
+    assert_eq!(net.key_cache().held_bytes(), 0, "the restore kept a copy");
+    assert_eq!(before, after, "evict/restore must be bit-transparent");
+    assert_eq!(net.stats().key_restores, 1);
+}
+
+/// A session evicted with both keys that uploads one of them again gets
+/// the other back too: the registration restores what the session held
+/// before it replaces anything. The budget holds one session's relin and
+/// Galois keys.
+#[test]
+fn reregistering_one_key_of_an_evicted_session_keeps_the_other() {
+    let c = ctx();
+    let (ca, cb) = (client(&c, 30, &[1]), client(&c, 31, &[1]));
+    let mut rng = StdRng::seed_from_u64(30);
+    let rlk_a = serialize_relin_key(&RelinKey::generate(&c, &ca.sk, &mut rng));
+    let rlk_b = serialize_relin_key(&RelinKey::generate(&c, &cb.sk, &mut rng));
+    let (gks_a, gks_b) = (
+        serialize_galois_keys(&ca.gks),
+        serialize_galois_keys(&cb.gks),
+    );
+    let config = NetConfig {
+        key_cache_budget: (rlk_a.len() + gks_a.len()) as u64,
+        ..manual_flush()
+    };
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        config,
+    )
+    .unwrap();
+    let mut conn_a = Conn::connect(&mut net);
+    let mut conn_b = Conn::connect(&mut net);
+    let sa = conn_a.open_session(&mut net);
+    let sb = conn_b.open_session(&mut net);
+    let ct_a = serialize_ciphertext(&ca.ct);
+
+    register(
+        &mut net,
+        &mut conn_a,
+        &client::register_relin_key(sa, &rlk_a),
+    );
+    register(
+        &mut net,
+        &mut conn_a,
+        &client::register_galois_keys(sa, &gks_a),
+    );
+    let before = rotate_once(&mut net, &mut conn_a, sa, 100, &ct_a);
+    register(
+        &mut net,
+        &mut conn_b,
+        &client::register_relin_key(sb, &rlk_b),
+    );
+    register(
+        &mut net,
+        &mut conn_b,
+        &client::register_galois_keys(sb, &gks_b),
+    );
+    assert!(!net.key_cache().is_resident(sa), "B's uploads evicted A");
+
+    register(
+        &mut net,
+        &mut conn_a,
+        &client::register_relin_key(sa, &rlk_a),
+    );
+    assert!(net.key_cache().is_resident(sa));
+    let after = rotate_once(&mut net, &mut conn_a, sa, 100, &ct_a);
+    let rotated = expect_ciphertext(&c, &after);
+    assert_rotated(&ca.vals, &decrypt(&c, &ca.sk, &rotated), 1);
+    assert_eq!(
+        before, after,
+        "A rotates with the Galois keys it registered"
+    );
+    assert_eq!(net.key_cache().resident_bytes(), config.key_cache_budget);
+}
+
+/// A re-registration the budget cannot hold is shed before it is decoded:
+/// the key it would have replaced never leaves the engine and serves the
+/// session's next request byte for byte as before the attempt.
+#[test]
+fn an_over_budget_reregistration_is_shed_and_the_old_key_serves() {
+    let c = ctx();
+    let ca = client(&c, 34, &[1]);
+    let gks = serialize_galois_keys(&ca.gks);
+    let mut rng = StdRng::seed_from_u64(34);
+    let larger = serialize_galois_keys(&GaloisKeys::generate(&c, &ca.sk, &[1, 2, 3], &mut rng));
+    let config = NetConfig {
+        key_cache_budget: 2 * gks.len() as u64,
+        ..manual_flush()
+    };
+    assert!(larger.len() as u64 > config.key_cache_budget);
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        config,
+    )
+    .unwrap();
+    let mut conn = Conn::connect(&mut net);
+    let s = conn.open_session(&mut net);
+    let ct = serialize_ciphertext(&ca.ct);
+    register(&mut net, &mut conn, &client::register_galois_keys(s, &gks));
+    let before = rotate_once(&mut net, &mut conn, s, 100, &ct);
+
+    let shed = conn.roundtrip(&mut net, &client::register_galois_keys(s, &larger));
+    let (_, _, parsed) = client::parse_reply(&shed).unwrap();
+    assert!(matches!(parsed, Reply::Error { code, .. } if code == ErrorCode::LoadShed));
+    assert_eq!(net.stats().admission_sheds, 1);
+    assert!(net.key_cache().is_resident(s));
+    assert_eq!(net.key_cache().resident_bytes(), gks.len() as u64);
+    assert_eq!(
+        net.server_mut().stats().key_evictions,
+        0,
+        "the pre-upload key left the engine"
+    );
+
+    let after = rotate_once(&mut net, &mut conn, s, 100, &ct);
+    assert_eq!(before, after, "the pre-upload key serves");
 }
 
 /// Socket chaos: scripted socket failures (mid-frame disconnect,
