@@ -15,13 +15,15 @@
 //!    (INTT1 → NTT1 → MS); the MS step reduces the lazy accumulator words
 //!    as it reads them, and for a rotation adds `τ(c₀)` as it stores.
 //!
-//! Every transform goes through an [`NttBackend`]: [`TableNtt`] runs the
-//! software kernels of [`NttTable`], and `heax-core` supplies a backend
-//! that streams each residue through the banked hardware dataflow
-//! simulator. The arithmetic between transforms is written once, here,
-//! so the evaluator and the accelerator agree bit for bit by
-//! construction, and relinearization (one key, identity permutation) and
-//! hoisted rotation (`t` keys over one decomposition) are the same code.
+//! Every transform goes through an [`NttBackend`], one residue per call:
+//! [`TableNtt`] runs the software kernels of [`NttTable`], and `heax-core`
+//! supplies a backend that streams each residue through the banked
+//! hardware dataflow simulator. Residues run side by side on the
+//! executor's lanes, as HEAX replicates one NTT core. The arithmetic
+//! between transforms is written once, here, so the evaluator and the
+//! accelerator agree bit for bit by construction, and relinearization
+//! (one key, identity permutation) and hoisted rotation (`t` keys over
+//! one decomposition) are the same code.
 
 use heax_math::exec::{self, Executor};
 use heax_math::ntt::NttTable;
@@ -53,7 +55,8 @@ pub enum Stage {
     Ntt1,
 }
 
-/// Executes the transforms of the key-switch skeleton.
+/// Executes the transforms of the key-switch skeleton, one residue per
+/// call.
 ///
 /// Implementations must agree with [`NttTable::inverse`] and
 /// [`NttTable::forward`] modulo the table's prime; only the
@@ -67,37 +70,16 @@ pub trait NttBackend: Sync {
     /// words (coefficients under another prime), each taken modulo the
     /// table's prime `p` before the transform. Every word of `dst` is
     /// congruent to the strict transform and lies in `[0, 4p)` — in
-    /// `[0, p)` when `!table.reduced_kernel_is_lazy()`, where `4p` need
-    /// not fit a word. The skeleton consumes either representative.
+    /// `[0, p)` when `table.auto_kernel()` is
+    /// [`AutoKernel::Strict`](heax_math::ntt::AutoKernel::Strict), where
+    /// `4p` need not fit a word. The skeleton consumes either
+    /// representative.
     // DOMAIN: [0,4p)
     fn forward_reduced(&self, stage: Stage, table: &NttTable, src: &[u64], dst: &mut [u64]);
-
-    /// Two [`NttBackend::inverse`] transforms under one table.
-    fn inverse2(&self, stage: Stage, table: &NttTable, a: &mut [u64], b: &mut [u64]) {
-        self.inverse(stage, table, a);
-        self.inverse(stage, table, b);
-    }
-
-    /// Two [`NttBackend::forward_reduced`] transforms under one table
-    /// (same output contract).
-    // DOMAIN: [0,4p)
-    fn forward_reduced2(
-        &self,
-        stage: Stage,
-        table: &NttTable,
-        src0: &[u64],
-        src1: &[u64],
-        dst0: &mut [u64],
-        dst1: &mut [u64],
-    ) {
-        self.forward_reduced(stage, table, src0, dst0); // DOMAIN: [0,4p)
-        self.forward_reduced(stage, table, src1, dst1); // DOMAIN: [0,4p)
-    }
 }
 
-/// The software backend: [`NttTable`]'s fastest kernels, with the paired
-/// variants mapped onto the interleaved-butterfly kernels (two
-/// independent multiply chains for the core to overlap).
+/// The software backend: [`NttTable`]'s `*_auto` kernels, in whichever
+/// family the table selected for this host.
 #[derive(Clone, Copy, Debug)]
 pub struct TableNtt;
 
@@ -111,25 +93,6 @@ impl NttBackend for TableNtt {
     // DOMAIN: [0,4p)
     fn forward_reduced(&self, _: Stage, table: &NttTable, src: &[u64], dst: &mut [u64]) {
         table.forward_reduced_auto(src, dst); // DOMAIN: [0,4p)
-    }
-
-    #[inline]
-    fn inverse2(&self, _: Stage, table: &NttTable, a: &mut [u64], b: &mut [u64]) {
-        table.inverse_auto2(a, b);
-    }
-
-    #[inline]
-    // DOMAIN: [0,4p)
-    fn forward_reduced2(
-        &self,
-        _: Stage,
-        table: &NttTable,
-        src0: &[u64],
-        src1: &[u64],
-        dst0: &mut [u64],
-        dst1: &mut [u64],
-    ) {
-        table.forward_reduced_auto2(src0, src1, dst0, dst1); // DOMAIN: [0,4p)
     }
 }
 
@@ -264,31 +227,18 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let coeff = &*coeff;
 
         // NTT0: one digit column per extended prime. The diagonal digit is
-        // c₁'s own residue (line 9); the others share the column's table,
-        // so they go through the backend in pairs.
+        // c₁'s own residue (line 9); every other row is a coefficient
+        // residue reduced into the column's prime on load.
         let digits = &mut digits[..(level + 2) * rows * n];
         exec::for_each_limb(self.exec, digits, rows * n, |j, col| {
             let chain_idx = self.chain_index(j, level);
             let table = ctx.ntt_table(chain_idx);
-            if chain_idx <= level {
-                col[chain_idx * n..][..n].copy_from_slice(c1.residue(chain_idx));
-            }
-            let mut off_diagonal = (0..rows).filter(|&i| i != chain_idx);
-            while let Some(i1) = off_diagonal.next() {
-                let src1 = &coeff[i1 * n..][..n];
-                match off_diagonal.next() {
-                    Some(i2) => {
-                        let src2 = &coeff[i2 * n..][..n];
-                        let (lo, hi) = col.split_at_mut(i2 * n);
-                        let (dst1, dst2) = (&mut lo[i1 * n..][..n], &mut hi[..n]);
-                        // DOMAIN: [0,4p)
-                        backend.forward_reduced2(Stage::Ntt0, table, src1, src2, dst1, dst2);
-                    }
-                    None => {
-                        let dst1 = &mut col[i1 * n..][..n];
-                        // DOMAIN: [0,4p)
-                        backend.forward_reduced(Stage::Ntt0, table, src1, dst1);
-                    }
+            for (i, dst) in col.chunks_exact_mut(n).enumerate() {
+                if i == chain_idx {
+                    dst.copy_from_slice(c1.residue(i));
+                } else {
+                    // DOMAIN: [0,4p)
+                    backend.forward_reduced(Stage::Ntt0, table, &coeff[i * n..][..n], dst);
                 }
             }
         });
@@ -350,14 +300,17 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         } = bufs;
         let consts = ctx.modswitch_constants(level);
 
-        // INTT1 ×2: the special-prime residues, reduced where they lie.
+        // INTT1 per accumulator: its special-prime residue, reduced where
+        // it lies.
         let (c0, a0) = acc0[..(keep + 1) * n].split_at_mut(keep * n);
         let (c1, a1) = acc1[..(keep + 1) * n].split_at_mut(keep * n);
-        ctx.special_modulus().reduce_words(a0);
-        ctx.special_modulus().reduce_words(a1);
-        backend.inverse2(Stage::Intt1, ctx.special_ntt_table(), a0, a1);
+        for a in [&mut *a0, &mut *a1] {
+            ctx.special_modulus().reduce_words(a);
+            backend.inverse(Stage::Intt1, ctx.special_ntt_table(), a);
+        }
 
-        // NTT1 ×2 + MS per remaining prime, each in its own lane pair.
+        // NTT1 per accumulator + MS per remaining prime, each in its own
+        // lane pair.
         let (c0, c1, a0, a1) = (&*c0, &*c1, &*a0, &*a1);
         let (lane0, rest) = lane.split_at_mut(keep * n);
         let lane1 = &mut rest[..keep * n];
@@ -371,9 +324,9 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             lane1,
             n,
             |i, dst0, dst1, buf0, buf1| {
-                let pi = &out_moduli[i];
-                // DOMAIN: [0,4p)
-                backend.forward_reduced2(Stage::Ntt1, ctx.ntt_table(i), a0, a1, buf0, buf1);
+                let (pi, table) = (&out_moduli[i], ctx.ntt_table(i));
+                backend.forward_reduced(Stage::Ntt1, table, a0, buf0); // DOMAIN: [0,4p)
+                backend.forward_reduced(Stage::Ntt1, table, a1, buf1); // DOMAIN: [0,4p)
                 let inv = consts.inv(i);
                 let add = add.map(|(c, perm)| (c.residue(i), perm));
                 pi.mod_switch(inv, &c0[i * n..][..n], buf0, add, dst0);
@@ -419,8 +372,8 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Counts transforms per stage, implementing only the required
-    /// methods so the provided pair variants are exercised too.
+    /// Counts transforms per stage, one per backend call, over the
+    /// strict kernels.
     #[derive(Default)]
     struct Counting([AtomicUsize; 4]);
 

@@ -6,10 +6,10 @@
 //! a silent-corruption hazard that the type system cannot see. This rule
 //! makes the contract machine-readable:
 //!
-//! * every kernel whose name carries a `lazy` / `lazy2` / `auto2` /
-//!   `reduced` segment must be annotated `// DOMAIN: [0,kp)` in the
-//!   comment block directly above its `fn` line (predicates with an
-//!   `is` segment, e.g. `reduced_kernel_is_lazy`, are exempt);
+//! * every kernel whose name carries a `lazy` or `reduced` segment must
+//!   be annotated `// DOMAIN: [0,kp)` in the comment block directly
+//!   above its `fn` line (predicates with an `is` segment, such as a
+//!   `kernel_is_lazy` query, are exempt);
 //! * every `mul_red_lazy` **call site** must carry a `// DOMAIN:`
 //!   annotation (trailing on the call line or on the line above) stating
 //!   the domain of the value it produces;
@@ -22,7 +22,7 @@ use crate::scanner::SourceFile;
 use std::collections::HashMap;
 
 /// Name segments that mark a lazy-reduction kernel.
-const KERNEL_SEGMENTS: [&str; 4] = ["lazy", "lazy2", "auto2", "reduced"];
+const KERNEL_SEGMENTS: [&str; 2] = ["lazy", "reduced"];
 /// The canonical annotation forms.
 const DOMAINS: [&str; 3] = ["[0,p)", "[0,2p)", "[0,4p)"];
 /// The one function whose *call sites* must always be annotated.
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn kernel_names() {
         assert!(is_kernel_name("forward_lazy"));
-        assert!(is_kernel_name("forward_reduced_auto2"));
+        assert!(is_kernel_name("forward_reduced_auto"));
         assert!(is_kernel_name("mul_red_lazy"));
         assert!(!is_kernel_name("reduced_kernel_is_lazy"));
         assert!(!is_kernel_name("forward_auto"));
