@@ -110,19 +110,6 @@ impl<'a> HeaxSystem<'a> {
         self.memory_map.get(name)
     }
 
-    /// Unparks a DRAM-resident ciphertext: removes the entry and releases
-    /// its modeled DRAM bytes. Returns `None` if the name is unknown.
-    pub fn remove(&mut self, name: &str) -> Option<Ciphertext> {
-        let ct = self.memory_map.remove(name)?;
-        self.dram_used_bytes -= Self::ct_bytes(&ct);
-        Some(ct)
-    }
-
-    /// Whether a name is currently parked.
-    pub fn contains(&self, name: &str) -> bool {
-        self.memory_map.contains_key(name)
-    }
-
     /// Number of memory-mapped entries.
     pub fn mapped_entries(&self) -> usize {
         self.memory_map.len()
@@ -133,19 +120,10 @@ impl<'a> HeaxSystem<'a> {
         self.dram_used_bytes
     }
 
-    /// Modeled board DRAM capacity in bytes — the budget everything
-    /// DRAM-resident (parked results, cached session keys) is billed
-    /// against.
+    /// Modeled board DRAM capacity in bytes — the budget mapped results
+    /// are billed against.
     pub fn dram_capacity_bytes(&self) -> u64 {
         self.accel.board().dram_gib() as u64 * (1 << 30)
-    }
-
-    /// Modeled DRAM bytes still free for parked results. Transport
-    /// layers size their session-key caches from this budget (see
-    /// `heax_server::net`).
-    pub fn dram_available_bytes(&self) -> u64 {
-        self.dram_capacity_bytes()
-            .saturating_sub(self.dram_used_bytes)
     }
 
     /// Models a batch of identical operations whose per-op report is
@@ -246,24 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_and_remove_keep_dram_accounting_exact() {
+    fn overwrite_keeps_dram_accounting_exact() {
         let c = ctx();
         let mut sys = HeaxSystem::new(accel(&c));
         let ct = sample_ct(&c);
         sys.store("x", ct.clone()).unwrap();
         let one = sys.dram_used_bytes();
         // Overwriting the same name must not double-count.
-        sys.store("x", ct.clone()).unwrap();
+        sys.store("x", ct).unwrap();
         assert_eq!(sys.dram_used_bytes(), one);
         assert_eq!(sys.mapped_entries(), 1);
-        assert!(sys.contains("x"));
-        // Unparking returns the ciphertext and releases its bytes.
-        let back = sys.remove("x").expect("parked");
-        assert_eq!(back, ct);
-        assert_eq!(sys.dram_used_bytes(), 0);
-        assert_eq!(sys.mapped_entries(), 0);
-        assert!(!sys.contains("x"));
-        assert!(sys.remove("x").is_none());
     }
 
     #[test]
@@ -282,20 +252,6 @@ mod tests {
             "overlap must beat serial execution"
         );
         assert!(host.ops_per_sec > 0.0);
-    }
-
-    #[test]
-    fn dram_budget_hooks_are_consistent() {
-        let c = ctx();
-        let mut sys = HeaxSystem::new(accel(&c));
-        let capacity = sys.dram_capacity_bytes();
-        assert!(capacity > 0);
-        assert_eq!(sys.dram_available_bytes(), capacity);
-        let ct = sample_ct(&c);
-        sys.store("x", ct).unwrap();
-        assert_eq!(sys.dram_available_bytes(), capacity - sys.dram_used_bytes());
-        sys.remove("x").unwrap();
-        assert_eq!(sys.dram_available_bytes(), capacity);
     }
 
     #[test]

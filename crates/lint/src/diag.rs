@@ -29,20 +29,17 @@ pub enum RuleId {
     L4,
     /// Lock discipline: `.lock()` must recover from poisoning.
     L5,
-    /// PROTOCOL.md ↔ source consistency (enum tables, wire constants).
-    L6,
 }
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 6] = [
         RuleId::L0,
         RuleId::L1,
         RuleId::L2,
         RuleId::L3,
         RuleId::L4,
         RuleId::L5,
-        RuleId::L6,
     ];
 
     /// Short machine-readable code (`"L1"` …), as used in allow directives.
@@ -54,7 +51,6 @@ impl RuleId {
             RuleId::L3 => "L3",
             RuleId::L4 => "L4",
             RuleId::L5 => "L5",
-            RuleId::L6 => "L6",
         }
     }
 
@@ -67,7 +63,6 @@ impl RuleId {
             RuleId::L3 => "safety-comment",
             RuleId::L4 => "saturating-counters",
             RuleId::L5 => "lock-discipline",
-            RuleId::L6 => "protocol-constants",
         }
     }
 

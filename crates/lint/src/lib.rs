@@ -19,7 +19,6 @@
 //! | L3   | safety-comment      | every `unsafe` block/impl has a `// SAFETY:` justification |
 //! | L4   | saturating-counters | `*Stats`/`*Report` fields mutate via `saturating_*` only |
 //! | L5   | lock-discipline     | `.lock()` recovers poisoning via `into_inner` |
-//! | L6   | protocol-constants  | PROTOCOL.md agrees with enums and wire constants |
 //!
 //! Suppress a finding with a justified allow comment on the same line or
 //! the line above:
@@ -54,23 +53,11 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The normative markdown document the doc-consistency rule checks
-/// against (`PROTOCOL.md`).
-#[derive(Debug)]
-pub struct Doc {
-    /// Path relative to the linted tree root.
-    pub rel: PathBuf,
-    /// Full document text.
-    pub text: String,
-}
-
 /// Everything the engine loaded from one tree.
 #[derive(Debug)]
 pub struct Workspace {
     /// Scanned Rust sources, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// `PROTOCOL.md`, when the tree has one.
-    pub protocol: Option<Doc>,
 }
 
 /// Directory names never descended into: build output, vendored deps,
@@ -94,21 +81,15 @@ fn walk(root: &Path, dir: &Path, ws: &mut Workspace) -> io::Result<()> {
         if name.ends_with(".rs") {
             let text = std::fs::read_to_string(&path)?;
             ws.files.push(scanner::scan(&path, &rel, &text));
-        } else if name == "PROTOCOL.md" && ws.protocol.is_none() {
-            let text = std::fs::read_to_string(&path)?;
-            ws.protocol = Some(Doc { rel, text });
         }
     }
     Ok(())
 }
 
-/// Loads and scans every Rust file (plus `PROTOCOL.md`) under
-/// `root`, skipping `vendor/`, `target/`, and fixture trees.
+/// Loads and scans every Rust file under `root`, skipping `vendor/`,
+/// `target/`, and fixture trees.
 pub fn load_tree(root: &Path) -> io::Result<Workspace> {
-    let mut ws = Workspace {
-        files: Vec::new(),
-        protocol: None,
-    };
+    let mut ws = Workspace { files: Vec::new() };
     walk(root, root, &mut ws)?;
     ws.files.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(ws)
@@ -136,7 +117,6 @@ pub fn lint(ws: &Workspace) -> Vec<Diagnostic> {
         allows.insert(f.rel.clone(), file_allows);
         diags.extend(l0);
     }
-    diags.extend(rules::protocol::check(&ws.files, ws.protocol.as_ref()));
     let mut out: Vec<Diagnostic> = diags
         .into_iter()
         .filter(|d| match allows.get(&d.path) {

@@ -4,7 +4,6 @@
 pub mod counters;
 pub mod domain;
 pub mod locks;
-pub mod protocol;
 pub mod safety;
 pub mod totality;
 

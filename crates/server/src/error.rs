@@ -2,15 +2,14 @@
 //! codes.
 //!
 //! Every failure a client can trigger — malformed frames, unknown
-//! sessions, missing keys, crypto-level mismatches, modeled-DRAM
-//! exhaustion — maps to a structured [`ErrorCode`] that travels back
+//! sessions, missing keys, crypto-level mismatches, a park past the
+//! board DRAM budget — maps to a structured [`ErrorCode`] that travels back
 //! over the wire in an error frame. A misbehaving client can never take
 //! its session (let alone the server) down; it just receives errors.
 
 use core::fmt;
 
 use heax_ckks::CkksError;
-use heax_core::CoreError;
 
 /// Numeric error codes carried by wire error frames.
 ///
@@ -45,20 +44,14 @@ impl ErrorCode {
     /// Decodes a wire code; unknown values collapse to `Unsupported`
     /// (decoding replies is total, like everything else on this wire).
     pub fn from_u16(v: u16) -> ErrorCode {
-        match v {
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::UnknownSession,
-            3 => ErrorCode::UnknownHandle,
-            4 => ErrorCode::MissingKey,
-            5 => ErrorCode::Crypto,
-            6 => ErrorCode::Capacity,
-            8 => ErrorCode::LoadShed,
-            9 => ErrorCode::Degraded,
-            _ => ErrorCode::Unsupported,
-        }
+        ErrorCode::ALL
+            .into_iter()
+            .find(|&code| code as u16 == v)
+            .unwrap_or(ErrorCode::Unsupported)
     }
 
-    /// Every code, numeric order — the round-trip tests sweep this.
+    /// Every code, numeric order — PROTOCOL.md's error table lists
+    /// exactly these, and the round-trip tests sweep them.
     pub const ALL: [ErrorCode; 9] = [
         ErrorCode::Malformed,
         ErrorCode::UnknownSession,
@@ -100,8 +93,13 @@ pub enum ServerError {
     },
     /// The underlying CKKS operation failed.
     Ckks(CkksError),
-    /// The accelerator system rejected the operation (e.g. DRAM full).
-    Core(CoreError),
+    /// Parking the result would exceed the board DRAM budget.
+    Capacity {
+        /// Bytes the result needs.
+        requested: u64,
+        /// Bytes still free, counting any entry the park would replace.
+        available: u64,
+    },
     /// Structurally valid but unsupported request.
     Unsupported {
         /// Human-readable reason.
@@ -131,8 +129,7 @@ impl ServerError {
             // from "your ciphertext is malformed".
             ServerError::Ckks(CkksError::MissingGaloisKey { .. }) => ErrorCode::MissingKey,
             ServerError::Ckks(_) => ErrorCode::Crypto,
-            ServerError::Core(CoreError::DramFull { .. }) => ErrorCode::Capacity,
-            ServerError::Core(_) => ErrorCode::Unsupported,
+            ServerError::Capacity { .. } => ErrorCode::Capacity,
             ServerError::Unsupported { .. } => ErrorCode::Unsupported,
         }
     }
@@ -151,7 +148,13 @@ impl fmt::Display for ServerError {
                 write!(f, "session has no Galois key for rotation step {step}")
             }
             ServerError::Ckks(e) => write!(f, "ckks error: {e}"),
-            ServerError::Core(e) => write!(f, "system error: {e}"),
+            ServerError::Capacity {
+                requested,
+                available,
+            } => write!(
+                f,
+                "board DRAM full: requested {requested} bytes, {available} available"
+            ),
             ServerError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
         }
     }
@@ -161,7 +164,6 @@ impl std::error::Error for ServerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServerError::Ckks(e) => Some(e),
-            ServerError::Core(e) => Some(e),
             _ => None,
         }
     }
@@ -170,12 +172,6 @@ impl std::error::Error for ServerError {
 impl From<CkksError> for ServerError {
     fn from(e: CkksError) -> Self {
         ServerError::Ckks(e)
-    }
-}
-
-impl From<CoreError> for ServerError {
-    fn from(e: CoreError) -> Self {
-        ServerError::Core(e)
     }
 }
 

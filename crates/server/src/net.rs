@@ -90,9 +90,11 @@
 //! ## The session-key LRU
 //!
 //! Cached, deserialized session keys live in modeled board DRAM, and
-//! DRAM is finite ([`heax_core::HeaxSystem::dram_capacity_bytes`]).
-//! [`SessionKeyLru`] bounds the resident key bytes, and each key is held
-//! in exactly one form at a time:
+//! DRAM is finite ([`Board::dram_gib`](heax_hw::board::Board::dram_gib)).
+//! Unless [`NetConfig::key_cache_budget`] says otherwise,
+//! [`SessionKeyLru`] may hold an eighth of what the engine's parked
+//! results leave free of it when the server binds. It bounds the resident
+//! key bytes, and each key is held in exactly one form at a time:
 //!
 //! * **Registration.** The cache admits a key by its payload length
 //!   *before* the engine decodes it, evicting the least-recently-used
@@ -139,7 +141,7 @@ use crate::wire::{self, MessageKind, FRAME_HEADER_LEN, FRAME_MAGIC};
 /// transport (64 MiB). A header announcing more is a framing attack
 /// (or a corrupt stream), not a request — the connection is dropped
 /// with a structured error before any allocation of that size.
-/// Pinned by PROTOCOL.md §7 and the heax-lint L6 rule.
+/// Pinned by PROTOCOL.md §7.2 and `tests/protocol_doc.rs`.
 pub const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
 
 /// Poller token reserved for the listening socket.
@@ -1119,7 +1121,7 @@ impl<'a> NetServer<'a> {
         let poller = epoll::Poller::new()?;
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, epoll::READABLE)?;
         let budget = if config.key_cache_budget == 0 {
-            inner.system().dram_available_bytes() / 8
+            inner.dram_available_bytes() / 8
         } else {
             config.key_cache_budget
         };

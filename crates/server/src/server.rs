@@ -45,12 +45,18 @@
 //! cluster under a fault plan — the same call the ruler's
 //! `model_fleet_setb` workload makes.
 //!
-//! Results can be **parked** in modeled board DRAM ([`HeaxSystem`]'s
-//! Figure 7 memory map) instead of shipping back: a request with
-//! `park_as` stores its output under a session-scoped handle that later
-//! requests reference as an operand, avoiding the serialize → ship →
-//! deserialize round trip between dependent steps. Parked operands are
-//! released when their session closes.
+//! Results can be **parked** in board DRAM instead of shipping back: a
+//! request with `park_as` stores its output under a handle of its
+//! session that later requests of that session reference as an operand,
+//! avoiding the serialize → ship → deserialize round trip between
+//! dependent steps. Figure 7's memory map is plain server state: each
+//! session holds its parked results by name, and the server bills them,
+//! byte for byte, against the board's DRAM ([`Board::dram_gib`]); a park
+//! that would not fit is answered with
+//! [`ErrorCode::Capacity`](crate::error::ErrorCode::Capacity). A parked
+//! result is the very ciphertext the request produced and a `Fetch`
+//! returns it as it lies: neither copies it. Parked results are released
+//! when their session closes.
 //!
 //! ## Failure containment
 //!
@@ -69,9 +75,9 @@ use heax_ckks::serialize::{
     serialize_relin_key, serialized_ciphertext_bytes,
 };
 use heax_ckks::{Ciphertext, CkksContext, Evaluator};
-use heax_core::{HeaxAccelerator, HeaxSystem};
 use heax_hw::board::Board;
 use heax_hw::ir::{FusedStream, IrOp, OpKind, OpStream};
+use heax_hw::xfer::WORD_BYTES;
 use heax_math::exec::Executor;
 use heax_math::poly::RnsPoly;
 use heax_math::sampling::EXPAND_SEED_LEN;
@@ -152,8 +158,11 @@ enum Reply<'p> {
 pub struct HeaxServer<'a> {
     ctx: &'a CkksContext,
     eval: Evaluator<'a>,
-    system: HeaxSystem<'a>,
     sessions: SessionRegistry,
+    /// Bytes of every session's parked results.
+    dram_used: u64,
+    /// The board DRAM budget parked results are billed against.
+    dram_capacity: u64,
     queue: VecDeque<Pending>,
     metrics: Metrics,
     /// Polynomials of operands the server is done with, which the next
@@ -168,34 +177,26 @@ pub struct HeaxServer<'a> {
 }
 
 impl<'a> HeaxServer<'a> {
-    /// Builds a server around the given board for a paper parameter-set
-    /// context (ring degree 4096/8192/16384).
+    /// Builds a server for any context, parking results against the
+    /// board's DRAM.
     ///
     /// # Errors
     ///
-    /// [`ServerError::Core`] if the accelerator cannot be derived for
-    /// the context (non-paper ring degree — use
-    /// [`HeaxServer::with_system`] for custom rings).
+    /// None: every context is served. The `Result` is kept for source
+    /// compatibility with callers written when construction could fail.
     pub fn new(ctx: &'a CkksContext, board: Board) -> Result<Self, ServerError> {
-        let accel = HeaxAccelerator::new(ctx, board)?;
-        Ok(Self::with_system(ctx, HeaxSystem::new(accel)))
-    }
-
-    /// Builds a server around an explicit host+board system (small test
-    /// rings construct their accelerator via
-    /// [`HeaxAccelerator::with_arch`]).
-    pub fn with_system(ctx: &'a CkksContext, system: HeaxSystem<'a>) -> Self {
-        Self {
+        Ok(Self {
             ctx,
             eval: Evaluator::new(ctx),
-            system,
             sessions: SessionRegistry::default(),
+            dram_used: 0,
+            dram_capacity: u64::from(board.dram_gib()) << 30,
             queue: VecDeque::new(),
             metrics: Metrics::default(),
             pool: Vec::new(),
             pool_taken: 0,
             results: Vec::new(),
-        }
+        })
     }
 
     /// Builder option: pins the evaluation backend (default: the global
@@ -211,14 +212,16 @@ impl<'a> HeaxServer<'a> {
         self.ctx
     }
 
-    /// The host+board system holding parked results.
-    pub fn system(&self) -> &HeaxSystem<'a> {
-        &self.system
-    }
-
     /// A parked result, if present (introspection/tests).
     pub fn parked(&self, session: u64, name: &str) -> Option<&Ciphertext> {
-        self.system.load(&scoped(session, name))
+        let sess = self.sessions.get(session).ok()?;
+        sess.parked.get(name).map(|ct| &**ct)
+    }
+
+    /// Board DRAM bytes not held by parked results: what a transport
+    /// sizes its session-key cache from.
+    pub(crate) fn dram_available_bytes(&self) -> u64 {
+        self.dram_capacity - self.dram_used
     }
 
     /// Ingests one client frame.
@@ -291,9 +294,7 @@ impl<'a> HeaxServer<'a> {
             }
             MessageKind::CloseSession => {
                 let closed = self.sessions.close(frame.session)?;
-                for name in &closed.parked {
-                    self.system.remove(&scoped(frame.session, name));
-                }
+                self.dram_used -= closed.parked.values().map(|ct| dram_bytes(ct)).sum::<u64>();
                 Ok(Some(wire::encode_frame(
                     frame.version,
                     MessageKind::SessionClosed,
@@ -651,18 +652,25 @@ impl<'a> HeaxServer<'a> {
         let mut ct = outcome?;
         match &it.park_as {
             Some(name) => {
-                // Session before store: a request can outlive its session
-                // (closed between submit and flush), and parking for a
-                // dead session would orphan the DRAM entry forever —
-                // session ids are never reused, so nothing could release
-                // it afterwards.
-                self.sessions.get(it.session)?;
-                self.system
-                    .store(&scoped(it.session, name), Arc::unwrap_or_clone(ct))?;
+                // A request can outlive its session (closed between submit
+                // and flush); its result is then refused, not parked where
+                // nothing could ever release it.
                 let sess = self.sessions.get_mut(it.session)?;
-                if !sess.parked.contains(name) {
-                    sess.parked.push(name.clone());
+                // Overwriting a handle releases the old entry's bytes first.
+                let bytes = dram_bytes(&ct);
+                let replaced = sess
+                    .parked
+                    .get(name.as_str())
+                    .map_or(0, |old| dram_bytes(old));
+                let used = self.dram_used - replaced;
+                if used + bytes > self.dram_capacity {
+                    return Err(ServerError::Capacity {
+                        requested: bytes,
+                        available: self.dram_capacity - used,
+                    });
                 }
+                self.dram_used = used + bytes;
+                sess.parked.insert(name.clone(), ct);
                 Ok(Reply::Parked(name))
             }
             None => {
@@ -681,17 +689,20 @@ impl<'a> HeaxServer<'a> {
         }
     }
 
-    /// Resolves an operand to a borrowed ciphertext.
+    /// Resolves an operand to the ciphertext it names: the inline one, or
+    /// the one its session parked under that name.
     fn resolve<'s>(
         &'s self,
         session: u64,
         operand: &'s Operand,
-    ) -> Result<&'s Ciphertext, ServerError> {
+    ) -> Result<&'s Arc<Ciphertext>, ServerError> {
         match operand {
             Operand::Inline { ct, .. } => Ok(ct),
             Operand::Parked(name) => self
-                .system
-                .load(&scoped(session, name))
+                .sessions
+                .get(session)?
+                .parked
+                .get(name.as_str())
                 .ok_or_else(|| ServerError::UnknownHandle { name: name.clone() }),
         }
     }
@@ -730,13 +741,13 @@ impl<'a> HeaxServer<'a> {
                 let gks = self.sessions.get(it.session)?.galois_keys(it.step)?;
                 self.eval.rotate(a, it.step, gks)?
             }
-            OpCode::Fetch => self.first_operand(it)?.clone(),
+            OpCode::Fetch => return self.first_operand(it).map(Arc::clone),
         };
         Ok(Arc::new(made))
     }
 
     /// Resolves the operand at the front of a request's list.
-    fn first_operand<'s>(&'s self, it: &'s Pending) -> Result<&'s Ciphertext, ServerError> {
+    fn first_operand<'s>(&'s self, it: &'s Pending) -> Result<&'s Arc<Ciphertext>, ServerError> {
         self.resolve(it.session, &it.operands[0])
     }
 
@@ -849,8 +860,8 @@ impl<'a> HeaxServer<'a> {
             compressed_replies: self.metrics.compressed_replies,
             key_evictions: self.metrics.key_evictions,
             key_reregistrations: self.metrics.key_reregistrations,
-            parked_entries: self.system.mapped_entries(),
-            parked_bytes: self.system.dram_used_bytes(),
+            parked_entries: self.sessions.iter().map(|(_, s)| s.parked.len()).sum(),
+            parked_bytes: self.dram_used,
             per_op: self.metrics.per_op_snapshot(),
             per_session,
         }
@@ -956,8 +967,73 @@ fn lower_ops<'a>(items: impl Iterator<Item = &'a Pending>) -> OpStream {
     stream
 }
 
-/// Session-scoped park handle, so sessions can never read or clobber
-/// each other's DRAM-resident results.
-fn scoped(session: u64, name: &str) -> String {
-    format!("s{session}/{name}")
+/// Board DRAM a parked ciphertext occupies: its residue words.
+fn dram_bytes(ct: &Ciphertext) -> u64 {
+    ct.components()
+        .iter()
+        .map(|p| p.data().len() as u64 * WORD_BYTES)
+        .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::ErrorCode;
+    use crate::wire::client::{self, Reply};
+    use crate::wire::{Request, WireOperand};
+    use heax_ckks::serialize::serialize_ciphertext;
+    use heax_ckks::{encrypt_symmetric, CkksEncoder, CkksParams, SecretKey};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn parking_is_billed_against_the_dram_budget() {
+        let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
+        let ctx = CkksContext::new(CkksParams::new(64, chain, 2f64.powi(32)).unwrap()).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let pt = CkksEncoder::new(&ctx).encode_real(&[0.5], ctx.params().scale(), 2);
+        let ct = encrypt_symmetric(&ctx, &sk, &pt.unwrap(), &mut rng).unwrap();
+        let (bytes, one) = (serialize_ciphertext(&ct), dram_bytes(&ct));
+
+        let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
+        server.dram_capacity = 2 * one;
+        let opened = server.handle_frame(&client::open_session()).unwrap();
+        let session = client::parse_reply(&opened).unwrap().0;
+        // Parks the ciphertext under `name` through a `Fetch`.
+        let mut park = |name| {
+            let req = Request {
+                op: OpCode::Fetch,
+                step: 0,
+                compress_reply: false,
+                park_as: Some(name),
+                operands: vec![WireOperand::Inline(&bytes)],
+            };
+            assert!(server
+                .handle_frame(&client::request(session, 1, &req))
+                .is_none());
+            let reply = client::parse_reply(&server.flush()[0]).unwrap().2;
+            let stats = server.stats();
+            (reply, stats.parked_entries, stats.parked_bytes)
+        };
+        assert_eq!(park("a"), (Reply::Parked("a".into()), 1, one));
+        assert_eq!(park("b"), (Reply::Parked("b".into()), 2, 2 * one));
+        // Past the budget: refused with a Capacity frame, nothing moved.
+        let (refused, entries, bytes) = park("c");
+        assert!(matches!(
+            refused,
+            Reply::Error {
+                code: ErrorCode::Capacity,
+                ..
+            }
+        ));
+        assert_eq!((entries, bytes), (2, 2 * one));
+        // At exactly the budget, re-parking a handle fits: the old entry
+        // is released first.
+        assert_eq!(park("b"), (Reply::Parked("b".into()), 2, 2 * one));
+        assert!(server.parked(session, "a").is_some() && server.parked(session, "c").is_none());
+        server
+            .handle_frame(&client::close_session(session))
+            .unwrap();
+        assert_eq!(server.stats().parked_bytes, 0);
+    }
 }

@@ -16,10 +16,17 @@
 //! the keys are serialized again, handed over, and dropped here. The
 //! serialization is the upload byte for byte, since each key has exactly
 //! one encoding. A restore decodes those bytes back in.
+//!
+//! A session also owns the results it **parked** (Figure 7's memory map):
+//! a name → ciphertext table that later requests of the same session
+//! resolve operands against. Names are per session, so sessions can never
+//! read or clobber each other's parked results, and closing a session
+//! drops its table.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use heax_ckks::{GaloisKeys, RelinKey};
+use heax_ckks::{Ciphertext, GaloisKeys, RelinKey};
 
 use crate::error::ServerError;
 use crate::metrics::SessionStats;
@@ -33,16 +40,16 @@ pub enum KeyKind {
     Galois,
 }
 
-/// Per-session server state: cached keys, parked-handle ownership, and
-/// traffic counters.
+/// Per-session server state: cached keys, parked results, and traffic
+/// counters.
 #[derive(Debug, Default)]
 pub struct Session {
     /// Cached relinearization key (deserialized at registration).
     pub(crate) rlk: Option<RelinKey>,
     /// Cached Galois keys (permutation tables rebuilt at registration).
     pub(crate) gks: Option<GaloisKeys>,
-    /// Unscoped names of results this session parked in board DRAM.
-    pub(crate) parked: Vec<String>,
+    /// Results this session parked, by the name it parked them under.
+    pub(crate) parked: HashMap<String, Arc<Ciphertext>>,
     /// Whether this session's cached keys were evicted under DRAM
     /// pressure (see `HeaxServer::evict_session_keys`): the next key
     /// registration is billed as a re-registration, not a first upload.
@@ -115,8 +122,8 @@ impl SessionRegistry {
             .ok_or(ServerError::UnknownSession { session: id })
     }
 
-    /// Closes a session, returning its final state (for parked-handle
-    /// cleanup).
+    /// Closes a session, returning its final state (its parked results
+    /// are released with it).
     pub(crate) fn close(&mut self, id: u64) -> Result<Session, ServerError> {
         self.sessions
             .remove(&id)

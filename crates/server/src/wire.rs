@@ -99,20 +99,23 @@ pub enum MessageKind {
 
 impl MessageKind {
     fn from_u8(v: u8) -> Option<MessageKind> {
-        Some(match v {
-            1 => MessageKind::OpenSession,
-            2 => MessageKind::RegisterRelinKey,
-            3 => MessageKind::RegisterGaloisKeys,
-            4 => MessageKind::Request,
-            5 => MessageKind::CloseSession,
-            16 => MessageKind::SessionOpened,
-            17 => MessageKind::KeyRegistered,
-            18 => MessageKind::Response,
-            19 => MessageKind::Error,
-            20 => MessageKind::SessionClosed,
-            _ => return None,
-        })
+        MessageKind::ALL.into_iter().find(|&k| k as u8 == v)
     }
+
+    /// Every kind, numeric order — PROTOCOL.md's kind table lists exactly
+    /// these.
+    pub const ALL: [MessageKind; 10] = [
+        MessageKind::OpenSession,
+        MessageKind::RegisterRelinKey,
+        MessageKind::RegisterGaloisKeys,
+        MessageKind::Request,
+        MessageKind::CloseSession,
+        MessageKind::SessionOpened,
+        MessageKind::KeyRegistered,
+        MessageKind::Response,
+        MessageKind::Error,
+        MessageKind::SessionClosed,
+    ];
 }
 
 /// Operation selector inside a request body.
@@ -135,15 +138,7 @@ pub enum OpCode {
 
 impl OpCode {
     fn from_u8(v: u8) -> Option<OpCode> {
-        Some(match v {
-            1 => OpCode::Add,
-            2 => OpCode::MultiplyRelin,
-            3 => OpCode::SquareRelin,
-            4 => OpCode::Rescale,
-            5 => OpCode::Rotate,
-            6 => OpCode::Fetch,
-            _ => return None,
-        })
+        OpCode::ALL.into_iter().find(|&op| op as u8 == v)
     }
 
     /// Stable metric/table label for the op.
@@ -158,7 +153,8 @@ impl OpCode {
         }
     }
 
-    /// All op codes, for metric tables.
+    /// All op codes, numeric order — PROTOCOL.md's op table and the
+    /// metric tables list exactly these.
     pub const ALL: [OpCode; 6] = [
         OpCode::Add,
         OpCode::MultiplyRelin,

@@ -16,6 +16,10 @@
 //! lowering's per-flush stream and member lists (150 allocations per
 //! flush of 16, 13 per flush of one).
 //!
+//! Parking copies nothing either: a parked result is the ciphertext the
+//! request made, a `Fetch` hands it back as it lies, and resolving a
+//! parked operand is a lookup in its session.
+//!
 //! The counter is thread-local (see `counting_alloc`), so the sequential
 //! backend is what is measured.
 
@@ -140,6 +144,28 @@ impl Rig<'_> {
         assert_eq!(self.sink.replies, batch);
         self.sink.out.clear();
     }
+
+    /// [`Rig::serve_batch`], returning what the flush alone allocated.
+    fn flush_allocs(&mut self, stream: &[u8], batch: usize) -> counting_alloc::Allocs {
+        assert!(self.intake(stream).is_empty(), "requests queue");
+        let (server, sink) = (&mut self.server, &mut self.sink);
+        let seen = measure(|| assert_eq!(server.flush_into(sink), batch));
+        self.sink.out.clear();
+        seen
+    }
+
+    /// The session the rig's requests belong to.
+    fn session(&self) -> u64 {
+        wire::decode_frame(&self.request).unwrap().session
+    }
+
+    /// The rig's `Add` request with its body edited.
+    fn edited(&self, edit: impl FnOnce(&mut Request<'_>)) -> Vec<u8> {
+        let frame = wire::decode_frame(&self.request).unwrap();
+        let mut body = wire::decode_request(frame.payload, frame.version).unwrap();
+        edit(&mut body);
+        client::request(frame.session, 9, &body)
+    }
 }
 
 #[test]
@@ -246,29 +272,16 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
     assert_eq!(r.server.flush_into(&mut NoOne), 1);
     assert_eq!(r.server.pooled_polys(), 4);
 
-    // The in-place sum comes home whatever becomes of it: compressed to
-    // one limb for the wire, parked (the board keeps a copy), or never
-    // made because the other operand names no parked result.
-    let frame = wire::decode_frame(&r.request).unwrap();
-    let session = frame.session;
-    let body = wire::decode_request(frame.payload, frame.version).unwrap();
-    let inline = body.operands[0].clone();
-    let variants = [
-        Request {
-            compress_reply: true,
-            ..body.clone()
-        },
-        Request {
-            park_as: Some("sum"),
-            ..body.clone()
-        },
-        Request {
-            operands: vec![inline, WireOperand::Parked("nothing")],
-            ..body.clone()
-        },
+    // The in-place sum comes home when it is compressed to one limb for
+    // the wire, or never made because the other operand names no parked
+    // result. Parked, it is what the session holds, not a copy of it, so
+    // only the second operand's polynomials come home.
+    let frames = [
+        r.edited(|body| body.compress_reply = true),
+        r.edited(|body| body.park_as = Some("sum")),
+        r.edited(|body| body.operands[1] = WireOperand::Parked("nothing")),
     ];
-    let frames = variants.map(|req| client::request(session, 8, &req));
-    for (frame, held) in frames.iter().zip([4, 4, 2]) {
+    for (frame, held) in frames.iter().zip([4, 2, 2]) {
         assert!(r.intake(frame).is_empty());
         assert_eq!(r.server.flush_into(&mut r.sink), 1);
         assert_eq!(r.server.pooled_polys(), held);
@@ -286,7 +299,56 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
         "{replies:?}"
     );
     assert_eq!(replies.len(), 3);
-    assert!(r.server.parked(session, "sum").is_some());
+    assert!(r.server.parked(r.session(), "sum").is_some());
+}
+
+/// A parked operand is looked up where its session holds it: a flush of
+/// `Add`s whose second operand is parked allocates no more than one whose
+/// operands are both inline, where resolving is a borrow.
+#[test]
+fn resolving_a_parked_operand_allocates_nothing() {
+    let ctx = context();
+    let mut r = rig(&ctx);
+    let park = r.edited(|body| body.park_as = Some("x"));
+    r.serve_batch(&park, 1);
+    let reads_parked = r
+        .edited(|body| body.operands[1] = WireOperand::Parked("x"))
+        .repeat(BATCH);
+    let inline = r.request.repeat(BATCH);
+    for _ in 0..2 {
+        r.serve_batch(&reads_parked, BATCH);
+        r.serve_batch(&inline, BATCH);
+    }
+    let parked = r.flush_allocs(&reads_parked, BATCH);
+    let both_inline = r.flush_allocs(&inline, BATCH);
+    assert!(
+        parked.count <= both_inline.count && parked.largest < 4096,
+        "{BATCH} parked reads: {parked:?}; the same flush all inline: {both_inline:?}"
+    );
+}
+
+/// Parking a result stores the ciphertext the request made, and a `Fetch`
+/// returns the parked one as it lies: an `Add` that sums into its inline
+/// first operand and parks the sum, then a `Fetch` of it, copy no
+/// polynomial.
+#[test]
+fn parking_an_add_and_fetching_it_copy_no_polynomial() {
+    let ctx = context();
+    let mut r = rig(&ctx);
+    let mut stream = r.edited(|body| body.park_as = Some("sum"));
+    stream.extend(r.edited(|body| {
+        body.op = OpCode::Fetch;
+        body.operands = vec![WireOperand::Parked("sum")];
+    }));
+    r.serve_batch(&stream, 2);
+    let seen = r.flush_allocs(&stream, 2);
+    assert!(
+        seen.largest < 4096,
+        "parking an Add and fetching it made an allocation of {} B: {seen:?}",
+        seen.largest
+    );
+    let sum = r.server.parked(r.session(), "sum").unwrap();
+    assert_eq!(serialize_ciphertext(sum), r.sum);
 }
 
 /// The event loop's own bookkeeping: a turn with nothing to do — no

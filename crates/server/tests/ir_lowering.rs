@@ -12,6 +12,7 @@ use heax_ckks::{
     encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, Encryptor, GaloisKeys,
     PublicKey, SecretKey,
 };
+use heax_hw::board::Board;
 use heax_hw::ir::{FusedStream, OpKind};
 use heax_server::wire::client::{self};
 use heax_server::wire::{OpCode, Request, WireOperand};
@@ -21,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{ctx, system};
+use common::ctx;
 
 /// A keyed client: Galois keys (covering ±1, ±2) plus one fresh
 /// ciphertext, both ready for the wire.
@@ -83,7 +84,7 @@ fn group_shape(plan: &FusedStream) -> Vec<(u64, usize)> {
 fn lowering_is_pure_and_captures_placement_ids_and_deps() {
     let c = ctx();
     let rig = client_rig(&c, 11);
-    let mut server = HeaxServer::with_system(&c, system(&c));
+    let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
     let session = open_keyed(&mut server, &rig);
     let ct_bytes = serialize_ciphertext(&rig.ct);
 
@@ -188,7 +189,7 @@ fn fanout_plan_fuses_same_input_rotations_only() {
     let c = ctx();
     let rig = client_rig(&c, 12);
     let other = client_rig(&c, 13);
-    let mut server = HeaxServer::with_system(&c, system(&c));
+    let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
     let session = open_keyed(&mut server, &rig);
     let ct_bytes = serialize_ciphertext(&rig.ct);
     let other_bytes = serialize_ciphertext(&other.ct);
@@ -246,7 +247,7 @@ fn a_shared_seeded_fanout_plans_and_serves_as_equal_full_inputs_do() {
 
     let mut served = Vec::new();
     for seeded in [true, false] {
-        let mut server = HeaxServer::with_system(&c, system(&c));
+        let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
         let session = open_keyed(&mut server, &rig);
         for (id, (ct, step)) in schedule.iter().enumerate() {
             let bytes = if seeded {
@@ -293,8 +294,8 @@ proptest! {
             .collect();
 
         // Two servers, sessions opened in the same order so ids match.
-        let mut interleaved = HeaxServer::with_system(&c, system(&c));
-        let mut sorted = HeaxServer::with_system(&c, system(&c));
+        let mut interleaved = HeaxServer::new(&c, Board::stratix10()).unwrap();
+        let mut sorted = HeaxServer::new(&c, Board::stratix10()).unwrap();
         let mut sessions = Vec::new();
         for rig in &rigs {
             let a = open_keyed(&mut interleaved, rig);

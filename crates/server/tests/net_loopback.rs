@@ -31,6 +31,7 @@ use heax_ckks::{
     Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor, GaloisKeys, PublicKey, RelinKey,
     SecretKey,
 };
+use heax_hw::board::Board;
 use heax_server::net::{FrameAssembler, NetConfig, NetServer, NetTick};
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{OpCode, Request, WireOperand};
@@ -39,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{ctx, system};
+use common::ctx;
 
 /// A [`NetConfig`] under which the tests own every flush boundary, so
 /// the mirror server can be flushed at the same instants.
@@ -276,11 +277,11 @@ fn byte_at_a_time_fragmentation_matches_in_process_server() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         manual_flush(),
     )
     .unwrap();
-    let mut mirror = HeaxServer::with_system(&c, system(&c));
+    let mut mirror = HeaxServer::new(&c, Board::stratix10()).unwrap();
 
     let ca = client(&c, 1, &[1]);
     let cb = client(&c, 2, &[2]);
@@ -375,11 +376,11 @@ fn mid_run_disconnect_orphans_only_the_dead_connections_replies() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         manual_flush(),
     )
     .unwrap();
-    let mut mirror = HeaxServer::with_system(&c, system(&c));
+    let mut mirror = HeaxServer::new(&c, Board::stratix10()).unwrap();
 
     let ca = client(&c, 3, &[1]);
     let cb = client(&c, 4, &[1]);
@@ -457,7 +458,7 @@ fn hostile_bytes_get_an_error_frame_then_the_axe() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         manual_flush(),
     )
     .unwrap();
@@ -507,7 +508,7 @@ fn admission_bound_sheds_with_structured_loadshed_frames() {
     };
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -553,7 +554,7 @@ fn stalled_reader_is_dropped_without_disturbing_cotenants() {
     };
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -638,7 +639,7 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
     };
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -736,7 +737,7 @@ fn a_registered_key_is_held_once() {
     };
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -795,7 +796,7 @@ fn reregistering_one_key_of_an_evicted_session_keeps_the_other() {
     };
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -861,7 +862,7 @@ fn an_over_budget_reregistration_is_shed_and_the_old_key_serves() {
     assert!(larger.len() as u64 > config.key_cache_budget);
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -894,7 +895,7 @@ fn an_over_budget_reregistration_is_shed_and_the_old_key_serves() {
 #[test]
 fn socket_chaos_leaves_the_survivor_served() {
     let c = ctx();
-    let inner = HeaxServer::with_system(&c, system(&c));
+    let inner = HeaxServer::new(&c, Board::stratix10()).unwrap();
     let mut net = NetServer::bind("127.0.0.1:0", inner, manual_flush()).unwrap();
 
     let ch = client(&c, 10, &[1]);
@@ -967,7 +968,7 @@ fn auto_flush_drains_the_queue_without_manual_flushes() {
     };
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         config,
     )
     .unwrap();
@@ -1003,7 +1004,7 @@ fn random_chunk_schedules_are_invisible_to_the_protocol() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         manual_flush(),
     )
     .unwrap();
@@ -1090,7 +1091,7 @@ fn a_lone_request_is_answered_without_waiting_out_the_poll_timeout() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         NetConfig::default(),
     )
     .unwrap();
@@ -1125,11 +1126,11 @@ fn what_had_arrived_flushes_as_one_batch() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         NetConfig::default(),
     )
     .unwrap();
-    let mut mirror = HeaxServer::with_system(&c, system(&c));
+    let mut mirror = HeaxServer::new(&c, Board::stratix10()).unwrap();
 
     let steps: Vec<i64> = (1..=8).collect();
     let ca = client(&c, 21, &steps);
@@ -1197,7 +1198,7 @@ fn a_stale_half_frame_delays_nobody() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         NetConfig::default(),
     )
     .unwrap();
@@ -1240,7 +1241,7 @@ fn flush_now_puts_its_replies_on_the_wire() {
     let c = ctx();
     let mut net = NetServer::bind(
         "127.0.0.1:0",
-        HeaxServer::with_system(&c, system(&c)),
+        HeaxServer::new(&c, Board::stratix10()).unwrap(),
         manual_flush(),
     )
     .unwrap();

@@ -23,6 +23,7 @@ use std::collections::HashMap;
 
 use heax_ckks::serialize::{serialize_ciphertext, serialize_galois_keys};
 use heax_ckks::{CkksEncoder, Encryptor, GaloisKeys, PublicKey, SecretKey};
+use heax_hw::board::Board;
 use heax_server::net::{FrameAssembler, KeyKind, SessionKeyLru};
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{self, MessageKind, OpCode, Request, WireOperand, WIRE_V1, WIRE_V2};
@@ -32,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{ctx, system};
+use common::ctx;
 
 /// One valid frame from the wire corpus: every client-side message
 /// kind, both wire versions, arbitrary session/request ids and
@@ -374,7 +375,7 @@ proptest! {
 #[test]
 fn evict_and_reregister_reproduces_replies_bit_identically() {
     let c = ctx();
-    let mut server = HeaxServer::with_system(&c, system(&c));
+    let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
     let mut rng = StdRng::seed_from_u64(42);
     let sk = SecretKey::generate(&c, &mut rng);
     let pk = PublicKey::generate(&c, &sk, &mut rng);

@@ -17,9 +17,13 @@ use heax_ckks::{
     encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor,
     Evaluator, GaloisKeys, PublicKey, RelinKey, SecretKey,
 };
-use heax_hw::cluster::RoutingPolicy;
+use heax_hw::board::Board;
+use heax_hw::cluster::{ClusterConfig, RoutingPolicy};
 use heax_hw::faults::FaultPlan;
 use heax_hw::ir::FusedStream;
+use heax_hw::keyswitch_pipeline::KeySwitchArch;
+use heax_hw::mult_dataflow::MultModuleConfig;
+use heax_hw::scheduler::PipelineConfig;
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{OpCode, Request, WireOperand};
 use heax_server::HeaxServer;
@@ -28,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{ctx, system};
+use common::ctx;
 
 /// Board core counts a served plan is priced at.
 const CORES: [usize; 3] = [1, 2, 4];
@@ -289,6 +293,25 @@ fn serve_workload(
     plan
 }
 
+/// A Stratix 10 board of `cores` hand-sized KeySwitch pipelines for the
+/// 64-coefficient ring: the accelerator the in-server models priced on.
+fn pipeline(cores: usize) -> PipelineConfig {
+    let arch = KeySwitchArch {
+        n: 64,
+        k: 3,
+        nc_intt0: 4,
+        m0: 2,
+        nc_ntt0: 4,
+        num_dyad: 3,
+        nc_dyad: 4,
+        nc_intt1: 2,
+        nc_ntt1: 4,
+        nc_ms: 2,
+    };
+    let mult = MultModuleConfig::new(64, 8).unwrap();
+    PipelineConfig::new(&Board::stratix10(), arch, mult, cores).unwrap()
+}
+
 /// The in-server board and cluster models are gone, and nothing they
 /// priced is lost: the plan `queued_plan()` returns before a flush,
 /// priced offline on `heax_hw`, equals what those models reported for
@@ -298,15 +321,10 @@ fn a_served_flush_prices_offline_as_the_in_server_model_did() {
     let c = ctx();
     let r = rig(&c, 5);
     for (w, board, cluster) in IN_SERVER_PRICES {
-        let mut server = HeaxServer::with_system(&c, system(&c));
+        let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
         let plan = serve_workload(&mut server, &c, &r, w);
-        let accel = server.system().accelerator();
         for (k, want) in CORES.into_iter().zip(board) {
-            let rep = accel
-                .pipeline_config(k)
-                .unwrap()
-                .schedule_stream(&plan.ops)
-                .unwrap();
+            let rep = pipeline(k).schedule_stream(&plan.ops).unwrap();
             let got = [
                 rep.total_cycles,
                 rep.core_busy(),
@@ -316,8 +334,7 @@ fn a_served_flush_prices_offline_as_the_in_server_model_did() {
             assert_eq!(got, want, "{w:?} on one board of {k} core(s)");
         }
         for ((b, k), want) in CLUSTERS.into_iter().zip(cluster) {
-            let rep = accel
-                .cluster_config(b, k)
+            let rep = ClusterConfig::new(pipeline(k), b)
                 .unwrap()
                 .schedule_stream_faulted(
                     &plan.ops,
@@ -361,7 +378,7 @@ proptest! {
             };
         }
 
-        let mut server = HeaxServer::with_system(&c, system(&c));
+        let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
         let session = register_session(&mut server, &r);
         let requests = submit_chain(&mut server, session, &serialize_ciphertext(&r.ct), &ops);
         prop_assert_eq!(server.queued_plan().requests(), requests);
@@ -390,7 +407,7 @@ proptest! {
             .map(|&s| decrypt(&c, &r.sk, &eval.rotate(&r.ct, s, &r.gks).unwrap()))
             .collect();
 
-        let mut server = HeaxServer::with_system(&c, system(&c));
+        let mut server = HeaxServer::new(&c, Board::stratix10()).unwrap();
         let session = register_session(&mut server, &r);
         let ct_bytes = serialize_ciphertext(&r.ct);
         for (i, &step) in steps.iter().enumerate() {

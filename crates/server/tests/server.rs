@@ -10,6 +10,7 @@ use heax_ckks::{
     encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, Decryptor, Encryptor,
     Evaluator, GaloisKeys, PublicKey, RelinKey, SecretKey,
 };
+use heax_hw::board::Board;
 use heax_server::wire::client::{self, Reply};
 use heax_server::wire::{self, MessageKind, OpCode, Request, WireOperand, WIRE_V1, WIRE_V2};
 use heax_server::{ErrorCode, HeaxServer};
@@ -17,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{ctx, system};
+use common::ctx;
 
 /// One simulated client: its own keys and a sample ciphertext.
 struct Client {
@@ -112,7 +113,7 @@ fn expect_error(frame: &[u8]) -> (ErrorCode, String) {
 fn parked_pipeline_computes_x2_plus_rotated_x2() {
     let ctx = ctx();
     let c = client(&ctx, 1, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
     register_keys(&mut server, session, &c);
 
@@ -186,7 +187,7 @@ fn parked_pipeline_computes_x2_plus_rotated_x2() {
     let (_, _, reply) = client::parse_reply(&reply).unwrap();
     assert_eq!(reply, Reply::SessionClosed);
     assert_eq!(server.stats().parked_entries, 0);
-    assert_eq!(server.system().dram_used_bytes(), 0);
+    assert_eq!(server.stats().parked_bytes, 0);
 
     // The session is gone; later frames get a structured error.
     let reply = server
@@ -200,7 +201,7 @@ fn batched_rotations_decrypt_like_sequential_and_hoist() {
     let ctx = ctx();
     let steps = [1i64, -1, 2, 5];
     let clients: Vec<Client> = (0..2).map(|i| client(&ctx, 10 + i, &steps)).collect();
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let eval = Evaluator::new(&ctx);
 
     let mut sessions = Vec::new();
@@ -273,7 +274,7 @@ fn batched_rotations_decrypt_like_sequential_and_hoist() {
 fn hostile_input_gets_structured_errors_session_survives() {
     let ctx = ctx();
     let c = client(&ctx, 20, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
     register_keys(&mut server, session, &c);
     let wire_ct = serialize_ciphertext(&c.ct);
@@ -336,7 +337,7 @@ fn uncovered_steps_fail_individually_inside_a_fused_group() {
     let ctx = ctx();
     // Keys for steps 1 and 2 only; step 3 is requested but uncovered.
     let c = client(&ctx, 30, &[1, 2]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
     register_keys(&mut server, session, &c);
     let wire_ct = serialize_ciphertext(&c.ct);
@@ -378,7 +379,7 @@ fn parked_handles_are_session_scoped() {
     let ctx = ctx();
     let a = client(&ctx, 40, &[1]);
     let b = client(&ctx, 41, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let sess_a = open(&mut server);
     register_keys(&mut server, sess_a, &a);
     let sess_b = open(&mut server);
@@ -437,7 +438,7 @@ fn parked_handles_are_session_scoped() {
 fn park_after_session_close_cannot_orphan_dram() {
     let ctx = ctx();
     let c = client(&ctx, 60, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
     register_keys(&mut server, session, &c);
     let wire_ct = serialize_ciphertext(&c.ct);
@@ -465,14 +466,14 @@ fn park_after_session_close_cannot_orphan_dram() {
     let replies = server.flush();
     assert_eq!(expect_error(&replies[0]).0, ErrorCode::UnknownSession);
     assert_eq!(server.stats().parked_entries, 0);
-    assert_eq!(server.system().dram_used_bytes(), 0);
+    assert_eq!(server.stats().parked_bytes, 0);
 }
 
 #[test]
 fn reparking_a_handle_splits_the_rotation_group() {
     let ctx = ctx();
     let c = client(&ctx, 61, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
     register_keys(&mut server, session, &c);
     let eval = Evaluator::new(&ctx);
@@ -562,7 +563,7 @@ fn reparking_a_handle_splits_the_rotation_group() {
 fn missing_relin_key_is_a_structured_error() {
     let ctx = ctx();
     let c = client(&ctx, 50, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
     // Only Galois keys registered — square must fail with MissingKey.
     let reply = server
@@ -595,7 +596,7 @@ fn missing_relin_key_is_a_structured_error() {
 fn v2_seeded_upload_and_compressed_reply() {
     let ctx = ctx();
     let c = client(&ctx, 9, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
 
     // A fresh symmetric encryption shipped seeded: 32 bytes of seed
@@ -656,7 +657,7 @@ fn v2_seeded_upload_and_compressed_reply() {
 fn v1_clients_still_served_with_version_echoed() {
     let ctx = ctx();
     let c = client(&ctx, 3, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
 
     // Hand-rolled v1 frames throughout: the upgraded server must keep
     // speaking v1 to a v1 peer, byte-compatibly.
@@ -725,7 +726,7 @@ fn v2_flags_reach_the_lowered_stream() {
     // shrinks the transfer legs by.
     let ctx = ctx();
     let c = client(&ctx, 5, &[1]);
-    let mut server = HeaxServer::with_system(&ctx, system(&ctx));
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
     let session = open(&mut server);
 
     let mut rng = StdRng::seed_from_u64(77);
