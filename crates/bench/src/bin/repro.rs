@@ -1,36 +1,43 @@
-//! Convenience runner: regenerates every table and figure in sequence by
-//! invoking the sibling binaries. `cargo run -p heax-bench --release --bin
-//! repro [cpu_budget_ms]`.
+//! `repro [artifact...] [budget_ms]`: prints the named paper artifacts,
+//! every one when none is named. `budget_ms` is the CPU measurement budget
+//! per data point of the measured ones (`table7`, `table8`,
+//! `ablation_ntt`). A single artifact prints exactly its text, so
+//! `repro table5 > crates/bench/golden/table5.txt` regenerates a golden.
+//!
+//! ```text
+//! cargo run -p heax-bench --release --bin repro -- table8 100
+//! ```
 
-use std::process::Command;
+use heax_bench::Artifact;
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
-    let budget = std::env::args().nth(1).unwrap_or_else(|| "200".into());
-    let bins = [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "table7",
-        "table8",
-        "figure2",
-        "figure4",
-        "figure6",
-        "ablation_wordsize",
-        "ablation_modules",
-        "ablation_ntt",
-    ];
-    let me = std::env::current_exe().expect("own path");
-    let dir = me.parent().expect("bin dir");
-    for bin in bins {
-        println!("\n################ {bin} ################");
-        let status = Command::new(dir.join(bin))
-            .arg(&budget)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to run {bin}: {e}"));
-        assert!(status.success(), "{bin} failed");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (artifacts, budget_ms) = match heax_bench::parse_args(&args) {
+        Ok(selection) => selection,
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", heax_bench::usage());
+            return ExitCode::from(2);
+        }
+    };
+    match print(&artifacts, budget_ms) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            ExitCode::FAILURE
+        }
     }
-    println!("\nAll tables and figures regenerated.");
+}
+
+/// Prints each artifact, under a banner when there is more than one.
+fn print(artifacts: &[(&str, Artifact)], budget_ms: u64) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    for (name, artifact) in artifacts {
+        if artifacts.len() > 1 {
+            writeln!(out, "\n################ {name} ################")?;
+        }
+        artifact.render(&mut out, budget_ms)?;
+    }
+    out.flush()
 }

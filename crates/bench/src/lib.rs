@@ -1,25 +1,132 @@
 //! # heax-bench
 //!
-//! Harness regenerating every table and figure of the HEAX paper's
-//! evaluation (Section 6). Each `table*`/`figure*` binary prints the
-//! paper's artifact next to this reproduction's model/measurement:
+//! The HEAX paper's evaluation (Section 6) as library functions: each
+//! table, figure, ablation and extension renders the paper's artifact
+//! next to this reproduction's model or measurement into a
+//! [`Write`](std::io::Write). [`ARTIFACTS`] lists them by name; the one
+//! binary, `repro`, prints any of them (all when none is named):
 //!
 //! ```text
-//! cargo run -p heax-bench --release --bin table5
-//! cargo run -p heax-bench --release --bin table7   # CPU-side of Table 7
+//! cargo run -p heax-bench --release --bin repro -- table5
+//! cargo run -p heax-bench --release --bin repro -- table7 table8 100   # 100 ms CPU budget
 //! ```
 //!
-//! The library part holds shared table formatting and the CPU-side
-//! measurement loop the binaries share. Performance of the system itself
-//! is measured by the standalone `benchmark/` ruler (`BENCHMARK.json`).
+//! The deterministic artifacts are pinned byte for byte by
+//! `crates/bench/golden/<artifact>.txt` (`tests/smoke.rs`); regenerate one
+//! with `repro <artifact> > crates/bench/golden/<artifact>.txt`.
+//! Performance of the system itself is measured by the standalone
+//! `benchmark/` ruler (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::time::Instant;
 
-/// Renders an ASCII table with a title.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+pub mod ablations;
+pub mod figures;
+pub mod tables;
+
+/// How an artifact renders: from the models alone, or with a CPU
+/// measurement that runs for a budget in milliseconds per data point.
+#[derive(Clone, Copy, Debug)]
+pub enum Artifact {
+    /// Deterministic: the same bytes on every run (pinned by a golden).
+    Fixed(fn(&mut dyn Write) -> io::Result<()>),
+    /// Measured on this host for `budget_ms` per data point.
+    Measured(fn(&mut dyn Write, u64) -> io::Result<()>),
+}
+
+impl Artifact {
+    /// Renders the artifact into `out`; `budget_ms` is ignored by
+    /// [`Artifact::Fixed`].
+    pub fn render(self, out: &mut dyn Write, budget_ms: u64) -> io::Result<()> {
+        match self {
+            Artifact::Fixed(f) => f(out),
+            Artifact::Measured(f) => f(out, budget_ms),
+        }
+    }
+}
+
+/// Every artifact `repro` prints, in the order it prints them all.
+pub const ARTIFACTS: &[(&str, Artifact)] = {
+    use Artifact::{Fixed, Measured};
+    &[
+        ("table1", Fixed(tables::table1)),
+        ("table2", Fixed(tables::table2)),
+        ("table3", Fixed(tables::table3)),
+        ("table4", Fixed(tables::table4)),
+        ("table5", Fixed(tables::table5)),
+        ("table6", Fixed(tables::table6)),
+        ("table7", Measured(tables::table7)),
+        ("table8", Measured(tables::table8)),
+        ("figure2", Fixed(figures::figure2)),
+        ("figure4", Fixed(figures::figure4)),
+        ("figure6", Fixed(figures::figure6)),
+        ("ablation_wordsize", Fixed(ablations::ablation_wordsize)),
+        ("ablation_modules", Fixed(ablations::ablation_modules)),
+        ("ablation_ntt", Measured(ablations::ablation_ntt)),
+        ("extension_scaling", Fixed(ablations::extension_scaling)),
+        ("noise_growth", Fixed(ablations::noise_growth)),
+    ]
+};
+
+/// CPU budget per measured data point when `repro` is given none.
+const DEFAULT_BUDGET_MS: u64 = 200;
+
+/// An artifact selection and the CPU budget per measured data point.
+pub type Selection = (Vec<(&'static str, Artifact)>, u64);
+
+/// Parses `repro [artifact…] [budget_ms]`: artifact names in print order,
+/// then optionally a positive budget in milliseconds as the last
+/// argument. No names selects every artifact.
+///
+/// # Errors
+///
+/// Names the first argument that is neither an artifact nor a final
+/// budget.
+pub fn parse_args(args: &[String]) -> Result<Selection, String> {
+    let budget = args
+        .last()
+        .and_then(|a| a.parse().ok())
+        .filter(|&ms| ms > 0);
+    let names = &args[..args.len() - usize::from(budget.is_some())];
+    let artifacts = names
+        .iter()
+        .map(|arg| {
+            ARTIFACTS
+                .iter()
+                .find(|(name, _)| name == arg)
+                .copied()
+                .ok_or_else(|| format!("`{arg}` is neither an artifact nor a final budget in ms"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let all = if artifacts.is_empty() {
+        ARTIFACTS.to_vec()
+    } else {
+        artifacts
+    };
+    Ok((all, budget.unwrap_or(DEFAULT_BUDGET_MS)))
+}
+
+/// `repro`'s usage line and the artifact names it accepts.
+pub fn usage() -> String {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: repro [artifact...] [budget_ms]\nartifacts: {}",
+        names.join(" ")
+    )
+}
+
+/// Writes an ASCII table under a title line; `headers` separates the
+/// column names with `|`, as the rendered header row does.
+pub fn write_table(
+    out: &mut dyn Write,
+    title: &str,
+    headers: &str,
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    let headers: Vec<String> = headers.split('|').map(String::from).collect();
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             // A cell past the last header gets a column of its own.
@@ -29,30 +136,19 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
             }
         }
     }
-    let sep: String = widths
-        .iter()
-        .map(|w| "-".repeat(w + 2))
-        .collect::<Vec<_>>()
-        .join("+");
+    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
     let fmt_row = |cells: &[String]| -> String {
-        cells
+        let cells: Vec<String> = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!(" {:>w$} ", c, w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("|")
+            .collect();
+        cells.join("|")
     };
-    let mut out = format!("\n== {title} ==\n");
-    let headers: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&headers));
-    out.push('\n');
-    out.push_str(&sep);
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
-    }
-    out
+    writeln!(out, "\n== {title} ==")?;
+    writeln!(out, "{}\n{}", fmt_row(&headers), sep.join("+"))?;
+    rows.iter()
+        .try_for_each(|row| writeln!(out, "{}", fmt_row(row)))
 }
 
 /// Formats an ops/second figure compactly.
@@ -90,96 +186,25 @@ pub fn fmt_delta(got: f64, reference: f64) -> String {
     format!("{:+.1}%", 100.0 * (got - reference) / reference)
 }
 
-/// Shared CPU-baseline workloads for the Table 7/8 binaries.
-pub mod workloads {
-    use heax_ckks::{
-        Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor, ParamSet, PublicKey, RelinKey,
-        SecretKey,
-    };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    /// Everything needed to measure the CPU baseline for one set.
-    pub struct SetWorkload {
-        /// Context for the set.
-        pub ctx: CkksContext,
-        /// Relinearization key.
-        pub rlk: RelinKey,
-        /// Two fresh sample ciphertexts at top level.
-        pub ct_a: Ciphertext,
-        /// Second operand.
-        pub ct_b: Ciphertext,
-        /// An un-relinearized product (3 components).
-        pub ct_prod: Ciphertext,
-        /// A sample single-residue polynomial (coefficient form).
-        pub residue: Vec<u64>,
-        /// The same residue in NTT form.
-        pub residue_ntt: Vec<u64>,
-    }
-
-    /// Builds keys, ciphertexts, and sample polynomials for `set`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on internal errors (cannot happen for the built-in sets).
-    pub fn prepare(set: ParamSet) -> SetWorkload {
-        let ctx = CkksContext::new(CkksParams::from_set(set).expect("params")).expect("ctx");
-        let mut rng = StdRng::seed_from_u64(0x4845_4158); // "HEAX"
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
-        let rlk = RelinKey::generate(&ctx, &sk, &mut rng);
-        let enc = CkksEncoder::new(&ctx);
-        let scale = ctx.params().scale();
-        let vals_a: Vec<f64> = (0..8).map(|i| i as f64 * 0.5 + 1.0).collect();
-        let vals_b: Vec<f64> = (0..8).map(|i| 2.0 - i as f64 * 0.25).collect();
-        let pt_a = enc
-            .encode_real(&vals_a, scale, ctx.max_level())
-            .expect("encode");
-        let pt_b = enc
-            .encode_real(&vals_b, scale, ctx.max_level())
-            .expect("encode");
-        let encryptor = Encryptor::new(&ctx, &pk);
-        let ct_a = encryptor.encrypt(&pt_a, &mut rng).expect("encrypt");
-        let ct_b = encryptor.encrypt(&pt_b, &mut rng).expect("encrypt");
-        let ct_prod = heax_ckks::Evaluator::new(&ctx)
-            .multiply(&ct_a, &ct_b)
-            .expect("multiply");
-
-        let p0 = ctx.moduli()[0].value();
-        let residue: Vec<u64> = (0..ctx.n() as u64)
-            .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15) % p0)
-            .collect();
-        let mut residue_ntt = residue.clone();
-        ctx.ntt_table(0).forward(&mut residue_ntt);
-        SetWorkload {
-            ctx,
-            rlk,
-            ct_a,
-            ct_b,
-            ct_prod,
-            residue,
-            residue_ntt,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table_renders() {
-        let t = render_table(
-            "Demo",
-            &["a", "b"],
+        let render = |headers: &str, rows: &[Vec<String>]| {
+            let mut out = Vec::new();
+            write_table(&mut out, "Demo", headers, rows).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let t = render(
+            "a|b",
             &[vec!["1".into(), "2".into()], vec!["30".into(), "4".into()]],
         );
-        assert!(t.contains("Demo"));
-        assert!(t.contains("30"));
+        assert_eq!(t, "\n== Demo ==\n  a | b \n----+---\n  1 | 2 \n 30 | 4 \n");
         // A row wider than the header sizes its extra cell instead of
         // indexing past the header widths.
-        let wide = render_table("t", &["a"], &[vec!["1".into(), "22".into()]]);
-        assert!(wide.contains(" 1 | 22 "));
+        assert!(render("a", &[vec!["1".into(), "22".into()]]).contains(" 1 | 22 "));
     }
 
     #[test]
@@ -191,15 +216,40 @@ mod tests {
         assert_eq!(fmt_delta(110.0, 100.0), "+10.0%");
     }
 
+    fn parse(line: &str) -> Result<(Vec<&'static str>, u64), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let (artifacts, budget_ms) = parse_args(&argv)?;
+        Ok((artifacts.iter().map(|(name, _)| *name).collect(), budget_ms))
+    }
+
+    #[test]
+    fn repro_args_select_artifacts_and_a_final_budget() {
+        let all: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(parse("").unwrap(), (all.clone(), DEFAULT_BUDGET_MS));
+        assert_eq!(parse("25").unwrap(), (all, 25));
+        assert_eq!(
+            parse("table8 figure2").unwrap(),
+            (vec!["table8", "figure2"], DEFAULT_BUDGET_MS)
+        );
+        assert_eq!(parse("table8 25").unwrap(), (vec!["table8"], 25));
+        // Unknown names, unparsable or zero budgets and a budget that is
+        // not last are refused, naming the argument.
+        for (line, culprit) in [
+            ("table9", "table9"),
+            ("table8 abc", "abc"),
+            ("table8 0", "0"),
+            ("25 table8", "25"),
+            ("table8 25 25", "25"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.starts_with(&format!("`{culprit}`")), "{line}: {err}");
+        }
+        assert!(usage().contains("table1 table2"));
+    }
+
     #[test]
     fn measure_runs() {
         let mut x = 0u64;
-        let rate = measure_ops_per_sec(
-            || {
-                x = x.wrapping_add(1);
-            },
-            5,
-        );
-        assert!(rate > 0.0);
+        assert!(measure_ops_per_sec(|| x += 1, 5) > 0.0);
     }
 }

@@ -142,6 +142,16 @@ impl DesignPoint {
         })
     }
 
+    /// Table 5 as published: the architecture of each
+    /// [`DesignPoint::paper_rows`] entry, in the same order, in
+    /// [`KeySwitchArch::summary`] form.
+    pub const PAPER_ARCHS: [&'static str; 4] = [
+        "1xINTT(8) -> 2xNTT(8) -> 3xDyad(4) -> 2xINTT(4) -> 2xNTT(8) -> 2xMult(2)",
+        "1xINTT(16) -> 2xNTT(16) -> 3xDyad(8) -> 2xINTT(8) -> 2xNTT(16) -> 2xMult(4)",
+        "1xINTT(16) -> 4xNTT(16) -> 5xDyad(8) -> 2xINTT(4) -> 2xNTT(16) -> 2xMult(4)",
+        "1xINTT(8) -> 4xNTT(16) -> 5xDyad(8) -> 2xINTT(1) -> 2xNTT(8) -> 2xMult(4)",
+    ];
+
     /// The four design points evaluated in the paper (Table 5 rows).
     ///
     /// # Panics
@@ -231,37 +241,25 @@ mod tests {
     #[test]
     fn table5_row_arria_set_a() {
         let a = derive_arch(&Board::arria10(), ParamSet::SetA).unwrap();
-        assert_eq!(
-            a.summary(),
-            "1xINTT(8) -> 2xNTT(8) -> 3xDyad(4) -> 2xINTT(4) -> 2xNTT(8) -> 2xMult(2)"
-        );
+        assert_eq!(a.summary(), DesignPoint::PAPER_ARCHS[0]);
     }
 
     #[test]
     fn table5_row_stratix_set_a() {
         let a = derive_arch(&Board::stratix10(), ParamSet::SetA).unwrap();
-        assert_eq!(
-            a.summary(),
-            "1xINTT(16) -> 2xNTT(16) -> 3xDyad(8) -> 2xINTT(8) -> 2xNTT(16) -> 2xMult(4)"
-        );
+        assert_eq!(a.summary(), DesignPoint::PAPER_ARCHS[1]);
     }
 
     #[test]
     fn table5_row_stratix_set_b() {
         let a = derive_arch(&Board::stratix10(), ParamSet::SetB).unwrap();
-        assert_eq!(
-            a.summary(),
-            "1xINTT(16) -> 4xNTT(16) -> 5xDyad(8) -> 2xINTT(4) -> 2xNTT(16) -> 2xMult(4)"
-        );
+        assert_eq!(a.summary(), DesignPoint::PAPER_ARCHS[2]);
     }
 
     #[test]
     fn table5_row_stratix_set_c() {
         let a = derive_arch(&Board::stratix10(), ParamSet::SetC).unwrap();
-        assert_eq!(
-            a.summary(),
-            "1xINTT(8) -> 4xNTT(16) -> 5xDyad(8) -> 2xINTT(1) -> 2xNTT(8) -> 2xMult(4)"
-        );
+        assert_eq!(a.summary(), DesignPoint::PAPER_ARCHS[3]);
     }
 
     #[test]
