@@ -65,7 +65,10 @@ pub fn figure2(out: &mut dyn Write) -> io::Result<()> {
         out,
         "(The published formula's last term reads 's*(j mod 2)'; the working"
     )?;
-    writeln!(out, " form is '(j mod 2)*2^(s+1)' — see DESIGN.md.)")?;
+    writeln!(
+        out,
+        " form is '(j mod 2)*2^(s+1)' — see heax_hw::ntt_dataflow::access::addr_me_coeff.)"
+    )?;
 
     // Count stage types across the paper's configurations.
     writeln!(

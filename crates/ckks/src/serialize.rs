@@ -5,7 +5,7 @@
 //! evaluation keys between client, host, and board; this module provides
 //! the wire format. It is a simple, versioned, little-endian layout with
 //! explicit magic bytes — deliberately hand-rolled so the public API
-//! carries no serde dependency (see DESIGN.md).
+//! carries no serde dependency.
 //!
 //! Polynomials always serialize their modulus chain so the receiver can
 //! validate against its own context; deserialization checks degree,

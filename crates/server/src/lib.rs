@@ -13,14 +13,15 @@
 //! ([`server`]). Per-op and per-session counters surface as a
 //! [`ServerStats`] snapshot ([`metrics`]).
 //!
-//! The engine is transport-agnostic: frames in, frames out. Drive it
-//! inline as the tests and examples do —
-//! or serve it over real sockets with [`net`]: a hand-rolled
-//! epoll-based nonblocking TCP event loop (no tokio/mio; raw Linux
-//! syscalls behind the vendored `epoll` shim) that multiplexes
-//! thousands of concurrent sessions onto the batch scheduler, with
-//! admission-control backpressure, a DRAM-budgeted session-key LRU,
-//! and per-connection failure containment.
+//! The server is transport-agnostic: frames in, frames out. Drive it
+//! inline as the tests and examples do, or through an [`Engine`]
+//! ([`engine`]), which adds the session lifecycle a long-running server
+//! needs — admission-control backpressure and a DRAM-budgeted
+//! session-key LRU — still with no socket. [`net`] serves an engine over
+//! real sockets: a hand-rolled epoll-based nonblocking TCP event loop
+//! (no tokio/mio; raw Linux syscalls behind the vendored `epoll` shim)
+//! that multiplexes thousands of concurrent sessions onto the batch
+//! scheduler, with per-connection failure containment.
 //!
 //! Every flush lowers its requests into the shared op-stream IR of
 //! `heax_hw::ir` (rotation fusion is an IR pass) and executes from the
@@ -138,6 +139,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod net;
@@ -145,9 +147,10 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
+pub use engine::{Engine, SessionKeyLru};
 pub use error::{ErrorCode, ServerError};
 pub use metrics::{OpStats, ServerStats, SessionStats};
-pub use net::{NetConfig, NetServer, NetStats, SessionKeyLru};
+pub use net::{NetConfig, NetServer, NetStats};
 pub use server::HeaxServer;
 pub use session::SessionRegistry;
 pub use wire::{MessageKind, OpCode};

@@ -1,7 +1,8 @@
 //! Real-socket nonblocking server runtime: a hand-rolled epoll event
 //! loop multiplexing many concurrent TCP connections — each carrying
-//! any number of sessions — onto the batch scheduler of
-//! [`HeaxServer`].
+//! any number of sessions — onto an [`Engine`] around a [`HeaxServer`].
+//! The loop is transport only: what a session may do, and which keys are
+//! resident for it, is the engine's to decide.
 //!
 //! ## Runtime model
 //!
@@ -16,9 +17,9 @@
 //!
 //! Each [`NetServer::poll`] turn is one event-loop iteration: accept
 //! pending connections, read every readable connection into its
-//! [`FrameAssembler`], dispatch completed frames into the inner
-//! [`HeaxServer`], decide whether to flush the batch queue, and write
-//! pending reply bytes back out.
+//! [`FrameAssembler`], hand completed frames to the engine, noting the
+//! connection of each one it queues, decide whether to flush the batch
+//! queue, and write pending reply bytes back out.
 //!
 //! The loop is **work-conserving**: it never sleeps while a request is
 //! queued. A flush happens when the queue reaches
@@ -66,75 +67,37 @@
 //! `read` is handed, and a large frame is read to its exact end, so
 //! the next starts the drained buffer over and the same memory stays
 //! in cache). The frame is dispatched from where it lies
-//! ([`FrameAssembler::peek_frame`]); the engine validates and copies
+//! ([`FrameAssembler::peek_frame`]); the server validates and copies
 //! each limb, in one bulk pass, into a polynomial from its pool. A
 //! flush serializes each result ciphertext, behind its frame header,
 //! straight onto the submitting connection's write buffer
-//! ([`HeaxServer::flush_into`] with the event loop as the
+//! ([`Engine::flush_into`] with the event loop as the
 //! [`ReplySink`]), and the kernel reads it from there. The loop is single-threaded by
 //! design — parallelism lives *below* the server, in the executor's
 //! limb lanes — so driving it from a test, a binary, or a bench loop
 //! is the same `while … { poll() }`.
 //!
-//! ## Admission control and backpressure
-//!
-//! Request frames are admitted against [`NetConfig::max_queue_depth`]:
-//! past the bound the request is answered immediately with a
-//! structured [`ErrorCode::LoadShed`] frame, as is a key registration
-//! or restore the [`SessionKeyLru`] budget cannot hold. Admission is
-//! the only place this server sheds: a request that is queued is
-//! executed. A connection whose peer stops reading
-//! (its write buffer exceeding [`NetConfig::max_write_buffer`]) is
-//! dropped rather than allowed to wedge the loop.
-//!
-//! ## The session-key LRU
-//!
-//! Cached, deserialized session keys live in modeled board DRAM, and
-//! DRAM is finite ([`Board::dram_gib`](heax_hw::board::Board::dram_gib)).
-//! Unless [`NetConfig::key_cache_budget`] says otherwise,
-//! [`SessionKeyLru`] may hold an eighth of what the engine's parked
-//! results leave free of it when the server binds. It bounds the resident
-//! key bytes, and each key is held in exactly one form at a time:
-//!
-//! * **Registration.** The cache admits a key by its payload length
-//!   *before* the engine decodes it, evicting the least-recently-used
-//!   idle session when space runs out. A registration it cannot admit is
-//!   shed and never reaches the decoder, so the session keeps the key it
-//!   had. A session that was evicted is restored first, so the key the
-//!   upload does not replace comes back with it.
-//! * **Resident.** The engine holds the decoded keys. The cache holds
-//!   only their lengths, for billing; the upload was dropped once decoded.
-//! * **Evicted.** [`HeaxServer::evict_session_keys`] serializes the keys
-//!   (the upload byte for byte, since each key has one encoding) and
-//!   drops the decoded ones, and the cache holds the bytes
-//!   ([`SessionKeyLru::held_bytes`]).
-//! * **Restored.** On the session's next request the bytes move out of
-//!   the cache and are decoded straight back into the session; no
-//!   registration frame is rebuilt around them. Then they are dropped.
-//!
-//! Sessions with in-flight (queued) requests are never evicted.
-//! Evictions and restores are billed through
-//! [`ServerStats`](crate::ServerStats) (`key_evictions`,
-//! `key_reregistrations`) and [`NetStats`] (`key_evictions`,
-//! `key_restores`).
-//!
 //! ## Failure containment
 //!
 //! A hostile connection (bad frame magic, oversized frame) is answered
 //! with a structured [`ErrorCode::Malformed`] error frame and dropped;
-//! a dying or stalled connection is reaped; replies whose connection
-//! is gone are discarded. None of it disturbs co-scheduled sessions:
-//! the batch still flushes and every other connection's replies still
-//! route. The loopback suites (`tests/net_loopback.rs`) pin this
-//! behavior against the in-process server byte-for-byte.
+//! a dying connection is reaped, and so is a stalled one, whose peer let
+//! [`NetConfig::max_write_buffer`] reply bytes pile up unread; replies
+//! whose connection is gone are discarded. None of it disturbs
+//! co-scheduled sessions: the batch still flushes and every other
+//! connection's replies still route. The loopback suites
+//! (`tests/net_loopback.rs`) pin this behavior against the in-process
+//! server byte-for-byte.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 
+use crate::engine::Engine;
 use crate::error::ErrorCode;
 use crate::server::{HeaxServer, ReplySink};
+pub use crate::session::KeyKind;
 use crate::wire::{self, MessageKind, FRAME_HEADER_LEN, FRAME_MAGIC};
 
 /// Hard cap on a single frame's payload length accepted by the
@@ -424,424 +387,13 @@ impl FrameAssembler {
 }
 
 // ---------------------------------------------------------------------
-// Session-key LRU
-// ---------------------------------------------------------------------
-
-pub use crate::session::KeyKind;
-
-/// Why the key cache could not make a session resident.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KeyCacheError {
-    /// This session's keys alone exceed the whole budget; no eviction
-    /// schedule can ever admit them.
-    EntryExceedsBudget {
-        /// Bytes the session's keys need.
-        need: u64,
-        /// The cache's total budget.
-        budget: u64,
-    },
-    /// Every resident session is protected by in-flight requests;
-    /// nothing can be evicted right now. The caller sheds the request
-    /// and the client retries after the batch drains.
-    CachePressure {
-        /// Bytes the session's keys need.
-        need: u64,
-        /// Bytes currently free under the budget.
-        free: u64,
-    },
-}
-
-impl std::fmt::Display for KeyCacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KeyCacheError::EntryExceedsBudget { need, budget } => {
-                write!(
-                    f,
-                    "session keys need {need} B, over the {budget} B DRAM budget"
-                )
-            }
-            KeyCacheError::CachePressure { need, free } => write!(
-                f,
-                "key cache under pressure: {need} B needed, {free} B free, all residents in flight"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for KeyCacheError {}
-
-/// A restore's outcome: the sessions evicted to make room, and the keys
-/// handed back, relin first.
-type Restored = (Vec<u64>, Vec<(KeyKind, Vec<u8>)>);
-
-/// One of a session's keys, as the cache knows it.
-#[derive(Debug)]
-struct Slot {
-    /// The key's serialized length: what its residency is billed.
-    len: u64,
-    /// The serialized key, while the cache is what holds it.
-    payload: Option<Vec<u8>>,
-}
-
-/// One session's cached key material. Under [`NetServer`] a key is held
-/// in one form at a time: by the engine, decoded, while the session is
-/// resident (every `payload` is `None`), and by the cache, serialized,
-/// once it is evicted (every `payload` is `Some`).
-#[derive(Debug, Default)]
-struct KeyEntry {
-    /// The relinearization key and the Galois keys, by [`KeyKind`].
-    keys: [Option<Slot>; 2],
-    /// Whether the session is billed against the budget, its keys
-    /// decoded in the inner server.
-    resident: bool,
-    /// LRU clock stamp of the last touch.
-    last_touch: u64,
-    /// Requests queued (submitted, not yet flushed) for this session.
-    inflight: u64,
-}
-
-impl KeyEntry {
-    fn slot(&mut self, kind: KeyKind) -> &mut Option<Slot> {
-        &mut self.keys[kind as usize]
-    }
-
-    /// The session's keys, relin first.
-    fn slots_mut(&mut self) -> impl Iterator<Item = (KeyKind, &mut Slot)> {
-        let kinds = [KeyKind::Relin, KeyKind::Galois].into_iter();
-        kinds
-            .zip(&mut self.keys)
-            .filter_map(|(kind, s)| Some((kind, s.as_mut()?)))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.iter().all(Option::is_none)
-    }
-
-    fn bytes(&self) -> u64 {
-        self.keys.iter().flatten().map(|s| s.len).sum()
-    }
-
-    fn held(&self) -> u64 {
-        let payloads = self.keys.iter().flatten().flat_map(|s| &s.payload);
-        payloads.map(|p| p.len() as u64).sum()
-    }
-}
-
-/// An LRU cache bounding the modeled DRAM bytes held by resident
-/// session keys.
-///
-/// A key's serialized length is the bill for its decoded DRAM footprint,
-/// and an exact one up to the codec's headers: a key holds each residue
-/// once, as the word the payload carries, and nothing derived beside it.
-/// *Residency* is what is budgeted, and no key is held twice: under
-/// [`NetServer`] the cache keeps only the lengths of a resident session's
-/// keys, whose decoded form lives in the inner server, and holds the
-/// bytes of an evicted one ([`SessionKeyLru::held_bytes`]). Used on its
-/// own, through [`SessionKeyLru::store`] and [`SessionKeyLru::restore`],
-/// the cache is the only holder there is and keeps what it was handed.
-/// Invariants, pinned by the `net_props` proptests:
-///
-/// * resident bytes never exceed the budget;
-/// * a session with in-flight requests is never evicted;
-/// * a re-registered (evicted, then restored) session serves from
-///   byte-identical key material.
-#[derive(Debug)]
-pub struct SessionKeyLru {
-    budget: u64,
-    resident_bytes: u64,
-    clock: u64,
-    entries: HashMap<u64, KeyEntry>,
-}
-
-impl SessionKeyLru {
-    /// A cache with the given byte budget.
-    pub fn new(budget: u64) -> Self {
-        SessionKeyLru {
-            budget,
-            resident_bytes: 0,
-            clock: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Bytes currently billed as resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    /// Serialized key bytes the cache itself holds. Under [`NetServer`]
-    /// these are the evicted sessions' keys, and the figure is 0 while
-    /// every session is resident.
-    pub fn held_bytes(&self) -> u64 {
-        self.entries.values().map(KeyEntry::held).sum()
-    }
-
-    /// Number of sessions currently resident.
-    pub fn resident_sessions(&self) -> usize {
-        self.entries.values().filter(|e| e.resident).count()
-    }
-
-    /// Whether the session has any cached key material.
-    pub fn has_entry(&self, session: u64) -> bool {
-        self.entries.contains_key(&session)
-    }
-
-    /// Whether the session's keys are resident.
-    pub fn is_resident(&self, session: u64) -> bool {
-        self.entries.get(&session).is_some_and(|e| e.resident)
-    }
-
-    /// Bumps the session's LRU stamp.
-    pub fn touch(&mut self, session: u64) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.last_touch = clock;
-        }
-    }
-
-    /// Marks one request of this session queued (eviction-protected).
-    pub fn begin_request(&mut self, session: u64) {
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.inflight = e.inflight.saturating_add(1);
-        }
-    }
-
-    /// Marks one request of this session answered.
-    pub fn end_request(&mut self, session: u64) {
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.inflight = e.inflight.saturating_sub(1);
-        }
-    }
-
-    /// Stores (or replaces) one serialized key payload for a session
-    /// and makes the session resident, evicting idle sessions as
-    /// needed: the key is admitted by its length and the cache holds its
-    /// bytes, which [`SessionKeyLru::restore`] hands back after an
-    /// eviction. Returns the evicted session ids — a caller that holds
-    /// their keys elsewhere must drop them there.
-    ///
-    /// # Errors
-    ///
-    /// [`KeyCacheError`] when residency is impossible; the payload is
-    /// **not** kept (registration failed from the client's view) and a
-    /// previously-resident session is left *evicted*, its earlier
-    /// payloads held for [`SessionKeyLru::restore`].
-    pub fn store(
-        &mut self,
-        session: u64,
-        kind: KeyKind,
-        payload: &[u8],
-    ) -> Result<Vec<u64>, KeyCacheError> {
-        // Take the entry off-budget while its contents change.
-        if let Some(e) = self.entries.get_mut(&session).filter(|e| e.resident) {
-            self.resident_bytes -= e.bytes();
-            e.resident = false;
-        }
-        let (evicted, _) = self.admit(session, kind, payload.len() as u64)?;
-        if let Some(slot) = self
-            .entries
-            .get_mut(&session)
-            .and_then(|e| e.slot(kind).as_mut())
-        {
-            slot.payload = Some(payload.to_vec());
-        }
-        Ok(evicted)
-    }
-
-    /// Bills `session`'s `kind` key at `len` bytes, in place of the key
-    /// it replaces, and makes the session resident, evicting idle
-    /// sessions as needed. This is admission by length: [`NetServer`]
-    /// asks it before a registration is decoded, so a key the budget
-    /// cannot hold is shed without touching the one it would have
-    /// replaced. The session is resident or new; an evicted one is
-    /// reseated first. Returns the evicted sessions and the replaced
-    /// key's length, for [`SessionKeyLru::retract`].
-    ///
-    /// # Errors
-    ///
-    /// [`KeyCacheError`] when residency is impossible; nothing changes.
-    pub(crate) fn admit(
-        &mut self,
-        session: u64,
-        kind: KeyKind,
-        len: u64,
-    ) -> Result<(Vec<u64>, Option<u64>), KeyCacheError> {
-        let entry = self.entries.get(&session);
-        let previous = entry
-            .and_then(|e| e.keys[kind as usize].as_ref())
-            .map(|s| s.len);
-        let need = entry.map_or(0, KeyEntry::bytes) - previous.unwrap_or(0) + len;
-        let evicted = self.charge(session, need)?;
-        *self.entries.entry(session).or_default().slot(kind) = Some(Slot { len, payload: None });
-        Ok((evicted, previous))
-    }
-
-    /// Takes back an admission whose key then failed to decode: the key
-    /// the engine kept is billed again at its `previous` length, or no
-    /// longer billed if there was none.
-    pub(crate) fn retract(&mut self, session: u64, kind: KeyKind, previous: Option<u64>) {
-        let Some(e) = self.entries.get_mut(&session) else {
-            return;
-        };
-        let billed = e.bytes();
-        *e.slot(kind) = previous.map(|len| Slot { len, payload: None });
-        if e.resident {
-            self.resident_bytes = self.resident_bytes - billed + e.bytes();
-        }
-        if e.is_empty() {
-            self.entries.remove(&session);
-        }
-    }
-
-    /// Makes an evicted session resident again, returning the sessions
-    /// evicted to make room and copies of the payloads held for it (in
-    /// registration order: relin first, then Galois). The cache keeps
-    /// holding them, as [`SessionKeyLru::store`] left them. A resident
-    /// session, or one with no cached keys, restores trivially (empty
-    /// lists).
-    ///
-    /// # Errors
-    ///
-    /// [`KeyCacheError`] when residency is impossible right now; the
-    /// caller sheds the triggering request.
-    #[allow(clippy::type_complexity)]
-    pub fn restore(
-        &mut self,
-        session: u64,
-    ) -> Result<(Vec<u64>, Vec<(KeyKind, Vec<u8>)>), KeyCacheError> {
-        Ok(self.readmit(session, |p| p.clone())?.unwrap_or_default())
-    }
-
-    /// [`SessionKeyLru::restore`] for a caller that decodes the keys
-    /// back into an engine: the payloads are moved out, not copied, and
-    /// the cache holds nothing for the session until its next eviction.
-    /// `None` when there is nothing to restore.
-    pub(crate) fn reseat(&mut self, session: u64) -> Result<Option<Restored>, KeyCacheError> {
-        self.readmit(session, Option::take)
-    }
-
-    /// Hands the cache an evicted session's keys to hold: the engine's
-    /// serialization of what it held, which is what the session is billed
-    /// from now on.
-    pub(crate) fn stash(&mut self, session: u64, keys: Vec<(KeyKind, Vec<u8>)>) {
-        let Some(e) = self.entries.get_mut(&session).filter(|e| !e.resident) else {
-            return;
-        };
-        e.keys = [None, None];
-        for (kind, payload) in keys {
-            let len = payload.len() as u64;
-            *e.slot(kind) = Some(Slot {
-                len,
-                payload: Some(payload),
-            });
-        }
-        if e.is_empty() {
-            self.entries.remove(&session);
-        }
-    }
-
-    /// Drops a session's cached keys entirely (session closed),
-    /// releasing its resident bytes.
-    pub fn remove(&mut self, session: u64) {
-        if let Some(e) = self.entries.remove(&session) {
-            if e.resident {
-                self.resident_bytes -= e.bytes();
-            }
-        }
-    }
-
-    /// Makes `session` resident again if it was evicted and hands back
-    /// what is held for it, each payload through `hand`; `None` when
-    /// there is nothing to restore — no entry, or resident already (then
-    /// it is only touched).
-    fn readmit(
-        &mut self,
-        session: u64,
-        hand: impl Fn(&mut Option<Vec<u8>>) -> Option<Vec<u8>>,
-    ) -> Result<Option<Restored>, KeyCacheError> {
-        let need = match self.entries.get(&session) {
-            None => return Ok(None),
-            Some(e) if e.resident => {
-                self.touch(session);
-                return Ok(None);
-            }
-            Some(e) => e.bytes(),
-        };
-        let evicted = self.charge(session, need)?;
-        let mut payloads = Vec::new();
-        if let Some(e) = self.entries.get_mut(&session) {
-            for (kind, slot) in e.slots_mut() {
-                payloads.extend(hand(&mut slot.payload).map(|p| (kind, p)));
-            }
-        }
-        Ok(Some((evicted, payloads)))
-    }
-
-    /// Bills `session` `need` bytes in place of what it is billed now and
-    /// makes it resident, evicting least-recently-touched idle sessions
-    /// first. Eviction is all-or-nothing: the victim schedule is computed
-    /// before anything is evicted, so a failure leaves the cache
-    /// untouched.
-    fn charge(&mut self, session: u64, need: u64) -> Result<Vec<u64>, KeyCacheError> {
-        if need > self.budget {
-            return Err(KeyCacheError::EntryExceedsBudget {
-                need,
-                budget: self.budget,
-            });
-        }
-        let billed = (self.entries.get(&session))
-            .filter(|e| e.resident)
-            .map_or(0, KeyEntry::bytes);
-        let base = self.resident_bytes - billed;
-        // Victims: resident, idle, not the session itself, oldest first.
-        let mut candidates: Vec<(u64, u64, u64)> = self
-            .entries
-            .iter()
-            .filter(|&(&id, e)| id != session && e.resident && e.inflight == 0)
-            .map(|(&id, e)| (e.last_touch, id, e.bytes()))
-            .collect();
-        candidates.sort_unstable();
-        let mut freed = 0u64;
-        let mut victims = Vec::new();
-        for &(_, id, bytes) in &candidates {
-            if base - freed + need <= self.budget {
-                break;
-            }
-            freed += bytes;
-            victims.push(id);
-        }
-        if base - freed + need > self.budget {
-            return Err(KeyCacheError::CachePressure {
-                need,
-                free: self.budget - base,
-            });
-        }
-        for &id in &victims {
-            if let Some(e) = self.entries.get_mut(&id) {
-                e.resident = false;
-            }
-        }
-        self.resident_bytes = base - freed + need;
-        self.entries.entry(session).or_default().resident = true;
-        self.touch(session);
-        Ok(victims)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Configuration and counters
 // ---------------------------------------------------------------------
 
 /// Tunables of the socket runtime.
 ///
 /// The admission bound (`max_queue_depth`) and the key-cache budget
-/// (`key_cache_budget`) are where the runtime sheds load: a request
+/// (`key_cache_budget`) are where the [`Engine`] sheds load: a request
 /// past either is answered at the door with [`ErrorCode::LoadShed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetConfig {
@@ -858,8 +410,8 @@ pub struct NetConfig {
     /// Per-frame payload cap fed to each connection's
     /// [`FrameAssembler`].
     pub max_frame_payload: u32,
-    /// Byte budget of the [`SessionKeyLru`]; `0` derives one eighth of
-    /// the modeled board's free DRAM at bind time.
+    /// Byte budget of the [`SessionKeyLru`](crate::SessionKeyLru); `0`
+    /// derives one eighth of the modeled board's free DRAM at bind time.
     pub key_cache_budget: u64,
     /// Flush the batch queue as soon as this many requests are pending.
     pub flush_threshold: usize,
@@ -953,14 +505,6 @@ pub struct NetTick {
 // ---------------------------------------------------------------------
 // The event loop
 // ---------------------------------------------------------------------
-
-/// Routing record for one queued request: which connection gets the
-/// reply that [`HeaxServer::flush`] will emit at this queue position.
-#[derive(Clone, Copy, Debug)]
-struct Route {
-    token: u64,
-    session: u64,
-}
 
 /// Per-connection state machine.
 #[derive(Debug)]
@@ -1060,38 +604,41 @@ impl Conn {
     }
 }
 
-/// Routes the replies of one flush to the connections that submitted the
-/// requests, in queue order: [`HeaxServer::flush_into`] serializes each
-/// straight onto its connection's write buffer.
+/// Routes the engine's replies onto connections' write buffers: an
+/// answer to the connection its frame came in on, and each reply of a
+/// flush, in queue order, to the connection that submitted the request.
 struct Router<'r> {
     conns: &'r mut HashMap<u64, Conn>,
-    pending: &'r mut VecDeque<Route>,
-    keys: &'r mut SessionKeyLru,
+    pending: &'r mut VecDeque<u64>,
     stats: &'r mut NetStats,
     max_write_buffer: usize,
-    routed: usize,
+    /// The connection of the frame being handled; `None` in a flush.
+    to: Option<u64>,
 }
 
 impl ReplySink for Router<'_> {
     fn buffer_for(&mut self, _: usize, len: usize) -> Option<&mut Vec<u8>> {
-        // One route per queued request, submission order — the flush
-        // contract.
-        let route = self.pending.pop_front()?;
-        self.keys.end_request(route.session);
-        let Some(conn) = self.conns.get_mut(&route.token) else {
+        // In a flush, one token per queued request, submission order —
+        // the flush contract.
+        let token = match self.to {
+            Some(token) => token,
+            None => self.pending.pop_front()?,
+        };
+        let Some(conn) = self.conns.get_mut(&token) else {
             self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
             return None;
         };
         if !conn.admit_reply(len, self.max_write_buffer, self.stats) {
             return None;
         }
-        self.routed += 1;
-        self.stats.replies_routed = self.stats.replies_routed.saturating_add(1);
+        if self.to.is_none() {
+            self.stats.replies_routed = self.stats.replies_routed.saturating_add(1);
+        }
         Some(&mut conn.out)
     }
 }
 
-/// The nonblocking TCP runtime around a [`HeaxServer`] (see the module
+/// The nonblocking TCP runtime around an [`Engine`] (see the module
 /// docs for the serving model).
 #[derive(Debug)]
 pub struct NetServer<'a> {
@@ -1100,16 +647,16 @@ pub struct NetServer<'a> {
     events: Vec<epoll::Event>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    pending: VecDeque<Route>,
-    keys: SessionKeyLru,
+    /// The connection of each queued request, submission order.
+    pending: VecDeque<u64>,
     config: NetConfig,
     stats: NetStats,
-    inner: HeaxServer<'a>,
+    engine: Engine<'a>,
 }
 
 impl<'a> NetServer<'a> {
-    /// Binds a listener and wraps the given engine in the socket
-    /// runtime. Bind to port 0 for an ephemeral port
+    /// Binds a listener and wraps the given server, in an [`Engine`], in
+    /// the socket runtime. Bind to port 0 for an ephemeral port
     /// ([`NetServer::local_addr`] reports it).
     ///
     /// # Errors
@@ -1120,11 +667,6 @@ impl<'a> NetServer<'a> {
         listener.set_nonblocking(true)?;
         let poller = epoll::Poller::new()?;
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, epoll::READABLE)?;
-        let budget = if config.key_cache_budget == 0 {
-            inner.dram_available_bytes() / 8
-        } else {
-            config.key_cache_budget
-        };
         Ok(NetServer {
             listener,
             poller,
@@ -1132,10 +674,9 @@ impl<'a> NetServer<'a> {
             conns: HashMap::new(),
             next_token: LISTENER_TOKEN + 1,
             pending: VecDeque::new(),
-            keys: SessionKeyLru::new(budget),
             config,
             stats: NetStats::default(),
-            inner,
+            engine: Engine::new(inner, &config),
         })
     }
 
@@ -1148,21 +689,19 @@ impl<'a> NetServer<'a> {
         self.listener.local_addr()
     }
 
-    /// The inner engine (stats, queue inspection).
+    /// The engine's inner server (stats, queue inspection).
     pub fn server(&self) -> &HeaxServer<'a> {
-        &self.inner
+        self.engine.server()
     }
 
-    /// Mutable access to the inner engine (tests attach models and
-    /// policies through the builder before `bind`; this is for
-    /// inspection-with-side-effects like `stats()`).
+    /// Mutable access to the engine's inner server.
     pub fn server_mut(&mut self) -> &mut HeaxServer<'a> {
-        &mut self.inner
+        &mut self.engine.server
     }
 
-    /// The session-key LRU (inspection).
-    pub fn key_cache(&self) -> &SessionKeyLru {
-        &self.keys
+    /// The engine's session-key LRU (inspection).
+    pub fn key_cache(&self) -> &crate::SessionKeyLru {
+        self.engine.key_cache()
     }
 
     /// The tunables the runtime was bound with.
@@ -1170,9 +709,15 @@ impl<'a> NetServer<'a> {
         self.config
     }
 
-    /// A snapshot of the runtime counters.
+    /// A snapshot of the runtime counters, the engine's included.
     pub fn stats(&self) -> NetStats {
-        self.stats
+        let door = self.engine.stats;
+        NetStats {
+            admission_sheds: door.admission_sheds,
+            key_evictions: door.key_evictions,
+            key_restores: door.key_restores,
+            ..self.stats
+        }
     }
 
     /// Connections currently open.
@@ -1204,7 +749,7 @@ impl<'a> NetServer<'a> {
     /// contained (the connection is dropped, the loop lives).
     pub fn poll(&mut self, timeout_ms: i32) -> io::Result<NetTick> {
         let mut tick = NetTick::default();
-        let wait_ms = if self.config.flush_on_idle && self.inner.queue_depth() > 0 {
+        let wait_ms = if self.config.flush_on_idle && self.server().queue_depth() > 0 {
             0
         } else {
             timeout_ms
@@ -1231,7 +776,7 @@ impl<'a> NetServer<'a> {
             }
         }
         self.events = events;
-        let depth = self.inner.queue_depth();
+        let depth = self.server().queue_depth();
         if depth > 0
             && (depth >= self.config.flush_threshold
                 || (self.config.flush_on_idle && tick.frames == 0))
@@ -1258,20 +803,18 @@ impl<'a> NetServer<'a> {
     /// Executes the queued batch, each reply serialized onto its
     /// connection's write buffer; returns the number routed.
     fn flush_queue(&mut self) -> usize {
+        let before = self.stats.replies_routed;
         let mut router = Router {
             conns: &mut self.conns,
             pending: &mut self.pending,
-            keys: &mut self.keys,
             stats: &mut self.stats,
             max_write_buffer: self.config.max_write_buffer,
-            routed: 0,
+            to: None,
         };
-        let answered = self.inner.flush_into(&mut router);
-        let routed = router.routed;
-        if answered > 0 {
+        if self.engine.flush_into(&mut router) > 0 {
             self.stats.flushes = self.stats.flushes.saturating_add(1);
         }
-        routed
+        (self.stats.replies_routed - before) as usize
     }
 
     /// Pushes out whatever reply bytes the sockets will take now. Every
@@ -1391,8 +934,10 @@ impl<'a> NetServer<'a> {
             // unframeable, so this is the last thing the peer hears.
             let payload = wire::encode_error(ErrorCode::Malformed, &e.to_string());
             let reply = wire::encode_frame(wire::WIRE_V1, MessageKind::Error, 0, 0, &payload);
-            self.enqueue_reply(token, &reply);
             if let Some(conn) = self.conns.get_mut(&token) {
+                if conn.admit_reply(reply.len(), self.config.max_write_buffer, &mut self.stats) {
+                    conn.out.extend_from_slice(&reply);
+                }
                 conn.write_ready(&self.poller, token, &mut self.stats);
                 conn.dying = true;
             }
@@ -1401,161 +946,20 @@ impl<'a> NetServer<'a> {
         count
     }
 
-    /// Routes one complete frame: key registrations pass through the
-    /// LRU, requests pass admission control, everything else goes
-    /// straight to the engine.
+    /// Hands one complete frame to the engine: an answer goes straight
+    /// onto the connection's write buffer, and a queued request leaves
+    /// the connection's token for its reply.
     fn dispatch(&mut self, token: u64, frame: &[u8]) {
-        let Ok(decoded) = wire::decode_frame(frame) else {
-            // Well-framed but undecodable (bad version/kind): the
-            // engine answers a structured error; the connection lives.
-            if let Some(reply) = self.inner.handle_frame(frame) {
-                self.enqueue_reply(token, &reply);
-            }
-            return;
+        let mut router = Router {
+            conns: &mut self.conns,
+            pending: &mut self.pending,
+            stats: &mut self.stats,
+            max_write_buffer: self.config.max_write_buffer,
+            to: Some(token),
         };
-        let (version, kind, session, request) = (
-            decoded.version,
-            decoded.kind,
-            decoded.session,
-            decoded.request,
-        );
-        match kind {
-            MessageKind::RegisterRelinKey => {
-                self.register_key(token, frame, &decoded, KeyKind::Relin);
-            }
-            MessageKind::RegisterGaloisKeys => {
-                self.register_key(token, frame, &decoded, KeyKind::Galois);
-            }
-            MessageKind::Request => {
-                if self.inner.queue_depth() >= self.config.max_queue_depth {
-                    let msg = format!(
-                        "queue depth {} at the {}-request admission bound",
-                        self.inner.queue_depth(),
-                        self.config.max_queue_depth
-                    );
-                    self.shed(token, version, session, request, &msg);
-                    return;
-                }
-                if let Err(e) = self.restore_session_keys(session) {
-                    self.shed(token, version, session, request, &e.to_string());
-                    return;
-                }
-                match self.inner.handle_frame(frame) {
-                    None => {
-                        self.pending.push_back(Route { token, session });
-                        self.keys.begin_request(session);
-                        self.keys.touch(session);
-                    }
-                    Some(reply) => {
-                        self.enqueue_reply(token, &reply);
-                    }
-                }
-            }
-            MessageKind::CloseSession => {
-                if let Some(reply) = self.inner.handle_frame(frame) {
-                    let closed = wire::decode_frame(&reply)
-                        .map(|f| f.kind == MessageKind::SessionClosed)
-                        .unwrap_or(false);
-                    if closed {
-                        self.keys.remove(session);
-                    }
-                    self.enqueue_reply(token, &reply);
-                }
-            }
-            _ => {
-                if let Some(reply) = self.inner.handle_frame(frame) {
-                    self.enqueue_reply(token, &reply);
-                }
-            }
+        if self.engine.handle(frame, &mut router) {
+            self.pending.push_back(token);
         }
-    }
-
-    /// Registers one key, budget first: the LRU admits it by its length
-    /// before the engine decodes it, so a registration the budget sheds
-    /// never replaces the key the session already had. An evicted session
-    /// is restored before anything else, so the key the upload does not
-    /// replace comes back with it.
-    fn register_key(&mut self, token: u64, frame: &[u8], head: &wire::Frame<'_>, kind: KeyKind) {
-        let (version, session, request) = (head.version, head.session, head.request);
-        if !self.inner.has_session(session) {
-            // Nothing to bill: the engine answers for a session it does
-            // not know.
-            if let Some(reply) = self.inner.handle_frame(frame) {
-                self.enqueue_reply(token, &reply);
-            }
-            return;
-        }
-        let len = head.payload.len() as u64;
-        let admission = self
-            .restore_session_keys(session)
-            .and_then(|()| self.keys.admit(session, kind, len));
-        let previous = match admission {
-            Ok((evicted, previous)) => {
-                self.apply_evictions(&evicted);
-                previous
-            }
-            Err(e) => return self.shed(token, version, session, request, &e.to_string()),
-        };
-        let Some(reply) = self.inner.handle_frame(frame) else {
-            return;
-        };
-        if !wire::decode_frame(&reply).is_ok_and(|f| f.kind == MessageKind::KeyRegistered) {
-            self.keys.retract(session, kind, previous);
-        }
-        self.enqueue_reply(token, &reply);
-    }
-
-    /// Restores an evicted session's keys into the engine: makes the
-    /// session resident (evicting idle victims) and decodes the bytes the
-    /// cache held for it, which are then dropped. A no-op for a resident
-    /// session or one with no keys.
-    fn restore_session_keys(&mut self, session: u64) -> Result<(), KeyCacheError> {
-        let Some((evicted, keys)) = self.keys.reseat(session)? else {
-            return Ok(());
-        };
-        self.apply_evictions(&evicted);
-        for (kind, payload) in keys {
-            // The engine's own serialization of a key it held: it decodes.
-            let _ = self.inner.install_key(session, kind, &payload);
-        }
-        self.stats.key_restores = self.stats.key_restores.saturating_add(1);
-        Ok(())
-    }
-
-    /// Moves the named sessions' keys from the engine, serialized, into
-    /// the cache, and bills the evictions.
-    fn apply_evictions(&mut self, evicted: &[u64]) {
-        for &victim in evicted {
-            match self.inner.evict_session_keys(victim) {
-                Ok(keys) => self.keys.stash(victim, keys),
-                // Closed since: there is nothing left to hold.
-                Err(_) => self.keys.remove(victim),
-            }
-            self.stats.key_evictions = self.stats.key_evictions.saturating_add(1);
-        }
-    }
-
-    /// Answers a request at the door with a load-shed error frame at the
-    /// peer's wire version, and bills the shed.
-    fn shed(&mut self, token: u64, version: u8, session: u64, request: u64, msg: &str) {
-        self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
-        let payload = wire::encode_error(ErrorCode::LoadShed, msg);
-        let frame = wire::encode_frame(version, MessageKind::Error, session, request, &payload);
-        self.enqueue_reply(token, &frame);
-    }
-
-    /// Queues reply bytes on a connection's write buffer; `false` when
-    /// the connection is gone or was dropped for overflow.
-    fn enqueue_reply(&mut self, token: u64, bytes: &[u8]) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
-            return false;
-        };
-        if !conn.admit_reply(bytes.len(), self.config.max_write_buffer, &mut self.stats) {
-            return false;
-        }
-        conn.out.extend_from_slice(bytes);
-        true
     }
 
     /// Removes every connection marked dying; returns how many.
@@ -1574,6 +978,8 @@ impl<'a> NetServer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{KeyCacheError, SessionKeyLru};
+    use std::collections::HashSet;
 
     // ----- The linear buffer under FrameAssembler -----
 
@@ -1734,7 +1140,7 @@ mod tests {
         assert_eq!(asm.next_frame().unwrap(), Some(frame));
     }
 
-    // ----- SessionKeyLru -----
+    // ----- SessionKeyLru (engine.rs) -----
 
     #[test]
     fn lru_budget_is_a_hard_bound() {
@@ -1756,21 +1162,6 @@ mod tests {
         );
         assert!(!lru.has_entry(3), "rejected upload leaves no state");
         assert_eq!(lru.resident_bytes(), 60);
-    }
-
-    #[test]
-    fn lru_never_evicts_inflight_sessions() {
-        let mut lru = SessionKeyLru::new(100);
-        lru.store(1, KeyKind::Galois, &[0; 60]).unwrap();
-        lru.begin_request(1);
-        // Session 2 cannot fit without evicting 1, and 1 is protected.
-        assert!(matches!(
-            lru.store(2, KeyKind::Galois, &[0; 60]),
-            Err(KeyCacheError::CachePressure { .. })
-        ));
-        assert!(lru.is_resident(1));
-        lru.end_request(1);
-        assert_eq!(lru.store(2, KeyKind::Galois, &[0; 60]).unwrap(), vec![1]);
     }
 
     #[test]
@@ -1833,27 +1224,35 @@ mod tests {
 
     #[test]
     fn lru_admits_by_length_and_holds_only_what_is_evicted() {
+        let idle = HashSet::new;
         let mut lru = SessionKeyLru::new(100);
         // Admitted by length: billed, nothing held.
-        assert_eq!(lru.admit(1, KeyKind::Galois, 60), Ok((vec![], None)));
+        assert_eq!(lru.admit(1, KeyKind::Galois, 60, idle), Ok((vec![], None)));
         assert_eq!((lru.resident_bytes(), lru.held_bytes()), (60, 0));
         // A replacement the budget cannot hold changes nothing.
-        assert!(lru.admit(1, KeyKind::Galois, 101).is_err());
+        assert!(lru.admit(1, KeyKind::Galois, 101, idle).is_err());
         assert!(lru.is_resident(1));
         assert_eq!(lru.resident_bytes(), 60);
         // One it can, whose key then fails to decode, is taken back.
-        assert_eq!(lru.admit(1, KeyKind::Galois, 90), Ok((vec![], Some(60))));
+        assert_eq!(
+            lru.admit(1, KeyKind::Galois, 90, idle),
+            Ok((vec![], Some(60)))
+        );
         lru.retract(1, KeyKind::Galois, Some(60));
         assert_eq!(lru.resident_bytes(), 60);
         // Evicted, a session's keys are held as the engine hands them
         // over; reseated, they are handed back and not kept.
-        assert_eq!(lru.admit(2, KeyKind::Relin, 50), Ok((vec![1], None)));
+        assert_eq!(lru.admit(2, KeyKind::Relin, 50, idle), Ok((vec![1], None)));
         lru.stash(1, vec![(KeyKind::Galois, vec![7; 60])]);
         assert_eq!(lru.held_bytes(), 60);
         let restored = (vec![2], vec![(KeyKind::Galois, vec![7; 60])]);
-        assert_eq!(lru.reseat(1), Ok(Some(restored)));
+        assert_eq!(lru.reseat(1, idle), Ok(Some(restored)));
         assert_eq!((lru.resident_bytes(), lru.held_bytes()), (60, 0));
-        assert_eq!(lru.reseat(1), Ok(None), "resident: nothing to restore");
+        assert_eq!(
+            lru.reseat(1, idle),
+            Ok(None),
+            "resident: nothing to restore"
+        );
         // A new session's failed key leaves no entry behind.
         lru.retract(2, KeyKind::Relin, None);
         assert!(!lru.has_entry(2));

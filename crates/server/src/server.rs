@@ -64,7 +64,7 @@
 //! [`ErrorCode`](crate::error::ErrorCode); neither the session nor the
 //! server is ever torn down by hostile or malformed input.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -135,7 +135,9 @@ pub trait ReplySink {
     /// The buffer the reply to the request at queue `position` (submission
     /// order, from 0) is appended to, told the reply frame's exact `len`
     /// before a byte of it is produced. `None` discards the reply; the
-    /// request has executed all the same (parking is a side effect).
+    /// request has executed all the same (parking is a side effect). A
+    /// frame [`Engine::handle`](crate::Engine::handle) answers at once has
+    /// the position of the next request queued.
     fn buffer_for(&mut self, position: usize, len: usize) -> Option<&mut Vec<u8>>;
 }
 
@@ -416,12 +418,10 @@ impl<'a> HeaxServer<'a> {
         self.queue.len()
     }
 
-    /// Requests currently queued for one session — the in-flight count
-    /// a transport-layer key cache must consult before evicting that
-    /// session's keys (an evicted session with queued work would fail
-    /// its own batch).
-    pub fn queued_for(&self, session: u64) -> usize {
-        self.queue.iter().filter(|p| p.session == session).count()
+    /// The sessions with requests queued: the in-flight work whose keys
+    /// must not be evicted before the flush that answers it.
+    pub(crate) fn queued_sessions(&self) -> HashSet<u64> {
+        self.queue.iter().map(|p| p.session).collect()
     }
 
     /// Whether the session is open.
@@ -433,17 +433,17 @@ impl<'a> HeaxServer<'a> {
     /// drops the decoded ones to free modeled DRAM, leaving the session
     /// itself open. The bytes are the keys' uploads exactly, since each
     /// key has one encoding; the caller holds them until the session
-    /// comes back (the [`crate::net`] session-key LRU restores them on
-    /// its next request). An empty list means the session held no keys.
+    /// comes back (an [`Engine`](crate::Engine) restores them on its next
+    /// request). An empty list means the session held no keys.
     ///
     /// The next key registration for this session is billed as a
     /// re-registration ([`ServerStats::key_reregistrations`]); the
     /// eviction itself increments [`ServerStats::key_evictions`] only
     /// when there was key material to drop.
     ///
-    /// Callers must not evict a session with queued requests — check
-    /// [`HeaxServer::queued_for`] first; this method does not second-
-    /// guess the cache policy.
+    /// Callers must not evict a session with queued requests, which would
+    /// fail in their batch; this method does not second-guess the cache
+    /// policy.
     ///
     /// # Errors
     ///

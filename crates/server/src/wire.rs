@@ -271,24 +271,6 @@ pub(crate) fn append_frame(
     out.extend_from_slice(payload);
 }
 
-/// Encodes a frame into a caller-provided buffer (cleared first).
-///
-/// # Panics
-///
-/// If `version` is not a known wire version — emitting undecodable
-/// frames is a caller bug, not an input condition.
-pub fn encode_frame_into(
-    version: u8,
-    kind: MessageKind,
-    session: u64,
-    request: u64,
-    payload: &[u8],
-    out: &mut Vec<u8>,
-) {
-    out.clear();
-    append_frame(version, kind, session, request, payload, out);
-}
-
 /// Encodes a frame at the given wire version.
 pub fn encode_frame(
     version: u8,
