@@ -3,7 +3,7 @@
 //! The HEAX paper's evaluation (Section 6) as library functions: each
 //! table, figure, ablation and extension renders the paper's artifact
 //! next to this reproduction's model or measurement into a
-//! [`Write`](std::io::Write). [`ARTIFACTS`] lists them by name; the one
+//! [`Write`]. [`ARTIFACTS`] lists them by name; the one
 //! binary, `repro`, prints any of them (all when none is named):
 //!
 //! ```text

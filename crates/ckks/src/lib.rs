@@ -67,6 +67,7 @@ pub mod keys;
 pub mod keyswitch;
 pub mod noise;
 pub mod params;
+pub mod reader;
 mod scratch;
 pub mod serialize;
 

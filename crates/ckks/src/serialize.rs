@@ -39,6 +39,20 @@
 //! allocation is sized by a wire field beyond a ciphertext's component
 //! count, which is at most 8: a decoded polynomial has the context's
 //! shape or is rejected before it is shaped.
+//!
+//! Every field is read through [`Reader`], which the wire decoders share,
+//! and the lints denied below make that totality a compile-time contract.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn
+)]
 
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::sampling::{expand_uniform_into, EXPAND_SEED_LEN};
@@ -48,6 +62,7 @@ use heax_math::MathError;
 use crate::ciphertext::{Ciphertext, Plaintext, SeededCiphertext};
 use crate::context::CkksContext;
 use crate::keys::{KeySwitchKey, PublicKey, RelinKey, SecretKey};
+use crate::reader::{Malformed, Reader};
 use crate::CkksError;
 
 /// Format magic: "HEAX".
@@ -125,133 +140,66 @@ impl Writer<'_> {
     }
 }
 
-/// A bounds-checked little-endian reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A reader over `buf` past its object header: the magic, the version
+/// and the tag `expect`.
+fn read_header(buf: &[u8], expect: Tag) -> Result<Reader<'_>, Malformed> {
+    let mut r = Reader::new(buf);
+    if r.take(4)? != MAGIC {
+        return Err(Malformed("bad magic"));
+    }
+    if r.u8()? != VERSION {
+        return Err(Malformed("unsupported version"));
+    }
+    match Tag::from_u8(r.u8()?) {
+        None => Err(Malformed("unknown tag")),
+        Some(tag) if tag != expect => Err(Malformed("unexpected object tag")),
+        Some(_) => Ok(r),
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+/// Reads a scale field, enforcing the same bound as parameter
+/// validation ([`crate::params::CkksParams::new`]): finite and `>= 2`,
+/// so malformed wire bytes can't smuggle a NaN/∞/subnormal scale into
+/// downstream rescale or multiply arithmetic.
+fn scale(r: &mut Reader<'_>) -> Result<f64, Malformed> {
+    let scale = r.f64()?;
+    if !(scale.is_finite() && scale >= 2.0) {
+        return Err(Malformed("scale must be finite and >= 2"));
     }
+    Ok(scale)
+}
 
-    fn error(what: &str) -> CkksError {
-        CkksError::InvalidParameters {
-            reason: format!("malformed serialized data: {what}"),
-        }
+/// One polynomial's metadata, bounds-checked, its words left in `r`'s
+/// buffer.
+fn poly<'a>(r: &mut Reader<'a>) -> Result<PolyView<'a>, Malformed> {
+    let n = r.u64()? as usize;
+    let repr = match r.u8()? {
+        0 => Representation::Coefficient,
+        1 => Representation::Ntt,
+        _ => return Err(Malformed("bad representation tag")),
+    };
+    let moduli = r.words()?;
+    let words = r.words()?;
+    let expect = (moduli.len() / 8)
+        .checked_mul(n)
+        .and_then(|count| count.checked_mul(8))
+        .ok_or(Malformed("data length overflow"))?;
+    if words.len() != expect {
+        return Err(Malformed("data shorter than moduli require"));
     }
+    Ok(PolyView {
+        n,
+        repr,
+        moduli,
+        words,
+    })
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkksError> {
-        // `get(..n)` on the tail (not `pos + n > len`): the latter
-        // overflows for hostile 64-bit length fields routed here by the
-        // container formats.
-        let s = self
-            .buf
-            .get(self.pos..)
-            .and_then(|rest| rest.get(..n))
-            .ok_or_else(|| Self::error("truncated"))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn header(&mut self, expect: Tag) -> Result<(), CkksError> {
-        let magic = self.take(4)?;
-        if magic != MAGIC {
-            return Err(Self::error("bad magic"));
-        }
-        let version = self.u8()?;
-        if version != VERSION {
-            return Err(Self::error("unsupported version"));
-        }
-        let tag = Tag::from_u8(self.u8()?).ok_or_else(|| Self::error("unknown tag"))?;
-        if tag != expect {
-            return Err(Self::error("unexpected object tag"));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, CkksError> {
-        match self.take(1)? {
-            &[b] => Ok(b),
-            _ => Err(Self::error("truncated")),
-        }
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CkksError> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| Self::error("truncated"))
-    }
-
-    fn u64(&mut self) -> Result<u64, CkksError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, CkksError> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
-    /// A word count and that many little-endian words, left as the
-    /// bytes they arrived in. The count is bounded by the bytes actually
-    /// present, and nothing here or downstream sizes an allocation by it.
-    fn words(&mut self) -> Result<&'a [u8], CkksError> {
-        let n = self.u64()? as usize;
-        if n > (self.buf.len() - self.pos) / 8 {
-            return Err(Self::error("length field exceeds remaining bytes"));
-        }
-        self.take(8 * n)
-    }
-
-    /// Reads a scale field, enforcing the same bound as parameter
-    /// validation ([`crate::params::CkksParams::new`]): finite and
-    /// `>= 2`, so malformed wire bytes can't smuggle a NaN/∞/subnormal
-    /// scale into downstream rescale or multiply arithmetic.
-    fn scale(&mut self) -> Result<f64, CkksError> {
-        let scale = self.f64()?;
-        if !(scale.is_finite() && scale >= 2.0) {
-            return Err(Self::error("scale must be finite and >= 2"));
-        }
-        Ok(scale)
-    }
-
-    fn poly(&mut self) -> Result<PolyView<'a>, CkksError> {
-        let n = self.u64()? as usize;
-        let repr = match self.u8()? {
-            0 => Representation::Coefficient,
-            1 => Representation::Ntt,
-            _ => return Err(Self::error("bad representation tag")),
-        };
-        let moduli = self.words()?;
-        let words = self.words()?;
-        let expect = (moduli.len() / 8)
-            .checked_mul(n)
-            .and_then(|count| count.checked_mul(8))
-            .ok_or_else(|| Self::error("data length overflow"))?;
-        if words.len() != expect {
-            return Err(Self::error("data shorter than moduli require"));
-        }
-        Ok(PolyView {
-            n,
-            repr,
-            moduli,
-            words,
-        })
-    }
-
-    /// A key polynomial, decoded against the whole chain.
-    fn full_chain_poly(&mut self, ctx: &CkksContext) -> Result<RnsPoly, CkksError> {
-        let mut poly = blank_poly();
-        self.poly()?.decode_full_chain(ctx, &mut poly)?;
-        Ok(poly)
-    }
-
-    fn finish(&self) -> Result<(), CkksError> {
-        if self.pos != self.buf.len() {
-            return Err(Self::error("trailing bytes"));
-        }
-        Ok(())
-    }
+/// A key polynomial, decoded against the whole chain.
+fn full_chain_poly(r: &mut Reader<'_>, ctx: &CkksContext) -> Result<RnsPoly, CkksError> {
+    let mut poly = blank_poly();
+    self::poly(r)?.decode_full_chain(ctx, &mut poly)?;
+    Ok(poly)
 }
 
 /// A zero-copy view over one serialized polynomial: metadata is parsed and
@@ -293,14 +241,17 @@ impl PolyView<'_> {
     /// Panics if `residue` or `index` is out of range (the view's shape is
     /// already validated, so in-range access never fails).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "documented `# Panics` accessor, not a decode path; in range, the slice is 8 bytes"
+    )]
     pub fn word(&self, residue: usize, index: usize) -> u64 {
-        // heax-lint: allow(L2) -- documented `# Panics` precondition API, not a decode entry point
         assert!(
             residue < self.num_residues() && index < self.n,
             "out of range"
         );
         let off = (residue * self.n + index) * 8;
-        // heax-lint: allow(L2) -- in range: the view's shape was bounds-checked at parse time
         u64::from_le_bytes(self.words[off..off + 8].try_into().expect("8 bytes"))
     }
 
@@ -322,10 +273,10 @@ impl PolyView<'_> {
         dst: &mut RnsPoly,
     ) -> Result<(), CkksError> {
         if self.n != ctx.n() {
-            return Err(Reader::error("ring degree mismatch"));
+            return Err(Malformed("ring degree mismatch").into());
         }
         if level > ctx.max_level() || self.num_residues() != level + 1 {
-            return Err(Reader::error("level mismatch"));
+            return Err(Malformed("level mismatch").into());
         }
         self.decode_words(ctx.level_moduli(level), dst)
     }
@@ -333,7 +284,7 @@ impl PolyView<'_> {
     /// Decodes a key polynomial, which spans the whole chain, into `dst`.
     fn decode_full_chain(&self, ctx: &CkksContext, dst: &mut RnsPoly) -> Result<(), CkksError> {
         if self.n != ctx.n() || self.num_residues() != ctx.moduli().len() {
-            return Err(Reader::error("full-chain shape mismatch"));
+            return Err(Malformed("full-chain shape mismatch").into());
         }
         self.decode_words(ctx.moduli(), dst)
     }
@@ -346,7 +297,7 @@ impl PolyView<'_> {
     /// bulk loop.
     fn decode_words(&self, moduli: &[Modulus], dst: &mut RnsPoly) -> Result<(), CkksError> {
         if !self.modulus_values().eq(moduli.iter().map(Modulus::value)) {
-            return Err(Reader::error("modulus chain mismatch"));
+            return Err(Malformed("modulus chain mismatch").into());
         }
         dst.reshape(self.n, moduli, self.repr);
         let limbs = self.words.chunks_exact(8 * self.n);
@@ -359,7 +310,7 @@ impl PolyView<'_> {
             canonical &= m.decode_le_words(src, limb);
         }
         if !canonical {
-            return Err(Reader::error("non-canonical residue"));
+            return Err(Malformed("non-canonical residue").into());
         }
         Ok(())
     }
@@ -438,11 +389,10 @@ pub fn serialize_plaintext_into(pt: &Plaintext, buf: &mut Vec<u8>) {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_plaintext(buf: &[u8], ctx: &CkksContext) -> Result<Plaintext, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::Plaintext)?;
+    let mut r = read_header(buf, Tag::Plaintext)?;
     let level = r.u64()? as usize;
-    let scale = r.scale()?;
-    let view = r.poly()?;
+    let scale = scale(&mut r)?;
+    let view = poly(&mut r)?;
     r.finish()?;
     let mut poly = blank_poly();
     view.decode_at_level(ctx, level, &mut poly)?;
@@ -525,12 +475,11 @@ struct SeededView<'a> {
 
 impl<'a> SeededView<'a> {
     fn parse(buf: &'a [u8]) -> Result<Self, CkksError> {
-        let mut r = Reader::new(buf);
-        r.header(Tag::SeededCiphertext)?;
+        let mut r = read_header(buf, Tag::SeededCiphertext)?;
         let level = r.u64()? as usize;
-        let scale = r.scale()?;
+        let scale = scale(&mut r)?;
         let seed = r.array()?;
-        let b = r.poly()?;
+        let b = poly(&mut r)?;
         r.finish()?;
         Ok(Self {
             level,
@@ -608,17 +557,16 @@ impl<'a> CiphertextView<'a> {
     ///
     /// [`CkksError::InvalidParameters`] on malformed input.
     pub fn parse(buf: &'a [u8]) -> Result<Self, CkksError> {
-        let mut r = Reader::new(buf);
-        r.header(Tag::Ciphertext)?;
+        let mut r = read_header(buf, Tag::Ciphertext)?;
         let level = r.u64()? as usize;
-        let scale = r.scale()?;
+        let scale = scale(&mut r)?;
         let size = r.u64()? as usize;
         if !(2..=8).contains(&size) {
-            return Err(Reader::error("implausible component count"));
+            return Err(Malformed("implausible component count").into());
         }
         let mut components = Vec::with_capacity(size);
         for _ in 0..size {
-            components.push(r.poly()?);
+            components.push(poly(&mut r)?);
         }
         r.finish()?;
         Ok(Self {
@@ -652,8 +600,11 @@ impl<'a> CiphertextView<'a> {
     ///
     /// Panics if `i >= self.size()`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented `# Panics` accessor, not a decode path"
+    )]
     pub fn component(&self, i: usize) -> &PolyView<'a> {
-        // heax-lint: allow(L2) -- documented `# Panics` precondition API, not a decode entry point
         &self.components[i]
     }
 
@@ -802,9 +753,8 @@ pub fn serialize_secret_key(sk: &SecretKey) -> Vec<u8> {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_secret_key(buf: &[u8], ctx: &CkksContext) -> Result<SecretKey, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::SecretKey)?;
-    let poly = r.full_chain_poly(ctx)?;
+    let mut r = read_header(buf, Tag::SecretKey)?;
+    let poly = full_chain_poly(&mut r, ctx)?;
     r.finish()?;
     Ok(SecretKey { poly })
 }
@@ -826,10 +776,9 @@ pub fn serialize_public_key(pk: &PublicKey) -> Vec<u8> {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_public_key(buf: &[u8], ctx: &CkksContext) -> Result<PublicKey, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::PublicKey)?;
-    let b = r.full_chain_poly(ctx)?;
-    let a = r.full_chain_poly(ctx)?;
+    let mut r = read_header(buf, Tag::PublicKey)?;
+    let b = full_chain_poly(&mut r, ctx)?;
+    let a = full_chain_poly(&mut r, ctx)?;
     r.finish()?;
     Ok(PublicKey { b, a })
 }
@@ -855,16 +804,15 @@ pub fn serialize_ksk(ksk: &KeySwitchKey) -> Vec<u8> {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_ksk(buf: &[u8], ctx: &CkksContext) -> Result<KeySwitchKey, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::KeySwitchKey)?;
+    let mut r = read_header(buf, Tag::KeySwitchKey)?;
     let d = r.u64()? as usize;
     if d != ctx.params().k() {
-        return Err(Reader::error("decomposition length mismatch"));
+        return Err(Malformed("decomposition length mismatch").into());
     }
     let mut components = Vec::with_capacity(d);
     for _ in 0..d {
-        let b = r.full_chain_poly(ctx)?;
-        let a = r.full_chain_poly(ctx)?;
+        let b = full_chain_poly(&mut r, ctx)?;
+        let a = full_chain_poly(&mut r, ctx)?;
         components.push((b, a));
     }
     r.finish()?;
@@ -913,11 +861,10 @@ pub fn deserialize_galois_keys(
     buf: &[u8],
     ctx: &CkksContext,
 ) -> Result<crate::keys::GaloisKeys, CkksError> {
-    let mut r = Reader::new(buf);
-    r.header(Tag::KeySwitchKey)?;
+    let mut r = read_header(buf, Tag::KeySwitchKey)?;
     let count = r.u64()? as usize;
     if count > 4096 {
-        return Err(Reader::error("implausible Galois key count"));
+        return Err(Malformed("implausible Galois key count").into());
     }
     let mut keys = std::collections::HashMap::new();
     let mut permutations = std::collections::HashMap::new();
@@ -925,10 +872,10 @@ pub fn deserialize_galois_keys(
     for _ in 0..count {
         let elt = r.u64()? as usize;
         if elt.is_multiple_of(2) || elt >= 2 * ctx.n() {
-            return Err(Reader::error("invalid Galois element"));
+            return Err(Malformed("invalid Galois element").into());
         }
         if elt < floor {
-            return Err(Reader::error("Galois elements not strictly increasing"));
+            return Err(Malformed("Galois elements not strictly increasing").into());
         }
         floor = elt + 1;
         let len = r.u64()? as usize;
@@ -1072,6 +1019,18 @@ mod tests {
         tampered[len - 1] = 0xff;
         tampered[len - 2] = 0xff;
         assert!(deserialize_ciphertext(&tampered, &r.ctx).is_err());
+    }
+
+    /// Error frames carry this text to clients: the shared reader keeps it.
+    #[test]
+    fn truncated_and_trailing_input_text_is_pinned() {
+        let r = rig();
+        let bytes = serialize_ciphertext(&r.ct);
+        let text = |b: &[u8]| deserialize_ciphertext(b, &r.ctx).unwrap_err().to_string();
+        let malformed = "invalid parameters: malformed serialized data";
+        assert_eq!(text(&bytes[..10]), format!("{malformed}: truncated"));
+        let long = [&bytes[..], &[0]].concat();
+        assert_eq!(text(&long), format!("{malformed}: trailing bytes"));
     }
 
     #[test]

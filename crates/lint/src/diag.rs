@@ -4,7 +4,7 @@
 //! line or the line directly above it:
 //!
 //! ```text
-//! // heax-lint: allow(L2) -- PolyView::word is a documented precondition API
+//! // heax-lint: allow(L5) -- a poisoned queue is unrecoverable here; the panic is the report
 //! ```
 //!
 //! The `-- reason` part is mandatory; a directive without a non-empty
@@ -14,17 +14,15 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// Identity of a lint rule.
+/// Identity of a lint rule. `L2` and `L3` are retired, their numbers
+/// not reused: decode totality and `// SAFETY:` comments are clippy
+/// lints the compiler enforces (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Allowlist hygiene: malformed `heax-lint:` directives.
     L0,
     /// Domain-contract annotations on lazy-reduction kernels.
     L1,
-    /// Decode totality: no panic paths on wire/serialize input.
-    L2,
-    /// `// SAFETY:` justification on every `unsafe` block/impl.
-    L3,
     /// Saturating-only mutation of `*Stats` / `*Report` counters.
     L4,
     /// Lock discipline: `.lock()` must recover from poisoning.
@@ -33,22 +31,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 6] = [
-        RuleId::L0,
-        RuleId::L1,
-        RuleId::L2,
-        RuleId::L3,
-        RuleId::L4,
-        RuleId::L5,
-    ];
+    pub const ALL: [RuleId; 4] = [RuleId::L0, RuleId::L1, RuleId::L4, RuleId::L5];
 
     /// Short machine-readable code (`"L1"` …), as used in allow directives.
     pub fn code(self) -> &'static str {
         match self {
             RuleId::L0 => "L0",
             RuleId::L1 => "L1",
-            RuleId::L2 => "L2",
-            RuleId::L3 => "L3",
             RuleId::L4 => "L4",
             RuleId::L5 => "L5",
         }
@@ -59,8 +48,6 @@ impl RuleId {
         match self {
             RuleId::L0 => "allow-syntax",
             RuleId::L1 => "domain-contract",
-            RuleId::L2 => "decode-totality",
-            RuleId::L3 => "safety-comment",
             RuleId::L4 => "saturating-counters",
             RuleId::L5 => "lock-discipline",
         }
@@ -107,7 +94,7 @@ impl Diagnostic {
         }
     }
 
-    /// `path:line: [L2 decode-totality] message` — the CLI output format.
+    /// `path:line: [L5 lock-discipline] message` — the CLI output format.
     pub fn render(&self) -> String {
         format!(
             "{}:{}: [{}] {}",
@@ -217,15 +204,15 @@ mod tests {
 
     #[test]
     fn well_formed_allow_parses() {
-        let (allows, diags) = parse("// heax-lint: allow(L2, L4) -- measured, safe");
+        let (allows, diags) = parse("// heax-lint: allow(L1, L4) -- measured, safe");
         assert!(diags.is_empty());
         assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].rules, vec![RuleId::L2, RuleId::L4]);
+        assert_eq!(allows[0].rules, vec![RuleId::L1, RuleId::L4]);
     }
 
     #[test]
     fn missing_reason_is_reported_and_ignored() {
-        let (allows, diags) = parse("// heax-lint: allow(L2)");
+        let (allows, diags) = parse("// heax-lint: allow(L5)");
         assert!(allows.is_empty());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RuleId::L0);

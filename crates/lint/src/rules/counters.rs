@@ -10,7 +10,7 @@
 //! stores, `.max(`-style high-water updates included, remain legal).
 
 use crate::diag::{Diagnostic, RuleId};
-use crate::rules::is_ident_char;
+use crate::rules::{is_ident_char, token_positions};
 use crate::scanner::SourceFile;
 use std::collections::HashMap;
 
@@ -92,10 +92,8 @@ pub fn check(file: &SourceFile, fields: &FieldMap) -> Vec<Diagnostic> {
         }
         for (field, owner) in fields {
             let needle = format!(".{field}");
-            let mut from = 0;
-            while let Some(at) = l.code[from..].find(&needle) {
-                let pos = from + at;
-                from = pos + needle.len();
+            for pos in token_positions(&l.code, &needle) {
+                let from = pos + needle.len();
                 // Field access must end exactly at the needle.
                 if l.code[from..].chars().next().is_some_and(is_ident_char) {
                     continue;

@@ -16,6 +16,7 @@
 //! accepted — that is visibly handling the error.
 
 use crate::diag::{Diagnostic, RuleId};
+use crate::rules::token_positions;
 use crate::scanner::SourceFile;
 
 /// How far past `.lock()` the rule reads to classify the follow-up.
@@ -31,10 +32,8 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
         if l.in_test {
             continue;
         }
-        let mut from = 0;
-        while let Some(at) = l.code[from..].find(".lock()") {
-            let pos = from + at + ".lock()".len();
-            from = pos;
+        for at in token_positions(&l.code, ".lock()") {
+            let pos = at + ".lock()".len();
             // Same-line remainder plus a few following lines.
             let mut after = l.code[pos..].to_string();
             for next in file.lines.iter().skip(i + 1).take(LOOKAHEAD_LINES) {

@@ -4,8 +4,6 @@
 pub mod counters;
 pub mod domain;
 pub mod locks;
-pub mod safety;
-pub mod totality;
 
 /// True for characters that can continue a Rust identifier.
 pub(crate) fn is_ident_char(c: char) -> bool {
@@ -32,11 +30,6 @@ pub(crate) fn token_positions(hay: &str, needle: &str) -> Vec<usize> {
         from = pos + needle.len();
     }
     out
-}
-
-/// The last non-whitespace char of `s`, if any.
-pub(crate) fn last_nonspace(s: &str) -> Option<char> {
-    s.chars().rev().find(|c| !c.is_whitespace())
 }
 
 #[cfg(test)]

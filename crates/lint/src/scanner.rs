@@ -55,11 +55,6 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// File name (`serialize.rs` etc.), empty when the path has none.
-    pub fn file_name(&self) -> &str {
-        self.path.file_name().and_then(|n| n.to_str()).unwrap_or("")
-    }
-
     /// True when the file lives under a `tests/`, `benches/` or
     /// `examples/` directory *below the lint root* — integration tests
     /// and benches are exempt from the production-contract rules.

@@ -9,6 +9,7 @@
 
 use core::fmt;
 
+use heax_ckks::reader::Malformed;
 use heax_ckks::CkksError;
 
 /// Numeric error codes carried by wire error frames.
@@ -166,6 +167,13 @@ impl std::error::Error for ServerError {
             ServerError::Ckks(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<Malformed> for ServerError {
+    /// `malformed message: <reason>`.
+    fn from(Malformed(what): Malformed) -> Self {
+        ServerError::malformed(what)
     }
 }
 

@@ -98,7 +98,7 @@ use crate::engine::Engine;
 use crate::error::ErrorCode;
 use crate::server::{HeaxServer, ReplySink};
 pub use crate::session::KeyKind;
-use crate::wire::{self, MessageKind, FRAME_HEADER_LEN, FRAME_MAGIC};
+use crate::wire::{self, MessageKind, FRAME_HEADER_LEN};
 
 /// Hard cap on a single frame's payload length accepted by the
 /// transport (64 MiB). A header announcing more is a framing attack
@@ -320,15 +320,12 @@ impl FrameAssembler {
     /// The length of the frame at the head of the buffer, header
     /// included, once its header is all there.
     fn frame_len(&self) -> Result<Option<usize>, FrameIntakeError> {
-        let Some(header) = self.buf[self.head..self.tail].first_chunk::<FRAME_HEADER_LEN>() else {
+        let Some(header) = wire::FrameHeader::peek(&self.buf[self.head..self.tail])
+            .map_err(|_| FrameIntakeError::BadMagic)?
+        else {
             return Ok(None);
         };
-        if header[..4] != FRAME_MAGIC {
-            return Err(FrameIntakeError::BadMagic);
-        }
-        // Payload length: the little-endian u32 closing the header
-        // (after magic, version, kind, session, request).
-        let len = u32::from_le_bytes([header[22], header[23], header[24], header[25]]);
+        let len = header.payload_len;
         if len > self.max_payload {
             return Err(FrameIntakeError::Oversized {
                 len,

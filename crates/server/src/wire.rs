@@ -40,11 +40,26 @@
 //! Like the object codecs underneath, frame and body decoding is
 //! **total on untrusted input**: every length field is bounded by the
 //! bytes actually present before any allocation, and every failure is a
-//! structured [`ServerError`] — never a panic. The server answers a
-//! frame it cannot decode with an error frame instead of dropping the
+//! structured [`ServerError`] — never a panic. Both layers read through
+//! the one bounds-checked [`Reader`], and the lints denied below hold
+//! this module to totality at compile time. The server answers a frame
+//! it cannot decode with an error frame instead of dropping the
 //! connection state.
 //!
 //! [`HeaxServer`]: crate::server::HeaxServer
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn
+)]
+
+use heax_ckks::reader::{Malformed, Reader};
 
 use crate::error::{ErrorCode, ServerError};
 
@@ -239,7 +254,6 @@ fn put_header(
     request: u64,
     payload_len: usize,
 ) {
-    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
     assert!(
         (WIRE_V1..=WIRE_VERSION).contains(&version),
         "unknown wire version {version}"
@@ -312,7 +326,6 @@ fn put_operand(out: &mut Vec<u8>, operand: &WireOperand<'_>) {
 /// If `req.compress_reply` is set at [`WIRE_V1`] — the v1 body cannot
 /// carry the flag, and silently dropping it would corrupt intent.
 pub fn encode_request(version: u8, req: &Request<'_>) -> Vec<u8> {
-    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
     assert!(
         version >= WIRE_V2 || !req.compress_reply,
         "compress_reply requires wire v2"
@@ -401,70 +414,47 @@ pub fn encode_error(code: ErrorCode, message: &str) -> Vec<u8> {
 // Decoding (total on untrusted input)
 // ---------------------------------------------------------------------
 
-/// A bounds-checked little-endian reader over untrusted bytes.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A `u32`-length-prefixed UTF-8 name.
+fn name<'a>(r: &mut Reader<'a>) -> Result<&'a str, ServerError> {
+    core::str::from_utf8(r.bytes()?).map_err(|_| ServerError::malformed("name is not UTF-8"))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+/// The fixed-size head of every frame, fields in wire order: the one
+/// place the header layout is read. Only the magic is checked here; the
+/// version and kind bytes are [`decode_frame`]'s to judge, so the
+/// transport still lends a frame carrying bad ones to the server, which
+/// answers it with an error frame.
+pub(crate) struct FrameHeader {
+    version: u8,
+    kind: u8,
+    session: u64,
+    request: u64,
+    /// Payload byte count.
+    pub(crate) payload_len: u32,
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServerError> {
-        // `get(..n)` on the tail, never `pos + n > len`: the latter
-        // overflows on hostile length fields.
-        let s = self
-            .buf
-            .get(self.pos..)
-            .and_then(|rest| rest.get(..n))
-            .ok_or_else(|| ServerError::malformed("truncated"))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServerError> {
-        match self.take(1)? {
-            &[b] => Ok(b),
-            _ => Err(ServerError::malformed("truncated")),
+impl FrameHeader {
+    /// Reads the header at the front of `r`.
+    fn read(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+        if r.take(4)? != FRAME_MAGIC {
+            return Err(Malformed("bad frame magic"));
         }
+        Ok(Self {
+            version: r.u8()?,
+            kind: r.u8()?,
+            session: r.u64()?,
+            request: r.u64()?,
+            payload_len: r.u32()?,
+        })
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], ServerError> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| ServerError::malformed("truncated"))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServerError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServerError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn i64(&mut self) -> Result<i64, ServerError> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-
-    /// A `u32`-length-prefixed byte run; the length is bounded by the
-    /// remaining buffer before any slicing.
-    fn bytes(&mut self) -> Result<&'a [u8], ServerError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    fn str(&mut self) -> Result<&'a str, ServerError> {
-        core::str::from_utf8(self.bytes()?).map_err(|_| ServerError::malformed("name is not UTF-8"))
-    }
-
-    fn finish(&self) -> Result<(), ServerError> {
-        if self.pos != self.buf.len() {
-            return Err(ServerError::malformed("trailing bytes"));
+    /// The header at the front of `buf`, once all [`FRAME_HEADER_LEN`]
+    /// bytes of it have arrived; `"bad frame magic"` if it is not one.
+    pub(crate) fn peek(buf: &[u8]) -> Result<Option<Self>, Malformed> {
+        if buf.len() < FRAME_HEADER_LEN {
+            return Ok(None);
         }
-        Ok(())
+        Self::read(&mut Reader::new(buf)).map(Some)
     }
 }
 
@@ -476,37 +466,24 @@ impl<'a> Reader<'a> {
 /// regardless of input.
 pub fn decode_frame(buf: &[u8]) -> Result<Frame<'_>, ServerError> {
     let mut r = Reader::new(buf);
-    if r.take(4)? != FRAME_MAGIC {
-        return Err(ServerError::malformed("bad frame magic"));
-    }
-    let version = r.u8()?;
+    let header = FrameHeader::read(&mut r)?;
+    let version = header.version;
     if !(WIRE_V1..=WIRE_VERSION).contains(&version) {
         return Err(ServerError::malformed(format!(
             "unsupported wire version {version}"
         )));
     }
-    let kind = MessageKind::from_u8(r.u8()?)
+    let kind = MessageKind::from_u8(header.kind)
         .ok_or_else(|| ServerError::malformed("unknown message kind"))?;
-    let session = r.u64()?;
-    let request = r.u64()?;
-    let len = r.u32()? as usize;
-    let payload = r.take(len)?;
+    let payload = r.take(header.payload_len as usize)?;
     r.finish()?;
     Ok(Frame {
         version,
         kind,
-        session,
-        request,
+        session: header.session,
+        request: header.request,
         payload,
     })
-}
-
-fn decode_operand<'a>(r: &mut Reader<'a>) -> Result<WireOperand<'a>, ServerError> {
-    match r.u8()? {
-        0 => Ok(WireOperand::Inline(r.bytes()?)),
-        1 => Ok(WireOperand::Parked(r.str()?)),
-        _ => Err(ServerError::malformed("unknown operand tag")),
-    }
 }
 
 /// Decodes a request body laid out per the given wire version (the
@@ -536,7 +513,7 @@ pub fn decode_request(buf: &[u8], version: u8) -> Result<Request<'_>, ServerErro
     let park_as = match r.u8()? {
         0 => None,
         1 => {
-            let name = r.str()?;
+            let name = name(&mut r)?;
             if name.is_empty() || name.len() > 256 {
                 return Err(ServerError::malformed("park name must be 1..=256 bytes"));
             }
@@ -557,7 +534,11 @@ pub fn decode_request(buf: &[u8], version: u8) -> Result<Request<'_>, ServerErro
     }
     let mut operands = Vec::with_capacity(count);
     for _ in 0..count {
-        operands.push(decode_operand(&mut r)?);
+        operands.push(match r.u8()? {
+            0 => WireOperand::Inline(r.bytes()?),
+            1 => WireOperand::Parked(name(&mut r)?),
+            _ => return Err(ServerError::malformed("unknown operand tag")),
+        });
     }
     r.finish()?;
     Ok(Request {
@@ -722,6 +703,23 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Error frames carry this text to clients: the shared reader keeps it.
+    #[test]
+    fn truncated_and_trailing_input_text_is_pinned() {
+        let frame = client::rotate(1, 2, b"ct", 1);
+        let body = &frame[FRAME_HEADER_LEN..];
+        let short = |b: &[u8]| b[..b.len() - 1].to_vec();
+        let long = |b: &[u8]| [b, &[0]].concat();
+        let truncated = "malformed message: truncated";
+        let trailing = "malformed message: trailing bytes";
+        let frame_text = |b: &[u8]| decode_frame(b).unwrap_err().to_string();
+        let body_text = |b: &[u8]| decode_request(b, WIRE_V2).unwrap_err().to_string();
+        assert_eq!(frame_text(&short(&frame)), truncated);
+        assert_eq!(frame_text(&long(&frame)), trailing);
+        assert_eq!(body_text(&short(body)), truncated);
+        assert_eq!(body_text(&long(body)), trailing);
+    }
 
     #[test]
     fn frame_roundtrip() {

@@ -23,7 +23,9 @@ use heax_ckks::{encrypt_symmetric, CkksContext, CkksEncoder, GaloisKeys, RelinKe
 use heax_hw::board::Board;
 use heax_server::server::ReplySink;
 use heax_server::wire::client::{self, Reply};
-use heax_server::wire::{OpCode, Request, WireOperand, FRAME_HEADER_LEN};
+use heax_server::wire::{
+    self, MessageKind, OpCode, Request, WireOperand, FRAME_HEADER_LEN, WIRE_VERSION,
+};
 use heax_server::{Engine, ErrorCode, HeaxServer, NetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -394,6 +396,27 @@ fn every_lifecycle_sequence_to_depth_4_matches_the_model() {
             steps.len(),
             listed.join(", ")
         );
+    }
+}
+
+/// Error frames carry the decoders' text to clients: the engine answers a
+/// truncated and an over-long request body in the shared reader's words.
+#[test]
+fn malformed_bodies_are_answered_in_the_readers_words() {
+    let fixture = Fixture::new();
+    let (mut engine, _, _) = fixture.start();
+    let mut replies = Replies::default();
+    let body = &fixture.frames[0][Act::UseParked as usize][FRAME_HEADER_LEN..];
+    let long = [body, &[0]].concat();
+    for (body, text) in [
+        (&body[..body.len() - 1], "malformed message: truncated"),
+        (&long[..], "malformed message: trailing bytes"),
+    ] {
+        let frame = wire::encode_frame(WIRE_VERSION, MessageKind::Request, 1, 0, body);
+        assert!(!engine.handle(&frame, &mut replies), "answered, not queued");
+        let (_, _, reply) = client::parse_reply(&replies.0.pop().unwrap()).unwrap();
+        let (code, message) = (ErrorCode::Malformed, text.to_string());
+        assert_eq!(reply, Reply::Error { code, message });
     }
 }
 
