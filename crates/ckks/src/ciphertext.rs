@@ -107,12 +107,6 @@ impl Ciphertext {
         &self.polys
     }
 
-    /// The components, for a caller that recycles their polynomials.
-    #[inline]
-    pub fn into_components(self) -> Vec<RnsPoly> {
-        self.polys
-    }
-
     /// Level in the modulus chain (number of active primes minus one).
     #[inline]
     pub fn level(&self) -> usize {

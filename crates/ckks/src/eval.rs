@@ -30,7 +30,6 @@ use crate::flooring::floor_last_into;
 use crate::galois::{apply_galois_ntt_into, galois_elt_conjugate, galois_elt_from_step};
 use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
 use crate::keyswitch::{KeySwitcher, KsBuffers, TableNtt};
-use crate::scratch::KeySwitchScratch;
 use crate::CkksError;
 
 /// Relative tolerance when comparing scales of operands.
@@ -44,16 +43,17 @@ const SCALE_RTOL: f64 = 1e-9;
 /// [`Evaluator::with_executor`] to pin an explicit backend. All backends
 /// are bit-identical.
 ///
-/// The evaluator owns a `KeySwitchScratch` buffer pool (behind a mutex,
-/// so the type stays `Sync`): key switching, rescaling, and rotation
-/// reuse the same accumulators and per-limb lanes instead of allocating
-/// on every call — [`Evaluator::key_switch_into`] is allocation-free
-/// after warm-up. Cloning an evaluator starts a fresh (cold) workspace.
+/// The evaluator owns a [`KsBuffers`] workspace (behind a mutex, so the
+/// type stays `Sync`): key switching, rescaling, and rotation reuse the
+/// same accumulators and per-limb lanes instead of allocating on every
+/// call. Every polynomial an op makes comes from
+/// [`RnsPoly::for_overwrite`], so a warm circuit reuses its previous
+/// outputs' buffers, unfilled. Cloning starts a fresh (cold) workspace.
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     ctx: &'a CkksContext,
     exec: Arc<dyn Executor>,
-    scratch: Mutex<KeySwitchScratch>,
+    scratch: Mutex<KsBuffers>,
 }
 
 impl Clone for Evaluator<'_> {
@@ -61,7 +61,7 @@ impl Clone for Evaluator<'_> {
         Self {
             ctx: self.ctx,
             exec: self.exec.clone(),
-            scratch: Mutex::new(KeySwitchScratch::new()),
+            scratch: Mutex::default(),
         }
     }
 }
@@ -78,14 +78,14 @@ impl<'a> Evaluator<'a> {
         Self {
             ctx,
             exec,
-            scratch: Mutex::new(KeySwitchScratch::new()),
+            scratch: Mutex::default(),
         }
     }
 
-    /// Locks the scratch workspace (recovering from a poisoned lock — the
-    /// buffers hold no invariants a panic could break mid-update that the
-    /// per-call `fill(0)` / `ensure` reshaping does not restore).
-    fn scratch(&self) -> std::sync::MutexGuard<'_, KeySwitchScratch> {
+    /// Locks the scratch workspace, recovering from a poisoned lock: every
+    /// call overwrites the words it reads back, and `ensure` restores the
+    /// shapes, so a panic mid-update breaks no invariant.
+    fn scratch(&self) -> std::sync::MutexGuard<'_, KsBuffers> {
         self.scratch.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -127,8 +127,17 @@ impl<'a> Evaluator<'a> {
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CkksError> {
         self.check_pair(a, b)?;
         let (longer, shorter) = if a.size() >= b.size() { (a, b) } else { (b, a) };
-        let mut sum = longer.clone();
-        sum.scale = a.scale;
+        // A copy of `longer` in recycled buffers, not a fresh clone.
+        let polys = longer.polys.iter().map(|c| {
+            let mut copy = RnsPoly::for_overwrite(c.n(), c.moduli(), c.representation());
+            copy.data_mut().copy_from_slice(c.data());
+            copy
+        });
+        let mut sum = Ciphertext {
+            polys: polys.collect(),
+            level: a.level,
+            scale: a.scale,
+        };
         self.add_assign(&mut sum, shorter)?;
         Ok(sum)
     }
@@ -250,9 +259,9 @@ impl<'a> Evaluator<'a> {
         }
         let mut polys = Vec::with_capacity(a.size());
         for c in &a.polys {
-            // Write the product straight into the fresh output instead of
+            // Write the product straight into the output instead of
             // cloning `c` first (clone-then-overwrite is a wasted memcpy).
-            let mut prod = RnsPoly::zero(self.ctx.n(), c.moduli(), c.representation());
+            let mut prod = RnsPoly::for_overwrite(self.ctx.n(), c.moduli(), c.representation());
             prod.dyadic_mul_set_with(c, &pt.poly, self.exec.as_ref())?;
             polys.push(prod);
         }
@@ -276,7 +285,7 @@ impl<'a> Evaluator<'a> {
         for t in 0..out_size {
             // First contributing pair writes the product directly; the
             // rest accumulate — no add-onto-zero pass, bit-identical sums.
-            let mut ct = RnsPoly::zero(self.ctx.n(), moduli, Representation::Ntt);
+            let mut ct = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
             let i_lo = (t + 1).saturating_sub(beta);
             for i in i_lo..=t.min(alpha - 1) {
                 let j = t - i;
@@ -347,13 +356,12 @@ impl<'a> Evaluator<'a> {
         let out_moduli = self.ctx.level_moduli(a.level - 1);
         let mut polys = Vec::with_capacity(a.size());
         let mut guard = self.scratch();
-        let bufs = &mut guard.ks;
-        bufs.ensure(self.ctx, a.level);
+        guard.ensure(self.ctx, a.level);
         let KsBuffers {
             lane, drop_coeff, ..
-        } = bufs;
+        } = &mut *guard;
         for c in &a.polys {
-            let mut out = RnsPoly::zero(n, out_moduli, Representation::Ntt);
+            let mut out = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
             floor_last_into(
                 c,
                 self.ctx,
@@ -377,16 +385,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// [`CkksError::LevelExhausted`] at level 0.
     pub fn mod_switch_to_next(&self, a: &Ciphertext) -> Result<Ciphertext, CkksError> {
-        if a.level == 0 {
-            return Err(CkksError::LevelExhausted);
-        }
-        let mut polys = Vec::with_capacity(a.size());
-        for c in &a.polys {
-            let mut p = c.clone();
-            p.pop_residue();
-            polys.push(p);
-        }
-        Ciphertext::from_parts(polys, a.level - 1, a.scale)
+        let target = a.level.checked_sub(1).ok_or(CkksError::LevelExhausted)?;
+        self.mod_switch_to_level(a, target)
     }
 
     /// Modulus-switches down to an arbitrary `target` level (repeated
@@ -447,8 +447,8 @@ impl<'a> Evaluator<'a> {
     ) -> Result<(RnsPoly, RnsPoly), CkksError> {
         let n = self.ctx.n();
         let moduli = self.ctx.level_moduli(level);
-        let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
-        let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
+        let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
         self.key_switch_into(target, ksk, level, &mut f0, &mut f1)?;
         Ok((f0, f1))
     }
@@ -474,7 +474,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<(), CkksError> {
         let mut guard = self.scratch();
         self.switcher()
-            .key_switch_into(&mut guard.ks, target, ksk, level, f0, f1)
+            .key_switch_into(&mut guard, target, ksk, level, f0, f1)
     }
 
     /// The shared key-switch skeleton over the software NTT kernels.
@@ -548,9 +548,9 @@ impl<'a> Evaluator<'a> {
 
     /// Applies an arbitrary Galois element (rotation generalization).
     ///
-    /// The rotated `c₁` lands in the evaluator's scratch buffer (no fresh
-    /// polynomial per call), and `τ(c₀)` is never materialized: the
-    /// permuted add is fused into the floor's store of `f₀`.
+    /// The rotated `c₁` lands in a recycled buffer (no fresh polynomial
+    /// per call), and `τ(c₀)` is never materialized: the permuted add is
+    /// fused into the floor's store of `f₀`.
     ///
     /// # Errors
     ///
@@ -573,20 +573,17 @@ impl<'a> Evaluator<'a> {
         let n = ctx.n();
         let level = a.level;
         let moduli = ctx.level_moduli(level);
-        let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
-        let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
-        {
-            let switcher = self.switcher();
-            let mut guard = self.scratch();
-            let scratch = &mut *guard;
-            scratch.ensure_rotated(ctx, level);
-            let KeySwitchScratch { ks, rotated, .. } = scratch;
-            apply_galois_ntt_into(&a.polys[1], table, rotated)?;
-            switcher.decompose(ks, rotated, level)?;
-            switcher.accumulate(ks, ksk, None, level);
-            // c₀' = τ(c₀) + f₀, added as the floor stores f₀.
-            switcher.floor(ks, level, Some((&a.polys[0], table)), &mut f0, &mut f1)?;
-        }
+        let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
+        let mut rotated = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
+        apply_galois_ntt_into(&a.polys[1], table, &mut rotated)?;
+        let switcher = self.switcher();
+        let mut ks = self.scratch();
+        switcher.decompose(&mut ks, &rotated, level)?;
+        switcher.accumulate(&mut ks, ksk, None, level);
+        // c₀' = τ(c₀) + f₀, added as the floor stores f₀.
+        switcher.floor(&mut ks, level, Some((&a.polys[0], table)), &mut f0, &mut f1)?;
+        drop(ks);
         Ciphertext::from_parts(vec![f0, f1], level, a.scale)
     }
 
@@ -614,7 +611,7 @@ impl<'a> Evaluator<'a> {
         gks: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>, CkksError> {
         let mut guard = self.scratch();
-        self.switcher().rotate_many(&mut guard.ks, a, steps, gks)
+        self.switcher().rotate_many(&mut guard, a, steps, gks)
     }
 }
 

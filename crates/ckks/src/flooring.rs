@@ -22,8 +22,8 @@ use crate::CkksError;
 /// Floors away the **special prime** into a caller-provided output: input
 /// spans `p_0..p_level` plus the special prime (as its last residue);
 /// `out` must be pre-shaped over `p_0..p_level` in NTT form. `drop_coeff`
-/// and `lane` are scratch buffers (see [`crate::scratch`]); the call is
-/// allocation-free once they have capacity.
+/// and `lane` are scratch buffers (see [`crate::keyswitch::KsBuffers`]);
+/// the call is allocation-free once they have capacity.
 ///
 /// # Errors
 ///

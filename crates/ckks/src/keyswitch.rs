@@ -35,8 +35,52 @@ use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::galois::galois_elt_from_step;
 use crate::keys::{GaloisKeys, KeySwitchKey};
-pub use crate::scratch::KsBuffers;
 use crate::CkksError;
+
+/// Buffers for one key-switch (or flooring) invocation, as HEAX wires BRAM
+/// banks into the pipeline (Figure 5). The first use at a level higher
+/// than any before grows them, others slice, so
+/// [`KeySwitcher::key_switch_into`] allocates nothing after warm-up.
+#[derive(Debug, Default)]
+pub struct KsBuffers {
+    /// Ring degree and highest level the buffers are shaped for.
+    shape: Option<(usize, usize)>,
+    /// Accumulator `f₀` over the extended basis (active primes, then the
+    /// special prime): limb `j` of a level spans `[j·n, (j+1)·n)`.
+    pub(crate) acc0: Vec<u64>,
+    /// Accumulator `f₁` over the extended basis.
+    pub(crate) acc1: Vec<u64>,
+    /// Decomposition digits `b̃_{i,j}` of Algorithm 7:
+    /// `(level+2) · (level+1)` limbs of `n` words, **column-major in the
+    /// extended-basis index `j`** — digit `(i, j)` lives at
+    /// `[(j·(level+1) + i)·n, (j·(level+1) + i + 1)·n)`.
+    pub(crate) digits: Vec<u64>,
+    /// Per-limb reduction/NTT lanes: limb `j` owns `[j·n, (j+1)·n)`;
+    /// sized for the paired floor (two lanes per output limb).
+    pub(crate) lane: Vec<u64>,
+    /// Coefficient form of the dropped residue during rescaling.
+    pub(crate) drop_coeff: Vec<u64>,
+}
+
+impl KsBuffers {
+    /// Makes every buffer large enough for `level` (no-op when a level at
+    /// least as high has been seen — the steady-state, allocation-free
+    /// path). Users slice the prefix their level needs.
+    pub(crate) fn ensure(&mut self, ctx: &CkksContext, level: usize) {
+        let n = ctx.n();
+        if self.shape.is_some_and(|(m, top)| m == n && top >= level) {
+            return;
+        }
+        let ext = level + 2;
+        self.acc0.resize(ext * n, 0);
+        self.acc1.resize(ext * n, 0);
+        self.digits.resize(ext * (level + 1) * n, 0);
+        self.lane.resize(2 * ext * n, 0);
+        self.drop_coeff.clear();
+        self.drop_coeff.reserve(n);
+        self.shape = Some((n, level));
+    }
+}
 
 /// Which module of the KeySwitch datapath (Figure 5) a transform belongs
 /// to; a hardware backend sizes each one separately.
@@ -175,8 +219,8 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let mut out = Vec::with_capacity(keys.len());
         for (ksk, perm) in keys {
             self.accumulate(bufs, ksk, Some(perm), level);
-            let mut f0 = RnsPoly::zero(n, moduli, Representation::Ntt);
-            let mut f1 = RnsPoly::zero(n, moduli, Representation::Ntt);
+            let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
+            let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             self.floor(bufs, level, Some((&a.polys[0], perm)), &mut f0, &mut f1)?;
             out.push(Ciphertext::from_parts(vec![f0, f1], level, a.scale)?);
         }

@@ -68,7 +68,6 @@ pub mod keyswitch;
 pub mod noise;
 pub mod params;
 pub mod reader;
-mod scratch;
 pub mod serialize;
 
 /// The integration suite's independent Barrett oracle for Algorithm 7,

@@ -30,11 +30,11 @@
 //! [`PolyView`] borrows the frame; its modulus values are compared with
 //! the context's, whose `Modulus` entries are then borrowed rather than
 //! rebuilt, and each limb goes from the frame's bytes into a polynomial
-//! the caller owns — a recycled one on the `*_pooled` paths — through
-//! `heax_math::word`'s `decode_le_words`: a branch-free loop that copies
-//! and ORs `w >= p` over the limb, so a residue is **validated while it is
-//! copied**, at any position, with no early exit for hostile input to
-//! steer. Sending, the words are appended to the caller's buffer by
+//! from the thread's recycler (`RnsPoly::for_overwrite`; a key's is
+//! fresh) through `heax_math::word`'s `decode_le_words`: a branch-free
+//! loop that copies and ORs `w >= p` over the limb, so a residue is
+//! **validated while it is copied**, at any position, with no early exit
+//! for hostile input to steer. Sending, the words are appended to the caller's buffer by
 //! `encode_le_words` after one `reserve` of the closed-form size. No
 //! allocation is sized by a wire field beyond a ciphertext's component
 //! count, which is at most 8: a decoded polynomial has the context's
@@ -197,15 +197,13 @@ fn poly<'a>(r: &mut Reader<'a>) -> Result<PolyView<'a>, Malformed> {
 
 /// A key polynomial, decoded against the whole chain.
 fn full_chain_poly(r: &mut Reader<'_>, ctx: &CkksContext) -> Result<RnsPoly, CkksError> {
-    let mut poly = blank_poly();
-    self::poly(r)?.decode_full_chain(ctx, &mut poly)?;
-    Ok(poly)
+    self::poly(r)?.decode_full_chain(ctx)
 }
 
 /// A zero-copy view over one serialized polynomial: metadata is parsed and
 /// bounds-checked, but the modulus and limb words stay as borrowed
 /// little-endian bytes in the frame buffer until they are decoded — once,
-/// against the context's own moduli, into a polynomial the caller owns.
+/// against the context's own moduli, into a polynomial of its own.
 #[derive(Clone, Debug)]
 pub struct PolyView<'a> {
     n: usize,
@@ -264,42 +262,41 @@ impl PolyView<'_> {
             .map(|w| u64::from_le_bytes(*w))
     }
 
-    /// Decodes a polynomial of a ciphertext or plaintext at `level` into
-    /// `dst`.
-    fn decode_at_level(
-        &self,
-        ctx: &CkksContext,
-        level: usize,
-        dst: &mut RnsPoly,
-    ) -> Result<(), CkksError> {
+    /// Decodes a polynomial of a ciphertext or plaintext at `level`.
+    fn decode_at_level(&self, ctx: &CkksContext, level: usize) -> Result<RnsPoly, CkksError> {
         if self.n != ctx.n() {
             return Err(Malformed("ring degree mismatch").into());
         }
         if level > ctx.max_level() || self.num_residues() != level + 1 {
             return Err(Malformed("level mismatch").into());
         }
-        self.decode_words(ctx.level_moduli(level), dst)
+        self.decode_words(ctx.level_moduli(level), RnsPoly::for_overwrite)
     }
 
-    /// Decodes a key polynomial, which spans the whole chain, into `dst`.
-    fn decode_full_chain(&self, ctx: &CkksContext, dst: &mut RnsPoly) -> Result<(), CkksError> {
+    /// Decodes a key polynomial, which spans the whole chain, into a fresh
+    /// buffer: a key outlives the traffic the recycler sizes itself to.
+    fn decode_full_chain(&self, ctx: &CkksContext) -> Result<RnsPoly, CkksError> {
         if self.n != ctx.n() || self.num_residues() != ctx.moduli().len() {
             return Err(Malformed("full-chain shape mismatch").into());
         }
-        self.decode_words(ctx.moduli(), dst)
+        self.decode_words(ctx.moduli(), RnsPoly::zero)
     }
 
     /// The one pass over a polynomial's words on the receive path, for a
     /// view of the context's degree and as many residues as `moduli`: the
     /// wire's modulus values must be the context's, whose precomputed
-    /// [`Modulus`] entries are then borrowed; each limb is copied into
-    /// `dst` (reshaped to hold it) and checked canonical in the same
-    /// bulk loop.
-    fn decode_words(&self, moduli: &[Modulus], dst: &mut RnsPoly) -> Result<(), CkksError> {
+    /// [`Modulus`] entries are then borrowed; each limb is copied into the
+    /// polynomial `make` shapes and checked canonical in the same bulk
+    /// loop.
+    fn decode_words(
+        &self,
+        moduli: &[Modulus],
+        make: fn(usize, &[Modulus], Representation) -> RnsPoly,
+    ) -> Result<RnsPoly, CkksError> {
         if !self.modulus_values().eq(moduli.iter().map(Modulus::value)) {
             return Err(Malformed("modulus chain mismatch").into());
         }
-        dst.reshape(self.n, moduli, self.repr);
+        let mut dst = make(self.n, moduli, self.repr);
         let limbs = self.words.chunks_exact(8 * self.n);
         let mut canonical = true;
         for ((m, src), limb) in moduli
@@ -312,7 +309,7 @@ impl PolyView<'_> {
         if !canonical {
             return Err(Malformed("non-canonical residue").into());
         }
-        Ok(())
+        Ok(dst)
     }
 
     /// Whether decoding this view would reproduce `poly` word for word:
@@ -327,40 +324,17 @@ impl PolyView<'_> {
     }
 }
 
-/// A polynomial to decode into, which the decoder shapes: one that holds
-/// nothing yet.
-fn blank_poly() -> RnsPoly {
-    RnsPoly::zero(0, &[], Representation::Ntt)
-}
-
-/// A polynomial to decode into: a recycled one if the caller has any.
-fn take_poly(pool: &mut Vec<RnsPoly>) -> RnsPoly {
-    pool.pop().unwrap_or_else(blank_poly)
-}
-
-/// Decodes one component of a ciphertext at `level` — NTT form is how
-/// they travel — into a polynomial from `pool`, which gets it back on
-/// failure.
+/// Decodes one component of a ciphertext at `level`; NTT form is how
+/// they travel.
 fn decode_component(
     view: &PolyView<'_>,
     ctx: &CkksContext,
     level: usize,
-    pool: &mut Vec<RnsPoly>,
 ) -> Result<RnsPoly, CkksError> {
-    let mut poly = take_poly(pool);
-    let decoded = match view.decode_at_level(ctx, level, &mut poly) {
-        Ok(()) if view.repr != Representation::Ntt => {
-            Err(CkksError::Math(MathError::RepresentationMismatch))
-        }
-        decoded => decoded,
-    };
-    match decoded {
-        Ok(()) => Ok(poly),
-        Err(e) => {
-            pool.push(poly);
-            Err(e)
-        }
-    }
+    let poly = view.decode_at_level(ctx, level)?;
+    let ntt = view.repr == Representation::Ntt;
+    ntt.then_some(poly)
+        .ok_or(CkksError::Math(MathError::RepresentationMismatch))
 }
 
 /// Serializes a plaintext.
@@ -394,8 +368,7 @@ pub fn deserialize_plaintext(buf: &[u8], ctx: &CkksContext) -> Result<Plaintext,
     let scale = scale(&mut r)?;
     let view = poly(&mut r)?;
     r.finish()?;
-    let mut poly = blank_poly();
-    view.decode_at_level(ctx, level, &mut poly)?;
+    let poly = view.decode_at_level(ctx, level)?;
     Ok(Plaintext::from_parts(poly, level, scale))
 }
 
@@ -503,7 +476,7 @@ pub fn deserialize_seeded_ciphertext(
     ctx: &CkksContext,
 ) -> Result<SeededCiphertext, CkksError> {
     let view = SeededView::parse(buf)?;
-    let b = decode_component(&view.b, ctx, view.level, &mut Vec::new())?;
+    let b = decode_component(&view.b, ctx, view.level)?;
     SeededCiphertext::from_parts(b, view.seed, view.level, view.scale)
 }
 
@@ -617,33 +590,11 @@ impl<'a> CiphertextView<'a> {
     /// [`CkksError::InvalidParameters`] on context mismatch or
     /// non-canonical residues.
     pub fn to_ciphertext(&self, ctx: &CkksContext) -> Result<Ciphertext, CkksError> {
-        self.to_ciphertext_pooled(ctx, &mut Vec::new())
-    }
-
-    /// [`CiphertextView::to_ciphertext`] into polynomials popped off
-    /// `pool` (fresh ones once it is empty) — where a server puts the
-    /// components of the ciphertexts it is done with, so that steady
-    /// traffic decodes into memory it already owns. On failure every
-    /// polynomial taken is back in `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CiphertextView::to_ciphertext`].
-    pub fn to_ciphertext_pooled(
-        &self,
-        ctx: &CkksContext,
-        pool: &mut Vec<RnsPoly>,
-    ) -> Result<Ciphertext, CkksError> {
-        let mut polys = Vec::with_capacity(self.components.len());
-        for view in &self.components {
-            match decode_component(view, ctx, self.level, pool) {
-                Ok(poly) => polys.push(poly),
-                Err(e) => {
-                    pool.append(&mut polys);
-                    return Err(e);
-                }
-            }
-        }
+        let polys = self
+            .components
+            .iter()
+            .map(|view| decode_component(view, ctx, self.level))
+            .collect::<Result<_, _>>()?;
         Ok(Ciphertext {
             polys,
             level: self.level,
@@ -664,30 +615,26 @@ impl<'a> CiphertextView<'a> {
 /// [`CkksError::InvalidParameters`] on malformed input or context
 /// mismatch.
 pub fn deserialize_operand(buf: &[u8], ctx: &CkksContext) -> Result<(Ciphertext, bool), CkksError> {
-    let (ct, seed) = deserialize_operand_pooled(buf, ctx, &mut Vec::new())?;
+    let (ct, seed) = deserialize_operand_with_seed(buf, ctx)?;
     Ok((ct, seed.is_some()))
 }
 
-/// [`deserialize_operand`] into polynomials recycled through `pool` (see
-/// [`CiphertextView::to_ciphertext_pooled`]), returning the seed itself
-/// when the operand arrived seeded.
+/// [`deserialize_operand`], returning the seed itself when the operand
+/// arrived seeded.
 ///
 /// # Errors
 ///
-/// Same as [`deserialize_operand`]; every polynomial taken is back in
-/// `pool`.
-pub fn deserialize_operand_pooled(
+/// Same as [`deserialize_operand`].
+pub fn deserialize_operand_with_seed(
     buf: &[u8],
     ctx: &CkksContext,
-    pool: &mut Vec<RnsPoly>,
 ) -> Result<(Ciphertext, Option<[u8; EXPAND_SEED_LEN]>), CkksError> {
     // Peek the object tag (byte 6) without committing to either decoder.
     match buf.get(5).copied().and_then(Tag::from_u8) {
         Some(Tag::SeededCiphertext) => {
             let view = SeededView::parse(buf)?;
-            let b = decode_component(&view.b, ctx, view.level, pool)?;
-            let mut a = take_poly(pool);
-            a.reshape(b.n(), b.moduli(), Representation::Ntt);
+            let b = decode_component(&view.b, ctx, view.level)?;
+            let mut a = RnsPoly::for_overwrite(b.n(), b.moduli(), Representation::Ntt);
             expand_uniform_into(&view.seed, &mut a);
             let ct = Ciphertext {
                 polys: vec![b, a],
@@ -696,15 +643,12 @@ pub fn deserialize_operand_pooled(
             };
             Ok((ct, Some(view.seed)))
         }
-        _ => Ok((
-            CiphertextView::parse(buf)?.to_ciphertext_pooled(ctx, pool)?,
-            None,
-        )),
+        _ => Ok((CiphertextView::parse(buf)?.to_ciphertext(ctx)?, None)),
     }
 }
 
 /// Whether `buf` is a well-formed seeded operand that
-/// [`deserialize_operand_pooled`] would decode to exactly `ct`, given that
+/// [`deserialize_operand_with_seed`] would decode to exactly `ct`, given that
 /// `ct` was itself decoded from an operand carrying `seed`: same seed,
 /// level and scale, and a `b` polynomial equal to the decoded one — one
 /// bulk compare of the incoming bytes, no expansion of the seed. A server

@@ -2,8 +2,9 @@
 //! (PR 3 acceptance criterion): a counting global allocator tracks
 //! allocations made by *this thread* while `key_switch_into` runs against
 //! pre-shaped outputs and the evaluator's warmed scratch workspace. The
-//! same allocator weighs a key-switching key: its residues and nothing
-//! else.
+//! same allocator weighs a key-switching key — its residues and nothing
+//! else — and shows a warm circuit taking every polynomial it returns
+//! from the buffers its previous outputs left in the recycler.
 //!
 //! The counter is thread-local so concurrently running tests in this
 //! binary cannot pollute the measurement; the assertion therefore covers
@@ -27,6 +28,9 @@ use heax_math::word::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Steps of the hoisted group that ends a `circuit_setb`-shaped circuit.
+const FAN: [i64; 4] = [2, 4, 8, 16];
+
 struct Rig {
     ctx: CkksContext,
     rlk: RelinKey,
@@ -42,7 +46,7 @@ fn rig() -> Rig {
     let sk = SecretKey::generate(&ctx, &mut rng);
     let pk = PublicKey::generate(&ctx, &sk, &mut rng);
     let rlk = RelinKey::generate(&ctx, &sk, &mut rng);
-    let gks = GaloisKeys::generate(&ctx, &sk, &[1, 2], &mut rng);
+    let gks = GaloisKeys::generate(&ctx, &sk, &[1, 2, 4, 8, 16], &mut rng);
     let enc = CkksEncoder::new(&ctx);
     let scale = ctx.params().scale();
     let pt = enc
@@ -173,4 +177,40 @@ fn rotation_hot_path_allocates_only_outputs() {
         allocs <= 10,
         "rotate allocated {allocs} times; expected only output buffers"
     );
+}
+
+#[test]
+fn a_warm_circuit_allocates_no_polynomial() {
+    // The `circuit_setb` circuit on the test ring — multiply_relin →
+    // rescale → rotate(1) → add → rotate_many(FAN) — with each circuit's
+    // outputs dropped as the next one's arrive: once warm, every
+    // polynomial an op returns is a buffer the recycler took back, so
+    // nothing as large as one residue is allocated.
+    let r = rig();
+    let eval = Evaluator::with_executor(&r.ctx, Arc::new(Sequential));
+    let circuit = || {
+        let m = eval.multiply_relin(&r.fresh, &r.fresh, &r.rlk).unwrap();
+        let s = eval.rescale(&m).unwrap();
+        let rot = eval.rotate(&s, 1, &r.gks).unwrap();
+        let a = eval.add(&rot, &s).unwrap();
+        eval.rotate_many(&a, &FAN, &r.gks).unwrap()
+    };
+    let first = circuit();
+    // A few circuits settle which buffers carry which level's shapes.
+    let mut last = circuit();
+    for _ in 0..4 {
+        last = circuit();
+    }
+    let seen = measure(|| {
+        for _ in 0..3 {
+            last = circuit();
+        }
+    });
+    let residue = 8 * r.ctx.n() as u64;
+    assert!(
+        seen.largest < residue,
+        "a warm circuit allocated {} B, more than one {residue}-byte residue: {seen:?}",
+        seen.largest
+    );
+    assert_eq!(last, first);
 }

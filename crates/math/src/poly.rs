@@ -8,6 +8,13 @@
 //! element is in coefficient or NTT form, and every operation validates the
 //! forms of its operands — mixing forms is a programming error that this
 //! library surfaces as [`MathError::RepresentationMismatch`].
+//!
+//! A dropped polynomial's buffers go to its thread's free list, which
+//! [`RnsPoly::for_overwrite`] takes the best fit from instead of
+//! zero-filling a fresh allocation, as HEAX reuses its BRAM banks.
+
+use std::cell::RefCell;
+use std::mem::take;
 
 use crate::exec::{self, Executor};
 use crate::ntt::NttTable;
@@ -51,6 +58,90 @@ pub struct RnsPoly {
     repr: Representation,
 }
 
+/// What a debug build fills every buffer [`RnsPoly::for_overwrite`] hands
+/// out with: above every modulus, so a word left unwritten shows.
+const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+
+thread_local! {
+    static RECYCLER: RefCell<Recycler> = const {
+        RefCell::new(Recycler { free: Vec::new(), out: 0, peak: 0, kept: 0, largest: 0 })
+    };
+}
+
+/// A dropped polynomial's two buffers: residue words and basis.
+type Husk = (Vec<u64>, Vec<Modulus>);
+
+/// One thread's free polynomial buffers, sized by demand: `out` counts
+/// buffers taken and not given back (never below zero: any dropped
+/// buffer counts as given), and the list holds at most the most `out` has
+/// been since the last settle or up to it, whichever is more.
+struct Recycler {
+    /// Free buffers by ascending word capacity.
+    free: Vec<Husk>,
+    out: usize,
+    /// Most `out` since the last settle.
+    peak: usize,
+    /// `peak` when the last settle ended its window.
+    kept: usize,
+    /// Most words a take has asked for: a larger buffer is of no use.
+    largest: usize,
+}
+
+impl Recycler {
+    /// The smallest free buffers that hold `len` words, if any do.
+    fn take(&mut self, len: usize) -> Option<Husk> {
+        self.out += 1;
+        self.peak = self.peak.max(self.out);
+        self.largest = self.largest.max(len);
+        let fit = self.free.partition_point(|(b, _)| b.capacity() < len);
+        (fit < self.free.len()).then(|| self.free.remove(fit))
+    }
+
+    /// Keeps `husk` while the list is below its bound; a full list keeps
+    /// the larger of `husk` and its smallest entry.
+    fn give(&mut self, husk: Husk) {
+        self.out = self.out.saturating_sub(1);
+        let words = husk.0.capacity();
+        if !(1..=self.largest).contains(&words) {
+            return;
+        }
+        let at = self.free.partition_point(|(b, _)| b.capacity() < words);
+        if self.free.len() < self.peak.max(self.kept) {
+            self.free.insert(at, husk);
+        } else if at > 0 {
+            self.free.remove(0);
+            self.free.insert(at - 1, husk);
+        }
+    }
+
+    fn settle(&mut self) {
+        self.kept = self.peak;
+        self.peak = self.out;
+        let excess = self.free.len().saturating_sub(self.kept);
+        self.free.drain(..excess);
+    }
+}
+
+/// Ends the calling thread's recycler window: the free list drops to the
+/// most buffers the thread had out at once in it, smallest first. Work
+/// that comes in cycles (a server's flush) settles after each, so the
+/// list follows demand down; without settles it keeps the high-water.
+pub fn settle_recycler() {
+    let _ = RECYCLER.try_with(|r| r.borrow_mut().settle());
+}
+
+/// Buffers waiting in the calling thread's recycler (introspection/tests).
+pub fn recycled_buffers() -> usize {
+    RECYCLER.try_with(|r| r.borrow().free.len()).unwrap_or(0)
+}
+
+impl Drop for RnsPoly {
+    fn drop(&mut self) {
+        let husk = (take(&mut self.data), take(&mut self.moduli));
+        let _ = RECYCLER.try_with(|r| r.try_borrow_mut().map(|mut r| r.give(husk)));
+    }
+}
+
 impl RnsPoly {
     /// The all-zero polynomial over the given moduli.
     pub fn zero(n: usize, moduli: &[Modulus], repr: Representation) -> Self {
@@ -58,6 +149,28 @@ impl RnsPoly {
             n,
             moduli: moduli.to_vec(),
             data: vec![0u64; n * moduli.len()],
+            repr,
+        }
+    }
+
+    /// A polynomial whose every word the caller is about to overwrite, in
+    /// buffers from the thread's recycler (see the module docs): steady
+    /// state neither allocates nor zero-fills. The words are unspecified
+    /// (in a debug build, `POISON`).
+    pub fn for_overwrite(n: usize, basis: &[Modulus], repr: Representation) -> Self {
+        let len = n * basis.len();
+        let husk = RECYCLER.try_with(|r| r.borrow_mut().take(len)).ok();
+        let (mut data, mut moduli) = husk.flatten().unwrap_or_else(|| (vec![0; len], Vec::new()));
+        data.resize(len, 0);
+        if cfg!(debug_assertions) {
+            data.fill(POISON);
+        }
+        moduli.clear();
+        moduli.extend_from_slice(basis);
+        Self {
+            n,
+            moduli,
+            data,
             repr,
         }
     }
@@ -85,19 +198,6 @@ impl RnsPoly {
             data,
             repr,
         })
-    }
-
-    /// Reshapes the polynomial in place, keeping its allocations: a
-    /// recycled polynomial takes a new degree, basis and representation
-    /// without touching the heap when it is as large as it was. The residue
-    /// words are whatever was there (zeros where it grew), for the caller
-    /// to overwrite.
-    pub fn reshape(&mut self, n: usize, moduli: &[Modulus], repr: Representation) {
-        self.n = n;
-        self.moduli.clear();
-        self.moduli.extend_from_slice(moduli);
-        self.data.resize(n * moduli.len(), 0);
-        self.repr = repr;
     }
 
     /// Ring degree.
@@ -605,6 +705,64 @@ mod tests {
         assert!(a.ntt_forward(&ts).is_err());
         a.ntt_inverse(&ts).unwrap();
         assert!(a.ntt_inverse(&ts).is_err());
+    }
+
+    /// `count` polynomials from the calling thread's recycler.
+    fn take(count: usize) -> Vec<RnsPoly> {
+        (0..count)
+            .map(|_| RnsPoly::for_overwrite(16, &mods(), Representation::Ntt))
+            .collect()
+    }
+
+    /// Runs `f` on a fresh thread, whose recycler starts empty.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_buffer_is_taken_back() {
+        on_fresh_thread(|| {
+            let buffer = take(1)[0].data().as_ptr();
+            assert_eq!(recycled_buffers(), 1);
+            // A smaller shape fits the same buffer, poisoned in debug.
+            let b = RnsPoly::for_overwrite(16, &mods()[..1], Representation::Coefficient);
+            assert_eq!((b.data().as_ptr(), b.data().len()), (buffer, 16));
+            assert_eq!(recycled_buffers(), 0);
+            assert!(b.data().iter().all(|&w| w == POISON) || !cfg!(debug_assertions));
+        });
+    }
+
+    #[test]
+    fn the_list_holds_no_more_than_the_high_water_and_settles_down() {
+        on_fresh_thread(|| {
+            let foreign = || vec![RnsPoly::zero(16, &mods(), Representation::Ntt); 4];
+            drop(foreign());
+            assert_eq!(recycled_buffers(), 0, "nothing has been out yet");
+            drop(take(8));
+            drop((take(2), foreign()));
+            assert_eq!(recycled_buffers(), 8);
+            settle_recycler();
+            assert_eq!(recycled_buffers(), 8);
+            drop(take(2));
+            assert_eq!(recycled_buffers(), 8, "mid-window, the bound stands");
+            settle_recycler();
+            assert_eq!(recycled_buffers(), 2);
+            drop(take(5));
+            assert_eq!(recycled_buffers(), 5, "demand raises it again");
+        });
+    }
+
+    #[test]
+    fn another_threads_list_is_untouched() {
+        on_fresh_thread(|| {
+            drop(take(2));
+            let mine = take(1);
+            on_fresh_thread(move || {
+                drop((take(3), mine));
+                assert_eq!(recycled_buffers(), 3);
+            });
+            assert_eq!(recycled_buffers(), 1);
+        });
     }
 
     #[test]

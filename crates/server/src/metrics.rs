@@ -77,6 +77,9 @@ pub struct ServerStats {
     /// compression: a 32-byte PRNG seed replaces the uniform
     /// polynomial and is re-expanded server-side).
     pub seeded_operands: u64,
+    /// Inline operands decoded at intake: each upload but a fan-out
+    /// member that shares its neighbour's decoding.
+    pub decoded_operands: u64,
     /// Wire-returned results modulus-switched down to one RNS limb
     /// because the request set the v2 compress-reply flag.
     pub compressed_replies: u64,
@@ -133,6 +136,7 @@ pub(crate) struct Metrics {
     pub(crate) hoisted_groups: u64,
     pub(crate) hoisted_rotations: u64,
     pub(crate) seeded_operands: u64,
+    pub(crate) decoded_operands: u64,
     pub(crate) compressed_replies: u64,
     pub(crate) key_evictions: u64,
     pub(crate) key_reregistrations: u64,

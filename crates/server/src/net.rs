@@ -68,7 +68,7 @@
 //! the next starts the drained buffer over and the same memory stays
 //! in cache). The frame is dispatched from where it lies
 //! ([`FrameAssembler::peek_frame`]); the server validates and copies
-//! each limb, in one bulk pass, into a polynomial from its pool. A
+//! each limb, in one bulk pass, into a recycled polynomial. A
 //! flush serializes each result ciphertext, behind its frame header,
 //! straight onto the submitting connection's write buffer
 //! ([`Engine::flush_into`] with the event loop as the

@@ -70,7 +70,7 @@ use std::time::Instant;
 
 use heax_ckks::galois::galois_elt_from_step;
 use heax_ckks::serialize::{
-    deserialize_galois_keys, deserialize_operand_pooled, deserialize_relin_key,
+    deserialize_galois_keys, deserialize_operand_with_seed, deserialize_relin_key,
     seeded_operand_matches, serialize_ciphertext_append, serialize_galois_keys,
     serialize_relin_key, serialized_ciphertext_bytes,
 };
@@ -79,7 +79,7 @@ use heax_hw::board::Board;
 use heax_hw::ir::{FusedStream, IrOp, OpKind, OpStream};
 use heax_hw::xfer::WORD_BYTES;
 use heax_math::exec::Executor;
-use heax_math::poly::RnsPoly;
+use heax_math::poly::settle_recycler;
 use heax_math::sampling::EXPAND_SEED_LEN;
 
 use crate::error::ServerError;
@@ -119,7 +119,7 @@ impl Pending {
 /// parked handles are looked up lazily at execution time.
 #[derive(Debug)]
 enum Operand {
-    /// Decoded into polynomials out of the server's pool. The members of
+    /// Decoded into recycled polynomials. The members of
     /// a fan-out share the one decoding of their common input; `seed` is
     /// the expansion seed of an operand that arrived seeded, which is
     /// what the next member is recognized by.
@@ -143,7 +143,7 @@ pub trait ReplySink {
 
 /// A request's result: a ciphertext the evaluator made, or — an `Add`
 /// sums into the inline operand it owns — the request's own first operand,
-/// whose polynomials go back to the pool with it.
+/// whose polynomials go back to the recycler with it.
 type Outcome = Result<Arc<Ciphertext>, ServerError>;
 
 /// What answers one flushed request, before it is framed.
@@ -167,12 +167,6 @@ pub struct HeaxServer<'a> {
     dram_capacity: u64,
     queue: VecDeque<Pending>,
     metrics: Metrics,
-    /// Polynomials of operands the server is done with, which the next
-    /// inline operands decode into.
-    pool: Vec<RnsPoly>,
-    /// Polynomials the queued requests' operands hold: what the pool keeps
-    /// after their flush, so it is no larger than one flush's demand.
-    pool_taken: usize,
     /// One slot per request of the batch being flushed; empty between
     /// flushes and kept, like the queue, for its allocation.
     results: Vec<Option<Outcome>>,
@@ -195,8 +189,6 @@ impl<'a> HeaxServer<'a> {
             dram_capacity: u64::from(board.dram_gib()) << 30,
             queue: VecDeque::new(),
             metrics: Metrics::default(),
-            pool: Vec::new(),
-            pool_taken: 0,
             results: Vec::new(),
         })
     }
@@ -322,17 +314,10 @@ impl<'a> HeaxServer<'a> {
             // Inline ciphertexts are decoded (and validated against the
             // context) at intake, so a malformed operand fails here with
             // a structured error instead of poisoning the batch.
-            let decoded = match operand {
-                WireOperand::Inline(bytes) => self.intake_inline(frame.session, req.op, bytes),
-                WireOperand::Parked(name) => Ok(Operand::Parked((*name).to_string())),
-            };
-            match decoded {
-                Ok(operand) => operands.push(operand),
-                Err(e) => {
-                    self.recycle_operands(operands);
-                    return Err(e);
-                }
-            }
+            operands.push(match operand {
+                WireOperand::Inline(bytes) => self.intake_inline(frame.session, req.op, bytes)?,
+                WireOperand::Parked(name) => Operand::Parked((*name).to_string()),
+            });
         }
         let sess = self.sessions.get_mut(frame.session)?;
         sess.stats.requests = sess.stats.requests.saturating_add(1);
@@ -350,7 +335,7 @@ impl<'a> HeaxServer<'a> {
         Ok(())
     }
 
-    /// Decodes one inline operand into polynomials from the pool: the
+    /// Decodes one inline operand into recycled polynomials: the
     /// zero-copy view path for full ciphertexts, the uniform polynomial
     /// re-expanded for seeded ones.
     fn intake_inline(
@@ -380,8 +365,8 @@ impl<'a> HeaxServer<'a> {
                 }
             }
         }
-        let (ct, seed) = deserialize_operand_pooled(bytes, self.ctx, &mut self.pool)?;
-        self.pool_taken += ct.size();
+        let (ct, seed) = deserialize_operand_with_seed(bytes, self.ctx)?;
+        self.metrics.decoded_operands = self.metrics.decoded_operands.saturating_add(1);
         if seed.is_some() {
             self.metrics.seeded_operands = self.metrics.seeded_operands.saturating_add(1);
         }
@@ -389,28 +374,6 @@ impl<'a> HeaxServer<'a> {
             ct: Arc::new(ct),
             seed,
         })
-    }
-
-    /// Returns a ciphertext's polynomials to the pool.
-    fn recycle(&mut self, ct: Ciphertext) {
-        self.pool.extend(ct.into_components());
-    }
-
-    /// Returns to the pool the inline operands nothing else shares.
-    fn recycle_operands(&mut self, operands: Vec<Operand>) {
-        for operand in operands {
-            if let Operand::Inline { ct, .. } = operand {
-                if let Some(ct) = Arc::into_inner(ct) {
-                    self.recycle(ct);
-                }
-            }
-        }
-    }
-
-    /// Polynomials waiting in the pool (introspection/tests): after a
-    /// flush, what its requests' inline operands held.
-    pub fn pooled_polys(&self) -> usize {
-        self.pool.len()
     }
 
     /// Requests currently waiting for a flush.
@@ -590,11 +553,9 @@ impl<'a> HeaxServer<'a> {
             self.finish_request(&items[idx], idx, outcome, sink);
         }
         let answered = items.len();
-        for it in queue.drain(..) {
-            self.recycle_operands(it.operands);
-        }
-        self.pool.truncate(self.pool_taken);
-        self.pool_taken = 0;
+        // The batch's polynomials go back: a flush is a cycle of demand.
+        queue.clear();
+        settle_recycler();
         self.queue = queue;
         results.clear();
         self.results = results;
@@ -857,6 +818,7 @@ impl<'a> HeaxServer<'a> {
             hoisted_groups: self.metrics.hoisted_groups,
             hoisted_rotations: self.metrics.hoisted_rotations,
             seeded_operands: self.metrics.seeded_operands,
+            decoded_operands: self.metrics.decoded_operands,
             compressed_replies: self.metrics.compressed_replies,
             key_evictions: self.metrics.key_evictions,
             key_reregistrations: self.metrics.key_reregistrations,

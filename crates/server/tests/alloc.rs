@@ -1,9 +1,11 @@
 //! What a served `Add` allocates once the server is warm: nothing the
 //! size of a polynomial or a frame, on any of the four stages a payload
-//! byte crosses — the connection's read buffer, the pooled polynomials
+//! byte crosses — the connection's read buffer, the recycled polynomials
 //! inline operands decode into, the in-place sum, the reply serialized
-//! onto the connection's write buffer — and that the polynomial pool is
-//! whole again after every way a request can leave the server.
+//! onto the connection's write buffer — and that the thread's polynomial
+//! recycler is whole again after every way a request can leave the
+//! server. A warm fan-out of `Rotate`s allocates nothing
+//! polynomial-sized either.
 //!
 //! Set-A requests (two 128 KiB inline ciphertexts in, one out) go through
 //! the very calls `NetServer` makes: `FrameAssembler::read_from` →
@@ -20,8 +22,8 @@
 //! request made, a `Fetch` hands it back as it lies, and resolving a
 //! parked operand is a lookup in its session.
 //!
-//! The counter is thread-local (see `counting_alloc`), so the sequential
-//! backend is what is measured.
+//! The counter is thread-local (see `counting_alloc`), like the
+//! recycler, so the sequential backend is what is measured.
 
 #[path = "../../ckks/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -29,12 +31,17 @@ mod counting_alloc;
 use std::sync::Arc;
 
 use counting_alloc::measure;
-use heax_ckks::serialize::{serialize_ciphertext, serialized_ciphertext_bytes};
+use heax_ckks::serialize::{
+    serialize_ciphertext, serialize_galois_keys, serialize_seeded_ciphertext,
+    serialized_ciphertext_bytes,
+};
 use heax_ckks::{
-    encrypt_symmetric, CkksContext, CkksEncoder, CkksParams, Evaluator, ParamSet, SecretKey,
+    encrypt_symmetric, encrypt_symmetric_seeded, CkksContext, CkksEncoder, CkksParams, Evaluator,
+    GaloisKeys, ParamSet, SecretKey,
 };
 use heax_hw::board::Board;
 use heax_math::exec::Sequential;
+use heax_math::poly::recycled_buffers;
 use heax_server::net::FrameAssembler;
 use heax_server::server::ReplySink;
 use heax_server::wire::{self, client, OpCode, Request, WireOperand};
@@ -198,7 +205,7 @@ fn a_warm_add_allocates_nothing_the_size_of_a_polynomial_or_a_frame() {
     assert!(
         seen.largest < 4096,
         "a warm Add made an allocation of {} B; polynomials and frames must come from the \
-         pool and the connection's buffers",
+         recycler and the connection's buffers",
         seen.largest
     );
     assert!(
@@ -234,14 +241,15 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
     let stream = r.request.repeat(BATCH);
     r.serve_batch(&stream, BATCH);
     // A batch of 16 Adds holds 32 operands of 2 polynomials each.
-    let whole = r.server.pooled_polys();
+    let whole = recycled_buffers();
     assert_eq!(whole, 4 * BATCH);
 
-    // Queued requests hold the pool's polynomials; a flush returns them.
+    // Queued requests hold the recycler's polynomials; a flush returns
+    // them.
     assert!(r.intake(&stream).is_empty());
-    assert_eq!(r.server.pooled_polys(), 0);
+    assert_eq!(recycled_buffers(), 0);
     assert_eq!(r.server.flush_into(&mut r.sink), BATCH);
-    assert_eq!(r.server.pooled_polys(), whole);
+    assert_eq!(recycled_buffers(), whole);
     r.sink.out.clear();
 
     // An operand that fails validation — here the second of its request,
@@ -259,18 +267,18 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
         "{reply:?}"
     );
     assert_eq!(r.server.queue_depth(), 0);
-    assert_eq!(r.server.pooled_polys(), whole);
+    assert_eq!(recycled_buffers(), whole);
 
     // A connection that dies mid-batch: its requests still execute, the
     // replies go nowhere, the polynomials come home.
     assert!(r.intake(&stream).is_empty());
     assert_eq!(r.server.flush_into(&mut NoOne), BATCH);
-    assert_eq!(r.server.pooled_polys(), whole);
+    assert_eq!(recycled_buffers(), whole);
 
-    // The pool follows demand down as well as up.
+    // The recycler follows demand down as well as up: a flush settles it.
     assert!(r.intake(&r.request.clone()).is_empty());
     assert_eq!(r.server.flush_into(&mut NoOne), 1);
-    assert_eq!(r.server.pooled_polys(), 4);
+    assert_eq!(recycled_buffers(), 4);
 
     // The in-place sum comes home when it is compressed to one limb for
     // the wire, or never made because the other operand names no parked
@@ -284,7 +292,7 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
     for (frame, held) in frames.iter().zip([4, 2, 2]) {
         assert!(r.intake(frame).is_empty());
         assert_eq!(r.server.flush_into(&mut r.sink), 1);
-        assert_eq!(r.server.pooled_polys(), held);
+        assert_eq!(recycled_buffers(), held);
     }
     let mut replies = FrameAssembler::new();
     replies.push(&r.sink.out);
@@ -349,6 +357,68 @@ fn parking_an_add_and_fetching_it_copy_no_polynomial() {
     );
     let sum = r.server.parked(r.session(), "sum").unwrap();
     assert_eq!(serialize_ciphertext(sum), r.sum);
+}
+
+/// A warm fan-out — four `Rotate`s of one seeded input, decoded once and
+/// run as one hoisted group — takes its input and its outputs from the
+/// recycler: nothing polynomial-sized is allocated, and the replies are
+/// the first flush's, byte for byte.
+#[test]
+fn a_warm_fanout_rotate_allocates_nothing_polynomial_sized() {
+    let ctx = context();
+    let steps = [1i64, 2, 3, 4];
+    let mut rng = StdRng::seed_from_u64(0xFA40);
+    let sk = SecretKey::generate(&ctx, &mut rng);
+    let gks = GaloisKeys::generate(&ctx, &sk, &steps, &mut rng);
+    let pt = CkksEncoder::new(&ctx)
+        .encode_real(&[0.5, -1.0, 2.0], ctx.params().scale(), ctx.max_level())
+        .unwrap();
+    let input =
+        serialize_seeded_ciphertext(&encrypt_symmetric_seeded(&ctx, &sk, &pt, &mut rng).unwrap());
+    let mut server = HeaxServer::new(&ctx, Board::stratix10())
+        .unwrap()
+        .with_executor(Arc::new(Sequential));
+    let opened = server.handle_frame(&client::open_session()).unwrap();
+    let session = wire::decode_frame(&opened).unwrap().session;
+    let keyed = server.handle_frame(&client::register_galois_keys(
+        session,
+        &serialize_galois_keys(&gks),
+    ));
+    assert!(matches!(
+        client::parse_reply(&keyed.unwrap()),
+        Ok((_, _, client::Reply::KeyRegistered))
+    ));
+    let fanout: Vec<Vec<u8>> = steps
+        .iter()
+        .zip(0..)
+        .map(|(&step, id)| client::rotate(session, id, &input, step))
+        .collect();
+    let serve = |server: &mut HeaxServer<'_>, sink: &mut WriteBuffer| {
+        for frame in &fanout {
+            assert!(server.handle_frame(frame).is_none());
+        }
+        assert_eq!(server.flush_into(sink), steps.len());
+    };
+
+    let mut first = WriteBuffer::default();
+    serve(&mut server, &mut first);
+    assert_eq!(server.stats().hoisted_groups, 1);
+    assert_eq!(server.stats().decoded_operands, 1);
+    let mut sink = WriteBuffer::default();
+    serve(&mut server, &mut sink);
+    assert_eq!(sink.out, first.out);
+    let seen = measure(|| {
+        for _ in 0..3 {
+            sink.out.clear();
+            serve(&mut server, &mut sink);
+        }
+    });
+    assert!(
+        seen.largest < 4096,
+        "a warm fan-out made an allocation of {} B: {seen:?}",
+        seen.largest
+    );
+    assert_eq!(sink.out, first.out);
 }
 
 /// The event loop's own bookkeeping: a turn with nothing to do — no

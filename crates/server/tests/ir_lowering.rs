@@ -263,10 +263,9 @@ fn a_shared_seeded_fanout_plans_and_serves_as_equal_full_inputs_do() {
         assert!(plan.ops.iter().all(|op| op.input_seeded == seeded));
         let replies = server.flush();
         // Every upload is counted, but the four adjacent members of the
-        // fan-out were decoded once: three decodings of two polynomials
-        // went back to the pool, against six.
+        // fan-out were decoded once: three decodings, against six.
         let decodings = if seeded { 3 } else { 6 };
-        assert_eq!(server.pooled_polys(), 2 * decodings);
+        assert_eq!(server.stats().decoded_operands, decodings);
         assert_eq!(
             server.stats().seeded_operands,
             if seeded { schedule.len() as u64 } else { 0 }
