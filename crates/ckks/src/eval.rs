@@ -29,7 +29,7 @@ use crate::context::CkksContext;
 use crate::flooring::floor_last_into;
 use crate::galois::{apply_galois_ntt_into, galois_elt_conjugate, galois_elt_from_step};
 use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use crate::keyswitch::{KeySwitcher, KsBuffers, TableNtt};
+use crate::keyswitch::{check_output_level, KeySwitcher, KsBuffers, TableNtt};
 use crate::CkksError;
 
 /// Relative tolerance when comparing scales of operands.
@@ -389,11 +389,13 @@ impl<'a> Evaluator<'a> {
         self.mod_switch_to_level(a, target)
     }
 
-    /// Modulus-switches down to an arbitrary `target` level (repeated
-    /// [`Evaluator::mod_switch_to_next`]). The wire path uses this to
-    /// compress replies: a client that will only *decrypt* the result
-    /// needs a single residue, so the server drops every higher limb
-    /// before serializing and shrinks the PCIe-out transfer by `k×`.
+    /// Modulus-switches down to an arbitrary `target` level without
+    /// scaling: copies the residues of `target` and below into recycled
+    /// buffers and forgets the rest ([`Evaluator::mod_switch_to_next`] is
+    /// the one-level case). The wire path uses this to compress replies:
+    /// a client that will only *decrypt* the result needs a single
+    /// residue, so the server drops every higher limb before serializing
+    /// and shrinks the PCIe-out transfer by `k×`.
     ///
     /// # Errors
     ///
@@ -404,23 +406,18 @@ impl<'a> Evaluator<'a> {
         a: &Ciphertext,
         target: usize,
     ) -> Result<Ciphertext, CkksError> {
-        if target > a.level {
-            return Err(CkksError::LevelMismatch {
-                a: target,
-                b: a.level,
-            });
-        }
-        if target == a.level {
-            return Ok(a.clone());
-        }
-        let mut polys = Vec::with_capacity(a.size());
-        for c in &a.polys {
-            let mut p = c.clone();
-            for _ in target..a.level {
-                p.pop_residue();
-            }
-            polys.push(p);
-        }
+        check_output_level(target, a.level)?;
+        let keep = target + 1;
+        let polys = a
+            .polys
+            .iter()
+            .map(|c| {
+                let n = c.n();
+                let mut p = RnsPoly::for_overwrite(n, &c.moduli()[..keep], c.representation());
+                p.data_mut().copy_from_slice(&c.data()[..keep * n]);
+                p
+            })
+            .collect();
         Ciphertext::from_parts(polys, target, a.scale)
     }
 
@@ -534,7 +531,27 @@ impl<'a> Evaluator<'a> {
         step: i64,
         gks: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
-        self.apply_galois(a, galois_elt_from_step(step, self.ctx.n()), gks)
+        self.rotate_to_level(a, step, gks, a.level)
+    }
+
+    /// [`Evaluator::rotate`] with the output at level `to ≤ a.level`:
+    /// bit-identical to the full-level rotation passed through
+    /// [`Evaluator::mod_switch_to_level`], but the key switch's NTT0,
+    /// accumulation and floor run over the kept residues only (see
+    /// [`crate::keyswitch`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::rotate`]; [`CkksError::LevelMismatch`] when `to`
+    /// is above the input's level.
+    pub fn rotate_to_level(
+        &self,
+        a: &Ciphertext,
+        step: i64,
+        gks: &GaloisKeys,
+        to: usize,
+    ) -> Result<Ciphertext, CkksError> {
+        self.galois_to_level(a, galois_elt_from_step(step, self.ctx.n()), gks, to)
     }
 
     /// Complex conjugation of all slots.
@@ -561,30 +578,52 @@ impl<'a> Evaluator<'a> {
         elt: usize,
         gks: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
+        self.galois_to_level(a, elt, gks, a.level)
+    }
+
+    /// [`Evaluator::apply_galois`] with the output at level `to`: the
+    /// whole of `τ(c₁)` is decomposed, since every kept residue's digits
+    /// read all of it, but only the kept columns are transformed,
+    /// accumulated and floored.
+    fn galois_to_level(
+        &self,
+        a: &Ciphertext,
+        elt: usize,
+        gks: &GaloisKeys,
+        to: usize,
+    ) -> Result<Ciphertext, CkksError> {
         if a.size() != 2 {
             return Err(CkksError::InvalidCiphertext {
                 components: a.size(),
                 expected: "exactly 2 (relinearize first)",
             });
         }
+        let level = a.level;
+        check_output_level(to, level)?;
         let ksk = gks.key(elt)?;
         let table = gks.permutation(elt)?;
         let ctx = self.ctx;
         let n = ctx.n();
-        let level = a.level;
-        let moduli = ctx.level_moduli(level);
-        let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
-        let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
-        let mut rotated = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
+        let out_moduli = ctx.level_moduli(to);
+        let mut f0 = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
+        let mut rotated = RnsPoly::for_overwrite(n, ctx.level_moduli(level), Representation::Ntt);
         apply_galois_ntt_into(&a.polys[1], table, &mut rotated)?;
         let switcher = self.switcher();
         let mut ks = self.scratch();
-        switcher.decompose(&mut ks, &rotated, level)?;
-        switcher.accumulate(&mut ks, ksk, None, level);
+        switcher.decompose(&mut ks, &rotated, level, to)?;
+        switcher.accumulate(&mut ks, ksk, None, level, to);
         // c₀' = τ(c₀) + f₀, added as the floor stores f₀.
-        switcher.floor(&mut ks, level, Some((&a.polys[0], table)), &mut f0, &mut f1)?;
+        switcher.floor(
+            &mut ks,
+            level,
+            to,
+            Some((&a.polys[0], table)),
+            &mut f0,
+            &mut f1,
+        )?;
         drop(ks);
-        Ciphertext::from_parts(vec![f0, f1], level, a.scale)
+        Ciphertext::from_parts(vec![f0, f1], to, a.scale)
     }
 
     /// Hoisted multi-rotation: rotates `a` by every step in `steps`,
@@ -610,8 +649,28 @@ impl<'a> Evaluator<'a> {
         steps: &[i64],
         gks: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>, CkksError> {
+        self.rotate_many_to_level(a, steps, gks, a.level)
+    }
+
+    /// [`Evaluator::rotate_many`] with every output at level
+    /// `to ≤ a.level`: bit-identical to the full-level outputs passed
+    /// through [`Evaluator::mod_switch_to_level`]. The decomposition's
+    /// INTT0 still covers every input residue; NTT0, accumulation and
+    /// floor run over the kept residues and the special prime only.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::rotate_many`]; [`CkksError::LevelMismatch`] when
+    /// `to` is above the input's level.
+    pub fn rotate_many_to_level(
+        &self,
+        a: &Ciphertext,
+        steps: &[i64],
+        gks: &GaloisKeys,
+        to: usize,
+    ) -> Result<Vec<Ciphertext>, CkksError> {
         let mut guard = self.scratch();
-        self.switcher().rotate_many(&mut guard, a, steps, gks)
+        self.switcher().rotate_many(&mut guard, a, steps, gks, to)
     }
 }
 

@@ -272,7 +272,7 @@ mod tests {
         let mut p0 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
         let mut p1 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
         KeySwitcher::new(&ctx, &Sequential, &TableNtt)
-            .floor(&mut bufs, level, None, &mut p0, &mut p1)
+            .floor(&mut bufs, level, level, None, &mut p0, &mut p1)
             .unwrap();
         assert_eq!(p0, s0);
         assert_eq!(p1, s1);

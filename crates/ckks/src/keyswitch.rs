@@ -15,6 +15,14 @@
 //!    (INTT1 → NTT1 → MS); the MS step reduces the lazy accumulator words
 //!    as it reads them, and for a rotation adds `τ(c₀)` as it stores.
 //!
+//! Output residue `i` depends only on digit column `i` and the special
+//! column, as each limb streams through its own lane in Figure 5. So a
+//! switch can stop at an **output level** `L ≤ level`: NTT0, DyadMult and
+//! MS run for columns `0..=L` and the special column only, and the result
+//! is the full-level one with the residues above `L` dropped, bit for bit.
+//! The server computes a rotation whose every reply ships one residue
+//! this way.
+//!
 //! Every transform goes through an [`NttBackend`], one residue per call:
 //! [`TableNtt`] runs the software kernels of [`NttTable`], and `heax-core`
 //! supplies a backend that streams each residue through the banked
@@ -175,18 +183,21 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         f0: &mut RnsPoly,
         f1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
-        self.decompose(bufs, target, level)?;
-        self.accumulate(bufs, ksk, None, level);
-        self.floor(bufs, level, None, f0, f1)
+        self.decompose(bufs, target, level, level)?;
+        self.accumulate(bufs, ksk, None, level, level);
+        self.floor(bufs, level, level, None, f0, f1)
     }
 
     /// Hoisted multi-rotation: decomposes `c₁` once, then per step runs
     /// only accumulate (with the step's Galois permutation applied to the
-    /// shared digits) and floor, which adds `τ(c₀)` into `f₀`.
+    /// shared digits) and floor, which adds `τ(c₀)` into `f₀`. The outputs
+    /// are at level `to`: the full-level rotations with every residue
+    /// above `to` dropped, computed over the kept residues only.
     ///
     /// # Errors
     ///
     /// [`CkksError::InvalidCiphertext`] for non-2-component inputs;
+    /// [`CkksError::LevelMismatch`] when `to` is above the input's level;
     /// [`CkksError::MissingGaloisKey`] if any step lacks a key (before
     /// any work is done).
     pub fn rotate_many(
@@ -195,6 +206,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         a: &Ciphertext,
         steps: &[i64],
         gks: &GaloisKeys,
+        to: usize,
     ) -> Result<Vec<Ciphertext>, CkksError> {
         if a.size() != 2 {
             return Err(CkksError::InvalidCiphertext {
@@ -204,7 +216,8 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         }
         let n = self.ctx.n();
         let level = a.level;
-        let moduli = self.ctx.level_moduli(level);
+        check_output_level(to, level)?;
+        let moduli = self.ctx.level_moduli(to);
         let keys: Vec<(&KeySwitchKey, &[usize])> = steps
             .iter()
             .map(|&s| {
@@ -215,14 +228,14 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        self.decompose(bufs, &a.polys[1], level)?;
+        self.decompose(bufs, &a.polys[1], level, to)?;
         let mut out = Vec::with_capacity(keys.len());
         for (ksk, perm) in keys {
-            self.accumulate(bufs, ksk, Some(perm), level);
+            self.accumulate(bufs, ksk, Some(perm), level, to);
             let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
-            self.floor(bufs, level, Some((&a.polys[0], perm)), &mut f0, &mut f1)?;
-            out.push(Ciphertext::from_parts(vec![f0, f1], level, a.scale)?);
+            self.floor(bufs, level, to, Some((&a.polys[0], perm)), &mut f0, &mut f1)?;
+            out.push(Ciphertext::from_parts(vec![f0, f1], to, a.scale)?);
         }
         Ok(out)
     }
@@ -239,12 +252,15 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         }
     }
 
-    /// Step 1 (lines 3, 6–9, 14–15): fills `bufs.digits` with `b̃_{i,j}`.
+    /// Step 1 (lines 3, 6–9, 14–15): fills `bufs.digits` with `b̃_{i,j}`
+    /// for the columns an output at level `to` reads: `0..=to` and the
+    /// special column. The others are left as they were.
     pub(crate) fn decompose(
         &self,
         bufs: &mut KsBuffers,
         c1: &RnsPoly,
         level: usize,
+        to: usize,
     ) -> Result<(), CkksError> {
         if c1.representation() != Representation::Ntt {
             return Err(MathError::RepresentationMismatch.into());
@@ -275,6 +291,9 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         // residue reduced into the column's prime on load.
         let digits = &mut digits[..(level + 2) * rows * n];
         exec::for_each_limb(self.exec, digits, rows * n, |j, col| {
+            if !computes(j, level, to) {
+                return;
+            }
             let chain_idx = self.chain_index(j, level);
             let table = ctx.ntt_table(chain_idx);
             for (i, dst) in col.chunks_exact_mut(n).enumerate() {
@@ -291,14 +310,16 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
 
     /// Step 2 (lines 11–12, 16–17): overwrites both accumulators with
     /// `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}`, each coefficient's products summed
-    /// double-width and reduced once into `[0, 4p)`. The digits are
-    /// whatever words NTT0 left, the key residues canonical.
+    /// double-width and reduced once into `[0, 4p)`, for the columns
+    /// [`KeySwitcher::decompose`] filled for `to`. The digits are whatever
+    /// words NTT0 left, the key residues canonical.
     pub(crate) fn accumulate(
         &self,
         bufs: &mut KsBuffers,
         ksk: &KeySwitchKey,
         perm: Option<&[usize]>,
         level: usize,
+        to: usize,
     ) {
         let n = self.ctx.n();
         let rows = level + 1;
@@ -309,6 +330,9 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let digits = &*digits;
         let (acc0, acc1) = (&mut acc0[..ext], &mut acc1[..ext]);
         exec::for_each_limb2(self.exec, acc0, acc1, n, |j, d0, d1| {
+            if !computes(j, level, to) {
+                return;
+            }
             let chain_idx = self.chain_index(j, level);
             let keys = (0..rows).map(|i| {
                 let (b, a) = ksk.component(i);
@@ -322,21 +346,25 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
 
     /// Step 3 (line 19): floors both accumulators by the special prime
     /// into `out0`/`out1`, adding `add.0` read through the permutation
-    /// `add.1` into `out0` when given. The accumulators are lazy (any
-    /// word below `4p` congruent to the residue); the final `MulRed`
-    /// canonicalizes, so the outputs are the strict floor's.
+    /// `add.1` into `out0` when given. Only the residues of level `to`
+    /// are floored, and the outputs must be shaped over exactly those.
+    /// The accumulators are lazy (any word below `4p` congruent to the
+    /// residue); the final `MulRed` canonicalizes, so the outputs are the
+    /// strict floor's.
     pub(crate) fn floor(
         &self,
         bufs: &mut KsBuffers,
         level: usize,
+        to: usize,
         add: Option<(&RnsPoly, &[usize])>,
         out0: &mut RnsPoly,
         out1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
         let (ctx, backend) = (self.ctx, self.backend);
         let n = ctx.n();
-        let keep = level + 1;
-        let out_moduli = ctx.level_moduli(level);
+        debug_assert!(to <= level, "output level {to} above {level}");
+        let keep = to + 1;
+        let out_moduli = ctx.level_moduli(to);
         check_switch_output(out0, n, out_moduli)?;
         check_switch_output(out1, n, out_moduli)?;
         let KsBuffers {
@@ -345,9 +373,10 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let consts = ctx.modswitch_constants(level);
 
         // INTT1 per accumulator: its special-prime residue, reduced where
-        // it lies.
-        let (c0, a0) = acc0[..(keep + 1) * n].split_at_mut(keep * n);
-        let (c1, a1) = acc1[..(keep + 1) * n].split_at_mut(keep * n);
+        // it lies (column `level + 1`).
+        let special = (level + 1) * n;
+        let (c0, a0) = acc0[..special + n].split_at_mut(special);
+        let (c1, a1) = acc1[..special + n].split_at_mut(special);
         for a in [&mut *a0, &mut *a1] {
             ctx.special_modulus().reduce_words(a);
             backend.inverse(Stage::Intt1, ctx.special_ntt_table(), a);
@@ -379,6 +408,21 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         );
         Ok(())
     }
+}
+
+/// Whether extended-basis column `j` at `level` feeds an output at level
+/// `to`: one of the kept primes, or the special prime.
+#[inline]
+fn computes(j: usize, level: usize, to: usize) -> bool {
+    j <= to || j == level + 1
+}
+
+/// Validates an output level against the input's.
+pub(crate) fn check_output_level(to: usize, level: usize) -> Result<(), CkksError> {
+    if to > level {
+        return Err(CkksError::LevelMismatch { a: to, b: level });
+    }
+    Ok(())
 }
 
 /// Validates a caller-provided key-switch output buffer: NTT-form shape
@@ -488,13 +532,77 @@ mod tests {
             assert_eq!((f0, f1), want);
 
             let t = steps.len();
-            let rotated = ks.rotate_many(&mut bufs, &ct, &steps, &gks).unwrap();
+            let rotated = ks.rotate_many(&mut bufs, &ct, &steps, &gks, level).unwrap();
             assert_eq!(
                 backend.take(),
                 [l1, l1 * l1, 2 * t, 2 * l1 * t],
                 "level {level}, {t} hoisted rotations"
             );
             assert_eq!(rotated, ev.rotate_many(&ct, &steps, &gks).unwrap());
+        }
+    }
+
+    /// An output level `L ≤ ℓ` as structure: INTT0 still reads every
+    /// input residue, but NTT0 fills only columns `0..=L` and the special
+    /// one — `(L+1)·ℓ + ℓ+1` transforms, the diagonal digits copied — and
+    /// the floor transforms `L+1` residues per accumulator. The outputs
+    /// are the full-level ones with the residues above `L` dropped, on the
+    /// hoisted path and the lone one alike.
+    #[test]
+    fn transform_counts_follow_the_output_level() {
+        let ctx = CkksContext::new(small()).unwrap();
+        let mut rng = StdRng::seed_from_u64(78);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let steps = [2i64, -1, 5, 1];
+        let gks = GaloisKeys::generate(&ctx, &sk, &steps, &mut rng);
+        let pt = CkksEncoder::new(&ctx)
+            .encode_real(&[0.75, 3.0, -1.25], ctx.params().scale(), ctx.max_level())
+            .unwrap();
+        let top = Encryptor::new(&ctx, &pk).encrypt(&pt, &mut rng).unwrap();
+
+        let ev = Evaluator::new(&ctx);
+        let backend = Counting::default();
+        let ks = KeySwitcher::new(&ctx, &Sequential, &backend);
+        let mut bufs = KsBuffers::default();
+        for level in 0..=ctx.max_level() {
+            let ct = ev.mod_switch_to_level(&top, level).unwrap();
+            let full = ev.rotate_many(&ct, &steps, &gks).unwrap();
+            for to in 0..=level {
+                let dropped: Vec<_> = full
+                    .iter()
+                    .map(|c| ev.mod_switch_to_level(c, to).unwrap())
+                    .collect();
+                for t in 1..=steps.len() {
+                    let rotated = ks
+                        .rotate_many(&mut bufs, &ct, &steps[..t], &gks, to)
+                        .unwrap();
+                    assert_eq!(
+                        backend.take(),
+                        [level + 1, (to + 2) * level + 1, 2 * t, 2 * (to + 1) * t],
+                        "level {level}, output level {to}, {t} rotations"
+                    );
+                    assert_eq!(rotated, dropped[..t]);
+                }
+                let hoisted = ev.rotate_many_to_level(&ct, &steps, &gks, to).unwrap();
+                assert_eq!(hoisted, dropped);
+                for &step in &steps {
+                    let want = ev.rotate(&ct, step, &gks).unwrap();
+                    assert_eq!(
+                        ev.rotate_to_level(&ct, step, &gks, to).unwrap(),
+                        ev.mod_switch_to_level(&want, to).unwrap(),
+                        "level {level}, output level {to}, step {step}"
+                    );
+                }
+            }
+            assert!(matches!(
+                ev.rotate_many_to_level(&ct, &steps, &gks, level + 1),
+                Err(CkksError::LevelMismatch { .. })
+            ));
+            assert!(matches!(
+                ev.rotate_to_level(&ct, 1, &gks, level + 1),
+                Err(CkksError::LevelMismatch { .. })
+            ));
         }
     }
 }

@@ -562,9 +562,13 @@ impl<'a> HeaxAccelerator<'a> {
         gks: &GaloisKeys,
     ) -> Result<(Vec<Ciphertext>, OpReport), CoreError> {
         let backend = DataflowNtt::new(&self.arch)?;
-        let outs =
-            self.switcher(&backend)
-                .rotate_many(&mut KsBuffers::default(), ct, steps, gks)?;
+        let outs = self.switcher(&backend).rotate_many(
+            &mut KsBuffers::default(),
+            ct,
+            steps,
+            gks,
+            ct.level(),
+        )?;
         let report = match outs.len() as u64 {
             0 => self.report(HeaxOp::KeySwitch, 0, 0, 0, 0),
             t => self.key_switch_report(ct.level(), t)?,

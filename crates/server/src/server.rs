@@ -30,7 +30,9 @@
 //! write start a fresh group and observe the new value — in-order
 //! semantics hold even across handle reuse. Results decrypt to the
 //! same values as sequential rotations (hoisting is decrypt-equal,
-//! not bit-equal).
+//! not bit-equal). A group (or lone rotation) whose every reply is
+//! compressed is computed only over the one residue those replies keep
+//! ([`Evaluator::rotate_many_to_level`]); its reply bytes are unchanged.
 //! All other requests execute individually, in order, against the
 //! server's shared evaluator — whose key-switch scratch and the
 //! sessions' cached (parsed, validated) keys are themselves
@@ -714,7 +716,10 @@ impl<'a> HeaxServer<'a> {
 
     /// Executes a fused rotation group: one hoisted decomposition, one
     /// accumulation pass per member with a key. Members lacking a key
-    /// fail individually; the rest still share the hoisting.
+    /// fail individually; the rest still share the hoisting. When every
+    /// member with a key ships a compressed reply, the group is computed
+    /// at level 0, over the one residue the replies keep — the same bits
+    /// `settle`'s modulus switch would leave.
     fn exec_rotate_group(
         &mut self,
         items: &[Pending],
@@ -752,15 +757,23 @@ impl<'a> HeaxServer<'a> {
                 results[i] = Some(Err(ServerError::MissingGaloisKey { step }));
             }
         }
+        let to = if covered
+            .iter()
+            .all(|&i| items[i].compress_reply && items[i].park_as.is_none())
+        {
+            0
+        } else {
+            input.level()
+        };
         match covered.len() {
             0 => {}
             // A lone rotation takes the plain path (bit-identical to the
             // unbatched server; hoisting would only add noise headroom).
             1 => {
-                let rotated = self.eval.rotate(input, steps[0], gks);
+                let rotated = self.eval.rotate_to_level(input, steps[0], gks, to);
                 results[covered[0]] = Some(rotated.map(Arc::new).map_err(Into::into));
             }
-            _ => match self.eval.rotate_many(input, &steps, gks) {
+            _ => match self.eval.rotate_many_to_level(input, &steps, gks, to) {
                 Ok(outputs) => {
                     self.metrics.hoisted_groups = self.metrics.hoisted_groups.saturating_add(1);
                     self.metrics.hoisted_rotations = self

@@ -5,7 +5,7 @@
 //! onto the connection's write buffer — and that the thread's polynomial
 //! recycler is whole again after every way a request can leave the
 //! server. A warm fan-out of `Rotate`s allocates nothing
-//! polynomial-sized either.
+//! polynomial-sized either, with its replies compressed or not.
 //!
 //! Set-A requests (two 128 KiB inline ciphertexts in, one out) go through
 //! the very calls `NetServer` makes: `FrameAssembler::read_from` →
@@ -283,13 +283,16 @@ fn the_pool_is_whole_again_however_a_request_leaves() {
     // The in-place sum comes home when it is compressed to one limb for
     // the wire, or never made because the other operand names no parked
     // result. Parked, it is what the session holds, not a copy of it, so
-    // only the second operand's polynomials come home.
+    // only the second operand's polynomials come home. The compressed
+    // reply's two one-residue polynomials are taken from the recycler and
+    // come home too, and stay on its list after: the later counts are two
+    // higher than the full-size polynomials alone would make them.
     let frames = [
         r.edited(|body| body.compress_reply = true),
         r.edited(|body| body.park_as = Some("sum")),
         r.edited(|body| body.operands[1] = WireOperand::Parked("nothing")),
     ];
-    for (frame, held) in frames.iter().zip([4, 2, 2]) {
+    for (frame, held) in frames.iter().zip([6, 4, 4]) {
         assert!(r.intake(frame).is_empty());
         assert_eq!(r.server.flush_into(&mut r.sink), 1);
         assert_eq!(recycled_buffers(), held);
@@ -365,6 +368,20 @@ fn parking_an_add_and_fetching_it_copy_no_polynomial() {
 /// the first flush's, byte for byte.
 #[test]
 fn a_warm_fanout_rotate_allocates_nothing_polynomial_sized() {
+    warm_fanout(false);
+}
+
+/// The same fan-out with every reply compressed to one residue: the group
+/// is computed at that level, so no reply is cut down from a full-level
+/// copy of its result.
+#[test]
+fn a_warm_compressed_fanout_allocates_nothing_polynomial_sized() {
+    warm_fanout(true);
+}
+
+/// Serves a fan-out of four `Rotate`s five times and checks that the last
+/// three flushes allocate nothing polynomial-sized.
+fn warm_fanout(compress_reply: bool) {
     let ctx = context();
     let steps = [1i64, 2, 3, 4];
     let mut rng = StdRng::seed_from_u64(0xFA40);
@@ -391,7 +408,16 @@ fn a_warm_fanout_rotate_allocates_nothing_polynomial_sized() {
     let fanout: Vec<Vec<u8>> = steps
         .iter()
         .zip(0..)
-        .map(|(&step, id)| client::rotate(session, id, &input, step))
+        .map(|(&step, id)| {
+            let body = Request {
+                op: OpCode::Rotate,
+                step,
+                compress_reply,
+                park_as: None,
+                operands: vec![WireOperand::Inline(&input)],
+            };
+            client::request(session, id, &body)
+        })
         .collect();
     let serve = |server: &mut HeaxServer<'_>, sink: &mut WriteBuffer| {
         for frame in &fanout {
@@ -404,6 +430,13 @@ fn a_warm_fanout_rotate_allocates_nothing_polynomial_sized() {
     serve(&mut server, &mut first);
     assert_eq!(server.stats().hoisted_groups, 1);
     assert_eq!(server.stats().decoded_operands, 1);
+    let limbs = if compress_reply {
+        1
+    } else {
+        ctx.max_level() + 1
+    };
+    let reply_len = wire::response_frame_len(serialized_ciphertext_bytes(ctx.n(), limbs, 2));
+    assert_eq!(first.out.len(), steps.len() * reply_len);
     let mut sink = WriteBuffer::default();
     serve(&mut server, &mut sink);
     assert_eq!(sink.out, first.out);

@@ -653,6 +653,137 @@ fn v2_seeded_upload_and_compressed_reply() {
     assert_eq!(stats.compressed_replies, 1);
 }
 
+/// A rotation of inline ciphertext bytes, its reply shaped as asked.
+fn rotation<'a>(
+    input: &'a [u8],
+    step: i64,
+    compress_reply: bool,
+    park_as: Option<&'a str>,
+) -> Request<'a> {
+    Request {
+        op: OpCode::Rotate,
+        step,
+        compress_reply,
+        park_as,
+        operands: vec![WireOperand::Inline(input)],
+    }
+}
+
+/// The ciphertext bytes a reply frame carries.
+fn reply_bytes(frame: &[u8]) -> Vec<u8> {
+    match client::parse_reply(frame).unwrap().2 {
+        Reply::Ciphertext(bytes) => bytes,
+        other => panic!("expected a ciphertext reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn compressed_rotations_reply_the_full_level_result_cut_to_one_residue() {
+    let ctx = ctx();
+    let steps = [1i64, -1, 2, 5];
+    let c = client(&ctx, 21, &steps);
+    let eval = Evaluator::new(&ctx);
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
+    let session = open(&mut server);
+    register_keys(&mut server, session, &c);
+    let cut = |ct: &Ciphertext| serialize_ciphertext(&eval.mod_switch_to_level(ct, 0).unwrap());
+
+    let mut id = 0;
+    for level in (0..=ctx.max_level()).rev() {
+        let input = eval.mod_switch_to_level(&c.ct, level).unwrap();
+        let bytes = serialize_ciphertext(&input);
+
+        // A fused fan-out, every member compressed.
+        for &step in &steps {
+            id += 1;
+            submit(
+                &mut server,
+                session,
+                id,
+                &rotation(&bytes, step, true, None),
+            );
+        }
+        let replies = server.flush();
+        let want = eval.rotate_many(&input, &steps, &c.gks).unwrap();
+        assert_eq!(replies.len(), steps.len());
+        for ((reply, want), step) in replies.iter().zip(&want).zip(steps) {
+            assert_eq!(reply_bytes(reply), cut(want), "level {level}, step {step}");
+        }
+
+        // A lone compressed rotation: the plain path, cut the same way.
+        id += 1;
+        submit(&mut server, session, id, &rotation(&bytes, 5, true, None));
+        let replies = server.flush();
+        let want = eval.rotate(&input, 5, &c.gks).unwrap();
+        assert_eq!(reply_bytes(&replies[0]), cut(&want), "level {level}, lone");
+    }
+    let stats = server.stats();
+    let levels = ctx.max_level() as u64 + 1;
+    assert_eq!(stats.hoisted_groups, levels);
+    assert_eq!(stats.compressed_replies, levels * (steps.len() as u64 + 1));
+    assert_eq!(stats.op(OpCode::Rotate).errors, 0);
+}
+
+#[test]
+fn a_mixed_rotation_group_gives_each_member_the_reply_it_asked_for() {
+    let ctx = ctx();
+    let steps = [1i64, -1, 2, 5];
+    let c = client(&ctx, 22, &steps);
+    let eval = Evaluator::new(&ctx);
+    let mut server = HeaxServer::new(&ctx, Board::stratix10()).unwrap();
+    let session = open(&mut server);
+    register_keys(&mut server, session, &c);
+    let bytes = serialize_ciphertext(&c.ct);
+    let full = eval.rotate_many(&c.ct, &steps, &c.gks).unwrap();
+    let cut = |ct: &Ciphertext| serialize_ciphertext(&eval.mod_switch_to_level(ct, 0).unwrap());
+
+    // One group: compressed, parked, uncompressed, compressed.
+    let asks = [
+        (true, None),
+        (false, Some("r")),
+        (false, None),
+        (true, None),
+    ];
+    for (id, (&step, (compress, park))) in (1..).zip(steps.iter().zip(asks)) {
+        submit(
+            &mut server,
+            session,
+            id,
+            &rotation(&bytes, step, compress, park),
+        );
+    }
+    let replies = server.flush();
+    assert_eq!(replies.len(), 4);
+    assert_eq!(server.stats().hoisted_groups, 1);
+    assert_eq!(reply_bytes(&replies[0]), cut(&full[0]));
+    let (_, _, parked) = client::parse_reply(&replies[1]).unwrap();
+    assert_eq!(parked, Reply::Parked("r".into()));
+    assert_eq!(server.parked(session, "r"), Some(&full[1]));
+    assert_eq!(reply_bytes(&replies[2]), serialize_ciphertext(&full[2]));
+    assert_eq!(reply_bytes(&replies[3]), cut(&full[3]));
+
+    // No park at all, but one member wants the full result.
+    submit(
+        &mut server,
+        session,
+        5,
+        &rotation(&bytes, steps[0], false, None),
+    );
+    submit(
+        &mut server,
+        session,
+        6,
+        &rotation(&bytes, steps[2], true, None),
+    );
+    let replies = server.flush();
+    let full = eval
+        .rotate_many(&c.ct, &[steps[0], steps[2]], &c.gks)
+        .unwrap();
+    assert_eq!(server.stats().hoisted_groups, 2);
+    assert_eq!(reply_bytes(&replies[0]), serialize_ciphertext(&full[0]));
+    assert_eq!(reply_bytes(&replies[1]), cut(&full[1]));
+}
+
 #[test]
 fn v1_clients_still_served_with_version_echoed() {
     let ctx = ctx();
