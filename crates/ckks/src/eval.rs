@@ -19,7 +19,7 @@
 //! computes `(τ(c₀) + f₀, f₁)` where `(f₀, f₁) = KeySwitchInner(τ(c₁))`.
 //! [`Evaluator::key_switch`] exposes the inner primitive directly.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use heax_math::exec::{self, Executor};
 use heax_math::poly::{Representation, RnsPoly};
@@ -35,7 +35,8 @@ use crate::CkksError;
 /// Relative tolerance when comparing scales of operands.
 const SCALE_RTOL: f64 = 1e-9;
 
-/// Evaluator borrowing a context, plus an internal reusable workspace.
+/// Evaluator borrowing a context: plain shared data, no workspace, so
+/// one evaluator serves any number of threads by `&`.
 ///
 /// By default limb-level work (dyadic products, per-limb NTTs, the
 /// key-switch inner loop) is dispatched through the global executor
@@ -43,28 +44,27 @@ const SCALE_RTOL: f64 = 1e-9;
 /// [`Evaluator::with_executor`] to pin an explicit backend. All backends
 /// are bit-identical.
 ///
-/// The evaluator owns a [`KsBuffers`] workspace (behind a mutex, so the
-/// type stays `Sync`): key switching, rescaling, and rotation reuse the
-/// same accumulators and per-limb lanes instead of allocating on every
-/// call. Every polynomial an op makes comes from
-/// [`RnsPoly::for_overwrite`], so a warm circuit reuses its previous
-/// outputs' buffers, unfilled. Cloning starts a fresh (cold) workspace.
-#[derive(Debug)]
+/// Working memory comes from the calling thread's recycler
+/// ([`heax_math::poly`]): a key switch or rescale takes its accumulators,
+/// digits and per-limb lanes from it and gives them back when the call
+/// ends. The outputs of `add`, the multiplies, the key switches,
+/// rotations, `rescale` and the modulus switches are
+/// [`RnsPoly::for_overwrite`] polynomials too, so a warm circuit of
+/// those ops reuses its previous outputs' buffers, unfilled. `negate`,
+/// `sub`, `multiply_integer`, `add_many`, `add_plain` and `sub_plain`
+/// clone their input, and `sub` zero-fills a stand-in for a missing
+/// component.
+#[derive(Clone, Debug)]
 pub struct Evaluator<'a> {
     ctx: &'a CkksContext,
     exec: Arc<dyn Executor>,
-    scratch: Mutex<KsBuffers>,
 }
 
-impl Clone for Evaluator<'_> {
-    fn clone(&self) -> Self {
-        Self {
-            ctx: self.ctx,
-            exec: self.exec.clone(),
-            scratch: Mutex::default(),
-        }
-    }
-}
+/// Worker threads share one evaluator by `&`: it must stay `Send + Sync`.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<Evaluator<'static>>();
+};
 
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator using the global (`HEAX_THREADS`-selected)
@@ -75,18 +75,7 @@ impl<'a> Evaluator<'a> {
 
     /// Creates an evaluator with an explicit execution backend.
     pub fn with_executor(ctx: &'a CkksContext, exec: Arc<dyn Executor>) -> Self {
-        Self {
-            ctx,
-            exec,
-            scratch: Mutex::default(),
-        }
-    }
-
-    /// Locks the scratch workspace, recovering from a poisoned lock: every
-    /// call overwrites the words it reads back, and `ensure` restores the
-    /// shapes, so a panic mid-update breaks no invariant.
-    fn scratch(&self) -> std::sync::MutexGuard<'_, KsBuffers> {
-        self.scratch.lock().unwrap_or_else(|e| e.into_inner())
+        Self { ctx, exec }
     }
 
     /// The context.
@@ -355,25 +344,11 @@ impl<'a> Evaluator<'a> {
         let n = self.ctx.n();
         let out_moduli = self.ctx.level_moduli(a.level - 1);
         let mut polys = Vec::with_capacity(a.size());
-        let mut guard = self.scratch();
-        guard.ensure(self.ctx, a.level);
-        let KsBuffers {
-            lane, drop_coeff, ..
-        } = &mut *guard;
         for c in &a.polys {
             let mut out = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
-            floor_last_into(
-                c,
-                self.ctx,
-                a.level,
-                self.exec.as_ref(),
-                drop_coeff,
-                lane,
-                &mut out,
-            )?;
+            floor_last_into(c, self.ctx, a.level, self.exec.as_ref(), &mut out)?;
             polys.push(out);
         }
-        drop(guard);
         Ciphertext::from_parts(polys, a.level - 1, a.scale / dropped)
     }
 
@@ -452,9 +427,8 @@ impl<'a> Evaluator<'a> {
 
     /// [`Evaluator::key_switch`] into caller-provided output buffers:
     /// `f0`/`f1` must be NTT-form polynomials over the basis of `level`.
-    /// Together with the evaluator's internal workspace this makes the
-    /// call **allocation-free after warm-up** (the first call at a level
-    /// higher than any before grows the buffers; see the `alloc`
+    /// The working memory comes from the thread's recycler, so the call
+    /// is **allocation-free once the recycler is warm** (see the `alloc`
     /// integration test).
     ///
     /// # Errors
@@ -469,9 +443,7 @@ impl<'a> Evaluator<'a> {
         f0: &mut RnsPoly,
         f1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
-        let mut guard = self.scratch();
-        self.switcher()
-            .key_switch_into(&mut guard, target, ksk, level, f0, f1)
+        self.switcher().key_switch_into(target, ksk, level, f0, f1)
     }
 
     /// The shared key-switch skeleton over the software NTT kernels.
@@ -610,19 +582,12 @@ impl<'a> Evaluator<'a> {
         let mut rotated = RnsPoly::for_overwrite(n, ctx.level_moduli(level), Representation::Ntt);
         apply_galois_ntt_into(&a.polys[1], table, &mut rotated)?;
         let switcher = self.switcher();
-        let mut ks = self.scratch();
+        let mut ks = KsBuffers::new(ctx, level);
         switcher.decompose(&mut ks, &rotated, level, to)?;
         switcher.accumulate(&mut ks, ksk, None, level, to);
         // c₀' = τ(c₀) + f₀, added as the floor stores f₀.
-        switcher.floor(
-            &mut ks,
-            level,
-            to,
-            Some((&a.polys[0], table)),
-            &mut f0,
-            &mut f1,
-        )?;
-        drop(ks);
+        let add = Some((&a.polys[0], table));
+        switcher.floor(&mut ks, level, to, add, &mut f0, &mut f1)?;
         Ciphertext::from_parts(vec![f0, f1], to, a.scale)
     }
 
@@ -669,8 +634,7 @@ impl<'a> Evaluator<'a> {
         gks: &GaloisKeys,
         to: usize,
     ) -> Result<Vec<Ciphertext>, CkksError> {
-        let mut guard = self.scratch();
-        self.switcher().rotate_many(&mut guard, a, steps, gks, to)
+        self.switcher().rotate_many(a, steps, gks, to)
     }
 }
 

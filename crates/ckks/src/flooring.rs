@@ -14,36 +14,15 @@
 //! MS` tail of the KeySwitch module (Figure 5).
 
 use heax_math::exec::{self, Executor};
-use heax_math::poly::{Representation, RnsPoly};
+use heax_math::poly::{Representation, RnsPoly, Words};
 
 use crate::context::CkksContext;
 use crate::CkksError;
 
-/// Floors away the **special prime** into a caller-provided output: input
-/// spans `p_0..p_level` plus the special prime (as its last residue);
-/// `out` must be pre-shaped over `p_0..p_level` in NTT form. `drop_coeff`
-/// and `lane` are scratch buffers (see [`crate::keyswitch::KsBuffers`]);
-/// the call is allocation-free once they have capacity.
-///
-/// # Errors
-///
-/// Returns [`CkksError::Math`] if the input is not in NTT form, its
-/// residue count is not `level + 2`, or `out` has the wrong shape.
-pub(crate) fn floor_special_into(
-    c: &RnsPoly,
-    ctx: &CkksContext,
-    level: usize,
-    exec: &dyn Executor,
-    drop_coeff: &mut Vec<u64>,
-    lane: &mut [u64],
-    out: &mut RnsPoly,
-) -> Result<(), CkksError> {
-    floor_impl_into(c, ctx, level, true, exec, drop_coeff, lane, out)
-}
-
 /// Floors away the **last ciphertext prime** `p_level` (rescaling) into a
 /// caller-provided output: input spans `p_0..p_level`; `out` must be
-/// pre-shaped over `p_0..p_{level-1}` in NTT form.
+/// pre-shaped over `p_0..p_{level-1}` in NTT form. The working words come
+/// from the thread's recycler, so a warm call allocates nothing.
 ///
 /// # Errors
 ///
@@ -54,44 +33,39 @@ pub(crate) fn floor_last_into(
     ctx: &CkksContext,
     level: usize,
     exec: &dyn Executor,
-    drop_coeff: &mut Vec<u64>,
-    lane: &mut [u64],
     out: &mut RnsPoly,
 ) -> Result<(), CkksError> {
     if level == 0 {
         return Err(CkksError::LevelExhausted);
     }
-    floor_impl_into(c, ctx, level, false, exec, drop_coeff, lane, out)
+    floor_impl_into(c, ctx, level, false, exec, out)
 }
 
-/// Allocating convenience wrapper over [`floor_special_into`] for cold
-/// paths (encryption); hot paths go through the evaluator's scratch.
+/// Floors away the **special prime** (encryption): input spans
+/// `p_0..p_level` plus the special prime as its last residue; the output
+/// spans `p_0..p_level` in NTT form.
 ///
 /// # Errors
 ///
-/// Same as [`floor_special_into`].
+/// Returns [`CkksError::Math`] if the input is not in NTT form or its
+/// residue count is not `level + 2`.
 pub(crate) fn floor_special(
     c: &RnsPoly,
     ctx: &CkksContext,
     level: usize,
     exec: &dyn Executor,
 ) -> Result<RnsPoly, CkksError> {
-    let mut drop_coeff = Vec::new();
-    let mut lane = vec![0u64; (level + 1) * ctx.n()];
     let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(level), Representation::Ntt);
-    floor_special_into(c, ctx, level, exec, &mut drop_coeff, &mut lane, &mut out)?;
+    floor_impl_into(c, ctx, level, true, exec, &mut out)?;
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn floor_impl_into(
     c: &RnsPoly,
     ctx: &CkksContext,
     level: usize,
     special: bool,
     exec: &dyn Executor,
-    drop_coeff: &mut Vec<u64>,
-    lane: &mut [u64],
     out: &mut RnsPoly,
 ) -> Result<(), CkksError> {
     if c.representation() != Representation::Ntt {
@@ -129,17 +103,17 @@ fn floor_impl_into(
     // this single-residue floor are always canonical [0, p) residues
     // (rescaling, encryption); only the key-switch skeleton's paired
     // floor (`crate::keyswitch`) accepts lazy accumulators.
-    drop_coeff.clear();
-    drop_coeff.extend_from_slice(c.residue(keep));
-    drop_table.inverse_auto(drop_coeff);
+    let mut drop_coeff = Words::for_overwrite(n);
+    drop_coeff.copy_from_slice(c.residue(keep));
+    drop_table.inverse_auto(&mut drop_coeff);
 
     // Step 2: fold into every remaining modulus (lines 2-7) — one
     // independent limb per modulus, dispatched across the executor; each
     // limb re-NTTs, reducing on load, inside its own scratch lane.
     let a = &*drop_coeff;
-    let lane = &mut lane[..out_moduli.len() * n];
+    let mut lane = Words::for_overwrite(out_moduli.len() * n);
     out.set_representation(Representation::Ntt);
-    exec::for_each_limb2(exec, out.data_mut(), lane, n, |i, dst, buf| {
+    exec::for_each_limb2(exec, out.data_mut(), &mut lane, n, |i, dst, buf| {
         // DOMAIN: [0,4p)
         ctx.ntt_table(i).forward_reduced_auto(a, buf);
         out_moduli[i].mod_switch(consts.inv(i), c.residue(i), buf, None, dst);
@@ -164,10 +138,8 @@ mod tests {
         if level == 0 {
             return Err(CkksError::LevelExhausted);
         }
-        let mut drop = Vec::new();
-        let mut lane = vec![0u64; level * ctx.n()];
         let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(level - 1), Representation::Ntt);
-        floor_last_into(c, ctx, level, exec, &mut drop, &mut lane, &mut out)?;
+        floor_last_into(c, ctx, level, exec, &mut out)?;
         Ok(out)
     }
 
@@ -265,8 +237,7 @@ mod tests {
                 }
             }
         }
-        let mut bufs = KsBuffers::default();
-        bufs.ensure(&ctx, level);
+        let mut bufs = KsBuffers::new(&ctx, level);
         bufs.acc0.copy_from_slice(c0.data());
         bufs.acc1.copy_from_slice(c1.data());
         let mut p0 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);

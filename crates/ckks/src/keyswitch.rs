@@ -35,7 +35,7 @@
 
 use heax_math::exec::{self, Executor};
 use heax_math::ntt::NttTable;
-use heax_math::poly::{Representation, RnsPoly};
+use heax_math::poly::{Representation, RnsPoly, Words};
 use heax_math::word::Modulus;
 use heax_math::MathError;
 
@@ -45,48 +45,37 @@ use crate::galois::galois_elt_from_step;
 use crate::keys::{GaloisKeys, KeySwitchKey};
 use crate::CkksError;
 
-/// Buffers for one key-switch (or flooring) invocation, as HEAX wires BRAM
-/// banks into the pipeline (Figure 5). The first use at a level higher
-/// than any before grows them, others slice, so
-/// [`KeySwitcher::key_switch_into`] allocates nothing after warm-up.
-#[derive(Debug, Default)]
-pub struct KsBuffers {
-    /// Ring degree and highest level the buffers are shaped for.
-    shape: Option<(usize, usize)>,
+/// Working memory of one key switch, taken from the thread's recycler
+/// and given back when the call ends, as HEAX wires the same BRAM banks
+/// into the pipeline for every switch (Figure 5). Once the recycler is
+/// warm, [`KeySwitcher::key_switch_into`] allocates nothing.
+pub(crate) struct KsBuffers {
     /// Accumulator `f₀` over the extended basis (active primes, then the
-    /// special prime): limb `j` of a level spans `[j·n, (j+1)·n)`.
-    pub(crate) acc0: Vec<u64>,
+    /// special prime): limb `j` spans `[j·n, (j+1)·n)`.
+    pub(crate) acc0: Words,
     /// Accumulator `f₁` over the extended basis.
-    pub(crate) acc1: Vec<u64>,
+    pub(crate) acc1: Words,
     /// Decomposition digits `b̃_{i,j}` of Algorithm 7:
     /// `(level+2) · (level+1)` limbs of `n` words, **column-major in the
     /// extended-basis index `j`** — digit `(i, j)` lives at
     /// `[(j·(level+1) + i)·n, (j·(level+1) + i + 1)·n)`.
-    pub(crate) digits: Vec<u64>,
+    digits: Words,
     /// Per-limb reduction/NTT lanes: limb `j` owns `[j·n, (j+1)·n)`;
     /// sized for the paired floor (two lanes per output limb).
-    pub(crate) lane: Vec<u64>,
-    /// Coefficient form of the dropped residue during rescaling.
-    pub(crate) drop_coeff: Vec<u64>,
+    lane: Words,
 }
 
 impl KsBuffers {
-    /// Makes every buffer large enough for `level` (no-op when a level at
-    /// least as high has been seen — the steady-state, allocation-free
-    /// path). Users slice the prefix their level needs.
-    pub(crate) fn ensure(&mut self, ctx: &CkksContext, level: usize) {
-        let n = ctx.n();
-        if self.shape.is_some_and(|(m, top)| m == n && top >= level) {
-            return;
+    /// Buffers for one switch of a `level` input, four separate takes so
+    /// each is the best fit of its own size.
+    pub(crate) fn new(ctx: &CkksContext, level: usize) -> Self {
+        let (n, ext) = (ctx.n(), level + 2);
+        Self {
+            acc0: Words::for_overwrite(ext * n),
+            acc1: Words::for_overwrite(ext * n),
+            digits: Words::for_overwrite(ext * (level + 1) * n),
+            lane: Words::for_overwrite(2 * ext * n),
         }
-        let ext = level + 2;
-        self.acc0.resize(ext * n, 0);
-        self.acc1.resize(ext * n, 0);
-        self.digits.resize(ext * (level + 1) * n, 0);
-        self.lane.resize(2 * ext * n, 0);
-        self.drop_coeff.clear();
-        self.drop_coeff.reserve(n);
-        self.shape = Some((n, level));
     }
 }
 
@@ -149,9 +138,10 @@ impl NttBackend for TableNtt {
 }
 
 /// The key-switch skeleton bound to a context, a limb executor and an
-/// NTT backend. Working memory is a caller-owned [`KsBuffers`], grown on
-/// the first use at each new highest level; after that
-/// [`KeySwitcher::key_switch_into`] allocates nothing.
+/// NTT backend. It holds no working memory: each call takes its buffers
+/// from the calling thread's recycler ([`Words`]) and gives them back,
+/// so once the recycler is warm [`KeySwitcher::key_switch_into`]
+/// allocates nothing, and one switcher serves any number of threads.
 #[derive(Debug)]
 pub struct KeySwitcher<'a, B> {
     ctx: &'a CkksContext,
@@ -176,16 +166,16 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     /// shaped over the basis of `level`.
     pub fn key_switch_into(
         &self,
-        bufs: &mut KsBuffers,
         target: &RnsPoly,
         ksk: &KeySwitchKey,
         level: usize,
         f0: &mut RnsPoly,
         f1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
-        self.decompose(bufs, target, level, level)?;
-        self.accumulate(bufs, ksk, None, level, level);
-        self.floor(bufs, level, level, None, f0, f1)
+        let mut bufs = KsBuffers::new(self.ctx, level);
+        self.decompose(&mut bufs, target, level, level)?;
+        self.accumulate(&mut bufs, ksk, None, level, level);
+        self.floor(&mut bufs, level, level, None, f0, f1)
     }
 
     /// Hoisted multi-rotation: decomposes `c₁` once, then per step runs
@@ -202,7 +192,6 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     /// any work is done).
     pub fn rotate_many(
         &self,
-        bufs: &mut KsBuffers,
         a: &Ciphertext,
         steps: &[i64],
         gks: &GaloisKeys,
@@ -228,13 +217,15 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        self.decompose(bufs, &a.polys[1], level, to)?;
+        let mut bufs = KsBuffers::new(self.ctx, level);
+        self.decompose(&mut bufs, &a.polys[1], level, to)?;
         let mut out = Vec::with_capacity(keys.len());
         for (ksk, perm) in keys {
-            self.accumulate(bufs, ksk, Some(perm), level, to);
+            self.accumulate(&mut bufs, ksk, Some(perm), level, to);
             let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
-            self.floor(bufs, level, to, Some((&a.polys[0], perm)), &mut f0, &mut f1)?;
+            let add = Some((&a.polys[0], perm));
+            self.floor(&mut bufs, level, to, add, &mut f0, &mut f1)?;
             out.push(Ciphertext::from_parts(vec![f0, f1], to, a.scale)?);
         }
         Ok(out)
@@ -275,7 +266,6 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let (ctx, backend) = (self.ctx, self.backend);
         let n = ctx.n();
         let rows = level + 1;
-        bufs.ensure(ctx, level);
         let KsBuffers { lane, digits, .. } = bufs;
 
         // INTT0: every residue of c₁ to coefficient form, one lane each.
@@ -510,7 +500,6 @@ mod tests {
         let ev = Evaluator::new(&ctx);
         let backend = Counting::default();
         let ks = KeySwitcher::new(&ctx, &Sequential, &backend);
-        let mut bufs = KsBuffers::default();
         for level in (0..=ctx.max_level()).rev() {
             let ct = ev.mod_switch_to_level(&top, level).unwrap();
             let l1 = level + 1;
@@ -518,21 +507,14 @@ mod tests {
             let mut f0 = RnsPoly::zero(ctx.n(), moduli, Representation::Ntt);
             let mut f1 = f0.clone();
 
-            ks.key_switch_into(
-                &mut bufs,
-                ct.component(1),
-                rlk.ksk(),
-                level,
-                &mut f0,
-                &mut f1,
-            )
-            .unwrap();
+            ks.key_switch_into(ct.component(1), rlk.ksk(), level, &mut f0, &mut f1)
+                .unwrap();
             assert_eq!(backend.take(), [l1, l1 * l1, 2, 2 * l1], "level {level}");
             let want = ev.key_switch(ct.component(1), rlk.ksk(), level).unwrap();
             assert_eq!((f0, f1), want);
 
             let t = steps.len();
-            let rotated = ks.rotate_many(&mut bufs, &ct, &steps, &gks, level).unwrap();
+            let rotated = ks.rotate_many(&ct, &steps, &gks, level).unwrap();
             assert_eq!(
                 backend.take(),
                 [l1, l1 * l1, 2 * t, 2 * l1 * t],
@@ -564,7 +546,6 @@ mod tests {
         let ev = Evaluator::new(&ctx);
         let backend = Counting::default();
         let ks = KeySwitcher::new(&ctx, &Sequential, &backend);
-        let mut bufs = KsBuffers::default();
         for level in 0..=ctx.max_level() {
             let ct = ev.mod_switch_to_level(&top, level).unwrap();
             let full = ev.rotate_many(&ct, &steps, &gks).unwrap();
@@ -574,9 +555,7 @@ mod tests {
                     .map(|c| ev.mod_switch_to_level(c, to).unwrap())
                     .collect();
                 for t in 1..=steps.len() {
-                    let rotated = ks
-                        .rotate_many(&mut bufs, &ct, &steps[..t], &gks, to)
-                        .unwrap();
+                    let rotated = ks.rotate_many(&ct, &steps[..t], &gks, to).unwrap();
                     assert_eq!(
                         backend.take(),
                         [level + 1, (to + 2) * level + 1, 2 * t, 2 * (to + 1) * t],

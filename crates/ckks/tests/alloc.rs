@@ -1,7 +1,8 @@
 //! Asserts the key-switch hot path is allocation-free after warm-up
 //! (PR 3 acceptance criterion): a counting global allocator tracks
 //! allocations made by *this thread* while `key_switch_into` runs against
-//! pre-shaped outputs and the evaluator's warmed scratch workspace. The
+//! pre-shaped outputs and the thread's warmed polynomial recycler, which
+//! holds the key switch's working buffers between calls. The
 //! same allocator weighs a key-switching key — its residues and nothing
 //! else — and shows a warm circuit taking every polynomial it returns
 //! from the buffers its previous outputs left in the recycler.
@@ -75,7 +76,7 @@ fn key_switch_into_is_allocation_free_after_warmup() {
     let mut f1 = RnsPoly::zero(r.ctx.n(), moduli, Representation::Ntt);
     let target = r.prod.component(2);
 
-    // Warm-up: the first call shapes the evaluator's scratch for `level`.
+    // Warm-up: the first call leaves its working buffers in the recycler.
     for _ in 0..2 {
         eval.key_switch_into(target, r.rlk.ksk(), level, &mut f0, &mut f1)
             .unwrap();
@@ -99,8 +100,8 @@ fn key_switch_into_is_allocation_free_after_warmup() {
 #[test]
 fn key_switch_into_is_allocation_free_across_levels_after_warmup() {
     // A circuit that mixes levels (multiply at the top, rotate one below,
-    // multiply at the top again) must not reshape the scratch on every
-    // level change: it is shaped once for the highest level seen.
+    // multiply at the top again) must not allocate on a level change:
+    // each switch's buffers are the recycler's best fits for its level.
     let r = rig();
     let eval = Evaluator::with_executor(&r.ctx, Arc::new(Sequential));
     let top = r.prod.level();

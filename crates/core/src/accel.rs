@@ -22,7 +22,7 @@ use heax_ckks::ciphertext::Ciphertext;
 use heax_ckks::context::CkksContext;
 use heax_ckks::eval::scales_match;
 use heax_ckks::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use heax_ckks::keyswitch::{KeySwitcher, KsBuffers, NttBackend, Stage};
+use heax_ckks::keyswitch::{KeySwitcher, NttBackend, Stage};
 use heax_ckks::CkksError;
 use heax_hw::board::Board;
 use heax_hw::keyswitch_pipeline::{schedule, KeySwitchArch};
@@ -447,14 +447,8 @@ impl<'a> HeaxAccelerator<'a> {
         let mut f0 = RnsPoly::zero(self.ctx.n(), moduli, Representation::Ntt);
         let mut f1 = f0.clone();
         let backend = DataflowNtt::new(&self.arch)?;
-        self.switcher(&backend).key_switch_into(
-            &mut KsBuffers::default(),
-            target,
-            ksk,
-            level,
-            &mut f0,
-            &mut f1,
-        )?;
+        self.switcher(&backend)
+            .key_switch_into(target, ksk, level, &mut f0, &mut f1)?;
         Ok(((f0, f1), self.key_switch_report(level, 1)?))
     }
 
@@ -562,13 +556,9 @@ impl<'a> HeaxAccelerator<'a> {
         gks: &GaloisKeys,
     ) -> Result<(Vec<Ciphertext>, OpReport), CoreError> {
         let backend = DataflowNtt::new(&self.arch)?;
-        let outs = self.switcher(&backend).rotate_many(
-            &mut KsBuffers::default(),
-            ct,
-            steps,
-            gks,
-            ct.level(),
-        )?;
+        let outs = self
+            .switcher(&backend)
+            .rotate_many(ct, steps, gks, ct.level())?;
         let report = match outs.len() as u64 {
             0 => self.report(HeaxOp::KeySwitch, 0, 0, 0, 0),
             t => self.key_switch_report(ct.level(), t)?,

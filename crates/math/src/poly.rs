@@ -12,9 +12,12 @@
 //! A dropped polynomial's buffers go to its thread's free list, which
 //! [`RnsPoly::for_overwrite`] takes the best fit from instead of
 //! zero-filling a fresh allocation, as HEAX reuses its BRAM banks.
+//! [`Words::for_overwrite`] takes from the same list for working memory
+//! that is not a polynomial (a key switch's accumulators and digits).
 
 use std::cell::RefCell;
 use std::mem::take;
+use std::ops::{Deref, DerefMut};
 
 use crate::exec::{self, Executor};
 use crate::ntt::NttTable;
@@ -135,10 +138,62 @@ pub fn recycled_buffers() -> usize {
     RECYCLER.try_with(|r| r.borrow().free.len()).unwrap_or(0)
 }
 
+/// The best fit for `len` words from the calling thread's recycler, or a
+/// fresh allocation; the words are unspecified (in a debug build,
+/// `POISON`).
+fn take_husk(len: usize) -> Husk {
+    let husk = RECYCLER.try_with(|r| r.borrow_mut().take(len)).ok();
+    let (mut data, moduli) = husk.flatten().unwrap_or_else(|| (vec![0; len], Vec::new()));
+    data.resize(len, 0);
+    if cfg!(debug_assertions) {
+        data.fill(POISON);
+    }
+    (data, moduli)
+}
+
+/// Gives `husk` back to the calling thread's recycler.
+fn give_husk(husk: Husk) {
+    let _ = RECYCLER.try_with(|r| r.try_borrow_mut().map(|mut r| r.give(husk)));
+}
+
 impl Drop for RnsPoly {
     fn drop(&mut self) {
-        let husk = (take(&mut self.data), take(&mut self.moduli));
-        let _ = RECYCLER.try_with(|r| r.try_borrow_mut().map(|mut r| r.give(husk)));
+        give_husk((take(&mut self.data), take(&mut self.moduli)));
+    }
+}
+
+/// Working words from the thread's recycler, for scratch that is not a
+/// polynomial: taken like [`RnsPoly::for_overwrite`]'s buffers (best fit,
+/// unspecified words) and given back, with the basis list of the
+/// polynomial they came from, when dropped.
+#[derive(Debug)]
+pub struct Words(Husk);
+
+impl Words {
+    /// `len` words the caller is about to overwrite (in a debug build,
+    /// `POISON`).
+    pub fn for_overwrite(len: usize) -> Self {
+        Self(take_husk(len))
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.0 .0
+    }
+}
+
+impl DerefMut for Words {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.0 .0
+    }
+}
+
+impl Drop for Words {
+    fn drop(&mut self) {
+        give_husk(take(&mut self.0));
     }
 }
 
@@ -158,13 +213,7 @@ impl RnsPoly {
     /// state neither allocates nor zero-fills. The words are unspecified
     /// (in a debug build, `POISON`).
     pub fn for_overwrite(n: usize, basis: &[Modulus], repr: Representation) -> Self {
-        let len = n * basis.len();
-        let husk = RECYCLER.try_with(|r| r.borrow_mut().take(len)).ok();
-        let (mut data, mut moduli) = husk.flatten().unwrap_or_else(|| (vec![0; len], Vec::new()));
-        data.resize(len, 0);
-        if cfg!(debug_assertions) {
-            data.fill(POISON);
-        }
+        let (data, mut moduli) = take_husk(n * basis.len());
         moduli.clear();
         moduli.extend_from_slice(basis);
         Self {
@@ -729,6 +778,47 @@ mod tests {
             assert_eq!((b.data().as_ptr(), b.data().len()), (buffer, 16));
             assert_eq!(recycled_buffers(), 0);
             assert!(b.data().iter().all(|&w| w == POISON) || !cfg!(debug_assertions));
+        });
+    }
+
+    #[test]
+    fn a_dropped_word_buffer_is_taken_back() {
+        on_fresh_thread(|| {
+            let words = Words::for_overwrite(32);
+            let buffer = words.as_ptr();
+            assert!(words.iter().all(|&w| w == POISON) || !cfg!(debug_assertions));
+            drop(words);
+            assert_eq!(recycled_buffers(), 1);
+            let again = Words::for_overwrite(20);
+            assert_eq!((again.as_ptr(), again.len()), (buffer, 20));
+            assert_eq!(recycled_buffers(), 0);
+        });
+    }
+
+    #[test]
+    fn a_residue_sized_take_leaves_the_digit_matrix_free() {
+        on_fresh_thread(|| {
+            let (digits, residue) = (Words::for_overwrite(16 * 9), Words::for_overwrite(16));
+            let (big, small) = (digits.as_ptr(), residue.as_ptr());
+            drop((digits, residue));
+            assert_eq!(recycled_buffers(), 2);
+            let lane = Words::for_overwrite(16);
+            assert_eq!(lane.as_ptr(), small);
+            let matrix = Words::for_overwrite(16 * 9);
+            assert_eq!(matrix.as_ptr(), big);
+        });
+    }
+
+    #[test]
+    fn a_polynomial_in_a_word_buffer_has_its_own_basis() {
+        on_fresh_thread(|| {
+            let words = Words::for_overwrite(32);
+            let buffer = words.as_ptr();
+            drop(words);
+            let p = RnsPoly::for_overwrite(16, &mods(), Representation::Ntt);
+            assert_eq!(p.data().as_ptr(), buffer);
+            assert_eq!((p.num_residues(), p.data().len()), (2, 32));
+            assert_eq!(p.moduli(), &mods()[..]);
         });
     }
 

@@ -7,7 +7,7 @@
 //! ([`wire`]), deserializes each session's keys **once** and caches
 //! them ([`session`]), batches queued requests so shared
 //! work is amortized — one hoisted decomposition per rotated
-//! ciphertext, one reusable key-switch scratch, limbs dispatched
+//! ciphertext, key-switch buffers recycled per thread, limbs dispatched
 //! through the `HEAX_THREADS` executor — and answers every failure
 //! with a structured error frame instead of dropping the session
 //! ([`server`]). Per-op and per-session counters surface as a

@@ -34,8 +34,8 @@
 //! compressed is computed only over the one residue those replies keep
 //! ([`Evaluator::rotate_many_to_level`]); its reply bytes are unchanged.
 //! All other requests execute individually, in order, against the
-//! server's shared evaluator — whose key-switch scratch and the
-//! sessions' cached (parsed, validated) keys are themselves
+//! server's shared evaluator — whose recycled key-switch buffers and
+//! the sessions' cached (parsed, validated) keys are themselves
 //! cross-request amortizations.
 //!
 //! The fused stream is the single source of truth: the executor walks

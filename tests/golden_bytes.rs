@@ -26,7 +26,7 @@
 //! and say in the change why the bits moved.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use heax::ckks::serialize::{
     serialize_ciphertext, serialize_galois_keys, serialize_relin_key, serialize_seeded_ciphertext,
@@ -331,10 +331,19 @@ fn ciphertext_bytes_match_the_committed_hashes() {
 fn one_evaluator_runs_two_circuits_at_once() {
     // The evaluator holds no workspace: two threads share it by `&` and
     // each key switch takes its buffers from its own thread's recycler.
+    // Both threads start every circuit together, at a barrier.
     let rig = Rig::new();
     let ev = Evaluator::with_executor(&rig.ctx, Arc::new(Sequential));
     let alone = rig.circuit(&ev);
-    let run = || (0..4).map(|_| rig.circuit(&ev)).collect::<Vec<_>>();
+    let start = Barrier::new(2);
+    let run = || {
+        (0..4)
+            .map(|_| {
+                start.wait();
+                rig.circuit(&ev)
+            })
+            .collect::<Vec<_>>()
+    };
     let (x, y) = std::thread::scope(|s| {
         let x = s.spawn(run);
         let y = s.spawn(run);
