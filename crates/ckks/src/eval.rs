@@ -27,9 +27,9 @@ use heax_math::poly::{Representation, RnsPoly};
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
 use crate::flooring::floor_last_into;
-use crate::galois::{apply_galois_ntt_into, galois_elt_conjugate, galois_elt_from_step};
+use crate::galois::{galois_elt_conjugate, galois_elt_from_step};
 use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use crate::keyswitch::{check_output_level, KeySwitcher, KsBuffers, TableNtt};
+use crate::keyswitch::{check_output_level, KeySwitcher, TableNtt};
 use crate::CkksError;
 
 /// Relative tolerance when comparing scales of operands.
@@ -44,11 +44,11 @@ const SCALE_RTOL: f64 = 1e-9;
 /// [`Evaluator::with_executor`] to pin an explicit backend. All backends
 /// are bit-identical.
 ///
-/// Working memory comes from the calling thread's recycler
+/// Working memory comes from the running thread's recycler
 /// ([`heax_math::poly`]): a key switch or rescale takes its accumulators,
-/// digits and per-limb lanes from it and gives them back when the call
-/// ends. The outputs of `add`, the multiplies, the key switches,
-/// rotations, `rescale` and the modulus switches are
+/// digit columns and per-limb lanes from it and gives them back when the
+/// call, column or limb ends. The outputs of `add`, the multiplies, the
+/// key switches, rotations, `rescale` and the modulus switches are
 /// [`RnsPoly::for_overwrite`] polynomials too, so a warm circuit of
 /// those ops reuses its previous outputs' buffers, unfilled. `negate`,
 /// `sub`, `multiply_integer`, `add_many`, `add_plain` and `sub_plain`
@@ -537,9 +537,9 @@ impl<'a> Evaluator<'a> {
 
     /// Applies an arbitrary Galois element (rotation generalization).
     ///
-    /// The rotated `c₁` lands in a recycled buffer (no fresh polynomial
-    /// per call), and `τ(c₀)` is never materialized: the permuted add is
-    /// fused into the floor's store of `f₀`.
+    /// Neither `τ(c₁)` nor `τ(c₀)` is materialized: the key switch reads
+    /// `c₁` through the permutation as it loads it, and the permuted add
+    /// of `c₀` is fused into the floor's store of `f₀`.
     ///
     /// # Errors
     ///
@@ -554,8 +554,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// [`Evaluator::apply_galois`] with the output at level `to`: the
-    /// whole of `τ(c₁)` is decomposed, since every kept residue's digits
-    /// read all of it, but only the kept columns are transformed,
+    /// whole of `τ(c₁)` goes through INTT0, since every kept residue's
+    /// digits read all of it, but only the kept columns are transformed,
     /// accumulated and floored.
     fn galois_to_level(
         &self,
@@ -570,24 +570,16 @@ impl<'a> Evaluator<'a> {
                 expected: "exactly 2 (relinearize first)",
             });
         }
-        let level = a.level;
-        check_output_level(to, level)?;
+        check_output_level(to, a.level)?;
         let ksk = gks.key(elt)?;
         let table = gks.permutation(elt)?;
-        let ctx = self.ctx;
-        let n = ctx.n();
-        let out_moduli = ctx.level_moduli(to);
-        let mut f0 = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
-        let mut f1 = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
-        let mut rotated = RnsPoly::for_overwrite(n, ctx.level_moduli(level), Representation::Ntt);
-        apply_galois_ntt_into(&a.polys[1], table, &mut rotated)?;
-        let switcher = self.switcher();
-        let mut ks = KsBuffers::new(ctx, level);
-        switcher.decompose(&mut ks, &rotated, level, to)?;
-        switcher.accumulate(&mut ks, ksk, None, level, to);
+        let out_moduli = self.ctx.level_moduli(to);
+        let mut f0 = RnsPoly::for_overwrite(self.ctx.n(), out_moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::for_overwrite(self.ctx.n(), out_moduli, Representation::Ntt);
         // c₀' = τ(c₀) + f₀, added as the floor stores f₀.
-        let add = Some((&a.polys[0], table));
-        switcher.floor(&mut ks, level, to, add, &mut f0, &mut f1)?;
+        let galois = Some((&a.polys[0], table));
+        self.switcher()
+            .switch_into(&a.polys[1], ksk, galois, to, &mut f0, &mut f1)?;
         Ciphertext::from_parts(vec![f0, f1], to, a.scale)
     }
 

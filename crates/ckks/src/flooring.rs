@@ -109,14 +109,14 @@ fn floor_impl_into(
 
     // Step 2: fold into every remaining modulus (lines 2-7) — one
     // independent limb per modulus, dispatched across the executor; each
-    // limb re-NTTs, reducing on load, inside its own scratch lane.
+    // limb re-NTTs, reducing on load, inside a lane it takes for itself.
     let a = &*drop_coeff;
-    let mut lane = Words::for_overwrite(out_moduli.len() * n);
     out.set_representation(Representation::Ntt);
-    exec::for_each_limb2(exec, out.data_mut(), &mut lane, n, |i, dst, buf| {
+    exec::for_each_limb(exec, out.data_mut(), n, |i, dst| {
+        let mut lane = Words::for_overwrite(n);
         // DOMAIN: [0,4p)
-        ctx.ntt_table(i).forward_reduced_auto(a, buf);
-        out_moduli[i].mod_switch(consts.inv(i), c.residue(i), buf, None, dst);
+        ctx.ntt_table(i).forward_reduced_auto(a, &mut lane);
+        out_moduli[i].mod_switch(consts.inv(i), c.residue(i), &lane, None, dst);
     });
     Ok(())
 }

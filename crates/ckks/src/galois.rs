@@ -73,8 +73,7 @@ pub fn apply_galois_ntt(poly: &RnsPoly, table: &[usize]) -> Result<RnsPoly, Math
 }
 
 /// Applies a Galois permutation into a caller-provided buffer of the same
-/// shape, so rotation hot paths can reuse a workspace instead of
-/// allocating a fresh polynomial per call.
+/// shape.
 ///
 /// # Errors
 ///
@@ -99,13 +98,17 @@ pub fn apply_galois_ntt_into(
     }
     out.set_representation(Representation::Ntt);
     for i in 0..poly.num_residues() {
-        let src = poly.residue(i);
-        let dst = out.residue_mut(i);
-        for (j, &t) in table.iter().enumerate() {
-            dst[j] = src[t];
-        }
+        permute(poly.residue(i), table, out.residue_mut(i));
     }
     Ok(())
+}
+
+/// One residue through a permutation table: `dst[j] = src[table[j]]`.
+#[inline]
+pub(crate) fn permute(src: &[u64], table: &[usize], dst: &mut [u64]) {
+    for (d, &t) in dst.iter_mut().zip(table) {
+        *d = src[t];
+    }
 }
 
 /// Applies `X ↦ X^g` in coefficient form: `a_i·X^i ↦ ±a_i·X^{(i·g) mod n}`

@@ -9,11 +9,20 @@
 //!    unreduced products in a `(hi, lo)` register pair on the 52-bit
 //!    lanes, in a `u128` otherwise — and reduced once per coefficient, not
 //!    once per term (`Modulus::dyad_acc_lazy`); what reaches memory is one
-//!    word in `[0, 4p)`. `τ` is the identity for relinearization and a
-//!    Galois permutation — pure addressing — for hoisted rotation.
+//!    word in `[0, 4p)`.
 //! 3. **floor** — both accumulators are divided by the special prime
 //!    (INTT1 → NTT1 → MS); the MS step reduces the lazy accumulator words
 //!    as it reads them, and for a rotation adds `τ(c₀)` as it stores.
+//!
+//! A **one-key** switch (relinearization, a single rotation) streams steps
+//! 1 and 2 one extended column at a time, as Figure 5 streams each limb
+//! from NTT0 through DyadMult: a column's digits are filled into one
+//! column of working words and accumulated at once, so the digit matrix
+//! is never built. `τ` is **applied on load** there — INTT0 and the
+//! diagonal digit read `c₁` through the Galois permutation — so no rotated
+//! polynomial is built either. Hoisted rotation alone keeps the matrix,
+//! since its `t` keys share the digits; it applies each key's `τ` to them
+//! as pure addressing.
 //!
 //! Output residue `i` depends only on digit column `i` and the special
 //! column, as each limb streams through its own lane in Figure 5. So a
@@ -27,11 +36,11 @@
 //! [`TableNtt`] runs the software kernels of [`NttTable`], and `heax-core`
 //! supplies a backend that streams each residue through the banked
 //! hardware dataflow simulator. Residues run side by side on the
-//! executor's lanes, as HEAX replicates one NTT core. The arithmetic
-//! between transforms is written once, here, so the evaluator and the
-//! accelerator agree bit for bit by construction, and relinearization
-//! (one key, identity permutation) and hoisted rotation (`t` keys over
-//! one decomposition) are the same code.
+//! executor's lanes, as HEAX replicates one NTT core; a lane's per-column
+//! working words come from the recycler of the thread that runs it. The
+//! arithmetic between transforms is written once, here, so the evaluator
+//! and the accelerator agree bit for bit by construction, and
+//! relinearization, single rotation and hoisted rotation share it.
 
 use heax_math::exec::{self, Executor};
 use heax_math::ntt::NttTable;
@@ -41,40 +50,36 @@ use heax_math::MathError;
 
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
-use crate::galois::galois_elt_from_step;
+use crate::galois::{galois_elt_from_step, permute};
 use crate::keys::{GaloisKeys, KeySwitchKey};
 use crate::CkksError;
 
-/// Working memory of one key switch, taken from the thread's recycler
-/// and given back when the call ends, as HEAX wires the same BRAM banks
-/// into the pipeline for every switch (Figure 5). Once the recycler is
-/// warm, [`KeySwitcher::key_switch_into`] allocates nothing.
+/// Working memory that lives for a whole key switch, taken from the
+/// thread's recycler and given back when the call ends, as HEAX wires the
+/// same BRAM banks into the pipeline for every switch (Figure 5). A
+/// column's digits and a limb's floor lanes are taken per column and per
+/// limb; only hoisting takes the digit matrix. Once the recycler is warm,
+/// [`KeySwitcher::key_switch_into`] allocates nothing.
 pub(crate) struct KsBuffers {
     /// Accumulator `f₀` over the extended basis (active primes, then the
     /// special prime): limb `j` spans `[j·n, (j+1)·n)`.
     pub(crate) acc0: Words,
     /// Accumulator `f₁` over the extended basis.
     pub(crate) acc1: Words,
-    /// Decomposition digits `b̃_{i,j}` of Algorithm 7:
-    /// `(level+2) · (level+1)` limbs of `n` words, **column-major in the
-    /// extended-basis index `j`** — digit `(i, j)` lives at
-    /// `[(j·(level+1) + i)·n, (j·(level+1) + i + 1)·n)`.
-    digits: Words,
-    /// Per-limb reduction/NTT lanes: limb `j` owns `[j·n, (j+1)·n)`;
-    /// sized for the paired floor (two lanes per output limb).
-    lane: Words,
+    /// `c₁` in coefficient form (INTT0's output): row `i` spans
+    /// `[i·n, (i+1)·n)`.
+    coeff: Words,
 }
 
 impl KsBuffers {
-    /// Buffers for one switch of a `level` input, four separate takes so
-    /// each is the best fit of its own size.
+    /// Buffers for one switch of a `level` input, separate takes so each
+    /// is the best fit of its own size.
     pub(crate) fn new(ctx: &CkksContext, level: usize) -> Self {
-        let (n, ext) = (ctx.n(), level + 2);
+        let n = ctx.n();
         Self {
-            acc0: Words::for_overwrite(ext * n),
-            acc1: Words::for_overwrite(ext * n),
-            digits: Words::for_overwrite(ext * (level + 1) * n),
-            lane: Words::for_overwrite(2 * ext * n),
+            acc0: Words::for_overwrite((level + 2) * n),
+            acc1: Words::for_overwrite((level + 2) * n),
+            coeff: Words::for_overwrite((level + 1) * n),
         }
     }
 }
@@ -138,10 +143,11 @@ impl NttBackend for TableNtt {
 }
 
 /// The key-switch skeleton bound to a context, a limb executor and an
-/// NTT backend. It holds no working memory: each call takes its buffers
-/// from the calling thread's recycler ([`Words`]) and gives them back,
-/// so once the recycler is warm [`KeySwitcher::key_switch_into`]
-/// allocates nothing, and one switcher serves any number of threads.
+/// NTT backend. It holds no working memory: each call, and each column or
+/// limb it runs on a lane, takes its buffers from the running thread's
+/// recycler ([`Words`]) and gives them back, so once the recyclers are
+/// warm [`KeySwitcher::key_switch_into`] allocates nothing, and one
+/// switcher serves any number of threads.
 #[derive(Debug)]
 pub struct KeySwitcher<'a, B> {
     ctx: &'a CkksContext,
@@ -172,17 +178,62 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         f0: &mut RnsPoly,
         f1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
-        let mut bufs = KsBuffers::new(self.ctx, level);
-        self.decompose(&mut bufs, target, level, level)?;
-        self.accumulate(&mut bufs, ksk, None, level, level);
-        self.floor(&mut bufs, level, level, None, f0, f1)
+        if target.representation() != Representation::Ntt {
+            return Err(MathError::RepresentationMismatch.into());
+        }
+        if target.num_residues() != level + 1 {
+            return Err(MathError::LengthMismatch {
+                expected: level + 1,
+                got: target.num_residues(),
+            }
+            .into());
+        }
+        self.switch_into(target, ksk, None, level, f0, f1)
     }
 
-    /// Hoisted multi-rotation: decomposes `c₁` once, then per step runs
-    /// only accumulate (with the step's Galois permutation applied to the
-    /// shared digits) and floor, which adds `τ(c₀)` into `f₀`. The outputs
-    /// are at level `to`: the full-level rotations with every residue
-    /// above `to` dropped, computed over the kept residues only.
+    /// The one-key switch of `c₁` — NTT form, at level `ℓ` = its residue
+    /// count less one, as the caller checked — into `out0`/`out1` at
+    /// output level `to ≤ ℓ`. Steps 1 and 2 stream one extended column at
+    /// a time; with `galois = (c₀, τ)` the switch is a rotation's: `c₁` is
+    /// read through `τ` on load and the floor adds `τ(c₀)` into `out0`.
+    ///
+    /// # Errors
+    ///
+    /// [`CkksError::Math`] when the outputs are not shaped over the basis
+    /// of `to`.
+    pub(crate) fn switch_into(
+        &self,
+        c1: &RnsPoly,
+        ksk: &KeySwitchKey,
+        galois: Option<(&RnsPoly, &[usize])>,
+        to: usize,
+        out0: &mut RnsPoly,
+        out1: &mut RnsPoly,
+    ) -> Result<(), CkksError> {
+        let (n, level) = (self.ctx.n(), c1.num_residues() - 1);
+        let tau = galois.map(|(_, tau)| tau);
+        let mut bufs = KsBuffers::new(self.ctx, level);
+        self.intt0(c1, tau, &mut bufs.coeff);
+        let KsBuffers { acc0, acc1, coeff } = &mut bufs;
+        let coeff = &**coeff;
+        exec::for_each_limb2(self.exec, acc0, acc1, n, |j, d0, d1| {
+            if !computes(j, level, to) {
+                return;
+            }
+            let chain_idx = self.chain_index(j, level);
+            let mut column = Words::for_overwrite((level + 1) * n);
+            self.fill_column(chain_idx, c1, tau, coeff, &mut column);
+            self.accumulate(ksk, None, chain_idx, &column, d0, d1);
+        });
+        self.floor(&mut bufs, level, to, galois, out0, out1)
+    }
+
+    /// Hoisted multi-rotation: decomposes `c₁` once into the whole digit
+    /// matrix, then per step runs only accumulate (with the step's Galois
+    /// permutation applied to the shared digits) and floor, which adds
+    /// `τ(c₀)` into `f₀`. The outputs are at level `to`: the full-level
+    /// rotations with every residue above `to` dropped, computed over the
+    /// kept residues only.
     ///
     /// # Errors
     ///
@@ -217,11 +268,25 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
+        let (c1, rows) = (&a.polys[1], level + 1);
         let mut bufs = KsBuffers::new(self.ctx, level);
-        self.decompose(&mut bufs, &a.polys[1], level, to)?;
+        self.intt0(c1, None, &mut bufs.coeff);
+        let coeff = &*bufs.coeff;
+        // Digit `(i, j)` lives at `[(j·rows + i)·n, (j·rows + i + 1)·n)`.
+        let mut digits = Words::for_overwrite((level + 2) * rows * n);
+        exec::for_each_limb(self.exec, &mut digits, rows * n, |j, col| {
+            if computes(j, level, to) {
+                self.fill_column(self.chain_index(j, level), c1, None, coeff, col);
+            }
+        });
         let mut out = Vec::with_capacity(keys.len());
         for (ksk, perm) in keys {
-            self.accumulate(&mut bufs, ksk, Some(perm), level, to);
+            exec::for_each_limb2(self.exec, &mut bufs.acc0, &mut bufs.acc1, n, |j, d0, d1| {
+                if computes(j, level, to) {
+                    let column = &digits[j * rows * n..][..rows * n];
+                    self.accumulate(ksk, Some(perm), self.chain_index(j, level), column, d0, d1);
+                }
+            });
             let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             let add = Some((&a.polys[0], perm));
@@ -243,95 +308,62 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         }
     }
 
-    /// Step 1 (lines 3, 6–9, 14–15): fills `bufs.digits` with `b̃_{i,j}`
-    /// for the columns an output at level `to` reads: `0..=to` and the
-    /// special column. The others are left as they were.
-    pub(crate) fn decompose(
-        &self,
-        bufs: &mut KsBuffers,
-        c1: &RnsPoly,
-        level: usize,
-        to: usize,
-    ) -> Result<(), CkksError> {
-        if c1.representation() != Representation::Ntt {
-            return Err(MathError::RepresentationMismatch.into());
-        }
-        if c1.num_residues() != level + 1 {
-            return Err(MathError::LengthMismatch {
-                expected: level + 1,
-                got: c1.num_residues(),
-            }
-            .into());
-        }
+    /// INTT0 (lines 3, 6–8): every residue of `c₁`, read through `τ` when
+    /// given, to coefficient form in `coeff`, one lane each.
+    fn intt0(&self, c1: &RnsPoly, tau: Option<&[usize]>, coeff: &mut [u64]) {
         let (ctx, backend) = (self.ctx, self.backend);
-        let n = ctx.n();
-        let rows = level + 1;
-        let KsBuffers { lane, digits, .. } = bufs;
-
-        // INTT0: every residue of c₁ to coefficient form, one lane each.
-        let coeff = &mut lane[..rows * n];
-        exec::for_each_limb(self.exec, coeff, n, |i, dst| {
-            dst.copy_from_slice(c1.residue(i));
+        exec::for_each_limb(self.exec, coeff, ctx.n(), |i, dst| {
+            load(c1.residue(i), tau, dst);
             backend.inverse(Stage::Intt0, ctx.ntt_table(i), dst);
         });
-        let coeff = &*coeff;
-
-        // NTT0: one digit column per extended prime. The diagonal digit is
-        // c₁'s own residue (line 9); every other row is a coefficient
-        // residue reduced into the column's prime on load.
-        let digits = &mut digits[..(level + 2) * rows * n];
-        exec::for_each_limb(self.exec, digits, rows * n, |j, col| {
-            if !computes(j, level, to) {
-                return;
-            }
-            let chain_idx = self.chain_index(j, level);
-            let table = ctx.ntt_table(chain_idx);
-            for (i, dst) in col.chunks_exact_mut(n).enumerate() {
-                if i == chain_idx {
-                    dst.copy_from_slice(c1.residue(i));
-                } else {
-                    // DOMAIN: [0,4p)
-                    backend.forward_reduced(Stage::Ntt0, table, &coeff[i * n..][..n], dst);
-                }
-            }
-        });
-        Ok(())
     }
 
-    /// Step 2 (lines 11–12, 16–17): overwrites both accumulators with
-    /// `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}`, each coefficient's products summed
-    /// double-width and reduced once into `[0, 4p)`, for the columns
-    /// [`KeySwitcher::decompose`] filled for `to`. The digits are whatever
-    /// words NTT0 left, the key residues canonical.
-    pub(crate) fn accumulate(
+    /// Step 1 for one extended column, the chain's prime `chain_idx`
+    /// (lines 9, 14–15): fills `col` with the digits `b̃_{i,j}`. The
+    /// diagonal digit is `c₁`'s own residue read through `τ` (line 9);
+    /// every other row is NTT0 of coefficient row `i` reduced into the
+    /// column's prime on load.
+    fn fill_column(
         &self,
-        bufs: &mut KsBuffers,
-        ksk: &KeySwitchKey,
-        perm: Option<&[usize]>,
-        level: usize,
-        to: usize,
+        chain_idx: usize,
+        c1: &RnsPoly,
+        tau: Option<&[usize]>,
+        coeff: &[u64],
+        col: &mut [u64],
     ) {
         let n = self.ctx.n();
-        let rows = level + 1;
-        let ext = (level + 2) * n;
-        let KsBuffers {
-            acc0, acc1, digits, ..
-        } = bufs;
-        let digits = &*digits;
-        let (acc0, acc1) = (&mut acc0[..ext], &mut acc1[..ext]);
-        exec::for_each_limb2(self.exec, acc0, acc1, n, |j, d0, d1| {
-            if !computes(j, level, to) {
-                return;
+        let table = self.ctx.ntt_table(chain_idx);
+        for (i, dst) in col.chunks_exact_mut(n).enumerate() {
+            if i == chain_idx {
+                load(c1.residue(i), tau, dst);
+            } else {
+                // DOMAIN: [0,4p)
+                self.backend
+                    .forward_reduced(Stage::Ntt0, table, &coeff[i * n..][..n], dst);
             }
-            let chain_idx = self.chain_index(j, level);
-            let keys = (0..rows).map(|i| {
-                let (b, a) = ksk.component(i);
-                (b.residue(chain_idx), a.residue(chain_idx))
-            });
-            let column = &digits[j * rows * n..][..rows * n];
-            // DOMAIN: [0,4p)
-            self.ctx.moduli()[chain_idx].dyad_acc_lazy(column, perm, keys, d0, d1);
+        }
+    }
+
+    /// Step 2 for one extended column (lines 11–12, 16–17): overwrites
+    /// `d0`/`d1` with `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}` over the column's
+    /// digit rows, each coefficient's products summed double-width and
+    /// reduced once into `[0, 4p)`. The digits are whatever words NTT0
+    /// left, the key residues canonical.
+    fn accumulate(
+        &self,
+        ksk: &KeySwitchKey,
+        perm: Option<&[usize]>,
+        chain_idx: usize,
+        column: &[u64],
+        d0: &mut [u64],
+        d1: &mut [u64],
+    ) {
+        let keys = (0..column.len() / self.ctx.n()).map(|i| {
+            let (b, a) = ksk.component(i);
+            (b.residue(chain_idx), a.residue(chain_idx))
         });
+        // DOMAIN: [0,4p)
+        self.ctx.moduli()[chain_idx].dyad_acc_lazy(column, perm, keys, d0, d1);
     }
 
     /// Step 3 (line 19): floors both accumulators by the special prime
@@ -353,13 +385,10 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let (ctx, backend) = (self.ctx, self.backend);
         let n = ctx.n();
         debug_assert!(to <= level, "output level {to} above {level}");
-        let keep = to + 1;
         let out_moduli = ctx.level_moduli(to);
         check_switch_output(out0, n, out_moduli)?;
         check_switch_output(out1, n, out_moduli)?;
-        let KsBuffers {
-            acc0, acc1, lane, ..
-        } = bufs;
+        let KsBuffers { acc0, acc1, .. } = bufs;
         let consts = ctx.modswitch_constants(level);
 
         // INTT1 per accumulator: its special-prime residue, reduced where
@@ -372,22 +401,20 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             backend.inverse(Stage::Intt1, ctx.special_ntt_table(), a);
         }
 
-        // NTT1 per accumulator + MS per remaining prime, each in its own
-        // lane pair.
+        // NTT1 per accumulator + MS per remaining prime, each limb in its
+        // own lane pair.
         let (c0, c1, a0, a1) = (&*c0, &*c1, &*a0, &*a1);
-        let (lane0, rest) = lane.split_at_mut(keep * n);
-        let lane1 = &mut rest[..keep * n];
         out0.set_representation(Representation::Ntt);
         out1.set_representation(Representation::Ntt);
-        exec::for_each_limb4(
+        exec::for_each_limb2(
             self.exec,
             out0.data_mut(),
             out1.data_mut(),
-            lane0,
-            lane1,
             n,
-            |i, dst0, dst1, buf0, buf1| {
+            |i, dst0, dst1| {
                 let (pi, table) = (&out_moduli[i], ctx.ntt_table(i));
+                let mut lanes = Words::for_overwrite(2 * n);
+                let (buf0, buf1) = lanes.split_at_mut(n);
                 backend.forward_reduced(Stage::Ntt1, table, a0, buf0); // DOMAIN: [0,4p)
                 backend.forward_reduced(Stage::Ntt1, table, a1, buf1); // DOMAIN: [0,4p)
                 let inv = consts.inv(i);
@@ -397,6 +424,16 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             },
         );
         Ok(())
+    }
+}
+
+/// Copies `src` into `dst`, read through the Galois permutation `tau`
+/// when given.
+#[inline]
+fn load(src: &[u64], tau: Option<&[usize]>, dst: &mut [u64]) {
+    match tau {
+        Some(tau) => permute(src, tau, dst),
+        None => dst.copy_from_slice(src),
     }
 }
 
@@ -443,6 +480,7 @@ mod tests {
     use crate::context::tests::small;
     use crate::encoder::CkksEncoder;
     use crate::encrypt::Encryptor;
+    use crate::galois::apply_galois_ntt;
     use crate::keys::{PublicKey, RelinKey, SecretKey};
     use crate::Evaluator;
     use heax_math::exec::Sequential;
@@ -582,6 +620,46 @@ mod tests {
                 ev.rotate_to_level(&ct, 1, &gks, level + 1),
                 Err(CkksError::LevelMismatch { .. })
             ));
+        }
+    }
+
+    /// `τ` applied on load is the rotation it replaced, bit for bit: at
+    /// every level and output level, [`Evaluator::rotate_to_level`]
+    /// equals permuting `c₁` into a polynomial, key-switching that,
+    /// adding the permuted `c₀` and dropping the residues above the
+    /// output level.
+    #[test]
+    fn tau_on_load_matches_rotating_first() {
+        let ctx = CkksContext::new(small()).unwrap();
+        let mut rng = StdRng::seed_from_u64(79);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let steps = [1i64, -3, 4, 7];
+        let gks = GaloisKeys::generate(&ctx, &sk, &steps, &mut rng);
+        let pt = CkksEncoder::new(&ctx)
+            .encode_real(&[-0.5, 2.0, 1.25], ctx.params().scale(), ctx.max_level())
+            .unwrap();
+        let top = Encryptor::new(&ctx, &pk).encrypt(&pt, &mut rng).unwrap();
+
+        let ev = Evaluator::new(&ctx);
+        for level in 0..=ctx.max_level() {
+            let ct = ev.mod_switch_to_level(&top, level).unwrap();
+            for &step in &steps {
+                let elt = galois_elt_from_step(step, ctx.n());
+                let perm = gks.permutation(elt).unwrap();
+                let c1 = apply_galois_ntt(ct.component(1), perm).unwrap();
+                let (f0, f1) = ev.key_switch(&c1, gks.key(elt).unwrap(), level).unwrap();
+                let c0 = apply_galois_ntt(ct.component(0), perm).unwrap();
+                let c0 = c0.add(&f0).unwrap();
+                let want = Ciphertext::from_parts(vec![c0, f1], level, ct.scale()).unwrap();
+                for to in 0..=level {
+                    assert_eq!(
+                        ev.rotate_to_level(&ct, step, &gks, to).unwrap(),
+                        ev.mod_switch_to_level(&want, to).unwrap(),
+                        "level {level}, output level {to}, step {step}"
+                    );
+                }
+            }
         }
     }
 }

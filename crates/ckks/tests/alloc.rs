@@ -138,6 +138,46 @@ fn key_switch_into_is_allocation_free_across_levels_after_warmup() {
 }
 
 #[test]
+fn a_cold_one_key_switch_takes_no_digit_matrix() {
+    // On a freshly spawned thread the recycler is empty, so the counter
+    // sees every buffer an op takes. A one-key switch streams its digits
+    // one extended column at a time and takes its floor lanes per limb:
+    // nothing it takes is larger than one accumulator, (ℓ+2)·n words,
+    // where the whole digit matrix would be (ℓ+1) times that.
+    let r = rig();
+    let level = r.prod.level();
+    let accumulator = 8 * ((level + 2) * r.ctx.n()) as u64;
+    let cold = |name: &str, op: &(dyn Fn(&Evaluator) + Sync)| {
+        let seen = std::thread::scope(|s| {
+            s.spawn(|| {
+                let eval = Evaluator::with_executor(&r.ctx, Arc::new(Sequential));
+                measure(|| op(&eval))
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(
+            seen.largest <= accumulator,
+            "a cold {name} took {} B, more than one {accumulator}-byte accumulator: {seen:?}",
+            seen.largest
+        );
+    };
+    let moduli = r.ctx.level_moduli(level);
+    cold("key_switch_into", &|eval| {
+        let mut f0 = RnsPoly::zero(r.ctx.n(), moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::zero(r.ctx.n(), moduli, Representation::Ntt);
+        eval.key_switch_into(r.prod.component(2), r.rlk.ksk(), level, &mut f0, &mut f1)
+            .unwrap();
+    });
+    cold("rotate", &|eval| {
+        eval.rotate(&r.fresh, 1, &r.gks).unwrap();
+    });
+    cold("multiply_relin", &|eval| {
+        eval.multiply_relin(&r.fresh, &r.fresh, &r.rlk).unwrap();
+    });
+}
+
+#[test]
 fn key_switch_key_owns_its_residues_and_nothing_else() {
     // A deep clone allocates exactly what a key holds: `size_words()`
     // 8-byte residue words, each polynomial's modulus list and the

@@ -317,7 +317,9 @@ mod seeded_wire_path {
 /// Backend equivalence at the scheme layer: an evaluator pinned to
 /// `ThreadPool(k)` must produce bit-identical ciphertexts to the
 /// `Sequential` backend for the full multiply / key-switch / relinearize
-/// / rescale pipeline, for k ∈ {1, 2, 4}.
+/// / rescale pipeline and for single, compressed and hoisted rotations,
+/// for k ∈ {1, 2, 4}. On the pool a switch's columns and limbs take
+/// their working words from the workers' own recyclers.
 mod backend_equivalence {
     use super::*;
     use heax_math::exec::{with_threads, Sequential};
@@ -365,6 +367,33 @@ mod backend_equivalence {
             let lin_seq = seq.rescale(&seq.relinearize(&prod_seq, &rlk).unwrap()).unwrap();
             let lin_par = par.rescale(&par.relinearize(&prod_par, &rlk).unwrap()).unwrap();
             prop_assert_eq!(&lin_seq, &lin_par, "relin+rescale diverged at k={}", k);
+            prop_assert_eq!(
+                seq.multiply_relin(&ca, &cb, &rlk).unwrap(),
+                par.multiply_relin(&ca, &cb, &rlk).unwrap(),
+                "multiply_relin diverged at k={}", k
+            );
+
+            // Rotations: one key streamed (full and compressed output),
+            // and t keys over one hoisted decomposition.
+            let steps = [1i64, -2, 3];
+            let gks = GaloisKeys::generate(&r.ctx, &r.sk, &steps, &mut r.rng);
+            for &step in &steps {
+                prop_assert_eq!(
+                    seq.rotate(&ca, step, &gks).unwrap(),
+                    par.rotate(&ca, step, &gks).unwrap(),
+                    "rotate({}) diverged at k={}", step, k
+                );
+                prop_assert_eq!(
+                    seq.rotate_to_level(&ca, step, &gks, 0).unwrap(),
+                    par.rotate_to_level(&ca, step, &gks, 0).unwrap(),
+                    "rotate_to_level({}, 0) diverged at k={}", step, k
+                );
+            }
+            prop_assert_eq!(
+                seq.rotate_many(&ca, &steps, &gks).unwrap(),
+                par.rotate_many(&ca, &steps, &gks).unwrap(),
+                "rotate_many diverged at k={}", k
+            );
         }
     }
 }

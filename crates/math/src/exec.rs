@@ -485,54 +485,6 @@ where
     for_each_mut(exec, &mut pairs, |i, (la, lb)| f(i, la, lb));
 }
 
-/// Runs `f(limb_index, limb_a, limb_b, limb_c, limb_d)` over the matching
-/// limbs of four equally shaped buffers — two outputs plus two private
-/// scratch lanes, as used by the paired accumulator floor.
-///
-/// # Panics
-///
-/// Panics if the buffers differ in length or are not whole limbs.
-pub fn for_each_limb4<F>(
-    exec: &dyn Executor,
-    a: &mut [u64],
-    b: &mut [u64],
-    c: &mut [u64],
-    d: &mut [u64],
-    limb_len: usize,
-    f: F,
-) where
-    F: Fn(usize, &mut [u64], &mut [u64], &mut [u64], &mut [u64]) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "limb buffers differ in length");
-    assert_eq!(a.len(), c.len(), "limb buffers differ in length");
-    assert_eq!(a.len(), d.len(), "limb buffers differ in length");
-    assert_eq!(a.len() % limb_len, 0, "data is not whole limbs");
-    if exec.threads() <= 1 {
-        for (i, (((la, lb), lc), ld)) in a
-            .chunks_mut(limb_len)
-            .zip(b.chunks_mut(limb_len))
-            .zip(c.chunks_mut(limb_len))
-            .zip(d.chunks_mut(limb_len))
-            .enumerate()
-        {
-            f(i, la, lb, lc, ld);
-        }
-        return;
-    }
-    type Quad<'q> = (
-        (&'q mut [u64], &'q mut [u64]),
-        (&'q mut [u64], &'q mut [u64]),
-    );
-    let mut quads: Vec<Quad<'_>> = a
-        .chunks_mut(limb_len)
-        .zip(b.chunks_mut(limb_len))
-        .zip(c.chunks_mut(limb_len).zip(d.chunks_mut(limb_len)))
-        .collect();
-    for_each_mut(exec, &mut quads, |i, ((la, lb), (lc, ld))| {
-        f(i, la, lb, lc, ld)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,44 +555,6 @@ mod tests {
         });
         let expect: Vec<u64> = (0..256u64).map(|v| v * 2 + v / 16 + v % 16).collect();
         assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn for_each_limb4_quads_match() {
-        for exec in [with_threads(1), with_threads(3)] {
-            let mut a = vec![1u64; 32];
-            let mut b = vec![2u64; 32];
-            let mut c = vec![0u64; 32];
-            let mut d = vec![0u64; 32];
-            for_each_limb4(
-                exec.as_ref(),
-                &mut a,
-                &mut b,
-                &mut c,
-                &mut d,
-                8,
-                |i, la, lb, lc, ld| {
-                    for (((x, y), z), w) in la
-                        .iter_mut()
-                        .zip(lb.iter_mut())
-                        .zip(lc.iter_mut())
-                        .zip(ld.iter_mut())
-                    {
-                        *x += i as u64;
-                        *y += *x;
-                        *z = *x + *y;
-                        *w = *z + 1;
-                    }
-                },
-            );
-            for i in 0..4u64 {
-                let r = i as usize * 8..(i as usize + 1) * 8;
-                assert!(a[r.clone()].iter().all(|&x| x == 1 + i));
-                assert!(b[r.clone()].iter().all(|&y| y == 3 + i));
-                assert!(c[r.clone()].iter().all(|&z| z == 4 + 2 * i));
-                assert!(d[r].iter().all(|&w| w == 5 + 2 * i));
-            }
-        }
     }
 
     #[test]
