@@ -192,16 +192,27 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     }
 
     /// The one-key switch of `c₁` — NTT form, at level `ℓ` = its residue
-    /// count less one, as the caller checked — into `out0`/`out1` at
-    /// output level `to ≤ ℓ`. Steps 1 and 2 stream one extended column at
-    /// a time; with `galois = (c₀, τ)` the switch is a rotation's: `c₁` is
-    /// read through `τ` on load and the floor adds `τ(c₀)` into `out0`.
+    /// count less one — into `out0`/`out1` at output level `to ≤ ℓ`,
+    /// the one routine behind relinearization and single rotation. Steps
+    /// 1 and 2 stream one extended column at a time, so no digit matrix
+    /// is built.
+    ///
+    /// With `galois = None` the outputs are `(f₀, f₁)` of
+    /// [`KeySwitcher::key_switch_into`] with the residues above `to`
+    /// dropped. With `galois = Some((c₀, τ))`, `τ` a Galois permutation
+    /// of the NTT slots and `c₀` at `c₁`'s level, the switch is a
+    /// rotation's: `c₁` is read through `τ` on load and the floor adds
+    /// `τ(c₀)` into `out0`, so `(out0, out1)` is the rotated ciphertext
+    /// and no rotated polynomial is built.
     ///
     /// # Errors
     ///
-    /// [`CkksError::Math`] when the outputs are not shaped over the basis
-    /// of `to`.
-    pub(crate) fn switch_into(
+    /// [`CkksError::Math`] when `c₁` or `c₀` is not in NTT form, when
+    /// `c₁` has no residue or more than the chain's top level holds, when
+    /// `c₀` or `τ` does not match `c₁`'s shape, or when the outputs are
+    /// not shaped over the basis of `to`; [`CkksError::LevelMismatch`] when `to` is above
+    /// `c₁`'s level.
+    pub fn switch_into(
         &self,
         c1: &RnsPoly,
         ksk: &KeySwitchKey,
@@ -210,7 +221,30 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         out0: &mut RnsPoly,
         out1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
-        let (n, level) = (self.ctx.n(), c1.num_residues() - 1);
+        let n = self.ctx.n();
+        if c1.representation() != Representation::Ntt {
+            return Err(MathError::RepresentationMismatch.into());
+        }
+        let residues = c1.num_residues();
+        if residues == 0 || residues > self.ctx.max_level() + 1 {
+            return Err(MathError::LengthMismatch {
+                expected: self.ctx.max_level() + 1,
+                got: residues,
+            }
+            .into());
+        }
+        let level = residues - 1;
+        check_output_level(to, level)?;
+        if let Some((c0, tau)) = galois {
+            if c0.representation() != Representation::Ntt {
+                return Err(MathError::RepresentationMismatch.into());
+            }
+            for (expected, got) in [(residues * n, c0.num_residues() * c0.n()), (n, tau.len())] {
+                if got != expected {
+                    return Err(MathError::LengthMismatch { expected, got }.into());
+                }
+            }
+        }
         let tau = galois.map(|(_, tau)| tau);
         let mut bufs = KsBuffers::new(self.ctx, level);
         self.intt0(c1, tau, &mut bufs.coeff);
@@ -228,12 +262,13 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         self.floor(&mut bufs, level, to, galois, out0, out1)
     }
 
-    /// Hoisted multi-rotation: decomposes `c₁` once into the whole digit
-    /// matrix, then per step runs only accumulate (with the step's Galois
+    /// Hoisted multi-rotation: decomposes `c₁` once into a digit matrix,
+    /// then per step runs only accumulate (with the step's Galois
     /// permutation applied to the shared digits) and floor, which adds
     /// `τ(c₀)` into `f₀`. The outputs are at level `to`: the full-level
     /// rotations with every residue above `to` dropped, computed over the
-    /// kept residues only.
+    /// kept residues only, so the matrix holds only the `to + 2` columns
+    /// they read — `(to+2)(ℓ+1)·n` words.
     ///
     /// # Errors
     ///
@@ -272,18 +307,20 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let mut bufs = KsBuffers::new(self.ctx, level);
         self.intt0(c1, None, &mut bufs.coeff);
         let coeff = &*bufs.coeff;
-        // Digit `(i, j)` lives at `[(j·rows + i)·n, (j·rows + i + 1)·n)`.
-        let mut digits = Words::for_overwrite((level + 2) * rows * n);
-        exec::for_each_limb(self.exec, &mut digits, rows * n, |j, col| {
-            if computes(j, level, to) {
-                self.fill_column(self.chain_index(j, level), c1, None, coeff, col);
-            }
+        // Only the `to + 2` columns the outputs read are filled: column
+        // `j ≤ to` in slot `j`, the special column in slot `to + 1`, and
+        // digit `(i, j)` at row `i` of its slot's `rows·n` words.
+        let slot = |j: usize| j.min(to + 1);
+        let mut digits = Words::for_overwrite((to + 2) * rows * n);
+        exec::for_each_limb(self.exec, &mut digits, rows * n, |s, col| {
+            let j = if s <= to { s } else { level + 1 };
+            self.fill_column(self.chain_index(j, level), c1, None, coeff, col);
         });
         let mut out = Vec::with_capacity(keys.len());
         for (ksk, perm) in keys {
             exec::for_each_limb2(self.exec, &mut bufs.acc0, &mut bufs.acc1, n, |j, d0, d1| {
                 if computes(j, level, to) {
-                    let column = &digits[j * rows * n..][..rows * n];
+                    let column = &digits[slot(j) * rows * n..][..rows * n];
                     self.accumulate(ksk, Some(perm), self.chain_index(j, level), column, d0, d1);
                 }
             });

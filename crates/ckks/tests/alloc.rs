@@ -178,6 +178,35 @@ fn a_cold_one_key_switch_takes_no_digit_matrix() {
 }
 
 #[test]
+fn a_cold_compressed_fan_out_takes_only_the_columns_it_fills() {
+    // A hoisted group at output level `to` fills `to + 2` extended
+    // columns — the kept primes and the special one — so its digit
+    // matrix is (to+2)(ℓ+1)·n words, and nothing else it takes on a
+    // freshly spawned thread is larger; the whole matrix would be
+    // (ℓ+2)(ℓ+1)·n.
+    let r = rig();
+    let (level, to) = (r.fresh.level(), 0);
+    let matrix = 8 * ((to + 2) * (level + 1) * r.ctx.n()) as u64;
+    let seen = std::thread::scope(|s| {
+        s.spawn(|| {
+            let eval = Evaluator::with_executor(&r.ctx, Arc::new(Sequential));
+            measure(|| {
+                eval.rotate_many_to_level(&r.fresh, &FAN, &r.gks, to)
+                    .unwrap();
+            })
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(
+        seen.largest <= matrix,
+        "a cold rotate_many_to_level(…, {to}) at level {level} took {} B, more than the \
+         {matrix}-byte matrix of the columns it fills: {seen:?}",
+        seen.largest
+    );
+}
+
+#[test]
 fn key_switch_key_owns_its_residues_and_nothing_else() {
     // A deep clone allocates exactly what a key holds: `size_words()`
     // 8-byte residue words, each polynomial's modulus list and the

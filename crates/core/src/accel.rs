@@ -444,8 +444,8 @@ impl<'a> HeaxAccelerator<'a> {
         level: usize,
     ) -> Result<((RnsPoly, RnsPoly), OpReport), CoreError> {
         let moduli = self.ctx.level_moduli(level);
-        let mut f0 = RnsPoly::zero(self.ctx.n(), moduli, Representation::Ntt);
-        let mut f1 = f0.clone();
+        let mut f0 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
         let backend = DataflowNtt::new(&self.arch)?;
         self.switcher(&backend)
             .key_switch_into(target, ksk, level, &mut f0, &mut f1)?;
@@ -492,16 +492,18 @@ impl<'a> HeaxAccelerator<'a> {
                 expected: "exactly 3",
             }));
         }
-        let ((f0, f1), report) = self.key_switch(ct.component(2), rlk.ksk(), ct.level())?;
-        let c0 = ct.component(0).add(&f0).map_err(CkksError::Math)?;
-        let c1 = ct.component(1).add(&f1).map_err(CkksError::Math)?;
-        let out = Ciphertext::from_parts(vec![c0, c1], ct.level(), ct.scale())
+        let ((mut f0, mut f1), report) = self.key_switch(ct.component(2), rlk.ksk(), ct.level())?;
+        f0.add_assign(ct.component(0)).map_err(CkksError::Math)?;
+        f1.add_assign(ct.component(1)).map_err(CkksError::Math)?;
+        let out = Ciphertext::from_parts(vec![f0, f1], ct.level(), ct.scale())
             .map_err(CoreError::Ckks)?;
         Ok((out, report))
     }
 
     /// Rotation on the accelerator: the Galois permutation is pure
-    /// addressing (free in hardware); the KeySwitch dominates.
+    /// addressing (free in hardware) — the one-key switch reads `c₁`
+    /// through it on load and adds `τ(c₀)` as its floor stores — so the
+    /// KeySwitch dominates.
     ///
     /// # Errors
     ///
@@ -521,15 +523,23 @@ impl<'a> HeaxAccelerator<'a> {
         let elt = heax_ckks::galois::galois_elt_from_step(step, self.ctx.n());
         let ksk = gks.key(elt).map_err(CoreError::Ckks)?;
         let table = gks.permutation(elt).map_err(CoreError::Ckks)?;
-        let c0 =
-            heax_ckks::galois::apply_galois_ntt(ct.component(0), table).map_err(CkksError::Math)?;
-        let c1 =
-            heax_ckks::galois::apply_galois_ntt(ct.component(1), table).map_err(CkksError::Math)?;
-        let ((f0, f1), report) = self.key_switch(&c1, ksk, ct.level())?;
-        let c0 = c0.add(&f0).map_err(CkksError::Math)?;
-        let out = Ciphertext::from_parts(vec![c0, f1], ct.level(), ct.scale())
-            .map_err(CoreError::Ckks)?;
-        Ok((out, report))
+        let level = ct.level();
+        let moduli = self.ctx.level_moduli(level);
+        let mut f0 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
+        let mut f1 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
+        let backend = DataflowNtt::new(&self.arch)?;
+        let galois = Some((ct.component(0), table));
+        self.switcher(&backend).switch_into(
+            ct.component(1),
+            ksk,
+            galois,
+            level,
+            &mut f0,
+            &mut f1,
+        )?;
+        let out =
+            Ciphertext::from_parts(vec![f0, f1], level, ct.scale()).map_err(CoreError::Ckks)?;
+        Ok((out, self.key_switch_report(level, 1)?))
     }
 
     /// Hoisted multi-rotation on the accelerator (the batched-rotation

@@ -63,10 +63,11 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::faults::{BoardFaultProfile, FaultKind, FaultPlan};
 use crate::ir::IrOp;
-use crate::scheduler::{PipelineConfig, PipelineReport};
+use crate::scheduler::{OpCosts, PipelineConfig, PipelineReport};
 use crate::xfer::DramModel;
 use crate::HwError;
 
@@ -228,17 +229,14 @@ impl ClusterConfig {
             .collect();
 
         let mut alive = vec![true; n];
-        let mut residency: HashMap<u64, u64> = HashMap::new();
-        let mut parked_home: HashMap<u64, usize> = HashMap::new();
-        // Sessions that lost ksk residency / parked state to a crash
-        // and have not yet recovered.
-        let mut failover_pending: std::collections::HashSet<u64> = Default::default();
-        let mut rehome_pending: std::collections::HashSet<u64> = Default::default();
+        let mut alive_count = n;
+        let mut sessions: SessionTable = SessionTable::default();
         let mut load = vec![0u64; n];
         let mut streams: Vec<Vec<IrOp>> = vec![Vec::new(); n];
-        // Global stream index -> (board, position in its sub-stream).
-        let mut placed: Vec<(usize, u32)> = Vec::with_capacity(ops.len());
+        // Global stream index -> board, and position in that board's
+        // sub-stream.
         let mut assignment = Vec::with_capacity(ops.len());
+        let mut position: Vec<u32> = Vec::with_capacity(ops.len());
         let mut rng = match policy {
             RoutingPolicy::Random { seed } => seed ^ 0x9E37_79B9_7F4A_7C15,
             _ => 0,
@@ -247,35 +245,36 @@ impl ClusterConfig {
         let mut replication_bytes = 0u64;
         let (mut failovers, mut re_replications, mut corrupt_evictions) = (0u64, 0u64, 0u64);
         let (mut parked_remats, mut recovery_cycles) = (0u64, 0u64);
+        let costs = OpCosts::new(&self.board);
         let ksk_upload = self.board.ksk_upload_cycles();
+        let ksk_bytes = self.ksk_bytes();
 
         for op in ops {
-            let compute = self.board.op_compute_cycles(op)?;
+            let compute = costs.compute_cycles(op)?;
 
             // Liveness sweep: a board whose accumulated load reached its
             // crash cycle is drained from the routing table — resident
-            // sessions fail over, parked state must re-materialize.
+            // sessions fail over, parked state must re-materialize. The
+            // sweep only clears bits and sets flags, each session on its
+            // own, so the table's iteration order never reaches an
+            // output.
             for b in 0..n {
                 if alive[b] && crash_at[b].is_some_and(|c| load[b] >= c) {
                     alive[b] = false;
-                    for (&session, bits) in residency.iter_mut() {
-                        if *bits >> b & 1 == 1 {
-                            *bits &= !(1u64 << b);
-                            failover_pending.insert(session);
+                    alive_count -= 1;
+                    for state in sessions.values_mut() {
+                        if state.resident >> b & 1 == 1 {
+                            state.resident &= !(1u64 << b);
+                            state.failover_pending = true;
                         }
-                    }
-                    let orphaned: Vec<u64> = parked_home
-                        .iter()
-                        .filter(|&(_, &home)| home == b)
-                        .map(|(&s, _)| s)
-                        .collect();
-                    for session in orphaned {
-                        parked_home.remove(&session);
-                        rehome_pending.insert(session);
+                        if state.parked_home == Some(b) {
+                            state.parked_home = None;
+                            state.rehome_pending = true;
+                        }
                     }
                 }
             }
-            if alive.iter().all(|&a| !a) {
+            if alive_count == 0 {
                 return Err(HwError::InvalidConfig {
                     reason: "fault plan crashes every board before the stream completes".into(),
                 });
@@ -287,25 +286,25 @@ impl ClusterConfig {
                     .min_by_key(|&b| (load[b], b))
                     .expect("at least one board alive")
             };
+            // One lookup per op: an anonymous op records nothing, so it
+            // works on a throwaway blank state.
+            let mut anonymous = SessionState::default();
+            let state = if op.session == 0 {
+                &mut anonymous
+            } else {
+                sessions.entry(op.session).or_default()
+            };
+            let bits = state.resident;
             // Parked state is per-board DRAM: once a session parks
             // anything, every op touching its parked handles is pinned
             // to that board, whatever the policy says.
             let touches = op.session != 0 && touches_parked(op);
-            let pinned = if touches {
-                parked_home.get(&op.session).copied()
-            } else {
-                None
-            };
+            let pinned = if touches { state.parked_home } else { None };
             let board = if let Some(b) = pinned {
                 b
             } else {
                 match policy {
                     RoutingPolicy::Affinity { steal } => {
-                        let bits = if op.session == 0 {
-                            0
-                        } else {
-                            residency.get(&op.session).copied().unwrap_or(0)
-                        };
                         if op.needs_ksk() && bits != 0 {
                             let resident = (0..n)
                                 .filter(|&b| alive[b] && bits >> b & 1 == 1)
@@ -333,18 +332,21 @@ impl ClusterConfig {
                         rng = rng
                             .wrapping_mul(6_364_136_223_846_793_005)
                             .wrapping_add(1_442_695_040_888_963_407);
-                        let living: Vec<usize> = (0..n).filter(|&b| alive[b]).collect();
-                        living[((rng >> 33) as usize) % living.len()]
+                        let pick = ((rng >> 33) as usize) % alive_count;
+                        (0..n)
+                            .filter(|&b| alive[b])
+                            .nth(pick)
+                            .expect("pick < alive_count")
                     }
                 }
             };
             let mut routed = *op;
             if touches {
-                parked_home.entry(op.session).or_insert(board);
+                state.parked_home = Some(board);
                 // Parked inputs lost to a crash re-materialize from the
                 // host: the first parked read after the failover ships
                 // the operand over PCIe again.
-                if rehome_pending.remove(&op.session) {
+                if std::mem::take(&mut state.rehome_pending) {
                     parked_remats += 1;
                     routed.input_parked = false;
                 }
@@ -356,41 +358,36 @@ impl ClusterConfig {
             // the board's own schedule). A resident copy whose checksum
             // no longer matches is evicted and re-uploaded on the spot.
             if op.needs_ksk() {
-                let mut resident = op.session != 0
-                    && residency.get(&op.session).copied().unwrap_or(0) >> board & 1 == 1;
+                let mut resident = bits >> board & 1 == 1;
                 let mut evicted_here = false;
                 if resident {
                     if let Some(pos) = corruptions
                         .iter()
                         .position(|&(b, s, at)| b == board && s == op.session && load[board] >= at)
                     {
-                        // Checksum mismatch: evict and re-upload.
+                        // Checksum mismatch: evict and re-upload. The
+                        // re-uploaded copy is resident again, so the
+                        // session's mask is unchanged.
                         corruptions.swap_remove(pos);
                         corrupt_evictions += 1;
                         re_replications += 1;
                         recovery_cycles = recovery_cycles.saturating_add(ksk_upload);
-                        replication_bytes = replication_bytes.saturating_add(self.ksk_bytes());
+                        replication_bytes = replication_bytes.saturating_add(ksk_bytes);
                         routed = routed.with_ksk_upload();
                         resident = false;
                         evicted_here = true;
-                        // The re-uploaded copy is resident again.
-                        if let Some(bits) = residency.get_mut(&op.session) {
-                            *bits |= 1 << board;
-                        }
                     }
                 }
                 if resident {
                     hits += 1;
                 } else if !evicted_here {
                     misses += 1;
-                    replication_bytes = replication_bytes.saturating_add(self.ksk_bytes());
+                    replication_bytes = replication_bytes.saturating_add(ksk_bytes);
                     routed = routed.with_ksk_upload();
-                    if op.session != 0 {
-                        *residency.entry(op.session).or_insert(0) |= 1 << board;
-                    }
+                    state.resident |= 1 << board;
                     // A miss for a session that lost its resident copy
                     // to a crash is a failover recovery.
-                    if failover_pending.remove(&op.session) {
+                    if std::mem::take(&mut state.failover_pending) {
                         failovers += 1;
                         re_replications += 1;
                         recovery_cycles = recovery_cycles.saturating_add(ksk_upload);
@@ -405,16 +402,21 @@ impl ClusterConfig {
                 ..routed
             };
             for d in routed.dep_indices() {
-                let (dep_board, dep_pos) = placed[d];
-                if dep_board == board {
-                    local = local.with_dep(dep_pos);
+                let index = assignment.len();
+                if d >= index {
+                    return Err(HwError::InvalidConfig {
+                        reason: format!("op {index} depends on non-earlier op {d}"),
+                    });
+                }
+                if assignment[d] == board {
+                    local = local.with_dep(position[d]);
                 } else {
                     cross_deps += 1;
                 }
             }
 
-            placed.push((board, streams[board].len() as u32));
             assignment.push(board);
+            position.push(streams[board].len() as u32);
             streams[board].push(local);
             // Degraded boards accrue dilated load, so the router's
             // balancing naturally steers new work away from them.
@@ -447,6 +449,47 @@ impl ClusterConfig {
             parked_rematerializations: parked_remats,
             recovery_cycles,
         })
+    }
+}
+
+/// What the router knows about one session.
+#[derive(Clone, Copy, Debug, Default)]
+struct SessionState {
+    /// Boards holding the session's ksk (bit `b` = board `b`).
+    resident: u64,
+    /// Board whose DRAM holds the session's parked state.
+    parked_home: Option<usize>,
+    /// Lost a resident ksk to a crash: its next miss is a failover.
+    failover_pending: bool,
+    /// Lost its parked state to a crash: its next parked read
+    /// re-materializes the operand from the host.
+    rehome_pending: bool,
+}
+
+/// The router's session table, keyed by the stream's own session ids
+/// (never by bytes from a client) and hashed by [`IdHasher`].
+type SessionTable = HashMap<u64, SessionState, BuildHasherDefault<IdHasher>>;
+
+/// A multiply-and-fold hasher for `u64` session ids: the router looks a
+/// session up several times per op, where SipHash's collision
+/// resistance buys nothing.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -783,6 +826,19 @@ mod tests {
         assert!(b.ops[1].compute.0 >= b.ops[0].compute.1);
         assert_eq!(b.ops[1].index, 1);
         assert_ne!(NO_DEP, 0); // sentinel sanity
+    }
+
+    #[test]
+    fn forward_deps_are_rejected() {
+        let c = cluster(2, 1);
+        for ops in [
+            vec![IrOp::new(OpKind::Add).with_dep(0)],
+            vec![IrOp::new(OpKind::Add).with_dep(1), IrOp::new(OpKind::Add)],
+        ] {
+            assert!(c
+                .schedule_stream(&ops, RoutingPolicy::Affinity { steal: false })
+                .is_err());
+        }
     }
 
     #[test]

@@ -236,84 +236,32 @@ impl PipelineConfig {
     /// [`HwError::InvalidConfig`] for malformed ops (empty hoisted
     /// groups).
     pub fn op_compute_cycles(&self, op: &BoardOp) -> Result<u64, HwError> {
-        Ok(self.lower(op)?.compute.iter().map(|&(_, c)| c).sum())
+        OpCosts::new(self).compute_cycles(op)
     }
 
-    /// Lowers one high-level op into transfer volumes and compute
+    /// Lowers one high-level op into transfer durations and compute
     /// stages. All volumes are modeled at the top of the modulus chain
     /// (`k` residue limbs per polynomial) — the level the paper
     /// evaluates throughput at.
-    fn lower(&self, op: &BoardOp) -> Result<LoweredOp, HwError> {
-        let n = self.arch.n as u64;
-        let k = self.arch.k as u64;
+    fn lower(&self, costs: &OpCosts, op: &BoardOp) -> Result<LoweredOp, HwError> {
+        let compute = costs.stages(op)?;
+        let (n, k) = (costs.n, costs.k);
         let ct = 2 * k * n; // 2-component ciphertext, k limbs each
-        let ks = self
-            .arch
-            .steady_interval_cycles()
-            .max(self.ksk_stream_cycles());
-        let tail = self
-            .arch
-            .hoisted_interval_cycles()
-            .max(self.ksk_stream_cycles());
-        let (label, in_words, out_words, compute) = match op.kind {
-            BoardOpKind::Multiply => (
-                "multiply",
-                2 * ct,
-                ct,
-                vec![
-                    (StageClass::Mult, k * self.mult.ciphertext_mult_cycles(2, 2)),
-                    (StageClass::KeySwitch, ks),
-                ],
-            ),
-            BoardOpKind::Relinearize => (
-                "relinearize",
-                3 * k * n,
-                ct,
-                vec![(StageClass::KeySwitch, ks)],
-            ),
-            BoardOpKind::Rotate => ("rotate", ct, ct, vec![(StageClass::KeySwitch, ks)]),
+        let (label, in_words, out_words) = match op.kind {
+            BoardOpKind::Multiply => ("multiply", 2 * ct, ct),
+            BoardOpKind::Relinearize => ("relinearize", 3 * k * n, ct),
+            BoardOpKind::Rotate => ("rotate", ct, ct),
+            // `stages` has checked that the group parks at most `count`.
             BoardOpKind::RotateMany {
                 count,
                 parked_outputs,
-            } => {
-                if count == 0 {
-                    return Err(HwError::InvalidConfig {
-                        reason: "hoisted rotation group must contain at least one rotation".into(),
-                    });
-                }
-                if parked_outputs > count {
-                    return Err(HwError::InvalidConfig {
-                        reason: format!(
-                            "hoisted group parks {parked_outputs} outputs but only has {count}"
-                        ),
-                    });
-                }
-                (
-                    "rotate-many",
-                    ct,
-                    (count - parked_outputs) as u64 * ct,
-                    vec![
-                        (StageClass::KeySwitch, ks),
-                        (StageClass::HoistedTail, (count as u64 - 1) * tail),
-                    ],
-                )
-            }
-            BoardOpKind::Rescale => (
-                "rescale",
-                ct,
-                2 * k.saturating_sub(1).max(1) * n,
-                vec![(StageClass::Rescale, self.rescale_cycles())],
-            ),
-            BoardOpKind::Add => (
-                "add",
-                2 * ct,
-                ct,
-                vec![(StageClass::Dyadic, 2 * k * self.mult.pair_cycles())],
-            ),
+            } => ("rotate-many", ct, (count - parked_outputs) as u64 * ct),
+            BoardOpKind::Rescale => ("rescale", ct, 2 * k.saturating_sub(1).max(1) * n),
+            BoardOpKind::Add => ("add", 2 * ct, ct),
             // Pure movement: an inline operand pays the upload (the
             // upload-and-park serving pattern), a parked one doesn't;
             // park_output below cancels the return leg.
-            BoardOpKind::Fetch => ("fetch", ct, ct, Vec::new()),
+            BoardOpKind::Fetch => ("fetch", ct, ct),
         };
         // Wire-v2 byte economics. A seeded fresh operand ships one
         // polynomial plus a 32-byte seed instead of two polynomials, so
@@ -335,14 +283,9 @@ impl PipelineConfig {
         // A ksk upload (cluster residency miss) rides the host→board
         // channel ahead of the op's data, even when the ciphertext
         // operands themselves are already parked on the board.
-        let ksk_cycles = if op.ksk_upload {
-            self.ksk_upload_cycles()
-        } else {
-            0
-        };
+        let ksk_cycles = if op.ksk_upload { costs.ksk_upload } else { 0 };
         Ok(LoweredOp {
             label,
-            requests: op.requests(),
             in_cycles: ksk_cycles
                 + if op.input_parked {
                     0
@@ -404,46 +347,45 @@ impl PipelineConfig {
                 }
             }
         }
-        let mut lowered: Vec<LoweredOp> = ops
-            .iter()
-            .map(|op| self.lower(op))
-            .collect::<Result<_, _>>()?;
-        if !profile.is_healthy() {
-            for op in &mut lowered {
-                if op.in_cycles > 0 {
-                    op.in_cycles =
-                        BoardFaultProfile::dilate(op.in_cycles, profile.dma_in_slowdown_pct)
-                            .saturating_add(profile.link_stall_cycles);
-                }
-                if op.out_cycles > 0 {
-                    op.out_cycles =
-                        BoardFaultProfile::dilate(op.out_cycles, profile.dma_out_slowdown_pct)
-                            .saturating_add(profile.link_stall_cycles);
-                }
-                for (_, cycles) in &mut op.compute {
-                    *cycles = BoardFaultProfile::dilate(*cycles, profile.compute_slowdown_pct);
-                }
-            }
-        }
+        let costs = OpCosts::new(self);
+        let healthy = profile.is_healthy();
+        let depth = self.input_fifo_depth;
 
         let mut xfer_in_free = 0u64;
         let mut xfer_out_free = 0u64;
         let mut core_free = vec![0u64; self.num_cores];
-        // Per-core compute-end history, for FIFO backpressure: the
+        // Per core, a ring of its last `window` ops: each one's compute
+        // end and whether it held an input buffer until then. The
         // transfer for a core's j-th op may start only once its buffer
         // slot is free, i.e. when the (j-depth)-th op on that core has
-        // finished consuming its own slot.
-        let mut core_history: Vec<Vec<u64>> = vec![Vec::new(); self.num_cores];
-        let mut timings: Vec<OpTiming> = Vec::with_capacity(lowered.len());
-        let mut stage_busy: Vec<(StageClass, u64)> =
-            StageClass::ALL.iter().map(|&s| (s, 0)).collect();
-        let add_busy = |class: StageClass, cycles: u64, busy: &mut Vec<(StageClass, u64)>| {
-            if let Some((_, b)) = busy.iter_mut().find(|(s, _)| *s == class) {
-                *b += cycles;
-            }
-        };
+        // finished consuming its own slot, so no op older than the ring
+        // can still hold a buffer when a newer one acquires.
+        let window = depth.min(ops.len()).max(1);
+        let mut recent = vec![(0u64, false); self.num_cores * window];
+        let mut placed = vec![0usize; self.num_cores];
+        let mut timings: Vec<OpTiming> = Vec::with_capacity(ops.len());
+        let mut busy = [0u64; StageClass::ALL.len()];
+        let mut fifo_high_water = 0u64;
+        let mut total_cycles = 0u64;
 
-        for (index, op) in lowered.iter().enumerate() {
+        for (index, op) in ops.iter().enumerate() {
+            let mut lowered = self.lower(&costs, op)?;
+            if !healthy {
+                if lowered.in_cycles > 0 {
+                    lowered.in_cycles =
+                        BoardFaultProfile::dilate(lowered.in_cycles, profile.dma_in_slowdown_pct)
+                            .saturating_add(profile.link_stall_cycles);
+                }
+                if lowered.out_cycles > 0 {
+                    lowered.out_cycles =
+                        BoardFaultProfile::dilate(lowered.out_cycles, profile.dma_out_slowdown_pct)
+                            .saturating_add(profile.link_stall_cycles);
+                }
+                for (_, cycles) in lowered.compute.list_mut() {
+                    *cycles = BoardFaultProfile::dilate(*cycles, profile.compute_slowdown_pct);
+                }
+            }
+
             // Earliest-available core (ties: lowest index).
             let core = core_free
                 .iter()
@@ -451,30 +393,46 @@ impl PipelineConfig {
                 .min_by_key(|&(i, &t)| (t, i))
                 .map(|(i, _)| i)
                 .expect("num_cores >= 1");
-            let slot = core_history[core]
-                .len()
-                .checked_sub(self.input_fifo_depth)
-                .map(|j| core_history[core][j])
-                .unwrap_or(0);
+            let ring = &mut recent[core * window..(core + 1) * window];
+            let position = placed[core];
+            let slot = if position >= depth {
+                ring[position % window].0
+            } else {
+                0
+            };
 
             // Parked inputs need no DMA slot and cannot be delayed by
             // the host→board channel.
-            let (in_start, in_end, fifo_stall) = if op.in_cycles > 0 {
+            let holds_buffer = lowered.in_cycles > 0;
+            let (in_start, in_end, fifo_stall) = if holds_buffer {
                 let fifo_stall = slot.saturating_sub(xfer_in_free);
                 let s = xfer_in_free.max(slot);
-                let e = s + op.in_cycles;
+                let e = s + lowered.in_cycles;
                 xfer_in_free = e;
-                add_busy(StageClass::XferIn, op.in_cycles, &mut stage_busy);
+                busy[StageClass::XferIn as usize] += lowered.in_cycles;
+                // Input-FIFO occupancy at this acquisition: this buffer
+                // plus every earlier one on the core not yet released
+                // (buffers are live over [start of input transfer, end
+                // of compute); a release at `s` frees its slot first).
+                // Transfer starts rise strictly in stream order and a
+                // core's compute ends never fall, so the held buffers
+                // are the newest entries of the ring.
+                let held = (position.saturating_sub(window)..position)
+                    .rev()
+                    .map(|q| ring[q % window])
+                    .take_while(|&(end, _)| end > s)
+                    .filter(|&(_, holds)| holds)
+                    .count() as u64;
+                fifo_high_water = fifo_high_water.max(held + 1);
                 (s, e, fifo_stall)
             } else {
                 (0, 0, 0)
             };
 
-            let compute_cycles: u64 = op.compute.iter().map(|&(_, c)| c).sum();
             // A dependency edge means this op reads an earlier op's
             // board-resident result: compute cannot start before every
             // producer's compute has finished.
-            let deps_ready = ops[index]
+            let deps_ready = op
                 .dep_indices()
                 .map(|d| timings[d].compute.1)
                 .max()
@@ -482,30 +440,32 @@ impl PipelineConfig {
             let ready = core_free[core].max(deps_ready);
             let compute_start = ready.max(in_end);
             let input_stall = in_end.saturating_sub(ready);
-            let compute_end = compute_start + compute_cycles;
+            let compute_end = compute_start + lowered.compute.cycles();
             core_free[core] = compute_end;
-            core_history[core].push(compute_end);
-            for &(class, cycles) in &op.compute {
-                add_busy(class, cycles, &mut stage_busy);
+            ring[position % window] = (compute_end, holds_buffer);
+            placed[core] += 1;
+            for &(class, cycles) in lowered.compute.list() {
+                busy[class as usize] += cycles;
             }
 
-            let out_start = if op.out_cycles > 0 {
+            let out_start = if lowered.out_cycles > 0 {
                 xfer_out_free.max(compute_end)
             } else {
                 compute_end
             };
             let output_stall = out_start - compute_end;
-            let out_end = out_start + op.out_cycles;
-            if op.out_cycles > 0 {
+            let out_end = out_start + lowered.out_cycles;
+            if lowered.out_cycles > 0 {
                 xfer_out_free = out_end;
-                add_busy(StageClass::XferOut, op.out_cycles, &mut stage_busy);
+                busy[StageClass::XferOut as usize] += lowered.out_cycles;
             }
+            total_cycles = total_cycles.max(out_end);
 
             timings.push(OpTiming {
                 index,
-                label: op.label,
+                label: lowered.label,
                 core,
-                requests: op.requests,
+                requests: op.requests(),
                 xfer_in: (in_start, in_end),
                 compute: (compute_start, compute_end),
                 xfer_out: (out_start, out_end),
@@ -515,53 +475,145 @@ impl PipelineConfig {
             });
         }
 
-        // Input-FIFO high-water per core: buffers are live from the
-        // start of the input transfer until compute releases them.
-        // Event sweep (O(n log n)) — cluster-scale streams run to tens
-        // of thousands of ops, where the naive pairwise overlap count
-        // would dominate the schedule itself. Releases sort before
-        // acquisitions at equal time (half-open [start, end) spans).
-        let mut fifo_high_water = 0u64;
-        for core in 0..self.num_cores {
-            let mut events: Vec<(u64, i64)> = Vec::new();
-            for t in timings.iter().filter(|t| t.core == core) {
-                if t.xfer_in.1 > t.xfer_in.0 && t.compute.1 > t.xfer_in.0 {
-                    events.push((t.xfer_in.0, 1));
-                    events.push((t.compute.1, -1));
-                }
-            }
-            events.sort_unstable_by_key(|&(time, delta)| (time, delta));
-            let mut live = 0i64;
-            for (_, delta) in events {
-                live += delta;
-                fifo_high_water = fifo_high_water.max(live.max(0) as u64);
-            }
-        }
-
-        let total_cycles = timings
-            .iter()
-            .map(|t| t.compute.1.max(t.xfer_out.1))
-            .max()
-            .unwrap_or(0);
         Ok(PipelineReport {
             num_cores: self.num_cores,
             freq_mhz: self.freq_mhz,
             total_cycles,
             ops: timings,
-            stage_busy,
+            stage_busy: StageClass::ALL
+                .iter()
+                .map(|&class| (class, busy[class as usize]))
+                .collect(),
             fifo_high_water,
         })
     }
 }
 
+/// The per-configuration constants lowering reads, computed once per
+/// schedule call: an op's compute stages are then a match and a
+/// multiply, with no transfer math.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OpCosts {
+    n: u64,
+    k: u64,
+    /// Full KeySwitch interval, dilated to the DRAM key stream.
+    keyswitch: u64,
+    /// Hoisted-rotation tail interval, dilated the same way.
+    hoisted_tail: u64,
+    /// MULT pass over all `k` residues.
+    mult: u64,
+    rescale: u64,
+    /// Dyadic addition over both components' `k` residues.
+    add: u64,
+    /// Host→board upload of one key-switching key.
+    ksk_upload: u64,
+}
+
+impl OpCosts {
+    pub(crate) fn new(config: &PipelineConfig) -> Self {
+        let k = config.arch.k as u64;
+        let stream = config.ksk_stream_cycles();
+        Self {
+            n: config.arch.n as u64,
+            k,
+            keyswitch: config.arch.steady_interval_cycles().max(stream),
+            hoisted_tail: config.arch.hoisted_interval_cycles().max(stream),
+            mult: k * config.mult.ciphertext_mult_cycles(2, 2),
+            rescale: config.rescale_cycles(),
+            add: 2 * k * config.mult.pair_cycles(),
+            ksk_upload: config.ksk_upload_cycles(),
+        }
+    }
+
+    /// The compute stages one op occupies a core for.
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::InvalidConfig`] for an empty hoisted group or one that
+    /// parks more outputs than it has.
+    fn stages(&self, op: &BoardOp) -> Result<Stages, HwError> {
+        Ok(match op.kind {
+            BoardOpKind::Multiply => Stages::of(&[
+                (StageClass::Mult, self.mult),
+                (StageClass::KeySwitch, self.keyswitch),
+            ]),
+            BoardOpKind::Relinearize | BoardOpKind::Rotate => {
+                Stages::of(&[(StageClass::KeySwitch, self.keyswitch)])
+            }
+            BoardOpKind::RotateMany {
+                count,
+                parked_outputs,
+            } => {
+                if count == 0 {
+                    return Err(HwError::InvalidConfig {
+                        reason: "hoisted rotation group must contain at least one rotation".into(),
+                    });
+                }
+                if parked_outputs > count {
+                    return Err(HwError::InvalidConfig {
+                        reason: format!(
+                            "hoisted group parks {parked_outputs} outputs but only has {count}"
+                        ),
+                    });
+                }
+                Stages::of(&[
+                    (StageClass::KeySwitch, self.keyswitch),
+                    (
+                        StageClass::HoistedTail,
+                        (count as u64 - 1) * self.hoisted_tail,
+                    ),
+                ])
+            }
+            BoardOpKind::Rescale => Stages::of(&[(StageClass::Rescale, self.rescale)]),
+            BoardOpKind::Add => Stages::of(&[(StageClass::Dyadic, self.add)]),
+            BoardOpKind::Fetch => Stages::of(&[]),
+        })
+    }
+
+    /// Compute cycles one op occupies a core for — the router's load
+    /// estimate, without lowering the op's transfers.
+    pub(crate) fn compute_cycles(&self, op: &BoardOp) -> Result<u64, HwError> {
+        Ok(self.stages(op)?.cycles())
+    }
+}
+
+/// An op's compute stages, in order — no op has more than two.
+#[derive(Clone, Copy, Debug)]
+struct Stages {
+    len: usize,
+    list: [(StageClass, u64); 2],
+}
+
+impl Stages {
+    fn of(stages: &[(StageClass, u64)]) -> Self {
+        let mut list = [(StageClass::KeySwitch, 0); 2];
+        list[..stages.len()].copy_from_slice(stages);
+        Self {
+            len: stages.len(),
+            list,
+        }
+    }
+
+    fn list(&self) -> &[(StageClass, u64)] {
+        &self.list[..self.len]
+    }
+
+    fn list_mut(&mut self) -> &mut [(StageClass, u64)] {
+        &mut self.list[..self.len]
+    }
+
+    fn cycles(&self) -> u64 {
+        self.list().iter().map(|&(_, c)| c).sum()
+    }
+}
+
 /// One lowered op: transfer durations plus compute stages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct LoweredOp {
     label: &'static str,
-    requests: u64,
     in_cycles: u64,
     out_cycles: u64,
-    compute: Vec<(StageClass, u64)>,
+    compute: Stages,
 }
 
 /// Timing of one scheduled op.
@@ -1118,6 +1170,105 @@ mod tests {
         assert_eq!(empty.requests_per_sec(), 0.0);
         assert_eq!(empty.ops_per_sec(), 0.0);
         assert!(empty.render().contains("0 op(s)"));
+    }
+
+    /// The input-FIFO high-water by its definition, O(n²): at every
+    /// acquisition (the start of a nonempty input transfer), count the
+    /// same core's buffers held at that instant — spans
+    /// `[xfer_in.0, compute.1)` with `start ≤ t < end`.
+    fn fifo_high_water_oracle(r: &PipelineReport) -> u64 {
+        let holds = |s: &&OpTiming| s.xfer_in.1 > s.xfer_in.0;
+        r.ops
+            .iter()
+            .filter(holds)
+            .map(|a| {
+                let t = a.xfer_in.0;
+                r.ops
+                    .iter()
+                    .filter(holds)
+                    .filter(|s| s.core == a.core && s.xfer_in.0 <= t && t < s.compute.1)
+                    .count() as u64
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Builds a stream from drawn `(kind, group size, flag bits, reply
+    /// limbs, dependency)` tuples; a dependency draw points at a random
+    /// earlier op.
+    fn drawn_stream(picks: &[(usize, usize, u8, u8, usize)]) -> Vec<BoardOp> {
+        picks
+            .iter()
+            .enumerate()
+            .map(|(index, &(kind, count, flags, limbs, dep))| {
+                let kind = match kind {
+                    0 => BoardOpKind::Multiply,
+                    1 => BoardOpKind::Relinearize,
+                    2 => BoardOpKind::Rotate,
+                    3 => BoardOpKind::RotateMany {
+                        count,
+                        parked_outputs: count / 2,
+                    },
+                    4 => BoardOpKind::Rescale,
+                    5 => BoardOpKind::Add,
+                    _ => BoardOpKind::Fetch,
+                };
+                let mut op = BoardOp::new(kind).with_reply_limbs(limbs);
+                if flags & 1 != 0 {
+                    op = op.with_parked_input();
+                }
+                if flags & 2 != 0 {
+                    op = op.with_parked_output();
+                }
+                if flags & 4 != 0 {
+                    op = op.with_seeded_input();
+                }
+                if flags & 8 != 0 {
+                    op = op.with_ksk_upload();
+                }
+                if flags & 16 != 0 && index > 0 {
+                    op = op.with_dep((dep % index) as u32);
+                }
+                op
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The reported high-water equals the pairwise count on random
+        /// streams (parked and inline operands, dependency edges,
+        /// compute-free fetches) over 1–4 cores, FIFO depths 1–4, and
+        /// healthy or degraded boards.
+        #[test]
+        fn fifo_high_water_matches_the_pairwise_count(
+            picks in proptest::prelude::prop::collection::vec(
+                (0usize..7, 1usize..5, 0u8..32, 0u8..6, 0usize..64),
+                1..40,
+            ),
+            cores in 1usize..=4,
+            depth in 1usize..=4,
+            degraded in proptest::prelude::any::<bool>(),
+            pcts in (0u32..100, 0u32..100, 0u32..100),
+            stall in 0u64..5_000,
+        ) {
+            let ops = drawn_stream(&picks);
+            let cfg = config(set_b(), cores).with_input_fifo_depth(depth);
+            let profile = if degraded {
+                BoardFaultProfile {
+                    compute_slowdown_pct: pcts.0,
+                    dma_in_slowdown_pct: pcts.1,
+                    dma_out_slowdown_pct: pcts.2,
+                    link_stall_cycles: stall,
+                }
+            } else {
+                BoardFaultProfile::default()
+            };
+            let r = cfg.schedule_stream_degraded(&ops, &profile).unwrap();
+            proptest::prop_assert_eq!(r.fifo_high_water, fifo_high_water_oracle(&r));
+            proptest::prop_assert!(r.fifo_high_water <= depth as u64);
+        }
     }
 
     #[test]
