@@ -893,6 +893,117 @@ mod tests {
         assert_eq!(f1s, f1p);
     }
 
+    /// The reports of relinearization, one rotation, hoisted rotation
+    /// (t = 0, 1, 3) and MULT+ReLin at the top level, as literals: on the
+    /// test ring and on Set-A, each on Stratix 10 and Arria 10.
+    #[test]
+    fn op_reports_are_pinned() {
+        use heax_ckks::{CkksParams, ParamSet};
+        // (interval, latency, µs, input words, output words) of one key
+        // switch, of three hoisted ones and of MULT+ReLin.
+        type Row = (u64, u64, f64, u64, u64);
+        let pinned = |one: Row, three: Row, mult: Row| {
+            let report = |op,
+                          (
+                interval_cycles,
+                latency_cycles,
+                interval_us,
+                input_words,
+                output_words,
+            ): Row| OpReport {
+                op,
+                interval_cycles,
+                latency_cycles,
+                interval_us,
+                input_words,
+                output_words,
+            };
+            let ks = |row| report(HeaxOp::KeySwitch, row);
+            let zero = ks((0, 0, 0.0, 0, 0));
+            [
+                ks(one),
+                ks(one),
+                zero,
+                ks(one),
+                ks(three),
+                report(HeaxOp::MultRelin, mult),
+            ]
+        };
+        let set_a = CkksContext::new(CkksParams::from_set(ParamSet::SetA).unwrap()).unwrap();
+        let ring = small_ctx();
+        let cases: [(&CkksContext, Board, [OpReport; 6]); 4] = [
+            (
+                &ring,
+                Board::stratix10(),
+                pinned(
+                    (216, 640, 0.72, 256, 384),
+                    (504, 928, 1.68, 256, 1152),
+                    (216, 791, 0.72, 768, 384),
+                ),
+            ),
+            (
+                &ring,
+                Board::arria10(),
+                pinned(
+                    (216, 640, 0.7854545454545454, 256, 384),
+                    (504, 928, 1.8327272727272728, 256, 1152),
+                    (216, 791, 0.7854545454545454, 768, 384),
+                ),
+            ),
+            (
+                &set_a,
+                Board::stratix10(),
+                pinned(
+                    (3072, 12800, 10.24, 12288, 16384),
+                    (9216, 18944, 30.72, 12288, 49152),
+                    (3072, 15895, 10.24, 32768, 16384),
+                ),
+            ),
+            (
+                &set_a,
+                Board::arria10(),
+                pinned(
+                    (6144, 25600, 22.341818181818184, 12288, 16384),
+                    (18432, 37888, 67.02545454545454, 12288, 49152),
+                    (6144, 28695, 22.341818181818184, 32768, 16384),
+                ),
+            ),
+        ];
+        for (ctx, board, want) in cases {
+            let mut rng = StdRng::seed_from_u64(63);
+            let sk = SecretKey::generate(ctx, &mut rng);
+            let pk = PublicKey::generate(ctx, &sk, &mut rng);
+            let rlk = RelinKey::generate(ctx, &sk, &mut rng);
+            let gks = GaloisKeys::generate(ctx, &sk, &[1, 2, 3], &mut rng);
+            let pt = CkksEncoder::new(ctx)
+                .encode_real(&[1.0, 2.0], ctx.params().scale(), ctx.max_level())
+                .unwrap();
+            let ct = Encryptor::new(ctx, &pk).encrypt(&pt, &mut rng).unwrap();
+            let prod = Evaluator::new(ctx).multiply(&ct, &ct).unwrap();
+            let acc = if ctx.n() == 64 {
+                HeaxAccelerator::with_arch(
+                    ctx,
+                    board.clone(),
+                    small_arch(),
+                    NttModuleConfig::new(64, 4).unwrap(),
+                    MultModuleConfig::new(64, 8).unwrap(),
+                )
+                .unwrap()
+            } else {
+                HeaxAccelerator::new(ctx, board.clone()).unwrap()
+            };
+            let got = [
+                acc.relinearize(&prod, &rlk).unwrap().1,
+                acc.rotate(&ct, 1, &gks).unwrap().1,
+                acc.rotate_many(&ct, &[], &gks).unwrap().1,
+                acc.rotate_many(&ct, &[1], &gks).unwrap().1,
+                acc.rotate_many(&ct, &[1, 2, 3], &gks).unwrap().1,
+                acc.multiply_relin(&ct, &ct, &rlk).unwrap().1,
+            ];
+            assert_eq!(got, want, "n = {}, {}", ctx.n(), board.name());
+        }
+    }
+
     #[test]
     fn mismatched_levels_rejected() {
         let mut h = harness(55);
