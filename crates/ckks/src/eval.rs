@@ -29,7 +29,7 @@ use crate::context::CkksContext;
 use crate::flooring::floor_last_into;
 use crate::galois::{galois_elt_conjugate, galois_elt_from_step};
 use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use crate::keyswitch::{check_output_level, KeySwitcher, TableNtt};
+use crate::keyswitch::{check_output_level, KeySwitcher, NttBackend, TableNtt};
 use crate::CkksError;
 
 /// Relative tolerance when comparing scales of operands.
@@ -54,10 +54,15 @@ const SCALE_RTOL: f64 = 1e-9;
 /// `sub`, `multiply_integer`, `add_many`, `add_plain` and `sub_plain`
 /// clone their input, and `sub` zero-fills a stand-in for a missing
 /// component.
+///
+/// Every transform of a key switch and of a rescale's floor runs through
+/// its [`NttBackend`] `B`: the software kernels ([`TableNtt`]) unless
+/// built with [`Evaluator::with_backend`].
 #[derive(Clone, Debug)]
-pub struct Evaluator<'a> {
+pub struct Evaluator<'a, B = TableNtt> {
     ctx: &'a CkksContext,
     exec: Arc<dyn Executor>,
+    backend: B,
 }
 
 /// Worker threads share one evaluator by `&`: it must stay `Send + Sync`.
@@ -75,7 +80,14 @@ impl<'a> Evaluator<'a> {
 
     /// Creates an evaluator with an explicit execution backend.
     pub fn with_executor(ctx: &'a CkksContext, exec: Arc<dyn Executor>) -> Self {
-        Self { ctx, exec }
+        Self::with_backend(ctx, exec, TableNtt)
+    }
+}
+
+impl<'a, B: NttBackend> Evaluator<'a, B> {
+    /// Creates an evaluator whose transforms run on `backend`.
+    pub fn with_backend(ctx: &'a CkksContext, exec: Arc<dyn Executor>, backend: B) -> Self {
+        Self { ctx, exec, backend }
     }
 
     /// The context.
@@ -343,10 +355,11 @@ impl<'a> Evaluator<'a> {
         let dropped = self.ctx.moduli()[a.level].value() as f64;
         let n = self.ctx.n();
         let out_moduli = self.ctx.level_moduli(a.level - 1);
+        let exec = self.exec.as_ref();
         let mut polys = Vec::with_capacity(a.size());
         for c in &a.polys {
             let mut out = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
-            floor_last_into(c, self.ctx, a.level, self.exec.as_ref(), &mut out)?;
+            floor_last_into(c, self.ctx, a.level, exec, &self.backend, &mut out)?;
             polys.push(out);
         }
         Ciphertext::from_parts(polys, a.level - 1, a.scale / dropped)
@@ -446,9 +459,9 @@ impl<'a> Evaluator<'a> {
         self.switcher().key_switch_into(target, ksk, level, f0, f1)
     }
 
-    /// The shared key-switch skeleton over the software NTT kernels.
-    fn switcher(&self) -> KeySwitcher<'_, TableNtt> {
-        KeySwitcher::new(self.ctx, self.exec.as_ref(), &TableNtt)
+    /// The shared key-switch skeleton over the evaluator's backend.
+    fn switcher(&self) -> KeySwitcher<'_, B> {
+        KeySwitcher::new(self.ctx, self.exec.as_ref(), &self.backend)
     }
 
     /// `CKKS.Relin`: key-switches the `c₂` component of a 3-component

@@ -17,12 +17,15 @@ use heax_math::exec::{self, Executor};
 use heax_math::poly::{Representation, RnsPoly, Words};
 
 use crate::context::CkksContext;
+use crate::keyswitch::{NttBackend, Stage, TableNtt};
 use crate::CkksError;
 
 /// Floors away the **last ciphertext prime** `p_level` (rescaling) into a
 /// caller-provided output: input spans `p_0..p_level`; `out` must be
-/// pre-shaped over `p_0..p_{level-1}` in NTT form. The working words come
-/// from the thread's recycler, so a warm call allocates nothing.
+/// pre-shaped over `p_0..p_{level-1}` in NTT form. The dropped residue's
+/// INTT runs on `backend` as [`Stage::Intt1`], the re-NTTs as
+/// [`Stage::Ntt1`]. The working words come from the thread's recycler, so
+/// a warm call allocates nothing.
 ///
 /// # Errors
 ///
@@ -33,12 +36,13 @@ pub(crate) fn floor_last_into(
     ctx: &CkksContext,
     level: usize,
     exec: &dyn Executor,
+    backend: &impl NttBackend,
     out: &mut RnsPoly,
 ) -> Result<(), CkksError> {
     if level == 0 {
         return Err(CkksError::LevelExhausted);
     }
-    floor_impl_into(c, ctx, level, false, exec, out)
+    floor_impl_into(c, ctx, level, false, exec, backend, out)
 }
 
 /// Floors away the **special prime** (encryption): input spans
@@ -56,7 +60,7 @@ pub(crate) fn floor_special(
     exec: &dyn Executor,
 ) -> Result<RnsPoly, CkksError> {
     let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(level), Representation::Ntt);
-    floor_impl_into(c, ctx, level, true, exec, &mut out)?;
+    floor_impl_into(c, ctx, level, true, exec, &TableNtt, &mut out)?;
     Ok(out)
 }
 
@@ -66,6 +70,7 @@ fn floor_impl_into(
     level: usize,
     special: bool,
     exec: &dyn Executor,
+    backend: &impl NttBackend,
     out: &mut RnsPoly,
 ) -> Result<(), CkksError> {
     if c.representation() != Representation::Ntt {
@@ -105,7 +110,7 @@ fn floor_impl_into(
     // floor (`crate::keyswitch`) accepts lazy accumulators.
     let mut drop_coeff = Words::for_overwrite(n);
     drop_coeff.copy_from_slice(c.residue(keep));
-    drop_table.inverse_auto(&mut drop_coeff);
+    backend.inverse(Stage::Intt1, drop_table, &mut drop_coeff);
 
     // Step 2: fold into every remaining modulus (lines 2-7) — one
     // independent limb per modulus, dispatched across the executor; each
@@ -115,7 +120,7 @@ fn floor_impl_into(
     exec::for_each_limb(exec, out.data_mut(), n, |i, dst| {
         let mut lane = Words::for_overwrite(n);
         // DOMAIN: [0,4p)
-        ctx.ntt_table(i).forward_reduced_auto(a, &mut lane);
+        backend.forward_reduced(Stage::Ntt1, ctx.ntt_table(i), a, &mut lane);
         out_moduli[i].mod_switch(consts.inv(i), c.residue(i), &lane, None, dst);
     });
     Ok(())
@@ -125,7 +130,7 @@ fn floor_impl_into(
 mod tests {
     use super::*;
     use crate::context::tests::small;
-    use crate::keyswitch::{KeySwitcher, KsBuffers, TableNtt};
+    use crate::keyswitch::{KeySwitcher, KsBuffers};
     use heax_math::exec::Sequential;
 
     /// Allocating convenience wrapper over the rescale into-variant.
@@ -139,7 +144,7 @@ mod tests {
             return Err(CkksError::LevelExhausted);
         }
         let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(level - 1), Representation::Ntt);
-        floor_last_into(c, ctx, level, exec, &mut out)?;
+        floor_last_into(c, ctx, level, exec, &TableNtt, &mut out)?;
         Ok(out)
     }
 

@@ -524,11 +524,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Counts transforms per stage, one per backend call, over the
-    /// strict kernels.
-    #[derive(Default)]
-    struct Counting([AtomicUsize; 4]);
+    /// strict kernels; clones share the counts.
+    #[derive(Clone, Default)]
+    struct Counting(Arc<[AtomicUsize; 4]>);
 
     impl Counting {
         fn take(&self) -> [usize; 4] {
@@ -657,6 +658,32 @@ mod tests {
                 ev.rotate_to_level(&ct, 1, &gks, level + 1),
                 Err(CkksError::LevelMismatch { .. })
             ));
+        }
+    }
+
+    /// A rescale's floor as structure: at level ℓ each of the two
+    /// components takes one INTT1 of its dropped residue and ℓ NTT1s, all
+    /// on the evaluator's backend and none on the decomposition's stages,
+    /// and the output is the default evaluator's.
+    #[test]
+    fn rescale_transforms_run_on_the_evaluator_backend() {
+        let ctx = CkksContext::new(small()).unwrap();
+        let mut rng = StdRng::seed_from_u64(80);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+        let pt = CkksEncoder::new(&ctx)
+            .encode_real(&[1.5, -0.25], ctx.params().scale(), ctx.max_level())
+            .unwrap();
+        let top = Encryptor::new(&ctx, &pk).encrypt(&pt, &mut rng).unwrap();
+
+        let ev = Evaluator::new(&ctx);
+        let backend = Counting::default();
+        let counted = Evaluator::with_backend(&ctx, Arc::new(Sequential), backend.clone());
+        for level in 1..=ctx.max_level() {
+            let ct = ev.mod_switch_to_level(&top, level).unwrap();
+            let rescaled = counted.rescale(&ct).unwrap();
+            assert_eq!(backend.take(), [0, 0, 2, 2 * level], "level {level}");
+            assert_eq!(rescaled, ev.rescale(&ct).unwrap(), "level {level}");
         }
     }
 

@@ -1,30 +1,40 @@
-//! The functional HEAX accelerator: executes the server-side CKKS
-//! operations through the cycle-accurate hardware models.
+//! The functional HEAX accelerator: the CKKS evaluator with its
+//! transforms run through the cycle-accurate hardware models, plus the
+//! architecture's closed-form cycle reports.
 //!
-//! What is hardware-executed: **every polynomial transform**, through
-//! [`NttModuleSim`] (banked BRAM, real butterflies, the stage's own core
-//! count), and every MULT-module dyadic product, through
-//! [`MultModuleSim`]. KeySwitch is not a second implementation of
-//! Algorithm 7: it is the evaluator's skeleton
-//! ([`heax_ckks::keyswitch`]: decompose → accumulate → floor) with an
-//! [`NttBackend`] that routes INTT0/NTT0/INTT1/NTT1 through the
-//! simulated modules, so the word arithmetic between transforms
-//! (DyadMult accumulate, MS) is the golden model's own and bit-exact
+//! [`HeaxAccelerator::evaluator`] is a [`heax_ckks::Evaluator`] over
+//! [`DataflowNtt`]: every transform the evaluator issues — INTT0, NTT0,
+//! INTT1 and NTT1 of each key switch (relinearization, rotation, hoisted
+//! and reply-level rotation) and the INTT1/NTT1 of each rescale's floor —
+//! streams one residue through the [`NttModuleSim`] of its stage (banked
+//! BRAM, real butterflies, the stage's own core count). Algorithm 7 is
+//! not implemented twice: the word arithmetic between transforms
+//! (DyadMult accumulate, MS) is the golden model's own, so bit-exact
 //! agreement with `heax-ckks` holds by construction — the test suite and
-//! the `tests/` integration tests still check it. Cycle counts attached
-//! to each result come from the same module configurations via the
-//! KeySwitch pipeline schedule, so functional results and Table 7/8
-//! performance claims are produced by one artifact.
+//! the `tests/` integration tests still check it. The evaluator's
+//! `multiply` and additions are software.
+//!
+//! The standalone modules run through their own methods:
+//! [`HeaxAccelerator::ntt`] / [`HeaxAccelerator::intt`] stream residues
+//! through the NTT module, [`HeaxAccelerator::dyadic_mult`] /
+//! [`HeaxAccelerator::multiply_plain`] through the MULT module
+//! ([`MultModuleSim`]), and each reports its module run.
+//! [`HeaxAccelerator::report`] prices key switching and MULT+ReLin from
+//! the same module configurations' closed forms (the KeySwitch pipeline
+//! schedule, the MULT cycle formula) without running a module, so
+//! functional results and Table 7/8 performance claims come from one
+//! artifact.
 
 use std::sync::Arc;
 
 use heax_ckks::ciphertext::Ciphertext;
 use heax_ckks::context::CkksContext;
 use heax_ckks::eval::scales_match;
-use heax_ckks::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use heax_ckks::keyswitch::{KeySwitcher, NttBackend, Stage};
-use heax_ckks::CkksError;
+use heax_ckks::keys::KeySwitchKey;
+use heax_ckks::keyswitch::{NttBackend, Stage};
+use heax_ckks::{CkksError, Evaluator};
 use heax_hw::board::Board;
+use heax_hw::cores::CoreKind;
 use heax_hw::keyswitch_pipeline::{schedule, KeySwitchArch};
 use heax_hw::mult_dataflow::{MultModuleConfig, MultModuleSim, MultRunStats};
 use heax_hw::ntt_dataflow::{NttModuleConfig, NttModuleSim, NttRunStats};
@@ -55,9 +65,10 @@ pub struct OpReport {
 
 /// The KeySwitch module's four transform stages (Figure 5) on the banked
 /// dataflow simulator, each with its own core count from the
-/// architecture.
-#[derive(Debug)]
-struct DataflowNtt {
+/// architecture: the transform backend of
+/// [`HeaxAccelerator::evaluator`].
+#[derive(Clone, Copy, Debug)]
+pub struct DataflowNtt {
     intt0: NttModuleConfig,
     ntt0: NttModuleConfig,
     intt1: NttModuleConfig,
@@ -110,12 +121,18 @@ impl NttBackend for DataflowNtt {
 #[derive(Clone, Debug)]
 pub struct HeaxAccelerator<'a> {
     ctx: &'a CkksContext,
+    eval: Evaluator<'a, DataflowNtt>,
     board: Board,
     arch: KeySwitchArch,
     ntt_config: NttModuleConfig,
     mult_config: MultModuleConfig,
-    exec: Arc<dyn Executor>,
 }
+
+/// Worker threads share one accelerator, and its evaluator, by `&`.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<HeaxAccelerator<'static>>();
+};
 
 impl<'a> HeaxAccelerator<'a> {
     /// Builds the accelerator for one of the paper's parameter sets,
@@ -124,8 +141,8 @@ impl<'a> HeaxAccelerator<'a> {
     /// # Errors
     ///
     /// [`CoreError::UnsupportedParameters`] if the context's ring degree is
-    /// not one of the paper's sets; hardware errors if moduli exceed the
-    /// 52-bit datapath bound.
+    /// not one of the paper's sets or its chain is not that set's;
+    /// hardware errors if moduli exceed the 52-bit datapath bound.
     pub fn new(ctx: &'a CkksContext, board: Board) -> Result<Self, CoreError> {
         let set = match ctx.n() {
             4096 => heax_ckks::ParamSet::SetA,
@@ -148,7 +165,9 @@ impl<'a> HeaxAccelerator<'a> {
     /// # Errors
     ///
     /// Propagates hardware configuration errors; checks every context
-    /// modulus against the 52-bit datapath bound.
+    /// modulus against the 52-bit datapath bound;
+    /// [`CoreError::UnsupportedParameters`] unless the architecture's ring
+    /// degree and `k` are the context's.
     pub fn with_arch(
         ctx: &'a CkksContext,
         board: Board,
@@ -160,18 +179,23 @@ impl<'a> HeaxAccelerator<'a> {
         for m in ctx.moduli() {
             heax_hw::cores::check_hw_modulus(m)?;
         }
-        if arch.n != ctx.n() || ntt_config.n != ctx.n() || mult_config.n != ctx.n() {
+        let (n, k) = (ctx.n(), ctx.params().k());
+        if arch.n != n || ntt_config.n != n || mult_config.n != n || arch.k != k {
             return Err(CoreError::UnsupportedParameters {
-                reason: "architecture ring degree disagrees with context".into(),
+                reason: format!(
+                    "architecture (n = {}, k = {}) disagrees with the context (n = {n}, k = {k})",
+                    arch.n, arch.k
+                ),
             });
         }
+        let eval = Evaluator::with_backend(ctx, exec::global().clone(), DataflowNtt::new(&arch)?);
         Ok(Self {
             ctx,
+            eval,
             board,
             arch,
             ntt_config,
             mult_config,
-            exec: exec::global().clone(),
         })
     }
 
@@ -179,13 +203,20 @@ impl<'a> HeaxAccelerator<'a> {
     /// dispatch (default: the global `HEAX_THREADS`-selected executor).
     #[must_use]
     pub fn with_executor(mut self, exec: Arc<dyn Executor>) -> Self {
-        self.exec = exec;
+        let backend = DataflowNtt::new(&self.arch).expect("with_arch built it from this arch");
+        self.eval = Evaluator::with_backend(self.ctx, exec, backend);
         self
+    }
+
+    /// The evaluator over the simulated modules: call its ops for
+    /// results and [`HeaxAccelerator::report`] for their cycles.
+    pub fn evaluator(&self) -> &Evaluator<'a, DataflowNtt> {
+        &self.eval
     }
 
     /// The execution backend in use.
     pub fn executor(&self) -> &Arc<dyn Executor> {
-        &self.exec
+        self.eval.executor()
     }
 
     /// The CKKS context.
@@ -213,38 +244,7 @@ impl<'a> HeaxAccelerator<'a> {
         &self.mult_config
     }
 
-    /// Board-level pipeline configuration for scheduling op streams
-    /// across `num_cores` replicas of this accelerator's architecture
-    /// (see [`heax_hw::scheduler`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`heax_hw::scheduler::PipelineConfig::new`] validation.
-    pub fn pipeline_config(
-        &self,
-        num_cores: usize,
-    ) -> Result<heax_hw::scheduler::PipelineConfig, CoreError> {
-        heax_hw::scheduler::PipelineConfig::new(&self.board, self.arch, self.mult_config, num_cores)
-            .map_err(CoreError::Hw)
-    }
-
-    /// Cluster configuration for routing op streams across `num_boards`
-    /// modeled boards of `num_cores` cores each (see
-    /// [`heax_hw::cluster`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline and cluster configuration validation.
-    pub fn cluster_config(
-        &self,
-        num_boards: usize,
-        num_cores: usize,
-    ) -> Result<heax_hw::cluster::ClusterConfig, CoreError> {
-        heax_hw::cluster::ClusterConfig::new(self.pipeline_config(num_cores)?, num_boards)
-            .map_err(CoreError::Hw)
-    }
-
-    fn report(&self, op: HeaxOp, interval: u64, latency: u64, inw: u64, outw: u64) -> OpReport {
+    fn priced(&self, op: HeaxOp, interval: u64, latency: u64, inw: u64, outw: u64) -> OpReport {
         OpReport {
             op,
             interval_cycles: interval,
@@ -253,6 +253,56 @@ impl<'a> HeaxAccelerator<'a> {
             input_words: inw,
             output_words: outw,
         }
+    }
+
+    /// The cycle report of `op` on an input at `level`, from the
+    /// architecture's closed forms; no module runs.
+    ///
+    /// `t` key switches share one decomposition (a hoisted batch): the
+    /// first pays the full KeySwitch interval, each further one only the
+    /// hoisted tail ([`KeySwitchArch::hoisted_interval_cycles`]), and
+    /// `t = 0`, the empty batch, is the all-zero report. MULT+ReLin is the
+    /// MULT module's 2×2 product
+    /// ([`MultModuleConfig::ciphertext_mult_cycles`] per residue, latency
+    /// as [`HeaxAccelerator::dyadic_mult`] reports it, with the Dyadic
+    /// pipeline depth) feeding that key switch: the modules overlap in
+    /// steady state, so the interval is the larger of theirs and the
+    /// latency their sum.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnsupportedParameters`] for NTT, INTT and Dyadic,
+    /// which their module runs report ([`HeaxAccelerator::ntt`],
+    /// [`HeaxAccelerator::intt`], [`HeaxAccelerator::dyadic_mult`]);
+    /// [`CkksError::LevelMismatch`] for a `level` above the context's top.
+    pub fn report(&self, op: HeaxOp, level: usize, t: u64) -> Result<OpReport, CoreError> {
+        if !matches!(op, HeaxOp::KeySwitch | HeaxOp::MultRelin) {
+            return Err(CoreError::UnsupportedParameters {
+                reason: format!("{} is reported by its module run", op.name()),
+            });
+        }
+        let top = self.ctx.max_level();
+        if level > top {
+            return Err(CkksError::LevelMismatch { a: level, b: top }.into());
+        }
+        if t == 0 {
+            return Ok(self.priced(op, 0, 0, 0, 0));
+        }
+        let (n, rows) = (self.ctx.n() as u64, level as u64 + 1);
+        let tail = (t - 1) * self.arch.hoisted_interval_cycles();
+        let interval = self.arch.steady_interval_cycles() + tail;
+        let latency = schedule(&self.arch, 1)?.first_op_latency + tail;
+        let output = t * 2 * rows * n;
+        if op == HeaxOp::KeySwitch {
+            // Input residues plus the special-prime lane.
+            return Ok(self.priced(op, interval, latency, (rows + 1) * n, output));
+        }
+        let per_residue = self.mult_config.ciphertext_mult_cycles(2, 2);
+        let mult = rows * per_residue;
+        let mult_latency = mult + per_residue + CoreKind::Dyadic.pipeline_stages();
+        let input = rows * self.mult_config.input_transfer_words(2, 2);
+        let (interval, latency) = (mult.max(interval), mult_latency + latency);
+        Ok(self.priced(op, interval, latency, input, output))
     }
 
     /// Builds one module simulator per residue of `poly` (validation is
@@ -311,19 +361,23 @@ impl<'a> HeaxAccelerator<'a> {
             // slot; zip the two so a lane owns both exclusively.
             let mut slots: Vec<(&mut [u64], &mut NttRunStats)> =
                 out.data_mut().chunks_mut(n).zip(stats.iter_mut()).collect();
-            exec::for_each_mut(self.exec.as_ref(), &mut slots, |i, (dst, slot)| {
-                let (data, s) = match to {
-                    Representation::Ntt => sims[i].forward(poly.residue(i)),
-                    Representation::Coefficient => sims[i].inverse(poly.residue(i)),
-                };
-                dst.copy_from_slice(&data);
-                **slot = s;
-            });
+            exec::for_each_mut(
+                self.eval.executor().as_ref(),
+                &mut slots,
+                |i, (dst, slot)| {
+                    let (data, s) = match to {
+                        Representation::Ntt => sims[i].forward(poly.residue(i)),
+                        Representation::Coefficient => sims[i].inverse(poly.residue(i)),
+                    };
+                    dst.copy_from_slice(&data);
+                    **slot = s;
+                },
+            );
         }
         out.set_representation(to);
         let (per, latency) = stats.last().map_or((0, 0), |s| (s.cycles, s.latency));
         let n = n as u64;
-        Ok((out, self.report(op, per, latency, n, n)))
+        Ok((out, self.priced(op, per, latency, n, n)))
     }
 
     /// Homomorphic multiplication through the MULT module (Algorithm 5 /
@@ -404,7 +458,7 @@ impl<'a> HeaxAccelerator<'a> {
         // outputs span every component, so they cannot be written
         // disjointly in place).
         let mut slots: Vec<(Vec<Vec<u64>>, MultRunStats)> = vec![Default::default(); moduli.len()];
-        exec::for_each_mut(self.exec.as_ref(), &mut slots, |i, slot| {
+        exec::for_each_mut(self.eval.executor().as_ref(), &mut slots, |i, slot| {
             let limb = |polys: &[RnsPoly]| -> Vec<Vec<u64>> {
                 polys.iter().map(|c| c.residue(i).to_vec()).collect()
             };
@@ -422,16 +476,15 @@ impl<'a> HeaxAccelerator<'a> {
         let ct = Ciphertext::from_parts(out_polys, level, scale).map_err(CoreError::Ckks)?;
         let inw = self.mult_config.input_transfer_words(alpha, beta) * moduli.len() as u64;
         let outw = self.mult_config.output_transfer_words(alpha, beta) * moduli.len() as u64;
-        let report = self.report(HeaxOp::Dyadic, cycles, cycles, inw, outw);
+        let report = self.priced(HeaxOp::Dyadic, cycles, cycles, inw, outw);
         Ok((ct, report, latency))
     }
 
     /// The inner key-switching primitive through the KeySwitch module
-    /// datapath (Algorithm 7 / Figure 5): INTT0 → NTT0 → DyadMult
-    /// accumulate over `k` iterations, then the INTT1 → NTT1 → MS modulus
-    /// switch — the evaluator's skeleton ([`heax_ckks::keyswitch`]) with
-    /// every transform executed by the stage's simulated module. Returns
-    /// `(f₀, f₁)` plus the pipeline's cycle report.
+    /// datapath (Algorithm 7 / Figure 5): the evaluator's
+    /// [`Evaluator::key_switch`] with every transform executed by its
+    /// stage's simulated module, plus the one-switch
+    /// [`HeaxAccelerator::report`].
     ///
     /// # Errors
     ///
@@ -443,165 +496,8 @@ impl<'a> HeaxAccelerator<'a> {
         ksk: &KeySwitchKey,
         level: usize,
     ) -> Result<((RnsPoly, RnsPoly), OpReport), CoreError> {
-        let moduli = self.ctx.level_moduli(level);
-        let mut f0 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
-        let mut f1 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
-        let backend = DataflowNtt::new(&self.arch)?;
-        self.switcher(&backend)
-            .key_switch_into(target, ksk, level, &mut f0, &mut f1)?;
-        Ok(((f0, f1), self.key_switch_report(level, 1)?))
-    }
-
-    /// Cycle accounting, from the pipeline schedule, for `t ≥ 1` key
-    /// switches over one decomposition at `level`: the first pays the
-    /// full KeySwitch interval, each further one only the hoisted tail.
-    fn key_switch_report(&self, level: usize, t: u64) -> Result<OpReport, CoreError> {
-        let sched = schedule(&self.arch, 1)?;
-        let tail = (t - 1) * self.arch.hoisted_interval_cycles();
-        let n = self.ctx.n() as u64;
-        let rows = level as u64 + 1;
-        Ok(self.report(
-            HeaxOp::KeySwitch,
-            self.arch.steady_interval_cycles() + tail,
-            sched.first_op_latency + tail,
-            (rows + 1) * n, // input residues + the special-prime lane
-            t * 2 * rows * n,
-        ))
-    }
-
-    /// The shared key-switch skeleton over the dataflow simulator.
-    fn switcher<'s>(&'s self, backend: &'s DataflowNtt) -> KeySwitcher<'s, DataflowNtt> {
-        KeySwitcher::new(self.ctx, self.exec.as_ref(), backend)
-    }
-
-    /// Relinearization on the accelerator: KeySwitch on `c₂`, then the
-    /// additions (performed by the accumulator banks).
-    ///
-    /// # Errors
-    ///
-    /// [`CkksError::InvalidCiphertext`] unless the input has three
-    /// components.
-    pub fn relinearize(
-        &self,
-        ct: &Ciphertext,
-        rlk: &RelinKey,
-    ) -> Result<(Ciphertext, OpReport), CoreError> {
-        if ct.size() != 3 {
-            return Err(CoreError::Ckks(CkksError::InvalidCiphertext {
-                components: ct.size(),
-                expected: "exactly 3",
-            }));
-        }
-        let ((mut f0, mut f1), report) = self.key_switch(ct.component(2), rlk.ksk(), ct.level())?;
-        f0.add_assign(ct.component(0)).map_err(CkksError::Math)?;
-        f1.add_assign(ct.component(1)).map_err(CkksError::Math)?;
-        let out = Ciphertext::from_parts(vec![f0, f1], ct.level(), ct.scale())
-            .map_err(CoreError::Ckks)?;
-        Ok((out, report))
-    }
-
-    /// Rotation on the accelerator: the Galois permutation is pure
-    /// addressing (free in hardware) — the one-key switch reads `c₁`
-    /// through it on load and adds `τ(c₀)` as its floor stores — so the
-    /// KeySwitch dominates.
-    ///
-    /// # Errors
-    ///
-    /// Missing-key and shape errors as in the software evaluator.
-    pub fn rotate(
-        &self,
-        ct: &Ciphertext,
-        step: i64,
-        gks: &GaloisKeys,
-    ) -> Result<(Ciphertext, OpReport), CoreError> {
-        if ct.size() != 2 {
-            return Err(CoreError::Ckks(CkksError::InvalidCiphertext {
-                components: ct.size(),
-                expected: "exactly 2 (relinearize first)",
-            }));
-        }
-        let elt = heax_ckks::galois::galois_elt_from_step(step, self.ctx.n());
-        let ksk = gks.key(elt).map_err(CoreError::Ckks)?;
-        let table = gks.permutation(elt).map_err(CoreError::Ckks)?;
-        let level = ct.level();
-        let moduli = self.ctx.level_moduli(level);
-        let mut f0 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
-        let mut f1 = RnsPoly::for_overwrite(self.ctx.n(), moduli, Representation::Ntt);
-        let backend = DataflowNtt::new(&self.arch)?;
-        let galois = Some((ct.component(0), table));
-        self.switcher(&backend).switch_into(
-            ct.component(1),
-            ksk,
-            galois,
-            level,
-            &mut f0,
-            &mut f1,
-        )?;
-        let out =
-            Ciphertext::from_parts(vec![f0, f1], level, ct.scale()).map_err(CoreError::Ckks)?;
-        Ok((out, self.key_switch_report(level, 1)?))
-    }
-
-    /// Hoisted multi-rotation on the accelerator (the batched-rotation
-    /// pattern of the paper's matrix-vector and convolution workloads):
-    /// the `c₁` component is decomposed through INTT0/NTT0 **once**, then
-    /// every requested Galois element runs only the DyadMult accumulate
-    /// (permutation is pure addressing) and the modulus-switch tail.
-    ///
-    /// The returned report covers the whole batch: the first rotation
-    /// pays the full KeySwitch interval, each subsequent one only the
-    /// hoisted tail ([`KeySwitchArch::hoisted_interval_cycles`]).
-    ///
-    /// Outputs are bit-exact against
-    /// [`heax_ckks::Evaluator::rotate_many`]: both are the hoisted case of
-    /// one skeleton.
-    ///
-    /// # Errors
-    ///
-    /// Missing-key and shape errors as in the software evaluator.
-    pub fn rotate_many(
-        &self,
-        ct: &Ciphertext,
-        steps: &[i64],
-        gks: &GaloisKeys,
-    ) -> Result<(Vec<Ciphertext>, OpReport), CoreError> {
-        let backend = DataflowNtt::new(&self.arch)?;
-        let outs = self
-            .switcher(&backend)
-            .rotate_many(ct, steps, gks, ct.level())?;
-        let report = match outs.len() as u64 {
-            0 => self.report(HeaxOp::KeySwitch, 0, 0, 0, 0),
-            t => self.key_switch_report(ct.level(), t)?,
-        };
-        Ok((outs, report))
-    }
-
-    /// The Table 8 composite: homomorphic multiply (MULT module) plus
-    /// relinearization (KeySwitch module). In steady state the two modules
-    /// overlap, so the composite initiation interval is the KeySwitch
-    /// interval.
-    ///
-    /// # Errors
-    ///
-    /// Union of [`HeaxAccelerator::dyadic_mult`] and
-    /// [`HeaxAccelerator::relinearize`] errors.
-    pub fn multiply_relin(
-        &self,
-        ct1: &Ciphertext,
-        ct2: &Ciphertext,
-        rlk: &RelinKey,
-    ) -> Result<(Ciphertext, OpReport), CoreError> {
-        let (prod, mult_rep) = self.dyadic_mult(ct1, ct2)?;
-        let (out, ks_rep) = self.relinearize(&prod, rlk)?;
-        let interval = mult_rep.interval_cycles.max(ks_rep.interval_cycles);
-        let report = self.report(
-            HeaxOp::MultRelin,
-            interval,
-            mult_rep.latency_cycles + ks_rep.latency_cycles,
-            mult_rep.input_words,
-            ks_rep.output_words,
-        );
-        Ok((out, report))
+        let pair = self.eval.key_switch(target, ksk, level)?;
+        Ok((pair, self.report(HeaxOp::KeySwitch, level, 1)?))
     }
 
     fn find_table(&self, modulus: u64) -> Result<&'a heax_math::ntt::NttTable, CoreError> {
@@ -619,7 +515,8 @@ impl<'a> HeaxAccelerator<'a> {
 mod tests {
     use super::*;
     use heax_ckks::{
-        CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, Evaluator, PublicKey, SecretKey,
+        CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, Evaluator, GaloisKeys,
+        PublicKey, RelinKey, SecretKey,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -780,7 +677,8 @@ mod tests {
         let c1 = h.encrypt(&[1.5, 2.0]);
         let c2 = h.encrypt(&[-3.0, 0.5]);
         let acc = accel(&h.ctx);
-        let (out, report) = acc.multiply_relin(&c1, &c2, &h.rlk).unwrap();
+        let out = acc.evaluator().multiply_relin(&c1, &c2, &h.rlk).unwrap();
+        let report = acc.report(HeaxOp::MultRelin, c1.level(), 1).unwrap();
         assert_eq!(out.size(), 2);
         assert_eq!(report.op, HeaxOp::MultRelin);
         let dec = Decryptor::new(&h.ctx, &h.sk).decrypt(&out).unwrap();
@@ -796,7 +694,7 @@ mod tests {
         let ct = h.encrypt(&vals);
         let gks = GaloisKeys::generate(&h.ctx, &h.sk, &[1], &mut h.rng);
         let acc = accel(&h.ctx);
-        let (hw_rot, _) = acc.rotate(&ct, 1, &gks).unwrap();
+        let hw_rot = acc.evaluator().rotate(&ct, 1, &gks).unwrap();
         let sw_rot = Evaluator::new(&h.ctx).rotate(&ct, 1, &gks).unwrap();
         assert_eq!(hw_rot, sw_rot, "hardware rotation must match software");
     }
@@ -809,7 +707,10 @@ mod tests {
         let steps = [1i64, -1, 3];
         let gks = GaloisKeys::generate(&h.ctx, &h.sk, &steps, &mut h.rng);
         let acc = accel(&h.ctx);
-        let (hw, report) = acc.rotate_many(&ct, &steps, &gks).unwrap();
+        let hw = acc.evaluator().rotate_many(&ct, &steps, &gks).unwrap();
+        let report = acc
+            .report(HeaxOp::KeySwitch, ct.level(), steps.len() as u64)
+            .unwrap();
         let sw = Evaluator::new(&h.ctx)
             .rotate_many(&ct, &steps, &gks)
             .unwrap();
@@ -825,7 +726,8 @@ mod tests {
         assert!(report.interval_cycles < steps.len() as u64 * full);
         assert!(report.interval_cycles >= full);
         // Empty batch is a no-op report.
-        let (none, rep0) = acc.rotate_many(&ct, &[], &gks).unwrap();
+        let none = acc.evaluator().rotate_many(&ct, &[], &gks).unwrap();
+        let rep0 = acc.report(HeaxOp::KeySwitch, ct.level(), 0).unwrap();
         assert!(none.is_empty());
         assert_eq!(rep0.interval_cycles, 0);
     }
@@ -898,7 +800,7 @@ mod tests {
     /// test ring and on Set-A, each on Stratix 10 and Arria 10.
     #[test]
     fn op_reports_are_pinned() {
-        use heax_ckks::{CkksParams, ParamSet};
+        use heax_ckks::ParamSet;
         // (interval, latency, µs, input words, output words) of one key
         // switch, of three hoisted ones and of MULT+ReLin.
         type Row = (u64, u64, f64, u64, u64);
@@ -970,16 +872,6 @@ mod tests {
             ),
         ];
         for (ctx, board, want) in cases {
-            let mut rng = StdRng::seed_from_u64(63);
-            let sk = SecretKey::generate(ctx, &mut rng);
-            let pk = PublicKey::generate(ctx, &sk, &mut rng);
-            let rlk = RelinKey::generate(ctx, &sk, &mut rng);
-            let gks = GaloisKeys::generate(ctx, &sk, &[1, 2, 3], &mut rng);
-            let pt = CkksEncoder::new(ctx)
-                .encode_real(&[1.0, 2.0], ctx.params().scale(), ctx.max_level())
-                .unwrap();
-            let ct = Encryptor::new(ctx, &pk).encrypt(&pt, &mut rng).unwrap();
-            let prod = Evaluator::new(ctx).multiply(&ct, &ct).unwrap();
             let acc = if ctx.n() == 64 {
                 HeaxAccelerator::with_arch(
                     ctx,
@@ -992,16 +884,84 @@ mod tests {
             } else {
                 HeaxAccelerator::new(ctx, board.clone()).unwrap()
             };
+            let top = ctx.max_level();
+            let report = |op, t| acc.report(op, top, t).unwrap();
+            let switch = report(HeaxOp::KeySwitch, 1);
             let got = [
-                acc.relinearize(&prod, &rlk).unwrap().1,
-                acc.rotate(&ct, 1, &gks).unwrap().1,
-                acc.rotate_many(&ct, &[], &gks).unwrap().1,
-                acc.rotate_many(&ct, &[1], &gks).unwrap().1,
-                acc.rotate_many(&ct, &[1, 2, 3], &gks).unwrap().1,
-                acc.multiply_relin(&ct, &ct, &rlk).unwrap().1,
+                switch, // relinearize
+                switch, // rotate
+                report(HeaxOp::KeySwitch, 0),
+                report(HeaxOp::KeySwitch, 1),
+                report(HeaxOp::KeySwitch, 3),
+                report(HeaxOp::MultRelin, 1),
             ];
             assert_eq!(got, want, "n = {}, {}", ctx.n(), board.name());
         }
+        // The module ops are reported by their module runs, and a level
+        // the chain does not have is no level.
+        let acc = accel(&ring);
+        for op in [HeaxOp::Ntt, HeaxOp::Intt, HeaxOp::Dyadic] {
+            assert!(matches!(
+                acc.report(op, 0, 1),
+                Err(CoreError::UnsupportedParameters { .. })
+            ));
+        }
+        assert_eq!(
+            acc.report(HeaxOp::KeySwitch, ring.max_level() + 1, 1),
+            Err(CoreError::Ckks(CkksError::LevelMismatch { a: 3, b: 2 }))
+        );
+    }
+
+    /// The level-aware ops reach the simulated modules too: a rescale's
+    /// floor and the reply-level rotations equal the software evaluator's.
+    #[test]
+    fn hw_rescale_and_reply_level_rotations_match_software() {
+        let mut h = harness(60);
+        let vals: Vec<f64> = (0..h.ctx.n() / 2).map(|i| i as f64 * 0.5).collect();
+        let ct = h.encrypt(&vals);
+        let steps = [1i64, -2];
+        let gks = GaloisKeys::generate(&h.ctx, &h.sk, &steps, &mut h.rng);
+        let (hw, sw) = (accel(&h.ctx), Evaluator::new(&h.ctx));
+        let hw = hw.evaluator();
+        assert_eq!(hw.rescale(&ct).unwrap(), sw.rescale(&ct).unwrap());
+        for to in 0..=ct.level() {
+            assert_eq!(
+                hw.rotate_to_level(&ct, 1, &gks, to).unwrap(),
+                sw.rotate_to_level(&ct, 1, &gks, to).unwrap()
+            );
+            assert_eq!(
+                hw.rotate_many_to_level(&ct, &steps, &gks, to).unwrap(),
+                sw.rotate_many_to_level(&ct, &steps, &gks, to).unwrap()
+            );
+        }
+    }
+
+    /// A chain that is not the architecture's `k` would be priced as
+    /// another parameter set: n = 4096 with three ciphertext primes is not
+    /// Set-A (k = 2).
+    #[test]
+    fn a_chain_other_than_the_arch_k_is_rejected() {
+        let chain = heax_math::primes::generate_prime_chain(&[36, 36, 36, 37], 4096).unwrap();
+        let ctx =
+            CkksContext::new(CkksParams::new(4096, chain, (1u64 << 30) as f64).unwrap()).unwrap();
+        assert_eq!(ctx.params().k(), 3);
+        for board in [Board::stratix10(), Board::arria10()] {
+            assert!(matches!(
+                HeaxAccelerator::new(&ctx, board),
+                Err(CoreError::UnsupportedParameters { .. })
+            ));
+        }
+        let mut arch = small_arch();
+        arch.k = 2;
+        let ring = small_ctx();
+        let err = HeaxAccelerator::with_arch(
+            &ring,
+            Board::stratix10(),
+            arch,
+            NttModuleConfig::new(64, 4).unwrap(),
+            MultModuleConfig::new(64, 8).unwrap(),
+        );
+        assert!(matches!(err, Err(CoreError::UnsupportedParameters { .. })));
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. System view: batched throughput with PCIe overlap (Figure 7).
     println!("\n== system batch model (1024 MULT+ReLin ops) ==");
-    let (_, op_rep) = accel.multiply_relin(&ct, &ct, &rlk)?;
+    let op_rep = accel.report(HeaxOp::MultRelin, ct.level(), 1)?;
     let sys = HeaxSystem::new(HeaxAccelerator::new(&ctx, Board::stratix10())?);
     for (label, loc) in [
         ("operands from host (PCIe)", OperandLocation::Host),

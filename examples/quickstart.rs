@@ -7,6 +7,7 @@
 //! ```
 
 use heax::accel::accel::HeaxAccelerator;
+use heax::accel::perf::HeaxOp;
 use heax::ckks::{
     CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, Evaluator, GaloisKeys, ParamSet,
     PublicKey, RelinKey, SecretKey,
@@ -54,9 +55,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nx ⊙ y  (want [6, -2, -6, 2]):   {:?}", &got_prod[..4]);
     println!("x << 1 (want [2, -3, 0.25, …]): {:?}", &got_rot[..3]);
 
-    // 6. The same multiply+relinearize through the HEAX hardware model.
+    // 6. The same multiply+relinearize on the HEAX hardware model: its
+    // evaluator runs every transform through the simulated modules, and
+    // the architecture prices the op.
     let accel = HeaxAccelerator::new(&ctx, Board::stratix10())?;
-    let (hw_prod, report) = accel.multiply_relin(&ct_x, &ct_y, &rlk)?;
+    let hw_prod = accel.evaluator().multiply_relin(&ct_x, &ct_y, &rlk)?;
+    let report = accel.report(HeaxOp::MultRelin, ct_x.level(), 1)?;
     assert_eq!(hw_prod, prod, "hardware result is bit-exact vs software");
     println!(
         "\nHEAX model ({}): MULT+ReLin every {} cycles = {:.1} us -> {:.0} ops/s",

@@ -3,6 +3,7 @@
 //! library on the paper's real Set-A parameters.
 
 use heax::accel::accel::HeaxAccelerator;
+use heax::accel::perf::HeaxOp;
 use heax::ckks::{
     CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, Evaluator, GaloisKeys, ParamSet,
     PublicKey, RelinKey, SecretKey,
@@ -120,9 +121,14 @@ fn accelerator_full_op_suite_bit_exact_set_a() {
     assert_eq!(rep.interval_cycles, 3072);
 
     // Full multiply+relinearize, then decrypt through the normal path.
-    let (hw_mr, _) = accel.multiply_relin(&ct_a, &ct_b, &r.rlk).unwrap();
+    let hw_mr = accel
+        .evaluator()
+        .multiply_relin(&ct_a, &ct_b, &r.rlk)
+        .unwrap();
     let sw_mr = eval.relinearize(&sw_prod, &r.rlk).unwrap();
     assert_eq!(hw_mr, sw_mr);
+    let mr = accel.report(HeaxOp::MultRelin, top, 1).unwrap();
+    assert_eq!(mr.interval_cycles, 3072);
     let dec = Decryptor::new(&r.ctx, &r.sk);
     let got = enc.decode_real(&dec.decrypt(&hw_mr).unwrap()).unwrap();
     for (i, want) in [0.5, -8.0, -3.0].iter().enumerate() {
@@ -149,7 +155,7 @@ fn accelerator_rotation_bit_exact_set_a() {
         .unwrap();
     let gks = GaloisKeys::generate(&r.ctx, &r.sk, &[2], &mut r.rng);
     let accel = HeaxAccelerator::new(&r.ctx, Board::stratix10()).unwrap();
-    let (hw, _) = accel.rotate(&ct, 2, &gks).unwrap();
+    let hw = accel.evaluator().rotate(&ct, 2, &gks).unwrap();
     let sw = eval.rotate(&ct, 2, &gks).unwrap();
     assert_eq!(hw, sw);
 }

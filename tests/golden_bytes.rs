@@ -18,7 +18,10 @@
 //! both on the 64-coefficient test ring with a seeded `StdRng` (vendored,
 //! so the stream is the tree's own). The circuit runs on the default
 //! executor and the server on its default one, so a run under
-//! `HEAX_THREADS` pins the limb pool to the same bits.
+//! `HEAX_THREADS` pins the limb pool to the same bits. The circuit runs a
+//! second time on the accelerator's evaluator, every transform (the
+//! rescale's floor included) through the simulated NTT modules, against
+//! the same committed `circuit.*` hashes.
 //!
 //! A failure lists each changed hash. If the change is meant, regenerate
 //! the list with
@@ -28,6 +31,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Barrier};
 
+use heax::accel::HeaxAccelerator;
+use heax::ckks::keyswitch::NttBackend;
 use heax::ckks::serialize::{
     serialize_ciphertext, serialize_galois_keys, serialize_relin_key, serialize_seeded_ciphertext,
 };
@@ -37,6 +42,9 @@ use heax::ckks::{
 };
 use heax::exec::Sequential;
 use heax::hw::board::Board;
+use heax::hw::keyswitch_pipeline::KeySwitchArch;
+use heax::hw::mult_dataflow::MultModuleConfig;
+use heax::hw::ntt_dataflow::NttModuleConfig;
 use heax::server::server::ReplySink;
 use heax::server::wire::client::{self, Reply};
 use heax::server::wire::{OpCode, Request, WireOperand};
@@ -133,7 +141,7 @@ impl Rig {
     }
 
     /// The `circuit_setb` circuit on `ev`: every output, serialized.
-    fn circuit(&self, ev: &Evaluator<'_>) -> Vec<(String, Vec<u8>)> {
+    fn circuit<B: NttBackend>(&self, ev: &Evaluator<'_, B>) -> Vec<(String, Vec<u8>)> {
         let m = ev.multiply_relin(&self.a, &self.b, &self.rlk).unwrap();
         let s = ev.rescale(&m).unwrap();
         let r = ev.rotate(&s, 1, &self.gks).unwrap();
@@ -296,17 +304,20 @@ fn render(hashes: &BTreeMap<String, u64>) -> String {
         .collect()
 }
 
-#[test]
-fn ciphertext_bytes_match_the_committed_hashes() {
-    let now = Rig::new().hashes();
+/// The committed hashes whose names start with `prefix`, by name.
+fn committed(prefix: &str) -> BTreeMap<String, u64> {
     let text = std::fs::read_to_string(GOLDEN).unwrap_or_default();
-    let committed: BTreeMap<String, u64> = text
-        .lines()
+    text.lines()
         .filter_map(|line| {
             let (name, hash) = line.split_once(' ')?;
-            Some((name.to_string(), u64::from_str_radix(hash, 16).ok()?))
+            let hash = u64::from_str_radix(hash, 16).ok()?;
+            name.starts_with(prefix).then(|| (name.to_string(), hash))
         })
-        .collect();
+        .collect()
+}
+
+/// Fails listing every hash of `now` that differs from `committed`.
+fn assert_unchanged(committed: &BTreeMap<String, u64>, now: &BTreeMap<String, u64>) {
     let names: BTreeSet<&String> = committed.keys().chain(now.keys()).collect();
     let changed: Vec<_> = names
         .into_iter()
@@ -325,6 +336,44 @@ fn ciphertext_bytes_match_the_committed_hashes() {
         changed.len(),
         committed.len().max(now.len()),
     );
+}
+
+#[test]
+fn ciphertext_bytes_match_the_committed_hashes() {
+    assert_unchanged(&committed(""), &Rig::new().hashes());
+}
+
+/// The accelerator's evaluator, every transform through the simulated
+/// modules (rescale's floor included), lands on the committed circuit
+/// hashes too.
+#[test]
+fn the_accelerator_circuit_matches_the_committed_hashes() {
+    let rig = Rig::new();
+    let arch = KeySwitchArch {
+        n: 64,
+        k: 3,
+        nc_intt0: 4,
+        m0: 2,
+        nc_ntt0: 4,
+        num_dyad: 3,
+        nc_dyad: 4,
+        nc_intt1: 2,
+        nc_ntt1: 4,
+        nc_ms: 2,
+    };
+    let accel = HeaxAccelerator::with_arch(
+        &rig.ctx,
+        Board::stratix10(),
+        arch,
+        NttModuleConfig::new(64, 4).unwrap(),
+        MultModuleConfig::new(64, 8).unwrap(),
+    )
+    .unwrap();
+    let now = rig.circuit(accel.evaluator());
+    let now = now.into_iter().map(|(name, bytes)| (name, fnv1a(&bytes)));
+    let committed = committed("circuit.");
+    assert_eq!(committed.len(), 4 + FAN.len());
+    assert_unchanged(&committed, &now.collect());
 }
 
 #[test]
