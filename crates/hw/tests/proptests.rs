@@ -339,3 +339,122 @@ proptest! {
         }
     }
 }
+
+/// Builds a stream from drawn `(kind, group size, flag bits, reply
+/// limbs, dependency, session)` tuples: every kind, parked and inline
+/// operands, seeded inputs, compressed replies, preset key uploads, and
+/// up to two dependency edges on random earlier ops.
+fn drawn_stream(picks: &[(usize, usize, u8, u8, usize, u64)]) -> Vec<heax_hw::ir::IrOp> {
+    use heax_hw::ir::{IrOp, OpKind};
+    picks
+        .iter()
+        .enumerate()
+        .map(|(index, &(kind, count, flags, limbs, dep, session))| {
+            let kind = match kind {
+                0 => OpKind::Multiply,
+                1 => OpKind::Relinearize,
+                2 => OpKind::Rotate,
+                3 => OpKind::RotateMany {
+                    count,
+                    parked_outputs: count / 2,
+                },
+                4 => OpKind::Rescale,
+                5 => OpKind::Add,
+                _ => OpKind::Fetch,
+            };
+            let mut op = IrOp::new(kind)
+                .with_session(session)
+                .with_reply_limbs(limbs);
+            if flags & 1 != 0 {
+                op = op.with_parked_input();
+            }
+            if flags & 2 != 0 {
+                op = op.with_parked_output().with_output_id(index as u64 + 1);
+            }
+            if flags & 4 != 0 {
+                op = op.with_seeded_input();
+            }
+            if flags & 8 != 0 {
+                op = op.with_ksk_upload();
+            }
+            if flags & 16 != 0 && index > 0 {
+                op = op.with_dep((dep % index) as u32);
+            }
+            if flags & 32 != 0 && index > 1 {
+                op = op.with_dep((dep / 7 % index) as u32);
+            }
+            op
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The router, against an oracle it does not share code with: a
+    /// one-board affinity cluster with no faults hands its board the
+    /// stream unchanged except for one key upload per residency miss —
+    /// the first key-consuming op of each session, and every anonymous
+    /// one — so its board report is the board model's on that stream:
+    /// every `OpTiming`, the makespan, the stage busy cycles and the
+    /// FIFO high-water.
+    #[test]
+    fn a_one_board_cluster_is_the_board_model(
+        picks in prop::collection::vec(
+            (0usize..7, 1usize..6, 0u8..64, 0u8..6, 0usize..512, 0u64..4),
+            0..48,
+        ),
+        cores in 1usize..=4,
+        depth in 1usize..=4,
+        steal in any::<bool>(),
+    ) {
+        use heax_hw::cluster::{ClusterConfig, RoutingPolicy};
+        use heax_hw::faults::FaultPlan;
+        use heax_hw::keyswitch_pipeline::KeySwitchArch;
+        use heax_hw::scheduler::PipelineConfig;
+        let arch = KeySwitchArch {
+            n: 8192,
+            k: 4,
+            nc_intt0: 16,
+            m0: 4,
+            nc_ntt0: 16,
+            num_dyad: 5,
+            nc_dyad: 8,
+            nc_intt1: 4,
+            nc_ntt1: 16,
+            nc_ms: 4,
+        };
+        let mult = heax_hw::mult_dataflow::MultModuleConfig::new(arch.n, 16).unwrap();
+        let board = PipelineConfig::new(&heax_hw::board::Board::stratix10(), arch, mult, cores)
+            .unwrap()
+            .with_input_fifo_depth(depth);
+        let ops = drawn_stream(&picks);
+
+        let mut warm = std::collections::HashSet::new();
+        let mut misses = 0u64;
+        let expected: Vec<_> = ops
+            .iter()
+            .map(|op| {
+                let miss = op.needs_ksk() && (op.session == 0 || warm.insert(op.session));
+                misses += u64::from(miss);
+                if miss { op.with_ksk_upload() } else { *op }
+            })
+            .collect();
+        let want = board.schedule_stream(&expected).unwrap();
+
+        let cluster = ClusterConfig::new(board, 1).unwrap();
+        let policy = RoutingPolicy::Affinity { steal };
+        let got = cluster.schedule_stream_faulted(&ops, policy, &FaultPlan::none()).unwrap();
+        prop_assert_eq!(got.boards.len(), 1);
+        let b = &got.boards[0];
+        prop_assert_eq!(&b.ops, &want.ops);
+        prop_assert_eq!(b.total_cycles, want.total_cycles);
+        prop_assert_eq!(got.total_cycles, want.total_cycles);
+        prop_assert_eq!(&b.stage_busy, &want.stage_busy);
+        prop_assert_eq!(b.fifo_high_water, want.fifo_high_water);
+        prop_assert!(got.assignment.iter().all(|&a| a == 0));
+        prop_assert_eq!(got.cross_board_deps, 0);
+        prop_assert_eq!(got.steals, 0);
+        prop_assert_eq!(got.routing_misses, misses);
+    }
+}
