@@ -217,6 +217,7 @@ impl ClusterConfig {
             });
         }
         let crash_at: Vec<Option<u64>> = (0..n).map(|b| plan.crash_cycle(b)).collect();
+        let crashes = crash_at.iter().any(Option::is_some);
         let profiles: Vec<BoardFaultProfile> = (0..n).map(|b| plan.board_profile(b)).collect();
         // Pending corruption events: (board, session, trigger cycle).
         let mut corruptions: Vec<(usize, u64, u64)> = plan
@@ -228,11 +229,17 @@ impl ClusterConfig {
             })
             .collect();
 
-        let mut alive = vec![true; n];
-        let mut alive_count = n;
-        let mut sessions: SessionTable = SessionTable::default();
+        // Live boards, bit `b` = board `b` (at most 64 boards).
+        let mut alive = u64::MAX >> (64 - n);
+        // Sized for a few ops per session, so a served stream's table
+        // never rehashes while it fills.
+        let mut sessions =
+            SessionTable::with_capacity_and_hasher(ops.len() / 4, Default::default());
         let mut load = vec![0u64; n];
-        let mut streams: Vec<Vec<IrOp>> = vec![Vec::new(); n];
+        // Routing balances load, so a board's share is near an even
+        // split; the slack keeps an uneven one from regrowing its stream.
+        let share = ops.len() / n + ops.len() / (8 * n) + 16;
+        let mut streams: Vec<Vec<IrOp>> = (0..n).map(|_| Vec::with_capacity(share)).collect();
         // Global stream index -> board, and position in that board's
         // sub-stream.
         let mut assignment = Vec::with_capacity(ops.len());
@@ -257,35 +264,30 @@ impl ClusterConfig {
             // sessions fail over, parked state must re-materialize. The
             // sweep only clears bits and sets flags, each session on its
             // own, so the table's iteration order never reaches an
-            // output.
-            for b in 0..n {
-                if alive[b] && crash_at[b].is_some_and(|c| load[b] >= c) {
-                    alive[b] = false;
-                    alive_count -= 1;
-                    for state in sessions.values_mut() {
-                        if state.resident >> b & 1 == 1 {
-                            state.resident &= !(1u64 << b);
-                            state.failover_pending = true;
-                        }
-                        if state.parked_home == Some(b) {
-                            state.parked_home = None;
-                            state.rehome_pending = true;
+            // output. A plan that crashes no board has nothing to sweep.
+            if crashes {
+                for b in 0..n {
+                    if alive >> b & 1 == 1 && crash_at[b].is_some_and(|c| load[b] >= c) {
+                        alive &= !(1u64 << b);
+                        for state in sessions.values_mut() {
+                            if state.resident >> b & 1 == 1 {
+                                state.resident &= !(1u64 << b);
+                                state.failover_pending = true;
+                            }
+                            if state.parked_home == Some(b) {
+                                state.parked_home = None;
+                                state.rehome_pending = true;
+                            }
                         }
                     }
                 }
             }
-            if alive_count == 0 {
+            if alive == 0 {
                 return Err(HwError::InvalidConfig {
                     reason: "fault plan crashes every board before the stream completes".into(),
                 });
             }
 
-            let least_loaded = |load: &[u64], alive: &[bool]| {
-                (0..n)
-                    .filter(|&b| alive[b])
-                    .min_by_key(|&b| (load[b], b))
-                    .expect("at least one board alive")
-            };
             // One lookup per op: an anonymous op records nothing, so it
             // works on a throwaway blank state.
             let mut anonymous = SessionState::default();
@@ -305,38 +307,36 @@ impl ClusterConfig {
             } else {
                 match policy {
                     RoutingPolicy::Affinity { steal } => {
-                        if op.needs_ksk() && bits != 0 {
-                            let resident = (0..n)
-                                .filter(|&b| alive[b] && bits >> b & 1 == 1)
-                                .min_by_key(|&b| (load[b], b));
-                            match resident {
-                                Some(resident) => {
-                                    let idle = least_loaded(&load, &alive);
-                                    if steal
-                                        && load[resident].saturating_sub(load[idle])
-                                            > self.steal_threshold_cycles
-                                    {
-                                        steals += 1;
-                                        idle
-                                    } else {
-                                        resident
-                                    }
-                                }
-                                None => least_loaded(&load, &alive),
-                            }
+                        let idle = least_loaded(&load, alive).expect("a live board");
+                        let resident = if op.needs_ksk() {
+                            least_loaded(&load, bits & alive)
                         } else {
-                            least_loaded(&load, &alive)
+                            None
+                        };
+                        match resident {
+                            Some(resident)
+                                if steal
+                                    && load[resident].saturating_sub(load[idle])
+                                        > self.steal_threshold_cycles =>
+                            {
+                                steals += 1;
+                                idle
+                            }
+                            Some(resident) => resident,
+                            None => idle,
                         }
                     }
                     RoutingPolicy::Random { .. } => {
                         rng = rng
                             .wrapping_mul(6_364_136_223_846_793_005)
                             .wrapping_add(1_442_695_040_888_963_407);
-                        let pick = ((rng >> 33) as usize) % alive_count;
-                        (0..n)
-                            .filter(|&b| alive[b])
-                            .nth(pick)
-                            .expect("pick < alive_count")
+                        let pick = ((rng >> 33) as usize) % alive.count_ones() as usize;
+                        // The pick-th live board: drop the `pick` lowest bits.
+                        let mut rest = alive;
+                        for _ in 0..pick {
+                            rest &= rest - 1;
+                        }
+                        rest.trailing_zeros() as usize
                     }
                 }
             };
@@ -442,7 +442,7 @@ impl ClusterConfig {
             replication_bytes,
             cross_board_deps: cross_deps,
             total_cycles,
-            board_alive: alive,
+            board_alive: (0..n).map(|b| alive >> b & 1 == 1).collect(),
             failovers,
             re_replications,
             corrupt_ksk_evictions: corrupt_evictions,
@@ -491,6 +491,21 @@ impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// The least-loaded board among the set bits of `boards` (ties: the
+/// lowest index); `None` for an empty set.
+fn least_loaded(load: &[u64], boards: u64) -> Option<usize> {
+    let mut rest = boards;
+    let mut best: Option<usize> = None;
+    while rest != 0 {
+        let b = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        if best.is_none_or(|x| load[b] < load[x]) {
+            best = Some(b);
+        }
+    }
+    best
 }
 
 /// Whether an op reads or writes per-board parked DRAM state.

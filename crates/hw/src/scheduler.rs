@@ -240,46 +240,10 @@ impl PipelineConfig {
     }
 
     /// Lowers one high-level op into transfer durations and compute
-    /// stages. All volumes are modeled at the top of the modulus chain
-    /// (`k` residue limbs per polynomial) — the level the paper
-    /// evaluates throughput at.
+    /// stages, pricing each transfer from the per-call table.
     fn lower(&self, costs: &OpCosts, op: &BoardOp) -> Result<LoweredOp, HwError> {
         let compute = costs.stages(op)?;
-        let (n, k) = (costs.n, costs.k);
-        let ct = 2 * k * n; // 2-component ciphertext, k limbs each
-        let (label, in_words, out_words) = match op.kind {
-            BoardOpKind::Multiply => ("multiply", 2 * ct, ct),
-            BoardOpKind::Relinearize => ("relinearize", 3 * k * n, ct),
-            BoardOpKind::Rotate => ("rotate", ct, ct),
-            // `stages` has checked that the group parks at most `count`.
-            BoardOpKind::RotateMany {
-                count,
-                parked_outputs,
-            } => ("rotate-many", ct, (count - parked_outputs) as u64 * ct),
-            BoardOpKind::Rescale => ("rescale", ct, 2 * k.saturating_sub(1).max(1) * n),
-            BoardOpKind::Add => ("add", 2 * ct, ct),
-            // Pure movement: an inline operand pays the upload (the
-            // upload-and-park serving pattern), a parked one doesn't;
-            // park_output below cancels the return leg.
-            BoardOpKind::Fetch => ("fetch", ct, ct),
-        };
-        // Wire-v2 byte economics. A seeded fresh operand ships one
-        // polynomial plus a 32-byte seed instead of two polynomials, so
-        // the host→board ciphertext volume halves (the seed itself is 4
-        // words — noise at these sizes). A compressed reply returns only
-        // `reply_limbs` of the `k` residue limbs after the server's
-        // modulus switch (limb-dropping is free of compute: it never
-        // touches the remaining residues), scaling the board→host volume
-        // proportionally.
-        let in_words = if op.input_seeded {
-            in_words / 2
-        } else {
-            in_words
-        };
-        let out_words = match op.reply_limbs as u64 {
-            limbs if limbs > 0 && limbs < k => out_words * limbs / k,
-            _ => out_words,
-        };
+        let (label, in_words, out_words) = costs.volumes(op);
         // A ksk upload (cluster residency miss) rides the host→board
         // channel ahead of the op's data, even when the ciphertext
         // operands themselves are already parked on the board.
@@ -290,12 +254,12 @@ impl PipelineConfig {
                 + if op.input_parked {
                     0
                 } else {
-                    self.xfer_cycles(in_words)
+                    costs.xfer(self, in_words)
                 },
             out_cycles: if op.park_output {
                 0
             } else {
-                self.xfer_cycles(out_words)
+                costs.xfer(self, out_words)
             },
             compute,
         })
@@ -359,9 +323,13 @@ impl PipelineConfig {
         // transfer for a core's j-th op may start only once its buffer
         // slot is free, i.e. when the (j-depth)-th op on that core has
         // finished consuming its own slot, so no op older than the ring
-        // can still hold a buffer when a newer one acquires.
+        // can still hold a buffer when a newer one acquires. The ring's
+        // length is `window` rounded up to a power of two, so op `q`
+        // sits in slot `q & mask` without a division.
         let window = depth.min(ops.len()).max(1);
-        let mut recent = vec![(0u64, false); self.num_cores * window];
+        let ring_len = window.next_power_of_two();
+        let mask = ring_len - 1;
+        let mut recent = vec![(0u64, false); self.num_cores * ring_len];
         let mut placed = vec![0usize; self.num_cores];
         let mut timings: Vec<OpTiming> = Vec::with_capacity(ops.len());
         let mut busy = [0u64; StageClass::ALL.len()];
@@ -393,10 +361,10 @@ impl PipelineConfig {
                 .min_by_key(|&(i, &t)| (t, i))
                 .map(|(i, _)| i)
                 .expect("num_cores >= 1");
-            let ring = &mut recent[core * window..(core + 1) * window];
+            let ring = &mut recent[core * ring_len..(core + 1) * ring_len];
             let position = placed[core];
             let slot = if position >= depth {
-                ring[position % window].0
+                ring[(position - depth) & mask].0
             } else {
                 0
             };
@@ -419,7 +387,7 @@ impl PipelineConfig {
                 // are the newest entries of the ring.
                 let held = (position.saturating_sub(window)..position)
                     .rev()
-                    .map(|q| ring[q % window])
+                    .map(|q| ring[q & mask])
                     .take_while(|&(end, _)| end > s)
                     .filter(|&(_, holds)| holds)
                     .count() as u64;
@@ -442,7 +410,7 @@ impl PipelineConfig {
             let input_stall = in_end.saturating_sub(ready);
             let compute_end = compute_start + lowered.compute.cycles();
             core_free[core] = compute_end;
-            ring[position % window] = (compute_end, holds_buffer);
+            ring[position & mask] = (compute_end, holds_buffer);
             placed[core] += 1;
             for &(class, cycles) in lowered.compute.list() {
                 busy[class as usize] += cycles;
@@ -489,9 +457,15 @@ impl PipelineConfig {
     }
 }
 
+/// Transfers of up to this many whole limbs (`n`-word polynomials) are
+/// priced from [`OpCosts`]'s table; larger or fractional volumes run the
+/// PCIe formula. Every Set-A and Set-B op fits; at Set-C only a hoisted
+/// group's uncompressed replies (16 limbs each) can overflow it.
+const XFER_TABLE_LIMBS: usize = 64;
+
 /// The per-configuration constants lowering reads, computed once per
 /// schedule call: an op's compute stages are then a match and a
-/// multiply, with no transfer math.
+/// multiply, and its transfers a table lookup.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OpCosts {
     n: u64,
@@ -507,14 +481,25 @@ pub(crate) struct OpCosts {
     add: u64,
     /// Host→board upload of one key-switching key.
     ksk_upload: u64,
+    /// `log2 n`: a volume's limb count is a shift, since `n` is a
+    /// power of two.
+    limb_shift: u32,
+    /// PCIe cycles of a transfer of `i` whole limbs, `i << limb_shift`
+    /// words.
+    xfer: [u64; XFER_TABLE_LIMBS + 1],
 }
 
 impl OpCosts {
     pub(crate) fn new(config: &PipelineConfig) -> Self {
-        let k = config.arch.k as u64;
+        let (n, k) = (config.arch.n as u64, config.arch.k as u64);
         let stream = config.ksk_stream_cycles();
+        let limb_shift = n.trailing_zeros();
+        let mut xfer = [0; XFER_TABLE_LIMBS + 1];
+        for (limbs, cycles) in (0u64..).zip(&mut xfer) {
+            *cycles = config.xfer_cycles(limbs << limb_shift);
+        }
         Self {
-            n: config.arch.n as u64,
+            n,
             k,
             keyswitch: config.arch.steady_interval_cycles().max(stream),
             hoisted_tail: config.arch.hoisted_interval_cycles().max(stream),
@@ -522,6 +507,61 @@ impl OpCosts {
             rescale: config.rescale_cycles(),
             add: 2 * k * config.mult.pair_cycles(),
             ksk_upload: config.ksk_upload_cycles(),
+            limb_shift,
+            xfer,
+        }
+    }
+
+    /// An op's label and its host→board and board→host volumes in words.
+    /// All volumes are modeled at the top of the modulus chain (`k`
+    /// residue limbs per polynomial) — the level the paper evaluates
+    /// throughput at.
+    fn volumes(&self, op: &BoardOp) -> (&'static str, u64, u64) {
+        let (n, k) = (self.n, self.k);
+        let ct = 2 * k * n; // 2-component ciphertext, k limbs each
+        let (label, in_words, out_words) = match op.kind {
+            BoardOpKind::Multiply => ("multiply", 2 * ct, ct),
+            BoardOpKind::Relinearize => ("relinearize", 3 * k * n, ct),
+            BoardOpKind::Rotate => ("rotate", ct, ct),
+            // `stages` has checked that the group parks at most `count`.
+            BoardOpKind::RotateMany {
+                count,
+                parked_outputs,
+            } => ("rotate-many", ct, (count - parked_outputs) as u64 * ct),
+            BoardOpKind::Rescale => ("rescale", ct, 2 * k.saturating_sub(1).max(1) * n),
+            BoardOpKind::Add => ("add", 2 * ct, ct),
+            // Pure movement: an inline operand pays the upload (the
+            // upload-and-park serving pattern), a parked one doesn't;
+            // park_output cancels the return leg.
+            BoardOpKind::Fetch => ("fetch", ct, ct),
+        };
+        // Wire-v2 byte economics. A seeded fresh operand ships one
+        // polynomial plus a 32-byte seed instead of two polynomials, so
+        // the host→board ciphertext volume halves (the seed itself is 4
+        // words — noise at these sizes). A compressed reply returns only
+        // `reply_limbs` of the `k` residue limbs after the server's
+        // modulus switch (limb-dropping is free of compute: it never
+        // touches the remaining residues), scaling the board→host volume
+        // proportionally.
+        let in_words = if op.input_seeded {
+            in_words / 2
+        } else {
+            in_words
+        };
+        let out_words = match op.reply_limbs as u64 {
+            limbs if limbs > 0 && limbs < k => out_words * limbs / k,
+            _ => out_words,
+        };
+        (label, in_words, out_words)
+    }
+
+    /// PCIe cycles to move `words` words: the table's entry for a whole
+    /// number of limbs within it, else [`PipelineConfig::xfer_cycles`].
+    fn xfer(&self, config: &PipelineConfig, words: u64) -> u64 {
+        let limbs = words >> self.limb_shift;
+        match self.xfer.get(limbs as usize) {
+            Some(&cycles) if limbs << self.limb_shift == words => cycles,
+            _ => config.xfer_cycles(words),
         }
     }
 
@@ -544,17 +584,8 @@ impl OpCosts {
                 count,
                 parked_outputs,
             } => {
-                if count == 0 {
-                    return Err(HwError::InvalidConfig {
-                        reason: "hoisted rotation group must contain at least one rotation".into(),
-                    });
-                }
-                if parked_outputs > count {
-                    return Err(HwError::InvalidConfig {
-                        reason: format!(
-                            "hoisted group parks {parked_outputs} outputs but only has {count}"
-                        ),
-                    });
+                if count == 0 || parked_outputs > count {
+                    return Err(malformed_group(count, parked_outputs));
                 }
                 Stages::of(&[
                     (StageClass::KeySwitch, self.keyswitch),
@@ -574,6 +605,19 @@ impl OpCosts {
     /// estimate, without lowering the op's transfers.
     pub(crate) fn compute_cycles(&self, op: &BoardOp) -> Result<u64, HwError> {
         Ok(self.stages(op)?.cycles())
+    }
+}
+
+/// The error for an empty hoisted group or one that parks more outputs
+/// than it has: off the lowering's hot path.
+#[cold]
+fn malformed_group(count: usize, parked_outputs: usize) -> HwError {
+    HwError::InvalidConfig {
+        reason: if count == 0 {
+            "hoisted rotation group must contain at least one rotation".into()
+        } else {
+            format!("hoisted group parks {parked_outputs} outputs but only has {count}")
+        },
     }
 }
 
@@ -809,6 +853,22 @@ impl PipelineReport {
 mod tests {
     use super::*;
     use crate::xfer::WORD_BYTES;
+
+    /// Table 5 row: Stratix 10, Set-A (n = 2^12, k = 2).
+    fn set_a() -> KeySwitchArch {
+        KeySwitchArch {
+            n: 4096,
+            k: 2,
+            nc_intt0: 16,
+            m0: 2,
+            nc_ntt0: 16,
+            num_dyad: 3,
+            nc_dyad: 8,
+            nc_intt1: 8,
+            nc_ntt1: 16,
+            nc_ms: 4,
+        }
+    }
 
     /// Table 5 row: Stratix 10, Set-B (n = 2^13, k = 4).
     fn set_b() -> KeySwitchArch {
@@ -1268,6 +1328,64 @@ mod tests {
             let r = cfg.schedule_stream_degraded(&ops, &profile).unwrap();
             proptest::prop_assert_eq!(r.fifo_high_water, fifo_high_water_oracle(&r));
             proptest::prop_assert!(r.fifo_high_water <= depth as u64);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The transfer table against the PCIe formula: on the Set-A,
+        /// Set-B and Set-C design points (Set-C streaming its keys from
+        /// DRAM), every host→board and board→host leg of a random op of
+        /// any kind — hoisted groups of up to 255 rotations, any parked
+        /// share, every parking, seeding, key-upload and reply-limb
+        /// setting — costs what `xfer_cycles` charges for its volume.
+        #[test]
+        fn table_priced_transfers_match_the_formula(
+            ops in proptest::prelude::prop::collection::vec(
+                (0usize..7, 1usize..=255, 0usize..=255, 0u8..16, proptest::prelude::any::<u8>()),
+                1..32,
+            ),
+        ) {
+            let points = [
+                config(set_a(), 4),
+                config(set_b(), 4),
+                config(set_c(), 4).with_ksk_in_dram(true),
+            ];
+            for cfg in &points {
+                let costs = OpCosts::new(cfg);
+                for &(kind, count, parked, flags, limbs) in &ops {
+                    let kind = match kind {
+                        0 => BoardOpKind::Multiply,
+                        1 => BoardOpKind::Relinearize,
+                        2 => BoardOpKind::Rotate,
+                        3 => BoardOpKind::RotateMany {
+                            count,
+                            parked_outputs: parked % (count + 1),
+                        },
+                        4 => BoardOpKind::Rescale,
+                        5 => BoardOpKind::Add,
+                        _ => BoardOpKind::Fetch,
+                    };
+                    let mut op = BoardOp::new(kind).with_reply_limbs(limbs);
+                    op.input_parked = flags & 1 != 0;
+                    op.park_output = flags & 2 != 0;
+                    op.input_seeded = flags & 4 != 0;
+                    op.ksk_upload = flags & 8 != 0;
+
+                    let (_, in_words, out_words) = costs.volumes(&op);
+                    let priced = (costs.xfer(cfg, in_words), costs.xfer(cfg, out_words));
+                    let formula = (cfg.xfer_cycles(in_words), cfg.xfer_cycles(out_words));
+                    proptest::prop_assert_eq!(priced, formula, "{:?}", op);
+
+                    let lowered = cfg.lower(&costs, &op).unwrap();
+                    let upload = if op.ksk_upload { cfg.ksk_upload_cycles() } else { 0 };
+                    let data_in = if op.input_parked { 0 } else { formula.0 };
+                    let data_out = if op.park_output { 0 } else { formula.1 };
+                    proptest::prop_assert_eq!(lowered.in_cycles, upload + data_in, "{:?}", op);
+                    proptest::prop_assert_eq!(lowered.out_cycles, data_out, "{:?}", op);
+                }
+            }
         }
     }
 
