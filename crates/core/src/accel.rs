@@ -297,9 +297,8 @@ impl<'a> HeaxAccelerator<'a> {
             // Input residues plus the special-prime lane.
             return Ok(self.priced(op, interval, latency, (rows + 1) * n, output));
         }
-        let per_residue = self.mult_config.ciphertext_mult_cycles(2, 2);
-        let mult = rows * per_residue;
-        let mult_latency = mult + per_residue + CoreKind::Dyadic.pipeline_stages();
+        let mult = rows * self.mult_config.ciphertext_mult_cycles(2, 2);
+        let mult_latency = mult + CoreKind::Dyadic.pipeline_stages();
         let input = rows * self.mult_config.input_transfer_words(2, 2);
         let (interval, latency) = (mult.max(interval), mult_latency + latency);
         Ok(self.priced(op, interval, latency, input, output))
@@ -405,9 +404,11 @@ impl<'a> HeaxAccelerator<'a> {
             }));
         }
         let scale = ct1.scale() * ct2.scale();
-        let (ct, mut report, latency) =
+        let (ct, mut report, depth) =
             self.mult_module(ct1.components(), ct2.components(), ct1.level(), scale)?;
-        report.latency_cycles = report.latency_cycles.saturating_add(latency);
+        // The residues stream through the module back to back, so the
+        // last result lands one pipeline depth after the last cycle.
+        report.latency_cycles = report.latency_cycles.saturating_add(depth);
         Ok((ct, report))
     }
 
@@ -437,7 +438,8 @@ impl<'a> HeaxAccelerator<'a> {
     /// One MULT-module pass per residue over the α components of `a` and
     /// the β of `b`. Returns the `α+β−1`-component product, a report whose
     /// interval and latency are both the summed module cycles, and the
-    /// last residue's pipeline latency.
+    /// module's pipeline depth (the last residue's latency past its
+    /// cycles).
     fn mult_module(
         &self,
         a: &[RnsPoly],
@@ -465,19 +467,19 @@ impl<'a> HeaxAccelerator<'a> {
             *slot = sims[i].multiply(&limb(a), &limb(b));
         });
         let mut cycles = 0u64;
-        let mut latency = 0u64;
+        let mut depth = 0u64;
         for (i, (outs, stats)) in slots.into_iter().enumerate() {
             for (t, res) in outs.into_iter().enumerate() {
                 out_polys[t].residue_mut(i).copy_from_slice(&res);
             }
             cycles += stats.cycles;
-            latency = stats.latency;
+            depth = stats.latency - stats.cycles;
         }
         let ct = Ciphertext::from_parts(out_polys, level, scale).map_err(CoreError::Ckks)?;
         let inw = self.mult_config.input_transfer_words(alpha, beta) * moduli.len() as u64;
         let outw = self.mult_config.output_transfer_words(alpha, beta) * moduli.len() as u64;
         let report = self.priced(HeaxOp::Dyadic, cycles, cycles, inw, outw);
-        Ok((ct, report, latency))
+        Ok((ct, report, depth))
     }
 
     /// The inner key-switching primitive through the KeySwitch module
@@ -629,6 +631,30 @@ mod tests {
         let sw_prod = Evaluator::new(&h.ctx).multiply(&c1, &c2).unwrap();
         assert_eq!(hw_prod, sw_prod);
         assert_eq!(report.op, HeaxOp::Dyadic);
+    }
+
+    /// Residues stream through the MULT module back to back, so a
+    /// product's latency is the summed residue cycles plus one Dyadic
+    /// pipeline depth: Set-A on Stratix 10 is 2 × 1 024 + 23 cycles, not
+    /// the last residue counted twice. MULT+ReLin's latency is that plus
+    /// the key switch's.
+    #[test]
+    fn dyadic_mult_latency_counts_each_residue_once() {
+        use heax_ckks::ParamSet;
+        let ctx = CkksContext::new(CkksParams::from_set(ParamSet::SetA).unwrap()).unwrap();
+        let acc = HeaxAccelerator::new(&ctx, Board::stratix10()).unwrap();
+        let top = ctx.max_level();
+        let zero = RnsPoly::zero(ctx.n(), ctx.level_moduli(top), Representation::Ntt);
+        let ct = Ciphertext::from_parts(vec![zero.clone(), zero], top, 1.0).unwrap();
+        let (_, report) = acc.dyadic_mult(&ct, &ct).unwrap();
+        assert_eq!(report.interval_cycles, 2 * 1024);
+        assert_eq!(report.latency_cycles, 2 * 1024 + 23);
+        let switch = acc.report(HeaxOp::KeySwitch, top, 1).unwrap();
+        let mult_relin = acc.report(HeaxOp::MultRelin, top, 1).unwrap();
+        assert_eq!(
+            mult_relin.latency_cycles,
+            report.latency_cycles + switch.latency_cycles
+        );
     }
 
     #[test]
@@ -840,7 +866,7 @@ mod tests {
                 pinned(
                     (216, 640, 0.72, 256, 384),
                     (504, 928, 1.68, 256, 1152),
-                    (216, 791, 0.72, 768, 384),
+                    (216, 759, 0.72, 768, 384),
                 ),
             ),
             (
@@ -849,7 +875,7 @@ mod tests {
                 pinned(
                     (216, 640, 0.7854545454545454, 256, 384),
                     (504, 928, 1.8327272727272728, 256, 1152),
-                    (216, 791, 0.7854545454545454, 768, 384),
+                    (216, 759, 0.7854545454545454, 768, 384),
                 ),
             ),
             (
@@ -858,7 +884,7 @@ mod tests {
                 pinned(
                     (3072, 12800, 10.24, 12288, 16384),
                     (9216, 18944, 30.72, 12288, 49152),
-                    (3072, 15895, 10.24, 32768, 16384),
+                    (3072, 14871, 10.24, 32768, 16384),
                 ),
             ),
             (
@@ -867,7 +893,7 @@ mod tests {
                 pinned(
                     (6144, 25600, 22.341818181818184, 12288, 16384),
                     (18432, 37888, 67.02545454545454, 12288, 49152),
-                    (6144, 28695, 22.341818181818184, 32768, 16384),
+                    (6144, 27671, 22.341818181818184, 32768, 16384),
                 ),
             ),
         ];
