@@ -458,9 +458,9 @@ impl PipelineConfig {
 }
 
 /// Transfers of up to this many whole limbs (`n`-word polynomials) are
-/// priced from [`OpCosts`]'s table; larger or fractional volumes run the
-/// PCIe formula. Every Set-A and Set-B op fits; at Set-C only a hoisted
-/// group's uncompressed replies (16 limbs each) can overflow it.
+/// priced from [`OpCosts`]'s table: every one-ciphertext leg at Set-A/B/C
+/// (at most `4k` = 32 limbs) and a Set-B 8-rotation group's uncompressed
+/// replies (64). Larger and fractional volumes run the PCIe formula.
 const XFER_TABLE_LIMBS: usize = 64;
 
 /// The per-configuration constants lowering reads, computed once per
