@@ -404,12 +404,7 @@ impl<'a> HeaxAccelerator<'a> {
             }));
         }
         let scale = ct1.scale() * ct2.scale();
-        let (ct, mut report, depth) =
-            self.mult_module(ct1.components(), ct2.components(), ct1.level(), scale)?;
-        // The residues stream through the module back to back, so the
-        // last result lands one pipeline depth after the last cycle.
-        report.latency_cycles = report.latency_cycles.saturating_add(depth);
-        Ok((ct, report))
+        self.mult_module(ct1.components(), ct2.components(), ct1.level(), scale)
     }
 
     /// Ciphertext-plaintext multiplication — the C-P mode of the MULT
@@ -431,22 +426,22 @@ impl<'a> HeaxAccelerator<'a> {
         }
         let b = std::slice::from_ref(pt.poly());
         let scale = ct.scale() * pt.scale();
-        let (out, report, _) = self.mult_module(ct.components(), b, ct.level(), scale)?;
-        Ok((out, report))
+        self.mult_module(ct.components(), b, ct.level(), scale)
     }
 
     /// One MULT-module pass per residue over the α components of `a` and
-    /// the β of `b`. Returns the `α+β−1`-component product, a report whose
-    /// interval and latency are both the summed module cycles, and the
-    /// module's pipeline depth (the last residue's latency past its
-    /// cycles).
+    /// the β of `b`. Returns the `α+β−1`-component product and its
+    /// report: the interval is the summed module cycles; the residues
+    /// stream through the module back to back, so the last result lands
+    /// one pipeline depth (the last residue's latency past its cycles)
+    /// after that.
     fn mult_module(
         &self,
         a: &[RnsPoly],
         b: &[RnsPoly],
         level: usize,
         scale: f64,
-    ) -> Result<(Ciphertext, OpReport, u64), CoreError> {
+    ) -> Result<(Ciphertext, OpReport), CoreError> {
         let n = self.ctx.n();
         let (alpha, beta) = (a.len(), b.len());
         let moduli = self.ctx.level_moduli(level);
@@ -478,8 +473,8 @@ impl<'a> HeaxAccelerator<'a> {
         let ct = Ciphertext::from_parts(out_polys, level, scale).map_err(CoreError::Ckks)?;
         let inw = self.mult_config.input_transfer_words(alpha, beta) * moduli.len() as u64;
         let outw = self.mult_config.output_transfer_words(alpha, beta) * moduli.len() as u64;
-        let report = self.priced(HeaxOp::Dyadic, cycles, cycles, inw, outw);
-        Ok((ct, report, depth))
+        let report = self.priced(HeaxOp::Dyadic, cycles, cycles + depth, inw, outw);
+        Ok((ct, report))
     }
 
     /// The inner key-switching primitive through the KeySwitch module
@@ -637,7 +632,8 @@ mod tests {
     /// product's latency is the summed residue cycles plus one Dyadic
     /// pipeline depth: Set-A on Stratix 10 is 2 × 1 024 + 23 cycles, not
     /// the last residue counted twice. MULT+ReLin's latency is that plus
-    /// the key switch's.
+    /// the key switch's, and a ciphertext-plaintext product pays the same
+    /// depth once past its own interval.
     #[test]
     fn dyadic_mult_latency_counts_each_residue_once() {
         use heax_ckks::ParamSet;
@@ -655,6 +651,9 @@ mod tests {
             mult_relin.latency_cycles,
             report.latency_cycles + switch.latency_cycles
         );
+        let pt = heax_ckks::Plaintext::from_parts(ct.component(0).clone(), top, 1.0);
+        let (_, plain) = acc.multiply_plain(&ct, &pt).unwrap();
+        assert_eq!(plain.latency_cycles, plain.interval_cycles + 23);
     }
 
     #[test]

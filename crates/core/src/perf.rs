@@ -13,7 +13,8 @@
 
 use heax_ckks::params::ParamSet;
 use heax_hw::board::Board;
-use heax_hw::scheduler::{BoardOp, PipelineReport};
+use heax_hw::ir::IrOp;
+use heax_hw::scheduler::PipelineReport;
 use heax_hw::HwError;
 
 use crate::arch::DesignPoint;
@@ -94,7 +95,7 @@ pub fn estimate(dp: &DesignPoint, op: HeaxOp) -> PerfEstimate {
 /// Propagates configuration/stream validation from the scheduler.
 pub fn estimate_stream(
     dp: &DesignPoint,
-    ops: &[BoardOp],
+    ops: &[IrOp],
     num_cores: usize,
 ) -> Result<PipelineReport, HwError> {
     dp.pipeline_config(num_cores)?.schedule_stream(ops)
@@ -164,13 +165,14 @@ mod tests {
     use heax_ckks::params::ParamSet;
     use heax_hw::cluster::RoutingPolicy;
     use heax_hw::faults::{FaultKind, FaultPlan};
-    use heax_hw::scheduler::BoardOpKind;
+    use heax_hw::ir::OpKind;
+    use heax_hw::scheduler::PipelineConfig;
 
     /// The fleet stream: `sessions` sessions submitting four wire-return
     /// rotations each, round-robin — the order a front-end router sees.
-    fn fleet(sessions: u64) -> Vec<BoardOp> {
+    fn fleet(sessions: u64) -> Vec<IrOp> {
         (0..4 * sessions)
-            .map(|i| BoardOp::new(BoardOpKind::Rotate).with_session(1 + i % sessions))
+            .map(|i| IrOp::new(OpKind::Rotate).with_session(1 + i % sessions))
             .collect()
     }
 
@@ -229,7 +231,7 @@ mod tests {
         // One rotation's modeled compute occupancy is exactly the
         // KeySwitch initiation interval the Table 8 estimate uses.
         let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
-        let r = estimate_stream(&dp, &[BoardOp::new(BoardOpKind::Rotate)], 1).unwrap();
+        let r = estimate_stream(&dp, &[IrOp::new(OpKind::Rotate)], 1).unwrap();
         let t = &r.ops[0];
         assert_eq!(
             t.compute.1 - t.compute.0,
@@ -243,16 +245,17 @@ mod tests {
         // config must reflect the placement, and the modeled 4-core
         // board must clear 2x the 1-core rate on the 8-client workload.
         let board = heax_hw::board::Board::stratix10();
-        assert!(
-            !DesignPoint::derive(board.clone(), ParamSet::SetA)
-                .unwrap()
-                .pipeline_config(1)
-                .unwrap()
-                .ksk_in_dram
-        );
+        for (set, in_dram) in [(ParamSet::SetA, false), (ParamSet::SetC, true)] {
+            let dp = DesignPoint::derive(board.clone(), set).unwrap();
+            let plain = PipelineConfig::new(&board, dp.arch, dp.mult_config(), 1).unwrap();
+            assert_eq!(
+                dp.pipeline_config(1).unwrap(),
+                plain.with_ksk_in_dram(in_dram),
+                "{set}"
+            );
+        }
         let dp = DesignPoint::derive(board, ParamSet::SetC).unwrap();
-        assert!(dp.pipeline_config(1).unwrap().ksk_in_dram);
-        let ops = vec![BoardOp::rotate_many(8); 8];
+        let ops = vec![IrOp::rotate_many(8); 8];
         let one = estimate_stream(&dp, &ops, 1).unwrap();
         let four = estimate_stream(&dp, &ops, 4).unwrap();
         assert!(four.requests_per_sec() / one.requests_per_sec() >= 2.0);
@@ -265,8 +268,8 @@ mod tests {
         // as returning them over the wire and is never bound by the
         // return leg it does not have. (The wire-return bar itself, 2x
         // on four Set-C cores, is the test above.)
-        let wire = vec![BoardOp::rotate_many(8); 8];
-        let parked = vec![BoardOp::rotate_many(8).with_parked_output(); 8];
+        let wire = vec![IrOp::rotate_many(8); 8];
+        let parked = vec![IrOp::rotate_many(8).with_parked_output(); 8];
         for set in ParamSet::ALL {
             let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), set).unwrap();
             let wire_1 = estimate_stream(&dp, &wire, 1).unwrap();
@@ -290,13 +293,8 @@ mod tests {
         // Seeded uploads plus one-limb replies are never slower than v1
         // wire return, and rescue at least two (set, cores) points that
         // v1 left bound by the PCIe return leg.
-        let wire = vec![BoardOp::rotate_many(8); 8];
-        let wire_v2 = vec![
-            BoardOp::rotate_many(8)
-                .with_seeded_input()
-                .with_reply_limbs(1);
-            8
-        ];
+        let wire = vec![IrOp::rotate_many(8); 8];
+        let wire_v2 = vec![IrOp::rotate_many(8).with_seeded_input().with_reply_limbs(1); 8];
         let mut flips = 0;
         for set in ParamSet::ALL {
             let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), set).unwrap();
@@ -319,8 +317,8 @@ mod tests {
     fn cluster_estimate_scales_and_prices_replication() {
         let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
         // Eight sessions, four hoisted groups each.
-        let ops: Vec<BoardOp> = (0..32)
-            .map(|i| BoardOp::rotate_many(8).with_session(1 + i % 8))
+        let ops: Vec<IrOp> = (0..32)
+            .map(|i| IrOp::rotate_many(8).with_session(1 + i % 8))
             .collect();
         let affinity = RoutingPolicy::Affinity { steal: false };
         let one_board = dp.cluster_config(1, 1).unwrap();
@@ -339,15 +337,15 @@ mod tests {
     #[test]
     fn faulted_cluster_estimate_degrades_gracefully() {
         let dp = DesignPoint::derive(heax_hw::board::Board::stratix10(), ParamSet::SetB).unwrap();
-        let ops: Vec<BoardOp> = (0..32)
-            .map(|i| BoardOp::rotate_many(8).with_session(1 + i % 8))
+        let ops: Vec<IrOp> = (0..32)
+            .map(|i| IrOp::rotate_many(8).with_session(1 + i % 8))
             .collect();
         let affinity = RoutingPolicy::Affinity { steal: true };
         let cluster = dp.cluster_config(4, 1).unwrap();
         let healthy = cluster.schedule_stream(&ops, affinity).unwrap();
         // Board 0 is gone from the start: the fleet serves everything
         // on the surviving three at better than half throughput.
-        let plan = FaultPlan::new().with_event(0, 0, FaultKind::BoardCrash);
+        let plan = FaultPlan::none().with_event(0, 0, FaultKind::BoardCrash);
         let faulted = cluster
             .schedule_stream_faulted(&ops, affinity, &plan)
             .unwrap();
@@ -399,7 +397,7 @@ mod tests {
             .iter()
             .map(|t| t.compute.1 - t.compute.0)
             .sum();
-        let plan = FaultPlan::new().with_event(0, board0_compute / 2, FaultKind::BoardCrash);
+        let plan = FaultPlan::none().with_event(0, board0_compute / 2, FaultKind::BoardCrash);
         let faulted = cluster
             .schedule_stream_faulted(&ops, policy, &plan)
             .unwrap();

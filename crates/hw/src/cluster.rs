@@ -15,11 +15,11 @@
 //!   least-loaded board and pays one key replication (a *miss*,
 //!   [`ClusterReport::replication_bytes`], plus the PCIe upload charged
 //!   in that board's schedule via [`IrOp::ksk_upload`]).
-//! * **Work stealing**: when the session's resident board has run far
-//!   enough ahead of the least-loaded board (beyond
-//!   [`ClusterConfig::steal_threshold_cycles`]), the op is stolen to
-//!   the idle board anyway — replicating the key there — trading
-//!   replication bandwidth for tail latency.
+//! * **Work stealing**: when the session's resident board has run more
+//!   than four steady KeySwitch intervals of compute ahead of the
+//!   least-loaded board, the op is stolen to the idle board anyway —
+//!   replicating the key there — trading replication bandwidth for tail
+//!   latency.
 //! * **Parked-state pinning**: DRAM is per-board, so every op that
 //!   reads or writes a session's parked handles is pinned to the board
 //!   that holds them, regardless of policy.
@@ -28,7 +28,8 @@
 //!   policy is measured against (`heax_core::perf`'s cluster tests).
 //!
 //! Each board's assigned sub-stream is then scheduled by the
-//! single-board [`PipelineConfig::schedule_stream`]; boards run in
+//! single-board loop of [`PipelineConfig::schedule_stream`], under that
+//! board's share of the [`FaultPlan`]; boards run in
 //! parallel, so the cluster makespan is the slowest board's. The
 //! answer is a [`ClusterReport`]: per-board pipeline reports and
 //! utilization, routing hit/miss counts, steal counts, replication
@@ -106,13 +107,13 @@ impl RoutingPolicy {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Boards in the cluster (1 ..= 64).
-    pub num_boards: usize,
+    num_boards: usize,
     /// The per-board pipeline configuration (cores, PCIe, DRAM, arch).
-    pub board: PipelineConfig,
+    board: PipelineConfig,
     /// Load imbalance (in compute cycles) beyond which
     /// [`RoutingPolicy::Affinity`] with stealing moves a warm session's
     /// op to the least-loaded board.
-    pub steal_threshold_cycles: u64,
+    steal_threshold_cycles: u64,
 }
 
 impl ClusterConfig {
@@ -138,29 +139,14 @@ impl ClusterConfig {
         })
     }
 
-    /// Builder option: the work-stealing imbalance threshold, cycles.
-    #[must_use]
-    pub fn with_steal_threshold(mut self, cycles: u64) -> Self {
-        self.steal_threshold_cycles = cycles;
-        self
-    }
-
     /// Bytes of one session's key-switching key at this configuration —
     /// the unit of [`ClusterReport::replication_bytes`].
-    pub fn ksk_bytes(&self) -> u64 {
+    pub(crate) fn ksk_bytes(&self) -> u64 {
         DramModel::ksk_bits(self.board.arch.n, self.board.arch.k) / 8
     }
 
-    /// Routes an op stream across the boards and schedules each board's
-    /// sub-stream on its own pipeline.
-    ///
-    /// Routing walks the stream in order, maintaining per-session ksk
-    /// residency (a board mask), per-session parked-state pinning, and
-    /// per-board load estimates; see the module docs for the policy
-    /// semantics. A dependency edge whose producer landed on another
-    /// board cannot be expressed inside a single board's schedule — it
-    /// is dropped and counted in [`ClusterReport::cross_board_deps`]
-    /// (the modeled makespan is optimistic by exactly those edges).
+    /// [`ClusterConfig::schedule_stream_faulted`] with no faults
+    /// ([`FaultPlan::none`]).
     ///
     /// # Errors
     ///
@@ -174,8 +160,18 @@ impl ClusterConfig {
         self.schedule_stream_faulted(ops, policy, &FaultPlan::none())
     }
 
-    /// [`ClusterConfig::schedule_stream`] replaying an injected
-    /// [`FaultPlan`] with graceful degradation:
+    /// Routes an op stream across the boards, replaying an injected
+    /// [`FaultPlan`] with graceful degradation, and schedules each
+    /// board's sub-stream on its own pipeline.
+    ///
+    /// Routing walks the stream in order, maintaining per-session ksk
+    /// residency (a board mask), per-session parked-state pinning, and
+    /// per-board load estimates; see the module docs for the policy
+    /// semantics. A dependency edge whose producer landed on another
+    /// board cannot be expressed inside a single board's schedule — it
+    /// is dropped and counted in [`ClusterReport::cross_board_deps`]
+    /// (the modeled makespan is optimistic by exactly those edges).
+    /// Under faults:
     ///
     /// * a **crashed** board is drained from the routing table once its
     ///   modeled load reaches the event cycle — resident sessions fail
@@ -183,18 +179,17 @@ impl ClusterConfig {
     ///   through the normal byte accounting), and parked state is
     ///   re-materialized from the host (the session re-pins to its new
     ///   board and the first parked read pays the upload again);
-    /// * a **corrupted** resident ksk is detected by checksum mismatch
-    ///   on the session's next key-consuming op on that board, evicted,
-    ///   and re-uploaded;
+    /// * a **corrupted** resident ksk is found on the session's next
+    ///   key-consuming op on that board once the board's load reaches
+    ///   the event cycle, evicted, and re-uploaded;
     /// * **slow-down, link-stall and DMA faults** fold into a per-board
-    ///   [`BoardFaultProfile`] that dilates the board's schedule (and
+    ///   degradation profile that dilates the board's schedule (and
     ///   its load accounting, so degraded boards naturally receive less
     ///   new work) instead of wedging it.
     ///
     /// Faults reshape placement and timing only — every op is still
     /// scheduled exactly once, so a faulted schedule answers the same
-    /// requests as the fault-free one. An empty plan is bit-identical
-    /// to [`ClusterConfig::schedule_stream`] (which delegates here).
+    /// requests as the fault-free one.
     ///
     /// # Errors
     ///
@@ -426,7 +421,7 @@ impl ClusterConfig {
         let boards = streams
             .iter()
             .zip(&profiles)
-            .map(|(s, profile)| self.board.schedule_stream_degraded(s, profile))
+            .map(|(s, profile)| self.board.schedule_under(s, profile))
             .collect::<Result<Vec<_>, _>>()?;
         let total_cycles = boards.iter().map(|r| r.total_cycles).max().unwrap_or(0);
         Ok(ClusterReport {
@@ -777,7 +772,7 @@ mod tests {
         for i in 0..12 {
             ops.push(IrOp::rotate_many(4).with_session(1).with_input_id(i + 1));
         }
-        let c = cluster(2, 1).with_steal_threshold(1);
+        let c = cluster(2, 1);
         let stolen = c
             .schedule_stream(&ops, RoutingPolicy::Affinity { steal: true })
             .unwrap();
@@ -903,7 +898,7 @@ mod tests {
             .unwrap();
         // Board 0 dies after roughly three ops' worth of load.
         let op_cycles = c.board.op_compute_cycles(&ops[0]).unwrap();
-        let plan = FaultPlan::new().with_event(0, 3 * op_cycles, FaultKind::BoardCrash);
+        let plan = FaultPlan::none().with_event(0, 3 * op_cycles, FaultKind::BoardCrash);
         let faulted = c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &plan)
             .unwrap();
@@ -947,7 +942,7 @@ mod tests {
         let ops = session_rotations(1, 4);
         // The resident copy goes bad immediately; the session's second
         // key op detects the mismatch and re-uploads.
-        let plan = FaultPlan::new().with_event(0, 0, FaultKind::KskCorruption { session: 1 });
+        let plan = FaultPlan::none().with_event(0, 0, FaultKind::KskCorruption { session: 1 });
         let r = c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &plan)
             .unwrap();
@@ -960,7 +955,8 @@ mod tests {
         assert_eq!(r.replication_bytes, 2 * c.ksk_bytes());
         assert!(r.recovery_cycles > 0);
         // A corruption for an unknown session never fires.
-        let miss_plan = FaultPlan::new().with_event(0, 0, FaultKind::KskCorruption { session: 99 });
+        let miss_plan =
+            FaultPlan::none().with_event(0, 0, FaultKind::KskCorruption { session: 99 });
         let clean = c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &miss_plan)
             .unwrap();
@@ -976,7 +972,7 @@ mod tests {
         let healthy = c
             .schedule_stream(&ops, RoutingPolicy::Affinity { steal: false })
             .unwrap();
-        let plan = FaultPlan::new().with_event(0, 0, FaultKind::BoardSlowdown { pct: 100 });
+        let plan = FaultPlan::none().with_event(0, 0, FaultKind::BoardSlowdown { pct: 100 });
         let slow = c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &plan)
             .unwrap();
@@ -988,7 +984,7 @@ mod tests {
         assert_eq!(slow.boards_alive(), 2); // degraded, not dead
                                             // A stalled link dilates transfers instead of wedging: the
                                             // schedule still completes, just later.
-        let stall = FaultPlan::new().with_event(
+        let stall = FaultPlan::none().with_event(
             0,
             0,
             FaultKind::LinkStall {
@@ -1023,7 +1019,7 @@ mod tests {
             .unwrap();
         let home = pinned.assignment[0];
         let op_cycles = c.board.op_compute_cycles(&ops[1]).unwrap();
-        let plan = FaultPlan::new().with_event(home, 2 * op_cycles, FaultKind::BoardCrash);
+        let plan = FaultPlan::none().with_event(home, 2 * op_cycles, FaultKind::BoardCrash);
         let r = c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &plan)
             .unwrap();
@@ -1042,19 +1038,19 @@ mod tests {
         let c = cluster(2, 1);
         let ops = session_rotations(2, 2);
         // Naming a board outside the cluster is rejected.
-        let bad = FaultPlan::new().with_event(5, 0, FaultKind::BoardCrash);
+        let bad = FaultPlan::none().with_event(5, 0, FaultKind::BoardCrash);
         assert!(c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &bad)
             .is_err());
         // Crashing every board wedges nothing — it errors out.
-        let total = FaultPlan::new()
+        let total = FaultPlan::none()
             .with_event(0, 0, FaultKind::BoardCrash)
             .with_event(1, 0, FaultKind::BoardCrash);
         assert!(c
             .schedule_stream_faulted(&ops, RoutingPolicy::Affinity { steal: false }, &total)
             .is_err());
         // Random routing also avoids drained boards.
-        let half = FaultPlan::new().with_event(0, 0, FaultKind::BoardCrash);
+        let half = FaultPlan::none().with_event(0, 0, FaultKind::BoardCrash);
         let r = c
             .schedule_stream_faulted(&ops, RoutingPolicy::Random { seed: 3 }, &half)
             .unwrap();

@@ -8,9 +8,8 @@
 //! list of [`FaultEvent`]s — hand-built or drawn from a seeded
 //! generator ([`FaultPlan::generate`]) — that
 //! [`ClusterConfig::schedule_stream_faulted`](crate::cluster::ClusterConfig::schedule_stream_faulted)
-//! and
-//! [`PipelineConfig::schedule_stream_degraded`](crate::scheduler::PipelineConfig::schedule_stream_degraded)
-//! consume. Because every fault is expressed in modeled cycles and
+//! replays, routing around crashes and dilating each degraded board's
+//! schedule. Because every fault is expressed in modeled cycles and
 //! every reaction (failover, re-replication, eviction, dilation) is
 //! deterministic, a faulted run is exactly reproducible and — crucially
 //! — never perturbs functional results: faults reshape *where and how
@@ -32,16 +31,15 @@
 //!   wedging the schedule.
 //! * **DMA-channel degradation** ([`FaultKind::DmaDegrade`]): the
 //!   host→board and/or board→host channels dilate by a percentage.
-//! * **Resident-ksk corruption** ([`FaultKind::KskCorruption`]):
-//!   detected via checksum mismatch ([`ksk_checksum`]); the cluster
-//!   evicts the resident copy and re-uploads it on the session's next
-//!   key-consuming op.
+//! * **Resident-ksk corruption** ([`FaultKind::KskCorruption`]): an
+//!   event, not data; the cluster evicts the resident copy and
+//!   re-uploads it on the session's next key-consuming op.
 //!
 //! ```
 //! use heax_hw::faults::{FaultKind, FaultPlan, FaultRates};
 //!
 //! // A hand-built plan: board 1 dies a quarter into the run.
-//! let plan = FaultPlan::new().with_event(1, 250_000, FaultKind::BoardCrash);
+//! let plan = FaultPlan::none().with_event(1, 250_000, FaultKind::BoardCrash);
 //! assert!(!plan.is_empty());
 //!
 //! // A seeded plan is reproducible: same seed, same schedule.
@@ -79,8 +77,8 @@ pub enum FaultKind {
         out_pct: u32,
     },
     /// The board's resident copy of a session's key-switching key goes
-    /// bad; the checksum mismatch is detected on the session's next
-    /// key-consuming op, the copy is evicted and re-uploaded.
+    /// bad; the session's next key-consuming op on that board finds it,
+    /// evicts the copy and re-uploads it.
     KskCorruption {
         /// The session whose resident ksk is corrupted.
         session: u64,
@@ -161,13 +159,9 @@ impl Lcg {
 }
 
 impl FaultPlan {
-    /// An empty plan (the fault-free schedule).
+    /// An empty plan: the fault-free schedule, and the start of a
+    /// hand-built one ([`FaultPlan::with_event`]).
     pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// An empty plan to build on with [`FaultPlan::with_event`].
-    pub fn new() -> Self {
         Self::default()
     }
 
@@ -202,7 +196,7 @@ impl FaultPlan {
         rates: &FaultRates,
     ) -> Self {
         let mut rng = Lcg::new(seed);
-        let mut plan = Self::new();
+        let mut plan = Self::none();
         for board in 0..num_boards {
             if rng.unit() < rates.crash {
                 plan = plan.with_event(board, rng.below(horizon_cycles), FaultKind::BoardCrash);
@@ -252,7 +246,7 @@ impl FaultPlan {
     /// whole-run profile the board scheduler dilates its timings by.
     /// Crash and corruption events are routing-level and do not appear
     /// here.
-    pub fn board_profile(&self, board: usize) -> BoardFaultProfile {
+    pub(crate) fn board_profile(&self, board: usize) -> BoardFaultProfile {
         let mut p = BoardFaultProfile::default();
         for e in self.events.iter().filter(|e| e.board == board) {
             match e.kind {
@@ -288,43 +282,27 @@ impl FaultPlan {
 /// on compute and the two DMA channels plus a flat per-transfer link
 /// stall. The default profile is a healthy board.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BoardFaultProfile {
+pub(crate) struct BoardFaultProfile {
     /// Percent dilation of every compute stage (25 = 1.25× slower).
-    pub compute_slowdown_pct: u32,
+    pub(crate) compute_slowdown_pct: u32,
     /// Percent dilation of host→board DMA transfers.
-    pub dma_in_slowdown_pct: u32,
+    pub(crate) dma_in_slowdown_pct: u32,
     /// Percent dilation of board→host DMA transfers.
-    pub dma_out_slowdown_pct: u32,
+    pub(crate) dma_out_slowdown_pct: u32,
     /// Flat stall added to every DMA transfer (link re-training).
-    pub link_stall_cycles: u64,
+    pub(crate) link_stall_cycles: u64,
 }
 
 impl BoardFaultProfile {
     /// Whether the profile degrades nothing (the fault-free fast path).
-    pub fn is_healthy(&self) -> bool {
+    pub(crate) fn is_healthy(&self) -> bool {
         *self == Self::default()
     }
 
     /// Dilates a cycle count by a percentage, saturating.
-    pub fn dilate(cycles: u64, pct: u32) -> u64 {
+    pub(crate) fn dilate(cycles: u64, pct: u32) -> u64 {
         cycles.saturating_add(cycles.saturating_mul(pct as u64) / 100)
     }
-}
-
-/// FNV-1a checksum over a session's resident key-switching-key words —
-/// the integrity tag a board keeps next to each resident ksk. A
-/// corruption event models exactly one thing: this checksum no longer
-/// matching, which the router detects on the next key-consuming op and
-/// answers by evicting and re-uploading the key.
-pub fn ksk_checksum(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -380,7 +358,7 @@ mod tests {
 
     #[test]
     fn profiles_fold_per_board_and_crashes_resolve_earliest() {
-        let plan = FaultPlan::new()
+        let plan = FaultPlan::none()
             .with_event(0, 100, FaultKind::BoardSlowdown { pct: 25 })
             .with_event(0, 200, FaultKind::LinkStall { stall_cycles: 50 })
             .with_event(
@@ -410,15 +388,5 @@ mod tests {
         assert_eq!(BoardFaultProfile::dilate(1000, 25), 1250);
         assert_eq!(BoardFaultProfile::dilate(1000, 100), 2000);
         assert_eq!(BoardFaultProfile::dilate(u64::MAX, 100), u64::MAX);
-    }
-
-    #[test]
-    fn checksum_detects_a_flipped_word() {
-        let good = vec![7u64; 64];
-        let mut bad = good.clone();
-        bad[13] ^= 1;
-        assert_ne!(ksk_checksum(&good), ksk_checksum(&bad));
-        assert_eq!(ksk_checksum(&good), ksk_checksum(&good));
-        assert_ne!(ksk_checksum(&[]), 0); // FNV offset basis, not zero
     }
 }

@@ -11,8 +11,9 @@
 //! one input into hoisted [`OpKind::RotateMany`] groups exactly the way
 //! the paper's hoisting shares one RNS decomposition — and the *same*
 //! fused stream drives both the functional executor and the modeled
-//! schedulers ([`schedule_stream`](crate::scheduler::PipelineConfig::schedule_stream),
-//! [`cluster`](crate::cluster)). There is no second, model-only stream
+//! schedulers ([`PipelineConfig::schedule_stream`](crate::scheduler::PipelineConfig::schedule_stream),
+//! [`ClusterConfig::schedule_stream_faulted`](crate::cluster::ClusterConfig::schedule_stream_faulted)).
+//! There is no second, model-only stream
 //! reconstruction anywhere: what the machine model prices is exactly
 //! what the server runs.
 //!

@@ -19,12 +19,15 @@
 //! * [`scheduler`] — the board-level pipeline scheduler composing the
 //!   module models into multi-core schedules with overlapped PCIe/DRAM
 //!   transfers (Figure 7), reporting per-stage utilization and stalls;
+//!   one door, [`PipelineConfig::schedule_stream`](scheduler::PipelineConfig::schedule_stream);
 //! * [`cluster`] — the multi-board cluster scheduler: a front-end
 //!   router with session→board key affinity, work stealing and
-//!   key-replication cost modeling over N single-board pipelines;
+//!   key-replication cost modeling over N single-board pipelines; one
+//!   door, [`ClusterConfig::schedule_stream_faulted`](cluster::ClusterConfig::schedule_stream_faulted),
+//!   of which `schedule_stream` is the fault-free default;
 //! * [`faults`] — seeded, deterministic fault schedules (board crash,
 //!   slow-down, link flap, DMA degradation, ksk corruption) that the
-//!   board and cluster schedulers replay with graceful degradation.
+//!   cluster scheduler replays with graceful degradation.
 //!
 //! This crate is deliberately independent of the CKKS scheme: it moves raw
 //! residue polynomials. `heax-core` composes these models into a full
@@ -36,8 +39,9 @@
 //! use heax_hw::board::Board;
 //! use heax_hw::keyswitch_pipeline::KeySwitchArch;
 //! use heax_hw::mult_dataflow::MultModuleConfig;
+//! use heax_hw::ir::IrOp;
 //! use heax_hw::ntt_dataflow::NttModuleConfig;
-//! use heax_hw::scheduler::{BoardOp, PipelineConfig};
+//! use heax_hw::scheduler::PipelineConfig;
 //!
 //! # fn main() -> Result<(), heax_hw::HwError> {
 //! // A 16-core NTT module at n = 4096 sustains one transform per
@@ -52,7 +56,7 @@
 //! };
 //! let config = PipelineConfig::new(
 //!     &Board::stratix10(), arch, MultModuleConfig::new(4096, 16)?, 2)?;
-//! let report = config.schedule_stream(&[BoardOp::rotate_many(4)])?;
+//! let report = config.schedule_stream(&[IrOp::rotate_many(4)])?;
 //! assert_eq!(report.requests(), 4);
 //! # Ok(())
 //! # }

@@ -25,10 +25,11 @@
 //! (compute-bound vs PCIe-bound).
 //!
 //! ```
-//! use heax_hw::scheduler::{BoardOp, PipelineConfig};
 //! use heax_hw::board::Board;
+//! use heax_hw::ir::IrOp;
 //! use heax_hw::keyswitch_pipeline::KeySwitchArch;
 //! use heax_hw::mult_dataflow::MultModuleConfig;
+//! use heax_hw::scheduler::PipelineConfig;
 //!
 //! # fn main() -> Result<(), heax_hw::HwError> {
 //! // Stratix 10 / Set-B KeySwitch architecture (a Table 5 row).
@@ -39,7 +40,7 @@
 //! let mult = MultModuleConfig::new(8192, 16)?;
 //! let config = PipelineConfig::new(&Board::stratix10(), arch, mult, 2)?;
 //! // Two hoisted 4-rotation groups over two cores.
-//! let ops = vec![BoardOp::rotate_many(4), BoardOp::rotate_many(4)];
+//! let ops = vec![IrOp::rotate_many(4), IrOp::rotate_many(4)];
 //! let report = config.schedule_stream(&ops)?;
 //! assert_eq!(report.requests(), 8);
 //! assert!(report.requests_per_sec() > 0.0);
@@ -49,12 +50,11 @@
 
 use crate::board::Board;
 use crate::faults::BoardFaultProfile;
+use crate::ir::{IrOp, OpKind};
 use crate::keyswitch_pipeline::KeySwitchArch;
 use crate::mult_dataflow::MultModuleConfig;
 use crate::xfer::{DramModel, PcieModel};
 use crate::HwError;
-
-pub use crate::ir::{IrOp as BoardOp, OpKind as BoardOpKind};
 
 /// Compute/transfer stage classes, for utilization attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,29 +104,39 @@ impl StageClass {
 /// Static configuration of the board pipeline: how many HEAX cores the
 /// design instantiates, the per-core module architecture, and the
 /// board's transfer characteristics.
+///
+/// The fields are private, so a configuration stays as
+/// [`PipelineConfig::new`] validated it; its two builders are the only
+/// other settings. This does not compile:
+///
+/// ```compile_fail,E0616
+/// fn zero_cores(config: &mut heax_hw::scheduler::PipelineConfig) {
+///     config.num_cores = 0;
+/// }
+/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct PipelineConfig {
     /// Number of replicated HEAX cores (KeySwitch + MULT datapath each).
-    pub num_cores: usize,
+    pub(crate) num_cores: usize,
     /// The KeySwitch architecture of each core (a Table 5 row).
-    pub arch: KeySwitchArch,
+    pub(crate) arch: KeySwitchArch,
     /// The MULT module of each core.
-    pub mult: MultModuleConfig,
+    mult: MultModuleConfig,
     /// Board clock in MHz (converts transfer times into cycles).
-    pub freq_mhz: f64,
+    pub(crate) freq_mhz: f64,
     /// Host↔board PCIe link model (one DMA channel per direction).
-    pub pcie: PcieModel,
+    pcie: PcieModel,
     /// Board DRAM model (key streaming, Section 5.1).
-    pub dram: DramModel,
+    dram: DramModel,
     /// Whether key-switching keys are streamed from DRAM per operation
     /// (Set-C) instead of living in on-chip BRAM (Set-A/B). When the
     /// stream cannot keep up with the compute interval, the KeySwitch
     /// stages dilate to the DRAM-limited rate.
-    pub ksk_in_dram: bool,
+    ksk_in_dram: bool,
     /// Per-core input-FIFO depth in operation buffers (Section 5.2
     /// prescribes double buffering; the scheduler enforces the
     /// backpressure this depth implies).
-    pub input_fifo_depth: usize,
+    input_fifo_depth: usize,
 }
 
 impl PipelineConfig {
@@ -223,7 +233,7 @@ impl PipelineConfig {
     /// Cycles to move one key-switching key host→board over PCIe (the
     /// replication cost a cluster router charges on a residency miss,
     /// and the recovery latency of a failover re-replication).
-    pub fn ksk_upload_cycles(&self) -> u64 {
+    pub(crate) fn ksk_upload_cycles(&self) -> u64 {
         let words = DramModel::ksk_bits(self.arch.n, self.arch.k) / 64;
         self.xfer_cycles(words)
     }
@@ -235,13 +245,13 @@ impl PipelineConfig {
     ///
     /// [`HwError::InvalidConfig`] for malformed ops (empty hoisted
     /// groups).
-    pub fn op_compute_cycles(&self, op: &BoardOp) -> Result<u64, HwError> {
+    pub fn op_compute_cycles(&self, op: &IrOp) -> Result<u64, HwError> {
         OpCosts::new(self).compute_cycles(op)
     }
 
     /// Lowers one high-level op into transfer durations and compute
     /// stages, pricing each transfer from the per-call table.
-    fn lower(&self, costs: &OpCosts, op: &BoardOp) -> Result<LoweredOp, HwError> {
+    fn lower(&self, costs: &OpCosts, op: &IrOp) -> Result<LoweredOp, HwError> {
         let compute = costs.stages(op)?;
         let (label, in_words, out_words) = costs.volumes(op);
         // A ksk upload (cluster residency miss) rides the host→board
@@ -270,36 +280,29 @@ impl PipelineConfig {
     /// board→host DMA serialized on their own channels, per-core input
     /// FIFOs `input_fifo_depth` deep (an op's input transfer cannot
     /// start until a buffer slot frees). Dependency edges
-    /// ([`BoardOp::deps`]) delay an op's compute until every
-    /// producer's compute has finished.
+    /// ([`IrOp::deps`]) delay an op's compute until every producer's
+    /// compute has finished. A faulted cluster schedules each board
+    /// through the same loop under that board's degradation profile
+    /// ([`ClusterConfig::schedule_stream_faulted`](crate::cluster::ClusterConfig::schedule_stream_faulted)).
     ///
     /// # Errors
     ///
     /// [`HwError::InvalidConfig`] for malformed ops (empty hoisted
     /// groups, or a dependency edge that does not point strictly
     /// backwards in the stream).
-    pub fn schedule_stream(&self, ops: &[BoardOp]) -> Result<PipelineReport, HwError> {
-        self.schedule_stream_degraded(ops, &BoardFaultProfile::default())
+    pub fn schedule_stream(&self, ops: &[IrOp]) -> Result<PipelineReport, HwError> {
+        self.schedule_under(ops, &BoardFaultProfile::default())
     }
 
-    /// [`PipelineConfig::schedule_stream`] under an injected
-    /// degradation profile: every compute stage dilates by the
-    /// profile's compute slow-down, each DMA transfer dilates by its
-    /// channel's slow-down and pays the flat link-stall on top.
-    /// Degradation reshapes *timing only* — op order, placement rules
-    /// and data volumes are untouched, so a degraded schedule answers
-    /// exactly the same requests as a healthy one, later. A healthy
-    /// (default) profile is bit-identical to
-    /// [`PipelineConfig::schedule_stream`]
-    /// (which delegates here).
-    ///
-    /// # Errors
-    ///
-    /// [`HwError::InvalidConfig`] for malformed ops, as
-    /// [`PipelineConfig::schedule_stream`].
-    pub fn schedule_stream_degraded(
+    /// The board loop under a degradation profile: every compute stage
+    /// dilates by the profile's compute slow-down, each DMA transfer
+    /// dilates by its channel's slow-down and pays the flat link stall
+    /// on top. Degradation reshapes timing only: op order, placement
+    /// rules and data volumes are untouched. A healthy profile skips
+    /// the dilation.
+    pub(crate) fn schedule_under(
         &self,
-        ops: &[BoardOp],
+        ops: &[IrOp],
         profile: &BoardFaultProfile,
     ) -> Result<PipelineReport, HwError> {
         for (index, op) in ops.iter().enumerate() {
@@ -516,24 +519,24 @@ impl OpCosts {
     /// All volumes are modeled at the top of the modulus chain (`k`
     /// residue limbs per polynomial) — the level the paper evaluates
     /// throughput at.
-    fn volumes(&self, op: &BoardOp) -> (&'static str, u64, u64) {
+    fn volumes(&self, op: &IrOp) -> (&'static str, u64, u64) {
         let (n, k) = (self.n, self.k);
         let ct = 2 * k * n; // 2-component ciphertext, k limbs each
         let (label, in_words, out_words) = match op.kind {
-            BoardOpKind::Multiply => ("multiply", 2 * ct, ct),
-            BoardOpKind::Relinearize => ("relinearize", 3 * k * n, ct),
-            BoardOpKind::Rotate => ("rotate", ct, ct),
+            OpKind::Multiply => ("multiply", 2 * ct, ct),
+            OpKind::Relinearize => ("relinearize", 3 * k * n, ct),
+            OpKind::Rotate => ("rotate", ct, ct),
             // `stages` has checked that the group parks at most `count`.
-            BoardOpKind::RotateMany {
+            OpKind::RotateMany {
                 count,
                 parked_outputs,
             } => ("rotate-many", ct, (count - parked_outputs) as u64 * ct),
-            BoardOpKind::Rescale => ("rescale", ct, 2 * k.saturating_sub(1).max(1) * n),
-            BoardOpKind::Add => ("add", 2 * ct, ct),
+            OpKind::Rescale => ("rescale", ct, 2 * k.saturating_sub(1).max(1) * n),
+            OpKind::Add => ("add", 2 * ct, ct),
             // Pure movement: an inline operand pays the upload (the
             // upload-and-park serving pattern), a parked one doesn't;
             // park_output cancels the return leg.
-            BoardOpKind::Fetch => ("fetch", ct, ct),
+            OpKind::Fetch => ("fetch", ct, ct),
         };
         // Wire-v2 byte economics. A seeded fresh operand ships one
         // polynomial plus a 32-byte seed instead of two polynomials, so
@@ -571,16 +574,16 @@ impl OpCosts {
     ///
     /// [`HwError::InvalidConfig`] for an empty hoisted group or one that
     /// parks more outputs than it has.
-    fn stages(&self, op: &BoardOp) -> Result<Stages, HwError> {
+    fn stages(&self, op: &IrOp) -> Result<Stages, HwError> {
         Ok(match op.kind {
-            BoardOpKind::Multiply => Stages::of(&[
+            OpKind::Multiply => Stages::of(&[
                 (StageClass::Mult, self.mult),
                 (StageClass::KeySwitch, self.keyswitch),
             ]),
-            BoardOpKind::Relinearize | BoardOpKind::Rotate => {
+            OpKind::Relinearize | OpKind::Rotate => {
                 Stages::of(&[(StageClass::KeySwitch, self.keyswitch)])
             }
-            BoardOpKind::RotateMany {
+            OpKind::RotateMany {
                 count,
                 parked_outputs,
             } => {
@@ -595,15 +598,15 @@ impl OpCosts {
                     ),
                 ])
             }
-            BoardOpKind::Rescale => Stages::of(&[(StageClass::Rescale, self.rescale)]),
-            BoardOpKind::Add => Stages::of(&[(StageClass::Dyadic, self.add)]),
-            BoardOpKind::Fetch => Stages::of(&[]),
+            OpKind::Rescale => Stages::of(&[(StageClass::Rescale, self.rescale)]),
+            OpKind::Add => Stages::of(&[(StageClass::Dyadic, self.add)]),
+            OpKind::Fetch => Stages::of(&[]),
         })
     }
 
     /// Compute cycles one op occupies a core for — the router's load
     /// estimate, without lowering the op's transfers.
-    pub(crate) fn compute_cycles(&self, op: &BoardOp) -> Result<u64, HwError> {
+    pub(crate) fn compute_cycles(&self, op: &IrOp) -> Result<u64, HwError> {
         Ok(self.stages(op)?.cycles())
     }
 }
@@ -910,8 +913,8 @@ mod tests {
 
     /// The 8-client × 8-rotation server workload as a board op stream:
     /// one hoisted group per client.
-    fn eight_client_workload() -> Vec<BoardOp> {
-        vec![BoardOp::rotate_many(8); 8]
+    fn eight_client_workload() -> Vec<IrOp> {
+        vec![IrOp::rotate_many(8); 8]
     }
 
     #[test]
@@ -922,16 +925,14 @@ mod tests {
         let wrong_n = MultModuleConfig::new(4096, 16).unwrap();
         assert!(PipelineConfig::new(&Board::stratix10(), arch, wrong_n, 1).is_err());
         assert!(config(arch, 1)
-            .schedule_stream(&[BoardOp::rotate_many(0)])
+            .schedule_stream(&[IrOp::rotate_many(0)])
             .is_err());
     }
 
     #[test]
     fn single_op_timeline() {
         let cfg = config(set_b(), 1);
-        let r = cfg
-            .schedule_stream(&[BoardOp::new(BoardOpKind::Rotate)])
-            .unwrap();
+        let r = cfg.schedule_stream(&[IrOp::new(OpKind::Rotate)]).unwrap();
         assert_eq!(r.ops.len(), 1);
         let t = &r.ops[0];
         // Transfer in, then compute, then transfer out, no overlap
@@ -948,7 +949,7 @@ mod tests {
     #[test]
     fn v2_flags_shrink_the_transfer_legs() {
         let cfg = config(set_b(), 1);
-        let rot = BoardOp::new(BoardOpKind::Rotate);
+        let rot = IrOp::new(OpKind::Rotate);
         let full = cfg.schedule_stream(&[rot]).unwrap();
         let full_in = full.ops[0].xfer_in.1 - full.ops[0].xfer_in.0;
         let full_out = full.ops[0].xfer_out.1 - full.ops[0].xfer_out.0;
@@ -978,7 +979,7 @@ mod tests {
     #[test]
     fn double_buffering_overlaps_transfer_with_compute() {
         let cfg = config(set_b(), 1);
-        let ops = vec![BoardOp::new(BoardOpKind::Rotate); 4];
+        let ops = vec![IrOp::new(OpKind::Rotate); 4];
         let r = cfg.schedule_stream(&ops).unwrap();
         // Op 1's input transfer starts while op 0 is still computing.
         assert!(r.ops[1].xfer_in.0 < r.ops[0].compute.1);
@@ -993,7 +994,7 @@ mod tests {
     #[test]
     fn fifo_depth_one_serializes_transfers() {
         let cfg = config(set_b(), 1).with_input_fifo_depth(1);
-        let ops = vec![BoardOp::new(BoardOpKind::Rotate); 3];
+        let ops = vec![IrOp::new(OpKind::Rotate); 3];
         let r = cfg.schedule_stream(&ops).unwrap();
         // With a single buffer, op 1's transfer must wait for op 0's
         // compute to release it.
@@ -1045,8 +1046,8 @@ mod tests {
     #[test]
     fn parked_io_removes_transfers() {
         let cfg = config(set_b(), 2);
-        let wire = vec![BoardOp::rotate_many(8); 4];
-        let parked: Vec<BoardOp> = wire
+        let wire = vec![IrOp::rotate_many(8); 4];
+        let parked: Vec<IrOp> = wire
             .iter()
             .map(|op| op.with_parked_input().with_parked_output())
             .collect();
@@ -1064,7 +1065,7 @@ mod tests {
         let mut slow = config(set_c(), 1).with_ksk_in_dram(true);
         slow.dram.bandwidth_gbps = 8.0; // Far below the §5.1 requirement.
         let fast = config(set_c(), 1).with_ksk_in_dram(true);
-        let ops = [BoardOp::rotate_many(4)];
+        let ops = [IrOp::rotate_many(4)];
         let rs = slow.schedule_stream(&ops).unwrap();
         let rf = fast.schedule_stream(&ops).unwrap();
         assert!(
@@ -1084,8 +1085,8 @@ mod tests {
         let cfg = config(set_b(), 1);
         // A group parking half its outputs pays strictly between zero
         // and the all-wire return cost.
-        let all_wire = cfg.schedule_stream(&[BoardOp::rotate_many(8)]).unwrap();
-        let half = BoardOp::new(BoardOpKind::RotateMany {
+        let all_wire = cfg.schedule_stream(&[IrOp::rotate_many(8)]).unwrap();
+        let half = IrOp::new(OpKind::RotateMany {
             count: 8,
             parked_outputs: 4,
         });
@@ -1094,14 +1095,14 @@ mod tests {
         assert!(half_r.busy(StageClass::XferOut) < all_wire.busy(StageClass::XferOut));
         // Parking more outputs than the group has is rejected.
         assert!(cfg
-            .schedule_stream(&[BoardOp::new(BoardOpKind::RotateMany {
+            .schedule_stream(&[IrOp::new(OpKind::RotateMany {
                 count: 2,
                 parked_outputs: 3,
             })])
             .is_err());
         // Upload-and-park (inline Fetch, parked result) pays the
         // host→board leg and nothing else.
-        let upload = BoardOp::new(BoardOpKind::Fetch).with_parked_output();
+        let upload = IrOp::new(OpKind::Fetch).with_parked_output();
         let r = cfg.schedule_stream(&[upload]).unwrap();
         assert!(r.busy(StageClass::XferIn) > 0);
         assert_eq!(r.busy(StageClass::XferOut), 0);
@@ -1112,12 +1113,12 @@ mod tests {
     fn stage_accounting_is_consistent() {
         let cfg = config(set_b(), 2);
         let ops = vec![
-            BoardOp::new(BoardOpKind::Multiply),
-            BoardOp::new(BoardOpKind::Add),
-            BoardOp::rotate_many(4),
-            BoardOp::new(BoardOpKind::Rescale),
-            BoardOp::new(BoardOpKind::Relinearize),
-            BoardOp::new(BoardOpKind::Fetch).with_parked_input(),
+            IrOp::new(OpKind::Multiply),
+            IrOp::new(OpKind::Add),
+            IrOp::rotate_many(4),
+            IrOp::new(OpKind::Rescale),
+            IrOp::new(OpKind::Relinearize),
+            IrOp::new(OpKind::Fetch).with_parked_input(),
         ];
         let r = cfg.schedule_stream(&ops).unwrap();
         // Core busy equals the sum of compute spans.
@@ -1142,35 +1143,31 @@ mod tests {
         // must wait for it even though its own core is free.
         let cfg = config(set_b(), 2);
         let ops = vec![
-            BoardOp::new(BoardOpKind::Rotate).with_parked_output(),
-            BoardOp::new(BoardOpKind::Add)
-                .with_parked_input()
-                .with_dep(0),
+            IrOp::new(OpKind::Rotate).with_parked_output(),
+            IrOp::new(OpKind::Add).with_parked_input().with_dep(0),
         ];
         let r = cfg.schedule_stream(&ops).unwrap();
         assert!(r.ops[1].compute.0 >= r.ops[0].compute.1);
         // Without the edge the add starts immediately.
         let free = cfg
             .schedule_stream(&[
-                BoardOp::new(BoardOpKind::Rotate).with_parked_output(),
-                BoardOp::new(BoardOpKind::Add).with_parked_input(),
+                IrOp::new(OpKind::Rotate).with_parked_output(),
+                IrOp::new(OpKind::Add).with_parked_input(),
             ])
             .unwrap();
         assert_eq!(free.ops[1].compute.0, 0);
         // Forward or self edges are structurally invalid.
         assert!(cfg
-            .schedule_stream(&[BoardOp::new(BoardOpKind::Rotate).with_dep(0)])
+            .schedule_stream(&[IrOp::new(OpKind::Rotate).with_dep(0)])
             .is_err());
     }
 
     #[test]
     fn ksk_upload_charges_the_input_channel() {
         let cfg = config(set_b(), 1);
-        let plain = cfg
-            .schedule_stream(&[BoardOp::new(BoardOpKind::Rotate)])
-            .unwrap();
+        let plain = cfg.schedule_stream(&[IrOp::new(OpKind::Rotate)]).unwrap();
         let uploaded = cfg
-            .schedule_stream(&[BoardOp::new(BoardOpKind::Rotate).with_ksk_upload()])
+            .schedule_stream(&[IrOp::new(OpKind::Rotate).with_ksk_upload()])
             .unwrap();
         // Set-B: the ksk (2·k·(k+1)·n words) is 2.5x a ciphertext
         // (2·k·n) — the upload must dominate the input leg.
@@ -1178,7 +1175,7 @@ mod tests {
         // Parked operands still pay the key upload (keys travel even
         // when ciphertexts don't).
         let parked = cfg
-            .schedule_stream(&[BoardOp::new(BoardOpKind::Rotate)
+            .schedule_stream(&[IrOp::new(OpKind::Rotate)
                 .with_parked_input()
                 .with_ksk_upload()])
             .unwrap();
@@ -1197,7 +1194,7 @@ mod tests {
             dma_out_slowdown_pct: 25,
             link_stall_cycles: 1000,
         };
-        let degraded = cfg.schedule_stream_degraded(&ops, &profile).unwrap();
+        let degraded = cfg.schedule_under(&ops, &profile).unwrap();
         // Slower, but the same work lands: the link stalls and
         // dilations never drop or reorder an op.
         assert!(degraded.total_cycles > healthy.total_cycles);
@@ -1209,7 +1206,7 @@ mod tests {
         }
         // A healthy profile is bit-identical to the plain entry point.
         let same = cfg
-            .schedule_stream_degraded(&ops, &BoardFaultProfile::default())
+            .schedule_under(&ops, &BoardFaultProfile::default())
             .unwrap();
         assert_eq!(same.total_cycles, healthy.total_cycles);
         assert_eq!(same.ops, healthy.ops);
@@ -1256,24 +1253,24 @@ mod tests {
     /// Builds a stream from drawn `(kind, group size, flag bits, reply
     /// limbs, dependency)` tuples; a dependency draw points at a random
     /// earlier op.
-    fn drawn_stream(picks: &[(usize, usize, u8, u8, usize)]) -> Vec<BoardOp> {
+    fn drawn_stream(picks: &[(usize, usize, u8, u8, usize)]) -> Vec<IrOp> {
         picks
             .iter()
             .enumerate()
             .map(|(index, &(kind, count, flags, limbs, dep))| {
                 let kind = match kind {
-                    0 => BoardOpKind::Multiply,
-                    1 => BoardOpKind::Relinearize,
-                    2 => BoardOpKind::Rotate,
-                    3 => BoardOpKind::RotateMany {
+                    0 => OpKind::Multiply,
+                    1 => OpKind::Relinearize,
+                    2 => OpKind::Rotate,
+                    3 => OpKind::RotateMany {
                         count,
                         parked_outputs: count / 2,
                     },
-                    4 => BoardOpKind::Rescale,
-                    5 => BoardOpKind::Add,
-                    _ => BoardOpKind::Fetch,
+                    4 => OpKind::Rescale,
+                    5 => OpKind::Add,
+                    _ => OpKind::Fetch,
                 };
-                let mut op = BoardOp::new(kind).with_reply_limbs(limbs);
+                let mut op = IrOp::new(kind).with_reply_limbs(limbs);
                 if flags & 1 != 0 {
                     op = op.with_parked_input();
                 }
@@ -1325,7 +1322,7 @@ mod tests {
             } else {
                 BoardFaultProfile::default()
             };
-            let r = cfg.schedule_stream_degraded(&ops, &profile).unwrap();
+            let r = cfg.schedule_under(&ops, &profile).unwrap();
             proptest::prop_assert_eq!(r.fifo_high_water, fifo_high_water_oracle(&r));
             proptest::prop_assert!(r.fifo_high_water <= depth as u64);
         }
@@ -1356,18 +1353,18 @@ mod tests {
                 let costs = OpCosts::new(cfg);
                 for &(kind, count, parked, flags, limbs) in &ops {
                     let kind = match kind {
-                        0 => BoardOpKind::Multiply,
-                        1 => BoardOpKind::Relinearize,
-                        2 => BoardOpKind::Rotate,
-                        3 => BoardOpKind::RotateMany {
+                        0 => OpKind::Multiply,
+                        1 => OpKind::Relinearize,
+                        2 => OpKind::Rotate,
+                        3 => OpKind::RotateMany {
                             count,
                             parked_outputs: parked % (count + 1),
                         },
-                        4 => BoardOpKind::Rescale,
-                        5 => BoardOpKind::Add,
-                        _ => BoardOpKind::Fetch,
+                        4 => OpKind::Rescale,
+                        5 => OpKind::Add,
+                        _ => OpKind::Fetch,
                     };
-                    let mut op = BoardOp::new(kind).with_reply_limbs(limbs);
+                    let mut op = IrOp::new(kind).with_reply_limbs(limbs);
                     op.input_parked = flags & 1 != 0;
                     op.park_output = flags & 2 != 0;
                     op.input_seeded = flags & 4 != 0;

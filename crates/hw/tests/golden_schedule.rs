@@ -238,7 +238,7 @@ fn fault_plan(healthy: &ClusterReport, victim_session: u64) -> FaultPlan {
         .iter()
         .map(|t| t.compute.1 - t.compute.0)
         .sum();
-    FaultPlan::new()
+    FaultPlan::none()
         .with_event(0, board0_load / 3, FaultKind::BoardCrash)
         .with_event(1, 0, FaultKind::BoardSlowdown { pct: 40 })
         .with_event(2, 0, FaultKind::LinkStall { stall_cycles: 700 })

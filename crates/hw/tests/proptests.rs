@@ -155,17 +155,18 @@ proptest! {
         picks in prop::collection::vec(0usize..7, 1..12),
     ) {
         prop_assume!(arch.validate().is_ok());
-        use heax_hw::scheduler::{BoardOp, BoardOpKind, PipelineConfig};
+        use heax_hw::ir::{IrOp, OpKind};
+        use heax_hw::scheduler::PipelineConfig;
         let mult = heax_hw::mult_dataflow::MultModuleConfig::new(arch.n, 16).unwrap();
         let board = heax_hw::board::Board::stratix10();
-        let ops: Vec<BoardOp> = picks.iter().map(|&p| match p {
-            0 => BoardOp::new(BoardOpKind::Multiply),
-            1 => BoardOp::new(BoardOpKind::Relinearize),
-            2 => BoardOp::new(BoardOpKind::Rotate),
-            3 => BoardOp::rotate_many(3),
-            4 => BoardOp::new(BoardOpKind::Rescale),
-            5 => BoardOp::new(BoardOpKind::Add),
-            _ => BoardOp::new(BoardOpKind::Fetch).with_parked_input(),
+        let ops: Vec<IrOp> = picks.iter().map(|&p| match p {
+            0 => IrOp::new(OpKind::Multiply),
+            1 => IrOp::new(OpKind::Relinearize),
+            2 => IrOp::new(OpKind::Rotate),
+            3 => IrOp::rotate_many(3),
+            4 => IrOp::new(OpKind::Rescale),
+            5 => IrOp::new(OpKind::Add),
+            _ => IrOp::new(OpKind::Fetch).with_parked_input(),
         }).collect();
         let cfg = PipelineConfig::new(&board, arch, mult, cores).unwrap();
         let r = cfg.schedule_stream(&ops).unwrap();
@@ -205,7 +206,8 @@ proptest! {
         let span: u64 = r.ops.iter().map(|t| t.compute.1 - t.compute.0).sum();
         prop_assert_eq!(r.core_busy(), span);
         prop_assert!(r.core_busy() <= cores as u64 * r.total_cycles);
-        prop_assert!(r.fifo_high_water <= cfg.input_fifo_depth as u64);
+        // `PipelineConfig::new` double-buffers each core's inputs.
+        prop_assert!(r.fifo_high_water <= 2);
         prop_assert!((0.0..=1.0).contains(&r.core_utilization()));
 
         // More cores never hurt the makespan.
@@ -456,5 +458,168 @@ proptest! {
         prop_assert_eq!(got.cross_board_deps, 0);
         prop_assert_eq!(got.steals, 0);
         prop_assert_eq!(got.routing_misses, misses);
+    }
+}
+
+/// The board by brute force. Ops are placed in stream order; each of an
+/// op's decisions is found by stepping a clock from cycle 0, one cycle
+/// at a time, until the resources it needs are free at that cycle, read
+/// off the ops placed so far. Each op's input transfer, compute and
+/// output transfer lengths, label and request count come from a
+/// schedule of that op alone, so what is checked is the placement, not
+/// the lowering (the transfer-table proptest checks that).
+///
+/// The rules: an op takes the core that frees first (lowest index on a
+/// tie); its input transfer waits for the host→board channel and for a
+/// FIFO position on that core (fewer than `depth` of the core's earlier
+/// ops still unfinished, buffer holders or not); its compute waits for
+/// the core, its producers and its input; its output transfer waits
+/// for the board→host channel. A parked leg takes no channel time.
+/// Returns the timings, the makespan and the FIFO high-water (the most
+/// input buffers one core holds at an acquisition).
+fn stepped_board(
+    cfg: &heax_hw::scheduler::PipelineConfig,
+    ops: &[heax_hw::ir::IrOp],
+    cores: usize,
+    depth: usize,
+) -> (Vec<heax_hw::scheduler::OpTiming>, u64, u64) {
+    use heax_hw::ir::{IrOp, NO_DEP};
+    use heax_hw::scheduler::OpTiming;
+    let mut placed: Vec<OpTiming> = Vec::with_capacity(ops.len());
+    let mut high_water = 0u64;
+    for (index, op) in ops.iter().enumerate() {
+        let alone = cfg
+            .schedule_stream(&[IrOp {
+                deps: [NO_DEP; 2],
+                ..*op
+            }])
+            .unwrap()
+            .ops[0];
+        let length = |(start, end): (u64, u64)| end - start;
+        let (input, compute, output) = (
+            length(alone.xfer_in),
+            length(alone.compute),
+            length(alone.xfer_out),
+        );
+        let core_free =
+            |core: usize, t: u64| placed.iter().all(|p| p.core != core || p.compute.1 <= t);
+
+        let mut t = 0;
+        let core = loop {
+            if let Some(core) = (0..cores).find(|&c| core_free(c, t)) {
+                break core;
+            }
+            t += 1;
+        };
+
+        let (mut xfer_in, mut fifo_stall) = ((0, 0), 0);
+        if input > 0 {
+            let channel_free = |t: u64| placed.iter().all(|p| p.xfer_in.1 <= t);
+            let fifo_open = |t: u64| {
+                placed
+                    .iter()
+                    .filter(|p| p.core == core && p.compute.1 > t)
+                    .count()
+                    < depth
+            };
+            let mut t = 0;
+            while !(channel_free(t) && fifo_open(t)) {
+                fifo_stall += u64::from(channel_free(t));
+                t += 1;
+            }
+            xfer_in = (t, t + input);
+            let held = placed
+                .iter()
+                .filter(|p| {
+                    p.core == core
+                        && p.xfer_in.1 > p.xfer_in.0
+                        && p.xfer_in.0 <= t
+                        && t < p.compute.1
+                })
+                .count() as u64;
+            high_water = high_water.max(held + 1);
+        }
+
+        let deps_done = |t: u64| op.dep_indices().all(|d| placed[d].compute.1 <= t);
+        let (mut t, mut input_stall) = (0, 0);
+        loop {
+            let ready = core_free(core, t) && deps_done(t);
+            if ready && t >= xfer_in.1 {
+                break;
+            }
+            input_stall += u64::from(ready);
+            t += 1;
+        }
+        let compute = (t, t + compute);
+
+        let (mut t, mut output_stall) = (compute.1, 0);
+        if output > 0 {
+            while !placed
+                .iter()
+                .all(|p| p.xfer_out.1 == p.xfer_out.0 || p.xfer_out.1 <= t)
+            {
+                t += 1;
+                output_stall += 1;
+            }
+        }
+
+        placed.push(OpTiming {
+            index,
+            label: alone.label,
+            core,
+            requests: alone.requests,
+            xfer_in,
+            compute,
+            xfer_out: (t, t + output),
+            input_stall,
+            output_stall,
+            fifo_stall,
+        });
+    }
+    let makespan = placed.iter().map(|p| p.xfer_out.1).max().unwrap_or(0);
+    (placed, makespan, high_water)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The board scheduler against [`stepped_board`], which shares no
+    /// scheduling code with it: up to 8 ops of every kind with parked,
+    /// seeded, compressed and key-upload flags and up to two backward
+    /// dependency edges, on a Set-A board of 1–4 cores with FIFO depth
+    /// 1–4. Every `OpTiming`, the makespan and the FIFO high-water agree.
+    #[test]
+    fn the_board_model_is_the_stepped_reference(
+        picks in prop::collection::vec(
+            (0usize..7, 1usize..6, 0u8..64, 0u8..3, 0usize..512, 0u64..4),
+            0..=8,
+        ),
+        cores in 1usize..=4,
+        depth in 1usize..=4,
+    ) {
+        use heax_hw::keyswitch_pipeline::KeySwitchArch;
+        use heax_hw::scheduler::PipelineConfig;
+        let arch = KeySwitchArch {
+            n: 4096,
+            k: 2,
+            nc_intt0: 16,
+            m0: 2,
+            nc_ntt0: 16,
+            num_dyad: 3,
+            nc_dyad: 8,
+            nc_intt1: 8,
+            nc_ntt1: 16,
+            nc_ms: 4,
+        };
+        let mult = heax_hw::mult_dataflow::MultModuleConfig::new(arch.n, 16).unwrap();
+        let cfg = PipelineConfig::new(&heax_hw::board::Board::stratix10(), arch, mult, cores)
+            .unwrap()
+            .with_input_fifo_depth(depth);
+        let ops = drawn_stream(&picks);
+        let got = cfg.schedule_stream(&ops).unwrap();
+        let (ops_want, makespan, high_water) = stepped_board(&cfg, &ops, cores, depth);
+        prop_assert_eq!(&got.ops, &ops_want);
+        prop_assert_eq!(got.total_cycles, makespan);
+        prop_assert_eq!(got.fifo_high_water, high_water);
     }
 }

@@ -42,9 +42,11 @@
 //! its member lists. The server serves; it does not model.
 //! [`HeaxServer::queued_plan`] returns, without draining anything,
 //! exactly the stream the next flush executes, and pricing it is an
-//! offline call on [`heax_hw`] — `pipeline_config(k)?.schedule_stream`
-//! for one board, `cluster_config(b, k)?.schedule_stream_faulted` for a
-//! cluster under a fault plan — the same call the ruler's
+//! offline call on [`heax_hw`] —
+//! [`PipelineConfig::schedule_stream`](heax_hw::scheduler::PipelineConfig::schedule_stream)
+//! for one board,
+//! [`ClusterConfig::schedule_stream_faulted`](heax_hw::cluster::ClusterConfig::schedule_stream_faulted)
+//! for a cluster under a fault plan — the same calls the ruler's
 //! `model_fleet_setb` workload makes.
 //!
 //! Results can be **parked** in board DRAM instead of shipping back: a

@@ -17,8 +17,8 @@ use heax::ckks::{
     SecretKey,
 };
 use heax::hw::board::Board;
+use heax::hw::ir::IrOp;
 use heax::hw::keyswitch_pipeline::schedule;
-use heax::hw::scheduler::BoardOp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // PCIe transfers (Figure 7).
     println!("\n== board-level pipeline (8 clients x 8 hoisted rotations) ==");
     let dp = DesignPoint::derive(Board::stratix10(), ParamSet::SetA)?;
-    let workload = vec![BoardOp::rotate_many(8); 8];
+    let workload = vec![IrOp::rotate_many(8); 8];
     for cores in [1usize, 4] {
         print!("\n{}", estimate_stream(&dp, &workload, cores)?.render());
     }
