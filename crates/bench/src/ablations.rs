@@ -20,6 +20,7 @@ use heax_hw::wordsize::{
 };
 use heax_hw::xfer::DramModel;
 use heax_math::ntt::NttTable;
+use heax_math::packed::{width_for, PackedRows};
 use heax_math::primes::generate_ntt_primes;
 use heax_math::word::{Modulus, MulRedConstant};
 use rand::rngs::StdRng;
@@ -212,7 +213,9 @@ pub fn ablation_ntt(out: &mut dyn Write, budget_ms: u64) -> io::Result<()> {
 fn elementwise_rows(p: &Modulus, input: &[u64], k: usize, budget_ms: u64) -> Vec<Vec<String>> {
     let n = input.len();
     let digits: Vec<u64> = (0..k).flat_map(|_| input.iter().copied()).collect();
-    let keys = || (0..k).map(|_| (input, input));
+    let mut packed = PackedRows::zeroed(width_for(p.bits()), 1, n);
+    packed.set_row(0, input);
+    let keys = || (0..k).map(|_| (packed.row(0), packed.row(0)));
     let inv = MulRedConstant::new(p.inv_mod(12345).expect("invertible"), p);
     let (mut d0, mut d1) = (vec![0u64; n], vec![0u64; n]);
     let mut us = |f: &mut dyn FnMut(&mut [u64], &mut [u64])| {

@@ -416,7 +416,7 @@ impl<'a, B: NttBackend> Evaluator<'a, B> {
     ///
     /// This is the one-key, identity-permutation case of the shared
     /// skeleton ([`crate::keyswitch`]) over the software NTT kernels: the
-    /// accumulation multiplies the digits into the key's plain residues,
+    /// accumulation multiplies the digits into the key's packed residues,
     /// sums each coefficient's products double-width and reduces once —
     /// bit-identical to a strict Barrett evaluation of Algorithm 7 (the
     /// property suite keeps one as its oracle).

@@ -40,14 +40,16 @@ pub fn galois_elt_conjugate(n: usize) -> usize {
 }
 
 /// Permutation table realizing `X ↦ X^g` on an NTT-form polynomial:
-/// `result[j] = operand[table[j]]`.
+/// `result[j] = operand[table[j]]`. Entries are `u32`, four bytes a slot:
+/// a ring has far fewer than 2^32 coefficients.
 ///
 /// # Panics
 ///
 /// Panics if `g` is even (not a valid Galois element) or `n` is not a
-/// power of two.
-pub fn galois_permutation(g: usize, n: usize) -> Vec<usize> {
+/// power of two of at most 2^32.
+pub fn galois_permutation(g: usize, n: usize) -> Vec<u32> {
     assert!(n.is_power_of_two() && n >= 2, "n must be a power of two");
+    assert!(n.ilog2() <= 32, "entries must fit u32");
     assert!(g % 2 == 1, "Galois element must be odd");
     let log_n = n.trailing_zeros();
     let m = 2 * n;
@@ -55,7 +57,7 @@ pub fn galois_permutation(g: usize, n: usize) -> Vec<usize> {
         .map(|j| {
             let e = 2 * bit_reverse(j, log_n) + 1;
             let src_e = (e * g) % m;
-            bit_reverse((src_e - 1) / 2, log_n)
+            bit_reverse((src_e - 1) / 2, log_n) as u32
         })
         .collect()
 }
@@ -66,7 +68,7 @@ pub fn galois_permutation(g: usize, n: usize) -> Vec<usize> {
 ///
 /// Returns [`MathError::RepresentationMismatch`] if the polynomial is in
 /// coefficient form.
-pub fn apply_galois_ntt(poly: &RnsPoly, table: &[usize]) -> Result<RnsPoly, MathError> {
+pub fn apply_galois_ntt(poly: &RnsPoly, table: &[u32]) -> Result<RnsPoly, MathError> {
     let mut out = RnsPoly::zero(poly.n(), poly.moduli(), Representation::Ntt);
     apply_galois_ntt_into(poly, table, &mut out)?;
     Ok(out)
@@ -82,7 +84,7 @@ pub fn apply_galois_ntt(poly: &RnsPoly, table: &[usize]) -> Result<RnsPoly, Math
 /// different shape.
 pub fn apply_galois_ntt_into(
     poly: &RnsPoly,
-    table: &[usize],
+    table: &[u32],
     out: &mut RnsPoly,
 ) -> Result<(), MathError> {
     if poly.representation() != Representation::Ntt {
@@ -105,9 +107,9 @@ pub fn apply_galois_ntt_into(
 
 /// One residue through a permutation table: `dst[j] = src[table[j]]`.
 #[inline]
-pub(crate) fn permute(src: &[u64], table: &[usize], dst: &mut [u64]) {
+pub(crate) fn permute(src: &[u64], table: &[u32], dst: &mut [u64]) {
     for (d, &t) in dst.iter_mut().zip(table) {
-        *d = src[t];
+        *d = src[t as usize];
     }
 }
 
@@ -221,8 +223,8 @@ mod tests {
             let table = galois_permutation(g, n);
             let mut seen = vec![false; n];
             for &t in &table {
-                assert!(!seen[t]);
-                seen[t] = true;
+                assert!(!seen[t as usize]);
+                seen[t as usize] = true;
             }
         }
     }
@@ -231,7 +233,7 @@ mod tests {
     fn identity_element_is_identity() {
         let table = galois_permutation(1, 32);
         for (j, &t) in table.iter().enumerate() {
-            assert_eq!(j, t);
+            assert_eq!(j, t as usize);
         }
     }
 

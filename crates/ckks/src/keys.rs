@@ -10,8 +10,10 @@
 
 use std::collections::HashMap;
 
+use heax_math::packed::{width_for, PackedRow, PackedRows};
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::sampling::{sample_error, sample_ternary, sample_uniform};
+use heax_math::word::Modulus;
 use rand::Rng;
 
 use crate::context::CkksContext;
@@ -80,20 +82,71 @@ impl PublicKey {
 /// A key-switching key from some `s'` to `s`: `d` component pairs over the
 /// full chain (`q` primes + special prime), one per decomposition index.
 ///
-/// Every residue is stored once, as the plain word keygen (or the wire)
-/// produced — the evaluator's DyadMult multiplies the digits straight into
-/// it — so [`KeySwitchKey::size_words`] is the whole footprint.
+/// Every residue is stored once, **packed at the chain's width** —
+/// `w = ⌈bits(p_max)/8⌉` bytes a word, `p_max` the widest prime (5 at
+/// Set-A, 6 at Set-B, 7 at Set-C) — in one padded buffer, as HEAX sizes
+/// its key memories to the moduli. The evaluator's DyadMult widens the
+/// words in registers as it multiplies the digits into them, so
+/// [`KeySwitchKey::resident_bytes`] is the whole footprint:
+/// `d·2·(k+1)·n·w` bytes plus [`padding`](heax_math::packed::padding)`(w)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KeySwitchKey {
-    /// `components[i] = (d_{0,i}, d_{1,i})`, NTT form over the full chain.
-    pub(crate) components: Vec<(RnsPoly, RnsPoly)>,
+    /// Row `(2i + c)·(k+1) + j` is residue `j` of component `c` of pair
+    /// `i` (`c = 0` for `d_{0,i}`, 1 for `d_{1,i}`), NTT form.
+    rows: PackedRows,
+    /// The chain's modulus values, which the wire format repeats per
+    /// component.
+    chain: Box<[u64]>,
+}
+
+/// One component polynomial of a [`KeySwitchKey`], borrowed packed.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyPoly<'a> {
+    rows: &'a PackedRows,
+    first: usize,
+    chain: &'a [u64],
+}
+
+impl<'a> KeyPoly<'a> {
+    /// Residue `j` (chain index; the special prime is last).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    #[inline]
+    pub fn residue(&self, j: usize) -> PackedRow<'a> {
+        assert!(j < self.chain.len(), "residue out of range");
+        self.rows.row(self.first + j)
+    }
+
+    /// Number of residues: the whole chain.
+    #[inline]
+    pub fn num_residues(&self) -> usize {
+        self.chain.len()
+    }
+
+    /// The chain's modulus values.
+    #[inline]
+    pub fn moduli(&self) -> &'a [u64] {
+        self.chain
+    }
 }
 
 impl KeySwitchKey {
-    /// Builds the key from raw component pairs. Used by keygen and
-    /// deserialization.
-    pub(crate) fn from_components(components: Vec<(RnsPoly, RnsPoly)>) -> Self {
-        Self { components }
+    /// A zero key of `d` component pairs over `ctx`'s chain, packed at the
+    /// chain's width.
+    pub(crate) fn zeroed(ctx: &CkksContext, d: usize) -> Self {
+        let chain: Box<[u64]> = ctx.moduli().iter().map(Modulus::value).collect();
+        let bits = ctx.moduli().iter().map(Modulus::bits).max().unwrap_or(1);
+        Self {
+            rows: PackedRows::zeroed(width_for(bits), 2 * d * chain.len(), ctx.n()),
+            chain,
+        }
+    }
+
+    /// The packed rows behind the key, for the codec.
+    pub(crate) fn rows_mut(&mut self) -> &mut PackedRows {
+        &mut self.rows
     }
 
     /// `KskGen(s', s)` — encrypts `P·g_i·s'` under `s` for every
@@ -108,60 +161,58 @@ impl KeySwitchKey {
     ) -> Self {
         let d = ctx.params().k();
         let gadget = ctx.gadget();
-        let mut components = Vec::with_capacity(d);
+        let residues = ctx.moduli().len();
+        let mut key = Self::zeroed(ctx, d);
         for i in 0..d {
             // (b_i, a_i) = SymEnc(0, s) over the full chain…
             let (mut b_i, a_i) = sym_enc_zero(ctx, sk, rng);
             // …then add P·g_i·s' to b_i. factor(i, j) is already in RNS per
             // chain modulus (special prime at index k).
-            let k = ctx.params().k();
             for (j, m) in ctx.moduli().iter().enumerate() {
-                let gadget_j = gadget.factor(i, j.min(k));
+                let gadget_j = gadget.factor(i, j.min(d));
                 let s_res = s_prime.residue(j);
                 let dst = b_i.residue_mut(j);
                 for (dstc, &sc) in dst.iter_mut().zip(s_res) {
                     *dstc = m.add_mod(*dstc, m.mul_mod(m.reduce_u64(gadget_j), sc));
                 }
             }
-            components.push((b_i, a_i));
+            for (c, poly) in [b_i, a_i].iter().enumerate() {
+                for j in 0..residues {
+                    key.rows
+                        .set_row((2 * i + c) * residues + j, poly.residue(j));
+                }
+            }
         }
-        Self::from_components(components)
+        key
     }
 
     /// Number of decomposition components (`d = k`).
     #[inline]
     pub fn decomp_len(&self) -> usize {
-        self.components.len()
+        self.rows.rows() / (2 * self.chain.len())
     }
 
-    /// Component `i` as `(d_{0,i}, d_{1,i})`.
+    /// Component `i` as `(d_{0,i}, d_{1,i})`, borrowed packed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     #[inline]
-    pub fn component(&self, i: usize) -> (&RnsPoly, &RnsPoly) {
-        let (b, a) = &self.components[i];
-        (b, a)
+    pub fn component(&self, i: usize) -> (KeyPoly<'_>, KeyPoly<'_>) {
+        assert!(i < self.decomp_len(), "component out of range");
+        let poly = |c: usize| KeyPoly {
+            rows: &self.rows,
+            first: (2 * i + c) * self.chain.len(),
+            chain: &self.chain,
+        };
+        (poly(0), poly(1))
     }
 
-    /// Extracts component `i` restricted to the moduli active at `level`
-    /// plus the special prime — the exact operand set the KeySwitch module
-    /// streams from DRAM (Section 5.1).
-    pub fn component_at_level(
-        &self,
-        i: usize,
-        ctx: &CkksContext,
-        level: usize,
-    ) -> (RnsPoly, RnsPoly) {
-        let mut indices: Vec<usize> = (0..=level).collect();
-        indices.push(ctx.params().k());
-        let (b, a) = &self.components[i];
-        (restrict_poly(b, &indices), restrict_poly(a, &indices))
-    }
-
-    /// Total size in 64-bit words (for the DRAM-bandwidth model of §5.1).
-    pub fn size_words(&self) -> usize {
-        self.components
-            .iter()
-            .map(|(b, a)| b.data().len() + a.data().len())
-            .sum()
+    /// Bytes of key material held: `d·2·(k+1)·n·w + padding(w)`, `w` the
+    /// chain's packed width (the DRAM-bandwidth model of §5.1 streams the
+    /// same words).
+    pub fn resident_bytes(&self) -> usize {
+        self.rows.resident_bytes()
     }
 }
 
@@ -192,7 +243,7 @@ impl RelinKey {
 #[derive(Clone, Debug)]
 pub struct GaloisKeys {
     pub(crate) keys: HashMap<usize, KeySwitchKey>,
-    pub(crate) permutations: HashMap<usize, Vec<usize>>,
+    pub(crate) permutations: HashMap<usize, Vec<u32>>,
 }
 
 impl GaloisKeys {
@@ -273,7 +324,7 @@ impl GaloisKeys {
     /// # Errors
     ///
     /// Returns [`CkksError::MissingGaloisKey`] if no key was generated.
-    pub fn permutation(&self, elt: usize) -> Result<&[usize], CkksError> {
+    pub fn permutation(&self, elt: usize) -> Result<&[u32], CkksError> {
         self.permutations
             .get(&elt)
             .map(Vec::as_slice)
@@ -283,6 +334,14 @@ impl GaloisKeys {
     /// Galois elements with generated keys.
     pub fn elements(&self) -> impl Iterator<Item = usize> + '_ {
         self.keys.keys().copied()
+    }
+
+    /// Bytes of keys and permutation tables held: per element, the key's
+    /// [`KeySwitchKey::resident_bytes`] plus `4n` for its table.
+    pub fn resident_bytes(&self) -> usize {
+        let keys: usize = self.keys.values().map(KeySwitchKey::resident_bytes).sum();
+        let tables: usize = self.permutations.values().map(|t| 4 * t.len()).sum();
+        keys + tables
     }
 }
 
@@ -319,6 +378,8 @@ mod tests {
     use super::*;
     use crate::context::tests::small;
     use crate::context::CkksContext;
+    use crate::params::{CkksParams, ParamSet};
+    use heax_math::packed::{padding, width_for};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -358,6 +419,15 @@ mod tests {
         }
     }
 
+    /// A packed key polynomial as the plain polynomial it encodes.
+    fn unpack(ctx: &CkksContext, poly: KeyPoly<'_>) -> RnsPoly {
+        let mut out = RnsPoly::zero(ctx.n(), ctx.moduli(), Representation::Ntt);
+        for j in 0..poly.num_residues() {
+            poly.residue(j).unpack_into(0, out.residue_mut(j));
+        }
+        out
+    }
+
     #[test]
     fn ksk_components_count_and_size() {
         let ctx = ctx();
@@ -369,9 +439,13 @@ mod tests {
         let (b, a) = rlk.ksk().component(0);
         assert_eq!(b.num_residues(), ctx.moduli().len());
         assert_eq!(a.num_residues(), ctx.moduli().len());
-        // Size: d * 2 * (k+1) * n words.
+        assert_eq!(b.residue(0).len(), ctx.n());
+        // Size: d * 2 * (k+1) * n words at the chain's width, then the
+        // padding.
         let k = ctx.params().k();
-        assert_eq!(rlk.ksk().size_words(), k * 2 * (k + 1) * ctx.n());
+        let w = width_for(ctx.moduli().iter().map(|m| m.bits()).max().unwrap());
+        let words = k * 2 * (k + 1) * ctx.n();
+        assert_eq!(rlk.ksk().resident_bytes(), words * w + padding(w));
     }
 
     #[test]
@@ -387,6 +461,7 @@ mod tests {
         let p_sp = ctx.special_modulus().value();
         for i in 0..k {
             let (b, a) = ksk.component(i);
+            let (b, a) = (unpack(&ctx, b), unpack(&ctx, a));
             let lhs = b.add(&a.dyadic_mul(sk.poly()).unwrap()).unwrap();
             // In residue i: lhs ≈ P·s' (mod p_i) up to small error.
             let m = ctx.moduli()[i];
@@ -406,6 +481,27 @@ mod tests {
                 };
                 assert!(centered.abs() <= 21, "ksk error too large: {centered}");
             }
+        }
+    }
+
+    /// Resident key memory as a formula: at every paper set a
+    /// key-switching key holds `k·2·(k+1)·n·w` bytes plus the padding, `w`
+    /// the chain's width (5, 6 and 7 bytes at Set-A, B and C), and a
+    /// Galois key set of `t` steps holds `t` keys and `t` permutation
+    /// tables of four bytes a slot.
+    #[test]
+    fn resident_bytes_is_the_formula_at_every_paper_set() {
+        for (set, w) in ParamSet::ALL.into_iter().zip([5, 6, 7]) {
+            let ctx = CkksContext::new(CkksParams::from_set(set).unwrap()).unwrap();
+            let (n, k) = (ctx.n(), ctx.params().k());
+            let mut rng = StdRng::seed_from_u64(0x2E5 + n as u64);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let rlk = RelinKey::generate(&ctx, &sk, &mut rng);
+            let key = k * 2 * (k + 1) * n * w + padding(w);
+            assert_eq!(rlk.ksk().resident_bytes(), key, "{set}");
+            let steps = [1, -1];
+            let gks = GaloisKeys::generate(&ctx, &sk, &steps, &mut rng);
+            assert_eq!(gks.resident_bytes(), steps.len() * (key + 4 * n), "{set}");
         }
     }
 

@@ -5,7 +5,8 @@
 //!    residue (INTT0) and re-expanded over the extended basis (NTT0) into
 //!    the NTT-form digits `b̃_{i,j}`. This is the part hoisting shares.
 //! 2. **accumulate** — per key, `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}` against the
-//!    key's plain residues (DyadMult). The sum is kept **double-width** —
+//!    key's residues (DyadMult), packed at their primes' width and
+//!    widened in registers as they load. The sum is kept **double-width** —
 //!    unreduced products in a `(hi, lo)` register pair on the 52-bit
 //!    lanes, in a `u128` otherwise — and reduced once per coefficient, not
 //!    once per term (`Modulus::dyad_acc_lazy`); what reaches memory is one
@@ -216,7 +217,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         &self,
         c1: &RnsPoly,
         ksk: &KeySwitchKey,
-        galois: Option<(&RnsPoly, &[usize])>,
+        galois: Option<(&RnsPoly, &[u32])>,
         to: usize,
         out0: &mut RnsPoly,
         out1: &mut RnsPoly,
@@ -293,7 +294,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         let level = a.level;
         check_output_level(to, level)?;
         let moduli = self.ctx.level_moduli(to);
-        let keys: Vec<(&KeySwitchKey, &[usize])> = steps
+        let keys: Vec<(&KeySwitchKey, &[u32])> = steps
             .iter()
             .map(|&s| {
                 let elt = galois_elt_from_step(s, n);
@@ -347,7 +348,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
 
     /// INTT0 (lines 3, 6–8): every residue of `c₁`, read through `τ` when
     /// given, to coefficient form in `coeff`, one lane each.
-    fn intt0(&self, c1: &RnsPoly, tau: Option<&[usize]>, coeff: &mut [u64]) {
+    fn intt0(&self, c1: &RnsPoly, tau: Option<&[u32]>, coeff: &mut [u64]) {
         let (ctx, backend) = (self.ctx, self.backend);
         exec::for_each_limb(self.exec, coeff, ctx.n(), |i, dst| {
             load(c1.residue(i), tau, dst);
@@ -364,7 +365,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         &self,
         chain_idx: usize,
         c1: &RnsPoly,
-        tau: Option<&[usize]>,
+        tau: Option<&[u32]>,
         coeff: &[u64],
         col: &mut [u64],
     ) {
@@ -385,11 +386,11 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
     /// `d0`/`d1` with `Σ_i τ(b̃_{i,j}) ⊙ d̃_{i,·,j}` over the column's
     /// digit rows, each coefficient's products summed double-width and
     /// reduced once into `[0, 4p)`. The digits are whatever words NTT0
-    /// left, the key residues canonical.
+    /// left, the key residues canonical and packed.
     fn accumulate(
         &self,
         ksk: &KeySwitchKey,
-        perm: Option<&[usize]>,
+        perm: Option<&[u32]>,
         chain_idx: usize,
         column: &[u64],
         d0: &mut [u64],
@@ -415,7 +416,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         bufs: &mut KsBuffers,
         level: usize,
         to: usize,
-        add: Option<(&RnsPoly, &[usize])>,
+        add: Option<(&RnsPoly, &[u32])>,
         out0: &mut RnsPoly,
         out1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
@@ -467,7 +468,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
 /// Copies `src` into `dst`, read through the Galois permutation `tau`
 /// when given.
 #[inline]
-fn load(src: &[u64], tau: Option<&[usize]>, dst: &mut [u64]) {
+fn load(src: &[u64], tau: Option<&[u32]>, dst: &mut [u64]) {
     match tau {
         Some(tau) => permute(src, tau, dst),
         None => dst.copy_from_slice(src),

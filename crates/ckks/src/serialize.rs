@@ -61,7 +61,7 @@ use heax_math::MathError;
 
 use crate::ciphertext::{Ciphertext, Plaintext, SeededCiphertext};
 use crate::context::CkksContext;
-use crate::keys::{KeySwitchKey, PublicKey, RelinKey, SecretKey};
+use crate::keys::{KeyPoly, KeySwitchKey, PublicKey, RelinKey, SecretKey};
 use crate::reader::{Malformed, Reader};
 use crate::CkksError;
 
@@ -137,6 +137,22 @@ impl Writer<'_> {
         }
         self.u64(poly.data().len() as u64);
         encode_le_words(poly.data(), self.buf);
+    }
+
+    /// A key component in [`Writer::poly`]'s layout: NTT form, the whole
+    /// chain, each packed word widened to eight bytes.
+    fn key_poly(&mut self, poly: KeyPoly<'_>) {
+        let n = poly.residue(0).len();
+        self.u64(n as u64);
+        self.u8(1);
+        self.u64(poly.num_residues() as u64);
+        for &m in poly.moduli() {
+            self.u64(m);
+        }
+        self.u64((poly.num_residues() * n) as u64);
+        for j in 0..poly.num_residues() {
+            poly.residue(j).encode_le(self.buf);
+        }
     }
 }
 
@@ -280,6 +296,24 @@ impl PolyView<'_> {
             return Err(Malformed("full-chain shape mismatch").into());
         }
         self.decode_words(ctx.moduli(), RnsPoly::zero)
+    }
+
+    /// Checks a key-switching key's component: the whole chain, the
+    /// context's moduli, NTT form.
+    fn check_key_shape(&self, ctx: &CkksContext) -> Result<(), Malformed> {
+        if self.n != ctx.n() || self.num_residues() != ctx.moduli().len() {
+            return Err(Malformed("full-chain shape mismatch"));
+        }
+        if !self
+            .modulus_values()
+            .eq(ctx.moduli().iter().map(Modulus::value))
+        {
+            return Err(Malformed("modulus chain mismatch"));
+        }
+        if self.repr != Representation::Ntt {
+            return Err(Malformed("key component not in NTT form"));
+        }
+        Ok(())
     }
 
     /// The one pass over a polynomial's words on the receive path, for a
@@ -728,39 +762,59 @@ pub fn deserialize_public_key(buf: &[u8], ctx: &CkksContext) -> Result<PublicKey
 }
 
 /// Serializes a key-switching key (also used for relinearization keys).
+/// Each component travels as a full-chain NTT-form polynomial of
+/// eight-byte words, whatever width the key holds them at.
 pub fn serialize_ksk(ksk: &KeySwitchKey) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let (d, (b, _)) = (ksk.decomp_len(), ksk.component(0));
+    let (residues, n) = (b.num_residues(), b.residue(0).len());
+    let poly_bytes = 8 + 1 + 8 + 8 * residues + 8 + 8 * residues * n;
+    let mut buf = Vec::with_capacity(HEADER_LEN + 8 + 2 * d * poly_bytes);
     let mut w = Writer { buf: &mut buf };
     w.header(Tag::KeySwitchKey);
     w.u64(ksk.decomp_len() as u64);
     for i in 0..ksk.decomp_len() {
         let (b, a) = ksk.component(i);
-        w.poly(b);
-        w.poly(a);
+        w.key_poly(b);
+        w.key_poly(a);
     }
     buf
 }
 
-/// Deserializes a key-switching key.
+/// Deserializes a key-switching key: every component's shape is checked
+/// before the key is allocated, so a message that does not carry a
+/// whole key reserves nothing, and then each word is validated and
+/// packed at the chain's width in one pass.
 ///
 /// # Errors
 ///
 /// [`CkksError::InvalidParameters`] on malformed input or context
-/// mismatch.
+/// mismatch, a component outside NTT form included.
 pub fn deserialize_ksk(buf: &[u8], ctx: &CkksContext) -> Result<KeySwitchKey, CkksError> {
     let mut r = read_header(buf, Tag::KeySwitchKey)?;
     let d = r.u64()? as usize;
     if d != ctx.params().k() {
         return Err(Malformed("decomposition length mismatch").into());
     }
-    let mut components = Vec::with_capacity(d);
-    for _ in 0..d {
-        let b = full_chain_poly(&mut r, ctx)?;
-        let a = full_chain_poly(&mut r, ctx)?;
-        components.push((b, a));
+    let mut views = Vec::with_capacity(2 * d);
+    for _ in 0..2 * d {
+        let view = poly(&mut r)?;
+        view.check_key_shape(ctx)?;
+        views.push(view);
     }
     r.finish()?;
-    Ok(KeySwitchKey::from_components(components))
+    let mut key = KeySwitchKey::zeroed(ctx, d);
+    let rows = key.rows_mut();
+    let mut canonical = true;
+    let limbs = views
+        .iter()
+        .flat_map(|v| ctx.moduli().iter().zip(v.words.chunks_exact(8 * ctx.n())));
+    for (row, (m, src)) in limbs.enumerate() {
+        canonical &= rows.decode_le_row(row, src, m);
+    }
+    if !canonical {
+        return Err(Malformed("non-canonical residue").into());
+    }
+    Ok(key)
 }
 
 /// Serializes a relinearization key.

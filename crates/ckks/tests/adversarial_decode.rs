@@ -275,6 +275,72 @@ fn a_non_canonical_residue_is_rejected_wherever_it_sits() {
     }
 }
 
+/// Keys are held packed at the chain's width, so a word's high bytes are
+/// dropped on the way in: the decoder must refuse a key word at or above
+/// its prime before that, whichever key kind carries it. `p` itself,
+/// `u64::MAX` and `2^(8w)` — non-canonical but zero in the `w` bytes the
+/// key keeps — are planted at each limb's first and last word of every
+/// component, in a relinearization key and in each record of a Galois
+/// container, and each must fail with the codec's one canonicity error.
+#[test]
+fn a_key_word_at_or_above_its_prime_is_refused_in_either_key_kind() {
+    let c = corpus();
+    let (ctx, n) = (&c.ctx, c.ctx.n());
+    let chain = ctx.moduli();
+    let width = chain.iter().map(|m| m.bits()).max().unwrap().div_ceil(8);
+    let blob = |name: &str| &c.blobs.iter().find(|(b, _)| *b == name).unwrap().1;
+    // A key: header, d; per component n, repr, the modulus count and
+    // values, the word count, the words.
+    let poly_head = 8 + 1 + 8 + 8 * chain.len() + 8;
+    let poly_len = poly_head + 8 * chain.len() * n;
+    let word_at = |key: usize, component: usize, limb: usize, index: usize| {
+        key + 6 + 8 + component * poly_len + poly_head + 8 * (limb * n + index)
+    };
+    let relin = blob("relin_key");
+    let galois = blob("galois_keys");
+    let d = ctx.params().k();
+    assert_eq!(
+        word_at(0, 2 * d - 1, chain.len() - 1, n - 1) + 8,
+        relin.len()
+    );
+    // Each Galois record's key starts after its element and length.
+    let mut records = vec![];
+    let mut at = 6 + 8;
+    while at < galois.len() {
+        records.push(at + 16);
+        at += 16 + u64::from_le_bytes(galois[at + 8..at + 16].try_into().unwrap()) as usize;
+    }
+    assert_eq!(records.len(), 2);
+    type Decode = fn(&[u8], &CkksContext) -> Result<(), heax_ckks::CkksError>;
+    let relin_decode: Decode = |b, ctx| deserialize_relin_key(b, ctx).map(drop);
+    let galois_decode: Decode = |b, ctx| deserialize_galois_keys(b, ctx).map(drop);
+    let targets = [
+        (relin, vec![0], relin_decode),
+        (galois, records, galois_decode),
+    ];
+    for (bytes, keys, decode) in targets {
+        assert!(decode(bytes, ctx).is_ok());
+        for key in keys {
+            for component in 0..2 * d {
+                for (limb, p) in chain.iter().enumerate() {
+                    for index in [0, n - 1] {
+                        for stray in [p.value(), u64::MAX, 1 << (8 * width)] {
+                            let mut bad = bytes.clone();
+                            let at = word_at(key, component, limb, index);
+                            bad[at..at + 8].copy_from_slice(&stray.to_le_bytes());
+                            assert_eq!(
+                                decode(&bad, ctx).unwrap_err().to_string(),
+                                "invalid parameters: malformed serialized data: non-canonical residue",
+                                "key at {key}, component {component}, limb {limb}, word {index} = {stray}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The `(element, key bytes)` records of a serialized Galois container:
 /// header, count, then per record the element, the key's length and the
 /// key.

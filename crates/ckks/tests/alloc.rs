@@ -25,7 +25,6 @@ use heax_ckks::{
 };
 use heax_math::exec::Sequential;
 use heax_math::poly::{Representation, RnsPoly};
-use heax_math::word::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -208,21 +207,18 @@ fn a_cold_compressed_fan_out_takes_only_the_columns_it_fills() {
 
 #[test]
 fn key_switch_key_owns_its_residues_and_nothing_else() {
-    // A deep clone allocates exactly what a key holds: `size_words()`
-    // 8-byte residue words, each polynomial's modulus list and the
-    // component vector — every residue resident once, no per-word table
-    // beside it.
+    // A deep clone allocates exactly what a key holds: its
+    // `resident_bytes()` of packed residues and the chain's modulus
+    // values — every residue resident once, at its primes' width, with no
+    // 64-bit copy or per-word table beside it.
     let r = rig();
     let ksk = r.rlk.ksk();
     let held = measure(|| {
         std::hint::black_box(ksk.clone());
     })
     .bytes;
-    let residues = 8 * ksk.size_words();
-    let polys = 2 * ksk.decomp_len();
-    let moduli_lists = polys * r.ctx.moduli().len() * size_of::<Modulus>();
-    let components = ksk.decomp_len() * size_of::<(RnsPoly, RnsPoly)>();
-    assert_eq!(held as usize, residues + moduli_lists + components);
+    let chain = r.ctx.moduli().len() * size_of::<u64>();
+    assert_eq!(held as usize, ksk.resident_bytes() + chain);
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn switch_digits(
     ctx: &CkksContext,
     digits: &[Vec<Vec<u64>>],
     ksk: &KeySwitchKey,
-    perm: Option<&[usize]>,
+    perm: Option<&[u32]>,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
     let n = ctx.n();
@@ -70,9 +70,9 @@ fn switch_digits(
         for (j, &c) in chain.iter().enumerate() {
             let m = &ctx.moduli()[c];
             for t in 0..n {
-                let x = row[j][perm.map_or(t, |p| p[t])];
-                acc[0][j][t] = m.add_mod(acc[0][j][t], m.mul_mod(x, kb.residue(c)[t]));
-                acc[1][j][t] = m.add_mod(acc[1][j][t], m.mul_mod(x, ka.residue(c)[t]));
+                let x = row[j][perm.map_or(t, |p| p[t] as usize)];
+                acc[0][j][t] = m.add_mod(acc[0][j][t], m.mul_mod(x, kb.residue(c).get(t)));
+                acc[1][j][t] = m.add_mod(acc[1][j][t], m.mul_mod(x, ka.residue(c).get(t)));
             }
         }
     }
@@ -128,7 +128,7 @@ pub fn barrett_rotate_many(
             for (i, m) in ctx.level_moduli(level).iter().enumerate() {
                 let src = ct.component(0).residue(i);
                 for (t, d) in f0.residue_mut(i).iter_mut().enumerate() {
-                    *d = m.add_mod(*d, src[perm[t]]);
+                    *d = m.add_mod(*d, src[perm[t] as usize]);
                 }
             }
             Ciphertext::from_parts(vec![f0, f1], level, ct.scale()).unwrap()

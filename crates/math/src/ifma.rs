@@ -22,29 +22,35 @@
 //! products is accumulated **double-width** in two registers and reduced
 //! once ([`reduce_wide_lazy`]) instead of once per term.
 //!
+//! Key words arrive packed at their prime's width (`crate::packed`); the
+//! accumulate widens eight of them with one `avx512vbmi` byte permute.
+//!
 //! The kernels are reachable only through a [`Lanes`] value, which exists
-//! only if the host reported `avx512f` and `avx512ifma`; the scalar
-//! kernels in [`crate::ntt`] and [`crate::word`] serve every other host
-//! and wider moduli, and the strict Algorithms 3/4 and
+//! only if the host reported `avx512f`, `avx512ifma` and `avx512vbmi`;
+//! the scalar kernels in [`crate::ntt`] and [`crate::word`] serve every
+//! other host and wider moduli, and the strict Algorithms 3/4 and
 //! `Modulus::{mul_mod, add_mod, sub_mod}` stay the oracle for both.
 
 use core::arch::x86_64::{
-    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpgt_epu64_mask, _mm512_cmplt_epu64_mask,
-    _mm512_i64gather_epi64, _mm512_loadu_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
-    _mm512_mask_set1_epi64, _mm512_min_epu64, _mm512_or_si512, _mm512_permutex2var_epi64,
-    _mm512_reduce_or_epi64, _mm512_set1_epi64, _mm512_setr_epi64, _mm512_setzero_si512,
-    _mm512_shuffle_i64x2, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64,
-    _mm512_unpackhi_epi64, _mm512_unpacklo_epi64,
+    __m512i, __mmask64, _mm256_loadu_si256, _mm512_add_epi64, _mm512_and_si512,
+    _mm512_cmpgt_epu64_mask, _mm512_cmplt_epu64_mask, _mm512_cvtepu32_epi64,
+    _mm512_i32gather_epi64, _mm512_loadu_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+    _mm512_mask_set1_epi64, _mm512_maskz_permutexvar_epi8, _mm512_min_epu64, _mm512_or_si512,
+    _mm512_permutex2var_epi64, _mm512_reduce_or_epi64, _mm512_set1_epi64, _mm512_setr_epi64,
+    _mm512_setzero_si512, _mm512_shuffle_i64x2, _mm512_srli_epi64, _mm512_storeu_si512,
+    _mm512_sub_epi64, _mm512_unpackhi_epi64, _mm512_unpacklo_epi64,
 };
 
+use crate::packed::{padding, PackedRow};
 use crate::word::{Modulus, MulRedConstant};
 
 /// Width of the IFMA multiplier's operands.
 const WORD_BITS: u32 = 52;
 
-/// Proof that this host runs `avx512f` + `avx512ifma` and that the modulus
-/// it was detected for satisfies `p < 2^50`. The kernels are methods on
-/// it, so safe code cannot reach them on a host without the instructions.
+/// Proof that this host runs `avx512f` + `avx512ifma` + `avx512vbmi` and
+/// that the modulus it was detected for satisfies `p < 2^50`. The kernels
+/// are methods on it, so safe code cannot reach them on a host without
+/// the instructions.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lanes(());
 
@@ -61,6 +67,7 @@ impl Lanes {
     pub(crate) fn host() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512ifma")
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
     }
 
     /// In-place forward transform, natural order in, bit-reversed out.
@@ -161,13 +168,15 @@ impl Lanes {
     /// `d1` likewise over `keys[i].1`, where `x_i` is row `i` of `xs` (rows
     /// of `d0.len()` words, any 52-bit words) and `τ` is `perm` or the
     /// identity. With `carry` the words already in `d0`/`d1` enter the
-    /// sums. Key words must be below `p`. Handles nothing when
+    /// sums. Key words must be below `p`, packed in rows of `d0.len()`
+    /// words of one width. Handles nothing when
     /// `keys.len()·(p + 1) ≥ 2^52`, where the high accumulator could
     /// outgrow the word.
     ///
     /// # Panics
     ///
-    /// Panics if a permutation entry is out of range.
+    /// Panics if a key row is not `d0.len()` words of the first row's
+    /// width, or a permutation entry is out of range.
     // DOMAIN: [0,4p)
     #[must_use]
     #[allow(clippy::too_many_arguments)]
@@ -175,20 +184,46 @@ impl Lanes {
         self,
         p: &Modulus,
         xs: &[u64],
-        perm: Option<&[usize]>,
-        keys: &[(&[u64], &[u64])],
+        perm: Option<&[u32]>,
+        keys: &[(PackedRow<'_>, PackedRow<'_>)],
         carry: bool,
         d0: &mut [u64],
         d1: &mut [u64],
     ) -> usize {
+        let Some(width) = keys.first().map(|(k0, _)| k0.width()) else {
+            return 0;
+        };
+        // Every whole chunk's 64-byte load stays inside its row's bytes.
+        let readable = d0.len() * width + padding(width);
+        for (k0, k1) in keys {
+            assert!(
+                [k0, k1].iter().all(|k| k.len() == d0.len()
+                    && k.width() == width
+                    && k.bytes().len() >= readable),
+                "key rows must be n words of one width"
+            );
+        }
         // Each product's high half is below p and each low half carries at
         // most one, so rows·p + rows < 2^52 keeps the high sum in the word.
         if keys.len() as u128 * (p.value() as u128 + 1) >= 1 << WORD_BITS {
             return 0;
         }
-        // SAFETY: a `Lanes` exists only after `detect` saw avx512f and
-        // avx512ifma on this host.
-        unsafe { dyad_acc_lazy(&Wide::new(p), xs, perm, keys, carry, d0, d1) }
+        // SAFETY: a `Lanes` exists only after `detect` saw avx512f,
+        // avx512ifma and avx512vbmi on this host; every key row was just
+        // checked to hold `d0.len()` words of `width` bytes and
+        // `padding(width)` readable bytes past them.
+        unsafe {
+            dyad_acc_lazy(
+                &Wide::new(p),
+                &Widen::new(width),
+                xs,
+                perm,
+                keys,
+                carry,
+                d0,
+                d1,
+            )
+        }
     }
 
     /// `a[t] ← a[t] mod p` for any 52-bit words.
@@ -214,7 +249,7 @@ impl Lanes {
         inv: &MulRedConstant,
         src: &[u64],
         r: &[u64],
-        add: Option<(&[u64], &[usize])>,
+        add: Option<(&[u64], &[u32])>,
         dst: &mut [u64],
     ) -> usize {
         // SAFETY: a `Lanes` exists only after `detect` saw avx512f and
@@ -718,16 +753,65 @@ fn too_wide(c: &Consts, x: __m512i) -> bool {
 /// The eight words of `row` at the positions `index` names.
 #[inline]
 #[target_feature(enable = "avx512f")]
-fn gather(row: &[u64], index: &[usize; 8]) -> __m512i {
-    // SAFETY: `usize` is 64 bits wide on x86_64, so `index` is a reference
-    // to exactly 64 readable bytes; the unaligned load has no alignment
-    // requirement.
-    let index = unsafe { _mm512_loadu_si512(index.as_ptr().cast()) };
-    let in_range = _mm512_cmplt_epu64_mask(index, splat(row.len() as u64));
+fn gather(row: &[u64], index: &[u32; 8]) -> __m512i {
+    // SAFETY: `index` is a reference to exactly 32 readable bytes; the
+    // unaligned load has no alignment requirement.
+    let index = unsafe { _mm256_loadu_si256(index.as_ptr().cast()) };
+    // Below 2^31 too, so the gather's signed 32-bit offsets are the
+    // entries themselves.
+    let bound = splat(row.len().min(1 << 31) as u64);
+    let in_range = _mm512_cmplt_epu64_mask(_mm512_cvtepu32_epi64(index), bound);
     assert_eq!(in_range, 0xff, "permutation entry out of range");
-    // SAFETY: every index was just checked to be below `row.len()`, so each
-    // lane reads the eight bytes of one element of `row`.
-    unsafe { _mm512_i64gather_epi64::<8>(index, row.as_ptr().cast()) }
+    // SAFETY: every index was just checked to be below `row.len()` and
+    // below 2^31, so each lane reads the eight bytes of one element of
+    // `row`.
+    unsafe { _mm512_i32gather_epi64::<8>(index, row.as_ptr().cast()) }
+}
+
+/// Widens eight packed `width`-byte words to eight 64-bit lanes: byte `j`
+/// of lane `l` is byte `l·width + j` of the load for `j < width`, zero
+/// above.
+struct Widen {
+    width: usize,
+    index: __m512i,
+    keep: __mmask64,
+}
+
+impl Widen {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new(width: usize) -> Self {
+        let mut index = [0u8; 64];
+        for (b, i) in index.iter_mut().enumerate() {
+            *i = ((b / 8) * width + b % 8) as u8;
+        }
+        Self {
+            width,
+            // SAFETY: `index` is exactly 64 readable bytes; the unaligned
+            // load has no alignment requirement.
+            index: unsafe { _mm512_loadu_si512(index.as_ptr().cast()) },
+            keep: ((1u64 << width) - 1) * 0x0101_0101_0101_0101,
+        }
+    }
+
+    /// Words `8c..8c + 8` of `row`.
+    ///
+    /// # Safety
+    ///
+    /// `row` holds at least `8c + 8` words of `self.width` bytes and
+    /// `padding(self.width)` readable bytes past its last word.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vbmi")]
+    unsafe fn load(&self, row: PackedRow<'_>, c: usize) -> __m512i {
+        let at = 8 * self.width * c;
+        debug_assert!(at + 64 <= row.bytes().len());
+        // SAFETY: the 64 bytes from `at` are chunk `c`'s `8·width` bytes
+        // and `64 − 8·width = padding(width)` more, all readable by the
+        // caller's contract; the unaligned load has no alignment
+        // requirement.
+        let v = unsafe { _mm512_loadu_si512(row.bytes().as_ptr().add(at).cast()) };
+        _mm512_maskz_permutexvar_epi8(self.keep, self.index, v)
+    }
 }
 
 /// `hi·2^52 + lo` modulo `p`, for lane sums with `hi + (lo >> 52) < 2^52`:
@@ -747,13 +831,19 @@ fn reduce_wide_lazy(w: &Wide, hi: __m512i, lo: __m512i) -> __m512i {
     _mm512_and_si512(_mm512_madd52lo_epu64(r, q, c.neg_p), c.mask)
 }
 
+/// # Safety
+///
+/// Every key row holds `d0.len()` words of `widen.width` bytes and
+/// `padding(widen.width)` readable bytes past them.
 // DOMAIN: [0,4p)
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn dyad_acc_lazy(
+#[target_feature(enable = "avx512f,avx512ifma,avx512vbmi")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn dyad_acc_lazy(
     w: &Wide,
+    widen: &Widen,
     xs: &[u64],
-    perm: Option<&[usize]>,
-    keys: &[(&[u64], &[u64])],
+    perm: Option<&[u32]>,
+    keys: &[(PackedRow<'_>, PackedRow<'_>)],
     carry: bool,
     d0: &mut [u64],
     d1: &mut [u64],
@@ -771,17 +861,17 @@ fn dyad_acc_lazy(
         };
         let (mut hi0, mut hi1) = (zero, zero);
         let mut seen = _mm512_or_si512(lo0, lo1);
-        for (i, (k0, k1)) in keys.iter().enumerate() {
+        for (i, &(k0, k1)) in keys.iter().enumerate() {
             let row = &xs[i * n..][..n];
             let x = match perm {
                 Some(perm) => gather(row, &perm[t]),
                 None => load(&row.as_chunks::<8>().0[t]),
             };
             seen = _mm512_or_si512(seen, x);
-            let (k0, k1) = (
-                load(&k0.as_chunks::<8>().0[t]),
-                load(&k1.as_chunks::<8>().0[t]),
-            );
+            // SAFETY: chunk `t` is a whole chunk of `d0`, and every key
+            // row holds `d0.len()` words and the padding past them (the
+            // caller's contract).
+            let (k0, k1) = unsafe { (widen.load(k0, t), widen.load(k1, t)) };
             lo0 = _mm512_madd52lo_epu64(lo0, x, k0);
             hi0 = _mm512_madd52hi_epu64(hi0, x, k0);
             lo1 = _mm512_madd52lo_epu64(lo1, x, k1);
@@ -817,7 +907,7 @@ fn mod_switch(
     inv: Twiddle,
     src: &[u64],
     r: &[u64],
-    add: Option<(&[u64], &[usize])>,
+    add: Option<(&[u64], &[u32])>,
     dst: &mut [u64],
 ) -> usize {
     let add = add.map(|(a, perm)| (a, perm.as_chunks::<8>().0));

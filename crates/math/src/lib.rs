@@ -35,6 +35,7 @@ pub mod fft;
 #[cfg(target_arch = "x86_64")]
 mod ifma;
 pub mod ntt;
+pub mod packed;
 pub mod poly;
 pub mod primes;
 pub mod rns;

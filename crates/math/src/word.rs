@@ -22,6 +22,7 @@ use core::mem::MaybeUninit;
 
 #[cfg(target_arch = "x86_64")]
 use crate::ifma::Lanes;
+use crate::packed::PackedRow;
 use crate::MathError;
 
 /// Maximum bit size of a modulus accepted by [`Modulus::new`].
@@ -372,7 +373,7 @@ impl MulRedConstant {
 const ROW_BATCH: usize = 8;
 
 /// A key row of [`Modulus::dyad_acc_lazy`]: what multiplies into `d0`, `d1`.
-type KeyRow<'k> = (&'k [u64], &'k [u64]);
+type KeyRow<'k> = (PackedRow<'k>, PackedRow<'k>);
 
 /// Element-wise kernels over residue slices: the arithmetic between the
 /// transforms (the MULT module and the DyadMult / MS end of Figure 5).
@@ -391,23 +392,26 @@ impl Modulus {
     /// `d0[t] ← Σ_i x_i[τ(t)]·keys[i].0[t]` and `d1[t]` likewise over
     /// `keys[i].1`, where `x_i` is row `i` of `xs` (row-major rows of
     /// `n = d0.len()` arbitrary words), `τ` is `perm` or the identity, and
-    /// the key words are canonical. The products are summed unreduced — a
-    /// `(hi, lo)` pair of 52-bit-radix registers on the lanes, a `u128`
-    /// in scalar — and reduced once per batch of rows: as many as a `u128`
-    /// provably holds (`rows·p < 2^64`), at most eight. A batch the lane
-    /// accumulator cannot hold (`rows·p + rows ≥ 2^52`) takes the scalar
-    /// loop. Every output word is congruent to the sum and below `4p`.
+    /// the key words are canonical and **packed** at their rows' width
+    /// ([`crate::packed`]): they are widened in registers, never in
+    /// memory. The products are summed unreduced — a `(hi, lo)` pair of
+    /// 52-bit-radix registers on the lanes, a `u128` in scalar — and
+    /// reduced once per batch of rows: as many as a `u128` provably holds
+    /// (`rows·p < 2^64`), at most eight. A batch the lane accumulator
+    /// cannot hold (`rows·p + rows ≥ 2^52`) takes the scalar loop. Every
+    /// output word is congruent to the sum and below `4p`.
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree or a permutation entry is out
+    /// Panics if the slice lengths disagree, a key row is not `n` words
+    /// long, the key rows differ in width, or a permutation entry is out
     /// of range.
     // DOMAIN: [0,4p)
     pub fn dyad_acc_lazy<'k>(
         &self,
         xs: &[u64],
-        perm: Option<&[usize]>,
-        keys: impl IntoIterator<Item = (&'k [u64], &'k [u64])>,
+        perm: Option<&[u32]>,
+        keys: impl IntoIterator<Item = KeyRow<'k>>,
         d0: &mut [u64],
         d1: &mut [u64],
     ) {
@@ -426,8 +430,8 @@ impl Modulus {
     pub fn dyad_acc_lazy_scalar<'k>(
         &self,
         xs: &[u64],
-        perm: Option<&[usize]>,
-        keys: impl IntoIterator<Item = (&'k [u64], &'k [u64])>,
+        perm: Option<&[u32]>,
+        keys: impl IntoIterator<Item = KeyRow<'k>>,
         d0: &mut [u64],
         d1: &mut [u64],
     ) {
@@ -453,11 +457,18 @@ impl Modulus {
         // while rows·p < 2^64.
         let fit = ROW_BATCH.min((u64::MAX / self.value) as usize);
         let mut keys = keys.into_iter();
-        let mut batch: [KeyRow<'k>; ROW_BATCH] = [(&[], &[]); ROW_BATCH];
+        let mut batch: [KeyRow<'k>; ROW_BATCH] = [(PackedRow::EMPTY, PackedRow::EMPTY); ROW_BATCH];
+        let mut width = None;
         let mut rows = 0;
         loop {
             let mut len = 0;
             for k in keys.by_ref().take(fit) {
+                assert!(k.0.len() == n && k.1.len() == n, "key rows must be n words");
+                let w = *width.get_or_insert(k.0.width());
+                assert!(
+                    k.0.width() == w && k.1.width() == w,
+                    "key rows share one width"
+                );
                 batch[len] = k;
                 len += 1;
             }
@@ -480,7 +491,7 @@ impl Modulus {
         &self,
         start: usize,
         xs: &[u64],
-        perm: Option<&[usize]>,
+        perm: Option<&[u32]>,
         keys: &[KeyRow<'_>],
         carry: bool,
         d0: &mut [u64],
@@ -504,10 +515,13 @@ impl Modulus {
                     (a0[j], a1[j]) = (o0[j] as u128, o1[j] as u128);
                 }
             }
-            for (i, (k0, k1)) in keys.iter().enumerate() {
-                let (row, k0, k1) = (&xs[i * n..][..n], &k0[from..][..len], &k1[from..][..len]);
+            let (mut k0, mut k1) = ([0u64; BLOCK], [0u64; BLOCK]);
+            for (i, (r0, r1)) in keys.iter().enumerate() {
+                let row = &xs[i * n..][..n];
+                r0.unpack_into(from, &mut k0[..len]);
+                r1.unpack_into(from, &mut k1[..len]);
                 for j in 0..len {
-                    let x = row[perm.map_or(from + j, |p| p[from + j])] as u128;
+                    let x = row[perm.map_or(from + j, |p| p[from + j] as usize)] as u128;
                     a0[j] += x * k0[j] as u128;
                     a1[j] += x * k1[j] as u128;
                 }
@@ -545,7 +559,7 @@ impl Modulus {
         inv: &MulRedConstant,
         src: &[u64],
         r: &[u64],
-        add: Option<(&[u64], &[usize])>,
+        add: Option<(&[u64], &[u32])>,
         dst: &mut [u64],
     ) {
         let done = 0;
@@ -560,7 +574,7 @@ impl Modulus {
         inv: &MulRedConstant,
         src: &[u64],
         r: &[u64],
-        add: Option<(&[u64], &[usize])>,
+        add: Option<(&[u64], &[u32])>,
         dst: &mut [u64],
     ) {
         self.mod_switch_from(0, inv, src, r, add, dst);
@@ -572,7 +586,7 @@ impl Modulus {
         inv: &MulRedConstant,
         src: &[u64],
         r: &[u64],
-        add: Option<(&[u64], &[usize])>,
+        add: Option<(&[u64], &[u32])>,
         dst: &mut [u64],
     ) {
         let n = dst.len();
@@ -586,7 +600,7 @@ impl Modulus {
         for t in start..n {
             let v = inv.mul_red(self.reduce_u64(src[t]) + off - r[t], self);
             dst[t] = match add {
-                Some((a, perm)) => self.add_mod(v, a[perm[t]]),
+                Some((a, perm)) => self.add_mod(v, a[perm[t] as usize]),
                 None => v,
             };
         }

@@ -1,6 +1,7 @@
 //! Property-based tests for the math substrate.
 
 use heax_math::ntt::{bit_reverse, AutoKernel, NttTable};
+use heax_math::packed::{width_for, PackedRows};
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::primes::{default_chain_bits, generate_ntt_primes, generate_prime_chain, is_prime};
 use heax_math::rns::RnsBasis;
@@ -144,7 +145,8 @@ fn words(seed: u64, len: usize, shift: impl Fn(usize) -> u32) -> Vec<u64> {
 fn host_has_lanes() -> bool {
     #[cfg(target_arch = "x86_64")]
     let lanes = std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512ifma");
+        && std::arch::is_x86_feature_detected!("avx512ifma")
+        && std::arch::is_x86_feature_detected!("avx512vbmi");
     #[cfg(not(target_arch = "x86_64"))]
     let lanes = false;
     lanes
@@ -251,7 +253,7 @@ fn assert_elementwise_match_strict(
     n: usize,
     rows: usize,
     xs: &[u64],
-    perm: Option<&[usize]>,
+    perm: Option<&[u32]>,
     seed: Option<u64>,
 ) {
     assert_eq!(xs.len(), rows * n);
@@ -265,7 +267,7 @@ fn assert_elementwise_match_strict(
             None => vec![p.value() - 1; n],
         }
     };
-    let at = |t: usize| perm.map_or(t, |perm| perm[t]);
+    let at = |t: usize| perm.map_or(t, |perm| perm[t] as usize);
 
     // DyadMult accumulate.
     let keys: Vec<(Vec<u64>, Vec<u64>)> = (0..rows as u64)
@@ -279,7 +281,12 @@ fn assert_elementwise_match_strict(
             want.1[t] = p.add_mod(want.1[t], p.mul_mod(x, k1[t]));
         }
     }
-    let key_rows = || keys.iter().map(|(k0, k1)| (&k0[..], &k1[..]));
+    let packed = pack_rows(
+        width_for(p.bits()),
+        n,
+        keys.iter().flat_map(|(k0, k1)| [k0, k1]),
+    );
+    let key_rows = || (0..rows).map(|i| (packed.row(2 * i), packed.row(2 * i + 1)));
     // Stale contents must be overwritten, not accumulated.
     let (mut d0, mut d1) = (vec![u64::MAX; n], vec![u64::MAX; n]);
     p.dyad_acc_lazy(xs, perm, key_rows(), &mut d0, &mut d1);
@@ -327,7 +334,7 @@ fn assert_elementwise_match_strict(
             })
             .collect();
         let want_added: Vec<u64> = (0..n).map(|t| p.add_mod(want_ms[t], c0[at(t)])).collect();
-        let identity: Vec<usize> = (0..n).collect();
+        let identity: Vec<u32> = (0..n as u32).collect();
         let add = Some((&c0[..], perm.unwrap_or(&identity)));
         let mut got = vec![u64::MAX; n];
         p.mod_switch(&inv, src, &r, None, &mut got);
@@ -361,12 +368,88 @@ fn assert_elementwise_match_strict(
 }
 
 /// A permutation of `0..n` drawn from `seed` (Fisher–Yates).
-fn permutation(seed: u64, n: usize) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
+fn permutation(seed: u64, n: usize) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n as u32).collect();
     for (i, r) in words(seed, n, |_| 0).into_iter().enumerate().skip(1) {
         perm.swap(i, r as usize % (i + 1));
     }
     perm
+}
+
+/// `rows` packed at `width` bytes a word, one buffer row each.
+fn pack_rows<'a>(width: usize, n: usize, rows: impl Iterator<Item = &'a Vec<u64>>) -> PackedRows {
+    let rows: Vec<_> = rows.collect();
+    let mut packed = PackedRows::zeroed(width, rows.len(), n);
+    for (r, words) in rows.into_iter().enumerate() {
+        packed.set_row(r, words);
+    }
+    packed
+}
+
+/// The accumulate over packed key rows — dispatched and on the scalar
+/// loop by name — against a plain `u128` sum over the same rows as
+/// `u64` words, reduced with `%`: every key width from 5 to 8 bytes (a
+/// prime of each width, and a 36-bit prime stored wider than it needs),
+/// one row to one past a whole batch so a carried batch runs, the
+/// permutation on and off, whole chunks and a tail.
+#[test]
+fn packed_accumulate_equals_the_u64_reference_at_every_width() {
+    let narrow = generate_ntt_primes(36, 1, 64).unwrap()[0];
+    for width in 5..=8usize {
+        let bits = (8 * width as u32).min(61);
+        let own = generate_ntt_primes(bits, 1, 64).unwrap()[0];
+        for p in [own, narrow] {
+            let p = Modulus::new(p).unwrap();
+            assert!(width_for(p.bits()) <= width);
+            for n in [64usize, 61] {
+                let perm = permutation(width as u64, n);
+                for rows in 1..=9usize {
+                    let seed = (width * 100 + rows) as u64 ^ p.value();
+                    let xs: Vec<u64> = words(seed, rows * n, |_| 0)
+                        .iter()
+                        .map(|&x| x % (4 * p.value()).min(1 << 52))
+                        .collect();
+                    let keys: Vec<Vec<u64>> = (0..2 * rows as u64)
+                        .map(|r| words(seed ^ ((r + 1) << 32), n, |_| 0))
+                        .map(|k| k.iter().map(|&x| x % p.value()).collect())
+                        .collect();
+                    let packed = pack_rows(width, n, keys.iter());
+                    let key_rows = || (0..rows).map(|i| (packed.row(2 * i), packed.row(2 * i + 1)));
+                    for perm in [None, Some(&perm[..])] {
+                        let at = |t: usize| perm.map_or(t, |perm| perm[t] as usize);
+                        let want = |c: usize| -> Vec<u64> {
+                            (0..n)
+                                .map(|t| {
+                                    let sum = (0..rows)
+                                        .map(|i| {
+                                            xs[i * n + at(t)] as u128 * keys[2 * i + c][t] as u128
+                                        })
+                                        .sum::<u128>();
+                                    (sum % p.value() as u128) as u64
+                                })
+                                .collect()
+                        };
+                        let want = [want(0), want(1)];
+                        let tag = format!(
+                            "width {width} p={} n={n} rows={rows} perm={}",
+                            p.value(),
+                            perm.is_some()
+                        );
+                        let (mut d0, mut d1) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+                        p.dyad_acc_lazy(&xs, perm, key_rows(), &mut d0, &mut d1);
+                        let (mut s0, mut s1) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+                        p.dyad_acc_lazy_scalar(&xs, perm, key_rows(), &mut s0, &mut s1);
+                        for (got, c) in [(&d0, 0), (&d1, 1), (&s0, 0), (&s1, 1)] {
+                            for (t, g) in got.iter().enumerate() {
+                                assert!(*g < 4 * p.value(), "[0,4p), {tag}");
+                                assert_eq!(g % p.value(), want[c][t], "word {t}, {tag}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {

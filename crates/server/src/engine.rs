@@ -336,8 +336,9 @@ impl KeyEntry {
 /// session keys.
 ///
 /// A key's serialized length is the bill for its decoded DRAM footprint,
-/// and an exact one up to the codec's headers: a key holds each residue
-/// once, as the word the payload carries, and nothing derived beside it.
+/// and an upper bound on it: a key holds each residue once, packed at its
+/// chain's byte width (`w` of the payload's 8 bytes a word), and nothing
+/// derived beside it.
 /// *Residency* is what is budgeted, and no key is held twice: under
 /// an [`Engine`] the cache keeps only the lengths of a resident session's
 /// keys, whose decoded form lives in the inner server, and holds the
