@@ -8,7 +8,7 @@
 //! with `s' = s²`; `GlkGen` with `s' = τ_g(s)` for the rotation
 //! automorphism `τ_g`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use heax_math::packed::{width_for, PackedRow, PackedRows};
 use heax_math::poly::{Representation, RnsPoly};
@@ -239,10 +239,11 @@ impl RelinKey {
 }
 
 /// Galois (rotation/conjugation) keys: one key-switching key per Galois
-/// element, from `τ_g(s)` to `s`.
+/// element, from `τ_g(s)` to `s`, held in ascending element order — the
+/// order they are serialized in.
 #[derive(Clone, Debug)]
 pub struct GaloisKeys {
-    pub(crate) keys: HashMap<usize, KeySwitchKey>,
+    pub(crate) keys: BTreeMap<usize, KeySwitchKey>,
     pub(crate) permutations: HashMap<usize, Vec<u32>>,
 }
 
@@ -256,7 +257,7 @@ impl GaloisKeys {
         rng: &mut R,
     ) -> Self {
         let mut gk = Self {
-            keys: HashMap::new(),
+            keys: BTreeMap::new(),
             permutations: HashMap::new(),
         };
         for &s in steps {
@@ -331,7 +332,7 @@ impl GaloisKeys {
             .ok_or(CkksError::MissingGaloisKey { galois_elt: elt })
     }
 
-    /// Galois elements with generated keys.
+    /// Galois elements with generated keys, ascending.
     pub fn elements(&self) -> impl Iterator<Item = usize> + '_ {
         self.keys.keys().copied()
     }

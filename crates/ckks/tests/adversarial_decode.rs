@@ -1,35 +1,73 @@
-//! Adversarial decoding suite: every `deserialize_*` entry point must be
+//! Adversarial decoding suite: every object decoder must be
 //! **total** on untrusted input — structured `Err`, never a panic or
 //! abort — under random truncation, bit flips, oversized length fields,
 //! overwritten words, NaN scales, and raw garbage.
 //!
 //! Every mutated byte string is fed to *every* decoder (not just the one
 //! matching its original type), because a hostile peer is not obliged to
-//! send the object the server expects. The evaluation-key codecs are also
-//! one-to-one: a Galois container with a repeated or out-of-order element
-//! is refused, and a decoded key re-serializes to its input. CI runs this
-//! suite under both `HEAX_THREADS=1` and `HEAX_THREADS=4`.
+//! send the object the server expects: each [`Object`] impl, the zero-copy
+//! ciphertext view and the operand decoder. The impls are listed once, in
+//! [`objects`], and a test fails if a tag has no decoder there. The
+//! evaluation-key codecs are also one-to-one: a Galois container with a
+//! repeated or out-of-order element is refused, and a decoded key
+//! re-serializes to its input. CI runs this suite under both
+//! `HEAX_THREADS=1` and `HEAX_THREADS=4`.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
+use std::any::type_name;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use heax_ckks::serialize::{
-    deserialize_ciphertext, deserialize_galois_keys, deserialize_ksk, deserialize_operand,
-    deserialize_plaintext, deserialize_public_key, deserialize_relin_key, deserialize_secret_key,
-    deserialize_seeded_ciphertext, serialize_ciphertext, serialize_galois_keys, serialize_ksk,
-    serialize_plaintext, serialize_public_key, serialize_relin_key, serialize_secret_key,
-    serialize_seeded_ciphertext, CiphertextView,
+    deserialize_ciphertext, deserialize_operand, serialize_ciphertext, serialize_galois_keys,
+    serialize_relin_key, CiphertextView, Object, Tag,
 };
 use heax_ckks::{
-    encrypt_symmetric, encrypt_symmetric_seeded, CkksContext, CkksEncoder, CkksParams, Encryptor,
-    GaloisKeys, KeySwitchKey, ParamSet, PublicKey, RelinKey, SecretKey,
+    encrypt_symmetric, encrypt_symmetric_seeded, Ciphertext, CkksContext, CkksEncoder, CkksParams,
+    Encryptor, GaloisKeys, KeySwitchKey, ParamSet, Plaintext, PublicKey, RelinKey, SecretKey,
+    SeededCiphertext,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Whether `T` decodes `bytes`.
+fn decodes<T: Object>(bytes: &[u8], ctx: &CkksContext) -> bool {
+    T::decode(bytes, ctx).is_ok()
+}
+
+/// An object decoder: the kind it decodes, the tag it reads, and
+/// [`decodes`] for that kind.
+type Decoder = (&'static str, Tag, fn(&[u8], &CkksContext) -> bool);
+
+/// One entry of [`objects`].
+fn decoder<T: Object>() -> Decoder {
+    (type_name::<T>(), T::TAG, decodes::<T>)
+}
+
+/// Every [`Object`] impl.
+fn objects() -> impl Iterator<Item = Decoder> {
+    [
+        decoder::<Plaintext>(),
+        decoder::<Ciphertext>(),
+        decoder::<SecretKey>(),
+        decoder::<PublicKey>(),
+        decoder::<KeySwitchKey>(),
+        decoder::<RelinKey>(),
+        decoder::<GaloisKeys>(),
+        decoder::<SeededCiphertext>(),
+    ]
+    .into_iter()
+}
+
+/// `obj`'s encoding, named by its kind.
+fn blob<T: Object>(obj: &T) -> (&'static str, Vec<u8>) {
+    let mut bytes = Vec::new();
+    obj.encode_append(&mut bytes);
+    (type_name::<T>(), bytes)
+}
 
 /// Valid serialized objects of every wire type, built once.
 struct Corpus {
@@ -57,34 +95,33 @@ fn corpus() -> &'static Corpus {
         let ct = Encryptor::new(&ctx, &pk).encrypt(&pt, &mut rng).unwrap();
         let seeded = encrypt_symmetric_seeded(&ctx, &sk, &pt, &mut rng).unwrap();
         let blobs = vec![
-            ("plaintext", serialize_plaintext(&pt)),
-            ("ciphertext", serialize_ciphertext(&ct)),
-            ("secret_key", serialize_secret_key(&sk)),
-            ("public_key", serialize_public_key(&pk)),
-            ("ksk", serialize_ksk(&ksk)),
-            ("relin_key", serialize_relin_key(&rlk)),
-            ("galois_keys", serialize_galois_keys(&gks)),
-            ("seeded_ciphertext", serialize_seeded_ciphertext(&seeded)),
+            blob(&pt),
+            blob(&ct),
+            blob(&sk),
+            blob(&pk),
+            blob(&ksk),
+            blob(&rlk),
+            blob(&gks),
+            blob(&seeded),
         ];
         Corpus { ctx, blobs }
     })
 }
 
+/// The corpus's encoding of a `T`.
+fn blob_of<T: Object>(c: &Corpus) -> &[u8] {
+    let kind = type_name::<T>();
+    &c.blobs.iter().find(|(name, _)| *name == kind).unwrap().1
+}
+
 /// Runs every decoder over the bytes; returns how many accepted. Any
-/// panic propagates to the caller's `catch_unwind`. The v2 entry
-/// points — seeded ciphertexts, the zero-copy view (parse *and*
-/// materialize), and the tag-dispatching operand decoder — face the
-/// same hostile bytes as the originals.
+/// panic propagates to the caller's `catch_unwind`. Every [`objects`]
+/// entry, the zero-copy view (parse *and* materialize) and the
+/// tag-dispatching operand decoder face the same hostile bytes.
 fn decode_all(ctx: &CkksContext, bytes: &[u8]) -> usize {
-    let mut ok = 0;
-    ok += usize::from(deserialize_plaintext(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_ciphertext(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_secret_key(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_public_key(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_ksk(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_relin_key(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_galois_keys(bytes, ctx).is_ok());
-    ok += usize::from(deserialize_seeded_ciphertext(bytes, ctx).is_ok());
+    let mut ok = objects()
+        .filter(|(_, _, decodes)| decodes(bytes, ctx))
+        .count();
     ok += usize::from(
         CiphertextView::parse(bytes)
             .and_then(|v| v.to_ciphertext(ctx))
@@ -100,7 +137,7 @@ fn assert_total(ctx: &CkksContext, bytes: &[u8]) -> Result<(), TestCaseError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| decode_all(ctx, bytes)));
     prop_assert!(
         outcome.is_ok(),
-        "a deserialize_* entry point panicked on {} mutated bytes",
+        "a decoder panicked on {} mutated bytes",
         bytes.len()
     );
     Ok(())
@@ -187,7 +224,7 @@ fn nan_scale_and_huge_lengths_are_structured_errors() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.999] {
             let mut bytes = blob.clone();
             bytes[14..22].copy_from_slice(&bad.to_le_bytes());
-            let pt = deserialize_plaintext(&bytes, &c.ctx);
+            let pt = Plaintext::decode(&bytes, &c.ctx);
             let ct = deserialize_ciphertext(&bytes, &c.ctx);
             assert!(
                 pt.is_err() && ct.is_err(),
@@ -288,7 +325,6 @@ fn a_key_word_at_or_above_its_prime_is_refused_in_either_key_kind() {
     let (ctx, n) = (&c.ctx, c.ctx.n());
     let chain = ctx.moduli();
     let width = chain.iter().map(|m| m.bits()).max().unwrap().div_ceil(8);
-    let blob = |name: &str| &c.blobs.iter().find(|(b, _)| *b == name).unwrap().1;
     // A key: header, d; per component n, repr, the modulus count and
     // values, the word count, the words.
     let poly_head = 8 + 1 + 8 + 8 * chain.len() + 8;
@@ -296,8 +332,8 @@ fn a_key_word_at_or_above_its_prime_is_refused_in_either_key_kind() {
     let word_at = |key: usize, component: usize, limb: usize, index: usize| {
         key + 6 + 8 + component * poly_len + poly_head + 8 * (limb * n + index)
     };
-    let relin = blob("relin_key");
-    let galois = blob("galois_keys");
+    let relin = blob_of::<RelinKey>(c);
+    let galois = blob_of::<GaloisKeys>(c);
     let d = ctx.params().k();
     assert_eq!(
         word_at(0, 2 * d - 1, chain.len() - 1, n - 1) + 8,
@@ -312,8 +348,8 @@ fn a_key_word_at_or_above_its_prime_is_refused_in_either_key_kind() {
     }
     assert_eq!(records.len(), 2);
     type Decode = fn(&[u8], &CkksContext) -> Result<(), heax_ckks::CkksError>;
-    let relin_decode: Decode = |b, ctx| deserialize_relin_key(b, ctx).map(drop);
-    let galois_decode: Decode = |b, ctx| deserialize_galois_keys(b, ctx).map(drop);
+    let relin_decode: Decode = |b, ctx| RelinKey::decode(b, ctx).map(drop);
+    let galois_decode: Decode = |b, ctx| GaloisKeys::decode(b, ctx).map(drop);
     let targets = [
         (relin, vec![0], relin_decode),
         (galois, records, galois_decode),
@@ -325,7 +361,7 @@ fn a_key_word_at_or_above_its_prime_is_refused_in_either_key_kind() {
                 for (limb, p) in chain.iter().enumerate() {
                     for index in [0, n - 1] {
                         for stray in [p.value(), u64::MAX, 1 << (8 * width)] {
-                            let mut bad = bytes.clone();
+                            let mut bad = bytes.to_vec();
                             let at = word_at(key, component, limb, index);
                             bad[at..at + 8].copy_from_slice(&stray.to_le_bytes());
                             assert_eq!(
@@ -377,11 +413,7 @@ fn galois_container(like: &[u8], records: &[(u64, &[u8])]) -> Vec<u8> {
 #[test]
 fn a_galois_element_must_exceed_the_one_before_it() {
     let c = corpus();
-    let (_, blob) = c
-        .blobs
-        .iter()
-        .find(|(name, _)| *name == "galois_keys")
-        .unwrap();
+    let blob = blob_of::<GaloisKeys>(c);
     let records = galois_records(blob);
     assert!(galois_container(blob, &records) == *blob);
     let [lo, hi] = records[..] else {
@@ -395,7 +427,7 @@ fn a_galois_element_must_exceed_the_one_before_it() {
         ("repeated after an ascent", vec![lo, hi, hi]),
     ] {
         let bytes = galois_container(blob, &order);
-        let e = deserialize_galois_keys(&bytes, &c.ctx).unwrap_err();
+        let e = GaloisKeys::decode(&bytes, &c.ctx).unwrap_err();
         assert_eq!(
             e.to_string(),
             "invalid parameters: malformed serialized data: Galois elements not strictly increasing",
@@ -416,9 +448,9 @@ fn evaluation_keys_reserialize_to_their_upload_at_every_set() {
         let rlk = serialize_relin_key(&RelinKey::generate(&ctx, &sk, &mut rng));
         // Steps out of order: the container sorts them on the way out.
         let gks = serialize_galois_keys(&GaloisKeys::generate(&ctx, &sk, &[3, -1], &mut rng));
-        let rlk_back = serialize_relin_key(&deserialize_relin_key(&rlk, &ctx).unwrap());
+        let rlk_back = serialize_relin_key(&RelinKey::decode(&rlk, &ctx).unwrap());
         assert!(rlk_back == rlk, "{set:?} relin key");
-        let gks_back = serialize_galois_keys(&deserialize_galois_keys(&gks, &ctx).unwrap());
+        let gks_back = serialize_galois_keys(&GaloisKeys::decode(&gks, &ctx).unwrap());
         assert!(gks_back == gks, "{set:?} Galois keys");
     }
 }
@@ -445,5 +477,25 @@ fn a_hostile_length_field_reserves_nothing_the_message_does_not_back() {
                 );
             }
         }
+    }
+}
+
+/// The decoder list covers every object tag, and each kind in the corpus
+/// is decoded by its own entry, under the tag its encoding carries — so an
+/// object kind cannot go unfuzzed by being left out of [`objects`].
+#[test]
+fn every_object_kind_has_a_decoder_in_the_list() {
+    for tag in Tag::ALL {
+        assert!(
+            objects().any(|(_, t, _)| t == tag),
+            "no decoder in objects() reads {tag:?}"
+        );
+    }
+    let c = corpus();
+    for (kind, bytes) in &c.blobs {
+        let entry = objects().find(|(k, _, _)| k == kind);
+        let (_, tag, decodes) = entry.unwrap_or_else(|| panic!("{kind} is not in objects()"));
+        assert_eq!(bytes[5], tag as u8, "{kind}");
+        assert!(decodes(bytes, &c.ctx), "{kind}");
     }
 }

@@ -5,7 +5,8 @@
 //! holds the key switch's working buffers between calls. The
 //! same allocator weighs a key-switching key — its residues and nothing
 //! else — and shows a warm circuit taking every polynomial it returns
-//! from the buffers its previous outputs left in the recycler.
+//! from the buffers its previous outputs left in the recycler, and a
+//! Galois container encoding in one allocation of its length.
 //!
 //! The counter is thread-local so concurrently running tests in this
 //! binary cannot pollute the measurement; the assertion therefore covers
@@ -18,7 +19,8 @@ mod counting_alloc;
 
 use std::sync::Arc;
 
-use counting_alloc::measure;
+use counting_alloc::{measure, Allocs};
+use heax_ckks::serialize::Object;
 use heax_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksParams, Encryptor, Evaluator, GaloisKeys, PublicKey,
     RelinKey, SecretKey,
@@ -219,6 +221,23 @@ fn key_switch_key_owns_its_residues_and_nothing_else() {
     .bytes;
     let chain = r.ctx.moduli().len() * size_of::<u64>();
     assert_eq!(held as usize, ksk.resident_bytes() + chain);
+}
+
+#[test]
+fn galois_keys_encode_in_one_allocation_of_their_length() {
+    // The container reserves its whole encoding once and writes each key
+    // straight into it: no buffer per key, and no regrowth.
+    let r = rig();
+    let mut buf = Vec::new();
+    let seen = measure(|| r.gks.encode_append(&mut buf));
+    let len = r.gks.encoded_len() as u64;
+    let one = Allocs {
+        count: 1,
+        bytes: len,
+        largest: len,
+    };
+    assert_eq!(seen, one, "encoding {len} bytes of Galois keys");
+    assert_eq!(buf.len() as u64, len);
 }
 
 #[test]

@@ -74,11 +74,10 @@ use std::time::Instant;
 
 use heax_ckks::galois::galois_elt_from_step;
 use heax_ckks::serialize::{
-    deserialize_galois_keys, deserialize_operand_with_seed, deserialize_relin_key,
-    seeded_operand_matches, serialize_ciphertext_append, serialize_galois_keys,
-    serialize_relin_key, serialized_ciphertext_bytes,
+    deserialize_operand_with_seed, seeded_operand_matches, serialize_galois_keys,
+    serialize_relin_key, Object,
 };
-use heax_ckks::{Ciphertext, CkksContext, Evaluator};
+use heax_ckks::{Ciphertext, CkksContext, Evaluator, GaloisKeys, RelinKey};
 use heax_hw::board::Board;
 use heax_hw::ir::{FusedStream, IrOp, OpKind, OpStream};
 use heax_hw::xfer::WORD_BYTES;
@@ -451,8 +450,8 @@ impl<'a> HeaxServer<'a> {
         let sess = self.sessions.get_mut(session)?;
         // On failure the key held before stays.
         match kind {
-            KeyKind::Relin => sess.rlk = Some(deserialize_relin_key(payload, self.ctx)?),
-            KeyKind::Galois => sess.gks = Some(deserialize_galois_keys(payload, self.ctx)?),
+            KeyKind::Relin => sess.rlk = Some(RelinKey::decode(payload, self.ctx)?),
+            KeyKind::Galois => sess.gks = Some(GaloisKeys::decode(payload, self.ctx)?),
         }
         if std::mem::take(&mut sess.keys_evicted) {
             self.metrics.key_reregistrations = self.metrics.key_reregistrations.saturating_add(1);
@@ -586,7 +585,7 @@ impl<'a> HeaxServer<'a> {
         });
         let body = match &reply {
             Reply::Parked(name) => name.len(),
-            Reply::Ciphertext(ct) => serialized_ciphertext_bytes(ct.n(), ct.level() + 1, ct.size()),
+            Reply::Ciphertext(ct) => ct.encoded_len(),
             Reply::Error(payload) => payload.len(),
         };
         let len = match &reply {
@@ -603,7 +602,7 @@ impl<'a> HeaxServer<'a> {
                 }
                 Reply::Ciphertext(ct) => {
                     wire::append_response_head(version, session, request, true, body, out);
-                    serialize_ciphertext_append(ct, out);
+                    ct.encode_append(out);
                 }
                 Reply::Error(payload) => {
                     wire::append_frame(version, MessageKind::Error, session, request, payload, out);

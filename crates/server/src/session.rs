@@ -2,11 +2,11 @@
 //!
 //! Deserializing an evaluation key is not free — megabytes of residues
 //! are copied out of the frame and every word is checked against its
-//! modulus ([`heax_ckks::serialize::deserialize_ksk`]); nothing is
-//! derived from them, the evaluator multiplies into the plain words. The
-//! registry makes that a **once-per-session** cost: clients upload keys
-//! when they connect, and every later request hits the cached keys. The
-//! seed deployment example paid that cost per request batch; the
+//! modulus ([`KeySwitchKey::decode`](heax_ckks::serialize::Object::decode));
+//! nothing is derived from them, the evaluator multiplies into the plain
+//! words. The registry makes that a **once-per-session** cost: clients
+//! upload keys when they connect, and every later request hits the cached
+//! keys. The seed deployment example paid that cost per request batch; the
 //! benchmark's `server.register_keys_us` row is what one upload costs.
 //!
 //! A key is held in **one form at a time**. The registry holds it

@@ -3,8 +3,11 @@
 //! entries, the pinned constants hold, and magics and object tags are
 //! checked on bytes the encoders write.
 
-use heax_ckks::serialize::{serialize_ciphertext, serialize_seeded_ciphertext};
-use heax_ckks::{encrypt_symmetric, encrypt_symmetric_seeded, CkksEncoder, SecretKey};
+use heax_ckks::serialize::{Object, Tag};
+use heax_ckks::{
+    encrypt_symmetric, encrypt_symmetric_seeded, CkksEncoder, GaloisKeys, KeySwitchKey, PublicKey,
+    RelinKey, SecretKey,
+};
 use heax_math::sampling::EXPAND_SEED_LEN;
 use heax_server::net::MAX_FRAME_PAYLOAD;
 use heax_server::wire::{self, FRAME_HEADER_LEN, FRAME_MAGIC, REQUEST_FLAG_COMPRESS_REPLY};
@@ -63,6 +66,13 @@ fn pinned_wire_constants_hold() {
     assert_eq!(FRAME_MAGIC, *b"HEAW", "§1");
 }
 
+/// The first six bytes `obj` encodes to, and the tag its kind declares.
+fn head<T: Object>(obj: &T) -> ([u8; 6], Tag) {
+    let mut bytes = Vec::new();
+    obj.encode_append(&mut bytes);
+    (bytes[..6].try_into().unwrap(), T::TAG)
+}
+
 #[test]
 fn magics_and_object_tags_are_what_the_encoders_write() {
     let frame = wire::encode_frame(WIRE_V2, MessageKind::OpenSession, 0, 0, &[]);
@@ -75,13 +85,32 @@ fn magics_and_object_tags_are_what_the_encoders_write() {
     let pt = enc
         .encode_real(&[1.0], ctx.params().scale(), ctx.max_level())
         .unwrap();
-    let full = serialize_ciphertext(&encrypt_symmetric(&ctx, &sk, &pt, &mut rng).unwrap());
+    let ct = encrypt_symmetric(&ctx, &sk, &pt, &mut rng).unwrap();
     let seeded = encrypt_symmetric_seeded(&ctx, &sk, &pt, &mut rng).unwrap();
-    let seeded = serialize_seeded_ciphertext(&seeded);
-    // §4: magic, version 1, object tag.
+    let s_sq = sk.poly().dyadic_mul(sk.poly()).unwrap();
+    let ksk = KeySwitchKey::generate(&ctx, &s_sq, &sk, &mut rng);
+    let pk = PublicKey::generate(&ctx, &sk, &mut rng);
+    let rlk = RelinKey::generate(&ctx, &sk, &mut rng);
+    let gks = GaloisKeys::generate(&ctx, &sk, &[1], &mut rng);
+    let key_switching = "key-switching key (also the Galois-keys container)";
+    // §4: magic, version 1, object tag — for every object kind.
     let tags = table("tag", "object");
-    for (bytes, tag, object) in [(full, 3, "ciphertext"), (seeded, 7, "seeded ciphertext")] {
-        assert_eq!(bytes[..6], [b'H', b'E', b'A', b'X', 1, tag], "{object}");
-        assert!(tags.contains(&(tag.into(), object.into())), "§4 {object}");
+    for ((bytes, tag), object) in [
+        (head(&pt), "plaintext"),
+        (head(&ct), "ciphertext"),
+        (head(&sk), "secret key"),
+        (head(&pk), "public key"),
+        (head(&ksk), key_switching),
+        (head(&rlk), key_switching),
+        (head(&gks), key_switching),
+        (head(&seeded), "seeded ciphertext"),
+    ] {
+        assert_eq!(bytes, [b'H', b'E', b'A', b'X', 1, tag as u8], "{object}");
+        assert!(tags.contains(&(tag as u64, object.into())), "§4 {object}");
     }
+    // The table lists every tag, and tag 1 as reserved.
+    let values: Vec<u64> = tags.iter().map(|&(v, _)| v).collect();
+    let all: Vec<u64> = Tag::ALL.iter().map(|&t| t as u64).collect();
+    assert_eq!(values, [&[1][..], &all].concat(), "§4");
+    assert!(tags[0].1.starts_with("reserved"), "§4 tag 1");
 }
