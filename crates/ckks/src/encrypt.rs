@@ -6,6 +6,7 @@
 //! message — the flooring shrinks the fresh encryption noise by a factor
 //! `p`.
 
+use heax_math::exec;
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::sampling::{
     expand_uniform, sample_error, sample_ternary, sample_uniform, EXPAND_SEED_LEN,
@@ -14,8 +15,9 @@ use rand::Rng;
 
 use crate::ciphertext::{Ciphertext, Plaintext, SeededCiphertext};
 use crate::context::CkksContext;
-use crate::flooring::floor_special;
+use crate::flooring::floor_into;
 use crate::keys::{restrict_poly, PublicKey, SecretKey};
+use crate::keyswitch::TableNtt;
 use crate::CkksError;
 
 /// Public-key encryptor.
@@ -66,13 +68,20 @@ impl<'a> Encryptor<'a> {
         let mut c1 = u.dyadic_mul(&pk_a)?;
         c1.add_assign(&e1)?;
 
-        // ct = (m, 0) + ⌊(c'_0, c'_1)/p⌋ ∈ R_q².
-        let exec = heax_math::exec::global().as_ref();
-        let mut c0 = floor_special(&c0, ctx, level, exec)?;
-        let c1 = floor_special(&c1, ctx, level, exec)?;
-        c0.add_assign(&pt.poly)?;
-
-        Ciphertext::from_parts(vec![c0, c1], level, pt.scale)
+        // ct = (m, 0) + ⌊(c'_0, c'_1)/p⌋ ∈ R_q², each special residue the
+        // floor's scratch. The outputs are fresh allocations: a fresh
+        // ciphertext often lives long, and the recycler's best fit would
+        // hand it one of the larger extended-basis buffers to pin.
+        let (n, exec) = (ctx.n(), exec::global().as_ref());
+        let mut polys = Vec::with_capacity(2);
+        for mut c in [c0, c1] {
+            let mut out = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
+            let (kept, dropped) = c.data_mut().split_at_mut((level + 1) * n);
+            floor_into(ctx, exec, &TableNtt, k, kept, dropped, None, &mut out)?;
+            polys.push(out);
+        }
+        polys[0].add_assign(&pt.poly)?;
+        Ciphertext::from_parts(polys, level, pt.scale)
     }
 
     /// Encrypts the zero plaintext at a level and scale (useful for tests
@@ -121,7 +130,7 @@ pub fn encrypt_symmetric<R: Rng + ?Sized>(
     let mut e = sample_error(rng, ctx.n(), moduli);
     e.ntt_forward(ctx.ntt_tables())?;
 
-    let mut b = a.dyadic_mul(&s)?.neg();
+    let mut b = a.dyadic_mul(&s)?.neg(exec::global().as_ref());
     b.add_assign(&e)?;
     b.add_assign(&pt.poly)?;
     Ciphertext::from_parts(vec![b, a], level, pt.scale)
@@ -158,7 +167,7 @@ pub fn encrypt_symmetric_seeded<R: Rng + ?Sized>(
     let mut e = sample_error(rng, ctx.n(), moduli);
     e.ntt_forward(ctx.ntt_tables())?;
 
-    let mut b = a.dyadic_mul(&s)?.neg();
+    let mut b = a.dyadic_mul(&s)?.neg(exec::global().as_ref());
     b.add_assign(&e)?;
     b.add_assign(&pt.poly)?;
     SeededCiphertext::from_parts(b, seed, level, pt.scale)

@@ -22,11 +22,11 @@
 use std::sync::Arc;
 
 use heax_math::exec::{self, Executor};
-use heax_math::poly::{Representation, RnsPoly};
+use heax_math::poly::{Representation, RnsPoly, Words};
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
-use crate::flooring::floor_last_into;
+use crate::flooring::floor_into;
 use crate::galois::{galois_elt_conjugate, galois_elt_from_step};
 use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
 use crate::keyswitch::{check_output_level, KeySwitcher, NttBackend, TableNtt};
@@ -192,7 +192,7 @@ impl<'a, B: NttBackend> Evaluator<'a, B> {
     /// Negation.
     pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
         Ciphertext {
-            polys: a.polys.iter().map(RnsPoly::neg).collect(),
+            polys: a.polys.iter().map(|c| c.neg(self.exec.as_ref())).collect(),
             level: a.level,
             scale: a.scale,
         }
@@ -217,7 +217,7 @@ impl<'a, B: NttBackend> Evaluator<'a, B> {
             });
         }
         let mut out = a.clone();
-        out.polys[0].add_assign(&pt.poly)?;
+        out.polys[0].add_assign_with(&pt.poly, self.exec.as_ref())?;
         Ok(out)
     }
 
@@ -240,7 +240,7 @@ impl<'a, B: NttBackend> Evaluator<'a, B> {
             });
         }
         let mut out = a.clone();
-        out.polys[0] = out.polys[0].sub(&pt.poly)?;
+        out.polys[0] = out.polys[0].sub_with(&pt.poly, self.exec.as_ref())?;
         Ok(out)
     }
 
@@ -318,7 +318,7 @@ impl<'a, B: NttBackend> Evaluator<'a, B> {
         let scalars: Vec<u64> = moduli.iter().map(|m| m.reduce_i64(v)).collect();
         let mut out = a.clone();
         for p in &mut out.polys {
-            p.scale_per_residue(&scalars);
+            p.scale_per_residue(&scalars, self.exec.as_ref());
         }
         out
     }
@@ -352,17 +352,20 @@ impl<'a, B: NttBackend> Evaluator<'a, B> {
         if a.level == 0 {
             return Err(CkksError::LevelExhausted);
         }
-        let dropped = self.ctx.moduli()[a.level].value() as f64;
-        let n = self.ctx.n();
-        let out_moduli = self.ctx.level_moduli(a.level - 1);
-        let exec = self.exec.as_ref();
+        let (ctx, exec, backend) = (self.ctx, self.exec.as_ref(), &self.backend);
+        let (level, n) = (a.level, ctx.n());
+        let out_moduli = ctx.level_moduli(level - 1);
         let mut polys = Vec::with_capacity(a.size());
         for c in &a.polys {
             let mut out = RnsPoly::for_overwrite(n, out_moduli, Representation::Ntt);
-            floor_last_into(c, self.ctx, a.level, exec, &self.backend, &mut out)?;
+            let mut top = Words::for_overwrite(n);
+            top.copy_from_slice(c.residue(level));
+            let kept = &c.data()[..level * n];
+            floor_into(ctx, exec, backend, level, kept, &mut top, None, &mut out)?;
             polys.push(out);
         }
-        Ciphertext::from_parts(polys, a.level - 1, a.scale / dropped)
+        let dropped = ctx.moduli()[level].value() as f64;
+        Ciphertext::from_parts(polys, level - 1, a.scale / dropped)
     }
 
     /// Drops to the next level *without* scaling (modulus switching of the
@@ -1030,6 +1033,50 @@ mod tests {
         assert_eq!(dropped.level(), a.level() - 1);
         let got = h.decrypt(&dropped);
         assert!((got[0] - 2.5).abs() < 1e-2);
+    }
+
+    /// Runs every index inline but reports two lanes, so
+    /// `for_each_limb` dispatches through it, and counts the dispatches.
+    #[derive(Debug, Default)]
+    struct CountingExec(std::sync::atomic::AtomicUsize);
+
+    impl Executor for CountingExec {
+        fn threads(&self) -> usize {
+            2
+        }
+
+        fn dispatch(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            (0..count).for_each(task);
+        }
+    }
+
+    /// `negate`, `add_plain`, `sub_plain` and `multiply_integer` fan their
+    /// limbs out on the evaluator's executor, not on the global one.
+    #[test]
+    fn limb_ops_dispatch_on_the_evaluator_executor() {
+        let mut h = harness(43);
+        let a = h.encrypt(&[1.5]);
+        let pt = CkksEncoder::new(&h.ctx)
+            .encode_real(&[0.5], a.scale(), a.level())
+            .unwrap();
+        let exec = Arc::new(CountingExec::default());
+        let ev = Evaluator::with_executor(&h.ctx, exec.clone());
+        let ops: [(&str, &dyn Fn()); 4] = [
+            ("negate", &|| drop(ev.negate(&a))),
+            ("add_plain", &|| drop(ev.add_plain(&a, &pt).unwrap())),
+            ("sub_plain", &|| drop(ev.sub_plain(&a, &pt).unwrap())),
+            ("multiply_integer", &|| drop(ev.multiply_integer(&a, -3))),
+        ];
+        for (name, op) in ops {
+            let before = exec.0.load(std::sync::atomic::Ordering::Relaxed);
+            op();
+            let after = exec.0.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(
+                after > before,
+                "{name} did not dispatch on the evaluator's executor"
+            );
+        }
     }
 
     #[test]

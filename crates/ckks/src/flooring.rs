@@ -8,121 +8,102 @@
 //! 2. for every remaining modulus `p_i`: `r ← Mod(a, p_i)`,
 //!    `r̃ ← NTT_{p_i}(r)`, `c̃'_i ← (c̃_i − r̃)·[p^{-1}]_{p_i}`.
 //!
-//! Both rescaling (dropping the last ciphertext prime) and modulus
-//! switching at the end of key switching (dropping the special prime) are
-//! instances of this routine — in the hardware they are the `INTT1 → NTT1 →
-//! MS` tail of the KeySwitch module (Figure 5).
+//! In the hardware this is the `INTT1 → NTT1 → MS` tail of the KeySwitch
+//! module (Figure 5), and here it is one body, [`floor_into`]: rescaling
+//! drops the last ciphertext prime through it, encryption and the end of
+//! a key switch the special prime. It reduces the dropped residue before
+//! its INTT and every kept word as MS reads it, so the key switch's lazy
+//! accumulators and canonical polynomials take the same path.
 
 use heax_math::exec::{self, Executor};
 use heax_math::poly::{Representation, RnsPoly, Words};
+use heax_math::word::Modulus;
+use heax_math::MathError;
 
 use crate::context::CkksContext;
-use crate::keyswitch::{NttBackend, Stage, TableNtt};
+use crate::keyswitch::{NttBackend, Stage};
 use crate::CkksError;
 
-/// Floors away the **last ciphertext prime** `p_level` (rescaling) into a
-/// caller-provided output: input spans `p_0..p_level`; `out` must be
-/// pre-shaped over `p_0..p_{level-1}` in NTT form. The dropped residue's
-/// INTT runs on `backend` as [`Stage::Intt1`], the re-NTTs as
-/// [`Stage::Ntt1`]. The working words come from the thread's recycler, so
-/// a warm call allocates nothing.
+/// Floors one NTT-form polynomial by chain prime `drop_prime` — the prime
+/// right above the kept ones (rescaling) or the special prime
+/// (encryption, key switching) — into `out`, which must be shaped over the
+/// kept primes `ctx.level_moduli(to)`.
+///
+/// `kept` holds residues `0..=to`, limb after limb, and `dropped` the
+/// residue under `drop_prime`; any word below `4p` is accepted in either,
+/// and the output is canonical. `dropped` is the caller's loan: it is
+/// reduced and INTT'd in place on `backend` as [`Stage::Intt1`]. Each kept limb
+/// then re-NTTs it with reduce-on-load as [`Stage::Ntt1`] in a lane of
+/// its thread's recycler, and MS finishes the limb, adding `add.0` read
+/// through the permutation `add.1` (a rotation's `τ(c₀)`) as it stores.
+/// Limbs run side by side on `exec`.
 ///
 /// # Errors
 ///
-/// Returns [`CkksError::LevelExhausted`] at level 0 and [`CkksError::Math`]
-/// on representation/shape mismatches.
-pub(crate) fn floor_last_into(
-    c: &RnsPoly,
+/// [`CkksError::LevelExhausted`] when `kept` is empty; [`CkksError::Math`]
+/// when `out` is not shaped over `ctx.level_moduli(to)`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn floor_into(
     ctx: &CkksContext,
-    level: usize,
     exec: &dyn Executor,
     backend: &impl NttBackend,
+    drop_prime: usize,
+    kept: &[u64],
+    dropped: &mut [u64],
+    add: Option<(&RnsPoly, &[u32])>,
     out: &mut RnsPoly,
 ) -> Result<(), CkksError> {
-    if level == 0 {
-        return Err(CkksError::LevelExhausted);
-    }
-    floor_impl_into(c, ctx, level, false, exec, backend, out)
-}
-
-/// Floors away the **special prime** (encryption): input spans
-/// `p_0..p_level` plus the special prime as its last residue; the output
-/// spans `p_0..p_level` in NTT form.
-///
-/// # Errors
-///
-/// Returns [`CkksError::Math`] if the input is not in NTT form or its
-/// residue count is not `level + 2`.
-pub(crate) fn floor_special(
-    c: &RnsPoly,
-    ctx: &CkksContext,
-    level: usize,
-    exec: &dyn Executor,
-) -> Result<RnsPoly, CkksError> {
-    let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(level), Representation::Ntt);
-    floor_impl_into(c, ctx, level, true, exec, &TableNtt, &mut out)?;
-    Ok(out)
-}
-
-fn floor_impl_into(
-    c: &RnsPoly,
-    ctx: &CkksContext,
-    level: usize,
-    special: bool,
-    exec: &dyn Executor,
-    backend: &impl NttBackend,
-    out: &mut RnsPoly,
-) -> Result<(), CkksError> {
-    if c.representation() != Representation::Ntt {
-        return Err(CkksError::Math(
-            heax_math::MathError::RepresentationMismatch,
-        ));
-    }
-    let keep = if special { level + 1 } else { level };
-    if c.num_residues() != keep + 1 {
-        return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-            expected: keep + 1,
-            got: c.num_residues(),
-        }));
-    }
     let n = ctx.n();
-    let out_moduli = ctx.level_moduli(if special { level } else { level - 1 });
-    if out.n() != n || out.num_residues() != out_moduli.len() {
-        return Err(CkksError::Math(heax_math::MathError::LengthMismatch {
-            expected: out_moduli.len() * n,
-            got: out.num_residues() * out.n(),
-        }));
-    }
-    let drop_table = if special {
-        ctx.special_ntt_table()
-    } else {
-        ctx.ntt_table(level)
-    };
+    debug_assert_eq!(dropped.len(), n, "the dropped residue is one residue");
+    let to = (kept.len() / n)
+        .checked_sub(1)
+        .ok_or(CkksError::LevelExhausted)?;
+    let special = drop_prime == ctx.params().k();
+    debug_assert!(special || drop_prime == to + 1, "not the prime above");
+    let out_moduli = ctx.level_moduli(to);
+    check_output(out, n, out_moduli)?;
     let consts = if special {
-        ctx.modswitch_constants(level)
+        ctx.modswitch_constants(to)
     } else {
-        ctx.rescale_constants(level)
+        ctx.rescale_constants(drop_prime)
     };
 
-    // Step 1: INTT the dropped residue (Algorithm 6, line 1). Inputs to
-    // this single-residue floor are always canonical [0, p) residues
-    // (rescaling, encryption); only the key-switch skeleton's paired
-    // floor (`crate::keyswitch`) accepts lazy accumulators.
-    let mut drop_coeff = Words::for_overwrite(n);
-    drop_coeff.copy_from_slice(c.residue(keep));
-    backend.inverse(Stage::Intt1, drop_table, &mut drop_coeff);
+    // INTT1 (line 1).
+    ctx.moduli()[drop_prime].reduce_words(dropped);
+    backend.inverse(Stage::Intt1, ctx.ntt_table(drop_prime), dropped);
 
-    // Step 2: fold into every remaining modulus (lines 2-7) — one
-    // independent limb per modulus, dispatched across the executor; each
-    // limb re-NTTs, reducing on load, inside a lane it takes for itself.
-    let a = &*drop_coeff;
+    // NTT1 + MS per kept prime (lines 2-7), each limb in its own lane.
+    let a = &*dropped;
     out.set_representation(Representation::Ntt);
     exec::for_each_limb(exec, out.data_mut(), n, |i, dst| {
         let mut lane = Words::for_overwrite(n);
         // DOMAIN: [0,4p)
         backend.forward_reduced(Stage::Ntt1, ctx.ntt_table(i), a, &mut lane);
-        out_moduli[i].mod_switch(consts.inv(i), c.residue(i), &lane, None, dst);
+        let add = add.map(|(c, perm)| (c.residue(i), perm));
+        out_moduli[i].mod_switch(consts.inv(i), &kept[i * n..][..n], &lane, add, dst);
     });
+    Ok(())
+}
+
+/// Validates a caller-provided floor output: NTT-form shape over exactly
+/// the given basis, compared by modulus value.
+fn check_output(out: &RnsPoly, n: usize, moduli: &[Modulus]) -> Result<(), CkksError> {
+    if out.n() != n || out.num_residues() != moduli.len() {
+        return Err(MathError::LengthMismatch {
+            expected: moduli.len() * n,
+            got: out.num_residues() * out.n(),
+        }
+        .into());
+    }
+    for (a, b) in out.moduli().iter().zip(moduli) {
+        if a.value() != b.value() {
+            return Err(MathError::BasisMismatch {
+                a: a.value(),
+                b: b.value(),
+            }
+            .into());
+        }
+    }
     Ok(())
 }
 
@@ -130,22 +111,40 @@ fn floor_impl_into(
 mod tests {
     use super::*;
     use crate::context::tests::small;
-    use crate::keyswitch::{KeySwitcher, KsBuffers};
+    use crate::galois::galois_permutation;
+    use crate::keyswitch::TableNtt;
     use heax_math::exec::Sequential;
 
-    /// Allocating convenience wrapper over the rescale into-variant.
-    fn floor_last(
-        c: &RnsPoly,
+    /// Floors `c` — the kept residues, then the dropped one — by chain
+    /// prime `drop_prime` on the software kernels.
+    fn floor(
         ctx: &CkksContext,
-        level: usize,
-        exec: &dyn Executor,
+        drop_prime: usize,
+        c: &RnsPoly,
+        add: Option<(&RnsPoly, &[u32])>,
     ) -> Result<RnsPoly, CkksError> {
-        if level == 0 {
-            return Err(CkksError::LevelExhausted);
-        }
-        let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(level - 1), Representation::Ntt);
-        floor_last_into(c, ctx, level, exec, &TableNtt, &mut out)?;
+        let (n, keep) = (ctx.n(), c.num_residues() - 1);
+        let mut out = RnsPoly::zero(n, ctx.level_moduli(keep - 1), Representation::Ntt);
+        let mut dropped = c.residue(keep).to_vec();
+        let kept = &c.data()[..keep * n];
+        floor_into(
+            ctx,
+            &Sequential,
+            &TableNtt,
+            drop_prime,
+            kept,
+            &mut dropped,
+            add,
+            &mut out,
+        )?;
         Ok(out)
+    }
+
+    /// The chain at `level` followed by the special prime.
+    fn extended(ctx: &CkksContext, level: usize) -> Vec<Modulus> {
+        let mut chain = ctx.level_moduli(level).to_vec();
+        chain.push(*ctx.special_modulus());
+        chain
     }
 
     /// Flooring an exact multiple of the dropped prime divides exactly.
@@ -158,8 +157,7 @@ mod tests {
         let p_sp = ctx.special_modulus().value();
 
         // c = p_sp * v for a small v: floor(c / p_sp) == v.
-        let mut chain: Vec<_> = ctx.level_moduli(level).to_vec();
-        chain.push(*ctx.special_modulus());
+        let chain = extended(&ctx, level);
         let mut c = RnsPoly::zero(n, &chain, Representation::Coefficient);
         let v: Vec<u64> = (0..n as u64).map(|j| j % 50).collect();
         for (i, m) in chain.iter().enumerate() {
@@ -171,7 +169,7 @@ mod tests {
         tables.push(ctx.special_ntt_table().clone());
         c.ntt_forward(&tables).unwrap();
 
-        let mut floored = floor_special(&c, &ctx, level, &Sequential).unwrap();
+        let mut floored = floor(&ctx, k, &c, None).unwrap();
         floored.ntt_inverse(ctx.ntt_tables()).unwrap();
         for (i, _m) in ctx.level_moduli(level).iter().enumerate() {
             for (j, &got) in floored.residue(i).iter().enumerate() {
@@ -187,7 +185,7 @@ mod tests {
     fn floor_general_value_close() {
         let ctx = CkksContext::new(small()).unwrap();
         let n = ctx.n();
-        let level = 1usize; // basis p0, p1; drop p1 via rescale path
+        let level = 1usize; // basis p0, p1; drop p1 as a rescale does
         let p0 = ctx.moduli()[0];
         let p1 = ctx.moduli()[1];
 
@@ -200,7 +198,7 @@ mod tests {
         let tables: Vec<_> = (0..2).map(|i| ctx.ntt_table(i).clone()).collect();
         c.ntt_forward(&tables).unwrap();
 
-        let mut floored = floor_last(&c, &ctx, level, &Sequential).unwrap();
+        let mut floored = floor(&ctx, level, &c, None).unwrap();
         assert_eq!(floored.num_residues(), 1);
         floored.ntt_inverse(&tables[..1]).unwrap();
         let got = floored.residue(0)[0];
@@ -212,68 +210,115 @@ mod tests {
         );
     }
 
+    /// The one floor takes lazy words: for either dropped prime (the last
+    /// ciphertext prime, the special prime), with and without the added
+    /// permuted polynomial, representatives `+p`, `+2p` and `+3p` in every
+    /// residue, the dropped one included, floor to the canonical input's
+    /// bits; and the add is `τ(add)` added to the plain floor.
     #[test]
-    fn paired_floor_matches_two_singles() {
+    fn lazy_words_floor_like_canonical_ones() {
         let ctx = CkksContext::new(small()).unwrap();
         let n = ctx.n();
         let level = ctx.max_level();
-        let mut chain: Vec<_> = ctx.level_moduli(level).to_vec();
-        chain.push(*ctx.special_modulus());
-        let mut c0 = RnsPoly::zero(n, &chain, Representation::Ntt);
-        let mut c1 = RnsPoly::zero(n, &chain, Representation::Ntt);
-        // Canonical inputs for the single-residue oracle…
-        for (i, m) in chain.iter().enumerate() {
-            for j in 0..n {
-                c0.residue_mut(i)[j] = (j as u64 * 131 + i as u64).wrapping_mul(3) % m.value();
-                c1.residue_mut(i)[j] = (j as u64 * 31 + 7).wrapping_mul(5) % m.value();
-            }
-        }
-        let s0 = floor_special(&c0, &ctx, level, &Sequential).unwrap();
-        let s1 = floor_special(&c1, &ctx, level, &Sequential).unwrap();
-        // …and lazy representatives of the same values for the paired
-        // variant, which must reduce them itself.
-        for (i, m) in chain.iter().enumerate() {
-            for j in 0..n {
-                if j % 3 == 0 {
-                    c0.residue_mut(i)[j] += m.value();
-                }
-                if j % 2 == 0 {
-                    c1.residue_mut(i)[j] += 2 * m.value();
+        let perm = galois_permutation(5, n);
+        for (drop_prime, chain) in [
+            (level, ctx.level_moduli(level).to_vec()),
+            (ctx.params().k(), extended(&ctx, level)),
+        ] {
+            let keep = chain.len() - 1;
+            let mut canonical = RnsPoly::zero(n, &chain, Representation::Ntt);
+            let mut addend = RnsPoly::zero(n, &chain[..keep], Representation::Ntt);
+            for (i, m) in chain.iter().enumerate() {
+                for j in 0..n {
+                    let x = (j as u64 * 131 + i as u64).wrapping_mul(0x9e37_79b9) % m.value();
+                    canonical.residue_mut(i)[j] = x;
+                    if i < keep {
+                        addend.residue_mut(i)[j] = (x * 7 + 3) % m.value();
+                    }
                 }
             }
+            let mut lazy = canonical.clone();
+            for (i, m) in chain.iter().enumerate() {
+                for (j, w) in lazy.residue_mut(i).iter_mut().enumerate() {
+                    *w += m.value() * (u64::from(j % 3 == 0) + 2 * u64::from(j % 2 == 0));
+                }
+            }
+            assert_ne!(lazy, canonical);
+            let plain = floor(&ctx, drop_prime, &canonical, None).unwrap();
+            assert_eq!(floor(&ctx, drop_prime, &lazy, None).unwrap(), plain);
+            let add = Some((&addend, &perm[..]));
+            let added = floor(&ctx, drop_prime, &canonical, add).unwrap();
+            assert_eq!(floor(&ctx, drop_prime, &lazy, add).unwrap(), added);
+            for (i, m) in chain[..keep].iter().enumerate() {
+                for (j, &t) in perm.iter().enumerate() {
+                    let want = m.add_mod(plain.residue(i)[j], addend.residue(i)[t as usize]);
+                    assert_eq!(
+                        added.residue(i)[j],
+                        want,
+                        "prime {drop_prime} res {i} coeff {j}"
+                    );
+                }
+            }
         }
-        let mut bufs = KsBuffers::new(&ctx, level);
-        bufs.acc0.copy_from_slice(c0.data());
-        bufs.acc1.copy_from_slice(c1.data());
-        let mut p0 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-        let mut p1 = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-        KeySwitcher::new(&ctx, &Sequential, &TableNtt)
-            .floor(&mut bufs, level, level, None, &mut p0, &mut p1)
-            .unwrap();
-        assert_eq!(p0, s0);
-        assert_eq!(p1, s1);
     }
 
     #[test]
     fn floor_at_level_zero_is_exhausted() {
         let ctx = CkksContext::new(small()).unwrap();
-        let c = RnsPoly::zero(ctx.n(), ctx.level_moduli(0), Representation::Ntt);
+        let mut dropped = vec![0; ctx.n()];
+        let mut out = RnsPoly::zero(ctx.n(), ctx.level_moduli(0), Representation::Ntt);
         assert!(matches!(
-            floor_last(&c, &ctx, 0, &Sequential),
+            floor_into(
+                &ctx,
+                &Sequential,
+                &TableNtt,
+                0,
+                &[],
+                &mut dropped,
+                None,
+                &mut out
+            ),
             Err(CkksError::LevelExhausted)
         ));
     }
 
+    /// The output must be shaped over the kept primes, by count and by
+    /// modulus value.
     #[test]
     fn floor_checks_shape() {
         let ctx = CkksContext::new(small()).unwrap();
-        // Wrong representation.
-        let mut chain: Vec<_> = ctx.level_moduli(ctx.max_level()).to_vec();
-        chain.push(*ctx.special_modulus());
-        let c = RnsPoly::zero(ctx.n(), &chain, Representation::Coefficient);
-        assert!(floor_special(&c, &ctx, ctx.max_level(), &Sequential).is_err());
-        // Wrong residue count.
-        let c = RnsPoly::zero(ctx.n(), &chain[..2], Representation::Ntt);
-        assert!(floor_special(&c, &ctx, ctx.max_level(), &Sequential).is_err());
+        let (n, level, k) = (ctx.n(), ctx.max_level(), ctx.params().k());
+        let c = RnsPoly::zero(n, &extended(&ctx, level), Representation::Ntt);
+        let kept = &c.data()[..(level + 1) * n];
+        let mut dropped = vec![0; n];
+        let mut short = RnsPoly::zero(n, ctx.level_moduli(level - 1), Representation::Ntt);
+        assert!(matches!(
+            floor_into(
+                &ctx,
+                &Sequential,
+                &TableNtt,
+                k,
+                kept,
+                &mut dropped,
+                None,
+                &mut short
+            ),
+            Err(CkksError::Math(MathError::LengthMismatch { .. }))
+        ));
+        let foreign = extended(&ctx, level - 1);
+        let mut wrong = RnsPoly::zero(n, &foreign, Representation::Ntt);
+        assert!(matches!(
+            floor_into(
+                &ctx,
+                &Sequential,
+                &TableNtt,
+                k,
+                kept,
+                &mut dropped,
+                None,
+                &mut wrong
+            ),
+            Err(CkksError::Math(MathError::BasisMismatch { .. }))
+        ));
     }
 }

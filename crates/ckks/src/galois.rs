@@ -68,41 +68,20 @@ pub fn galois_permutation(g: usize, n: usize) -> Vec<u32> {
 ///
 /// Returns [`MathError::RepresentationMismatch`] if the polynomial is in
 /// coefficient form.
+///
+/// # Panics
+///
+/// Panics if the table's length is not the ring degree.
 pub fn apply_galois_ntt(poly: &RnsPoly, table: &[u32]) -> Result<RnsPoly, MathError> {
-    let mut out = RnsPoly::zero(poly.n(), poly.moduli(), Representation::Ntt);
-    apply_galois_ntt_into(poly, table, &mut out)?;
-    Ok(out)
-}
-
-/// Applies a Galois permutation into a caller-provided buffer of the same
-/// shape.
-///
-/// # Errors
-///
-/// Returns [`MathError::RepresentationMismatch`] if the polynomial is in
-/// coefficient form, [`MathError::LengthMismatch`] if `out` has a
-/// different shape.
-pub fn apply_galois_ntt_into(
-    poly: &RnsPoly,
-    table: &[u32],
-    out: &mut RnsPoly,
-) -> Result<(), MathError> {
     if poly.representation() != Representation::Ntt {
         return Err(MathError::RepresentationMismatch);
     }
-    let n = poly.n();
-    assert_eq!(table.len(), n, "permutation table length mismatch");
-    if out.n() != n || out.num_residues() != poly.num_residues() {
-        return Err(MathError::LengthMismatch {
-            expected: poly.num_residues() * n,
-            got: out.num_residues() * out.n(),
-        });
-    }
-    out.set_representation(Representation::Ntt);
+    assert_eq!(table.len(), poly.n(), "permutation table length mismatch");
+    let mut out = RnsPoly::zero(poly.n(), poly.moduli(), Representation::Ntt);
     for i in 0..poly.num_residues() {
         permute(poly.residue(i), table, out.residue_mut(i));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// One residue through a permutation table: `dst[j] = src[table[j]]`.
@@ -116,6 +95,7 @@ pub(crate) fn permute(src: &[u64], table: &[u32], dst: &mut [u64]) {
 /// Applies `X ↦ X^g` in coefficient form: `a_i·X^i ↦ ±a_i·X^{(i·g) mod n}`
 /// with the sign from negacyclic wraparound. O(n) reference used by tests
 /// to validate the NTT-domain permutation.
+#[cfg(test)]
 pub fn apply_galois_coeff(poly: &RnsPoly, g: usize) -> Result<RnsPoly, MathError> {
     if poly.representation() != Representation::Coefficient {
         return Err(MathError::RepresentationMismatch);
@@ -193,27 +173,6 @@ mod tests {
             let b = apply_galois_ntt(&b_in, &table).unwrap();
             assert_eq!(a, b, "g={g}");
         }
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_variant() {
-        let n = 64usize;
-        let (mods, tables) = setup(n);
-        let mut poly = RnsPoly::zero(n, &mods, Representation::Coefficient);
-        for (r, m) in mods.iter().enumerate() {
-            for (j, c) in poly.residue_mut(r).iter_mut().enumerate() {
-                *c = ((j as u64 * 7 + r as u64) * 29 + 5) % m.value();
-            }
-        }
-        poly.ntt_forward(&tables).unwrap();
-        let table = galois_permutation(5, n);
-        let fresh = apply_galois_ntt(&poly, &table).unwrap();
-        let mut reused = RnsPoly::zero(n, &mods, Representation::Coefficient);
-        apply_galois_ntt_into(&poly, &table, &mut reused).unwrap();
-        assert_eq!(fresh, reused);
-        // Shape mismatch rejected.
-        let mut wrong = RnsPoly::zero(n, &mods[..1], Representation::Ntt);
-        assert!(apply_galois_ntt_into(&poly, &table, &mut wrong).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use heax_math::exec;
 use heax_math::packed::{width_for, PackedRow, PackedRows};
 use heax_math::poly::{Representation, RnsPoly};
 use heax_math::sampling::{sample_error, sample_ternary, sample_uniform};
@@ -358,7 +359,10 @@ pub(crate) fn sym_enc_zero<R: Rng + ?Sized>(
     e.ntt_forward(ctx.ntt_tables())
         .expect("error in coeff form");
     // b = -(a·s) + e
-    let mut b = a.dyadic_mul(&sk.poly).expect("same basis").neg();
+    let mut b = a
+        .dyadic_mul(&sk.poly)
+        .expect("same basis")
+        .neg(exec::global().as_ref());
     b.add_assign(&e).expect("same basis");
     (b, a)
 }

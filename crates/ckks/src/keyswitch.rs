@@ -11,9 +11,11 @@
 //!    lanes, in a `u128` otherwise — and reduced once per coefficient, not
 //!    once per term (`Modulus::dyad_acc_lazy`); what reaches memory is one
 //!    word in `[0, 4p)`.
-//! 3. **floor** — both accumulators are divided by the special prime
-//!    (INTT1 → NTT1 → MS); the MS step reduces the lazy accumulator words
-//!    as it reads them, and for a rotation adds `τ(c₀)` as it stores.
+//! 3. **floor** — each accumulator is divided by the special prime
+//!    (INTT1 → NTT1 → MS) by the one floor that rescaling and encryption
+//!    use too (`flooring`): it reduces the lazy accumulator words as it
+//!    reads them, and for a rotation `f₀`'s floor adds `τ(c₀)` as it
+//!    stores.
 //!
 //! A **one-key** switch (relinearization, a single rotation) streams steps
 //! 1 and 2 one extended column at a time, as Figure 5 streams each limb
@@ -46,11 +48,11 @@
 use heax_math::exec::{self, Executor};
 use heax_math::ntt::NttTable;
 use heax_math::poly::{Representation, RnsPoly, Words};
-use heax_math::word::Modulus;
 use heax_math::MathError;
 
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
+use crate::flooring::floor_into;
 use crate::galois::{galois_elt_from_step, permute};
 use crate::keys::{GaloisKeys, KeySwitchKey};
 use crate::CkksError;
@@ -61,12 +63,12 @@ use crate::CkksError;
 /// column's digits and a limb's floor lanes are taken per column and per
 /// limb; only hoisting takes the digit matrix. Once the recycler is warm,
 /// [`KeySwitcher::key_switch_into`] allocates nothing.
-pub(crate) struct KsBuffers {
+struct KsBuffers {
     /// Accumulator `f₀` over the extended basis (active primes, then the
     /// special prime): limb `j` spans `[j·n, (j+1)·n)`.
-    pub(crate) acc0: Words,
+    acc0: Words,
     /// Accumulator `f₁` over the extended basis.
-    pub(crate) acc1: Words,
+    acc1: Words,
     /// `c₁` in coefficient form (INTT0's output): row `i` spans
     /// `[i·n, (i+1)·n)`.
     coeff: Words,
@@ -75,7 +77,7 @@ pub(crate) struct KsBuffers {
 impl KsBuffers {
     /// Buffers for one switch of a `level` input, separate takes so each
     /// is the best fit of its own size.
-    pub(crate) fn new(ctx: &CkksContext, level: usize) -> Self {
+    fn new(ctx: &CkksContext, level: usize) -> Self {
         let n = ctx.n();
         Self {
             acc0: Words::for_overwrite((level + 2) * n),
@@ -94,8 +96,9 @@ pub enum Stage {
     /// Forward transform of one digit under one extended-basis prime
     /// (decompose).
     Ntt0,
-    /// Inverse transform of an accumulator's special-prime residue
-    /// (floor).
+    /// Inverse transform of the residue a floor drops: the special
+    /// prime's at the end of a key switch or an encryption, the last
+    /// ciphertext prime's in a rescale (floor).
     Intt1,
     /// Forward transform of that residue under one remaining prime
     /// (floor).
@@ -260,7 +263,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             self.fill_column(chain_idx, c1, tau, coeff, &mut column);
             self.accumulate(ksk, None, chain_idx, &column, d0, d1);
         });
-        self.floor(&mut bufs, level, to, galois, out0, out1)
+        self.floor_both(&mut bufs, level, to, galois, out0, out1)
     }
 
     /// Hoisted multi-rotation: decomposes `c₁` once into a digit matrix,
@@ -328,7 +331,7 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
             let mut f0 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             let mut f1 = RnsPoly::for_overwrite(n, moduli, Representation::Ntt);
             let add = Some((&a.polys[0], perm));
-            self.floor(&mut bufs, level, to, add, &mut f0, &mut f1)?;
+            self.floor_both(&mut bufs, level, to, add, &mut f0, &mut f1)?;
             out.push(Ciphertext::from_parts(vec![f0, f1], to, a.scale)?);
         }
         Ok(out)
@@ -404,14 +407,13 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         self.ctx.moduli()[chain_idx].dyad_acc_lazy(column, perm, keys, d0, d1);
     }
 
-    /// Step 3 (line 19): floors both accumulators by the special prime
-    /// into `out0`/`out1`, adding `add.0` read through the permutation
-    /// `add.1` into `out0` when given. Only the residues of level `to`
-    /// are floored, and the outputs must be shaped over exactly those.
-    /// The accumulators are lazy (any word below `4p` congruent to the
-    /// residue); the final `MulRed` canonicalizes, so the outputs are the
-    /// strict floor's.
-    pub(crate) fn floor(
+    /// Step 3 (line 19): the one floor ([`floor_into`]) run twice, by the
+    /// special prime: `f₀` into `out0`, adding `add.0` read through the
+    /// permutation `add.1` when given, and `f₁` into `out1`. Only the
+    /// residues of level `to` are floored, and the outputs must be shaped
+    /// over exactly those. Each accumulator's special column is the
+    /// floor's scratch.
+    fn floor_both(
         &self,
         bufs: &mut KsBuffers,
         level: usize,
@@ -420,47 +422,14 @@ impl<'a, B: NttBackend> KeySwitcher<'a, B> {
         out0: &mut RnsPoly,
         out1: &mut RnsPoly,
     ) -> Result<(), CkksError> {
-        let (ctx, backend) = (self.ctx, self.backend);
-        let n = ctx.n();
-        debug_assert!(to <= level, "output level {to} above {level}");
-        let out_moduli = ctx.level_moduli(to);
-        check_switch_output(out0, n, out_moduli)?;
-        check_switch_output(out1, n, out_moduli)?;
-        let KsBuffers { acc0, acc1, .. } = bufs;
-        let consts = ctx.modswitch_constants(level);
-
-        // INTT1 per accumulator: its special-prime residue, reduced where
-        // it lies (column `level + 1`).
-        let special = (level + 1) * n;
-        let (c0, a0) = acc0[..special + n].split_at_mut(special);
-        let (c1, a1) = acc1[..special + n].split_at_mut(special);
-        for a in [&mut *a0, &mut *a1] {
-            ctx.special_modulus().reduce_words(a);
-            backend.inverse(Stage::Intt1, ctx.special_ntt_table(), a);
+        let (ctx, exec, backend) = (self.ctx, self.exec, self.backend);
+        let (n, special) = (ctx.n(), ctx.params().k());
+        for (acc, add, out) in [(&mut bufs.acc0, add, out0), (&mut bufs.acc1, None, out1)] {
+            let (kept, dropped) = acc.split_at_mut((level + 1) * n);
+            let kept = &kept[..(to + 1) * n];
+            // DOMAIN: [0,4p) words in, canonical out.
+            floor_into(ctx, exec, backend, special, kept, dropped, add, out)?;
         }
-
-        // NTT1 per accumulator + MS per remaining prime, each limb in its
-        // own lane pair.
-        let (c0, c1, a0, a1) = (&*c0, &*c1, &*a0, &*a1);
-        out0.set_representation(Representation::Ntt);
-        out1.set_representation(Representation::Ntt);
-        exec::for_each_limb2(
-            self.exec,
-            out0.data_mut(),
-            out1.data_mut(),
-            n,
-            |i, dst0, dst1| {
-                let (pi, table) = (&out_moduli[i], ctx.ntt_table(i));
-                let mut lanes = Words::for_overwrite(2 * n);
-                let (buf0, buf1) = lanes.split_at_mut(n);
-                backend.forward_reduced(Stage::Ntt1, table, a0, buf0); // DOMAIN: [0,4p)
-                backend.forward_reduced(Stage::Ntt1, table, a1, buf1); // DOMAIN: [0,4p)
-                let inv = consts.inv(i);
-                let add = add.map(|(c, perm)| (c.residue(i), perm));
-                pi.mod_switch(inv, &c0[i * n..][..n], buf0, add, dst0);
-                pi.mod_switch(inv, &c1[i * n..][..n], buf1, None, dst1);
-            },
-        );
         Ok(())
     }
 }
@@ -486,28 +455,6 @@ fn computes(j: usize, level: usize, to: usize) -> bool {
 pub(crate) fn check_output_level(to: usize, level: usize) -> Result<(), CkksError> {
     if to > level {
         return Err(CkksError::LevelMismatch { a: to, b: level });
-    }
-    Ok(())
-}
-
-/// Validates a caller-provided key-switch output buffer: NTT-form shape
-/// over exactly the given basis.
-fn check_switch_output(out: &RnsPoly, n: usize, moduli: &[Modulus]) -> Result<(), CkksError> {
-    if out.n() != n || out.num_residues() != moduli.len() {
-        return Err(MathError::LengthMismatch {
-            expected: moduli.len() * n,
-            got: out.num_residues() * out.n(),
-        }
-        .into());
-    }
-    for (a, b) in out.moduli().iter().zip(moduli) {
-        if a.value() != b.value() {
-            return Err(MathError::BasisMismatch {
-                a: a.value(),
-                b: b.value(),
-            }
-            .into());
-        }
     }
     Ok(())
 }

@@ -243,6 +243,49 @@ mod keyswitch_overhaul {
     }
 }
 
+/// Rescaling, the floor by the last ciphertext prime, against the Barrett
+/// oracle (`support`): bit-identical at every level from 1, for a fresh
+/// pair and a 3-component product, on `Sequential`, a `k`-lane and a
+/// 4-lane pool.
+mod rescale_oracle {
+    use super::*;
+    use heax_math::exec::{with_threads, Sequential};
+    use std::sync::Arc;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn rescale_bit_identical_to_barrett(
+            seed in any::<u64>(),
+            k in prop::sample::select(vec![1usize, 2, 4]),
+        ) {
+            let mut r = rig(seed);
+            let enc = CkksEncoder::new(&r.ctx);
+            let pt = enc.encode_real(&[0.75, -1.5], r.ctx.params().scale(), r.ctx.max_level()).unwrap();
+            let ct = Encryptor::new(&r.ctx, &r.pk).encrypt(&pt, &mut r.rng).unwrap();
+            let evals = [
+                Evaluator::with_executor(&r.ctx, Arc::new(Sequential)),
+                Evaluator::with_executor(&r.ctx, with_threads(k)),
+                Evaluator::with_executor(&r.ctx, with_threads(4)),
+            ];
+            let product = evals[0].multiply(&ct, &ct).unwrap();
+            for level in 1..=r.ctx.max_level() {
+                for input in [&ct, &product] {
+                    let at = evals[0].mod_switch_to_level(input, level).unwrap();
+                    let want = support::barrett_rescale(&r.ctx, &at);
+                    for ev in &evals {
+                        prop_assert_eq!(
+                            &ev.rescale(&at).unwrap(), &want,
+                            "level {} size {} lanes {}", level, at.size(), ev.executor().threads()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// PR 7 seeded wire path (PROTOCOL.md §4.4): a seeded fresh encryption
 /// must survive the wire byte-for-byte, expand identically on both
 /// ends, travel through the tag-dispatching operand decoder, and

@@ -1,4 +1,5 @@
-//! Independent oracle for `KeySwitch` (Algorithm 7) and hoisted rotation.
+//! Independent oracle for `KeySwitch` (Algorithm 7), hoisted rotation and
+//! rescaling (Algorithm 6).
 //!
 //! A deliberately naive transcription that shares **no kernel** with the
 //! code under test: every transform is the strict
@@ -77,22 +78,44 @@ fn switch_digits(
         }
     }
 
-    let p_sp = ctx.special_modulus().value();
-    let floor = |acc: &[Vec<u64>]| {
-        let mut a = acc[level + 1].clone();
-        ctx.special_ntt_table().inverse(&mut a);
-        let mut out = RnsPoly::zero(n, ctx.level_moduli(level), Representation::Ntt);
-        for (i, m) in ctx.level_moduli(level).iter().enumerate() {
-            let mut r: Vec<u64> = a.iter().map(|&x| x % m.value()).collect();
-            ctx.ntt_table(i).forward(&mut r);
-            let inv = m.inv_mod(p_sp % m.value()).unwrap();
-            for (t, d) in out.residue_mut(i).iter_mut().enumerate() {
-                *d = m.mul_mod(m.sub_mod(acc[i][t], r[t]), inv);
-            }
-        }
-        out
-    };
+    let k = ctx.params().k();
+    let floor = |acc: &[Vec<u64>]| floor(ctx, &acc[..=level], &acc[level + 1], k);
     (floor(&acc[0]), floor(&acc[1]))
+}
+
+/// Algorithm 6 by the book: the residue `top` under chain prime `drop`
+/// taken to coefficient form, reduced into each kept prime `p_i` with `%`
+/// and transformed back as `r`, then `(kept_i − r)·[p_drop^{-1}]_{p_i}`.
+fn floor(ctx: &CkksContext, kept: &[Vec<u64>], top: &[u64], drop: usize) -> RnsPoly {
+    let p_drop = ctx.moduli()[drop].value();
+    let mut a = top.to_vec();
+    ctx.ntt_table(drop).inverse(&mut a);
+    let moduli = ctx.level_moduli(kept.len() - 1);
+    let mut out = RnsPoly::zero(ctx.n(), moduli, Representation::Ntt);
+    for (i, m) in moduli.iter().enumerate() {
+        let mut r: Vec<u64> = a.iter().map(|&x| x % m.value()).collect();
+        ctx.ntt_table(i).forward(&mut r);
+        let inv = m.inv_mod(p_drop % m.value()).unwrap();
+        for (t, d) in out.residue_mut(i).iter_mut().enumerate() {
+            *d = m.mul_mod(m.sub_mod(kept[i][t], r[t]), inv);
+        }
+    }
+    out
+}
+
+/// `CKKS.Rescale` by the book: every component floored by its top prime
+/// `p_ℓ`, the scale divided by it.
+pub fn barrett_rescale(ctx: &CkksContext, ct: &Ciphertext) -> Ciphertext {
+    let level = ct.level();
+    let polys = (0..ct.size())
+        .map(|c| {
+            let poly = ct.component(c);
+            let kept: Vec<Vec<u64>> = (0..level).map(|i| poly.residue(i).to_vec()).collect();
+            floor(ctx, &kept, poly.residue(level), level)
+        })
+        .collect();
+    let p = ctx.moduli()[level].value() as f64;
+    Ciphertext::from_parts(polys, level - 1, ct.scale() / p).unwrap()
 }
 
 /// Algorithm 7, lines 1–19, by the book.

@@ -152,13 +152,6 @@ impl<'a> HeaxSystem<'a> {
             ops_per_sec: count as f64 / total_us * 1e6,
         }
     }
-
-    /// Whether the configuration is compute-bound (PCIe keeps up) for the
-    /// given per-op report.
-    pub fn is_compute_bound(&self, rep: &OpReport) -> bool {
-        let r = self.batch(rep, 1024, OperandLocation::Host);
-        r.compute_us >= r.pcie_us
-    }
 }
 
 #[cfg(test)]

@@ -224,31 +224,6 @@ impl RnsPoly {
         }
     }
 
-    /// Builds from raw residue data (modulus-major, `k*n` words).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::LengthMismatch`] if `data.len() != n·k`.
-    pub fn from_data(
-        n: usize,
-        moduli: &[Modulus],
-        data: Vec<u64>,
-        repr: Representation,
-    ) -> Result<Self, MathError> {
-        if data.len() != n * moduli.len() {
-            return Err(MathError::LengthMismatch {
-                expected: n * moduli.len(),
-                got: data.len(),
-            });
-        }
-        Ok(Self {
-            n,
-            moduli: moduli.to_vec(),
-            data,
-            repr,
-        })
-    }
-
     /// Ring degree.
     #[inline]
     pub fn n(&self) -> usize {
@@ -394,11 +369,11 @@ impl RnsPoly {
         Ok(out)
     }
 
-    /// Negation.
-    pub fn neg(&self) -> Self {
+    /// Negation, limbs dispatched through `exec`.
+    pub fn neg(&self, exec: &dyn Executor) -> Self {
         let mut out = self.clone();
         let n = out.n;
-        exec::for_each_limb(exec::global().as_ref(), &mut out.data, n, |i, dst| {
+        exec::for_each_limb(exec, &mut out.data, n, |i, dst| {
             let p = &self.moduli[i];
             for d in dst.iter_mut() {
                 *d = p.neg_mod(*d);
@@ -503,15 +478,16 @@ impl RnsPoly {
         Ok(())
     }
 
-    /// Multiplies every residue `i` by scalar `scalars[i]`.
+    /// Multiplies every residue `i` by scalar `scalars[i]`, limbs
+    /// dispatched through `exec`.
     ///
     /// # Panics
     ///
     /// Panics if `scalars.len() != self.num_residues()`.
-    pub fn scale_per_residue(&mut self, scalars: &[u64]) {
+    pub fn scale_per_residue(&mut self, scalars: &[u64], exec: &dyn Executor) {
         assert_eq!(scalars.len(), self.moduli.len());
         let n = self.n;
-        exec::for_each_limb(exec::global().as_ref(), &mut self.data, n, |i, dst| {
+        exec::for_each_limb(exec, &mut self.data, n, |i, dst| {
             let p = &self.moduli[i];
             let s = p.reduce_u64(scalars[i]);
             for d in dst.iter_mut() {
@@ -657,7 +633,7 @@ mod tests {
         assert_eq!(back, a);
         let z = a.sub(&a).unwrap();
         assert!(z.data().iter().all(|&x| x == 0));
-        assert_eq!(a.add(&a.neg()).unwrap().data(), z.data());
+        assert_eq!(a.add(&a.neg(&exec::Sequential)).unwrap().data(), z.data());
     }
 
     #[test]

@@ -241,11 +241,6 @@ impl RnsBasis {
         acc
     }
 
-    /// `Q` as an `f64` (rounded), useful for scale bookkeeping.
-    pub fn product_f64(&self) -> f64 {
-        self.moduli.iter().map(|p| p.value() as f64).product()
-    }
-
     /// `log2(Q)`.
     pub fn log2_product(&self) -> f64 {
         self.moduli.iter().map(|p| (p.value() as f64).log2()).sum()
